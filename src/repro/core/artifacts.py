@@ -210,6 +210,12 @@ class ArtifactStore:
         Any failure — sqlite error, checksum mismatch, unpicklable blob —
         is a miss; corrupt rows are deleted on the way out.
         """
+        return self._get(stage, key)
+
+    def _get(self, stage: str, key: Any, recheck: bool = False) -> Any:
+        """:meth:`get`; ``recheck`` marks the second look of one
+        ``get_or_compute`` (whose first look already counted the miss),
+        so an absent row is not counted again."""
         address = artifact_key(stage, key)
         with self._lock:
             conn = self._conn
@@ -226,8 +232,9 @@ class ArtifactStore:
                 self.misses += 1
                 return _MISS
             if row is None:
-                self.misses += 1
-                self._bump_counter(f"miss:{stage}")
+                if not recheck:
+                    self.misses += 1
+                    self._bump_counter(f"miss:{stage}")
                 return _MISS
             payload, checksum = row
             try:
@@ -405,6 +412,13 @@ class ArtifactStore:
                     break
             # deadline without an artifact or a claim: build locally
             # anyway — liveness beats deduplication
+        # a peer may have built, stored and released between our MISS
+        # and our claim (or while we timed out): look again before
+        # building, or the key is built twice
+        value = self._get(stage, key, recheck=True)
+        if value is not _MISS:
+            self._release_claim(address)
+            return value, True
         try:
             value = build()
         except BaseException:

@@ -3,11 +3,14 @@
 :class:`AsyncEstimationService` and :class:`AsyncServiceGateway` run the
 *same* policy core as the thread driver — the middleware onion, the
 fingerprint cache, single-flight deduplication, routing, and queue/shed
-accounting all come from :mod:`repro.service.core` — but on an event
-loop: cache lookups, hooks, and bookkeeping execute inline on the loop
-(serialized by it, so the core's ``NullLock`` slots stay null), while the
-CPU-bound estimator call is offloaded to a thread executor.  Results are
-byte-identical to the thread driver's and to direct estimator calls.
+accounting all come from :mod:`repro.service.core`, and the gateway is
+the one :class:`~repro.service.dispatch.GatewayDispatch` machine over a
+loop substrate (null locks, ``asyncio`` futures, ``loop.call_later``) —
+but on an event loop: cache lookups, hooks, and bookkeeping execute
+inline on the loop (serialized by it, so the core's ``NullLock`` slots
+stay null), while the CPU-bound estimator call is offloaded to a thread
+executor.  Results are byte-identical to the thread driver's and to
+direct estimator calls.
 
 Why a second driver instead of wrapping the thread service in
 ``run_in_executor``?  Because the expensive part of a serving tier under
@@ -45,31 +48,27 @@ from typing import Callable, Optional, Sequence
 from ..core.base import Estimator
 from ..core.estimator import XMemEstimator
 from ..errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
     QuotaExceededError,
     RateLimitExceededError,
     RequestRejectedError,
     ServiceClosedError,
-    ShardBlackoutError,
 )
 from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .batch import plan_shared_traces
 from .cache import EstimateCache
-from .context import RequestContext, ServiceRequest
+from .context import NullLock, RequestContext, ServiceRequest
 from .control import DEFAULT_PRIORITY, ControlPlane
 from .core import (
-    GatewayCore,
     ServiceCore,
     adopt_chain_cache,
-    aggregate_shard_stats,
     compute_fingerprint,
     estimator_accepts_trace,
     invoke_estimator,
 )
+from .dispatch import GatewayDispatch
 from .engine import DEFAULT_MAX_WORKERS
-from .faults import FaultInjector, FaultPlan
+from .faults import FaultPlan
 from .gateway import DEFAULT_MAX_QUEUE_DEPTH, DEFAULT_NUM_SHARDS
 from .metrics import ServiceMetrics
 from .middleware import (
@@ -77,10 +76,8 @@ from .middleware import (
     ServiceMiddleware,
     default_middlewares,
 )
-from .resilience import ResilienceCore, ResiliencePolicy, is_transient
-from .routing import ConsistentHashRouting, RoutingPolicy
-from .telemetry import ledger as ledger_events
-from .telemetry.spans import GATEWAY_SPAN
+from .resilience import ResiliencePolicy
+from .routing import RoutingPolicy
 from .traffic import ReplayReport, TrafficTrace
 
 __all__ = [
@@ -349,78 +346,52 @@ class AsyncEstimationService:
             future.set_result(result)
 
 
-class _AsyncResilientCall:
-    """Per-request attempt state for the async resilience plane.
+class _LoopSubstrate:
+    """What the dispatch machine borrows on an event loop: the loop
+    already serializes every transition, so both locks are null."""
 
-    The asyncio twin of ``gateway._ResilientCall`` minus the lock: every
-    transition runs on the event loop, which already serializes them.
-    ``outer`` is the gateway-owned future the caller awaits; attempts
-    (retries, hedges) come and go underneath it and it settles exactly
-    once.
-    """
+    CancelledError = asyncio.CancelledError
+    InvalidStateError = asyncio.InvalidStateError
+    call_lock = NullLock
 
-    __slots__ = (
-        "workload",
-        "device",
-        "trace",
-        "deadline",
-        "metadata",
-        "tenant",
-        "priority",
-        "fingerprint",
-        "seq",
-        "index",
-        "attempt",
-        "outer",
-        "settled",
-        "inflight",
-        "hedged",
-        "retry_handle",
-        "hedge_handle",
-    )
+    def __init__(self):
+        self.lock = NullLock()
+        #: what ``drain()`` awaits
+        self.went_idle = asyncio.Event()
+        self.went_idle.set()
+        self.mark_busy = self.went_idle.clear
+        self.notify_idle = self.went_idle.set
 
-    def __init__(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace],
-        deadline: Optional[float],
-        metadata: Optional[dict],
-        fingerprint: str,
-        seq: int,
-        index: Optional[int],
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
-    ):
-        self.workload = workload
-        self.device = device
-        self.trace = trace
-        self.deadline = deadline
-        self.metadata = metadata
-        self.tenant = tenant
-        self.priority = priority
-        self.fingerprint = fingerprint
-        self.seq = seq
-        #: global fault-plan submission index (None without an injector)
-        self.index = index
-        self.attempt = 1
-        self.outer: Optional[asyncio.Future] = None
-        self.settled = False
-        #: attempts currently running (primary + hedge twin)
-        self.inflight = 0
-        self.hedged = False
-        self.retry_handle: Optional[asyncio.TimerHandle] = None
-        self.hedge_handle: Optional[asyncio.TimerHandle] = None
+    @staticmethod
+    def new_future() -> "asyncio.Future":
+        return asyncio.get_running_loop().create_future()
+
+    @staticmethod
+    def when_done(future: "asyncio.Future", callback) -> None:
+        if future.done():
+            # a cache hit or piggyback on an already-resolved future:
+            # asyncio would only run the callback on the next loop tick,
+            # and `await` on a done future never yields — settle inline
+            # (matching concurrent.futures semantics) so hit-dominated
+            # waves cannot pile up phantom pending and shed real traffic
+            callback(future)
+        else:
+            future.add_done_callback(callback)
+
+    @staticmethod
+    def call_later(delay: float, fn, *args) -> asyncio.TimerHandle:
+        return asyncio.get_running_loop().call_later(delay, fn, *args)
 
 
-class AsyncServiceGateway:
+class AsyncServiceGateway(GatewayDispatch):
     """Routes estimation requests across N async service shards.
 
-    The identical :class:`~repro.service.core.GatewayCore` state machine
-    as the thread gateway, driven from the event loop: routing, admission
-    and shed decisions are plain calls (the loop serializes them), and
-    ``drain()`` awaits an ``asyncio.Event`` the settle path sets when the
-    fleet goes idle.
+    The same :class:`~repro.service.dispatch.GatewayDispatch` machine as
+    the thread gateway, driven from the event loop: routing, admission,
+    shed and retry/hedge decisions are plain calls (the loop serializes
+    them), timers are ``loop.call_later``, and ``drain()`` awaits an
+    ``asyncio.Event`` the settle path sets when the fleet goes idle.
+    ``submit`` must be called on the running loop.
     """
 
     def __init__(
@@ -450,184 +421,16 @@ class AsyncServiceGateway:
             ]
         elif not shards:
             raise ValueError("gateway needs at least one shard")
-        self._shard_services = tuple(shards)
-        # resilience plane (PR 8): both optional; with neither set,
-        # submit() runs the exact pre-resilience code path.  No locks
-        # anywhere — the event loop serializes every decision.
-        self._resilience = (
-            ResilienceCore(len(self._shard_services), resilience)
-            if resilience is not None
-            else None
-        )
-        self._injector = (
-            FaultInjector(fault_plan) if fault_plan is not None else None
-        )
-        self._retry_handles: dict = {}
-        self._open_calls = 0
-        self.core = GatewayCore(
-            num_shards=len(self._shard_services),
-            policy=(
-                policy
-                if policy is not None
-                else ConsistentHashRouting(len(self._shard_services))
-            ),
-            max_queue_depth=max_queue_depth,
+        super().__init__(
+            shards,
+            policy,
+            max_queue_depth,
+            _LoopSubstrate(),
+            telemetry=telemetry,
+            resilience=resilience,
+            fault_plan=fault_plan,
             control=control,
         )
-        # mirror SyncGatewayShell: one Telemetry bundle spans the fleet
-        self.telemetry = telemetry
-        for index, service in enumerate(self._shard_services):
-            shard_core = getattr(service, "core", None)
-            if shard_core is None:
-                continue
-            shard_core.shard_id = index
-            if telemetry is not None:
-                if shard_core.tracer is None:
-                    shard_core.tracer = telemetry.tracer
-                if shard_core.ledger is None:
-                    shard_core.ledger = telemetry.ledger
-        self._went_idle = asyncio.Event()
-        self._went_idle.set()
-
-    def _gateway_decision(
-        self,
-        event: str,
-        cause: str,
-        fingerprint: str,
-        seq: Optional[int],
-        shard_index: Optional[int],
-        attributes: Optional[dict] = None,
-    ) -> None:
-        """Ledger one gateway-layer decision (no-op unledgered)."""
-        if self.telemetry is None:
-            return
-        attrs = {"layer": "gateway"}
-        if attributes:
-            attrs.update(attributes)
-        self.telemetry.ledger.record(
-            event,
-            cause=cause,
-            fingerprint=fingerprint,
-            request_id=seq if seq is not None else 0,
-            shard=shard_index,
-            attributes=attrs,
-        )
-
-    def _close_span(self, span, status: str) -> None:
-        if span is not None and self.telemetry is not None:
-            self.telemetry.tracer.end(span, status=status)
-
-    # ------------------------------------------------------------------
-    # public API (mirrors ServiceGateway, awaitably)
-    # ------------------------------------------------------------------
-    @property
-    def policy(self) -> RoutingPolicy:
-        return self.core.policy
-
-    @property
-    def max_queue_depth(self) -> int:
-        return self.core.max_queue_depth
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shard_services)
-
-    @property
-    def shards(self) -> tuple[AsyncEstimationService, ...]:
-        """The underlying services, for tests and warm-up hooks."""
-        return self._shard_services
-
-    def fingerprint(
-        self, workload: WorkloadConfig, device: DeviceSpec
-    ) -> str:
-        """The routing/cache key — identical on every (replica) shard."""
-        return self._shard_services[0].fingerprint(workload, device)
-
-    def shard_for(self, workload: WorkloadConfig, device: DeviceSpec) -> int:
-        """The primary shard the current policy would pick right now."""
-        return self.core.route(self.fingerprint(workload, device))[0]
-
-    def submit(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-        deadline: Optional[float] = None,
-        metadata: Optional[dict] = None,
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
-    ) -> "asyncio.Future":
-        """Route one request to its shard; returns the shard's future.
-
-        Raises :class:`ServiceClosedError` after ``drain()``/``aclose()``,
-        :class:`RateLimitExceededError` when the target shard's queue is
-        full (shed — nothing was enqueued), and passes through the shard
-        middleware's own synchronous rejections.  ``deadline`` and
-        ``metadata`` are forwarded to the shard service untouched (the
-        TCP transport uses them to carry rebased client deadlines and
-        caller annotations); a telemetry span context is merged into
-        ``metadata`` rather than replacing it.  With a
-        :class:`~repro.service.control.ControlPlane` configured on the
-        core, ``tenant``/``priority``/``deadline`` are additionally
-        subject to quota, fair-share, and hopeless-deadline admission
-        before any queue slot is reserved.
-
-        With a :class:`~repro.service.resilience.ResiliencePolicy` or
-        :class:`~repro.service.faults.FaultPlan` configured, the future
-        returned is gateway-owned: attempts (retries, hedges) come and
-        go underneath it and it settles exactly once.
-        """
-        if self._resilience is not None or self._injector is not None:
-            return self._submit_resilient(
-                workload,
-                device,
-                trace,
-                deadline,
-                metadata,
-                tenant=tenant,
-                priority=priority,
-            )
-        self.core.count_request()
-        seq = self.core.requests
-        fingerprint = self.fingerprint(workload, device)
-        primary, replicas = self.core.route(fingerprint)
-        span = None
-        metadata = dict(metadata) if metadata else None
-        if self.telemetry is not None:
-            span = self.telemetry.tracer.start_trace(
-                f"g{seq:06d}-{fingerprint[:12]}",
-                name=GATEWAY_SPAN,
-                attributes={
-                    "policy": self.core.policy.name,
-                    "shard": primary,
-                    "fingerprint": fingerprint,
-                },
-            )
-            metadata = {
-                **(metadata or {}),
-                "telemetry": {
-                    "trace_id": span.trace_id,
-                    "span_id": span.span_id,
-                },
-            }
-        future = self._dispatch(
-            primary,
-            workload,
-            device,
-            trace,
-            fingerprint,
-            deadline=deadline,
-            metadata=metadata,
-            span=span,
-            seq=seq,
-            tenant=tenant,
-            priority=priority,
-        )
-        for shard_index in replicas:
-            self._replicate(
-                shard_index, workload, device, trace, fingerprint, seq=seq
-            )
-        return future
 
     async def estimate(
         self,
@@ -638,33 +441,19 @@ class AsyncServiceGateway:
         """Awaitable request — the drop-in for ``service.estimate()``."""
         return await self.submit(workload, device, trace=trace)
 
-    def pending(self) -> int:
-        """Requests admitted by the gateway and not yet settled."""
-        return self.core.pending()
-
     async def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop accepting requests and wait for in-flight ones to settle.
 
         Returns True when the fleet went idle within ``timeout`` (None =
         wait forever).  Idempotent; ``submit`` raises afterwards.
-
-        Under the resilience plane, requests parked in retry backoff
-        (e.g. against a blacked-out shard whose circuit is open) hold no
-        shard slot — they are settled immediately as shed with a typed
-        :class:`~repro.errors.CircuitOpenError` rather than waited for.
+        Requests parked in retry backoff are shed, not waited for.
         """
-        self.core.draining = True
-        for state, handle in list(self._retry_handles.items()):
-            handle.cancel()
-            self._retry_handles.pop(state, None)
-            self._shed_parked_retry(state)
-        if self._gateway_idle():
-            self._sync_resilience()
-            return True
-        try:
-            await asyncio.wait_for(self._went_idle.wait(), timeout)
-        except asyncio.TimeoutError:
-            return False
+        self._begin_drain()
+        if not self._quiescent():
+            try:
+                await asyncio.wait_for(self._sub.went_idle.wait(), timeout)
+            except asyncio.TimeoutError:
+                return False
         self._sync_resilience()
         return True
 
@@ -687,639 +476,6 @@ class AsyncServiceGateway:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
-
-    def stats(self) -> dict:
-        """Gateway counters + per-shard snapshots + fleet aggregate."""
-        shard_stats = [service.stats() for service in self._shard_services]
-        samples: list[float] = []
-        for service in self._shard_services:
-            samples.extend(service.metrics.latency_samples())
-        gateway = self.core.snapshot()
-        if self._resilience is not None:
-            gateway["resilience"] = self._resilience.snapshot()
-        if self._injector is not None:
-            gateway["faults"] = self._injector.snapshot()
-        return {
-            "gateway": gateway,
-            "aggregate": aggregate_shard_stats(shard_stats, samples),
-            "shards": shard_stats,
-        }
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        shard_index: int,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace],
-        fingerprint: str,
-        deadline: Optional[float] = None,
-        metadata: Optional[dict] = None,
-        span=None,
-        seq: Optional[int] = None,
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
-    ) -> "asyncio.Future":
-        service = self._shard_services[shard_index]
-        deadline_remaining = (
-            None if deadline is None else deadline - time.perf_counter()
-        )
-        try:
-            self.core.admit(
-                shard_index,
-                tenant=tenant,
-                priority=priority,
-                deadline_remaining=deadline_remaining,
-            )
-        except QuotaExceededError as error:
-            self._gateway_decision(
-                ledger_events.QUOTA,
-                f"{error.scope}:{error.tenant}",
-                fingerprint,
-                seq,
-                shard_index,
-            )
-            self._close_span(span, "shed")
-            raise
-        except DeadlineExceededError:
-            self._gateway_decision(
-                ledger_events.DEADLINE,
-                "hopeless_at_gateway",
-                fingerprint,
-                seq,
-                shard_index,
-            )
-            self._close_span(span, "rejected")
-            raise
-        except RequestRejectedError as error:
-            # the control plane's auth refusal (strict mode)
-            self._gateway_decision(
-                ledger_events.AUTH,
-                type(error).__name__,
-                fingerprint,
-                seq,
-                shard_index,
-            )
-            self._close_span(span, "rejected")
-            raise
-        except RateLimitExceededError:
-            self._gateway_decision(
-                ledger_events.SHED, "queue_full", fingerprint, seq, shard_index
-            )
-            self._close_span(span, "shed")
-            raise
-        self._gateway_decision(
-            ledger_events.ADMIT, "route", fingerprint, seq, shard_index
-        )
-        self._went_idle.clear()
-        try:
-            future = service.submit(
-                workload,
-                device,
-                trace=trace,
-                fingerprint=fingerprint,
-                deadline=deadline,
-                metadata=metadata,
-                tenant=tenant,
-                priority=priority,
-            )
-        except RateLimitExceededError:
-            self._settle(shard_index, throttled=True)
-            self._close_span(span, "throttled")
-            raise
-        except RequestRejectedError:
-            self._settle(shard_index, rejected=True)
-            self._close_span(span, "rejected")
-            raise
-        except BaseException:
-            self._settle(shard_index)
-            self._close_span(span, "error")
-            raise
-        if future.done():
-            # a cache hit or piggyback on an already-resolved future:
-            # asyncio would only run the callback on the next loop tick,
-            # and `await` on a done future never yields — settle inline
-            # (matching concurrent.futures semantics) so hit-dominated
-            # waves cannot pile up phantom pending and shed real traffic
-            self._settle(shard_index)
-            self._settle_span(future, span)
-        else:
-            future.add_done_callback(
-                lambda f, index=shard_index: (
-                    self._settle(index),
-                    self._settle_span(f, span),
-                )
-            )
-        return future
-
-    def _settle_span(self, future: "asyncio.Future", span) -> None:
-        if span is None:
-            return
-        failed = future.cancelled() or future.exception() is not None
-        self._close_span(span, "error" if failed else "ok")
-
-    def _replicate(
-        self,
-        shard_index: int,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace],
-        fingerprint: str,
-        seq: Optional[int] = None,
-    ) -> None:
-        """Best-effort warm-up duplicate: never surfaces to the caller."""
-        service = self._shard_services[shard_index]
-        if not self.core.admit_replica(shard_index):
-            return  # warm-up never sheds real traffic
-        self._gateway_decision(
-            ledger_events.WARMUP, "replica", fingerprint, seq, shard_index
-        )
-        self._went_idle.clear()
-        try:
-            future = service.submit(
-                workload, device, trace=trace, fingerprint=fingerprint
-            )
-        except BaseException:
-            self._settle(shard_index)
-            return
-        if future.done():
-            if not future.cancelled():
-                future.exception()  # consume: warm-up failures are silent
-            self._settle(shard_index)
-        else:
-            future.add_done_callback(
-                lambda f, index=shard_index: (
-                    None if f.cancelled() else f.exception(),
-                    self._settle(index),
-                )
-            )
-
-    def _settle(
-        self, shard_index: int, rejected: bool = False, throttled: bool = False
-    ) -> None:
-        if self.core.settle(
-            shard_index, rejected=rejected, throttled=throttled
-        ):
-            if self._open_calls == 0:
-                # idle *and* every outer future settled: a wave boundary
-                # — apply deferred breaker outcomes (see resilience.py)
-                self._sync_resilience()
-                self._went_idle.set()
-
-    # ------------------------------------------------------------------
-    # resilience plane (retries, breakers, hedging, fault injection)
-    # ------------------------------------------------------------------
-    def _gateway_idle(self) -> bool:
-        return self.core.idle() and self._open_calls == 0
-
-    def _sync_resilience(self) -> None:
-        if self._resilience is None:
-            return
-        transitions = self._resilience.sync()
-        if transitions and self.telemetry is not None:
-            seq = self.core.requests
-            for shard, transition in transitions:
-                self._gateway_decision(
-                    ledger_events.BREAKER, transition, "", seq, shard
-                )
-
-    def _submit_resilient(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace],
-        deadline: Optional[float],
-        metadata: Optional[dict],
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
-    ) -> "asyncio.Future":
-        res = self._resilience
-        self.core.count_request()
-        seq = self.core.requests
-        if res is not None:
-            for shard, transition in res.tick():
-                self._gateway_decision(
-                    ledger_events.BREAKER, transition, "", seq, shard
-                )
-        fingerprint = self.fingerprint(workload, device)
-        primary, replicas = self.core.route(fingerprint)
-        if res is not None:
-            target, rerouted = res.choose_shard(primary)
-        else:
-            target, rerouted = primary, False
-        index = (
-            self._injector.next_index() if self._injector is not None else None
-        )
-        if target is None:
-            res.counters["shed_open_circuit"] += 1
-            self.core.shed += 1
-            self._gateway_decision(
-                ledger_events.SHED, "circuit_open", fingerprint, seq, primary
-            )
-            raise CircuitOpenError("every candidate shard's breaker is open")
-        if rerouted:
-            self._gateway_decision(
-                ledger_events.REROUTE, "circuit_open", fingerprint, seq, target
-            )
-        directive = None
-        if self._injector is not None:
-            directive = self._injector.directive_for(index, target)
-            if directive is not None:
-                self._gateway_decision(
-                    ledger_events.FAULT,
-                    directive["kind"],
-                    fingerprint,
-                    seq,
-                    target,
-                )
-        state = _AsyncResilientCall(
-            workload,
-            device,
-            trace,
-            deadline,
-            metadata,
-            fingerprint,
-            seq,
-            index,
-            tenant=tenant,
-            priority=priority,
-        )
-        state.outer = asyncio.get_running_loop().create_future()
-        self._open_calls += 1
-        self._went_idle.clear()
-        self._begin_attempt(state, target, directive, cause="route")
-        self._maybe_schedule_hedge(state, target)
-        for shard_index in replicas:
-            self._replicate(
-                shard_index, workload, device, trace, fingerprint, seq=seq
-            )
-        return state.outer
-
-    def _begin_attempt(
-        self,
-        state: "_AsyncResilientCall",
-        shard_index: int,
-        directive: Optional[dict],
-        cause: str,
-        is_hedge: bool = False,
-    ) -> None:
-        if state.settled:
-            return
-        state.inflight += 1
-        if directive is not None and directive.get("kind") == "shard_blackout":
-            # a blacked-out shard is *unreachable*: fail at the gateway
-            # without touching the shard (its cache included)
-            self._finish_attempt(
-                state,
-                shard_index,
-                is_hedge,
-                None,
-                ShardBlackoutError(shard_index),
-                slot_held=False,
-            )
-            return
-        service = self._shard_services[shard_index]
-        deadline_remaining = (
-            None
-            if state.deadline is None
-            else state.deadline - time.perf_counter()
-        )
-        try:
-            self.core.admit(
-                shard_index,
-                tenant=state.tenant,
-                priority=state.priority,
-                deadline_remaining=deadline_remaining,
-            )
-        except QuotaExceededError as error:
-            self._gateway_decision(
-                ledger_events.QUOTA,
-                f"{error.scope}:{error.tenant}",
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        except DeadlineExceededError as error:
-            self._gateway_decision(
-                ledger_events.DEADLINE,
-                "hopeless_at_gateway",
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        except RequestRejectedError as error:
-            # the control plane's auth refusal (strict mode)
-            self._gateway_decision(
-                ledger_events.AUTH,
-                type(error).__name__,
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        except (RateLimitExceededError, ServiceClosedError) as error:
-            shed_cause = (
-                "queue_full"
-                if isinstance(error, RateLimitExceededError)
-                else "closed"
-            )
-            self._gateway_decision(
-                ledger_events.SHED,
-                shed_cause,
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        self._gateway_decision(
-            ledger_events.ADMIT,
-            cause,
-            state.fingerprint,
-            state.seq,
-            shard_index,
-            attributes=(
-                {"attempt": state.attempt} if state.attempt > 1 else None
-            ),
-        )
-        metadata = {**(state.metadata or {}), "attempt": state.attempt}
-        if directive is not None:
-            metadata["fault"] = directive
-        try:
-            future = service.submit(
-                state.workload,
-                state.device,
-                trace=state.trace,
-                fingerprint=state.fingerprint,
-                deadline=state.deadline,
-                metadata=metadata,
-                tenant=state.tenant,
-                priority=state.priority,
-            )
-        except RateLimitExceededError as error:
-            self._finish_attempt(
-                state,
-                shard_index,
-                is_hedge,
-                None,
-                error,
-                slot_held=True,
-                throttled=True,
-            )
-            return
-        except RequestRejectedError as error:
-            self._finish_attempt(
-                state,
-                shard_index,
-                is_hedge,
-                None,
-                error,
-                slot_held=True,
-                rejected=True,
-            )
-            return
-        except BaseException as error:
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=True
-            )
-            return
-        if future.done():
-            self._resilient_dispatched(state, shard_index, is_hedge, future)
-        else:
-            future.add_done_callback(
-                lambda f, index=shard_index, hedge=is_hedge: (
-                    self._resilient_dispatched(state, index, hedge, f)
-                )
-            )
-
-    def _resilient_dispatched(
-        self,
-        state: "_AsyncResilientCall",
-        shard_index: int,
-        is_hedge: bool,
-        future: "asyncio.Future",
-    ) -> None:
-        if future.cancelled():
-            result, error = None, asyncio.CancelledError()
-        else:
-            error = future.exception()
-            result = future.result() if error is None else None
-        self._finish_attempt(
-            state, shard_index, is_hedge, result, error, slot_held=True
-        )
-
-    def _finish_attempt(
-        self,
-        state: "_AsyncResilientCall",
-        shard_index: int,
-        is_hedge: bool,
-        result,
-        error: Optional[BaseException],
-        slot_held: bool,
-        rejected: bool = False,
-        throttled: bool = False,
-    ) -> None:
-        res = self._resilience
-        # breaker accounting before the slot settles: every outcome of a
-        # wave is buffered by the time the idle-edge sync runs
-        if res is not None and (error is None or is_transient(error)):
-            res.record_outcome(shard_index, state.seq, error is None)
-        if slot_held:
-            self._settle(shard_index, rejected=rejected, throttled=throttled)
-        self._attempt_outcome(state, shard_index, is_hedge, result, error)
-
-    def _attempt_outcome(
-        self,
-        state: "_AsyncResilientCall",
-        shard_index: int,
-        is_hedge: bool,
-        result,
-        error: Optional[BaseException],
-    ) -> None:
-        res = self._resilience
-        state.inflight -= 1
-        if state.settled:
-            if state.hedged:
-                if res is not None:
-                    res.counters["hedge_losers"] += 1
-                self._gateway_decision(
-                    ledger_events.HEDGE,
-                    "loser",
-                    state.fingerprint,
-                    state.seq,
-                    shard_index,
-                )
-            return
-        if error is None:
-            state.settled = True
-            self._cancel_timers(state)
-            if is_hedge:
-                res.counters["hedge_wins"] += 1
-                self._gateway_decision(
-                    ledger_events.HEDGE,
-                    "won",
-                    state.fingerprint,
-                    state.seq,
-                    shard_index,
-                )
-            self._settle_outer(state, result=result)
-            return
-        retry_target = None
-        if res is not None and not is_hedge and not self.core.draining:
-            if res.should_retry(error, state.attempt):
-                candidate = res.retry_target(shard_index, state.attempt + 1)
-                if candidate is not None:
-                    res.spend_retry()
-                    retry_target = candidate
-        if retry_target is not None:
-            state.attempt += 1
-            delay = res.policy.retry.delay(state.fingerprint, state.attempt)
-            self._gateway_decision(
-                ledger_events.RETRY,
-                type(error).__name__,
-                state.fingerprint,
-                state.seq,
-                retry_target,
-                attributes={
-                    "attempt": state.attempt,
-                    "delay": round(delay, 6),
-                },
-            )
-            next_directive = None
-            if self._injector is not None:
-                # a retry routed back into a blackout window still fails
-                next_directive = self._injector.peek_window(
-                    state.index, retry_target
-                )
-            handle = asyncio.get_running_loop().call_later(
-                delay, self._fire_retry, state, retry_target, next_directive
-            )
-            state.retry_handle = handle
-            self._retry_handles[state] = handle
-            return
-        if state.inflight > 0:
-            return  # a hedge twin is still running; let it decide
-        state.settled = True
-        self._cancel_timers(state)
-        self._settle_outer(state, error=error)
-
-    def _fire_retry(
-        self,
-        state: "_AsyncResilientCall",
-        target: int,
-        directive: Optional[dict],
-    ) -> None:
-        self._retry_handles.pop(state, None)
-        state.retry_handle = None
-        if self.core.draining:
-            self._shed_parked_retry(state)
-            return
-        self._begin_attempt(state, target, directive, cause="retry")
-
-    def _shed_parked_retry(self, state: "_AsyncResilientCall") -> None:
-        """Settle a request parked in retry backoff as shed (drain path)."""
-        if state.settled:
-            return
-        state.settled = True
-        self.core.shed += 1
-        if self._resilience is not None:
-            self._resilience.counters["shed_on_drain"] += 1
-        self._gateway_decision(
-            ledger_events.SHED,
-            "drained_during_backoff",
-            state.fingerprint,
-            state.seq,
-            None,
-        )
-        self._settle_outer(
-            state,
-            error=CircuitOpenError("gateway drained during retry backoff"),
-        )
-
-    def _maybe_schedule_hedge(
-        self, state: "_AsyncResilientCall", primary: int
-    ) -> None:
-        res = self._resilience
-        if res is None or res.policy.hedge is None:
-            return
-        samples: list[float] = []
-        for service in self._shard_services:
-            samples.extend(service.metrics.latency_samples())
-        threshold = res.policy.hedge.threshold(samples)
-        state.hedge_handle = asyncio.get_running_loop().call_later(
-            threshold, self._fire_hedge, state, primary
-        )
-
-    def _fire_hedge(self, state: "_AsyncResilientCall", primary: int) -> None:
-        res = self._resilience
-        state.hedge_handle = None
-        if (
-            state.settled
-            or state.inflight == 0
-            or state.hedged
-            or self.core.draining
-        ):
-            return
-        target = res.hedge_target(primary)
-        if target is None:
-            return
-        state.hedged = True
-        res.counters["hedges"] += 1
-        self._gateway_decision(
-            ledger_events.HEDGE,
-            "latency_threshold",
-            state.fingerprint,
-            state.seq,
-            target,
-        )
-        directive = None
-        if self._injector is not None:
-            directive = self._injector.peek_window(state.index, target)
-        self._begin_attempt(
-            state, target, directive, cause="hedge", is_hedge=True
-        )
-
-    def _cancel_timers(self, state: "_AsyncResilientCall") -> None:
-        handle = self._retry_handles.pop(state, None)
-        if handle is not None:
-            handle.cancel()
-        state.retry_handle = None
-        if state.hedge_handle is not None:
-            state.hedge_handle.cancel()
-            state.hedge_handle = None
-
-    def _settle_outer(
-        self,
-        state: "_AsyncResilientCall",
-        result=None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        # bookkeeping first so the wave-boundary sync runs before any
-        # awaiter of the outer future can submit the next wave
-        self._open_calls -= 1
-        if self._open_calls == 0 and self.core.idle():
-            self._sync_resilience()
-            self._went_idle.set()
-        if not state.outer.done():
-            if error is not None:
-                state.outer.set_exception(error)
-            else:
-                state.outer.set_result(result)
 
 
 # ----------------------------------------------------------------------

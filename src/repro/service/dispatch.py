@@ -1,0 +1,943 @@
+"""The gateway's dispatch machine, written once (sans-IO).
+
+Everything a sharded gateway *decides* lives in :class:`GatewayDispatch`:
+the plain path (count, route, span, admit, ledger, submit-to-shard,
+settle, warm-up replicas) and the resilient path (the attempt lifecycle
+— first dispatch, retry with backoff, hedge, drain-time shedding — under
+one gateway-owned future per request).  It drives
+:class:`~repro.service.core.GatewayCore`,
+:class:`~repro.service.resilience.ResilienceCore` and
+:class:`~repro.service.faults.FaultInjector`, and it is the only place a
+gateway-layer ledger event is recorded.
+
+What it cannot decide — how to exclude other threads, what a future is,
+how to run something later, how ``drain()`` sleeps — it asks of the
+:class:`Substrate` its driver hands in.  The machine is written in
+lock-structured form (``with self._lock`` around every core mutation,
+``state.lock`` then the gateway lock, never the reverse); on the event
+loop both locks are :class:`~repro.service.context.NullLock` and the
+structure costs two no-op calls.  Like the rest of the core it imports
+neither ``threading`` nor ``asyncio``, so the whole lifecycle runs in a
+unit test against a manual timer wheel.
+
+The plain and resilient paths stay two paths, selected by what the
+gateway can observe: whether a
+:class:`~repro.service.resilience.ResiliencePolicy` or a
+:class:`~repro.service.faults.FaultPlan` was configured.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, ContextManager, Optional, Protocol, Sequence
+
+from ..errors import (
+    CircuitOpenError,
+    DeadlineExceededError,
+    QuotaExceededError,
+    RateLimitExceededError,
+    RequestRejectedError,
+    ServiceClosedError,
+    ShardBlackoutError,
+)
+from ..trace.reader import Trace
+from ..workload import DeviceSpec, WorkloadConfig
+from .context import LockFactory
+from .control import DEFAULT_PRIORITY, ControlPlane
+from .core import GatewayCore, aggregate_shard_stats
+from .faults import FaultInjector, FaultPlan
+from .resilience import ResilienceCore, ResiliencePolicy, is_transient
+from .routing import ConsistentHashRouting, RoutingPolicy
+from .telemetry import ledger as ledger_events
+from .telemetry.spans import GATEWAY_SPAN
+
+__all__ = ["GatewayDispatch", "Substrate", "admit_refusal"]
+
+
+class Substrate(Protocol):
+    """The primitives a driver lends the dispatch machine.
+
+    None of them touches the ledger, the cores or the injector: a
+    substrate is mechanism only.
+    """
+
+    #: serializes every ``GatewayCore``/``ResilienceCore``/injector mutation
+    lock: ContextManager
+    #: one lock per resilient call, guarding its settled/inflight state
+    call_lock: LockFactory
+    #: what a cancelled shard future is reported as
+    CancelledError: type[BaseException]
+    #: what settling an already-cancelled future raises
+    InvalidStateError: type[Exception]
+
+    def new_future(self) -> Any:
+        """A pending future the gateway owns and the caller holds."""
+
+    def when_done(self, future: Any, callback: Callable[[Any], None]) -> None:
+        """Run ``callback(future)`` once it resolves — *inline* when it
+        already has (a cache hit must not leave a phantom pending slot
+        behind until some later tick)."""
+
+    def call_later(self, delay: float, fn: Callable, *args: Any) -> Any:
+        """Schedule ``fn(*args)``; returns a handle with ``cancel()``."""
+
+    def mark_busy(self) -> None:
+        """A slot or an outer future was just opened."""
+
+    def notify_idle(self) -> None:
+        """The fleet went idle with no outer future open (lock held)."""
+
+
+def admit_refusal(error: BaseException) -> tuple[str, str, str]:
+    """``(ledger event, cause, span status)`` for a refused admission.
+
+    The one table every path reads when ``GatewayCore.admit`` turns a
+    request away; order matters (quota errors are rate-limit errors,
+    deadline errors are rejections).
+    """
+    if isinstance(error, QuotaExceededError):
+        return ledger_events.QUOTA, f"{error.scope}:{error.tenant}", "shed"
+    if isinstance(error, DeadlineExceededError):
+        return ledger_events.DEADLINE, "hopeless_at_gateway", "rejected"
+    if isinstance(error, RequestRejectedError):
+        # the control plane's auth refusal (strict mode)
+        return ledger_events.AUTH, type(error).__name__, "rejected"
+    if isinstance(error, RateLimitExceededError):
+        return ledger_events.SHED, "queue_full", "shed"
+    return ledger_events.SHED, "closed", "shed"
+
+
+@dataclass(eq=False, slots=True)
+class _ResilientCall:
+    """Gateway-side state for one request under the resilience plane.
+
+    The caller holds the *outer* future; attempts (first dispatch,
+    retries, hedges) come and go underneath it and it settles exactly
+    once.  ``lock`` guards the settled/inflight/hedged bookkeeping —
+    lock order is always ``state.lock`` -> gateway lock.
+    """
+
+    workload: WorkloadConfig
+    device: DeviceSpec
+    trace: Optional[Trace]
+    fingerprint: str
+    seq: int
+    #: global fault-plan submission index (None without an injector)
+    index: Optional[int]
+    tenant: str
+    priority: int
+    deadline: Optional[float]
+    metadata: Optional[dict]
+    outer: Any
+    lock: ContextManager
+    attempt: int = 1
+    settled: bool = False
+    #: attempts currently running (primary + hedge twin)
+    inflight: int = 0
+    #: a hedge attempt was launched
+    hedged: bool = False
+    hedge_timer: Any = None
+
+
+class GatewayDispatch:
+    """Routes estimation requests across N service shards.
+
+    The base of every gateway: :class:`~repro.service.gateway.ServiceGateway`
+    and :class:`~repro.service.procpool.ProcServiceGateway` run it over
+    the thread substrate, :class:`~repro.service.aio.AsyncServiceGateway`
+    over the event loop.  A driver adds its constructor, its substrate,
+    and the calls that genuinely differ (``estimate``, ``drain``,
+    ``close``/``aclose``).
+    """
+
+    def __init__(
+        self,
+        shards: Sequence,
+        policy: Optional[RoutingPolicy],
+        max_queue_depth: int,
+        substrate: Substrate,
+        telemetry=None,
+        resilience: Optional[ResiliencePolicy] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        control: Optional[ControlPlane] = None,
+    ) -> None:
+        self._shard_services = tuple(shards)
+        self._sub = substrate
+        self._lock = substrate.lock
+        # resilience plane: both optional, and with neither configured
+        # submit() runs the plain path
+        self._resilience = (
+            ResilienceCore(len(self._shard_services), resilience)
+            if resilience is not None
+            else None
+        )
+        self._injector = (
+            FaultInjector(fault_plan) if fault_plan is not None else None
+        )
+        #: calls parked in retry backoff -> their timer handle
+        self._parked: dict[_ResilientCall, Any] = {}
+        self._open_calls = 0
+        self.core = GatewayCore(
+            num_shards=len(self._shard_services),
+            policy=(
+                policy
+                if policy is not None
+                else ConsistentHashRouting(len(self._shard_services))
+            ),
+            max_queue_depth=max_queue_depth,
+            control=control,
+        )
+        # one Telemetry bundle spans the whole fleet: every shard core is
+        # stamped with its position and pointed at the shared tracer +
+        # ledger (unless the shard was pre-built with its own), so one
+        # request yields one trace across gateway and shard layers and
+        # the ledger records provenance per shard
+        self.telemetry = telemetry
+        for index, service in enumerate(self._shard_services):
+            shard_core = getattr(service, "core", None)
+            if shard_core is None:
+                continue
+            shard_core.shard_id = index
+            if telemetry is not None:
+                if shard_core.tracer is None:
+                    shard_core.tracer = telemetry.tracer
+                if shard_core.ledger is None:
+                    shard_core.ledger = telemetry.ledger
+
+    # ------------------------------------------------------------------
+    # public API (mirrors EstimationService)
+    # ------------------------------------------------------------------
+    @property
+    def policy(self) -> RoutingPolicy:
+        return self.core.policy
+
+    @property
+    def max_queue_depth(self) -> int:
+        return self.core.max_queue_depth
+
+    @property
+    def num_shards(self) -> int:
+        return len(self._shard_services)
+
+    @property
+    def shards(self) -> tuple:
+        """The underlying services, for tests and warm-up hooks."""
+        return self._shard_services
+
+    def fingerprint(
+        self, workload: WorkloadConfig, device: DeviceSpec
+    ) -> str:
+        """The routing/cache key — identical on every (replica) shard."""
+        return self._shard_services[0].fingerprint(workload, device)
+
+    def shard_for(self, workload: WorkloadConfig, device: DeviceSpec) -> int:
+        """The primary shard the current policy would pick right now."""
+        fingerprint = self.fingerprint(workload, device)
+        with self._lock:
+            return self.core.route(fingerprint)[0]
+
+    def submit(
+        self,
+        workload: WorkloadConfig,
+        device: DeviceSpec,
+        trace: Optional[Trace] = None,
+        deadline: Optional[float] = None,
+        metadata: Optional[dict] = None,
+        tenant: str = "",
+        priority: int = DEFAULT_PRIORITY,
+    ):
+        """Route one request to its shard; returns the shard's future.
+
+        Raises :class:`ServiceClosedError` after ``drain()``/``close()``,
+        :class:`RateLimitExceededError` when the target shard's queue is
+        full (shed — nothing was enqueued), and passes through the shard
+        middleware's own synchronous rejections.  ``deadline`` and
+        ``metadata`` are forwarded to the shard service untouched (the
+        TCP transport uses them to carry rebased client deadlines and
+        caller annotations); a telemetry span context is merged into
+        ``metadata`` rather than replacing it.  With a
+        :class:`~repro.service.control.ControlPlane` configured on the
+        core, ``tenant``/``priority``/``deadline`` are additionally
+        subject to quota, fair-share, and hopeless-deadline admission
+        (:class:`~repro.errors.QuotaExceededError` and friends) before
+        any queue slot is reserved.
+
+        With a :class:`~repro.service.resilience.ResiliencePolicy` or
+        :class:`~repro.service.faults.FaultPlan` configured, the future
+        returned is gateway-owned: attempts (retries, hedges) come and
+        go underneath it and it settles exactly once with the final
+        result or a typed error.
+        """
+        if self._resilience is not None or self._injector is not None:
+            return self._submit_resilient(
+                workload, device, trace, deadline, metadata, tenant, priority
+            )
+        fingerprint = self.fingerprint(workload, device)
+        with self._lock:
+            self.core.count_request()
+            seq = self.core.requests
+            # stateful policies (the seeded RNG) rely on the driver for
+            # serialization, so routing happens inside the lock too
+            primary, replicas = self.core.route(fingerprint)
+        span = None
+        metadata = dict(metadata) if metadata else None
+        if self.telemetry is not None:
+            span = self.telemetry.tracer.start_trace(
+                f"g{seq:06d}-{fingerprint[:12]}",
+                name=GATEWAY_SPAN,
+                attributes={
+                    "policy": self.core.policy.name,
+                    "shard": primary,
+                    "fingerprint": fingerprint,
+                },
+            )
+            # the shard-level request span re-parents under this one via
+            # the span context riding the metadata bag
+            metadata = {
+                **(metadata or {}),
+                "telemetry": {
+                    "trace_id": span.trace_id,
+                    "span_id": span.span_id,
+                },
+            }
+        future = self._dispatch(
+            primary,
+            workload,
+            device,
+            trace,
+            fingerprint,
+            metadata=metadata,
+            span=span,
+            seq=seq,
+            deadline=deadline,
+            tenant=tenant,
+            priority=priority,
+        )
+        for shard_index in replicas:
+            self._replicate(
+                shard_index, workload, device, trace, fingerprint, seq=seq
+            )
+        return future
+
+    def pending(self) -> int:
+        """Requests admitted by the gateway and not yet resolved."""
+        with self._lock:
+            return self.core.pending()
+
+    def stats(self) -> dict:
+        """Gateway counters + per-shard snapshots + fleet aggregate."""
+        shard_stats = [service.stats() for service in self._shard_services]
+        with self._lock:
+            gateway = self.core.snapshot()
+            if self._resilience is not None:
+                gateway["resilience"] = self._resilience.snapshot()
+            if self._injector is not None:
+                gateway["faults"] = self._injector.snapshot()
+        gateway.update(self._snapshot_extra())
+        return {
+            "gateway": gateway,
+            "aggregate": aggregate_shard_stats(
+                shard_stats, self._latency_samples()
+            ),
+            "shards": shard_stats,
+        }
+
+    def _snapshot_extra(self) -> dict:
+        """Substrate-specific keys merged into the gateway snapshot."""
+        return {}
+
+    def _latency_samples(self) -> list[float]:
+        samples: list[float] = []
+        for service in self._shard_services:
+            samples.extend(service.metrics.latency_samples())
+        return samples
+
+    # ------------------------------------------------------------------
+    # drain support (the waiting itself is the driver's)
+    # ------------------------------------------------------------------
+    def _begin_drain(self) -> None:
+        """Close intake and shed every request parked in retry backoff.
+
+        A parked request holds no shard slot — it is settled immediately
+        as shed with a typed :class:`~repro.errors.CircuitOpenError`
+        rather than waited for, so drain never blocks on a circuit that
+        may stay open forever.
+        """
+        with self._lock:
+            self.core.draining = True
+            parked = list(self._parked.items())
+            self._parked.clear()
+        for state, timer in parked:
+            timer.cancel()
+            self._shed_parked_retry(state)
+
+    def _quiescent(self) -> bool:
+        """Nothing pending on any shard and no outer future open."""
+        return self.core.idle() and self._open_calls == 0
+
+    def _wave_boundary(self) -> None:
+        """A wave boundary (idle *and* every outer future settled):
+        apply deferred breaker outcomes so transitions depend only on
+        the request stream, then wake ``drain()``.  Lock held."""
+        self._sync_resilience()
+        self._sub.notify_idle()
+
+    def _sync_resilience(self) -> None:
+        """Apply deferred breaker outcomes; caller holds the lock."""
+        if self._resilience is None:
+            return
+        for shard, transition in self._resilience.sync():
+            self._gateway_decision(
+                ledger_events.BREAKER,
+                transition,
+                "",
+                self.core.requests,
+                shard,
+            )
+
+    # ------------------------------------------------------------------
+    # the plain path
+    # ------------------------------------------------------------------
+    def _gateway_decision(
+        self,
+        event: str,
+        cause: str,
+        fingerprint: str,
+        seq: Optional[int],
+        shard_index: Optional[int],
+        attributes: Optional[dict] = None,
+    ) -> None:
+        """Ledger one gateway-layer decision (no-op unledgered)."""
+        if self.telemetry is None:
+            return
+        attrs = {"layer": "gateway"}
+        if attributes:
+            attrs.update(attributes)
+        self.telemetry.ledger.record(
+            event,
+            cause=cause,
+            fingerprint=fingerprint,
+            request_id=seq if seq is not None else 0,
+            shard=shard_index,
+            attributes=attrs,
+        )
+
+    def _close_span(self, span, status: str) -> None:
+        if span is not None and self.telemetry is not None:
+            self.telemetry.tracer.end(span, status=status)
+
+    def _dispatch(
+        self,
+        shard_index: int,
+        workload: WorkloadConfig,
+        device: DeviceSpec,
+        trace: Optional[Trace],
+        fingerprint: str,
+        metadata: Optional[dict] = None,
+        span=None,
+        seq: Optional[int] = None,
+        deadline: Optional[float] = None,
+        tenant: str = "",
+        priority: int = DEFAULT_PRIORITY,
+    ):
+        deadline_remaining = (
+            None if deadline is None else deadline - time.perf_counter()
+        )
+        try:
+            with self._lock:
+                # admit re-checks the gate while reserving the slot: a
+                # drain()/close() racing between submit()'s gate and here
+                # must either see our pending slot or turn us away — never
+                # report idle and then let this request hit a closed shard
+                self.core.admit(
+                    shard_index,
+                    tenant=tenant,
+                    priority=priority,
+                    deadline_remaining=deadline_remaining,
+                )
+        except (RateLimitExceededError, RequestRejectedError) as error:
+            event, cause, status = admit_refusal(error)
+            self._gateway_decision(event, cause, fingerprint, seq, shard_index)
+            self._close_span(span, status)
+            raise
+        self._sub.mark_busy()
+        self._gateway_decision(
+            ledger_events.ADMIT, "route", fingerprint, seq, shard_index
+        )
+        try:
+            future = self._shard_services[shard_index].submit(
+                workload,
+                device,
+                trace=trace,
+                fingerprint=fingerprint,
+                deadline=deadline,
+                metadata=metadata,
+                tenant=tenant,
+                priority=priority,
+            )
+        except BaseException as error:
+            throttled = isinstance(error, RateLimitExceededError)
+            rejected = isinstance(error, RequestRejectedError)
+            self._settle(shard_index, rejected=rejected, throttled=throttled)
+            self._close_span(
+                span,
+                "throttled" if throttled else "rejected" if rejected else "error",
+            )
+            raise
+        self._sub.when_done(
+            future, partial(self._settle_dispatched, shard_index, span)
+        )
+        return future
+
+    def _settle_dispatched(self, shard_index: int, span, future) -> None:
+        self._settle(shard_index)
+        if span is not None:
+            failed = future.cancelled() or future.exception() is not None
+            self._close_span(span, "error" if failed else "ok")
+
+    def _replicate(
+        self,
+        shard_index: int,
+        workload: WorkloadConfig,
+        device: DeviceSpec,
+        trace: Optional[Trace],
+        fingerprint: str,
+        seq: Optional[int] = None,
+    ) -> None:
+        """Best-effort warm-up duplicate: never surfaces to the caller."""
+        with self._lock:
+            if not self.core.admit_replica(shard_index):
+                return  # warm-up never sheds real traffic
+        self._sub.mark_busy()
+        self._gateway_decision(
+            ledger_events.WARMUP, "replica", fingerprint, seq, shard_index
+        )
+        try:
+            future = self._shard_services[shard_index].submit(
+                workload, device, trace=trace, fingerprint=fingerprint
+            )
+        except BaseException:
+            self._settle(shard_index)
+            return
+        self._sub.when_done(
+            future,
+            lambda f: (
+                # consume: warm-up failures are silent
+                None if f.cancelled() else f.exception(),
+                self._settle(shard_index),
+            ),
+        )
+
+    def _settle(
+        self, shard_index: int, rejected: bool = False, throttled: bool = False
+    ) -> None:
+        with self._lock:
+            idle = self.core.settle(
+                shard_index, rejected=rejected, throttled=throttled
+            )
+            if idle and self._open_calls == 0:
+                self._wave_boundary()
+
+    # ------------------------------------------------------------------
+    # the resilient path (retries, breakers, hedging, fault injection)
+    # ------------------------------------------------------------------
+    def _submit_resilient(
+        self,
+        workload: WorkloadConfig,
+        device: DeviceSpec,
+        trace: Optional[Trace],
+        deadline: Optional[float],
+        metadata: Optional[dict],
+        tenant: str,
+        priority: int,
+    ):
+        res = self._resilience
+        fingerprint = self.fingerprint(workload, device)
+        index = directive = None
+        with self._lock:
+            self.core.count_request()
+            seq = self.core.requests
+            transitions = res.tick() if res is not None else []
+            primary, replicas = self.core.route(fingerprint)
+            if res is not None:
+                target, rerouted = res.choose_shard(primary)
+            else:
+                target, rerouted = primary, False
+            if self._injector is not None:
+                # the injector is unlocked state too: walk it in here
+                index = self._injector.next_index()
+                if target is not None:
+                    directive = self._injector.directive_for(index, target)
+            if target is None:
+                res.counters["shed_open_circuit"] += 1
+                self.core.shed += 1
+        for shard, transition in transitions:
+            self._gateway_decision(
+                ledger_events.BREAKER, transition, "", seq, shard
+            )
+        if target is None:
+            self._gateway_decision(
+                ledger_events.SHED, "circuit_open", fingerprint, seq, primary
+            )
+            raise CircuitOpenError("every candidate shard's breaker is open")
+        if rerouted:
+            self._gateway_decision(
+                ledger_events.REROUTE, "circuit_open", fingerprint, seq, target
+            )
+        if directive is not None:
+            self._gateway_decision(
+                ledger_events.FAULT, directive["kind"], fingerprint, seq, target
+            )
+        state = _ResilientCall(
+            workload,
+            device,
+            trace,
+            fingerprint,
+            seq,
+            index,
+            tenant,
+            priority,
+            deadline,
+            metadata,
+            outer=self._sub.new_future(),
+            lock=self._sub.call_lock(),
+        )
+        with self._lock:
+            self._open_calls += 1
+        self._sub.mark_busy()
+        self._begin_attempt(state, target, directive, cause="route")
+        self._maybe_schedule_hedge(state, target)
+        for shard_index in replicas:
+            self._replicate(
+                shard_index, workload, device, trace, fingerprint, seq=seq
+            )
+        return state.outer
+
+    def _begin_attempt(
+        self,
+        state: _ResilientCall,
+        shard_index: int,
+        directive: Optional[dict],
+        cause: str,
+        is_hedge: bool = False,
+    ) -> None:
+        with state.lock:
+            if state.settled:
+                return  # drained/settled while this attempt was scheduled
+            # symmetric with the decrement in _attempt_outcome: every
+            # path below funnels through _finish_attempt exactly once
+            state.inflight += 1
+        if directive is not None and directive.get("kind") == "shard_blackout":
+            # a blacked-out shard is *unreachable*: the attempt fails at
+            # the gateway without touching the shard (its cache included)
+            self._finish_attempt(
+                state,
+                shard_index,
+                is_hedge,
+                None,
+                ShardBlackoutError(shard_index),
+                slot_held=False,
+            )
+            return
+        deadline_remaining = (
+            None
+            if state.deadline is None
+            else state.deadline - time.perf_counter()
+        )
+        try:
+            # (no mark_busy: the open outer future already holds the
+            # gateway busy for as long as attempts can start)
+            with self._lock:
+                self.core.admit(
+                    shard_index,
+                    tenant=state.tenant,
+                    priority=state.priority,
+                    deadline_remaining=deadline_remaining,
+                )
+        except (
+            RateLimitExceededError,
+            RequestRejectedError,
+            ServiceClosedError,
+        ) as error:
+            event, refusal, _status = admit_refusal(error)
+            self._gateway_decision(
+                event, refusal, state.fingerprint, state.seq, shard_index
+            )
+            self._finish_attempt(
+                state, shard_index, is_hedge, None, error, slot_held=False
+            )
+            return
+        self._gateway_decision(
+            ledger_events.ADMIT,
+            cause,
+            state.fingerprint,
+            state.seq,
+            shard_index,
+            attributes={"attempt": state.attempt} if state.attempt > 1 else None,
+        )
+        metadata: dict = {**(state.metadata or {}), "attempt": state.attempt}
+        if directive is not None:
+            metadata["fault"] = directive
+        try:
+            future = self._shard_services[shard_index].submit(
+                state.workload,
+                state.device,
+                trace=state.trace,
+                fingerprint=state.fingerprint,
+                deadline=state.deadline,
+                metadata=metadata,
+                tenant=state.tenant,
+                priority=state.priority,
+            )
+        except BaseException as error:
+            self._finish_attempt(
+                state,
+                shard_index,
+                is_hedge,
+                None,
+                error,
+                slot_held=True,
+                rejected=isinstance(error, RequestRejectedError),
+                throttled=isinstance(error, RateLimitExceededError),
+            )
+            return
+        self._sub.when_done(
+            future,
+            partial(self._resilient_dispatched, state, shard_index, is_hedge),
+        )
+
+    def _resilient_dispatched(
+        self, state: _ResilientCall, shard_index: int, is_hedge: bool, future
+    ) -> None:
+        if future.cancelled():
+            result, error = None, self._sub.CancelledError()
+        else:
+            error = future.exception()
+            result = future.result() if error is None else None
+        self._finish_attempt(
+            state, shard_index, is_hedge, result, error, slot_held=True
+        )
+
+    def _finish_attempt(
+        self,
+        state: _ResilientCall,
+        shard_index: int,
+        is_hedge: bool,
+        result,
+        error: Optional[BaseException],
+        slot_held: bool,
+        rejected: bool = False,
+        throttled: bool = False,
+    ) -> None:
+        res = self._resilience
+        # breaker accounting happens *before* the slot settles so every
+        # outcome of a wave is buffered by the time the idle-edge sync
+        # runs (determinism of deferred breaker transitions)
+        if res is not None and (error is None or is_transient(error)):
+            with self._lock:
+                res.record_outcome(shard_index, state.seq, error is None)
+        if slot_held:
+            self._settle(shard_index, rejected=rejected, throttled=throttled)
+        self._attempt_outcome(state, shard_index, is_hedge, result, error)
+
+    def _attempt_outcome(
+        self,
+        state: _ResilientCall,
+        shard_index: int,
+        is_hedge: bool,
+        result,
+        error: Optional[BaseException],
+    ) -> None:
+        res = self._resilience
+        loser = settles = False
+        retry_target: Optional[int] = None
+        retry_delay = 0.0
+        with state.lock:
+            state.inflight -= 1
+            if state.settled:
+                loser = state.hedged
+            elif error is None:
+                state.settled = settles = True
+            else:
+                if res is not None and not is_hedge:
+                    with self._lock:
+                        if not self.core.draining and res.should_retry(
+                            error, state.attempt
+                        ):
+                            candidate = res.retry_target(
+                                shard_index, state.attempt + 1
+                            )
+                            if candidate is not None:
+                                res.spend_retry()
+                                retry_target = candidate
+                if retry_target is not None:
+                    state.attempt += 1
+                    retry_delay = res.policy.retry.delay(
+                        state.fingerprint, state.attempt
+                    )
+                elif state.inflight == 0:
+                    state.settled = settles = True
+                # else a hedge twin is still running; let it decide
+        if loser:
+            if res is not None:
+                with self._lock:
+                    res.counters["hedge_losers"] += 1
+            self._gateway_decision(
+                ledger_events.HEDGE,
+                "loser",
+                state.fingerprint,
+                state.seq,
+                shard_index,
+            )
+        elif retry_target is not None:
+            self._gateway_decision(
+                ledger_events.RETRY,
+                type(error).__name__,
+                state.fingerprint,
+                state.seq,
+                retry_target,
+                attributes={
+                    "attempt": state.attempt,
+                    "delay": round(retry_delay, 6),
+                },
+            )
+            # re-check the plan against the retry's destination: a retry
+            # routed back into a blackout window still fails
+            next_directive = (
+                self._injector.peek_window(state.index, retry_target)
+                if self._injector is not None
+                else None
+            )
+            with self._lock:
+                draining = self.core.draining
+                if not draining:
+                    # armed under the lock _fire_retry takes first, so
+                    # the timer cannot fire before it is registered
+                    self._parked[state] = self._sub.call_later(
+                        retry_delay,
+                        self._fire_retry,
+                        state,
+                        retry_target,
+                        next_directive,
+                    )
+            if draining:
+                self._shed_parked_retry(state)
+        elif settles:
+            self._cancel_timers(state)
+            if error is None and is_hedge:
+                with self._lock:
+                    res.counters["hedge_wins"] += 1
+                self._gateway_decision(
+                    ledger_events.HEDGE,
+                    "won",
+                    state.fingerprint,
+                    state.seq,
+                    shard_index,
+                )
+            self._settle_outer(state, result=result, error=error)
+
+    def _fire_retry(
+        self, state: _ResilientCall, target: int, directive: Optional[dict]
+    ) -> None:
+        with self._lock:
+            self._parked.pop(state, None)
+            draining = self.core.draining
+        if draining:
+            self._shed_parked_retry(state)
+            return
+        self._begin_attempt(state, target, directive, cause="retry")
+
+    def _shed_parked_retry(self, state: _ResilientCall) -> None:
+        """Settle a request parked in retry backoff as shed (drain path)."""
+        with state.lock:
+            if state.settled:
+                return
+            state.settled = True
+        with self._lock:
+            self.core.shed += 1
+            if self._resilience is not None:
+                self._resilience.counters["shed_on_drain"] += 1
+        self._gateway_decision(
+            ledger_events.SHED,
+            "drained_during_backoff",
+            state.fingerprint,
+            state.seq,
+            None,
+        )
+        self._settle_outer(
+            state,
+            error=CircuitOpenError("gateway drained during retry backoff"),
+        )
+
+    def _maybe_schedule_hedge(
+        self, state: _ResilientCall, primary: int
+    ) -> None:
+        res = self._resilience
+        if res is None or res.policy.hedge is None:
+            return
+        threshold = res.policy.hedge.threshold(self._latency_samples())
+        with state.lock:  # _fire_hedge clears the handle under it
+            state.hedge_timer = self._sub.call_later(
+                threshold, self._fire_hedge, state, primary
+            )
+
+    def _fire_hedge(self, state: _ResilientCall, primary: int) -> None:
+        res = self._resilience
+        with state.lock:
+            state.hedge_timer = None
+            if state.settled or state.inflight == 0 or state.hedged:
+                return
+            with self._lock:
+                if self.core.draining:
+                    return
+                target = res.hedge_target(primary)
+                if target is None:
+                    return
+                res.counters["hedges"] += 1
+            state.hedged = True
+        self._gateway_decision(
+            ledger_events.HEDGE,
+            "latency_threshold",
+            state.fingerprint,
+            state.seq,
+            target,
+        )
+        directive = None
+        if self._injector is not None:
+            directive = self._injector.peek_window(state.index, target)
+        self._begin_attempt(
+            state, target, directive, cause="hedge", is_hedge=True
+        )
+
+    def _cancel_timers(self, state: _ResilientCall) -> None:
+        with self._lock:
+            timer = self._parked.pop(state, None)
+        if timer is not None:
+            timer.cancel()
+        hedge_timer = state.hedge_timer
+        if hedge_timer is not None:
+            hedge_timer.cancel()
+            state.hedge_timer = None
+
+    def _settle_outer(
+        self,
+        state: _ResilientCall,
+        result=None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        # bookkeeping first: by the time the caller observes the outer
+        # future, the wave-boundary sync has already run, so the next
+        # submission sees post-sync breaker state (determinism)
+        with self._lock:
+            self._open_calls -= 1
+            if self._open_calls == 0 and self.core.idle():
+                self._wave_boundary()
+        try:
+            if error is not None:
+                state.outer.set_exception(error)
+            else:
+                state.outer.set_result(result)
+        except self._sub.InvalidStateError:
+            pass  # the caller cancelled the future; the call is accounted

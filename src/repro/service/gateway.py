@@ -19,12 +19,14 @@ and owns the three policies a serving tier needs:
 * **Lifecycle** — ``drain()`` stops intake and waits for in-flight work;
   ``close()`` drains then shuts every shard down.
 
-All three are decided by the sans-IO :class:`~repro.service.core.GatewayCore`
-state machine; this module adds only the thread substrate — a lock
-serializing the core's mutations, a condition variable ``drain()`` blocks
-on, and ``concurrent.futures`` plumbing.  The asyncio driver
-(:class:`~repro.service.aio.AsyncServiceGateway`) drives the identical
-core from an event loop.
+All three are decided by the sans-IO
+:class:`~repro.service.dispatch.GatewayDispatch` machine (over
+:class:`~repro.service.core.GatewayCore`); this module adds only the
+thread substrate — a lock serializing the core's mutations, a condition
+variable ``drain()`` blocks on, ``concurrent.futures`` futures and
+``threading.Timer`` — and the blocking ``estimate``/``drain``/``close``.
+The asyncio driver (:class:`~repro.service.aio.AsyncServiceGateway`)
+runs the same machine from an event loop.
 
 ``stats()`` aggregates every shard's metrics into one fleet-level
 snapshot (summed counters, recomputed hit rate, percentiles over the
@@ -35,28 +37,17 @@ see both the fleet and its skew.
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError, Future, InvalidStateError
 from typing import Callable, Optional, Sequence
 
-from ..errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    QuotaExceededError,
-    RateLimitExceededError,
-    RequestRejectedError,
-    ServiceClosedError,
-    ShardBlackoutError,
-)
 from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
-from .control import DEFAULT_PRIORITY, ControlPlane
-from .core import GatewayCore, aggregate_shard_stats
+from .control import ControlPlane
+from .core import aggregate_shard_stats
+from .dispatch import GatewayDispatch
 from .engine import EstimationService
-from .faults import FaultInjector, FaultPlan
-from .resilience import ResilienceCore, ResiliencePolicy, is_transient
-from .telemetry import ledger as ledger_events
-from .telemetry.spans import GATEWAY_SPAN
+from .faults import FaultPlan
+from .resilience import ResiliencePolicy
 from .routing import (
     DEFAULT_VNODES,
     POLICY_NAMES,
@@ -88,87 +79,53 @@ DEFAULT_NUM_SHARDS = 4
 DEFAULT_MAX_QUEUE_DEPTH = 64
 
 
-class _ResilientCall:
-    """Gateway-side state for one request under the resilience plane.
+class _ThreadSubstrate:
+    """Locks, ``concurrent.futures`` and ``threading.Timer``: what the
+    dispatch machine borrows when callers and workers are threads."""
 
-    The caller holds the *outer* future; attempts (first dispatch,
-    retries, hedges) come and go underneath it.  ``lock`` guards the
-    settled/inflight bookkeeping — lock order is always
-    ``state.lock`` -> gateway lock, never the reverse.
-    """
+    CancelledError = CancelledError
+    InvalidStateError = InvalidStateError
+    call_lock = staticmethod(threading.Lock)
+    new_future = Future
 
-    __slots__ = (
-        "workload",
-        "device",
-        "trace",
-        "fingerprint",
-        "seq",
-        "index",
-        "tenant",
-        "priority",
-        "deadline",
-        "metadata",
-        "attempt",
-        "outer",
-        "lock",
-        "settled",
-        "inflight",
-        "hedged",
-        "retry_timer",
-        "hedge_timer",
-    )
-
-    def __init__(
-        self,
-        workload,
-        device,
-        trace,
-        fingerprint,
-        seq,
-        index,
-        tenant="",
-        priority=DEFAULT_PRIORITY,
-        deadline=None,
-        metadata=None,
-    ):
-        self.workload = workload
-        self.device = device
-        self.trace = trace
-        self.fingerprint = fingerprint
-        self.seq = seq
-        self.index = index
-        self.tenant = tenant
-        self.priority = priority
-        self.deadline = deadline
-        self.metadata = metadata
-        self.attempt = 1
-        self.outer: Future = Future()
+    def __init__(self):
         self.lock = threading.Lock()
-        self.settled = False
-        self.inflight = 0
-        self.hedged = False
-        self.retry_timer: Optional[threading.Timer] = None
-        self.hedge_timer: Optional[threading.Timer] = None
+        #: what ``drain()`` blocks on; shares the gateway lock
+        self.idle = threading.Condition(self.lock)
+
+    @staticmethod
+    def when_done(future: Future, callback) -> None:
+        # concurrent.futures runs the callback inline when already done
+        future.add_done_callback(callback)
+
+    @staticmethod
+    def call_later(delay: float, fn, *args) -> threading.Timer:
+        timer = threading.Timer(delay, fn, args=args)
+        timer.daemon = True
+        timer.start()
+        return timer
+
+    def mark_busy(self) -> None:
+        pass  # drain() re-checks the idle predicate under the lock
+
+    def notify_idle(self) -> None:
+        self.idle.notify_all()
 
 
-class SyncGatewayShell:
+class SyncGatewayShell(GatewayDispatch):
     """The thread-substrate gateway shell, shared by the sync drivers.
 
-    Everything a lock-and-condition-variable gateway does — routing
-    under the lock, admit/shed/settle against :class:`GatewayCore`,
-    best-effort warm-up replicas, ``drain()`` blocking on the idle
-    condition, fleet ``stats()`` aggregation — is identical whether the
-    shards run estimation on worker threads
-    (:class:`ServiceGateway`) or in a process pool
-    (:class:`~repro.service.procpool.ProcServiceGateway`); only shard
-    construction and substrate teardown differ.  Subclasses call
-    :meth:`_init_shell` from their constructor and override
+    :class:`~repro.service.dispatch.GatewayDispatch` over a lock, a
+    condition variable ``drain()`` blocks on, ``concurrent.futures``
+    futures and ``threading.Timer`` — identical whether the shards run
+    estimation on worker threads (:class:`ServiceGateway`) or in a
+    process pool (:class:`~repro.service.procpool.ProcServiceGateway`);
+    only shard construction and substrate teardown differ.  Subclasses
+    build their shards, then call this constructor, and override
     :meth:`_shutdown_substrate` / :meth:`_snapshot_extra` as needed.
-    (The asyncio gateway shares none of this: its serialization is the
-    event loop, not a lock.)
     """
 
-    def _init_shell(
+    def __init__(
         self,
         shards: Sequence,
         policy: Optional[RoutingPolicy],
@@ -178,197 +135,20 @@ class SyncGatewayShell:
         fault_plan: Optional[FaultPlan] = None,
         control: Optional[ControlPlane] = None,
     ) -> None:
-        self._shard_services = tuple(shards)
-        # resilience plane (PR 8): both optional, and when both are None
-        # submit() runs the exact pre-resilience code path
-        self._resilience = (
-            ResilienceCore(len(self._shard_services), resilience)
-            if resilience is not None
-            else None
-        )
-        self._injector = (
-            FaultInjector(fault_plan) if fault_plan is not None else None
-        )
-        self._retry_states: dict[_ResilientCall, threading.Timer] = {}
-        self._open_calls = 0
-        self.core = GatewayCore(
-            num_shards=len(self._shard_services),
-            policy=(
-                policy
-                if policy is not None
-                else ConsistentHashRouting(len(self._shard_services))
-            ),
-            max_queue_depth=max_queue_depth,
+        super().__init__(
+            shards,
+            policy,
+            max_queue_depth,
+            _ThreadSubstrate(),
+            telemetry=telemetry,
+            resilience=resilience,
+            fault_plan=fault_plan,
             control=control,
         )
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        # one Telemetry bundle spans the whole fleet: every shard core is
-        # stamped with its position and pointed at the shared tracer +
-        # ledger (unless the shard was pre-built with its own), so one
-        # request yields one trace across gateway and shard layers and
-        # the ledger records provenance per shard
-        self.telemetry = telemetry
-        for index, service in enumerate(self._shard_services):
-            shard_core = getattr(service, "core", None)
-            if shard_core is None:
-                continue
-            shard_core.shard_id = index
-            if telemetry is not None:
-                if shard_core.tracer is None:
-                    shard_core.tracer = telemetry.tracer
-                if shard_core.ledger is None:
-                    shard_core.ledger = telemetry.ledger
 
-    def _gateway_decision(
-        self,
-        event: str,
-        cause: str,
-        fingerprint: str,
-        seq: Optional[int],
-        shard_index: Optional[int],
-        attributes: Optional[dict] = None,
-    ) -> None:
-        """Ledger one gateway-layer decision (no-op unledgered)."""
-        if self.telemetry is None:
-            return
-        attrs = {"layer": "gateway"}
-        if attributes:
-            attrs.update(attributes)
-        self.telemetry.ledger.record(
-            event,
-            cause=cause,
-            fingerprint=fingerprint,
-            request_id=seq if seq is not None else 0,
-            shard=shard_index,
-            attributes=attrs,
-        )
-
-    # -- substrate hooks ----------------------------------------------
     def _shutdown_substrate(self, wait: bool) -> None:
         """Tear down any substrate the subclass owns beyond the shards."""
         return None
-
-    def _snapshot_extra(self) -> dict:
-        """Substrate-specific keys merged into the gateway snapshot."""
-        return {}
-
-    # ------------------------------------------------------------------
-    # public API (mirrors EstimationService)
-    # ------------------------------------------------------------------
-    @property
-    def policy(self) -> RoutingPolicy:
-        return self.core.policy
-
-    @property
-    def max_queue_depth(self) -> int:
-        return self.core.max_queue_depth
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shard_services)
-
-    @property
-    def shards(self) -> tuple:
-        """The underlying services, for tests and warm-up hooks."""
-        return self._shard_services
-
-    def fingerprint(
-        self, workload: WorkloadConfig, device: DeviceSpec
-    ) -> str:
-        """The routing/cache key — identical on every (replica) shard."""
-        return self._shard_services[0].fingerprint(workload, device)
-
-    def shard_for(self, workload: WorkloadConfig, device: DeviceSpec) -> int:
-        """The primary shard the current policy would pick right now."""
-        fingerprint = self.fingerprint(workload, device)
-        with self._lock:
-            return self.core.route(fingerprint)[0]
-
-    def submit(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-        deadline: Optional[float] = None,
-        metadata: Optional[dict] = None,
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
-    ) -> Future:
-        """Route one request to its shard; returns the shard's future.
-
-        Raises :class:`ServiceClosedError` after ``drain()``/``close()``,
-        :class:`RateLimitExceededError` when the target shard's queue is
-        full (shed — nothing was enqueued), and passes through the shard
-        middleware's own synchronous rejections.  With a
-        :class:`~repro.service.control.ControlPlane` configured on the
-        core, ``tenant``/``priority``/``deadline`` are additionally
-        subject to quota, fair-share, and hopeless-deadline admission
-        (:class:`~repro.errors.QuotaExceededError` and friends) before
-        any queue slot is reserved.
-
-        With a :class:`~repro.service.resilience.ResiliencePolicy` or
-        :class:`~repro.service.faults.FaultPlan` configured, the future
-        returned is gateway-owned: attempts (retries, hedges) come and
-        go underneath it and it settles exactly once with the final
-        result or a typed error.
-        """
-        if self._resilience is not None or self._injector is not None:
-            return self._submit_resilient(
-                workload,
-                device,
-                trace,
-                deadline=deadline,
-                metadata=metadata,
-                tenant=tenant,
-                priority=priority,
-            )
-        fingerprint = self.fingerprint(workload, device)
-        with self._lock:
-            self.core.count_request()
-            seq = self.core.requests
-            # stateful policies (the seeded RNG) rely on the driver for
-            # serialization, so routing happens inside the lock too
-            primary, replicas = self.core.route(fingerprint)
-        span = None
-        metadata = dict(metadata) if metadata else None
-        if self.telemetry is not None:
-            span = self.telemetry.tracer.start_trace(
-                f"g{seq:06d}-{fingerprint[:12]}",
-                name=GATEWAY_SPAN,
-                attributes={
-                    "policy": self.core.policy.name,
-                    "shard": primary,
-                    "fingerprint": fingerprint,
-                },
-            )
-            # the shard-level request span re-parents under this one via
-            # the span context riding the metadata bag
-            metadata = {
-                **(metadata or {}),
-                "telemetry": {
-                    "trace_id": span.trace_id,
-                    "span_id": span.span_id,
-                },
-            }
-        future = self._dispatch(
-            primary,
-            workload,
-            device,
-            trace,
-            fingerprint,
-            metadata=metadata,
-            span=span,
-            seq=seq,
-            deadline=deadline,
-            tenant=tenant,
-            priority=priority,
-        )
-        for shard_index in replicas:
-            self._replicate(
-                shard_index, workload, device, trace, fingerprint, seq=seq
-            )
-        return future
 
     def estimate(
         self,
@@ -379,37 +159,19 @@ class SyncGatewayShell:
         """Blocking request — the drop-in for ``service.estimate()``."""
         return self.submit(workload, device, trace=trace).result()
 
-    def pending(self) -> int:
-        """Requests admitted by the gateway and not yet resolved."""
-        with self._lock:
-            return self.core.pending()
-
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop accepting requests and wait for in-flight ones to finish.
 
         Returns True when the fleet went idle within ``timeout`` (None =
         wait forever).  Idempotent; ``submit`` raises afterwards.
-
-        Under the resilience plane, requests parked in retry backoff
-        (e.g. against a blacked-out shard whose circuit is open) hold no
-        shard slot — they are settled immediately as shed with a typed
-        :class:`~repro.errors.CircuitOpenError` rather than waited for,
-        so drain never blocks on a circuit that may stay open forever.
+        Requests parked in retry backoff are shed, not waited for.
         """
-        with self._idle:
-            self.core.draining = True
-            parked = list(self._retry_states.items())
-            self._retry_states.clear()
-        for state, timer in parked:
-            timer.cancel()
-            self._shed_parked_retry(state)
-        with self._idle:
-            done = self._idle.wait_for(
-                lambda: self.core.idle() and self._open_calls == 0,
-                timeout=timeout,
-            )
+        self._begin_drain()
+        idle = self._sub.idle
+        with idle:
+            done = idle.wait_for(self._quiescent, timeout=timeout)
             if done:
-                self._sync_resilience_locked()
+                self._sync_resilience()
             return done
 
     def close(self, wait: bool = True) -> None:
@@ -429,690 +191,6 @@ class SyncGatewayShell:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def stats(self) -> dict:
-        """Gateway counters + per-shard snapshots + fleet aggregate."""
-        shard_stats = [service.stats() for service in self._shard_services]
-        samples: list[float] = []
-        for service in self._shard_services:
-            samples.extend(service.metrics.latency_samples())
-        with self._lock:
-            gateway = self.core.snapshot()
-            if self._resilience is not None:
-                gateway["resilience"] = self._resilience.snapshot()
-            if self._injector is not None:
-                gateway["faults"] = self._injector.snapshot()
-        gateway.update(self._snapshot_extra())
-        return {
-            "gateway": gateway,
-            "aggregate": aggregate_shard_stats(shard_stats, samples),
-            "shards": shard_stats,
-        }
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        shard_index: int,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace],
-        fingerprint: str,
-        metadata: Optional[dict] = None,
-        span=None,
-        seq: Optional[int] = None,
-        deadline: Optional[float] = None,
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
-    ) -> Future:
-        service = self._shard_services[shard_index]
-        deadline_remaining = (
-            None if deadline is None else deadline - time.perf_counter()
-        )
-        try:
-            with self._lock:
-                # admit re-checks the gate while reserving the slot: a
-                # drain()/close() racing between submit()'s gate and here
-                # must either see our pending slot or turn us away — never
-                # report idle and then let this request hit a closed shard
-                self.core.admit(
-                    shard_index,
-                    tenant=tenant,
-                    priority=priority,
-                    deadline_remaining=deadline_remaining,
-                )
-        except QuotaExceededError as error:
-            self._gateway_decision(
-                ledger_events.QUOTA,
-                f"{error.scope}:{error.tenant}",
-                fingerprint,
-                seq,
-                shard_index,
-            )
-            self._close_span(span, "shed")
-            raise
-        except DeadlineExceededError:
-            self._gateway_decision(
-                ledger_events.DEADLINE,
-                "hopeless_at_gateway",
-                fingerprint,
-                seq,
-                shard_index,
-            )
-            self._close_span(span, "rejected")
-            raise
-        except RequestRejectedError as error:
-            # the control plane's auth refusal (strict mode)
-            self._gateway_decision(
-                ledger_events.AUTH,
-                type(error).__name__,
-                fingerprint,
-                seq,
-                shard_index,
-            )
-            self._close_span(span, "rejected")
-            raise
-        except RateLimitExceededError:
-            self._gateway_decision(
-                ledger_events.SHED, "queue_full", fingerprint, seq, shard_index
-            )
-            self._close_span(span, "shed")
-            raise
-        self._gateway_decision(
-            ledger_events.ADMIT, "route", fingerprint, seq, shard_index
-        )
-        try:
-            future = service.submit(
-                workload,
-                device,
-                trace=trace,
-                fingerprint=fingerprint,
-                deadline=deadline,
-                metadata=metadata,
-                tenant=tenant,
-                priority=priority,
-            )
-        except RateLimitExceededError:
-            self._settle(shard_index, throttled=True)
-            self._close_span(span, "throttled")
-            raise
-        except RequestRejectedError:
-            self._settle(shard_index, rejected=True)
-            self._close_span(span, "rejected")
-            raise
-        except BaseException:
-            self._settle(shard_index)
-            self._close_span(span, "error")
-            raise
-        future.add_done_callback(
-            lambda f, index=shard_index: self._settle_dispatched(
-                f, index, span
-            )
-        )
-        return future
-
-    def _settle_dispatched(self, future: Future, shard_index: int, span) -> None:
-        self._settle(shard_index)
-        if span is not None:
-            failed = future.cancelled() or future.exception() is not None
-            self._close_span(span, "error" if failed else "ok")
-
-    def _close_span(self, span, status: str) -> None:
-        if span is not None and self.telemetry is not None:
-            self.telemetry.tracer.end(span, status=status)
-
-    def _replicate(
-        self,
-        shard_index: int,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace],
-        fingerprint: str,
-        seq: Optional[int] = None,
-    ) -> None:
-        """Best-effort warm-up duplicate: never surfaces to the caller."""
-        service = self._shard_services[shard_index]
-        with self._lock:
-            if not self.core.admit_replica(shard_index):
-                return  # warm-up never sheds real traffic
-        self._gateway_decision(
-            ledger_events.WARMUP, "replica", fingerprint, seq, shard_index
-        )
-        try:
-            future = service.submit(
-                workload, device, trace=trace, fingerprint=fingerprint
-            )
-        except BaseException:
-            self._settle(shard_index)
-            return
-        future.add_done_callback(
-            lambda f, index=shard_index: (f.exception(), self._settle(index))
-        )
-
-    def _settle(
-        self, shard_index: int, rejected: bool = False, throttled: bool = False
-    ) -> None:
-        with self._idle:
-            if self.core.settle(
-                shard_index, rejected=rejected, throttled=throttled
-            ):
-                if self._open_calls == 0:
-                    # idle *and* every outer future settled: a wave
-                    # boundary — apply deferred breaker outcomes so
-                    # transitions depend only on the request stream
-                    self._sync_resilience_locked()
-                self._idle.notify_all()
-
-    # ------------------------------------------------------------------
-    # resilience plane (retries, breakers, hedging, fault injection)
-    # ------------------------------------------------------------------
-    def _sync_resilience_locked(self) -> None:
-        """Apply deferred breaker outcomes; caller holds the lock."""
-        if self._resilience is None:
-            return
-        transitions = self._resilience.sync()
-        if transitions and self.telemetry is not None:
-            seq = self.core.requests
-            for shard, transition in transitions:
-                self.telemetry.ledger.record(
-                    ledger_events.BREAKER,
-                    cause=transition,
-                    fingerprint="",
-                    request_id=seq,
-                    shard=shard,
-                    attributes={"layer": "gateway"},
-                )
-
-    def _submit_resilient(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace],
-        deadline: Optional[float] = None,
-        metadata: Optional[dict] = None,
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
-    ) -> Future:
-        res = self._resilience
-        fingerprint = self.fingerprint(workload, device)
-        with self._lock:
-            self.core.count_request()
-            seq = self.core.requests
-            transitions = res.tick() if res is not None else []
-            primary, replicas = self.core.route(fingerprint)
-            if res is not None:
-                target, rerouted = res.choose_shard(primary)
-            else:
-                target, rerouted = primary, False
-            index = (
-                self._injector.next_index()
-                if self._injector is not None
-                else None
-            )
-            if target is None:
-                res.counters["shed_open_circuit"] += 1
-                self.core.shed += 1
-        for shard, transition in transitions:
-            self._gateway_decision(
-                ledger_events.BREAKER, transition, "", seq, shard
-            )
-        if target is None:
-            self._gateway_decision(
-                ledger_events.SHED, "circuit_open", fingerprint, seq, primary
-            )
-            raise CircuitOpenError("every candidate shard's breaker is open")
-        if rerouted:
-            self._gateway_decision(
-                ledger_events.REROUTE, "circuit_open", fingerprint, seq, target
-            )
-        directive = None
-        if self._injector is not None:
-            directive = self._injector.directive_for(index, target)
-            if directive is not None:
-                self._gateway_decision(
-                    ledger_events.FAULT,
-                    directive["kind"],
-                    fingerprint,
-                    seq,
-                    target,
-                )
-        state = _ResilientCall(
-            workload,
-            device,
-            trace,
-            fingerprint,
-            seq,
-            index,
-            tenant=tenant,
-            priority=priority,
-            deadline=deadline,
-            metadata=metadata,
-        )
-        with self._lock:
-            self._open_calls += 1
-        self._begin_attempt(state, target, directive, cause="route")
-        self._maybe_schedule_hedge(state, target)
-        for shard_index in replicas:
-            self._replicate(
-                shard_index, workload, device, trace, fingerprint, seq=seq
-            )
-        return state.outer
-
-    def _begin_attempt(
-        self,
-        state: _ResilientCall,
-        shard_index: int,
-        directive: Optional[dict],
-        cause: str,
-        is_hedge: bool = False,
-    ) -> None:
-        with state.lock:
-            if state.settled:
-                return  # drained/settled while this attempt was scheduled
-            # symmetric with the decrement in _attempt_outcome: every
-            # path below funnels through _finish_attempt exactly once
-            state.inflight += 1
-        service = self._shard_services[shard_index]
-        if directive is not None and directive.get("kind") == "shard_blackout":
-            # a blacked-out shard is *unreachable*: the attempt fails at
-            # the gateway without touching the shard (its cache included)
-            self._finish_attempt(
-                state,
-                shard_index,
-                is_hedge,
-                None,
-                ShardBlackoutError(shard_index),
-                slot_held=False,
-            )
-            return
-        deadline_remaining = (
-            None
-            if state.deadline is None
-            else state.deadline - time.perf_counter()
-        )
-        try:
-            with self._lock:
-                self.core.admit(
-                    shard_index,
-                    tenant=state.tenant,
-                    priority=state.priority,
-                    deadline_remaining=deadline_remaining,
-                )
-        except QuotaExceededError as error:
-            self._gateway_decision(
-                ledger_events.QUOTA,
-                f"{error.scope}:{error.tenant}",
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        except DeadlineExceededError as error:
-            self._gateway_decision(
-                ledger_events.DEADLINE,
-                "hopeless_at_gateway",
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        except RequestRejectedError as error:
-            # the control plane's auth refusal (strict mode)
-            self._gateway_decision(
-                ledger_events.AUTH,
-                type(error).__name__,
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        except (RateLimitExceededError, ServiceClosedError) as error:
-            shed_cause = (
-                "queue_full"
-                if isinstance(error, RateLimitExceededError)
-                else "closed"
-            )
-            self._gateway_decision(
-                ledger_events.SHED,
-                shed_cause,
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        self._gateway_decision(
-            ledger_events.ADMIT,
-            cause,
-            state.fingerprint,
-            state.seq,
-            shard_index,
-            attributes={"attempt": state.attempt} if state.attempt > 1 else None,
-        )
-        metadata: dict = {
-            **(state.metadata or {}),
-            "attempt": state.attempt,
-        }
-        if directive is not None:
-            metadata["fault"] = directive
-        try:
-            future = service.submit(
-                state.workload,
-                state.device,
-                trace=state.trace,
-                fingerprint=state.fingerprint,
-                deadline=state.deadline,
-                metadata=metadata,
-                tenant=state.tenant,
-                priority=state.priority,
-            )
-        except RateLimitExceededError as error:
-            self._finish_attempt(
-                state,
-                shard_index,
-                is_hedge,
-                None,
-                error,
-                slot_held=True,
-                throttled=True,
-            )
-            return
-        except RequestRejectedError as error:
-            self._finish_attempt(
-                state,
-                shard_index,
-                is_hedge,
-                None,
-                error,
-                slot_held=True,
-                rejected=True,
-            )
-            return
-        except BaseException as error:
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=True
-            )
-            return
-        future.add_done_callback(
-            lambda f, index=shard_index, hedge=is_hedge: (
-                self._resilient_dispatched(state, index, hedge, f)
-            )
-        )
-
-    def _resilient_dispatched(
-        self,
-        state: _ResilientCall,
-        shard_index: int,
-        is_hedge: bool,
-        future: Future,
-    ) -> None:
-        if future.cancelled():
-            result, error = None, CancelledError()
-        else:
-            error = future.exception()
-            result = future.result() if error is None else None
-        self._finish_attempt(
-            state, shard_index, is_hedge, result, error, slot_held=True
-        )
-
-    def _finish_attempt(
-        self,
-        state: _ResilientCall,
-        shard_index: int,
-        is_hedge: bool,
-        result,
-        error: Optional[BaseException],
-        slot_held: bool,
-        rejected: bool = False,
-        throttled: bool = False,
-    ) -> None:
-        res = self._resilience
-        # breaker accounting happens *before* the slot settles so every
-        # outcome of a wave is buffered by the time the idle-edge sync
-        # runs (determinism of deferred breaker transitions)
-        if res is not None and (error is None or is_transient(error)):
-            with self._lock:
-                res.record_outcome(shard_index, state.seq, error is None)
-        if slot_held:
-            self._settle(shard_index, rejected=rejected, throttled=throttled)
-        self._attempt_outcome(state, shard_index, is_hedge, result, error)
-
-    def _attempt_outcome(
-        self,
-        state: _ResilientCall,
-        shard_index: int,
-        is_hedge: bool,
-        result,
-        error: Optional[BaseException],
-    ) -> None:
-        res = self._resilience
-        loser = False
-        settle_result = False
-        settle_error: Optional[BaseException] = None
-        won_by_hedge = False
-        retry_target: Optional[int] = None
-        retry_delay = 0.0
-        with state.lock:
-            state.inflight -= 1
-            if state.settled:
-                loser = state.hedged
-            elif error is None:
-                state.settled = True
-                settle_result = True
-                won_by_hedge = is_hedge
-            else:
-                if res is not None and not is_hedge:
-                    with self._lock:
-                        if not self.core.draining and res.should_retry(
-                            error, state.attempt
-                        ):
-                            candidate = res.retry_target(
-                                shard_index, state.attempt + 1
-                            )
-                            if candidate is not None:
-                                res.spend_retry()
-                                retry_target = candidate
-                if retry_target is not None:
-                    state.attempt += 1
-                    retry_delay = res.policy.retry.delay(
-                        state.fingerprint, state.attempt
-                    )
-                elif state.inflight > 0:
-                    pass  # a hedge twin is still running; let it decide
-                else:
-                    state.settled = True
-                    settle_error = error
-        if loser:
-            if res is not None:
-                with self._lock:
-                    res.counters["hedge_losers"] += 1
-            self._gateway_decision(
-                ledger_events.HEDGE,
-                "loser",
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-            return
-        if settle_result:
-            self._cancel_timers(state)
-            if won_by_hedge:
-                with self._lock:
-                    res.counters["hedge_wins"] += 1
-                self._gateway_decision(
-                    ledger_events.HEDGE,
-                    "won",
-                    state.fingerprint,
-                    state.seq,
-                    shard_index,
-                )
-            self._settle_outer(state, result=result)
-            return
-        if retry_target is not None:
-            self._gateway_decision(
-                ledger_events.RETRY,
-                type(error).__name__,
-                state.fingerprint,
-                state.seq,
-                retry_target,
-                attributes={
-                    "attempt": state.attempt,
-                    "delay": round(retry_delay, 6),
-                },
-            )
-            next_directive = None
-            if self._injector is not None:
-                # re-check the plan against the retry's destination: a
-                # retry routed back into a blackout window still fails
-                next_directive = self._injector.peek_window(
-                    state.index, retry_target
-                )
-            self._schedule_retry(state, retry_target, next_directive, retry_delay)
-            return
-        if settle_error is not None:
-            self._cancel_timers(state)
-            self._settle_outer(state, error=settle_error)
-
-    def _schedule_retry(
-        self,
-        state: _ResilientCall,
-        target: int,
-        directive: Optional[dict],
-        delay: float,
-    ) -> None:
-        timer = threading.Timer(
-            delay, self._fire_retry, args=(state, target, directive)
-        )
-        timer.daemon = True
-        with self._lock:
-            if self.core.draining:
-                drain_now = True
-            else:
-                state.retry_timer = timer
-                self._retry_states[state] = timer
-                drain_now = False
-        if drain_now:
-            self._shed_parked_retry(state)
-            return
-        timer.start()
-
-    def _fire_retry(
-        self, state: _ResilientCall, target: int, directive: Optional[dict]
-    ) -> None:
-        with self._lock:
-            self._retry_states.pop(state, None)
-            draining = self.core.draining
-        state.retry_timer = None
-        if draining:
-            self._shed_parked_retry(state)
-            return
-        self._begin_attempt(state, target, directive, cause="retry")
-
-    def _shed_parked_retry(self, state: _ResilientCall) -> None:
-        """Settle a request parked in retry backoff as shed (drain path)."""
-        with state.lock:
-            if state.settled:
-                return
-            state.settled = True
-        with self._lock:
-            self.core.shed += 1
-            if self._resilience is not None:
-                self._resilience.counters["shed_on_drain"] += 1
-        self._gateway_decision(
-            ledger_events.SHED,
-            "drained_during_backoff",
-            state.fingerprint,
-            state.seq,
-            None,
-        )
-        self._settle_outer(
-            state,
-            error=CircuitOpenError("gateway drained during retry backoff"),
-        )
-
-    def _maybe_schedule_hedge(
-        self, state: _ResilientCall, primary: int
-    ) -> None:
-        res = self._resilience
-        if res is None or res.policy.hedge is None:
-            return
-        samples: list[float] = []
-        for service in self._shard_services:
-            samples.extend(service.metrics.latency_samples())
-        threshold = res.policy.hedge.threshold(samples)
-        timer = threading.Timer(
-            threshold, self._fire_hedge, args=(state, primary)
-        )
-        timer.daemon = True
-        state.hedge_timer = timer
-        timer.start()
-
-    def _fire_hedge(self, state: _ResilientCall, primary: int) -> None:
-        res = self._resilience
-        state.hedge_timer = None
-        with state.lock:
-            if state.settled or state.inflight == 0 or state.hedged:
-                return
-            state.hedged = True
-        with self._lock:
-            if self.core.draining:
-                return
-            target = res.hedge_target(primary)
-            if target is None:
-                return
-            res.counters["hedges"] += 1
-        self._gateway_decision(
-            ledger_events.HEDGE,
-            "latency_threshold",
-            state.fingerprint,
-            state.seq,
-            target,
-        )
-        directive = None
-        if self._injector is not None:
-            directive = self._injector.peek_window(state.index, target)
-        self._begin_attempt(state, target, directive, cause="hedge", is_hedge=True)
-
-    def _cancel_timers(self, state: _ResilientCall) -> None:
-        with self._lock:
-            timer = self._retry_states.pop(state, None)
-        if timer is not None:
-            timer.cancel()
-        hedge_timer = state.hedge_timer
-        if hedge_timer is not None:
-            hedge_timer.cancel()
-            state.hedge_timer = None
-
-    def _settle_outer(
-        self,
-        state: _ResilientCall,
-        result=None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        # bookkeeping first: by the time the caller observes the outer
-        # future, the wave-boundary sync has already run, so the next
-        # submission sees post-sync breaker state (determinism)
-        with self._idle:
-            self._open_calls -= 1
-            if self._open_calls == 0 and self.core.idle():
-                self._sync_resilience_locked()
-            self._idle.notify_all()
-        if error is not None:
-            state.outer.set_exception(error)
-        else:
-            state.outer.set_result(result)
 
 
 class ServiceGateway(SyncGatewayShell):
@@ -1157,7 +235,7 @@ class ServiceGateway(SyncGatewayShell):
             ]
         elif not shards:
             raise ValueError("gateway needs at least one shard")
-        self._init_shell(
+        super().__init__(
             shards,
             policy,
             max_queue_depth,

@@ -755,7 +755,7 @@ class ProcServiceGateway(SyncGatewayShell):
         except BaseException:
             self._supervisor.shutdown(wait=False)
             raise
-        self._init_shell(
+        super().__init__(
             shards,
             policy,
             max_queue_depth,

@@ -274,6 +274,55 @@ class TestArtifactStoreConcurrency:
                 f"artifact-{index}"
             )
 
+    def test_peer_builds_between_our_miss_and_our_claim(self, tmp_path):
+        """The interleaving behind the 1-in-10 double build, forced.
+
+        We read MISS; before we claim, a peer (a second connection to
+        the same file, as another process would hold) builds, stores and
+        releases.  Our claim then succeeds — nobody holds it — and only
+        a second look at the store keeps us from building the key again.
+        """
+        path = str(tmp_path / "store.sqlite")
+        ours, peer = ArtifactStore(path), ArtifactStore(path)
+        real_claim = ours._claim
+
+        def claim_once_the_peer_is_done(address):
+            peer.get_or_compute("profile", "k", lambda: "peer-built")
+            return real_claim(address)
+
+        ours._claim = claim_once_the_peer_is_done
+        built = []
+        value, stored = ours.get_or_compute(
+            "profile", "k", lambda: built.append("ours") or "ours"
+        )
+        assert (value, stored) == ("peer-built", True)
+        assert built == []
+        counters = ours.counters()
+        assert counters["build:profile"] == 1
+        # the second look is the same request: ours + the peer's, not 3
+        assert ours.misses == 1
+        assert counters["miss:profile"] == 2
+        # and the claim we won was given back
+        assert peer._claim(artifact_key("profile", "k"))
+
+    def test_peer_stores_as_our_wait_for_its_claim_times_out(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        ours = ArtifactStore(path, claim_timeout=0.0)
+        peer = ArtifactStore(path)
+
+        def peer_holds_the_claim_and_finishes(address):
+            peer.put("profile", "k", "peer-built")
+            return False
+
+        ours._claim = peer_holds_the_claim_and_finishes
+        built = []
+        value, stored = ours.get_or_compute(
+            "profile", "k", lambda: built.append("ours") or "ours"
+        )
+        assert (value, stored) == ("peer-built", True)
+        assert built == []
+        assert "build:profile" not in ours.counters()
+
     def test_concurrent_threads_single_store(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store.sqlite"))
         results = {}

@@ -1,0 +1,506 @@
+"""The gateway dispatch machine against a fake substrate.
+
+:class:`~repro.service.dispatch.GatewayDispatch` is sans-IO, so the whole
+attempt lifecycle — retry, backoff, hedge, drain-time shedding — runs
+here with no threads, no event loop and no sleeps: timers sit on a
+manual wheel the test advances, shard futures resolve when the test
+says so, and both locks are :class:`~repro.service.context.NullLock`.
+After every step the harness re-checks conservation
+(``submitted == answered + shed + rejected + errors + open``) and that
+no outer future was settled twice.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import CancelledError, Future, InvalidStateError
+from types import SimpleNamespace
+
+import pytest
+
+from repro.errors import (
+    CircuitOpenError,
+    InjectedFaultError,
+    RateLimitExceededError,
+    RequestRejectedError,
+    ServiceClosedError,
+)
+from repro.service import (
+    FaultPlan,
+    FaultSpec,
+    HedgePolicy,
+    NullLock,
+    ResiliencePolicy,
+    RetryPolicy,
+    Telemetry,
+)
+from repro.service.dispatch import GatewayDispatch
+
+DEVICE = "dev"
+BACKOFF = 30.0
+
+
+class CountingFuture(Future):
+    """A real future (resolvable inline) that counts settle attempts —
+    a second one would otherwise vanish in ``InvalidStateError``."""
+
+    def __init__(self):
+        super().__init__()
+        self.settles = 0
+
+    def set_result(self, result):
+        self.settles += 1
+        super().set_result(result)
+
+    def set_exception(self, exception):
+        self.settles += 1
+        super().set_exception(exception)
+
+
+class FakeTimer:
+    def __init__(self, due, fn, args):
+        self.due, self.fn, self.args = due, fn, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class FakeSubstrate:
+    """Manual timer wheel, inline futures, null locks."""
+
+    CancelledError = CancelledError
+    InvalidStateError = InvalidStateError
+    call_lock = NullLock
+    new_future = CountingFuture
+
+    def __init__(self):
+        self.lock = NullLock()
+        self.now = 0.0
+        self.timers: list[FakeTimer] = []
+        self.idle = True
+
+    @staticmethod
+    def when_done(future, callback):
+        future.add_done_callback(callback)  # inline when already done
+
+    def call_later(self, delay, fn, *args):
+        timer = FakeTimer(self.now + delay, fn, args)
+        self.timers.append(timer)
+        return timer
+
+    def mark_busy(self):
+        self.idle = False
+
+    def notify_idle(self):
+        self.idle = True
+
+    def live_timers(self):
+        return [timer for timer in self.timers if not timer.cancelled]
+
+    def advance(self, seconds):
+        self.now += seconds
+        due = [t for t in self.live_timers() if t.due <= self.now]
+        for timer in sorted(due, key=lambda t: t.due):
+            self.timers.remove(timer)
+            if not timer.cancelled:
+                timer.fn(*timer.args)
+
+
+class FakeShard:
+    """Records every attempt that reaches it; the test resolves them."""
+
+    def __init__(self):
+        self.attempts: list[tuple[dict, Future]] = []
+        self.metrics = SimpleNamespace(latency_samples=lambda: [])
+
+    def fingerprint(self, workload, device):
+        return f"{workload}@{device}"
+
+    def submit(self, workload, device, metadata=None, **_kwargs):
+        future = Future()
+        self.attempts.append((metadata or {}, future))
+        return future
+
+    def stats(self):
+        return {}
+
+
+class Harness:
+    def __init__(self, resilience=None, fault_plan=None, num_shards=2):
+        self.sub = FakeSubstrate()
+        self.shards = [FakeShard() for _ in range(num_shards)]
+        self.telemetry = Telemetry()
+        self.gateway = GatewayDispatch(
+            self.shards,
+            None,
+            8,
+            self.sub,
+            telemetry=self.telemetry,
+            resilience=resilience,
+            fault_plan=fault_plan,
+        )
+        self.submitted = 0
+        self.refused: list[BaseException] = []
+        self.outers: list[Future] = []
+
+    def submit(self, workload="w0"):
+        self.submitted += 1
+        try:
+            outer = self.gateway.submit(workload, DEVICE)
+        except (RateLimitExceededError, RequestRejectedError) as error:
+            self.refused.append(error)
+            self.check()
+            return None
+        self.outers.append(outer)
+        self.check()
+        return outer
+
+    def step(self, action, *args):
+        """Run one event (resolve a future, advance the wheel, drain)
+        and re-check the invariants."""
+        action(*args)
+        self.check()
+
+    def primary(self, workload="w0"):
+        return self.gateway.shard_for(workload, DEVICE)
+
+    def counters(self):
+        return self.gateway.stats()["gateway"]["resilience"]
+
+    def ledger(self, event):
+        return self.telemetry.ledger.events(event=event)
+
+    def check(self):
+        answered = shed = rejected = errors = open_calls = 0
+        outcomes = list(self.refused)
+        for outer in self.outers:
+            # a CountingFuture is gateway-owned; a plain-path future is
+            # the shard's own and settles once by construction
+            assert getattr(outer, "settles", 0) <= 1
+            if not outer.done():
+                open_calls += 1
+            elif outer.cancelled():
+                errors += 1
+            elif outer.exception() is None:
+                answered += 1
+            else:
+                outcomes.append(outer.exception())
+        for error in outcomes:
+            if isinstance(error, RateLimitExceededError):
+                shed += 1
+            elif isinstance(error, RequestRejectedError):
+                rejected += 1
+            else:
+                errors += 1
+        assert self.submitted == (
+            answered + shed + rejected + errors + open_calls
+        )
+        assert self.gateway.stats()["gateway"]["requests"] == self.submitted
+        # what an awaiting drain() sees is what the machine believes
+        assert self.sub.idle == self.gateway._quiescent()
+        return SimpleNamespace(
+            answered=answered,
+            shed=shed,
+            rejected=rejected,
+            errors=errors,
+            open=open_calls,
+        )
+
+    def assert_settled_once(self):
+        """Everything submitted has an outcome, delivered exactly once."""
+        tally = self.check()
+        assert tally.open == 0
+        assert self.gateway.pending() == 0
+        assert self.gateway._quiescent()
+        for outer in self.outers:
+            if isinstance(outer, CountingFuture) and not outer.cancelled():
+                assert outer.settles == 1
+        return tally
+
+
+def retry_only(**retry):
+    retry.setdefault("base_delay", BACKOFF)
+    retry.setdefault("max_delay", 2 * BACKOFF)
+    retry.setdefault("jitter", 0.0)
+    return ResiliencePolicy(retry=RetryPolicy(**retry), breaker=None)
+
+
+def hedge_only(after=0.01):
+    return ResiliencePolicy(
+        retry=None, breaker=None, hedge=HedgePolicy(after_seconds=after)
+    )
+
+
+def blackout(shard, stop=100):
+    return FaultPlan.from_specs(
+        [FaultSpec(kind="shard_blackout", start=0, stop=stop, shard=shard)]
+    )
+
+
+class TestPlainPath:
+    def test_answer_settles_the_slot_and_the_wave(self):
+        h = Harness()
+        future = h.submit()
+        assert h.gateway.pending() == 1 and not h.sub.idle
+        (_metadata, attempt), = h.shards[h.primary()].attempts
+        assert future is attempt  # the plain path hands out the shard's own
+        h.step(attempt.set_result, "answer")
+        assert h.assert_settled_once().answered == 1
+        assert [e.cause for e in h.ledger("admit")] == ["route"]
+
+    def test_full_queue_sheds_through_the_refusal_table(self):
+        h = Harness()
+        for _ in range(8):
+            h.submit()
+        assert h.submit() is None
+        assert isinstance(h.refused[0], RateLimitExceededError)
+        assert [e.cause for e in h.ledger("shed")] == ["queue_full"]
+        assert len(h.shards[h.primary()].attempts) == 8
+
+    def test_an_already_done_shard_future_settles_inline(self):
+        h = Harness()
+        done = Future()
+        done.set_result("cached")
+        h.shards[h.primary()].submit = lambda *a, **k: done
+        assert h.submit().result() == "cached"
+        assert h.gateway.pending() == 0 and h.sub.idle
+
+
+class TestRetryAndDrain:
+    def test_failure_parks_in_backoff_then_retries_elsewhere(self):
+        h = Harness(retry_only())
+        outer = h.submit()
+        first = h.primary()
+        (metadata, attempt), = h.shards[first].attempts
+        assert metadata["attempt"] == 1
+        h.step(attempt.set_exception, InjectedFaultError("estimator_error"))
+        assert not outer.done() and h.gateway.pending() == 0
+        (timer,) = h.sub.live_timers()
+        assert timer.due == BACKOFF
+        (retry,) = h.ledger("retry")
+        assert retry.attributes["attempt"] == 2
+        assert retry.attributes["delay"] == BACKOFF
+
+        h.step(h.sub.advance, BACKOFF - 1.0)  # not due yet
+        assert len(h.shards[1 - first].attempts) == 0
+        h.step(h.sub.advance, 1.0)
+        (metadata, second), = h.shards[1 - first].attempts
+        assert metadata["attempt"] == 2
+        h.step(second.set_result, "answer")
+        assert outer.result() == "answer"
+        assert h.assert_settled_once().answered == 1
+        assert h.counters()["retries"] == 1
+
+    def test_drain_sheds_a_parked_retry_as_circuit_open(self):
+        h = Harness(retry_only())
+        outer = h.submit()
+        (_, attempt), = h.shards[h.primary()].attempts
+        h.step(attempt.set_exception, InjectedFaultError("estimator_error"))
+        assert h.sub.live_timers() and not outer.done()
+
+        h.step(h.gateway._begin_drain)
+        assert isinstance(outer.exception(), CircuitOpenError)
+        assert h.assert_settled_once().shed == 1
+        assert h.counters()["shed_on_drain"] == 1
+        assert not h.sub.live_timers()  # the backoff timer was cancelled
+        assert [e.cause for e in h.ledger("shed")] == [
+            "drained_during_backoff"
+        ]
+        assert "drained_during_backoff" not in [
+            cause for _, cause, *_ in h.telemetry.ledger.resilience_sequence()
+        ]
+
+        h.step(h.sub.advance, 10 * BACKOFF)  # nothing left to fire
+        assert sum(len(shard.attempts) for shard in h.shards) == 1
+        with pytest.raises(ServiceClosedError):
+            h.gateway.submit("w1", DEVICE)  # intake is closed
+
+    def test_a_failure_that_lands_after_drain_began_is_shed_not_parked(self):
+        h = Harness(retry_only())
+        outer = h.submit()
+        (_, attempt), = h.shards[h.primary()].attempts
+        h.step(h.gateway._begin_drain)
+        assert not outer.done()  # still in flight: drain waits for it
+        h.step(attempt.set_exception, InjectedFaultError("estimator_error"))
+        assert not h.sub.live_timers()
+        assert not h.ledger("retry")  # draining: no retry was decided
+        assert isinstance(outer.exception(), InjectedFaultError)
+        assert h.assert_settled_once().errors == 1
+
+    def test_terminal_errors_are_not_retried(self):
+        h = Harness(retry_only())
+        outer = h.submit()
+        (_, attempt), = h.shards[h.primary()].attempts
+        h.step(attempt.set_exception, RequestRejectedError("bad request"))
+        assert isinstance(outer.exception(), RequestRejectedError)
+        assert h.assert_settled_once().rejected == 1
+        assert not h.sub.timers
+
+    def test_attempts_are_capped(self):
+        h = Harness(retry_only(max_attempts=2))
+        outer = h.submit()
+        first = h.primary()
+        h.step(
+            h.shards[first].attempts[0][1].set_exception,
+            InjectedFaultError("estimator_error"),
+        )
+        h.step(h.sub.advance, BACKOFF)
+        h.step(
+            h.shards[1 - first].attempts[0][1].set_exception,
+            InjectedFaultError("estimator_error"),
+        )
+        assert isinstance(outer.exception(), InjectedFaultError)
+        assert h.assert_settled_once().errors == 1
+        assert h.counters()["retries"] == 1
+
+
+class TestBlackout:
+    def test_a_blacked_out_attempt_never_touches_the_shard(self):
+        probe = Harness()
+        victim = probe.primary()
+        h = Harness(retry_only(), fault_plan=blackout(victim))
+        outer = h.submit()
+        assert h.shards[victim].attempts == []  # failed at the gateway
+        assert h.gateway.pending() == 0  # and held no slot
+        assert [e.cause for e in h.ledger("fault")] == ["shard_blackout"]
+        (retry,) = h.ledger("retry")
+        assert retry.cause == "ShardBlackoutError"
+        assert retry.shard == 1 - victim
+
+        h.step(h.sub.advance, BACKOFF)
+        assert h.shards[victim].attempts == []
+        (metadata, attempt), = h.shards[1 - victim].attempts
+        assert metadata["attempt"] == 2 and "fault" not in metadata
+        h.step(attempt.set_result, "answer")
+        assert outer.result() == "answer"
+        assert h.assert_settled_once().answered == 1
+
+
+class TestHedging:
+    def launch(self, resilience=None):
+        h = Harness(resilience or hedge_only())
+        outer = h.submit()
+        primary = h.primary()
+        (_, first), = h.shards[primary].attempts
+        h.step(h.sub.advance, 0.01)
+        (_, twin), = h.shards[1 - primary].attempts
+        assert h.counters()["hedges"] == 1
+        assert [e.cause for e in h.ledger("hedge")] == ["latency_threshold"]
+        return h, outer, first, twin
+
+    def test_hedge_wins_and_the_loser_is_accounted(self):
+        h, outer, first, twin = self.launch()
+        h.step(twin.set_result, "fast")
+        assert outer.result() == "fast"
+        assert h.gateway.pending() == 1  # the slow primary still holds a slot
+        assert not h.sub.idle
+        h.step(first.set_result, "slow")
+        assert outer.result() == "fast"
+        assert h.assert_settled_once().answered == 1
+        counters = h.counters()
+        assert (counters["hedge_wins"], counters["hedge_losers"]) == (1, 1)
+        assert [e.cause for e in h.ledger("hedge")] == [
+            "latency_threshold",
+            "won",
+            "loser",
+        ]
+
+    def test_primary_wins_and_the_hedge_is_the_loser(self):
+        h, outer, first, twin = self.launch()
+        h.step(first.set_result, "primary")
+        h.step(twin.set_exception, InjectedFaultError("estimator_error"))
+        assert outer.result() == "primary"
+        assert h.assert_settled_once().answered == 1
+        counters = h.counters()
+        assert (counters["hedge_wins"], counters["hedge_losers"]) == (0, 1)
+
+    def test_a_twin_still_in_flight_defers_the_error(self):
+        h, outer, first, twin = self.launch()
+        h.step(first.set_exception, InjectedFaultError("estimator_error"))
+        assert not outer.done()  # the twin decides
+        h.step(twin.set_result, "rescued")
+        assert outer.result() == "rescued"
+        assert h.assert_settled_once().answered == 1
+        assert h.counters()["hedge_wins"] == 1
+
+    def test_both_twins_failing_surfaces_the_last_error(self):
+        h, outer, first, twin = self.launch()
+        h.step(first.set_exception, InjectedFaultError("estimator_error"))
+        h.step(twin.set_exception, InjectedFaultError("worker_kill"))
+        assert outer.exception().kind == "worker_kill"
+        assert h.assert_settled_once().errors == 1
+
+    def test_hedged_means_a_hedge_attempt_was_launched(self):
+        """No healthy second shard: the timer fires and launches
+        nothing, so no hedge is counted or ledgered and the lone attempt
+        is never a 'loser'."""
+        h = Harness(hedge_only(), num_shards=1)
+        outer = h.submit()
+        h.step(h.sub.advance, 0.01)
+        assert h.counters()["hedges"] == 0 and not h.ledger("hedge")
+        (_, attempt), = h.shards[0].attempts
+        h.step(attempt.set_result, "answer")
+        assert outer.result() == "answer"
+        assert h.counters()["hedge_losers"] == 0
+        assert h.assert_settled_once().answered == 1
+
+    def test_no_hedge_once_draining(self):
+        h = Harness(hedge_only())
+        outer = h.submit()
+        h.step(h.gateway._begin_drain)
+        h.step(h.sub.advance, 0.01)
+        assert h.counters()["hedges"] == 0
+        h.step(h.shards[h.primary()].attempts[0][1].set_result, "answer")
+        assert outer.result() == "answer"
+        assert h.assert_settled_once().answered == 1
+
+    def test_an_answer_before_the_threshold_cancels_the_hedge(self):
+        h = Harness(hedge_only())
+        outer = h.submit()
+        h.step(h.shards[h.primary()].attempts[0][1].set_result, "answer")
+        assert outer.result() == "answer"
+        assert not h.sub.live_timers()
+        h.step(h.sub.advance, 1.0)
+        assert h.counters()["hedges"] == 0
+        assert h.assert_settled_once().answered == 1
+
+
+class TestCancelledOuterFuture:
+    """A caller cancelling the gateway-owned future must not break the
+    settle path: the call is still accounted, exactly once."""
+
+    def test_cancelled_mid_attempt(self):
+        h = Harness(retry_only())
+        outer = h.submit()
+        assert outer.cancel()
+        (_, attempt), = h.shards[h.primary()].attempts
+        h.step(attempt.set_result, "nobody is listening")
+        assert outer.cancelled() and outer.settles == 1
+        assert h.assert_settled_once().errors == 1
+
+    def test_cancelled_mid_backoff(self):
+        h = Harness(retry_only())
+        outer = h.submit()
+        first = h.primary()
+        h.step(
+            h.shards[first].attempts[0][1].set_exception,
+            InjectedFaultError("estimator_error"),
+        )
+        assert outer.cancel()
+        h.step(h.sub.advance, BACKOFF)  # the retry still runs to completion
+        h.step(h.shards[1 - first].attempts[0][1].set_result, "late")
+        assert outer.cancelled() and outer.settles == 1
+        assert h.assert_settled_once().errors == 1
+
+    def test_cancelled_then_drained_during_backoff(self):
+        h = Harness(retry_only())
+        outer = h.submit()
+        h.step(
+            h.shards[h.primary()].attempts[0][1].set_exception,
+            InjectedFaultError("estimator_error"),
+        )
+        assert outer.cancel()
+        h.step(h.gateway._begin_drain)
+        assert outer.cancelled() and outer.settles == 1
+        assert h.assert_settled_once().errors == 1
+        assert h.counters()["shed_on_drain"] == 1

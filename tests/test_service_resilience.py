@@ -12,6 +12,8 @@ decision sequence is identical across same-seed runs.
 
 from __future__ import annotations
 
+import asyncio
+import threading
 import time
 
 import pytest
@@ -27,6 +29,8 @@ from repro.errors import (
     ShardBlackoutError,
 )
 from repro.service import (
+    AsyncServiceGateway,
+    AuditLedger,
     BreakerConfig,
     CircuitBreaker,
     FaultPlan,
@@ -51,6 +55,7 @@ from repro.service.resilience import (
     BREAKER_OPEN,
 )
 from repro.workload import EVAL_DEVICES
+from test_service_aio import GatedSyntheticEstimator
 
 DEVICE = EVAL_DEVICES[0]
 
@@ -372,29 +377,22 @@ class TestGatewayUnderChaos:
         A request parked in retry backoff holds no shard slot; drain
         must settle it immediately as shed with a typed
         :class:`CircuitOpenError` instead of blocking on the timer.
+        The state machine itself is stepped, sleep-free, in
+        ``test_service_dispatch.py``; this is the thread-driver
+        variant, which learns of the park from the ledger's RETRY event.
         """
         workloads = workload_catalog(1, seed=0)
-        plan = FaultPlan.from_specs(
-            [FaultSpec(kind="estimator_error", index=0)]
-        )
-        telemetry = Telemetry()
+        retried = threading.Event()
+        telemetry = retry_signalling_telemetry(retried.set)
         gateway = make_gateway(
             num_shards=2,
-            resilience=ResiliencePolicy(
-                retry=RetryPolicy(
-                    base_delay=30.0, max_delay=60.0, jitter=0.0
-                ),
-                breaker=None,
-            ),
-            fault_plan=plan,
+            resilience=PARKING_RETRIES,
+            fault_plan=FIRST_ATTEMPT_FAILS,
             telemetry=telemetry,
         )
         try:
             future = gateway.submit(workloads[0], DEVICE)
-            deadline = time.time() + 5.0
-            while not gateway._retry_states and time.time() < deadline:
-                time.sleep(0.001)  # wait for the retry to park
-            assert gateway._retry_states, "request never parked in backoff"
+            assert retried.wait(5.0), "request never parked in backoff"
             assert gateway.drain(timeout=5.0)
             with pytest.raises(CircuitOpenError):
                 future.result(timeout=5.0)
@@ -412,6 +410,213 @@ class TestGatewayUnderChaos:
             assert len(sheds) == 1
         finally:
             gateway.close(wait=False)
+
+
+#: the first attempt of submission 0 fails; its retry parks for 30 s
+FIRST_ATTEMPT_FAILS = FaultPlan.from_specs(
+    [FaultSpec(kind="estimator_error", index=0)]
+)
+PARKING_RETRIES = ResiliencePolicy(
+    retry=RetryPolicy(base_delay=30.0, max_delay=60.0, jitter=0.0),
+    breaker=None,
+)
+
+
+def retry_signalling_telemetry(on_retry):
+    """A Telemetry whose ledger calls ``on_retry()`` when a RETRY
+    decision lands — "parked in backoff", seen from outside."""
+
+    class RetrySignallingLedger(AuditLedger):
+        def record(self, event, **fields):
+            entry = super().record(event, **fields)
+            if event == "retry":
+                on_retry()
+            return entry
+
+    telemetry = Telemetry()
+    telemetry.ledger = RetrySignallingLedger()
+    return telemetry
+
+
+class TestCancelledOuterFuture:
+    """Satellite regression: a caller may cancel the gateway-owned future.
+
+    Settling it afterwards used to raise ``InvalidStateError`` inside a
+    shard done-callback or a timer thread on the thread driver (the
+    asyncio copy guarded against it).  On both drivers: nothing is
+    logged, ``drain()`` returns True, every submission is accounted for,
+    and the call is closed exactly once (a second close would leave the
+    open-call count negative and the gateway never quiescent again).
+    """
+
+    @staticmethod
+    def tally(outcomes):
+        counts = {"answered": 0, "shed": 0, "rejected": 0, "errors": 0}
+        for outcome in outcomes:
+            if not isinstance(outcome, BaseException):
+                counts["answered"] += 1
+            elif isinstance(outcome, RateLimitExceededError):
+                counts["shed"] += 1
+            elif isinstance(outcome, RequestRejectedError):
+                counts["rejected"] += 1
+            else:
+                counts["errors"] += 1
+        return counts
+
+    @pytest.fixture
+    def thread_errors(self, caplog, monkeypatch):
+        """Everything a thread-side settle failure would leave behind:
+        the ``concurrent.futures`` callback log and uncaught exceptions
+        of timer threads."""
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        with caplog.at_level("ERROR", logger="concurrent.futures"):
+            yield lambda: uncaught + [
+                record
+                for record in caplog.records
+                if record.name == "concurrent.futures"
+            ]
+
+    def thread_outcome(self, future):
+        try:
+            return future.result(timeout=5.0)
+        except BaseException as error:  # incl. CancelledError
+            return error
+
+    def test_threads_cancelled_mid_attempt(self, thread_errors):
+        workloads = workload_catalog(3, seed=0)
+        estimator = GatedSyntheticEstimator()
+        gateway = ServiceGateway(
+            num_shards=2,
+            estimator_factory=lambda: estimator,
+            resilience=PARKING_RETRIES,
+        )
+        try:
+            futures = [gateway.submit(w, DEVICE) for w in workloads]
+            assert futures[0].cancel()
+            estimator.gate.set()
+            assert gateway.drain(timeout=5.0)
+            assert gateway.drain(timeout=0.0)  # still exactly quiescent
+            counts = self.tally(self.thread_outcome(f) for f in futures)
+            assert counts == {
+                "answered": 2, "shed": 0, "rejected": 0, "errors": 1
+            }
+            assert gateway.stats()["gateway"]["requests"] == 3
+            assert gateway.pending() == 0
+        finally:
+            estimator.gate.set()
+            gateway.close()  # joins the workers: every callback has run
+        assert thread_errors() == []
+
+    def test_threads_cancelled_mid_backoff(self, thread_errors):
+        workloads = workload_catalog(3, seed=0)
+        retried = threading.Event()
+        gateway = make_gateway(
+            num_shards=2,
+            resilience=PARKING_RETRIES,
+            fault_plan=FIRST_ATTEMPT_FAILS,
+            telemetry=retry_signalling_telemetry(retried.set),
+        )
+        try:
+            futures = [gateway.submit(w, DEVICE) for w in workloads]
+            assert retried.wait(5.0), "request never parked in backoff"
+            assert futures[0].cancel()
+            assert gateway.drain(timeout=5.0)  # sheds the parked call
+            assert gateway.drain(timeout=0.0)
+            counts = self.tally(self.thread_outcome(f) for f in futures)
+            assert counts == {
+                "answered": 2, "shed": 0, "rejected": 0, "errors": 1
+            }
+            stats = gateway.stats()["gateway"]
+            assert stats["requests"] == 3
+            assert stats["resilience"]["shed_on_drain"] == 1
+        finally:
+            gateway.close()  # joins the workers: every callback has run
+        assert thread_errors() == []
+
+    def run_async(self, scenario):
+        """Run ``scenario()`` on a loop whose exception handler collects
+        instead of logging; returns what it caught."""
+        caught = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: caught.append(context)
+            )
+            await scenario()
+
+        asyncio.run(main())
+        return caught
+
+    @staticmethod
+    async def async_outcome(future):
+        try:
+            return await future
+        except BaseException as error:  # incl. CancelledError
+            return error
+
+    def test_asyncio_cancelled_mid_attempt(self):
+        workloads = workload_catalog(3, seed=0)
+        estimator = GatedSyntheticEstimator()
+
+        async def scenario():
+            gateway = AsyncServiceGateway(
+                num_shards=2,
+                estimator_factory=lambda: estimator,
+                resilience=PARKING_RETRIES,
+            )
+            try:
+                futures = [gateway.submit(w, DEVICE) for w in workloads]
+                assert futures[0].cancel()
+                estimator.gate.set()
+                assert await gateway.drain(timeout=5.0)
+                assert await gateway.drain(timeout=0.0)
+                counts = self.tally(
+                    [await self.async_outcome(f) for f in futures]
+                )
+                assert counts == {
+                    "answered": 2, "shed": 0, "rejected": 0, "errors": 1
+                }
+                assert gateway.stats()["gateway"]["requests"] == 3
+                assert gateway.pending() == 0
+            finally:
+                estimator.gate.set()
+                await gateway.aclose(wait=False)
+
+        assert self.run_async(scenario) == []
+
+    def test_asyncio_cancelled_mid_backoff(self):
+        workloads = workload_catalog(3, seed=0)
+
+        async def scenario():
+            retried = asyncio.Event()
+            gateway = AsyncServiceGateway(
+                num_shards=2,
+                estimator_factory=SyntheticEstimator,
+                max_queue_depth=128,
+                resilience=PARKING_RETRIES,
+                fault_plan=FIRST_ATTEMPT_FAILS,
+                telemetry=retry_signalling_telemetry(retried.set),
+            )
+            try:
+                futures = [gateway.submit(w, DEVICE) for w in workloads]
+                await asyncio.wait_for(retried.wait(), 5.0)
+                assert futures[0].cancel()
+                assert await gateway.drain(timeout=5.0)
+                assert await gateway.drain(timeout=0.0)
+                counts = self.tally(
+                    [await self.async_outcome(f) for f in futures]
+                )
+                assert counts == {
+                    "answered": 2, "shed": 0, "rejected": 0, "errors": 1
+                }
+                stats = gateway.stats()["gateway"]
+                assert stats["requests"] == 3
+                assert stats["resilience"]["shed_on_drain"] == 1
+            finally:
+                await gateway.aclose(wait=False)
+
+        assert self.run_async(scenario) == []
 
 
 class TestSeededChaosDeterminism:

@@ -1,0 +1,178 @@
+"""Structural guards on ``src/repro/service`` (AST only, nothing imported).
+
+"Policy lives once, in the sans-IO core; a driver is only the code that
+cannot be shared" is a property of the source tree, so it is checked on
+the source tree: the gateway lifecycle exists in exactly one module, the
+core modules import no concurrency substrate, and the driver modules
+make no gateway-layer decision themselves.
+
+Run as a script to print per-module code-line counts (non-blank,
+non-comment, non-docstring) — CI prints the table next to the benchmark
+trends::
+
+    python tests/test_service_structure.py
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+SERVICE = Path(__file__).resolve().parent.parent / "src" / "repro" / "service"
+
+#: the gateway's dispatch machine: each is written once
+LIFECYCLE = (
+    "_submit_resilient",
+    "_begin_attempt",
+    "_resilient_dispatched",
+    "_finish_attempt",
+    "_attempt_outcome",
+    "_fire_retry",
+    "_shed_parked_retry",
+    "_maybe_schedule_hedge",
+    "_fire_hedge",
+    "_cancel_timers",
+    "_settle_outer",
+    "_dispatch",
+    "_replicate",
+    "_settle",
+    "_gateway_decision",
+    "_sync_resilience",
+    "_ResilientCall",
+)
+#: per-driver copies that must not come back
+RETIRED = ("_AsyncResilientCall", "_sync_resilience_locked", "_schedule_retry")
+SANS_IO = (
+    "context",
+    "routing",
+    "core",
+    "control",
+    "resilience",
+    "faults",
+    "dispatch",
+)
+DRIVERS = ("gateway", "aio")
+#: ResilienceCore / FaultInjector decisions and the ledger's write call
+DECISIONS = {
+    "record",
+    "tick",
+    "choose_shard",
+    "retry_target",
+    "hedge_target",
+    "record_outcome",
+    "should_retry",
+    "spend_retry",
+    "sync",
+    "next_index",
+    "directive_for",
+    "peek_window",
+}
+
+
+def modules() -> dict[str, ast.Module]:
+    return {
+        str(path.relative_to(SERVICE)): ast.parse(path.read_text())
+        for path in sorted(SERVICE.rglob("*.py"))
+    }
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(tree) if isinstance(node, kinds)}
+
+
+def imported_roots(tree: ast.Module) -> set[str]:
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add((node.module or "").split(".")[0])
+    return roots
+
+
+def code_lines(path: Path) -> int:
+    """Lines holding code: not blank, not comment, not docstring."""
+    source = path.read_text()
+    docstrings: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    skipped = {
+        tokenize.COMMENT,
+        tokenize.NL,
+        tokenize.NEWLINE,
+        tokenize.INDENT,
+        tokenize.DEDENT,
+        tokenize.ENDMARKER,
+    }
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skipped:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_the_dispatch_lifecycle_is_written_once():
+    homes = {name: [] for name in LIFECYCLE + RETIRED}
+    for module, tree in modules().items():
+        for name in defined_names(tree) & homes.keys():
+            homes[name].append(module)
+    assert {name: homes[name] for name in LIFECYCLE} == {
+        name: ["dispatch.py"] for name in LIFECYCLE
+    }
+    assert {name: homes[name] for name in RETIRED} == {
+        name: [] for name in RETIRED
+    }
+
+
+def test_the_core_imports_no_concurrency_substrate():
+    trees = modules()
+    for name in SANS_IO:
+        leaked = imported_roots(trees[f"{name}.py"]) & {"threading", "asyncio"}
+        assert not leaked, f"{name}.py imports {sorted(leaked)}"
+
+
+def test_drivers_make_no_gateway_decision():
+    """No ledger write and no ResilienceCore/FaultInjector decision call
+    in the driver modules: they reach policy only through the machine."""
+    trees = modules()
+    for name in DRIVERS:
+        tree = trees[f"{name}.py"]
+        calls = {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+        }
+        assert not calls & DECISIONS, f"{name}.py calls {calls & DECISIONS}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = {alias.name for alias in node.names}
+                assert not imported & {
+                    "ResilienceCore",
+                    "FaultInjector",
+                    "ledger",
+                }, f"{name}.py imports {imported}"
+
+
+if __name__ == "__main__":
+    counts = {
+        str(path.relative_to(SERVICE)): code_lines(path)
+        for path in sorted(SERVICE.rglob("*.py"))
+    }
+    print("code lines, src/repro/service (no blanks/comments/docstrings)")
+    for module, count in counts.items():
+        print(f"  {count:6d}  {module}")
+    print(f"  {sum(counts.values()):6d}  total")
