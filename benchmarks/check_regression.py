@@ -13,6 +13,10 @@ Compared metrics (from the report both runs write):
 * ``warm_cell_ms``   — absolute warm per-cell latency; **lower is
   better**.  Hardware-sensitive: expect to retune the tolerance (or the
   baseline) when the CI runner generation changes.
+* ``cold_cell_ms``   — absolute cold per-cell latency (the full
+  profile -> analyze -> orchestrate -> simulate chain); **lower is
+  better**, hardware-sensitive like ``warm_cell_ms``.  The only gate on
+  the cold path: the ratio above *improves* when the cold chain slows.
 
 A metric regresses when it is worse than the baseline by more than the
 tolerance (default +/-30%, ``--tolerance`` / per-metric ``--override``).
@@ -54,6 +58,7 @@ BASELINES = REPO_ROOT / "benchmarks" / "baselines"
 METRICS = {
     "warm_speedup": "higher",
     "warm_cell_ms": "lower",
+    "cold_cell_ms": "lower",
 }
 
 #: preset -> (metrics, report basename); the basename derives the

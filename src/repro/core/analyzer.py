@@ -19,6 +19,9 @@ from ..trace.events import (
     OPTIMIZER_STEP_PREFIX,
     ZERO_GRAD_PREFIX,
     SpanEvent,
+    is_optimizer_step,
+    is_profiler_step,
+    is_zero_grad,
 )
 from ..trace.reader import Trace
 from .attribution import AttributedBlock, attribute_blocks, operator_filter
@@ -62,7 +65,9 @@ class Analyzer:
         """Run lifecycle reconstruction, attribution, and classification."""
         if not trace.memory_events:
             raise TraceError("trace contains no memory events")
-        iterations = trace.iterations()
+        # one scan for the loop markers, not one per kind
+        annotations = sorted(trace.user_annotations, key=lambda e: e.ts)
+        iterations = [e for e in annotations if is_profiler_step(e)]
         if not iterations:
             raise TraceError(
                 "trace has no ProfilerStep annotations — cannot segment "
@@ -76,8 +81,8 @@ class Analyzer:
             trace=trace,
             blocks=kept,
             iterations=iterations,
-            zero_grads=trace.zero_grad_spans(),
-            optimizer_steps=trace.optimizer_step_spans(),
+            zero_grads=[e for e in annotations if is_zero_grad(e)],
+            optimizer_steps=[e for e in annotations if is_optimizer_step(e)],
             unmatched_frees=report.unmatched_frees,
             reused_addresses=report.reused_addresses,
             dropped_blocks=dropped,

@@ -10,11 +10,12 @@ explicit linkage, exactly the challenge the paper describes.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ..framework.tensor import TensorRole
-from ..trace.events import EventCategory, SpanEvent
+from ..trace.events import EventCategory, SpanEvent, is_profiler_step
 from ..trace.reader import Trace
 from .lifecycle import MemoryBlock
 
@@ -41,77 +42,106 @@ class AttributedBlock:
         return self.annotation.name if self.annotation is not None else None
 
 
-class _SpanIndex:
-    """Point-in-span lookup over possibly nested spans of one category."""
+class _ActiveSpans:
+    """The spans of one category that contain a forward-moving timestamp.
+
+    Spans wait in ``(ts, -dur)`` order — a parent before the children it
+    encloses — and are admitted to ``stack`` as the timestamp reaches
+    their start, so ``stack`` keeps that order: outermost first, the
+    innermost span at its tail.  Bounds are inclusive
+    (:meth:`SpanEvent.contains_time`).  Partially overlapping spans are
+    handled too: expiry filters the whole stack, it does not pop a tail.
+    """
 
     def __init__(self, spans: list[SpanEvent]):
-        self._spans = sorted(spans, key=lambda e: (e.ts, -e.dur))
-        self._starts = [e.ts for e in self._spans]
+        self._waiting = sorted(spans, key=lambda e: (e.ts, -e.dur))
+        self._admitted = 0
+        self._first_end = math.inf  # earliest end on the stack
+        self.stack: list[SpanEvent] = []
 
-    def innermost_at(self, ts: int) -> Optional[SpanEvent]:
-        """Deepest span containing ``ts`` (latest start wins)."""
-        index = bisect.bisect_right(self._starts, ts)
-        best: Optional[SpanEvent] = None
-        # Walk left; stop early once starts are so old every enclosing span
-        # would already have been found.  Nested spans start later than
-        # their parents, so the first hit walking left is the innermost.
-        for position in range(index - 1, -1, -1):
-            span = self._spans[position]
-            if span.contains_time(ts):
-                best = span
-                break
-        return best
+    def advance(self, ts: int) -> bool:
+        """Move to ``ts`` (never backwards); True when the stack changed."""
+        changed = False
+        if ts > self._first_end:
+            self.stack = [span for span in self.stack if span.end >= ts]
+            changed = True
+        waiting = self._waiting
+        position = self._admitted
+        while position < len(waiting) and waiting[position].ts <= ts:
+            span = waiting[position]
+            position += 1
+            if span.end >= ts:  # else it opened and closed between blocks
+                self.stack.append(span)
+                changed = True
+        self._admitted = position
+        if changed:
+            self._first_end = min(
+                (span.end for span in self.stack), default=math.inf
+            )
+        return changed
 
-    def stack_at(self, ts: int) -> list[SpanEvent]:
-        """All spans containing ``ts``, outermost first."""
-        index = bisect.bisect_right(self._starts, ts)
-        found = [
-            span
-            for span in self._spans[:index]
-            if span.contains_time(ts)
-        ]
-        found.sort(key=lambda e: (e.ts, -e.dur))
-        return found
+    @property
+    def innermost(self) -> Optional[SpanEvent]:
+        return self.stack[-1] if self.stack else None
 
 
 def attribute_blocks(
     trace: Trace, blocks: list[MemoryBlock]
 ) -> list[AttributedBlock]:
-    """Attribute every block to its operator, module stack, and loop phase."""
-    op_index = _SpanIndex(trace.by_category(EventCategory.CPU_OP))
-    fn_index = _SpanIndex(trace.by_category(EventCategory.PYTHON_FUNCTION))
-    ann_index = _SpanIndex(trace.by_category(EventCategory.USER_ANNOTATION))
-    iterations = trace.iterations()
+    """Attribute every block to its operator, module stack, and loop phase.
+
+    One sweep over time: blocks are visited in ``alloc_ts`` order (the
+    result keeps the input order) while one :class:`_ActiveSpans` per
+    category follows along — O((spans + blocks) x nesting depth).
+    """
+    views: dict[EventCategory, list[SpanEvent]] = {
+        category: [] for category in EventCategory
+    }
+    for span in trace.spans:  # one scan, not one per category
+        views[span.category].append(span)
+    ops = _ActiveSpans(views[EventCategory.CPU_OP])
+    functions = _ActiveSpans(views[EventCategory.PYTHON_FUNCTION])
+    annotations = _ActiveSpans(views[EventCategory.USER_ANNOTATION])
+    iterations = sorted(
+        filter(is_profiler_step, views[EventCategory.USER_ANNOTATION]),
+        key=lambda e: e.ts,
+    )
     iter_starts = [w.ts for w in iterations]
 
-    attributed: list[AttributedBlock] = []
-    for block in blocks:
+    module_path: Optional[str] = None
+    in_autograd = False
+    attributed: list[Optional[AttributedBlock]] = [None] * len(blocks)
+    for index in sorted(
+        range(len(blocks)), key=lambda i: blocks[i].alloc_ts
+    ):
+        block = blocks[index]
         ts = block.alloc_ts
-        op = op_index.innermost_at(ts)
-        fn_stack = fn_index.stack_at(ts)
-        module_path = (
-            "/".join(
-                span.name.removeprefix("nn.Module: ") for span in fn_stack
+        ops.advance(ts)
+        annotations.advance(ts)
+        if functions.advance(ts):
+            module_path = (
+                "/".join(
+                    span.name.removeprefix("nn.Module: ")
+                    for span in functions.stack
+                )
+                or None
             )
-            or None
-        )
-        backward = any(
-            span.name.startswith("autograd::") for span in fn_stack
-        ) or (op is not None and op.is_backward)
-        annotation = ann_index.innermost_at(ts)
+            in_autograd = any(
+                span.name.startswith("autograd::")
+                for span in functions.stack
+            )
+        op = ops.innermost
         iteration: Optional[int] = None
         position = bisect.bisect_right(iter_starts, ts) - 1
         if position >= 0 and iterations[position].contains_time(ts):
             iteration = position
-        attributed.append(
-            AttributedBlock(
-                block=block,
-                op=op,
-                module_path=module_path,
-                annotation=annotation,
-                iteration=iteration,
-                backward=backward,
-            )
+        attributed[index] = AttributedBlock(
+            block=block,
+            op=op,
+            module_path=module_path,
+            annotation=annotations.innermost,
+            iteration=iteration,
+            backward=in_autograd or (op is not None and op.is_backward),
         )
     return attributed
 

@@ -102,8 +102,9 @@ class Trace:
     def enclosing_spans(self, ts: int, category: EventCategory) -> list[SpanEvent]:
         """Spans of ``category`` containing ``ts``, outermost first.
 
-        Linear scan — fine for tests and spot checks; the Analyzer uses a
-        sweep over sorted events for bulk attribution.
+        Linear scan per query — for spot checks, and the oracle the tests
+        hold the Analyzer's sweep-line attribution to
+        (:func:`repro.core.attribution.attribute_blocks`).
         """
         enclosing = [
             e for e in self.by_category(category) if e.contains_time(ts)

@@ -24,7 +24,12 @@ check_regression = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(check_regression)
 
 
-BASE = {"quick": True, "warm_speedup": 10.0, "warm_cell_ms": 8.0}
+BASE = {
+    "quick": True,
+    "warm_speedup": 10.0,
+    "warm_cell_ms": 8.0,
+    "cold_cell_ms": 40.0,
+}
 
 
 class TestCompare:
@@ -48,8 +53,21 @@ class TestCompare:
         verdict = check_regression.compare(BASE, current, 0.30, {})
         assert verdict["regressions"] == ["warm_cell_ms"]
 
+    def test_cold_cell_growth_regresses_though_the_ratio_improves(self):
+        # a slower cold chain (attribution sliding back to a span scan
+        # per block) *raises* warm_speedup; only cold_cell_ms sees it
+        current = {**BASE, "cold_cell_ms": 120.0, "warm_speedup": 30.0}
+        verdict = check_regression.compare(BASE, current, 0.30, {})
+        assert verdict["regressions"] == ["cold_cell_ms"]
+        assert verdict["metrics"]["cold_cell_ms"]["direction"] == "lower"
+
     def test_improvements_never_fail(self):
-        current = {**BASE, "warm_speedup": 100.0, "warm_cell_ms": 0.5}
+        current = {
+            **BASE,
+            "warm_speedup": 100.0,
+            "warm_cell_ms": 0.5,
+            "cold_cell_ms": 4.0,
+        }
         verdict = check_regression.compare(BASE, current, 0.30, {})
         assert verdict["ok"]
 
@@ -159,6 +177,25 @@ class TestPresets:
         metrics, basename = check_regression.METRIC_PRESETS["pipeline"]
         assert metrics is check_regression.METRICS
         assert basename == "BENCH_pipeline"
+        assert metrics["cold_cell_ms"] == "lower"
+
+    def test_pipeline_preset_cli_fails_on_a_slower_cold_path(
+        self, tmp_path, capsys
+    ):
+        current = tmp_path / "cur.json"
+        current.write_text(json.dumps({**BASE, "cold_cell_ms": 130.0}))
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps(BASE))
+        code = check_regression.main(
+            [
+                "--preset", "pipeline",
+                "--current", str(current),
+                "--baseline", str(baseline),
+                "--trend-out", str(tmp_path / "trend.json"),
+            ]
+        )
+        assert code == 1
+        assert "cold_cell_ms" in capsys.readouterr().err
 
     def test_compare_with_explicit_metrics(self):
         current = {**self.ARTIFACTS_BASE, "store_speedup": 2.0}  # -50%
