@@ -435,19 +435,23 @@ class ArtifactStore:
     # counters / stats
     # ------------------------------------------------------------------
     def _bump_counter(self, name: str, delta: int = 1, commit: bool = True):
-        conn = self._conn
-        if conn is None:
-            return
-        try:
-            conn.execute(
-                "INSERT INTO counters (name, value) VALUES (?, ?) "
-                "ON CONFLICT(name) DO UPDATE SET value = value + ?",
-                (name, delta, delta),
-            )
-            if commit:
-                conn.commit()
-        except sqlite3.Error:
-            self.errors += 1
+        # re-entrant: most callers already hold it, get_or_compute's
+        # build counter does not — and two threads inside one sqlite
+        # connection at once fail with a bare SystemError
+        with self._lock:
+            conn = self._conn
+            if conn is None:
+                return
+            try:
+                conn.execute(
+                    "INSERT INTO counters (name, value) VALUES (?, ?) "
+                    "ON CONFLICT(name) DO UPDATE SET value = value + ?",
+                    (name, delta, delta),
+                )
+                if commit:
+                    conn.commit()
+            except sqlite3.Error:
+                self.errors += 1
 
     def counters(self) -> dict[str, int]:
         """The persistent (cross-process, cross-run) counter table."""

@@ -43,7 +43,7 @@ from .core import (
     SingleFlight,
     aggregate_shard_stats,
 )
-from .engine import EstimationService, default_middlewares
+from .engine import EstimationService
 from .faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -144,6 +144,7 @@ from .middleware import (
     ServiceMiddleware,
     TimingMiddleware,
     ValidationMiddleware,
+    default_middlewares,
 )
 
 __all__ = [

@@ -3,10 +3,11 @@
 :class:`AsyncEstimationService` and :class:`AsyncServiceGateway` run the
 *same* policy core as the thread driver — the middleware onion, the
 fingerprint cache, single-flight deduplication, routing, and queue/shed
-accounting all come from :mod:`repro.service.core`, and the gateway is
-the one :class:`~repro.service.dispatch.GatewayDispatch` machine over a
-loop substrate (null locks, ``asyncio`` futures, ``loop.call_later``) —
-but on an event loop: cache lookups, hooks, and bookkeeping execute
+accounting all come from :mod:`repro.service.core`, and service and
+gateway are the one :class:`~repro.service.dispatch.ServiceDispatch` /
+:class:`~repro.service.dispatch.GatewayDispatch` machines over a loop
+substrate (null locks, ``asyncio`` futures, ``loop.call_later``) — but
+on an event loop: cache lookups, hooks, and bookkeeping execute
 inline on the loop (serialized by it, so the core's ``NullLock`` slots
 stay null), while the CPU-bound estimator call is offloaded to a thread
 executor.  Results are byte-identical to the thread driver's and to
@@ -46,39 +47,21 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 from ..core.base import Estimator
-from ..core.estimator import XMemEstimator
-from ..errors import (
-    QuotaExceededError,
-    RateLimitExceededError,
-    RequestRejectedError,
-    ServiceClosedError,
-)
 from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
-from .batch import plan_shared_traces
+from .batch import plan_shared_traces, submit_all
 from .cache import EstimateCache
 from .context import NullLock, RequestContext, ServiceRequest
-from .control import DEFAULT_PRIORITY, ControlPlane
-from .core import (
-    ServiceCore,
-    adopt_chain_cache,
-    compute_fingerprint,
-    estimator_accepts_trace,
-    invoke_estimator,
-)
-from .dispatch import GatewayDispatch
+from .control import ControlPlane
+from .dispatch import GatewayDispatch, ServiceDispatch
 from .engine import DEFAULT_MAX_WORKERS
 from .faults import FaultPlan
 from .gateway import DEFAULT_MAX_QUEUE_DEPTH, DEFAULT_NUM_SHARDS
 from .metrics import ServiceMetrics
-from .middleware import (
-    MiddlewareChain,
-    ServiceMiddleware,
-    default_middlewares,
-)
+from .middleware import ServiceMiddleware
 from .resilience import ResiliencePolicy
 from .routing import RoutingPolicy
-from .traffic import ReplayReport, TrafficTrace
+from .traffic import ReplayReport, TrafficTrace, submit_wave
 
 __all__ = [
     "AsyncEstimationService",
@@ -88,143 +71,41 @@ __all__ = [
 ]
 
 
-class AsyncEstimationService:
-    """Serves estimation requests on an event loop (asyncio driver).
+class _LoopSubstrate:
+    """What a dispatch machine borrows on an event loop: the loop
+    already serializes every transition, so both locks are null."""
 
-    Construction mirrors :class:`~repro.service.engine.EstimationService`
-    exactly; ``max_workers`` sizes the executor that runs the CPU-bound
-    estimates.  All public methods must be called from a running event
-    loop.  The middleware hooks run on the loop, so they keep their
-    sans-IO null locks — except the cache, which gets a real lock because
-    the bulk profile planner inspects it from executor threads.
-    """
+    CancelledError = asyncio.CancelledError
+    InvalidStateError = asyncio.InvalidStateError
+    call_lock = NullLock
 
-    def __init__(
-        self,
-        estimator: Optional[Estimator] = None,
-        middlewares: Optional[Sequence[ServiceMiddleware]] = None,
-        cache: Optional[EstimateCache] = None,
-        max_workers: int = DEFAULT_MAX_WORKERS,
-        metrics: Optional[ServiceMetrics] = None,
-        telemetry=None,
-    ):
-        if max_workers < 1:
-            raise ValueError("service needs at least one worker")
-        self.estimator = estimator if estimator is not None else XMemEstimator()
-        self.cache = cache if cache is not None else EstimateCache()
-        if middlewares is None:
-            middlewares = default_middlewares(self.cache)
-        else:
-            self.cache = adopt_chain_cache(middlewares, self.cache)
-        self.chain = MiddlewareChain(middlewares)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        # hooks run on the loop (no middleware locks needed), but the
-        # shared-profile planner reads the cache from executor threads
-        self.cache.bind_lock(threading.Lock)
-        self.telemetry = telemetry
-        self.core = ServiceCore(
-            self.chain,
-            self.cache,
-            self.metrics,
-            tracer=telemetry.tracer if telemetry is not None else None,
-            ledger=telemetry.ledger if telemetry is not None else None,
-        )
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="xmem-aio"
-        )
-        self._tasks: set[asyncio.Task] = set()
-        self._draining = False
-        self._closed = False
-        self._accepts_trace = estimator_accepts_trace(self.estimator)
-
-    # ------------------------------------------------------------------
-    # public API (awaitable mirror of EstimationService)
-    # ------------------------------------------------------------------
-    @property
-    def accepts_trace(self) -> bool:
-        """Whether the wrapped estimator can reuse a pre-computed trace."""
-        return self._accepts_trace
-
-    def fingerprint(
-        self, workload: WorkloadConfig, device: DeviceSpec
-    ) -> str:
-        """The cache/single-flight key this service uses for a request."""
-        return compute_fingerprint(self.estimator, workload, device)
-
-    def submit(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-        fingerprint: Optional[str] = None,
-        deadline: Optional[float] = None,
-        metadata: Optional[dict] = None,
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
-    ) -> "asyncio.Future":
-        """Enqueue one request; returns an awaitable of the result.
-
-        Must be called on the event loop.  Raises synchronously when a
-        hook rejects the request; identical in-flight requests share one
-        estimation.  Because everything up to the executor dispatch runs
-        inline on the loop, there is no re-check window: the single-flight
-        table cannot change between lookup and claim.
-
-        Every caller receives its *own* future chained off the shared
-        in-flight one: asyncio futures are cancellable (``wait_for``
-        cancels on timeout), and one caller's cancellation must not
-        poison the piggybacked duplicates — matching the thread driver,
-        whose running ``concurrent.futures.Future`` cannot be cancelled.
-        """
-        loop = asyncio.get_running_loop()
-        if self._closed or self._draining:
-            raise ServiceClosedError("service is closed")
-        fp = (
-            fingerprint
-            if fingerprint is not None
-            else self.fingerprint(workload, device)
-        )
-        request, ctx = self.core.open_request(
-            workload,
-            device,
-            fp,
-            trace=trace,
-            deadline=deadline,
-            metadata=metadata,
-            tenant=tenant,
-            priority=priority,
-        )
-        # an already-expired deadline is rejected before the dedup lookup:
-        # piggybacking would hand the caller a result it declared useless
-        self.core.check_deadline(ctx)
-        inflight = self.core.inflight.get(fp)
-        if inflight is not None:
-            self.core.note_deduplicated(ctx)
-            return self._chain_future(loop, inflight)
-        admission = self.core.run_request_hooks(request, ctx)
-        if admission.result is not None:
-            future = loop.create_future()
-            future.set_result(admission.result)
-            return future
-        master = loop.create_future()
-        self.core.inflight.claim(fp, master)
-        task = loop.create_task(
-            self._run(request, ctx, master, admission.depth)
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return self._chain_future(loop, master)
+    def __init__(self):
+        self.lock = NullLock()
+        #: what ``drain()`` awaits
+        self.went_idle = asyncio.Event()
+        self.went_idle.set()
+        self.mark_busy = self.went_idle.clear
+        self.notify_idle = self.went_idle.set
 
     @staticmethod
-    def _chain_future(loop, master: "asyncio.Future") -> "asyncio.Future":
+    def new_future() -> "asyncio.Future":
+        return asyncio.get_running_loop().create_future()
+
+    # the master never leaves the machine (see ``share``), so a plain
+    # pending future will do
+    new_master = new_future
+
+    @staticmethod
+    def share(master: "asyncio.Future") -> "asyncio.Future":
         """A per-caller future mirroring the shared in-flight one.
 
-        The master future never leaves the service, so no caller can
+        asyncio futures are cancellable (``wait_for`` cancels on
+        timeout), so the master is never handed out: no caller can
         cancel the estimation out from under the other waiters; each
         child just copies the master's outcome (the same result object /
         exception instance, so dedup identity guarantees hold).
         """
-        child = loop.create_future()
+        child = master.get_loop().create_future()
 
         def _copy(resolved: "asyncio.Future") -> None:
             if child.done():
@@ -241,6 +122,72 @@ class AsyncEstimationService:
         else:
             master.add_done_callback(_copy)
         return child
+
+    @staticmethod
+    def when_done(future: "asyncio.Future", callback) -> None:
+        if future.done():
+            # a cache hit or piggyback on an already-resolved future:
+            # asyncio would only run the callback on the next loop tick,
+            # and `await` on a done future never yields — settle inline
+            # (matching concurrent.futures semantics) so hit-dominated
+            # waves cannot pile up phantom pending and shed real traffic
+            callback(future)
+        else:
+            future.add_done_callback(callback)
+
+    @staticmethod
+    def call_later(delay: float, fn, *args) -> asyncio.TimerHandle:
+        return asyncio.get_running_loop().call_later(delay, fn, *args)
+
+
+class AsyncEstimationService(ServiceDispatch):
+    """Serves estimation requests on an event loop (asyncio driver).
+
+    Construction mirrors :class:`~repro.service.engine.EstimationService`
+    exactly; ``max_workers`` sizes the executor that runs the CPU-bound
+    estimates.  All public methods must be called from a running event
+    loop.  The middleware hooks run on the loop, so they keep their
+    sans-IO null locks — except the cache, which gets a real lock because
+    the bulk profile planner inspects it from executor threads.
+
+    ``submit`` is :meth:`ServiceDispatch.submit
+    <repro.service.dispatch.ServiceDispatch.submit>` and must be called
+    on the loop.  Every caller receives its *own* future chained off the
+    shared in-flight one (:meth:`_LoopSubstrate.share`): one caller's
+    cancellation must not poison the piggybacked duplicates.  The thread
+    drivers reach the same guarantee the other way round — they share
+    one future object, handed out already *running*, which
+    ``concurrent.futures`` refuses to cancel.
+    """
+
+    def __init__(
+        self,
+        estimator: Optional[Estimator] = None,
+        middlewares: Optional[Sequence[ServiceMiddleware]] = None,
+        cache: Optional[EstimateCache] = None,
+        max_workers: int = DEFAULT_MAX_WORKERS,
+        metrics: Optional[ServiceMetrics] = None,
+        telemetry=None,
+    ):
+        if max_workers < 1:
+            raise ValueError("service needs at least one worker")
+        super().__init__(
+            estimator, middlewares, cache, metrics, telemetry, _LoopSubstrate()
+        )
+        # the shared-profile planner reads the cache from executor threads
+        self.cache.bind_lock(threading.Lock)
+        self._executor = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="xmem-aio"
+        )
+
+    def _launch(
+        self, request: ServiceRequest, ctx: RequestContext
+    ) -> "asyncio.Future":
+        # the done-callback runs back on the loop: completion hooks +
+        # accounting are serialized there like everything else
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, self._estimate, request, ctx
+        )
 
     async def estimate(
         self,
@@ -265,14 +212,6 @@ class AsyncEstimationService:
             return_exceptions=return_exceptions,
         )
 
-    def stats(self) -> dict:
-        """Service metrics + cache counters in one JSON-ready snapshot."""
-        return {
-            "service": self.metrics.as_dict(),
-            "cache": self.cache.stats().as_dict(),
-            "inflight": len(self.core.inflight),
-        }
-
     async def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop accepting requests and wait for in-flight ones to finish.
 
@@ -281,11 +220,12 @@ class AsyncEstimationService:
         afterwards.
         """
         self._draining = True
-        pending = {task for task in self._tasks if not task.done()}
-        if not pending:
-            return True
-        _done, rest = await asyncio.wait(pending, timeout=timeout)
-        return not rest
+        if self._dispatched:
+            try:
+                await asyncio.wait_for(self._sub.went_idle.wait(), timeout)
+            except asyncio.TimeoutError:
+                return False
+        return True
 
     async def aclose(self, wait: bool = True) -> None:
         """Drain (when ``wait``), then release the executor.
@@ -309,78 +249,6 @@ class AsyncEstimationService:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
-
-    # ------------------------------------------------------------------
-    # executor side
-    # ------------------------------------------------------------------
-    async def _run(
-        self,
-        request: ServiceRequest,
-        ctx: RequestContext,
-        future: "asyncio.Future",
-        depth: int,
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            if ctx.telemetry is not None:
-                ctx.telemetry.begin_estimate()
-            result = await loop.run_in_executor(
-                self._executor,
-                invoke_estimator,
-                self.estimator,
-                request,
-                self._accepts_trace,
-            )
-            # back on the loop: completion hooks + accounting are core
-            # steps and run serialized, exactly like the thread driver's
-            # worker-side _run
-            result = self.core.finish(request, ctx, result, depth)
-        except BaseException as error:
-            self.core.fail(request, ctx, error, depth)
-            self.core.inflight.release(request.fingerprint)
-            if not future.done():
-                future.set_exception(error)
-            return
-        self.core.inflight.release(request.fingerprint)
-        if not future.done():
-            future.set_result(result)
-
-
-class _LoopSubstrate:
-    """What the dispatch machine borrows on an event loop: the loop
-    already serializes every transition, so both locks are null."""
-
-    CancelledError = asyncio.CancelledError
-    InvalidStateError = asyncio.InvalidStateError
-    call_lock = NullLock
-
-    def __init__(self):
-        self.lock = NullLock()
-        #: what ``drain()`` awaits
-        self.went_idle = asyncio.Event()
-        self.went_idle.set()
-        self.mark_busy = self.went_idle.clear
-        self.notify_idle = self.went_idle.set
-
-    @staticmethod
-    def new_future() -> "asyncio.Future":
-        return asyncio.get_running_loop().create_future()
-
-    @staticmethod
-    def when_done(future: "asyncio.Future", callback) -> None:
-        if future.done():
-            # a cache hit or piggyback on an already-resolved future:
-            # asyncio would only run the callback on the next loop tick,
-            # and `await` on a done future never yields — settle inline
-            # (matching concurrent.futures semantics) so hit-dominated
-            # waves cannot pile up phantom pending and shed real traffic
-            callback(future)
-        else:
-            future.add_done_callback(callback)
-
-    @staticmethod
-    def call_later(delay: float, fn, *args) -> asyncio.TimerHandle:
-        return asyncio.get_running_loop().call_later(delay, fn, *args)
 
 
 class AsyncServiceGateway(GatewayDispatch):
@@ -504,20 +372,8 @@ async def estimate_many_async(
         traces = await loop.run_in_executor(
             service._executor, plan_shared_traces, service, requests
         )
-    futures: list = []
-    for workload, device in requests:
-        try:
-            futures.append(
-                service.submit(
-                    workload, device, trace=traces.get(workload.to_key())
-                )
-            )
-        except Exception as error:
-            if not return_exceptions:
-                raise
-            futures.append(error)
     results: list = []
-    for item in futures:
+    for item in submit_all(service, requests, traces, return_exceptions):
         if isinstance(item, Exception):
             results.append(item)
             continue
@@ -537,8 +393,9 @@ async def replay_async(trace: TrafficTrace, target) -> ReplayReport:
     wave is submitted back-to-back on the loop and awaited before the
     next begins — bursts stress single-flight and queues, wave boundaries
     let caches matter.  Sheds and validation rejections are counted, not
-    raised, with accounting identical to the sync replayer so driver
-    comparisons are apples-to-apples.
+    raised, through the same outcome table
+    (:meth:`~repro.service.traffic.ReplayReport.tally`) as the sync
+    replayer, so driver comparisons are apples-to-apples.
 
     Sheds are counted wherever they surface: in-process drivers raise
     :class:`RateLimitExceededError` synchronously from ``submit``, while
@@ -549,80 +406,15 @@ async def replay_async(trace: TrafficTrace, target) -> ReplayReport:
     report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
     started = time.perf_counter()
     for wave in trace.waves():
-        futures = []
-        for request in wave:
-            bucket = (
-                report.tenant_bucket(request.tenant)
-                if request.tenant
-                else None
-            )
-            if bucket is not None:
-                bucket["submitted"] += 1
-            # kwargs only off their defaults: untenanted traces call
-            # submit() exactly as pre-control-plane replays did
-            kwargs = {}
-            if request.tenant:
-                kwargs["tenant"] = request.tenant
-            if request.priority != 1:
-                kwargs["priority"] = request.priority
-            submitted_at = time.perf_counter()
-            try:
-                futures.append(
-                    (
-                        request,
-                        submitted_at,
-                        target.submit(
-                            request.workload, request.device, **kwargs
-                        ),
-                    )
-                )
-            except QuotaExceededError:
-                report.shed += 1
-                report.quota_shed += 1
-                if bucket is not None:
-                    bucket["shed"] += 1
-                    bucket["quota_shed"] += 1
-            except RateLimitExceededError:
-                report.shed += 1
-                if bucket is not None:
-                    bucket["shed"] += 1
-            except RequestRejectedError:
-                report.rejected += 1
-                if bucket is not None:
-                    bucket["rejected"] += 1
-        for request, submitted_at, future in futures:
-            bucket = (
-                report.tenant_bucket(request.tenant)
-                if request.tenant
-                else None
-            )
+        for request, submitted_at, future in submit_wave(report, target, wave):
             try:
                 await future
-                report.answered += 1
-                if bucket is not None:
-                    bucket["answered"] += 1
-                    report.note_latency(
-                        request.tenant,
-                        time.perf_counter() - submitted_at,
-                    )
-            except QuotaExceededError:
-                report.shed += 1
-                report.quota_shed += 1
-                if bucket is not None:
-                    bucket["shed"] += 1
-                    bucket["quota_shed"] += 1
-            except RateLimitExceededError:
-                report.shed += 1
-                if bucket is not None:
-                    bucket["shed"] += 1
-            except RequestRejectedError:
-                report.rejected += 1
-                if bucket is not None:
-                    bucket["rejected"] += 1
-            except Exception:
-                report.errors += 1
-                if bucket is not None:
-                    bucket["errors"] += 1
+            except Exception as error:
+                report.tally(request.tenant, error)
+            else:
+                report.tally(
+                    request.tenant, None, time.perf_counter() - submitted_at
+                )
     report.elapsed_seconds = time.perf_counter() - started
     stats = target.stats()
     if asyncio.iscoroutine(stats):

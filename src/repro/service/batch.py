@@ -89,6 +89,32 @@ def plan_shared_traces(
     return traces
 
 
+def submit_all(
+    service,
+    requests: Sequence[tuple[WorkloadConfig, DeviceSpec]],
+    traces: dict[tuple, Trace],
+    return_exceptions: bool,
+) -> list:
+    """Submit every request; the submit half of both bulk APIs.
+
+    One future per request, in request order — or, with
+    ``return_exceptions``, the exception ``submit`` raised in its place.
+    """
+    futures: list = []
+    for workload, device in requests:
+        try:
+            futures.append(
+                service.submit(
+                    workload, device, trace=traces.get(workload.to_key())
+                )
+            )
+        except Exception as error:
+            if not return_exceptions:
+                raise
+            futures.append(error)
+    return futures
+
+
 def estimate_many(
     service: EstimationService,
     requests: Sequence[tuple[WorkloadConfig, DeviceSpec]],
@@ -106,20 +132,8 @@ def estimate_many(
     traces: dict[tuple, Trace] = {}
     if share_profiles and service.accepts_trace:
         traces = plan_shared_traces(service, requests)
-    futures = []
-    for workload, device in requests:
-        try:
-            futures.append(
-                service.submit(
-                    workload, device, trace=traces.get(workload.to_key())
-                )
-            )
-        except Exception as error:
-            if not return_exceptions:
-                raise
-            futures.append(error)
     results = []
-    for item in futures:
+    for item in submit_all(service, requests, traces, return_exceptions):
         if isinstance(item, Exception):
             results.append(item)
             continue

@@ -152,18 +152,9 @@ class ServiceCore:
     """Driver-independent request pipeline for one estimation service.
 
     Owns the middleware chain, the cache handle, the metrics sink, the
-    single-flight table, and the request-id sequence.  A driver turns
-    one ``submit`` into::
-
-        request, ctx = core.open_request(...)
-        handle = core.inflight.get(fp)        # under driver serialization
-        if handle: core.note_deduplicated(ctx); return handle
-        admission = core.run_request_hooks(request, ctx)   # may raise
-        if admission.result is not None: return resolved(admission.result)
-        core.inflight.claim(fp, handle)       # under driver serialization
-        ... run invoke_estimator() on the execution substrate ...
-        result = core.finish(request, ctx, result, admission.depth)
-        core.inflight.release(fp)             # under driver serialization
+    single-flight table, and the request-id sequence.  The order its
+    steps run in — and under which mutual exclusion — is
+    :class:`~repro.service.dispatch.ServiceDispatch`'s.
     """
 
     def __init__(
@@ -386,6 +377,11 @@ class ServiceCore:
             self.metrics.record_stages(stages, sources)
         self.metrics.record_computed(self.clock() - ctx.submitted_at)
         worker = ctx.tags.get("worker")
+        if worker is not None:
+            # attribution only once the result is accepted: a result an
+            # on_result hook rejects is classified as an error, and the
+            # per-worker counts must keep summing to `computed`
+            self.metrics.record_worker(worker)
         self._record_decision(
             ledger_events.COMPUTED,
             "estimator",

@@ -1,27 +1,36 @@
-"""The gateway's dispatch machine, written once (sans-IO).
+"""The dispatch machines, each written once (sans-IO).
 
-Everything a sharded gateway *decides* lives in :class:`GatewayDispatch`:
-the plain path (count, route, span, admit, ledger, submit-to-shard,
-settle, warm-up replicas) and the resilient path (the attempt lifecycle
-— first dispatch, retry with backoff, hedge, drain-time shedding — under
-one gateway-owned future per request).  It drives
-:class:`~repro.service.core.GatewayCore`,
-:class:`~repro.service.resilience.ResilienceCore` and
-:class:`~repro.service.faults.FaultInjector`, and it is the only place a
-gateway-layer ledger event is recorded.
+Two lifecycles live here, one per layer, and every driver runs both:
 
-What it cannot decide — how to exclude other threads, what a future is,
-how to run something later, how ``drain()`` sleeps — it asks of the
-:class:`Substrate` its driver hands in.  The machine is written in
-lock-structured form (``with self._lock`` around every core mutation,
-``state.lock`` then the gateway lock, never the reverse); on the event
-loop both locks are :class:`~repro.service.context.NullLock` and the
-structure costs two no-op calls.  Like the rest of the core it imports
-neither ``threading`` nor ``asyncio``, so the whole lifecycle runs in a
-unit test against a manual timer wheel.
+* :class:`ServiceDispatch` — one estimation service's request: intake
+  gate, fingerprint, deadline, single-flight lookup, request hooks,
+  short-circuit, the locked gate re-check + claim, launch onto the
+  driver's execution substrate, completion hooks, release, settle, and
+  the dispatched count ``drain()`` waits on.  It drives
+  :class:`~repro.service.core.ServiceCore`.
+* :class:`GatewayDispatch` — everything a sharded gateway *decides*: the
+  plain path (count, route, span, admit, ledger, submit-to-shard,
+  settle, warm-up replicas) and the resilient path (the attempt
+  lifecycle — first dispatch, retry with backoff, hedge, drain-time
+  shedding — under one gateway-owned future per request).  It drives
+  :class:`~repro.service.core.GatewayCore`,
+  :class:`~repro.service.resilience.ResilienceCore` and
+  :class:`~repro.service.faults.FaultInjector`, and it is the only place
+  a gateway-layer ledger event is recorded.
 
-The plain and resilient paths stay two paths, selected by what the
-gateway can observe: whether a
+What a machine cannot decide — how to exclude other threads, what a
+future is, how to run something later, how ``drain()`` sleeps — it asks
+of the :class:`Substrate` its driver hands in.  Both are written in
+lock-structured form (``with self._lock`` around every core mutation;
+in the gateway ``state.lock`` then the gateway lock, never the reverse);
+on the event loop the locks are :class:`~repro.service.context.NullLock`
+and the structure costs a no-op call pair each.  Like the rest of the
+core this module imports neither ``threading`` nor ``asyncio``, so both
+lifecycles run in a unit test against inline futures and a manual timer
+wheel.
+
+The gateway's plain and resilient paths stay two paths, selected by what
+the gateway can observe: whether a
 :class:`~repro.service.resilience.ResiliencePolicy` or a
 :class:`~repro.service.faults.FaultPlan` was configured.
 """
@@ -33,6 +42,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, ContextManager, Optional, Protocol, Sequence
 
+from ..core.base import Estimator
+from ..core.estimator import XMemEstimator
 from ..errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -44,28 +55,50 @@ from ..errors import (
 )
 from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
-from .context import LockFactory
+from .cache import EstimateCache
+from .context import LockFactory, RequestContext, ServiceRequest
 from .control import DEFAULT_PRIORITY, ControlPlane
-from .core import GatewayCore, aggregate_shard_stats
+from .core import (
+    GatewayCore,
+    ServiceCore,
+    adopt_chain_cache,
+    aggregate_shard_stats,
+    compute_fingerprint,
+    estimator_accepts_trace,
+    invoke_estimator,
+)
 from .faults import FaultInjector, FaultPlan
+from .metrics import ServiceMetrics
+from .middleware import (
+    MiddlewareChain,
+    ServiceMiddleware,
+    default_middlewares,
+)
 from .resilience import ResilienceCore, ResiliencePolicy, is_transient
 from .routing import ConsistentHashRouting, RoutingPolicy
 from .telemetry import ledger as ledger_events
 from .telemetry.spans import GATEWAY_SPAN
 
-__all__ = ["GatewayDispatch", "Substrate", "admit_refusal"]
+__all__ = ["GatewayDispatch", "ServiceDispatch", "Substrate", "admit_refusal"]
 
 
 class Substrate(Protocol):
-    """The primitives a driver lends the dispatch machine.
+    """The primitives a driver lends a dispatch machine.
 
     None of them touches the ledger, the cores or the injector: a
-    substrate is mechanism only.
+    substrate is mechanism only.  Each machine instance gets its own
+    substrate (its own ``lock``).  The service machine uses ``lock``,
+    ``call_lock``, ``new_future``, ``new_master``, ``share``,
+    ``when_done``, ``mark_busy`` and ``notify_idle``; the gateway machine
+    everything except ``new_master`` / ``share``.
     """
 
-    #: serializes every ``GatewayCore``/``ResilienceCore``/injector mutation
+    #: serializes every mutation of the machine's core: ``GatewayCore`` /
+    #: ``ResilienceCore`` / injector, or the single-flight table and the
+    #: dispatched count of a service
     lock: ContextManager
-    #: one lock per resilient call, guarding its settled/inflight state
+    #: locks for state touched off ``lock``: one per resilient call
+    #: (settled/inflight), one per cache / stateful middleware
     call_lock: LockFactory
     #: what a cancelled shard future is reported as
     CancelledError: type[BaseException]
@@ -73,7 +106,19 @@ class Substrate(Protocol):
     InvalidStateError: type[Exception]
 
     def new_future(self) -> Any:
-        """A pending future the gateway owns and the caller holds."""
+        """A pending future the machine owns and one caller holds."""
+
+    def new_master(self) -> Any:
+        """The future every duplicate of one in-flight request shares.
+
+        Handed out *running* where callers hold it directly (threads),
+        so no one caller's ``cancel()`` can resolve it for the others
+        while the worker is still estimating."""
+
+    def share(self, master: Any) -> Any:
+        """What one caller receives for ``master``: the master itself on
+        threads; a chained per-caller child on the loop, where futures
+        stay cancellable (``wait_for`` cancels on timeout)."""
 
     def when_done(self, future: Any, callback: Callable[[Any], None]) -> None:
         """Run ``callback(future)`` once it resolves — *inline* when it
@@ -84,10 +129,283 @@ class Substrate(Protocol):
         """Schedule ``fn(*args)``; returns a handle with ``cancel()``."""
 
     def mark_busy(self) -> None:
-        """A slot or an outer future was just opened."""
+        """A slot, an outer future or a dispatch was just opened."""
 
     def notify_idle(self) -> None:
-        """The fleet went idle with no outer future open (lock held)."""
+        """Nothing is open any more: wake ``drain()`` (lock held)."""
+
+
+class ServiceDispatch:
+    """Serves estimation requests through a middleware chain.
+
+    The base of every service driver:
+    :class:`~repro.service.engine.EstimationService` and
+    :class:`~repro.service.procpool.ProcEstimationService` run it over
+    the thread substrate, :class:`~repro.service.aio.AsyncEstimationService`
+    over the event loop.  A driver adds its constructor (the executor it
+    owns), its substrate, :meth:`_launch`, and the calls that genuinely
+    differ (``estimate``, ``drain``, ``close``/``aclose``).
+    """
+
+    def __init__(
+        self,
+        estimator: Optional[Estimator],
+        middlewares: Optional[Sequence[ServiceMiddleware]],
+        cache: Optional[EstimateCache],
+        metrics: Optional[ServiceMetrics],
+        telemetry,
+        substrate: Substrate,
+    ) -> None:
+        """``telemetry`` is an optional
+        :class:`~repro.service.telemetry.Telemetry` bundle (tracer +
+        ledger); ``None`` keeps the request path span-free and
+        ledger-free at zero cost."""
+        self.estimator = estimator if estimator is not None else XMemEstimator()
+        self.cache = cache if cache is not None else EstimateCache()
+        if middlewares is None:
+            middlewares = default_middlewares(self.cache)
+        else:
+            # stats() and the batch fast path must see the cache that
+            # actually serves hits: adopt the chain's, if it has one
+            self.cache = adopt_chain_cache(middlewares, self.cache)
+        self.chain = MiddlewareChain(middlewares)
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        # hooks run on caller and worker threads at once under the
+        # thread substrate (real locks); the loop serializes them (null)
+        self.cache.bind_lock(substrate.call_lock)
+        self.chain.bind_lock(substrate.call_lock)
+        self.telemetry = telemetry
+        self.core = ServiceCore(
+            self.chain,
+            self.cache,
+            self.metrics,
+            tracer=telemetry.tracer if telemetry is not None else None,
+            ledger=telemetry.ledger if telemetry is not None else None,
+        )
+        self._sub = substrate
+        self._lock = substrate.lock
+        self._dispatched = 0  # launched estimations not yet settled
+        self._draining = False
+        self._closed = False
+        self._accepts_trace = estimator_accepts_trace(self.estimator)
+
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+    @property
+    def accepts_trace(self) -> bool:
+        """Whether the wrapped estimator can reuse a pre-computed trace."""
+        return self._accepts_trace
+
+    def fingerprint(
+        self, workload: WorkloadConfig, device: DeviceSpec
+    ) -> str:
+        """The cache/single-flight key this service uses for a request."""
+        return compute_fingerprint(self.estimator, workload, device)
+
+    def submit(
+        self,
+        workload: WorkloadConfig,
+        device: DeviceSpec,
+        trace: Optional[Trace] = None,
+        fingerprint: Optional[str] = None,
+        deadline: Optional[float] = None,
+        metadata: Optional[dict] = None,
+        tenant: str = "",
+        priority: int = DEFAULT_PRIORITY,
+    ):
+        """Enqueue one request; returns a future of the EstimationResult.
+
+        Raises synchronously when the service is draining or closed, an
+        ``on_request`` hook rejects the request (validation failure,
+        rate limit) or the ``deadline`` — an absolute
+        ``time.perf_counter()`` value — has already passed; estimator
+        failures (and a launch the substrate refuses) surface through
+        the future.  Identical concurrent requests share one estimation:
+        their middlewares run once, for the first caller, and every
+        duplicate receives the same result object.  ``fingerprint``,
+        when given, must equal ``self.fingerprint(...)`` for the pair —
+        the gateway passes the one it already routed on so the canonical
+        payload is hashed once per request, not twice.
+        """
+        if self._closed or self._draining:
+            raise ServiceClosedError("service is closed")
+        fp = (
+            fingerprint
+            if fingerprint is not None
+            else self.fingerprint(workload, device)
+        )
+        request, ctx = self.core.open_request(
+            workload,
+            device,
+            fp,
+            trace=trace,
+            deadline=deadline,
+            metadata=metadata,
+            tenant=tenant,
+            priority=priority,
+        )
+        # an already-expired deadline is rejected before the dedup lookup:
+        # piggybacking would hand the caller a result it declared useless
+        self.core.check_deadline(ctx)
+        with self._lock:
+            shared = self.core.inflight.get(fp)
+        if shared is not None:
+            self.core.note_deduplicated(ctx)
+            return self._sub.share(shared)
+        # hooks run outside the lock: cache/rate-limit state is internally
+        # locked, and a hook may call back into stats() without deadlock
+        admission = self.core.run_request_hooks(request, ctx)
+        if admission.result is not None:
+            future = self._sub.new_future()
+            future.set_result(admission.result)
+            return future
+        with self._lock:
+            # re-check the intake gate under the lock: a drain() racing
+            # with this submit has either already seen our _dispatched
+            # slot (and waits for us) or flipped _draining first (and we
+            # refuse loudly) — drain can never report quiescence while a
+            # gated-in request is still on its way to the substrate
+            refused = self._closed or self._draining
+            if not refused:
+                # another caller may have registered this fingerprint
+                # while our hooks ran (it already paid its own trip
+                # through the chain, so piggybacking now is safe)
+                shared = self.core.inflight.get(fp)
+                if shared is None:
+                    master = self._sub.new_master()
+                    self.core.inflight.claim(fp, master)
+                    self._dispatched += 1
+                    self._sub.mark_busy()
+        if refused:
+            # the hooks already ran for this request: unwind the entered
+            # layers and classify the outcome (core.refuse = on_error
+            # hooks + the rejected counter + the ledger entry) so
+            # counters keep reconciling — outside the lock, because
+            # hooks must never run under it
+            error = ServiceClosedError("service is closed")
+            self.core.refuse(
+                request, ctx, error, admission.depth, cause="drain_race"
+            )
+            raise error
+        if shared is not None:
+            self.core.note_deduplicated(ctx)
+            return self._sub.share(shared)
+        try:
+            inner = self._launch(request, ctx)
+        except BaseException as error:
+            # the substrate broke or shut down between the gate and here:
+            # settle through the future like any failed estimation, so
+            # nothing piggybacks on a slot no worker will ever resolve
+            # and the entered middleware layers are unwound
+            self._resolve(request, ctx, master, admission.depth, error=error)
+        else:
+            self._sub.when_done(
+                inner,
+                partial(self._on_done, request, ctx, master, admission.depth),
+            )
+        return self._sub.share(master)
+
+    def stats(self) -> dict:
+        """Service metrics + cache counters in one JSON-ready snapshot."""
+        with self._lock:
+            inflight = len(self.core.inflight)
+        return {
+            "service": self.metrics.as_dict(),
+            "cache": self.cache.stats().as_dict(),
+            "inflight": inflight,
+        }
+
+    # ------------------------------------------------------------------
+    # what the driver supplies
+    # ------------------------------------------------------------------
+    def _launch(self, request: ServiceRequest, ctx: RequestContext):
+        """Start the estimator on the execution substrate; returns the
+        substrate's own future of the raw outcome.  May raise."""
+        raise NotImplementedError
+
+    def _unpack(self, ctx: RequestContext, outcome):
+        """The EstimationResult inside what :meth:`_launch` resolved to."""
+        return outcome
+
+    def _recover(
+        self,
+        request: ServiceRequest,
+        ctx: RequestContext,
+        error: BaseException,
+        inner,
+    ):
+        """A re-launched future when the *substrate* (not the estimator)
+        failed and the driver could repair it; None surfaces ``error``."""
+        return None
+
+    # ------------------------------------------------------------------
+    # the completion path (worker / callback thread, or the loop)
+    # ------------------------------------------------------------------
+    def _estimate(self, request: ServiceRequest, ctx: RequestContext):
+        """The CPU-bound step, as an in-process executor runs it."""
+        if ctx.telemetry is not None:
+            ctx.telemetry.begin_estimate()
+        return invoke_estimator(self.estimator, request, self._accepts_trace)
+
+    def _on_done(
+        self,
+        request: ServiceRequest,
+        ctx: RequestContext,
+        master,
+        depth: int,
+        inner,
+    ) -> None:
+        try:
+            outcome = inner.result()
+        except BaseException as error:
+            relaunched = self._recover(request, ctx, error, inner)
+            if relaunched is None:
+                self._resolve(request, ctx, master, depth, error=error)
+            else:
+                # the request keeps its single-flight slot, its
+                # dispatched count and its caller-facing future — only
+                # the substrate underneath changed
+                self._sub.when_done(
+                    relaunched,
+                    partial(self._on_done, request, ctx, master, depth),
+                )
+            return
+        try:
+            result = self.core.finish(
+                request, ctx, self._unpack(ctx, outcome), depth
+            )
+        except BaseException as error:
+            self._resolve(request, ctx, master, depth, error=error)
+            return
+        self._resolve(request, ctx, master, depth, result=result)
+
+    def _resolve(
+        self,
+        request: ServiceRequest,
+        ctx: RequestContext,
+        master,
+        depth: int,
+        result=None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Settle one claimed request, exactly once."""
+        if error is not None:
+            self.core.fail(request, ctx, error, depth)
+        # release before resolving: a done-callback that resubmits this
+        # fingerprint must find the cache, not a resolved piggyback
+        with self._lock:
+            self.core.inflight.release(request.fingerprint)
+        if error is not None:
+            master.set_exception(error)
+        else:
+            master.set_result(result)
+        # count down after resolving: a drain() that returns True
+        # promises every future already handed out is done
+        with self._lock:
+            self._dispatched -= 1
+            if self._dispatched == 0:
+                self._sub.notify_idle()
 
 
 def admit_refusal(error: BaseException) -> tuple[str, str, str]:

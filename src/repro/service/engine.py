@@ -1,8 +1,8 @@
-"""The thread-pool execution driver over the sans-IO service core.
+"""The thread substrate, and the thread-pool service driver over it.
 
 :class:`EstimationService` wraps any :class:`~repro.core.base.Estimator`
-behind the request pipeline defined by
-:class:`~repro.service.core.ServiceCore`:
+behind the request lifecycle written once in
+:class:`~repro.service.dispatch.ServiceDispatch`:
 
 1. the request is fingerprinted (:mod:`repro.service.fingerprint`);
 2. if an identical request is already in flight, the caller piggybacks on
@@ -14,12 +14,15 @@ behind the request pipeline defined by
 4. misses dispatch to a ``ThreadPoolExecutor`` worker, which runs the
    estimator and then the ``on_result`` hooks (populating the cache).
 
-Every policy decision above lives in the core; this module only supplies
-the execution substrate — worker threads, ``concurrent.futures.Future``
-handles, and the ``threading.Lock`` primitives it binds onto the core's
-shared state (cache, locking middlewares, single-flight table).  The
-asyncio driver (:mod:`repro.service.aio`) drives the identical core from
-an event loop instead.
+Every decision above lives in the machine and the core; this module only
+supplies the execution substrate — :class:`ThreadSubstrate` (locks,
+``concurrent.futures`` futures, ``threading.Timer``, a condition
+variable ``drain()`` blocks on), shared by every synchronous driver:
+this service, the process-pool one (:mod:`repro.service.procpool`) and
+both their gateways — plus :class:`SyncServiceShell`, the blocking
+``estimate`` / ``drain`` / ``close`` the two sync services have in
+common.  The asyncio driver (:mod:`repro.service.aio`) runs the same
+machine from an event loop instead.
 
 ``estimate()`` is the blocking convenience wrapper; ``submit()`` returns
 a ``concurrent.futures.Future`` so schedulers can fan out.  Results are
@@ -30,34 +33,140 @@ estimator directly.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import (
+    CancelledError,
+    Future,
+    InvalidStateError,
+    ThreadPoolExecutor,
+)
 from typing import Optional, Sequence
 
 from ..core.base import Estimator
-from ..core.estimator import XMemEstimator
-from ..errors import ServiceClosedError
 from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .cache import EstimateCache
 from .context import RequestContext, ServiceRequest
-from .core import (
-    ServiceCore,
-    adopt_chain_cache,
-    compute_fingerprint,
-    estimator_accepts_trace,
-    invoke_estimator,
-)
+from .dispatch import ServiceDispatch
 from .metrics import ServiceMetrics
-from .middleware import (
-    MiddlewareChain,
-    ServiceMiddleware,
-    default_middlewares,
-)
+from .middleware import ServiceMiddleware
 
 DEFAULT_MAX_WORKERS = 4
 
 
-class EstimationService:
+class ThreadSubstrate:
+    """Locks, ``concurrent.futures`` and ``threading.Timer``: what a
+    dispatch machine borrows when callers and workers are threads."""
+
+    CancelledError = CancelledError
+    InvalidStateError = InvalidStateError
+    call_lock = staticmethod(threading.Lock)
+    new_future = Future
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        #: what ``drain()`` blocks on; shares the machine's lock
+        self.idle = threading.Condition(self.lock)
+
+    @staticmethod
+    def new_master() -> Future:
+        master = Future()
+        # every duplicate caller holds this very object: a pending
+        # future would let any one of them cancel() it for all the
+        # others while the worker keeps estimating
+        master.set_running_or_notify_cancel()
+        return master
+
+    @staticmethod
+    def share(master: Future) -> Future:
+        return master
+
+    @staticmethod
+    def when_done(future: Future, callback) -> None:
+        # concurrent.futures runs the callback inline when already done
+        future.add_done_callback(callback)
+
+    @staticmethod
+    def call_later(delay: float, fn, *args) -> threading.Timer:
+        timer = threading.Timer(delay, fn, args=args)
+        timer.daemon = True
+        timer.start()
+        return timer
+
+    def mark_busy(self) -> None:
+        pass  # drain() re-checks the idle predicate under the lock
+
+    def notify_idle(self) -> None:
+        self.idle.notify_all()
+
+
+class SyncServiceShell(ServiceDispatch):
+    """The thread-substrate service shell, shared by the sync drivers.
+
+    :class:`~repro.service.dispatch.ServiceDispatch` over
+    :class:`ThreadSubstrate` — identical whether estimation runs on
+    worker threads (:class:`EstimationService`) or in a process pool
+    (:class:`~repro.service.procpool.ProcEstimationService`); only the
+    executor underneath differs.  Subclasses call this constructor, then
+    build their executor, and implement ``_launch`` and
+    :meth:`_shutdown_substrate`.
+    """
+
+    def __init__(
+        self,
+        estimator: Optional[Estimator],
+        middlewares: Optional[Sequence[ServiceMiddleware]],
+        cache: Optional[EstimateCache],
+        metrics: Optional[ServiceMetrics],
+        telemetry,
+    ) -> None:
+        super().__init__(
+            estimator, middlewares, cache, metrics, telemetry, ThreadSubstrate()
+        )
+
+    def _shutdown_substrate(self, wait: bool) -> None:
+        """Release the executor, if this service owns it."""
+        raise NotImplementedError
+
+    def estimate(
+        self,
+        workload: WorkloadConfig,
+        device: DeviceSpec,
+        trace: Optional[Trace] = None,
+    ):
+        """Blocking request — the drop-in for ``estimator.estimate()``."""
+        return self.submit(workload, device, trace=trace).result()
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Stop accepting requests and wait for in-flight estimations.
+
+        Returns True when every dispatched estimation settled within
+        ``timeout`` (None = wait forever).  No result is lost: futures
+        already handed out resolve normally.  Idempotent; ``submit``
+        raises afterwards.
+        """
+        idle = self._sub.idle
+        with idle:
+            self._draining = True
+            return idle.wait_for(
+                lambda: self._dispatched == 0, timeout=timeout
+            )
+
+    def close(self, wait: bool = True) -> None:
+        """Drain (when ``wait``) and release the executor."""
+        if wait:
+            self.drain()
+        self._draining = True
+        self._closed = True
+        self._shutdown_substrate(wait)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class EstimationService(SyncServiceShell):
     """Serves estimation requests through a middleware chain and a pool."""
 
     def __init__(
@@ -69,188 +178,15 @@ class EstimationService:
         metrics: Optional[ServiceMetrics] = None,
         telemetry=None,
     ):
-        """``telemetry`` is an optional
-        :class:`~repro.service.telemetry.Telemetry` bundle (tracer +
-        ledger); the default ``None`` keeps the request path span-free
-        and ledger-free at zero cost."""
         if max_workers < 1:
             raise ValueError("service needs at least one worker")
-        self.estimator = estimator if estimator is not None else XMemEstimator()
-        self.cache = cache if cache is not None else EstimateCache()
-        if middlewares is None:
-            middlewares = default_middlewares(self.cache)
-        else:
-            # stats() and the batch fast path must see the cache that
-            # actually serves hits: adopt the chain's, if it has one
-            self.cache = adopt_chain_cache(middlewares, self.cache)
-        self.chain = MiddlewareChain(middlewares)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        # thread driver: bind real locks onto the sans-IO core's shared
-        # state — hooks run concurrently on caller and worker threads
-        self.cache.bind_lock(threading.Lock)
-        self.chain.bind_lock(threading.Lock)
-        self.telemetry = telemetry
-        self.core = ServiceCore(
-            self.chain,
-            self.cache,
-            self.metrics,
-            tracer=telemetry.tracer if telemetry is not None else None,
-            ledger=telemetry.ledger if telemetry is not None else None,
-        )
+        super().__init__(estimator, middlewares, cache, metrics, telemetry)
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="xmem-service"
         )
-        self._lock = threading.Lock()
-        self._closed = False
-        self._accepts_trace = estimator_accepts_trace(self.estimator)
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    @property
-    def accepts_trace(self) -> bool:
-        """Whether the wrapped estimator can reuse a pre-computed trace."""
-        return self._accepts_trace
+    def _launch(self, request: ServiceRequest, ctx: RequestContext) -> Future:
+        return self._executor.submit(self._estimate, request, ctx)
 
-    def fingerprint(
-        self, workload: WorkloadConfig, device: DeviceSpec
-    ) -> str:
-        """The cache/single-flight key this service uses for a request."""
-        return compute_fingerprint(self.estimator, workload, device)
-
-    def submit(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-        fingerprint: Optional[str] = None,
-        deadline: Optional[float] = None,
-        metadata: Optional[dict] = None,
-        tenant: str = "",
-        priority: int = 1,
-    ) -> Future:
-        """Enqueue one request; returns a future of the EstimationResult.
-
-        Raises synchronously when an ``on_request`` hook rejects the
-        request (validation failure, rate limit) or the ``deadline`` —
-        an absolute ``time.perf_counter()`` value — has already passed;
-        estimator failures surface through the future.  Identical
-        concurrent requests share one future (their middlewares run once,
-        for the first caller).  ``fingerprint``, when given, must equal
-        ``self.fingerprint(...)`` for the pair — the gateway passes the
-        one it already routed on so the canonical payload is hashed once
-        per request, not twice.
-        """
-        if self._closed:
-            raise ServiceClosedError("service is closed")
-        fp = (
-            fingerprint
-            if fingerprint is not None
-            else self.fingerprint(workload, device)
-        )
-        request, ctx = self.core.open_request(
-            workload,
-            device,
-            fp,
-            trace=trace,
-            deadline=deadline,
-            metadata=metadata,
-            tenant=tenant,
-            priority=priority,
-        )
-        # an already-expired deadline is rejected before the dedup lookup:
-        # piggybacking would hand the caller a result it declared useless
-        self.core.check_deadline(ctx)
-        with self._lock:
-            inflight = self.core.inflight.get(fp)
-        if inflight is not None:
-            self.core.note_deduplicated(ctx)
-            return inflight
-        # hooks run outside the lock: cache/rate-limit state is internally
-        # locked, and a hook may call back into stats() without deadlock
-        admission = self.core.run_request_hooks(request, ctx)
-        if admission.result is not None:
-            future: Future = Future()
-            future.set_result(admission.result)
-            return future
-        with self._lock:
-            # re-check: another thread may have registered this
-            # fingerprint while our hooks ran (it already paid its own
-            # trip through the chain, so piggybacking now is safe)
-            inflight = self.core.inflight.get(fp)
-            if inflight is not None:
-                self.core.note_deduplicated(ctx)
-                return inflight
-            future = Future()
-            self.core.inflight.claim(fp, future)
-        try:
-            self._executor.submit(
-                self._run, request, ctx, future, admission.depth
-            )
-        except BaseException as error:
-            # e.g. the pool shut down between the _closed check and here:
-            # release the single-flight slot so nothing piggybacks on a
-            # future no worker will ever resolve, and unwind the entered
-            # middleware layers (core.fail = on_error hooks + the error
-            # counter) so the audit trail and counters keep reconciling
-            with self._lock:
-                self.core.inflight.release(fp)
-            self.core.fail(request, ctx, error, admission.depth)
-            future.set_exception(error)
-        return future
-
-    def estimate(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-    ):
-        """Blocking request — the drop-in for ``estimator.estimate()``."""
-        return self.submit(workload, device, trace=trace).result()
-
-    def stats(self) -> dict:
-        """Service metrics + cache counters in one JSON-ready snapshot."""
-        with self._lock:
-            inflight = len(self.core.inflight)
-        return {
-            "service": self.metrics.as_dict(),
-            "cache": self.cache.stats().as_dict(),
-            "inflight": inflight,
-        }
-
-    def close(self, wait: bool = True) -> None:
-        self._closed = True
+    def _shutdown_substrate(self, wait: bool) -> None:
         self._executor.shutdown(wait=wait)
-
-    def __enter__(self) -> "EstimationService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # worker side
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        request: ServiceRequest,
-        ctx: RequestContext,
-        future: Future,
-        depth: int,
-    ) -> None:
-        try:
-            if ctx.telemetry is not None:
-                ctx.telemetry.begin_estimate()
-            result = invoke_estimator(
-                self.estimator, request, self._accepts_trace
-            )
-            result = self.core.finish(request, ctx, result, depth)
-        except BaseException as error:
-            self.core.fail(request, ctx, error, depth)
-            with self._lock:
-                self.core.inflight.release(request.fingerprint)
-            future.set_exception(error)
-            return
-        with self._lock:
-            self.core.inflight.release(request.fingerprint)
-        future.set_result(result)

@@ -22,11 +22,12 @@ and owns the three policies a serving tier needs:
 All three are decided by the sans-IO
 :class:`~repro.service.dispatch.GatewayDispatch` machine (over
 :class:`~repro.service.core.GatewayCore`); this module adds only the
-thread substrate — a lock serializing the core's mutations, a condition
-variable ``drain()`` blocks on, ``concurrent.futures`` futures and
-``threading.Timer`` — and the blocking ``estimate``/``drain``/``close``.
-The asyncio driver (:class:`~repro.service.aio.AsyncServiceGateway`)
-runs the same machine from an event loop.
+thread substrate (:class:`~repro.service.engine.ThreadSubstrate` — a
+lock serializing the core's mutations, a condition variable ``drain()``
+blocks on, ``concurrent.futures`` futures and ``threading.Timer``) and
+the blocking ``estimate``/``drain``/``close``.  The asyncio driver
+(:class:`~repro.service.aio.AsyncServiceGateway`) runs the same machine
+from an event loop.
 
 ``stats()`` aggregates every shard's metrics into one fleet-level
 snapshot (summed counters, recomputed hit rate, percentiles over the
@@ -36,8 +37,6 @@ see both the fleet and its skew.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import CancelledError, Future, InvalidStateError
 from typing import Callable, Optional, Sequence
 
 from ..trace.reader import Trace
@@ -45,7 +44,7 @@ from ..workload import DeviceSpec, WorkloadConfig
 from .control import ControlPlane
 from .core import aggregate_shard_stats
 from .dispatch import GatewayDispatch
-from .engine import EstimationService
+from .engine import EstimationService, ThreadSubstrate
 from .faults import FaultPlan
 from .resilience import ResiliencePolicy
 from .routing import (
@@ -79,47 +78,13 @@ DEFAULT_NUM_SHARDS = 4
 DEFAULT_MAX_QUEUE_DEPTH = 64
 
 
-class _ThreadSubstrate:
-    """Locks, ``concurrent.futures`` and ``threading.Timer``: what the
-    dispatch machine borrows when callers and workers are threads."""
-
-    CancelledError = CancelledError
-    InvalidStateError = InvalidStateError
-    call_lock = staticmethod(threading.Lock)
-    new_future = Future
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        #: what ``drain()`` blocks on; shares the gateway lock
-        self.idle = threading.Condition(self.lock)
-
-    @staticmethod
-    def when_done(future: Future, callback) -> None:
-        # concurrent.futures runs the callback inline when already done
-        future.add_done_callback(callback)
-
-    @staticmethod
-    def call_later(delay: float, fn, *args) -> threading.Timer:
-        timer = threading.Timer(delay, fn, args=args)
-        timer.daemon = True
-        timer.start()
-        return timer
-
-    def mark_busy(self) -> None:
-        pass  # drain() re-checks the idle predicate under the lock
-
-    def notify_idle(self) -> None:
-        self.idle.notify_all()
-
-
 class SyncGatewayShell(GatewayDispatch):
     """The thread-substrate gateway shell, shared by the sync drivers.
 
-    :class:`~repro.service.dispatch.GatewayDispatch` over a lock, a
-    condition variable ``drain()`` blocks on, ``concurrent.futures``
-    futures and ``threading.Timer`` — identical whether the shards run
-    estimation on worker threads (:class:`ServiceGateway`) or in a
-    process pool (:class:`~repro.service.procpool.ProcServiceGateway`);
+    :class:`~repro.service.dispatch.GatewayDispatch` over
+    :class:`~repro.service.engine.ThreadSubstrate` — identical whether
+    the shards run estimation on worker threads
+    (:class:`ServiceGateway`) or in a process pool (:class:`~repro.service.procpool.ProcServiceGateway`);
     only shard construction and substrate teardown differ.  Subclasses
     build their shards, then call this constructor, and override
     :meth:`_shutdown_substrate` / :meth:`_snapshot_extra` as needed.
@@ -139,7 +104,7 @@ class SyncGatewayShell(GatewayDispatch):
             shards,
             policy,
             max_queue_depth,
-            _ThreadSubstrate(),
+            ThreadSubstrate(),
             telemetry=telemetry,
             resilience=resilience,
             fault_plan=fault_plan,

@@ -64,19 +64,13 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..core.estimator import XMemEstimator
-from ..errors import ServiceClosedError
 from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .batch import estimate_many as _estimate_many
 from .cache import EstimateCache
 from .context import RequestContext, ServiceRequest
-from .core import (
-    ServiceCore,
-    adopt_chain_cache,
-    compute_fingerprint,
-    estimator_accepts_trace,
-    invoke_estimator,
-)
+from .core import estimator_accepts_trace, invoke_estimator
+from .engine import SyncServiceShell
 from .faults import FaultPlan
 from .gateway import (
     DEFAULT_MAX_QUEUE_DEPTH,
@@ -84,11 +78,7 @@ from .gateway import (
     SyncGatewayShell,
 )
 from .metrics import ServiceMetrics
-from .middleware import (
-    MiddlewareChain,
-    ServiceMiddleware,
-    default_middlewares,
-)
+from .middleware import ServiceMiddleware
 from .resilience import ResiliencePolicy
 from .routing import RoutingPolicy
 from .telemetry import ledger as ledger_events
@@ -320,19 +310,20 @@ class PoolSupervisor:
         }
 
 
-class ProcEstimationService:
+class ProcEstimationService(SyncServiceShell):
     """Serves estimation requests with estimator work in child processes.
 
     Mirrors :class:`~repro.service.engine.EstimationService`'s surface
     (``submit`` / ``estimate`` / ``estimate_many`` / ``stats`` /
     ``drain`` / ``close`` / context manager) and its behaviour —
     byte-identical results, synchronous rejections, single-flight
-    dedup — but takes an ``estimator_factory`` instead of an estimator
-    instance: the factory is shipped to each worker process, while the
-    parent keeps one *template* instance for fingerprinting and the bulk
-    planner's shared-profile work.
+    dedup; only the cache-miss estimator call crosses the process
+    boundary — but takes an ``estimator_factory`` instead of an
+    estimator instance: the factory is shipped to each worker process,
+    while the parent keeps one *template* instance for fingerprinting
+    and the bulk planner's shared-profile work.
 
-    ``executor`` lets a gateway share one pool across shards; the
+    ``supervisor`` lets a gateway share one pool across shards; the
     service then does not own (and will not shut down) the pool.
     """
 
@@ -344,12 +335,11 @@ class ProcEstimationService:
         max_workers: int = DEFAULT_POOL_WORKERS,
         metrics: Optional[ServiceMetrics] = None,
         mp_context: Optional[str] = None,
-        executor: Optional[ProcessPoolExecutor] = None,
         telemetry=None,
         supervisor: Optional[PoolSupervisor] = None,
         artifact_store=None,
     ):
-        if executor is None and supervisor is None and max_workers < 1:
+        if supervisor is None and max_workers < 1:
             raise ValueError("service needs at least one worker")
         self.estimator_factory = (
             estimator_factory
@@ -364,180 +354,25 @@ class ProcEstimationService:
             )
         # the template never estimates; it answers fingerprint inputs
         # (name/version/allocator config), `accepts_trace`, and the bulk
-        # planner's profile calls — all parent-side concerns
-        self.estimator = self.estimator_factory()
-        self.cache = cache if cache is not None else EstimateCache()
-        if middlewares is None:
-            middlewares = default_middlewares(self.cache)
-        else:
-            self.cache = adopt_chain_cache(middlewares, self.cache)
-        self.chain = MiddlewareChain(middlewares)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        # completion hooks run on the pool's callback thread while new
-        # submissions run hooks on caller threads: bind real locks, the
-        # same regime as the thread driver
-        self.cache.bind_lock(threading.Lock)
-        self.chain.bind_lock(threading.Lock)
-        self.telemetry = telemetry
-        self.core = ServiceCore(
-            self.chain,
-            self.cache,
-            self.metrics,
-            tracer=telemetry.tracer if telemetry is not None else None,
-            ledger=telemetry.ledger if telemetry is not None else None,
+        # planner's profile calls — all parent-side concerns.  Completion
+        # hooks run on the pool's callback thread while new submissions
+        # run hooks on caller threads: the thread substrate's regime
+        super().__init__(
+            self.estimator_factory(), middlewares, cache, metrics, telemetry
         )
-        # three substrate arrangements, in precedence order: a shared
-        # supervisor (gateway shards — worker-death recovery enabled and
-        # coordinated across shards), a bare executor (caller-owned, no
-        # recovery: the service cannot rebuild a pool it does not own),
-        # or an internal supervisor (standalone service, recovery on)
-        self._raw_executor = executor if supervisor is None else None
-        self._supervisor = supervisor
-        self._owns_executor = executor is None and supervisor is None
-        if self._owns_executor:
-            self._supervisor = PoolSupervisor(
-                max_workers, self.estimator_factory, mp_context
-            )
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._dispatched = 0  # estimator invocations in flight in the pool
-        self._draining = False
-        self._closed = False
-        self._accepts_trace = estimator_accepts_trace(self.estimator)
+        # a shared supervisor (gateway shards — worker-death recovery
+        # coordinated across shards) or an internal one (standalone)
+        self._owns_supervisor = supervisor is None
+        self._supervisor = (
+            supervisor
+            if supervisor is not None
+            else PoolSupervisor(max_workers, self.estimator_factory, mp_context)
+        )
 
-    # ------------------------------------------------------------------
-    # public API (mirrors EstimationService)
-    # ------------------------------------------------------------------
     @property
     def _executor(self) -> ProcessPoolExecutor:
         """The pool to dispatch onto right now (post-recovery aware)."""
-        if self._supervisor is not None:
-            return self._supervisor.current()
-        return self._raw_executor
-
-    @property
-    def accepts_trace(self) -> bool:
-        """Whether the wrapped estimator can reuse a pre-computed trace."""
-        return self._accepts_trace
-
-    def fingerprint(
-        self, workload: WorkloadConfig, device: DeviceSpec
-    ) -> str:
-        """The cache/single-flight key this service uses for a request."""
-        return compute_fingerprint(self.estimator, workload, device)
-
-    def submit(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-        fingerprint: Optional[str] = None,
-        deadline: Optional[float] = None,
-        metadata: Optional[dict] = None,
-        tenant: str = "",
-        priority: int = 1,
-    ) -> Future:
-        """Enqueue one request; returns a future of the EstimationResult.
-
-        Same contract as the thread driver: synchronous raise on hook
-        rejection or an already-expired deadline, shared future for
-        identical in-flight requests, estimator failures through the
-        future.  Only the cache-miss estimator call crosses the process
-        boundary.
-        """
-        if self._closed or self._draining:
-            raise ServiceClosedError("service is closed")
-        fp = (
-            fingerprint
-            if fingerprint is not None
-            else self.fingerprint(workload, device)
-        )
-        request, ctx = self.core.open_request(
-            workload,
-            device,
-            fp,
-            trace=trace,
-            deadline=deadline,
-            metadata=metadata,
-            tenant=tenant,
-            priority=priority,
-        )
-        # an already-expired deadline is rejected before the dedup lookup:
-        # piggybacking would hand the caller a result it declared useless
-        self.core.check_deadline(ctx)
-        with self._lock:
-            inflight = self.core.inflight.get(fp)
-        if inflight is not None:
-            self.core.note_deduplicated(ctx)
-            return inflight
-        # hooks run outside the lock: cache/rate-limit state is internally
-        # locked, and a hook may call back into stats() without deadlock
-        admission = self.core.run_request_hooks(request, ctx)
-        if admission.result is not None:
-            future: Future = Future()
-            future.set_result(admission.result)
-            return future
-        refused = False
-        with self._lock:
-            # re-check the intake gate under the lock: a drain() racing
-            # with this submit has either already seen our _dispatched
-            # slot (and waits for us) or flipped _draining first (and we
-            # refuse loudly) — drain can never report quiescence while a
-            # gated-in request is still on its way to the pool
-            if self._closed or self._draining:
-                refused = True
-            else:
-                # another thread may have registered this fingerprint
-                # while our hooks ran
-                inflight = self.core.inflight.get(fp)
-                if inflight is not None:
-                    self.core.note_deduplicated(ctx)
-                    return inflight
-                future = Future()
-                self.core.inflight.claim(fp, future)
-                self._dispatched += 1
-        if refused:
-            # the hooks already ran for this request: unwind the entered
-            # layers and classify the outcome (core.refuse = on_error
-            # hooks + the rejected counter + the ledger entry) so
-            # counters keep reconciling — outside the lock, because
-            # hooks must never run under it
-            error = ServiceClosedError("service is closed")
-            self.core.refuse(
-                request, ctx, error, admission.depth, cause="drain_race"
-            )
-            raise error
-        pool = self._executor
-        try:
-            inner = pool.submit(
-                _worker_estimate, request.as_dict(), request.trace
-            )
-        except BaseException as error:
-            # the pool broke or shut down between the gate and here:
-            # release the single-flight slot so nothing piggybacks on a
-            # future no worker will ever resolve, and unwind the entered
-            # middleware layers (core.fail = on_error hooks + the error
-            # counter) so the audit trail and counters keep reconciling
-            with self._idle:
-                self.core.inflight.release(fp)
-                self._dispatched -= 1
-                self._idle.notify_all()
-            self.core.fail(request, ctx, error, admission.depth)
-            future.set_exception(error)
-            return future
-        inner.add_done_callback(
-            partial(self._on_done, request, ctx, future, admission.depth, pool)
-        )
-        return future
-
-    def estimate(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-    ):
-        """Blocking request — the drop-in for ``estimator.estimate()``."""
-        return self.submit(workload, device, trace=trace).result()
+        return self._supervisor.current()
 
     def estimate_many(
         self,
@@ -558,129 +393,58 @@ class ProcEstimationService:
             return_exceptions=return_exceptions,
         )
 
-    def stats(self) -> dict:
-        """Service metrics + cache counters in one JSON-ready snapshot."""
-        with self._lock:
-            inflight = len(self.core.inflight)
-        return {
-            "service": self.metrics.as_dict(),
-            "cache": self.cache.stats().as_dict(),
-            "inflight": inflight,
-        }
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop accepting requests and wait for in-flight estimations.
-
-        Returns True when every dispatched estimation settled within
-        ``timeout`` (None = wait forever).  No result is lost: futures
-        already handed out resolve normally.  Idempotent; ``submit``
-        raises afterwards.
-        """
-        with self._idle:
-            self._draining = True
-            return self._idle.wait_for(
-                lambda: self._dispatched == 0, timeout=timeout
-            )
-
-    def close(self, wait: bool = True) -> None:
-        """Drain (when ``wait``) and release the pool, if this service
-        owns it (a gateway-shared pool is the gateway's to close)."""
-        if wait:
-            self.drain()
-        self._draining = True
-        self._closed = True
-        if self._owns_executor:
+    def _shutdown_substrate(self, wait: bool) -> None:
+        """A gateway-shared pool is the gateway's to close."""
+        if self._owns_supervisor:
             self._supervisor.shutdown(wait=wait)
 
-    def __enter__(self) -> "ProcEstimationService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
-    # completion (runs on the pool's callback thread)
+    # what the machine asks of this substrate (the done-callback runs on
+    # the pool's callback thread)
     # ------------------------------------------------------------------
-    def _on_done(
+    def _launch(self, request: ServiceRequest, ctx: RequestContext) -> Future:
+        pool = self._executor
+        inner = pool.submit(_worker_estimate, request.as_dict(), request.trace)
+        # _recover must name the pool this attempt ran on: the
+        # supervisor's replace() is identity-checked
+        inner.pool = pool
+        return inner
+
+    def _unpack(self, ctx: RequestContext, outcome):
+        worker_pid, result, span_payloads = outcome
+        ctx.tags["worker"] = worker_pid
+        if ctx.telemetry is not None and span_payloads:
+            # re-attach the worker-side estimate/stage spans, translated
+            # onto the parent clock (they arrive in the worker's
+            # perf_counter domain)
+            ctx.telemetry.attach_spans(
+                span_payloads, rebase_to=self.core.clock()
+            )
+        return result
+
+    def _recover(
         self,
         request: ServiceRequest,
         ctx: RequestContext,
-        future: Future,
-        depth: int,
-        pool: ProcessPoolExecutor,
+        error: BaseException,
         inner: Future,
-    ) -> None:
-        redispatched = False
-        try:
-            try:
-                worker_pid, result, span_payloads = inner.result()
-            except BrokenProcessPool as error:
-                # a worker died mid-request — the injected ``worker_kill``
-                # or a real crash.  Rebuild the pool (identity-checked:
-                # shards sharing it race here) and re-dispatch, unless
-                # this request already used up its redispatch budget
-                if self._redispatch(request, ctx, future, depth, pool):
-                    redispatched = True
-                    return
-                self.core.fail(request, ctx, error, depth)
-                with self._idle:
-                    self.core.inflight.release(request.fingerprint)
-                future.set_exception(error)
-                return
-            try:
-                ctx.tags["worker"] = worker_pid
-                if ctx.telemetry is not None and span_payloads:
-                    # re-attach the worker-side estimate/stage spans,
-                    # translated onto the parent clock (they arrive in
-                    # the worker's perf_counter domain)
-                    ctx.telemetry.attach_spans(
-                        span_payloads, rebase_to=self.core.clock()
-                    )
-                result = self.core.finish(request, ctx, result, depth)
-                # attribution only after finish: a result an on_result
-                # hook rejects is classified as an error, and the
-                # per-worker counts must keep summing to `computed`
-                self.metrics.record_worker(worker_pid)
-            except BaseException as error:
-                self.core.fail(request, ctx, error, depth)
-                with self._idle:
-                    self.core.inflight.release(request.fingerprint)
-                future.set_exception(error)
-                return
-            with self._idle:
-                self.core.inflight.release(request.fingerprint)
-            future.set_result(result)
-        finally:
-            if not redispatched:
-                with self._idle:
-                    self._dispatched -= 1
-                    if self._dispatched == 0:
-                        self._idle.notify_all()
+    ) -> Optional[Future]:
+        """Re-run a request whose worker died — the injected
+        ``worker_kill`` or a real crash; None surfaces the break.
 
-    def _redispatch(
-        self,
-        request: ServiceRequest,
-        ctx: RequestContext,
-        future: Future,
-        depth: int,
-        broken: ProcessPoolExecutor,
-    ) -> bool:
-        """Re-run a request whose worker died; True when re-dispatched.
-
-        The in-flight bookkeeping is untouched on success: the request
-        keeps its single-flight slot, its ``_dispatched`` count, and its
-        caller-facing future — only the substrate underneath changed.
+        Rebuilds the pool (identity-checked: shards sharing it race
+        here) unless this request already used up its redispatch budget.
         Any injected fault directive is stripped before the re-run (the
         kill already happened; the directive must not chase the retry),
         and the attempt number is bumped so ledger events carry the
         recovery provenance.
         """
-        if self._supervisor is None:
-            return False  # caller-owned pool: not ours to rebuild
+        if not isinstance(error, BrokenProcessPool):
+            return None
         hops = ctx.tags.get("worker_redispatches", 0)
         if hops >= MAX_WORKER_REDISPATCHES:
-            return False
-        pool = self._supervisor.replace(broken)
+            return None
+        self._supervisor.replace(inner.pool)
         ctx.tags["worker_redispatches"] = hops + 1
         ctx.attempt += 1
         request.metadata.pop("fault", None)
@@ -695,15 +459,9 @@ class ProcEstimationService:
                 attributes={"layer": "service", "attempt": ctx.attempt},
             )
         try:
-            inner = pool.submit(
-                _worker_estimate, request.as_dict(), request.trace
-            )
+            return self._launch(request, ctx)
         except BaseException:
-            return False  # the fresh pool refused too; surface the break
-        inner.add_done_callback(
-            partial(self._on_done, request, ctx, future, depth, pool)
-        )
-        return True
+            return None  # the fresh pool refused too; surface the break
 
 
 class ProcServiceGateway(SyncGatewayShell):

@@ -77,6 +77,9 @@ __all__ = [
 ]
 
 _READ_CHUNK = 64 * 1024
+#: recv() size of a server connection's transport: small enough that
+#: malloc serves it from a free list, not from the top of the heap
+_TRANSPORT_READ_BYTES = 16 * 1024
 
 
 def _decode_estimate_payload(
@@ -197,6 +200,13 @@ class TcpEstimationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections += 1
+        # asyncio recv()s into a fresh 256 KiB buffer per read event and
+        # frees it again, for request frames well under 1 KiB.  When that
+        # buffer lands at the top of a glibc heap, the pair grows and
+        # trims the heap on every request (~+20 us CPU, +40 us a round
+        # trip on loopback) — and whether it lands there flips with any
+        # unrelated change to what the process allocated before
+        writer.transport.max_size = _TRANSPORT_READ_BYTES
         decoder = FrameDecoder(self.max_frame_bytes)
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
@@ -411,6 +421,77 @@ class TcpEstimationServer:
 
 
 # ----------------------------------------------------------------------
+# what the two clients share
+# ----------------------------------------------------------------------
+
+
+def _estimate_message(
+    workload: WorkloadConfig,
+    device: DeviceSpec,
+    trace: Optional[Trace],
+    deadline: Optional[float],
+    metadata: Optional[dict],
+    tenant: str,
+    priority: int,
+    clock: Callable[[], float],
+) -> dict:
+    """The estimate frame a client sends (``id`` is stamped at send)."""
+    if trace is not None:
+        raise ValueError(
+            "traces are host-local CPU profiles and do not cross the "
+            "wire; the server profiles (or synthesizes) on its side"
+        )
+    message = {
+        "op": OP_ESTIMATE,
+        "request": {
+            "workload": workload.as_dict(),
+            "device": device.as_dict(),
+        },
+        "deadline_remaining": (
+            None if deadline is None else deadline - clock()
+        ),
+    }
+    if metadata:
+        message["request"]["metadata"] = dict(metadata)
+    # tenant/priority ride only off their defaults so untenanted
+    # frames stay byte-identical to pre-control-plane clients
+    if tenant:
+        message["request"]["tenant"] = tenant
+    if priority != 1:
+        message["request"]["priority"] = priority
+    return message
+
+
+#: op -> what a successful response frame resolves the caller's future to
+_RESPONSE_VALUE = {
+    OP_ESTIMATE: lambda message: result_from_wire(message["result"]),
+    OP_ESTIMATE_MANY: lambda message: message["results"],
+    OP_STATS: lambda message: message["stats"],
+    OP_DRAIN: lambda message: message.get("drained", False),
+}
+
+
+def _settle_response(op: str, future, message: dict) -> None:
+    """Resolve one pending request's future from its response frame."""
+    if future.done():
+        # the caller cancelled it: settling would raise InvalidStateError
+        # out of the read loop and strand every later request
+        return
+    if not message.get("ok"):
+        future.set_exception(error_from_wire(message.get("error", {})))
+        return
+    decode = _RESPONSE_VALUE.get(op)
+    try:
+        value = True if decode is None else decode(message)
+    except (KeyError, WireProtocolError) as error:
+        future.set_exception(
+            WireProtocolError(f"malformed {op} response: {error!r}")
+        )
+    else:
+        future.set_result(value)
+
+
+# ----------------------------------------------------------------------
 # blocking client
 # ----------------------------------------------------------------------
 
@@ -502,29 +583,16 @@ class TcpServiceClient:
         priority: int = 1,
     ) -> Future:
         """Send one estimate request; returns a future of the result."""
-        if trace is not None:
-            raise ValueError(
-                "traces are host-local CPU profiles and do not cross the "
-                "wire; the server profiles (or synthesizes) on its side"
-            )
-        message = {
-            "op": OP_ESTIMATE,
-            "request": {
-                "workload": workload.as_dict(),
-                "device": device.as_dict(),
-            },
-            "deadline_remaining": (
-                None if deadline is None else deadline - self._clock()
-            ),
-        }
-        if metadata:
-            message["request"]["metadata"] = dict(metadata)
-        # tenant/priority ride only off their defaults so untenanted
-        # frames stay byte-identical to pre-control-plane clients
-        if tenant:
-            message["request"]["tenant"] = tenant
-        if priority != 1:
-            message["request"]["priority"] = priority
+        message = _estimate_message(
+            workload,
+            device,
+            trace,
+            deadline,
+            metadata,
+            tenant,
+            priority,
+            self._clock,
+        )
         return self._request(OP_ESTIMATE, message)
 
     def estimate(
@@ -735,25 +803,7 @@ class TcpServiceClient:
             entry = self._pending.pop(msg_id, None)
         if entry is None:
             return True  # duplicate/unknown id: nothing to resolve
-        op, future = entry
-        if not message.get("ok"):
-            future.set_exception(error_from_wire(message.get("error", {})))
-            return True
-        try:
-            if op == OP_ESTIMATE:
-                future.set_result(result_from_wire(message["result"]))
-            elif op == OP_ESTIMATE_MANY:
-                future.set_result(message["results"])
-            elif op == OP_STATS:
-                future.set_result(message["stats"])
-            elif op == OP_DRAIN:
-                future.set_result(message.get("drained", False))
-            else:
-                future.set_result(True)
-        except (KeyError, WireProtocolError) as error:
-            future.set_exception(
-                WireProtocolError(f"malformed {op} response: {error!r}")
-            )
+        _settle_response(*entry, message)
         return True
 
     def _fail_pending(self, error: Exception) -> None:
@@ -826,29 +876,16 @@ class AsyncTcpServiceClient:
         priority: int = 1,
     ) -> "asyncio.Future":
         """Send one estimate request; returns a future of the result."""
-        if trace is not None:
-            raise ValueError(
-                "traces are host-local CPU profiles and do not cross the "
-                "wire; the server profiles (or synthesizes) on its side"
-            )
-        message = {
-            "op": OP_ESTIMATE,
-            "request": {
-                "workload": workload.as_dict(),
-                "device": device.as_dict(),
-            },
-            "deadline_remaining": (
-                None if deadline is None else deadline - self._clock()
-            ),
-        }
-        if metadata:
-            message["request"]["metadata"] = dict(metadata)
-        # tenant/priority ride only off their defaults so untenanted
-        # frames stay byte-identical to pre-control-plane clients
-        if tenant:
-            message["request"]["tenant"] = tenant
-        if priority != 1:
-            message["request"]["priority"] = priority
+        message = _estimate_message(
+            workload,
+            device,
+            trace,
+            deadline,
+            metadata,
+            tenant,
+            priority,
+            self._clock,
+        )
         return self._request(OP_ESTIMATE, message)
 
     async def estimate(
@@ -943,27 +980,7 @@ class AsyncTcpServiceClient:
         entry = self._pending.pop(msg_id, None)
         if entry is None:
             return True
-        op, future = entry
-        if future.done():
-            return True
-        if not message.get("ok"):
-            future.set_exception(error_from_wire(message.get("error", {})))
-            return True
-        try:
-            if op == OP_ESTIMATE:
-                future.set_result(result_from_wire(message["result"]))
-            elif op == OP_ESTIMATE_MANY:
-                future.set_result(message["results"])
-            elif op == OP_STATS:
-                future.set_result(message["stats"])
-            elif op == OP_DRAIN:
-                future.set_result(message.get("drained", False))
-            else:
-                future.set_result(True)
-        except (KeyError, WireProtocolError) as error:
-            future.set_exception(
-                WireProtocolError(f"malformed {op} response: {error!r}")
-            )
+        _settle_response(*entry, message)
         return True
 
     def _fail_pending(self, error: Exception) -> None:

@@ -679,6 +679,36 @@ class ReplayReport:
     def note_latency(self, tenant: str, seconds: float) -> None:
         self.tenant_latencies.setdefault(tenant, []).append(seconds)
 
+    def tally(
+        self,
+        tenant: str,
+        error: Optional[BaseException],
+        latency: float = 0.0,
+    ) -> None:
+        """Count one request's outcome — the replayers' one outcome table.
+
+        ``error`` is what ``submit`` raised or the future failed with
+        (None = answered after ``latency`` seconds).  Order matters:
+        quota errors are rate-limit errors.
+        """
+        if error is None:
+            counters = ("answered",)
+        elif isinstance(error, QuotaExceededError):
+            counters = ("shed", "quota_shed")
+        elif isinstance(error, RateLimitExceededError):
+            counters = ("shed",)
+        elif isinstance(error, RequestRejectedError):
+            counters = ("rejected",)
+        else:
+            counters = ("errors",)
+        bucket = self.tenant_bucket(tenant) if tenant else None
+        for counter in counters:
+            setattr(self, counter, getattr(self, counter) + 1)
+            if bucket is not None:
+                bucket[counter] += 1
+        if error is None and tenant:
+            self.note_latency(tenant, latency)
+
     def tenant_latency_ms(self, tenant: str, q: float) -> float:
         """Linear-interpolated latency percentile for one tenant (ms)."""
         value = percentile(self.tenant_latencies.get(tenant, ()), q)
@@ -728,6 +758,34 @@ class ReplayReport:
         return report
 
 
+def submit_wave(report: ReplayReport, target, wave) -> list:
+    """Submit one wave back-to-back; the submit half of both replayers.
+
+    Returns ``(request, submitted_at, future)`` for every request that
+    got a future.  Sheds and rejections ``submit`` raises synchronously
+    are counted into ``report``; any other exception propagates.
+    """
+    futures = []
+    for request in wave:
+        # kwargs only off their defaults: untenanted traces call
+        # submit() exactly as pre-control-plane replays did, so any
+        # target with the old signature still works
+        kwargs = {}
+        if request.tenant:
+            report.tenant_bucket(request.tenant)["submitted"] += 1
+            kwargs["tenant"] = request.tenant
+        if request.priority != 1:
+            kwargs["priority"] = request.priority
+        submitted_at = time.perf_counter()
+        try:
+            future = target.submit(request.workload, request.device, **kwargs)
+        except (RateLimitExceededError, RequestRejectedError) as error:
+            report.tally(request.tenant, error)
+        else:
+            futures.append((request, submitted_at, future))
+    return futures
+
+
 def replay(trace: TrafficTrace, target) -> ReplayReport:
     """Replay a trace against a service or gateway, wave by wave.
 
@@ -746,81 +804,15 @@ def replay(trace: TrafficTrace, target) -> ReplayReport:
     report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
     started = time.perf_counter()
     for wave in trace.waves():
-        futures = []
-        for request in wave:
-            bucket = (
-                report.tenant_bucket(request.tenant)
-                if request.tenant
-                else None
-            )
-            if bucket is not None:
-                bucket["submitted"] += 1
-            # kwargs only off their defaults: untenanted traces call
-            # submit() exactly as pre-control-plane replays did, so any
-            # target with the old signature still works
-            kwargs = {}
-            if request.tenant:
-                kwargs["tenant"] = request.tenant
-            if request.priority != 1:
-                kwargs["priority"] = request.priority
-            submitted_at = time.perf_counter()
-            try:
-                futures.append(
-                    (
-                        request,
-                        submitted_at,
-                        target.submit(
-                            request.workload, request.device, **kwargs
-                        ),
-                    )
-                )
-            except QuotaExceededError:
-                report.shed += 1
-                report.quota_shed += 1
-                if bucket is not None:
-                    bucket["shed"] += 1
-                    bucket["quota_shed"] += 1
-            except RateLimitExceededError:
-                report.shed += 1
-                if bucket is not None:
-                    bucket["shed"] += 1
-            except RequestRejectedError:
-                report.rejected += 1
-                if bucket is not None:
-                    bucket["rejected"] += 1
-        for request, submitted_at, future in futures:
-            bucket = (
-                report.tenant_bucket(request.tenant)
-                if request.tenant
-                else None
-            )
+        for request, submitted_at, future in submit_wave(report, target, wave):
             try:
                 future.result()
-                report.answered += 1
-                if bucket is not None:
-                    bucket["answered"] += 1
-                    report.note_latency(
-                        request.tenant,
-                        time.perf_counter() - submitted_at,
-                    )
-            except QuotaExceededError:
-                report.shed += 1
-                report.quota_shed += 1
-                if bucket is not None:
-                    bucket["shed"] += 1
-                    bucket["quota_shed"] += 1
-            except RateLimitExceededError:
-                report.shed += 1
-                if bucket is not None:
-                    bucket["shed"] += 1
-            except RequestRejectedError:
-                report.rejected += 1
-                if bucket is not None:
-                    bucket["rejected"] += 1
-            except Exception:
-                report.errors += 1
-                if bucket is not None:
-                    bucket["errors"] += 1
+            except Exception as error:
+                report.tally(request.tenant, error)
+            else:
+                report.tally(
+                    request.tenant, None, time.perf_counter() - submitted_at
+                )
     report.elapsed_seconds = time.perf_counter() - started
     report.stats = target.stats()
     return report

@@ -1,4 +1,4 @@
-"""The gateway dispatch machine against a fake substrate.
+"""The two dispatch machines against a fake substrate.
 
 :class:`~repro.service.dispatch.GatewayDispatch` is sans-IO, so the whole
 attempt lifecycle — retry, backoff, hedge, drain-time shedding — runs
@@ -8,32 +8,54 @@ says so, and both locks are :class:`~repro.service.context.NullLock`.
 After every step the harness re-checks conservation
 (``submitted == answered + shed + rejected + errors + open``) and that
 no outer future was settled twice.
+
+:class:`~repro.service.dispatch.ServiceDispatch` gets the same
+treatment one layer down (``_launch`` hands the test a future to resolve
+by hand; after every step ``requests`` equals the sum of the outcome
+counters plus the single-flight table), and then the behaviours the
+machine promises are pinned on all three real drivers at once.
 """
 
 from __future__ import annotations
 
+import asyncio
+import logging
+import threading
 from concurrent.futures import CancelledError, Future, InvalidStateError
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import (
     CircuitOpenError,
+    EstimationError,
     InjectedFaultError,
     RateLimitExceededError,
     RequestRejectedError,
     ServiceClosedError,
 )
 from repro.service import (
+    AsyncEstimationService,
+    EstimateCache,
+    EstimationService,
     FaultPlan,
     FaultSpec,
     HedgePolicy,
     NullLock,
+    ProcEstimationService,
+    ProcServiceGateway,
+    RateLimitMiddleware,
     ResiliencePolicy,
     RetryPolicy,
+    ServiceGateway,
+    ServiceMiddleware,
+    SyntheticEstimator,
     Telemetry,
+    default_middlewares,
 )
-from repro.service.dispatch import GatewayDispatch
+from repro.service.dispatch import GatewayDispatch, ServiceDispatch
+from repro.workload import RTX_3060, WorkloadConfig
 
 DEVICE = "dev"
 BACKOFF = 30.0
@@ -72,6 +94,16 @@ class FakeSubstrate:
     InvalidStateError = InvalidStateError
     call_lock = NullLock
     new_future = CountingFuture
+
+    @staticmethod
+    def new_master():
+        master = CountingFuture()
+        master.set_running_or_notify_cancel()
+        return master
+
+    @staticmethod
+    def share(master):
+        return master
 
     def __init__(self):
         self.lock = NullLock()
@@ -504,3 +536,326 @@ class TestCancelledOuterFuture:
         assert outer.cancelled() and outer.settles == 1
         assert h.assert_settled_once().errors == 1
         assert h.counters()["shed_on_drain"] == 1
+
+
+# ----------------------------------------------------------------------
+# the service machine
+# ----------------------------------------------------------------------
+
+WORKLOAD = WorkloadConfig("MobileNetV2", "sgd", 8)
+OTHER = WorkloadConfig("MobileNetV2", "adam", 16)
+
+
+def answer(workload=WORKLOAD):
+    return SyntheticEstimator().estimate(workload, RTX_3060)
+
+
+class FakeService(ServiceDispatch):
+    """``_launch`` parks a future the test resolves by hand."""
+
+    def __init__(self, middlewares=None, recoveries=0):
+        self.sub = FakeSubstrate()
+        super().__init__(
+            SyntheticEstimator(), middlewares, None, None, None, self.sub
+        )
+        self.launched: list[Future] = []
+        self.launch_error = None
+        self.recoveries = recoveries
+
+    def _launch(self, request, ctx):
+        if self.launch_error is not None:
+            raise self.launch_error
+        inner = Future()
+        self.launched.append(inner)
+        return inner
+
+    def _recover(self, request, ctx, error, inner):
+        if self.recoveries and isinstance(error, BrokenPipeError):
+            self.recoveries -= 1
+            return self._launch(request, ctx)
+        return None
+
+
+class ServiceHarness:
+    def __init__(self, **kwargs):
+        self.service = FakeService(**kwargs)
+        self.futures: list[Future] = []
+
+    def submit(self, workload=WORKLOAD, raises=None):
+        if raises is not None:
+            with pytest.raises(raises):
+                self.service.submit(workload, RTX_3060)
+            self.check()
+            return None
+        future = self.service.submit(workload, RTX_3060)
+        self.futures.append(future)
+        self.check()
+        return future
+
+    def step(self, action, *args):
+        action(*args)
+        self.check()
+
+    def counters(self):
+        return self.service.stats()["service"]
+
+    def check(self):
+        service = self.service
+        counters = self.counters()
+        assert counters["requests"] == (
+            counters["cache_hits"]
+            + counters["computed"]
+            + counters["deduplicated"]
+            + counters["rejected"]
+            + counters["throttled"]
+            + counters["errors"]
+            + len(service.core.inflight)
+        )
+        # every claimed slot is a launched estimation, and what a
+        # waiting drain() sees is what the machine believes
+        assert service._dispatched == len(service.core.inflight)
+        assert service.sub.idle == (service._dispatched == 0)
+        for future in self.futures:
+            assert getattr(future, "settles", 0) <= 1
+
+    def assert_settled_once(self):
+        self.check()
+        assert self.service._dispatched == 0
+        assert self.service.stats()["inflight"] == 0
+        for future in self.futures:
+            assert future.done() and future.settles == 1
+
+
+class TestServiceLifecycle:
+    def test_a_miss_is_launched_and_settled_once(self):
+        h = ServiceHarness()
+        future = h.submit()
+        (inner,) = h.service.launched
+        assert not future.done() and not h.service.sub.idle
+        h.step(inner.set_result, answer())
+        assert future.result() == answer()
+        h.assert_settled_once()
+        assert h.counters()["computed"] == 1
+
+    def test_duplicates_share_one_running_future(self):
+        h = ServiceHarness()
+        first = h.submit()
+        twins = [h.submit() for _ in range(3)]
+        assert all(twin is first for twin in twins)
+        assert len(h.service.launched) == 1
+        # handed out running: no one caller can resolve it for the rest
+        assert not first.cancel()
+        h.step(h.service.launched[0].set_result, answer())
+        h.assert_settled_once()
+        counters = h.counters()
+        assert (counters["computed"], counters["deduplicated"]) == (1, 3)
+
+    def test_a_hit_never_reaches_the_substrate(self):
+        h = ServiceHarness()
+        h.submit()
+        h.step(h.service.launched[0].set_result, answer())
+        hit = h.submit()
+        assert hit.result() is h.futures[0].result()
+        assert len(h.service.launched) == 1
+        assert h.counters()["cache_hits"] == 1
+
+    def test_the_slot_is_released_before_the_future_resolves(self):
+        """A done-callback that resubmits the fingerprint must be served
+        by the cache, not handed the already-resolved in-flight future."""
+        h = ServiceHarness()
+        first = h.submit()
+        resubmitted = []
+        first.add_done_callback(
+            lambda _: resubmitted.append(
+                h.service.submit(WORKLOAD, RTX_3060)
+            )
+        )
+        h.step(h.service.launched[0].set_result, answer())
+        (second,) = resubmitted
+        assert second is not first and second.result() is first.result()
+        counters = h.counters()
+        assert (counters["cache_hits"], counters["deduplicated"]) == (1, 0)
+        h.assert_settled_once()
+
+    def test_an_estimator_failure_settles_every_duplicate_and_frees_the_slot(self):
+        h = ServiceHarness()
+        first = h.submit()
+        assert h.submit() is first
+        h.step(h.service.launched[0].set_exception, EstimationError("boom"))
+        assert isinstance(first.exception(), EstimationError)
+        h.assert_settled_once()
+        assert h.counters()["errors"] == 1
+        h.submit()  # the fingerprint is free again: this one launches
+        assert len(h.service.launched) == 2
+
+    def test_a_launch_that_raises_surfaces_through_the_future(self):
+        h = ServiceHarness()
+        h.service.launch_error = RuntimeError("pool is gone")
+        future = h.submit()
+        assert isinstance(future.exception(), RuntimeError)
+        h.assert_settled_once()
+        assert h.counters()["errors"] == 1
+
+    def test_a_completion_hook_that_raises_is_an_error_not_a_computed(self):
+        class RejectsResults(ServiceMiddleware):
+            def on_result(self, request, result, ctx):
+                raise EstimationError("implausible")
+
+        h = ServiceHarness(middlewares=(RejectsResults(),))
+        future = h.submit()
+        h.step(h.service.launched[0].set_result, answer())
+        assert isinstance(future.exception(), EstimationError)
+        h.assert_settled_once()
+        counters = h.counters()
+        assert (counters["errors"], counters["computed"]) == (1, 0)
+
+    def test_hook_refusals_are_classified_and_never_launch(self):
+        h = ServiceHarness(
+            middlewares=(
+                RateLimitMiddleware(0.001, burst=1),
+                *default_middlewares(EstimateCache()),
+            )
+        )
+        h.submit(WorkloadConfig("no-such-model", "sgd", 8), RequestRejectedError)
+        h.submit(OTHER, RateLimitExceededError)
+        assert h.service.launched == []
+        counters = h.counters()
+        assert (counters["rejected"], counters["throttled"]) == (1, 1)
+
+    def test_a_repaired_substrate_keeps_the_slot_and_the_future(self):
+        h = ServiceHarness(recoveries=1)
+        future = h.submit()
+        h.step(h.service.launched[0].set_exception, BrokenPipeError())
+        assert not future.done() and h.service._dispatched == 1
+        assert h.submit() is future  # still the one in-flight estimation
+        h.step(h.service.launched[1].set_result, answer())
+        assert future.result() == answer()
+        h.assert_settled_once()
+        # the budget is the driver's: the next break surfaces
+        again = h.submit(OTHER)
+        h.step(h.service.launched[2].set_exception, BrokenPipeError())
+        assert isinstance(again.exception(), BrokenPipeError)
+        h.assert_settled_once()
+
+    def test_a_draining_service_refuses_at_the_gate(self):
+        h = ServiceHarness()
+        pending = h.submit()
+        h.service._draining = True
+        h.submit(OTHER, ServiceClosedError)
+        assert h.counters()["requests"] == 1  # turned away uncounted
+        h.step(h.service.launched[0].set_result, answer())
+        assert pending.result() == answer()  # nothing in flight is lost
+        h.assert_settled_once()
+
+
+# ----------------------------------------------------------------------
+# the same promises on the three real drivers
+# ----------------------------------------------------------------------
+
+#: module-level partials: picklable under any start method
+instant = partial(SyntheticEstimator)
+slow = partial(SyntheticEstimator, work_seconds=0.3)
+
+SERVICE_DRIVERS = {
+    "thread": lambda factory, **kwargs: EstimationService(
+        estimator=factory(), **kwargs
+    ),
+    "asyncio": lambda factory, **kwargs: AsyncEstimationService(
+        estimator=factory(), **kwargs
+    ),
+    "process": lambda factory, **kwargs: ProcEstimationService(
+        estimator_factory=factory, max_workers=1, **kwargs
+    ),
+}
+
+
+async def outcome(future):
+    """Await a future of either kind (the scenarios run on a loop so
+    one body serves the sync drivers and the asyncio one)."""
+    if isinstance(future, asyncio.Future):
+        return await future
+    return await asyncio.wrap_future(future)
+
+
+async def shut(service, wait=True):
+    if hasattr(service, "aclose"):
+        await service.aclose(wait=wait)
+    else:
+        service.close(wait=wait)
+
+
+@pytest.fixture
+def stray_errors(caplog):
+    """What escaped into a worker, callback or timer thread (or the
+    loop's exception handler) while the test ran."""
+    escaped = []
+    previous = threading.excepthook
+    threading.excepthook = lambda args: escaped.append(repr(args.exc_value))
+    caplog.set_level(logging.ERROR)
+    yield lambda: escaped + [
+        record.getMessage()
+        for record in caplog.records
+        if record.name in ("concurrent.futures", "asyncio")
+    ]
+    threading.excepthook = previous
+
+
+class TestEveryServiceDriver:
+    @pytest.mark.parametrize("driver", SERVICE_DRIVERS)
+    def test_one_callers_cancel_leaves_the_duplicates_intact(
+        self, driver, stray_errors
+    ):
+        # regression: the sync drivers shared a *pending* future, so one
+        # caller's cancel() succeeded, every duplicate saw
+        # CancelledError, and the worker's own settle blew up
+        async def main():
+            service = SERVICE_DRIVERS[driver](slow)
+            try:
+                impatient = service.submit(WORKLOAD, RTX_3060)
+                patient = service.submit(WORKLOAD, RTX_3060)
+                # threads share the one running future (which refuses);
+                # the loop hands each caller its own (cancel is local)
+                assert impatient.cancel() == (driver == "asyncio")
+                assert service.stats()["inflight"] == 1
+                return await outcome(patient), service.stats()["service"]
+            finally:
+                await shut(service)
+
+        result, counters = asyncio.run(main())
+        assert result.peak_bytes == answer().peak_bytes
+        assert counters["computed"] == counters["deduplicated"] == 1
+        assert counters["errors"] == 0
+        assert stray_errors() == []
+
+    @pytest.mark.parametrize("gateway_type", [ServiceGateway, ProcServiceGateway])
+    def test_a_cancel_through_the_gateway_holds_the_slot_until_the_estimate_ends(
+        self, gateway_type, stray_errors
+    ):
+        with gateway_type(num_shards=2, estimator_factory=slow) as gateway:
+            first = gateway.submit(WORKLOAD, RTX_3060)
+            second = gateway.submit(WORKLOAD, RTX_3060)
+            assert second is first and not first.cancel()
+            assert gateway.pending() == 2 and not first.done()
+            assert gateway.drain(timeout=30)  # blocks: a worker is busy
+            assert first.result(timeout=0).peak_bytes == answer().peak_bytes
+            aggregate = gateway.stats()["aggregate"]
+        assert (aggregate["computed"], aggregate["errors"]) == (1, 0)
+        assert stray_errors() == []
+
+    @pytest.mark.parametrize("driver", SERVICE_DRIVERS)
+    def test_a_launch_that_raises_surfaces_as_one_error(self, driver):
+        async def main():
+            service = SERVICE_DRIVERS[driver](instant)
+            # break the substrate out from under the service: the launch
+            # must fail through the future, not hang a single-flight slot
+            service._executor.shutdown(wait=True)
+            try:
+                with pytest.raises(RuntimeError):
+                    await outcome(service.submit(WORKLOAD, RTX_3060))
+                return service.stats()
+            finally:
+                await shut(service, wait=False)
+
+        stats = asyncio.run(main())
+        assert stats["inflight"] == 0
+        assert stats["service"]["requests"] == stats["service"]["errors"] == 1

@@ -10,6 +10,7 @@ picklable factory.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from functools import partial
@@ -32,6 +33,7 @@ from repro.service import (
 )
 from repro.service.procpool import default_estimator_factory, make_pool
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
+from tests.test_service_dispatch import SERVICE_DRIVERS, shut
 
 WORKLOAD = WorkloadConfig("MobileNetV3Small", "adam", 4)
 
@@ -192,12 +194,16 @@ class TestProcEstimationService:
         # close after drain is idempotent
         service.close()
 
-    def test_drain_racing_submit_unwinds_chain_and_reconciles_metrics(self):
+    @pytest.mark.parametrize("driver", SERVICE_DRIVERS)
+    def test_drain_racing_submit_unwinds_chain_and_reconciles_metrics(
+        self, driver
+    ):
         # a drain() can land between submit()'s intake gate and the
         # dispatch; the locked re-check must refuse the request *and*
         # unwind the already-entered middleware layers with a classified
-        # outcome.  Deterministic reproduction: a middleware that flips
-        # the draining flag while the chain is running — exactly the
+        # outcome — on every driver, since the check is the machine's.
+        # Deterministic reproduction: a middleware that flips the
+        # draining flag while the chain is running — exactly the
         # interleaving a concurrent drain produces.
         from repro.service import ServiceMiddleware
 
@@ -218,26 +224,28 @@ class TestProcEstimationService:
                 self.errors_seen.append(type(error).__name__)
 
         racer = DrainDuringHooks()
-        service = ProcEstimationService(
-            estimator_factory=fast_synthetic,
-            max_workers=1,
-            middlewares=(racer,),
-        )
-        racer.attach(service)
-        try:
-            with pytest.raises(ServiceClosedError):
-                service.submit(WORKLOAD, RTX_3060)
-            stats = service.stats()["service"]
-            # the entered layer was unwound...
-            assert racer.errors_seen == ["ServiceClosedError"]
-            # ...and the counters still reconcile: every request is
-            # classified exactly once
-            assert stats["requests"] == 1
-            assert stats["rejected"] == 1
-            assert stats["computed"] == stats["errors"] == 0
-            assert len(service.core.inflight) == 0
-        finally:
-            service.close(wait=False)
+
+        async def main():
+            service = SERVICE_DRIVERS[driver](
+                fast_synthetic, middlewares=(racer,)
+            )
+            racer.attach(service)
+            try:
+                with pytest.raises(ServiceClosedError):
+                    service.submit(WORKLOAD, RTX_3060)
+                return service.stats()["service"], len(service.core.inflight)
+            finally:
+                await shut(service, wait=False)
+
+        stats, inflight = asyncio.run(main())
+        # the entered layer was unwound...
+        assert racer.errors_seen == ["ServiceClosedError"]
+        # ...and the counters still reconcile: every request is
+        # classified exactly once
+        assert stats["requests"] == 1
+        assert stats["rejected"] == 1
+        assert stats["computed"] == stats["errors"] == 0
+        assert inflight == 0
 
     def test_dispatch_failure_releases_single_flight(self):
         service = ProcEstimationService(

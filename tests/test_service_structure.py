@@ -2,9 +2,10 @@
 
 "Policy lives once, in the sans-IO core; a driver is only the code that
 cannot be shared" is a property of the source tree, so it is checked on
-the source tree: the gateway lifecycle exists in exactly one module, the
-core modules import no concurrency substrate, and the driver modules
-make no gateway-layer decision themselves.
+the source tree: the gateway lifecycle and the service request lifecycle
+each exist in exactly one module, the core modules import no concurrency
+substrate, and the driver modules make no gateway-layer decision and no
+service-core step themselves.
 
 Run as a script to print per-module code-line counts (non-blank,
 non-comment, non-docstring) — CI prints the table next to the benchmark
@@ -44,6 +45,28 @@ LIFECYCLE = (
 )
 #: per-driver copies that must not come back
 RETIRED = ("_AsyncResilientCall", "_sync_resilience_locked", "_schedule_retry")
+#: one service's request lifecycle: written once, in ServiceDispatch
+SERVICE_LIFECYCLE = (
+    "submit",
+    "stats",
+    "fingerprint",
+    "accepts_trace",
+    "_estimate",
+    "_on_done",
+    "_resolve",
+)
+#: the per-driver completion paths / future plumbing that must not come back
+SERVICE_RETIRED = ("_run", "_redispatch", "_chain_future")
+SERVICE_DRIVERS = ("engine", "aio", "procpool")
+#: ServiceCore / SingleFlight steps only the machine may sequence
+SERVICE_STEPS = {
+    "open_request",
+    "check_deadline",
+    "note_deduplicated",
+    "run_request_hooks",
+    "claim",
+    "release",
+}
 SANS_IO = (
     "context",
     "routing",
@@ -93,6 +116,14 @@ def imported_roots(tree: ast.Module) -> set[str]:
     return roots
 
 
+def called_attributes(tree: ast.AST) -> set[str]:
+    return {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+
+
 def code_lines(path: Path) -> int:
     """Lines holding code: not blank, not comment, not docstring."""
     source = path.read_text()
@@ -137,6 +168,26 @@ def test_the_dispatch_lifecycle_is_written_once():
     }
 
 
+def test_the_service_lifecycle_is_written_once():
+    """No service driver module defines a lifecycle method (``submit``
+    and friends are also gateway/client method names, so the check is
+    per driver module, not tree-wide) or makes a core step call."""
+    trees = modules()
+    dispatch = trees["dispatch.py"]
+    (machine,) = [
+        node
+        for node in dispatch.body
+        if isinstance(node, ast.ClassDef) and node.name == "ServiceDispatch"
+    ]
+    assert set(SERVICE_LIFECYCLE) <= defined_names(machine)
+    for name in SERVICE_DRIVERS:
+        tree = trees[f"{name}.py"]
+        copies = defined_names(tree) & set(SERVICE_LIFECYCLE + SERVICE_RETIRED)
+        assert not copies, f"{name}.py defines {sorted(copies)}"
+        steps = called_attributes(tree) & SERVICE_STEPS
+        assert not steps, f"{name}.py calls {sorted(steps)}"
+
+
 def test_the_core_imports_no_concurrency_substrate():
     trees = modules()
     for name in SANS_IO:
@@ -150,12 +201,7 @@ def test_drivers_make_no_gateway_decision():
     trees = modules()
     for name in DRIVERS:
         tree = trees[f"{name}.py"]
-        calls = {
-            node.func.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-        }
+        calls = called_attributes(tree)
         assert not calls & DECISIONS, f"{name}.py calls {calls & DECISIONS}"
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):

@@ -131,6 +131,20 @@ class TestBlockingClient:
                 with pytest.raises(ValueError, match="host-local"):
                     client.submit(WORKLOAD, RTX_3060, trace=object())
 
+    def test_cancelling_a_pending_future_leaves_the_reader_alive(self):
+        # regression: the response to a caller-cancelled request used to
+        # raise InvalidStateError inside the reader thread, which died
+        # without marking the connection lost — every later call then
+        # blocked for the whole client timeout
+        slow = partial(SyntheticEstimator, work_seconds=0.2)
+        with tcp_server(estimator_factory=slow) as server:
+            with TcpServiceClient(*server.address, timeout=2.0) as client:
+                abandoned = client.submit(WORKLOAD, RTX_3060)
+                assert abandoned.cancel()
+                # its frame arrives before this one's answer does
+                assert client.estimate(OTHER, RTX_3060).peak_bytes > 0
+                assert client._reader.is_alive()
+
     def test_replay_accounting_matches_threads_driver(self):
         trace = generate_traffic(
             "adversarial", 60, seed=3, unique_workloads=6
@@ -341,6 +355,23 @@ class TestAsyncClient:
         assert result == direct
         assert rtt < 5.0
         assert stats["gateway"]["requests"] == 1
+
+    def test_cancelling_a_pending_future_leaves_the_reader_alive(self):
+        slow = partial(SyntheticEstimator, work_seconds=0.2)
+        with tcp_server(estimator_factory=slow) as server:
+            host, port = server.address
+
+            async def main():
+                async with await AsyncTcpServiceClient.connect(
+                    host, port
+                ) as client:
+                    abandoned = client.submit(WORKLOAD, RTX_3060)
+                    assert abandoned.cancel()
+                    return await asyncio.wait_for(
+                        client.estimate(OTHER, RTX_3060), timeout=2.0
+                    )
+
+            assert asyncio.run(main()).peak_bytes > 0
 
     def test_replay_async_drives_the_wire_client(self):
         from repro.service import replay_async
