@@ -1,7 +1,6 @@
 """Command-line interface.
 
-``xmem estimate | models | devices | trace | curve | batch | serve-demo |
-loadtest``
+``xmem estimate | models | devices | trace | curve | batch | loadtest``
 """
 
 from __future__ import annotations
@@ -204,66 +203,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"hit rate {service_stats['cache_hit_rate']:.0%}, "
         f"p50 {(service_stats['latency_seconds']['p50'] or 0) * 1e3:.1f} ms"
     )
-    return 0
-
-
-def _cmd_serve_demo(args: argparse.Namespace) -> int:
-    """Replay a synthetic repeated-workload request trace at the service."""
-    import random
-
-    from .service import (
-        AuditLogMiddleware,
-        CacheMiddleware,
-        EstimateCache,
-        EstimationService,
-        TimingMiddleware,
-        ValidationMiddleware,
-        estimate_many,
-    )
-
-    rng = random.Random(args.seed)
-    models = [s.name for s in list_models()]
-    uniques = [
-        WorkloadConfig(
-            model=rng.choice(models[: args.unique * 2]),
-            optimizer=rng.choice(("sgd", "adam")),
-            batch_size=rng.choice((8, 16, 32)),
-        )
-        for _ in range(args.unique)
-    ]
-    device = _DEVICES[args.device]
-    requests = [(rng.choice(uniques), device) for _ in range(args.requests)]
-
-    cache = EstimateCache(max_entries=args.cache_entries)
-    audit = AuditLogMiddleware(max_records=args.requests * 2)
-    with EstimationService(
-        estimator=XMemEstimator(iterations=args.iterations, curve=False),
-        middlewares=(
-            TimingMiddleware(),
-            ValidationMiddleware(),
-            audit,
-            CacheMiddleware(cache),
-        ),
-        cache=cache,
-        max_workers=args.workers,
-    ) as service:
-        # waves model request bursts arriving over time: the first wave
-        # exercises single-flight dedup, later waves hit the cache
-        wave_size = max(1, len(requests) // args.waves)
-        for start in range(0, len(requests), wave_size):
-            estimate_many(
-                service,
-                requests[start : start + wave_size],
-                share_profiles=False,
-            )
-        stats = service.stats()
-    print(
-        f"served {args.requests} requests "
-        f"({args.unique} unique workloads, {args.waves} waves) "
-        f"on {device.name}"
-    )
-    print(json.dumps(stats, indent=2))
-    print(f"audit trail: {len(audit.records)} records")
     return 0
 
 
@@ -795,31 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=4)
     batch.add_argument("--json", action="store_true")
     batch.set_defaults(func=_cmd_batch)
-
-    serve = sub.add_parser(
-        "serve-demo",
-        help="replay a synthetic request trace at the estimation service",
-    )
-    serve.add_argument(
-        "--requests", type=int, default=40,
-        help="total requests in the synthetic trace",
-    )
-    serve.add_argument(
-        "--unique", type=int, default=4,
-        help="distinct workloads the trace draws from",
-    )
-    serve.add_argument(
-        "--device", choices=sorted(_DEVICES), default="rtx3060"
-    )
-    serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument(
-        "--waves", type=int, default=4,
-        help="bursts the trace is split into (later waves hit the cache)",
-    )
-    serve.add_argument("--iterations", type=int, default=3)
-    serve.add_argument("--cache-entries", type=int, default=1024)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.set_defaults(func=_cmd_serve_demo)
 
     loadtest = sub.add_parser(
         "loadtest",

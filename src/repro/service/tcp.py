@@ -27,7 +27,11 @@ Pieces:
   surface (returns :class:`concurrent.futures.Future`), so the existing
   :func:`~repro.service.traffic.replay` drives it unchanged.
 * :class:`AsyncTcpServiceClient` — the awaitable mirror, matching
-  :func:`~repro.service.aio.replay_async`.
+  :func:`~repro.service.aio.replay_async`.  Both clients are shells over
+  the one sans-IO :class:`~repro.service.wire.ClientProtocol`: a shell
+  holds a socket, the thread or task that reads it and (blocking only)
+  the dial loop; ids, frames, the pending table and every decision
+  about a response or a lost connection live in the protocol.
 * :class:`TcpServerThread` — gateway + server on a private event loop in
   a daemon thread, for in-process loadtests and tests.
 
@@ -51,20 +55,19 @@ from ..errors import ConnectionLostError, ServiceClosedError
 from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .aio import AsyncServiceGateway
+from .context import NullLock
 from .wire import (
-    MAX_FRAME_BYTES,
     OP_DRAIN,
     OP_ESTIMATE,
     OP_ESTIMATE_MANY,
     OP_PING,
     OP_STATS,
+    ClientProtocol,
     FrameDecoder,
     WireProtocolError,
     encode_frame,
-    error_from_wire,
     error_response,
     ok_response,
-    result_from_wire,
     result_to_wire,
     validate_request_message,
 )
@@ -80,6 +83,11 @@ _READ_CHUNK = 64 * 1024
 #: recv() size of a server connection's transport: small enough that
 #: malloc serves it from a free list, not from the top of the heap
 _TRANSPORT_READ_BYTES = 16 * 1024
+#: a lost connection is re-dialed this many times, sleeping
+#: ``_RECONNECT_BACKOFF`` seconds before the second try and twice as
+#: long before each one after
+_RECONNECT_ATTEMPTS = 4
+_RECONNECT_BACKOFF = 0.02
 
 
 def _decode_estimate_payload(
@@ -139,13 +147,11 @@ class TcpEstimationServer:
         gateway: AsyncServiceGateway,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
         clock: Callable[[], float] = time.perf_counter,
     ):
         self.gateway = gateway
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
         self._clock = clock
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections = 0
@@ -207,7 +213,7 @@ class TcpEstimationServer:
         # trip on loopback) — and whether it lands there flips with any
         # unrelated change to what the process allocated before
         writer.transport.max_size = _TRANSPORT_READ_BYTES
-        decoder = FrameDecoder(self.max_frame_bytes)
+        decoder = FrameDecoder()
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         try:
@@ -401,15 +407,12 @@ class TcpEstimationServer:
         nowhere to go.
         """
         try:
-            frame = encode_frame(payload, self.max_frame_bytes)
+            frame = encode_frame(payload)
         except WireProtocolError as error:
             # the response itself would not frame (oversized/unencodable
             # detail) — tell the client *something* rather than leaving
             # its future hanging
-            frame = encode_frame(
-                error_response(payload.get("id"), error),
-                self.max_frame_bytes,
-            )
+            frame = encode_frame(error_response(payload.get("id"), error))
         async with write_lock:
             if writer.is_closing():
                 return
@@ -421,77 +424,6 @@ class TcpEstimationServer:
 
 
 # ----------------------------------------------------------------------
-# what the two clients share
-# ----------------------------------------------------------------------
-
-
-def _estimate_message(
-    workload: WorkloadConfig,
-    device: DeviceSpec,
-    trace: Optional[Trace],
-    deadline: Optional[float],
-    metadata: Optional[dict],
-    tenant: str,
-    priority: int,
-    clock: Callable[[], float],
-) -> dict:
-    """The estimate frame a client sends (``id`` is stamped at send)."""
-    if trace is not None:
-        raise ValueError(
-            "traces are host-local CPU profiles and do not cross the "
-            "wire; the server profiles (or synthesizes) on its side"
-        )
-    message = {
-        "op": OP_ESTIMATE,
-        "request": {
-            "workload": workload.as_dict(),
-            "device": device.as_dict(),
-        },
-        "deadline_remaining": (
-            None if deadline is None else deadline - clock()
-        ),
-    }
-    if metadata:
-        message["request"]["metadata"] = dict(metadata)
-    # tenant/priority ride only off their defaults so untenanted
-    # frames stay byte-identical to pre-control-plane clients
-    if tenant:
-        message["request"]["tenant"] = tenant
-    if priority != 1:
-        message["request"]["priority"] = priority
-    return message
-
-
-#: op -> what a successful response frame resolves the caller's future to
-_RESPONSE_VALUE = {
-    OP_ESTIMATE: lambda message: result_from_wire(message["result"]),
-    OP_ESTIMATE_MANY: lambda message: message["results"],
-    OP_STATS: lambda message: message["stats"],
-    OP_DRAIN: lambda message: message.get("drained", False),
-}
-
-
-def _settle_response(op: str, future, message: dict) -> None:
-    """Resolve one pending request's future from its response frame."""
-    if future.done():
-        # the caller cancelled it: settling would raise InvalidStateError
-        # out of the read loop and strand every later request
-        return
-    if not message.get("ok"):
-        future.set_exception(error_from_wire(message.get("error", {})))
-        return
-    decode = _RESPONSE_VALUE.get(op)
-    try:
-        value = True if decode is None else decode(message)
-    except (KeyError, WireProtocolError) as error:
-        future.set_exception(
-            WireProtocolError(f"malformed {op} response: {error!r}")
-        )
-    else:
-        future.set_result(value)
-
-
-# ----------------------------------------------------------------------
 # blocking client
 # ----------------------------------------------------------------------
 
@@ -499,11 +431,14 @@ def _settle_response(op: str, future, message: dict) -> None:
 class TcpServiceClient:
     """Blocking TCP client with the in-process drivers' submit surface.
 
-    ``submit`` writes one frame and returns a
-    :class:`concurrent.futures.Future`; a reader thread resolves pending
-    futures as response frames arrive (matched by message id, so
-    responses may come back out of order).  Wire errors are reconstructed
-    as their local exception types — a shed raises
+    A shell over :class:`~repro.service.wire.ClientProtocol`: it owns
+    the socket, the reader thread, the send lock and the dial loop, and
+    nothing that looks inside a frame.  ``submit`` writes one frame and
+    returns a :class:`concurrent.futures.Future`; the reader thread
+    hands what it reads to the protocol, which resolves pending futures
+    as response frames arrive (matched by message id, so responses may
+    come back out of order).  Wire errors are reconstructed as their
+    local exception types — a shed raises
     :class:`~repro.errors.RateLimitExceededError` from ``future.result()``
     exactly as the thread gateway raises it from ``submit`` — so
     :func:`~repro.service.traffic.replay` drives this client unchanged.
@@ -528,46 +463,39 @@ class TcpServiceClient:
         host: str,
         port: int,
         timeout: Optional[float] = 30.0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
         clock: Callable[[], float] = time.perf_counter,
         reconnect: bool = False,
-        reconnect_attempts: int = 4,
-        reconnect_backoff: float = 0.02,
     ):
         self.timeout = timeout
-        self.max_frame_bytes = max_frame_bytes
         self._clock = clock
-        self._host = host
-        self._port = port
+        self._address = (host, port)
         self._reconnect = reconnect
-        self._reconnect_attempts = reconnect_attempts
-        self._reconnect_backoff = reconnect_backoff
         self.reconnects = 0
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._protocol = ClientProtocol(threading.Lock(), Future, clock)
+        self._send_lock = threading.Lock()
+        self._dial_lock = threading.Lock()
+        self._sock = self._dial()
+        self._start_reader(self._sock, 0)
+
+    def _dial(self) -> socket.socket:
+        sock = socket.create_connection(self._address, timeout=self.timeout)
         # the reader thread blocks in recv indefinitely; per-op timeouts
         # are enforced by the waiters on their futures instead
-        self._sock.settimeout(None)
-        self._send_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._dial_lock = threading.Lock()
-        self._pending: dict[int, tuple[str, Future]] = {}
-        self._next_id = 0
-        self._closed = False
-        self._connection_lost: Optional[Exception] = None
-        self._reader = self._start_reader(self._sock)
+        sock.settimeout(None)
+        return sock
 
-    def _start_reader(self, sock: socket.socket) -> threading.Thread:
-        # the reader captures its socket: after a reconnect swaps
-        # self._sock, a lingering old reader must keep draining the old
-        # socket, never the new one
-        reader = threading.Thread(
+    def _start_reader(self, sock: socket.socket, connection: int) -> None:
+        # the reader captures its socket and that socket's connection
+        # number: after a reconnect swaps self._sock, a lingering old
+        # reader keeps draining the old socket, never the new one, and
+        # the protocol drops what it reports
+        self._reader = threading.Thread(
             target=self._read_loop,
-            args=(sock,),
+            args=(sock, connection),
             name="tcp-client-reader",
             daemon=True,
         )
-        reader.start()
-        return reader
+        self._reader.start()
 
     # ------------------------------------------------------------------
     # driver surface
@@ -583,17 +511,10 @@ class TcpServiceClient:
         priority: int = 1,
     ) -> Future:
         """Send one estimate request; returns a future of the result."""
-        message = _estimate_message(
-            workload,
-            device,
-            trace,
-            deadline,
-            metadata,
-            tenant,
-            priority,
-            self._clock,
+        return self._send(
+            self._protocol.estimate_request,
+            workload, device, trace, deadline, metadata, tenant, priority,
         )
-        return self._request(OP_ESTIMATE, message)
 
     def estimate(
         self,
@@ -612,40 +533,27 @@ class TcpServiceClient:
         return_exceptions: bool = False,
     ) -> list:
         """Bulk request over one frame; results in request order."""
-        message = {
-            "op": OP_ESTIMATE_MANY,
-            "requests": [
-                {"workload": w.as_dict(), "device": d.as_dict()}
-                for w, d in requests
-            ],
-        }
-        entries = self._request(OP_ESTIMATE_MANY, message).result(
-            self.timeout
-        )
-        results = []
-        for entry in entries:
-            if entry.get("ok"):
-                results.append(result_from_wire(entry["result"]))
-                continue
-            error = error_from_wire(entry.get("error", {}))
-            if not return_exceptions:
-                raise error
-            results.append(error)
+        results = self._send(
+            self._protocol.estimate_many_request, requests
+        ).result(self.timeout)
+        if not return_exceptions:
+            for result in results:
+                if isinstance(result, Exception):
+                    raise result
         return results
 
     def stats(self) -> dict:
         """The server gateway's stats snapshot (one round trip)."""
-        return self._request(OP_STATS, {"op": OP_STATS}).result(self.timeout)
+        return self._send(self._protocol.stats_request).result(self.timeout)
 
     def ping(self) -> float:
         """Round-trip one empty frame; returns seconds taken."""
         started = self._clock()
-        self._request(OP_PING, {"op": OP_PING}).result(self.timeout)
+        self._send(self._protocol.ping_request).result(self.timeout)
         return self._clock() - started
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Ask the server gateway to drain; True when it went idle."""
-        message = {"op": OP_DRAIN, "timeout": timeout}
         # the server may legitimately take the whole drain timeout before
         # answering; a None client timeout still means wait forever
         wait = (
@@ -653,21 +561,17 @@ class TcpServiceClient:
             if self.timeout is None
             else self.timeout + (timeout if timeout is not None else 0.0)
         )
-        return self._request(OP_DRAIN, message).result(wait)
+        return self._send(self._protocol.drain_request, timeout).result(wait)
 
     def close(self) -> None:
         """Close the socket; outstanding futures fail with ConnectionError."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
+        self._protocol.close()
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
         self._reader.join(timeout=5.0)
-        self._fail_pending(ConnectionError("client closed"))
 
     def __enter__(self) -> "TcpServiceClient":
         return self
@@ -678,141 +582,77 @@ class TcpServiceClient:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _request(self, op: str, message: dict) -> Future:
-        with self._state_lock:
-            lost = None if self._closed else self._connection_lost
-        if lost is not None:
-            if not self._reconnect:
-                raise ConnectionLostError(
-                    (), f"connection lost and reconnect is off: {lost}"
-                )
-            self._redial()
+    def _send(self, build: Callable[..., tuple], *args) -> Future:
+        """Frame one request with ``build`` (a protocol op) and write it."""
         try:
-            return self._send_once(op, message)
+            return self._write(build(*args))
         except ConnectionLostError:
-            # the connection died between our check and the send (or was
-            # aborted mid-handshake): one redial, one resend — the
-            # request never reached the server's gateway, so resending
-            # cannot double-execute it
+            # the protocol refused (the connection is known lost) or the
+            # write failed (it died just now, or was aborted
+            # mid-handshake): one redial, one resend — the request never
+            # reached the server's gateway, so resending cannot
+            # double-execute it
             if not self._reconnect:
                 raise
             self._redial()
-            return self._send_once(op, message)
+            return self._write(build(*args))
 
-    def _send_once(self, op: str, message: dict) -> Future:
-        future: Future = Future()
-        with self._state_lock:
-            if self._closed:
-                raise ServiceClosedError("client is closed")
-            msg_id = self._next_id
-            self._next_id += 1
-            self._pending[msg_id] = (op, future)
-        message["id"] = msg_id
-        frame = encode_frame(message, self.max_frame_bytes)
+    def _write(self, request: tuple) -> Future:
+        msg_id, frame, future = request
         try:
             with self._send_lock:
                 self._sock.sendall(frame)
         except OSError as error:
-            lost_error = ConnectionLostError(
-                (msg_id,), f"send failed: {error}"
-            )
-            with self._state_lock:
-                self._pending.pop(msg_id, None)
-                if self._connection_lost is None:
-                    self._connection_lost = lost_error
-            raise lost_error from error
+            raise self._protocol.send_failed(msg_id, error) from error
         return future
 
     def _redial(self) -> None:
-        """Re-establish the connection with exponential backoff.
+        """Re-establish a lost connection with exponential backoff.
 
         Serialized so concurrent submits after a drop dial once: the
-        winner swaps in the fresh socket + reader, the rest observe the
-        cleared ``_connection_lost`` flag and proceed.
+        winner swaps in the fresh socket + reader, the rest find the
+        connection no longer lost and proceed.
         """
         with self._dial_lock:
-            with self._state_lock:
-                if self._closed:
-                    raise ServiceClosedError("client is closed")
-                if self._connection_lost is None:
-                    return  # another submit already reconnected
-            delay = self._reconnect_backoff
+            if self._protocol.lost is None:
+                return  # healthy, or another submit already reconnected
             last_error: Optional[Exception] = None
-            for attempt in range(self._reconnect_attempts):
+            for attempt in range(_RECONNECT_ATTEMPTS):
                 if attempt:
-                    time.sleep(delay)
-                    delay *= 2
+                    time.sleep(_RECONNECT_BACKOFF * 2 ** (attempt - 1))
                 try:
-                    sock = socket.create_connection(
-                        (self._host, self._port), timeout=self.timeout
-                    )
+                    sock = self._dial()
                 except OSError as error:
                     last_error = error
                     continue
-                sock.settimeout(None)
-                old = self._sock
-                with self._state_lock:
-                    self._sock = sock
-                    self._connection_lost = None
-                old.close()
-                self._reader = self._start_reader(sock)
+                # socket first: once the protocol accepts requests
+                # again, they must be written to the new one
+                old, self._sock = self._sock, sock
+                try:
+                    connection = self._protocol.reconnected()
+                except ServiceClosedError:
+                    sock.close()  # close() won the race
+                    raise
+                finally:
+                    old.close()
+                self._start_reader(sock, connection)
                 self.reconnects += 1
                 return
             raise ConnectionLostError(
                 (),
-                f"reconnect failed after {self._reconnect_attempts} "
+                f"reconnect failed after {_RECONNECT_ATTEMPTS} "
                 f"attempts: {last_error}",
             )
 
-    def _read_loop(self, sock: socket.socket) -> None:
-        decoder = FrameDecoder(self.max_frame_bytes)
-        failure: Optional[Exception] = None
+    def _read_loop(self, sock: socket.socket, connection: int) -> None:
         try:
             while True:
                 data = sock.recv(_READ_CHUNK)
-                if not data:
+                if not data or not self._protocol.receive(data, connection):
                     break
-                for message in decoder.feed(data):
-                    if not self._handle_response(message):
-                        return  # connection-level error: loop is done
         except OSError:
             pass  # closed under us (client close or peer reset)
-        except WireProtocolError as error:
-            failure = error
-        with self._state_lock:
-            if self._closed:
-                return  # deliberate close(): close() fails pending itself
-            pending_ids = tuple(sorted(self._pending))
-            if failure is None:
-                # the server (or the network) dropped us mid-call: typed,
-                # with the ids of every request now in limbo
-                failure = ConnectionLostError(
-                    pending_ids, "server closed connection"
-                )
-            self._connection_lost = failure
-        self._fail_pending(failure)
-
-    def _handle_response(self, message: dict) -> bool:
-        msg_id = message.get("id")
-        if msg_id is None:
-            # connection-level error frame: the server is about to close;
-            # every outstanding request dies with the reconstructed error
-            self._fail_pending(error_from_wire(message.get("error", {})))
-            return False
-        with self._state_lock:
-            entry = self._pending.pop(msg_id, None)
-        if entry is None:
-            return True  # duplicate/unknown id: nothing to resolve
-        _settle_response(*entry, message)
-        return True
-
-    def _fail_pending(self, error: Exception) -> None:
-        with self._state_lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for _op, future in pending:
-            if not future.done():
-                future.set_exception(error)
+        self._protocol.connection_ended(connection=connection)
 
 
 # ----------------------------------------------------------------------
@@ -823,44 +663,39 @@ class TcpServiceClient:
 class AsyncTcpServiceClient:
     """Awaitable TCP client mirroring the async drivers' surface.
 
-    ``submit`` is synchronous and returns an :class:`asyncio.Future`
-    (frames go out through the stream writer's buffer), matching
+    The other shell over :class:`~repro.service.wire.ClientProtocol`: a
+    stream pair and the task that reads it.  ``submit`` is synchronous
+    and returns an :class:`asyncio.Future` (frames go out through the
+    stream writer's buffer), matching
     :meth:`~repro.service.aio.AsyncServiceGateway.submit` closely enough
     that :func:`~repro.service.aio.replay_async` drives it unchanged —
     ``stats()`` is the one awaitable difference, which the replayer
-    already accommodates.
+    already accommodates.  It never re-dials: once the connection is
+    lost, ``submit`` raises :class:`~repro.errors.ConnectionLostError`.
     """
 
     def __init__(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
         clock: Callable[[], float] = time.perf_counter,
     ):
         self._reader = reader
         self._writer = writer
-        self.max_frame_bytes = max_frame_bytes
         self._clock = clock
-        self._pending: dict[int, tuple[str, asyncio.Future]] = {}
-        self._next_id = 0
-        self._closed = False
-        self._read_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
+        loop = asyncio.get_running_loop()
+        self._protocol = ClientProtocol(NullLock(), loop.create_future, clock)
+        self._read_task = loop.create_task(self._read_loop())
 
     @classmethod
     async def connect(
         cls,
         host: str,
         port: int,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
         clock: Callable[[], float] = time.perf_counter,
     ) -> "AsyncTcpServiceClient":
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(
-            reader, writer, max_frame_bytes=max_frame_bytes, clock=clock
-        )
+        return cls(reader, writer, clock=clock)
 
     # ------------------------------------------------------------------
     # driver surface
@@ -876,17 +711,11 @@ class AsyncTcpServiceClient:
         priority: int = 1,
     ) -> "asyncio.Future":
         """Send one estimate request; returns a future of the result."""
-        message = _estimate_message(
-            workload,
-            device,
-            trace,
-            deadline,
-            metadata,
-            tenant,
-            priority,
-            self._clock,
+        return self._write(
+            self._protocol.estimate_request(
+                workload, device, trace, deadline, metadata, tenant, priority
+            )
         )
-        return self._request(OP_ESTIMATE, message)
 
     async def estimate(
         self,
@@ -898,22 +727,18 @@ class AsyncTcpServiceClient:
         return await self.submit(workload, device, deadline=deadline)
 
     async def stats(self) -> dict:
-        return await self._request(OP_STATS, {"op": OP_STATS})
+        return await self._write(self._protocol.stats_request())
 
     async def ping(self) -> float:
         started = self._clock()
-        await self._request(OP_PING, {"op": OP_PING})
+        await self._write(self._protocol.ping_request())
         return self._clock() - started
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
-        return await self._request(
-            OP_DRAIN, {"op": OP_DRAIN, "timeout": timeout}
-        )
+        return await self._write(self._protocol.drain_request(timeout))
 
     async def aclose(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        self._protocol.close()
         self._read_task.cancel()
         try:
             await self._read_task
@@ -924,7 +749,6 @@ class AsyncTcpServiceClient:
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-        self._fail_pending(ConnectionError("client closed"))
 
     async def __aenter__(self) -> "AsyncTcpServiceClient":
         return self
@@ -935,60 +759,20 @@ class AsyncTcpServiceClient:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _request(self, op: str, message: dict) -> "asyncio.Future":
-        if self._closed:
-            raise ServiceClosedError("client is closed")
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        msg_id = self._next_id
-        self._next_id += 1
-        self._pending[msg_id] = (op, future)
-        message["id"] = msg_id
-        self._writer.write(encode_frame(message, self.max_frame_bytes))
+    def _write(self, request: tuple) -> "asyncio.Future":
+        _msg_id, frame, future = request
+        self._writer.write(frame)
         return future
 
     async def _read_loop(self) -> None:
-        decoder = FrameDecoder(self.max_frame_bytes)
-        failure: Optional[Exception] = None
         try:
             while True:
                 data = await self._reader.read(_READ_CHUNK)
-                if not data:
+                if not data or not self._protocol.receive(data):
                     break
-                for message in decoder.feed(data):
-                    if not self._handle_response(message):
-                        return
-        except asyncio.CancelledError:
-            raise
-        except WireProtocolError as error:
-            failure = error
-        except (ConnectionError, OSError):
-            pass
-        if self._closed:
-            return  # deliberate aclose(): it fails pending itself
-        if failure is None:
-            failure = ConnectionLostError(
-                tuple(sorted(self._pending)), "server closed connection"
-            )
-        self._fail_pending(failure)
-
-    def _handle_response(self, message: dict) -> bool:
-        msg_id = message.get("id")
-        if msg_id is None:
-            self._fail_pending(error_from_wire(message.get("error", {})))
-            return False
-        entry = self._pending.pop(msg_id, None)
-        if entry is None:
-            return True
-        _settle_response(*entry, message)
-        return True
-
-    def _fail_pending(self, error: Exception) -> None:
-        pending = list(self._pending.values())
-        self._pending.clear()
-        for _op, future in pending:
-            if not future.done():
-                future.set_exception(error)
+        except OSError:
+            pass  # reset under us; cancellation (aclose) propagates
+        self._protocol.connection_ended()
 
 
 # ----------------------------------------------------------------------
@@ -1011,13 +795,11 @@ class TcpServerThread:
         gateway_factory: Callable[[], AsyncServiceGateway],
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
         clock: Callable[[], float] = time.perf_counter,
     ):
         self._gateway_factory = gateway_factory
         self._host = host
         self._port = port
-        self._max_frame_bytes = max_frame_bytes
         self._clock = clock
         self.gateway: Optional[AsyncServiceGateway] = None
         self.server: Optional[TcpEstimationServer] = None
@@ -1070,7 +852,6 @@ class TcpServerThread:
                 self.gateway,
                 host=self._host,
                 port=self._port,
-                max_frame_bytes=self._max_frame_bytes,
                 clock=self._clock,
             )
             await self.server.start()

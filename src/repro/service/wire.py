@@ -38,25 +38,31 @@ What travels inside frames:
 * **errors** — the service exception taxonomy via
   :func:`error_to_wire` / :func:`error_from_wire`, so a client-side
   replay classifies remote rejections/sheds/deadline misses exactly
-  like local ones;
-* **forwarded envelopes** — ``(ServiceRequest, RequestContext)`` via
-  :func:`envelope_to_wire` / :func:`envelope_from_wire`.  Time fields
-  cross the wire as *relative* budgets (age, remaining deadline) and
-  are rebased onto the receiver's clock on decode — absolute
-  ``time.monotonic`` values from another host are meaningless (see
-  :meth:`~repro.service.context.RequestContext.as_dict`).
+  like local ones.
+
+The client side of a connection is written here too, once:
+:class:`ClientProtocol` owns everything a client decides — message ids,
+the pending table, the frame of every op, which response settles which
+future with what, and when the connection counts as lost — as bytes in,
+frames and settled futures out.  The two clients in
+:mod:`repro.service.tcp` are shells around it that own a socket and the
+thread or task that reads it.  Time never crosses the wire as an
+absolute stamp: a deadline travels as *remaining budget* and is rebased
+onto the receiver's clock (see
+:meth:`~repro.service.context.RequestContext.as_dict`).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Optional
+from typing import Any, Callable, ContextManager, Optional, Sequence
 
 from ..core.result import EstimationResult
 from ..errors import (
     AuthenticationError,
     AuthorizationError,
+    ConnectionLostError,
     DeadlineExceededError,
     QuotaExceededError,
     RateLimitExceededError,
@@ -66,18 +72,16 @@ from ..errors import (
 )
 from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
-from .context import RequestContext, ServiceRequest
 
 __all__ = [
     "HEADER_BYTES",
     "MAX_FRAME_BYTES",
     "OPS",
+    "ClientProtocol",
     "FrameDecoder",
     "RemoteServiceError",
     "WireProtocolError",
     "encode_frame",
-    "envelope_from_wire",
-    "envelope_to_wire",
     "error_from_wire",
     "error_response",
     "error_to_wire",
@@ -431,42 +435,261 @@ def error_from_wire(payload: dict) -> Exception:
 
 
 # ----------------------------------------------------------------------
-# forwarded envelopes
+# the client side of one connection
 # ----------------------------------------------------------------------
 
 
-def envelope_to_wire(
-    request: ServiceRequest, ctx: RequestContext, now: float
-) -> dict:
-    """One in-progress request as a forwardable wire payload.
-
-    ``now`` is the sender's current clock reading; the context's time
-    fields cross the wire as relative budgets (age, remaining deadline)
-    so the receiver can rebase them — never as absolute monotonic
-    values, which do not survive a host boundary.
-    """
-    return {
-        "request": request.as_dict(),
-        "context": ctx.as_dict(now=now),
-    }
+#: op -> what a successful response frame resolves the caller's future to
+#: (an op not listed resolves to ``True``)
+_RESPONSE_VALUE = {
+    OP_ESTIMATE: lambda message: result_from_wire(message["result"]),
+    OP_ESTIMATE_MANY: lambda message: [
+        _outcome(OP_ESTIMATE, entry) for entry in message["results"]
+    ],
+    OP_STATS: lambda message: message["stats"],
+    OP_DRAIN: lambda message: message.get("drained", False),
+}
 
 
-def envelope_from_wire(
-    payload: dict, now: float, trace: Optional[Trace] = None
-) -> tuple[ServiceRequest, RequestContext]:
-    """Inverse of :func:`envelope_to_wire`, rebased onto the receiver.
-
-    ``now`` is the *receiver's* clock reading; the reconstructed
-    context's ``submitted_at``/``deadline`` live in the receiver's
-    clock domain with the sender's age and budget preserved.
-    """
+def _outcome(op: str, message: dict) -> Any:
+    """What one response frame carries: the op's value, or its typed
+    error — returned, not raised.  An ``estimate_many`` entry has the
+    shape of an ``estimate`` response and is decoded as one."""
     try:
-        request = ServiceRequest.from_dict(
-            payload["request"], trace=trace
+        if not message.get("ok"):
+            return error_from_wire(message.get("error", {}))
+        decode = _RESPONSE_VALUE.get(op)
+        return True if decode is None else decode(message)
+    except (AttributeError, KeyError, TypeError, WireProtocolError) as error:
+        return WireProtocolError(f"malformed {op} response: {error!r}")
+
+
+def _deliver(future, outcome: Any) -> None:
+    """Resolve ``future`` with a value, or fail it with a typed error."""
+    if future.done():
+        # the caller cancelled it: resolving would raise InvalidStateError
+        # out of the read loop and strand every later request
+        return
+    if isinstance(outcome, Exception):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
+
+
+def _fail(pending: dict, error: Exception) -> None:
+    for _op, future in pending.values():
+        _deliver(future, error)
+
+
+class ClientProtocol:
+    """What a client of the wire decides, for one connection at a time.
+
+    Bytes in, frames and settled futures out.  A shell owns the socket
+    and whatever reads it; it hands every chunk it read to
+    :meth:`receive`, reports a failed write with :meth:`send_failed`
+    and the end of the stream with :meth:`connection_ended`, and writes
+    the frames the ``*_request`` methods return.  It supplies ``lock``
+    (a ``threading.Lock`` when requests and reads run on different
+    threads, a :class:`~repro.service.context.NullLock` on an event
+    loop), ``new_future`` (what a request returns) and the ``clock``
+    deadlines are expressed in.  Futures are resolved outside the lock,
+    so a done-callback may send the next request.
+
+    Connections are numbered from 0; :meth:`reconnected` starts the next
+    one.  Whatever is read from a connection — bytes or its end — says
+    which connection it came from, and is dropped when that is no longer
+    the current one: a reader left over from before a redial must not
+    fail the requests sent on the socket that replaced its own.
+    """
+
+    def __init__(
+        self,
+        lock: ContextManager,
+        new_future: Callable[[], Any],
+        clock: Callable[[], float],
+    ):
+        self._lock = lock
+        self._new_future = new_future
+        self._clock = clock
+        self._decoder = FrameDecoder()
+        self._pending: dict[int, tuple[str, Any]] = {}
+        self._next_id = 0
+        self._connection = 0
+        self._closed = False
+        self._lost: Optional[Exception] = None
+
+    @property
+    def lost(self) -> Optional[Exception]:
+        """Why the current connection is unusable; None while it works
+        (and after :meth:`close`, when there is nothing to re-dial)."""
+        with self._lock:
+            return None if self._closed else self._lost
+
+    # ------------------------------------------------------------------
+    # requests: (message id, frame to write, future of the response)
+    # ------------------------------------------------------------------
+    def request(self, op: str, **fields: Any) -> tuple[int, bytes, Any]:
+        """Frame one message and register the future of its response.
+
+        The frame is encoded before anything is registered: a message
+        that does not frame raises :class:`WireProtocolError` and leaves
+        no pending entry behind.
+        """
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("client is closed")
+            if self._lost is not None:
+                raise ConnectionLostError(
+                    (),
+                    f"connection lost and reconnect is off: {self._lost}",
+                )
+            msg_id = self._next_id
+            frame = encode_frame({"op": op, "id": msg_id, **fields})
+            future = self._new_future()
+            self._next_id += 1
+            self._pending[msg_id] = (op, future)
+        return msg_id, frame, future
+
+    def estimate_request(
+        self,
+        workload: WorkloadConfig,
+        device: DeviceSpec,
+        trace: Optional[Trace] = None,
+        deadline: Optional[float] = None,
+        metadata: Optional[dict] = None,
+        tenant: str = "",
+        priority: int = 1,
+    ) -> tuple[int, bytes, Any]:
+        """``deadline`` is absolute on this side's clock; what is sent is
+        the budget left at framing time, which the server rebases."""
+        if trace is not None:
+            raise ValueError(
+                "traces are host-local CPU profiles and do not cross the "
+                "wire; the server profiles (or synthesizes) on its side"
+            )
+        request = {"workload": workload.as_dict(), "device": device.as_dict()}
+        if metadata:
+            request["metadata"] = dict(metadata)
+        # tenant/priority ride only off their defaults so untenanted
+        # frames stay byte-identical to pre-control-plane clients
+        if tenant:
+            request["tenant"] = tenant
+        if priority != 1:
+            request["priority"] = priority
+        remaining = None if deadline is None else deadline - self._clock()
+        return self.request(
+            OP_ESTIMATE, request=request, deadline_remaining=remaining
         )
-        ctx = RequestContext.from_dict(payload["context"], now=now)
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireProtocolError(
-            f"malformed envelope payload: {error!r}"
-        ) from error
-    return request, ctx
+
+    def estimate_many_request(
+        self, requests: Sequence[tuple[WorkloadConfig, DeviceSpec]]
+    ) -> tuple[int, bytes, Any]:
+        """One frame for the batch; the future resolves to a list, in
+        request order, of results and (per failed entry) typed errors."""
+        entries = [
+            {"workload": w.as_dict(), "device": d.as_dict()}
+            for w, d in requests
+        ]
+        return self.request(OP_ESTIMATE_MANY, requests=entries)
+
+    def stats_request(self) -> tuple[int, bytes, Any]:
+        return self.request(OP_STATS)
+
+    def ping_request(self) -> tuple[int, bytes, Any]:
+        return self.request(OP_PING)
+
+    def drain_request(
+        self, timeout: Optional[float]
+    ) -> tuple[int, bytes, Any]:
+        return self.request(OP_DRAIN, timeout=timeout)
+
+    def send_failed(
+        self, msg_id: int, error: Exception
+    ) -> ConnectionLostError:
+        """The frame of ``msg_id`` was not written: forget exactly that
+        request and return the typed error its caller gets instead."""
+        lost = ConnectionLostError((msg_id,), f"send failed: {error}")
+        with self._lock:
+            self._pending.pop(msg_id, None)
+            if self._lost is None:
+                self._lost = lost
+        return lost
+
+    # ------------------------------------------------------------------
+    # responses and the end of a connection
+    # ------------------------------------------------------------------
+    def receive(self, data: bytes, connection: int = 0) -> bool:
+        """Absorb bytes read from ``connection``; False = stop reading it.
+
+        A response settles the request whose id it echoes; an id nothing
+        waits on (unknown, or answered twice) is ignored.  ``id: null``
+        is the server's connection-level error and an unframeable stream
+        is ours: either ends the connection for every pending request.
+        """
+        answered = []
+        failure: Optional[Exception] = None
+        with self._lock:
+            if self._closed or connection != self._connection:
+                return False
+            try:
+                for message in self._decoder.feed(data):
+                    msg_id = message.get("id")
+                    if msg_id is None:
+                        failure = error_from_wire(message.get("error", {}))
+                        break
+                    entry = self._pending.pop(msg_id, None)
+                    if entry is not None:
+                        answered.append((entry, message))
+            except WireProtocolError as error:
+                failure = error
+        for (op, future), message in answered:
+            _deliver(future, _outcome(op, message))
+        if failure is not None:
+            self.connection_ended(failure, connection)
+        return failure is None
+
+    def connection_ended(
+        self, error: Optional[Exception] = None, connection: int = 0
+    ) -> None:
+        """``connection`` is over: fail what was in flight on it.
+
+        With no ``error`` (end of stream, reset) the failure is a
+        :class:`~repro.errors.ConnectionLostError` naming, sorted, the
+        ids now in limbo.  A no-op after :meth:`close` and for any
+        connection but the current one.
+        """
+        with self._lock:
+            if self._closed or connection != self._connection:
+                return
+            pending, self._pending = self._pending, {}
+            if error is None:
+                error = ConnectionLostError(
+                    tuple(sorted(pending)), "server closed connection"
+                )
+            if self._lost is None:
+                self._lost = error
+        _fail(pending, error)
+
+    def reconnected(self) -> int:
+        """A fresh connection replaced the lost one; returns its number."""
+        # a failed write can condemn a connection before its reader sees
+        # the end: nothing will read the answers still waited for on it
+        self.connection_ended(connection=self._connection)
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("client is closed")
+            self._decoder = FrameDecoder()
+            self._lost = None
+            self._connection += 1
+            return self._connection
+
+    def close(self) -> None:
+        """Deliberate close: outstanding futures fail with a plain
+        ``ConnectionError`` (not the typed loss), later requests with
+        :class:`~repro.errors.ServiceClosedError`."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            pending, self._pending = self._pending, {}
+        _fail(pending, ConnectionError("client closed"))

@@ -128,26 +128,6 @@ class TestServiceCommands:
         assert cell["estimated_peak_bytes"] > 0
         assert payload["stats"]["service"]["requests"] == 1
 
-    def test_serve_demo(self, capsys):
-        code = main([
-            "serve-demo", "--requests", "8", "--unique", "2",
-            "--iterations", "2", "--waves", "2", "--seed", "1",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 8 requests" in out
-        stats = json.loads(out[out.index("{") : out.rindex("}") + 1])
-        service = stats["service"]
-        assert service["requests"] == 8
-        # every request resolves exactly once across the three paths
-        assert (
-            service["computed"]
-            + service["cache_hits"]
-            + service["deduplicated"]
-            == 8
-        )
-        assert stats["cache"]["size"] == service["computed"]
-
 
 class TestLoadtest:
     def test_human_output(self, capsys):
@@ -178,6 +158,26 @@ class TestLoadtest:
         )
         assert payload["rejected"] > 0
         assert payload["stats"]["gateway"]["num_shards"] == 2
+
+    def test_real_pipeline_resolves_every_request_exactly_once(self, capsys):
+        code = main([
+            "loadtest", "--estimator", "xmem", "--scenario", "uniform",
+            "--shards", "1", "--requests", "8", "--unique", "2",
+            "--iterations", "2", "--waves", "2", "--seed", "1", "--json",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["answered"] == 8
+        service = payload["stats"]["aggregate"]
+        assert service["requests"] == 8
+        # every request resolves exactly once across the three paths
+        assert (
+            service["computed"]
+            + service["cache_hits"]
+            + service["deduplicated"]
+            == 8
+        )
+        assert service["cache"]["size"] == service["computed"]
 
     def test_policy_and_scenario_choices_are_validated(self):
         with pytest.raises(SystemExit):

@@ -2,10 +2,11 @@
 
 "Policy lives once, in the sans-IO core; a driver is only the code that
 cannot be shared" is a property of the source tree, so it is checked on
-the source tree: the gateway lifecycle and the service request lifecycle
-each exist in exactly one module, the core modules import no concurrency
-substrate, and the driver modules make no gateway-layer decision and no
-service-core step themselves.
+the source tree: the gateway lifecycle, the service request lifecycle and
+the TCP client protocol each exist in exactly one module, the core
+modules import no concurrency substrate, and the driver modules make no
+gateway-layer decision, no service-core step and no use of a frame's
+contents themselves.
 
 Run as a script to print per-module code-line counts (non-blank,
 non-comment, non-docstring) — CI prints the table next to the benchmark
@@ -67,6 +68,42 @@ SERVICE_STEPS = {
     "claim",
     "release",
 }
+#: the client side of the wire: written once, in wire.ClientProtocol
+CLIENT_LIFECYCLE = (
+    "request",
+    "estimate_request",
+    "estimate_many_request",
+    "stats_request",
+    "ping_request",
+    "drain_request",
+    "send_failed",
+    "receive",
+    "connection_ended",
+    "reconnected",
+    "_outcome",
+    "_deliver",
+)
+#: the twin clients' copies of it that must not come back in tcp.py
+CLIENT_RETIRED = (
+    "_handle_response",
+    "_fail_pending",
+    "_send_once",
+    "_estimate_message",
+    "_settle_response",
+)
+CLIENT_SHELLS = ("TcpServiceClient", "AsyncTcpServiceClient")
+#: what a shell would need in order to look inside a frame
+FRAME_CODEC = {
+    "FrameDecoder",
+    "encode_frame",
+    "error_from_wire",
+    "result_from_wire",
+    "OP_PING",
+    "OP_ESTIMATE",
+    "OP_ESTIMATE_MANY",
+    "OP_STATS",
+    "OP_DRAIN",
+}
 SANS_IO = (
     "context",
     "routing",
@@ -75,6 +112,7 @@ SANS_IO = (
     "resilience",
     "faults",
     "dispatch",
+    "wire",
 )
 DRIVERS = ("gateway", "aio")
 #: ResilienceCore / FaultInjector decisions and the ledger's write call
@@ -188,11 +226,58 @@ def test_the_service_lifecycle_is_written_once():
         assert not steps, f"{name}.py calls {sorted(steps)}"
 
 
+def test_the_client_protocol_is_written_once():
+    """The protocol's steps are defined in ``wire.py`` only, all of them
+    on ``ClientProtocol`` or beside it; the twins' copies stay gone; and
+    neither shell touches the codec, an op name or a field of a frame."""
+    trees = modules()
+    homes = {name: [] for name in CLIENT_LIFECYCLE}
+    for module, tree in trees.items():
+        for name in defined_names(tree) & homes.keys():
+            homes[name].append(module)
+    assert homes == {name: ["wire.py"] for name in CLIENT_LIFECYCLE}
+    (protocol,) = [
+        node
+        for node in trees["wire.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "ClientProtocol"
+    ]
+    assert {"close", "lost"} <= defined_names(protocol)
+    tcp = trees["tcp.py"]
+    copies = defined_names(tcp) & set(CLIENT_RETIRED)
+    assert not copies, f"tcp.py defines {sorted(copies)}"
+    shells = [
+        node
+        for node in tcp.body
+        if isinstance(node, ast.ClassDef) and node.name in CLIENT_SHELLS
+    ]
+    assert len(shells) == len(CLIENT_SHELLS)
+    for shell in shells:
+        for node in ast.walk(shell):
+            if isinstance(node, ast.Name):
+                assert node.id not in FRAME_CODEC, (
+                    f"{shell.name} uses {node.id}"
+                )
+            # message["field"] / message.get("field"): reading a frame
+            if isinstance(node, ast.Subscript):
+                key = getattr(node.slice, "value", None)
+                assert not isinstance(key, str), (
+                    f"{shell.name} subscripts with {key!r}"
+                )
+        reads = called_attributes(shell) & {"get", "pop", "feed"}
+        assert not reads, f"{shell.name} calls {sorted(reads)}"
+
+
 def test_the_core_imports_no_concurrency_substrate():
     trees = modules()
     for name in SANS_IO:
-        leaked = imported_roots(trees[f"{name}.py"]) & {"threading", "asyncio"}
+        leaked = imported_roots(trees[f"{name}.py"]) & {
+            "threading",
+            "asyncio",
+            "socket",
+        }
         assert not leaked, f"{name}.py imports {sorted(leaked)}"
+    # the protocol takes its future type from the shell, too
+    assert "concurrent" not in imported_roots(trees["wire.py"])
 
 
 def test_drivers_make_no_gateway_decision():

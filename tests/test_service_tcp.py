@@ -39,7 +39,7 @@ from repro.service import (
     generate_traffic,
     replay,
 )
-from repro.service.wire import FrameDecoder, encode_frame
+from repro.service.wire import FrameDecoder, WireProtocolError, encode_frame
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 
 WORKLOAD = WorkloadConfig("MobileNetV2", "sgd", 8)
@@ -334,6 +334,35 @@ class TestConnectionLoss:
 
             error = asyncio.run(main())
         assert error.pending_request_ids
+
+    def test_async_client_refuses_requests_once_the_connection_is_lost(self):
+        # regression: the awaitable client kept accepting requests after
+        # the server dropped it, wrote them into the dead transport and
+        # returned futures that never settled
+        with tcp_server(fault_plan=self.drop_first_request_plan()) as server:
+            host, port = server.address
+
+            async def main():
+                async with await AsyncTcpServiceClient.connect(
+                    host, port
+                ) as client:
+                    with pytest.raises(ConnectionLostError):
+                        await client.estimate(WORKLOAD, RTX_3060)
+                    with pytest.raises(ConnectionLostError, match="reconnect"):
+                        client.submit(OTHER, RTX_4060)
+
+            asyncio.run(main())
+
+    def test_an_unframeable_request_is_not_reported_as_in_flight(self):
+        # regression: the request was registered before it was encoded,
+        # so the id of one that never left the process stayed pending
+        with tcp_server(fault_plan=self.drop_first_request_plan()) as server:
+            with TcpServiceClient(*server.address) as client:
+                with pytest.raises(WireProtocolError):
+                    client.submit(WORKLOAD, RTX_3060, metadata={"x": object()})
+                with pytest.raises(ConnectionLostError) as excinfo:
+                    client.estimate(OTHER, RTX_4060)
+        assert len(excinfo.value.pending_request_ids) == 1
 
 
 class TestAsyncClient:
