@@ -2,8 +2,8 @@
 
 The paper positions xMem as middleware an admission controller queries
 before placing jobs.  This example stands up a full service stack —
-timing, validation, rate limiting, audit log, fingerprint cache — and
-drives it two ways:
+rate limiting, validation, fingerprint cache, with telemetry (audit
+ledger + latency metrics) switched on — and drives it two ways:
 
 1. a burst of raw requests (repeats are deduplicated and cached);
 2. a :class:`ServiceAdmissionController` that turns a job queue into
@@ -18,12 +18,11 @@ from repro import RTX_3060, WorkloadConfig, XMemEstimator, format_gb
 from repro.cluster import ServiceAdmissionController
 from repro.runtime import run_gpu_ground_truth
 from repro.service import (
-    AuditLogMiddleware,
     CacheMiddleware,
     EstimateCache,
     EstimationService,
     RateLimitMiddleware,
-    TimingMiddleware,
+    Telemetry,
     ValidationMiddleware,
     estimate_many,
 )
@@ -47,18 +46,19 @@ JOB_QUEUE = [
 
 def main() -> None:
     cache = EstimateCache(max_entries=256, ttl_seconds=3600)
-    audit = AuditLogMiddleware()
+    # the chain is policy; what happened to each request is observed by
+    # the service core and lands in the telemetry bundle
+    telemetry = Telemetry(max_ledger_events=1000)
     service = EstimationService(
         estimator=XMemEstimator(iterations=2),
         middlewares=(
-            TimingMiddleware(),
             RateLimitMiddleware(rate_per_second=100, burst=50),
             ValidationMiddleware(),
-            audit,
             CacheMiddleware(cache),
         ),
         cache=cache,
         max_workers=4,
+        telemetry=telemetry,
     )
 
     print("--- request burst through the middleware chain ---")
@@ -81,7 +81,13 @@ def main() -> None:
         f"{stats['cache_hits']} cache hits, "
         f"{stats['deduplicated']} deduplicated, "
         f"{stats['rejected']} rejected "
-        f"({len(audit.records)} audit records)"
+        f"({len(telemetry.ledger)} ledger events: "
+        f"{telemetry.ledger.summary()})"
+    )
+    latency = stats["latency_seconds"]
+    print(
+        f"answered latency p50 {latency['p50'] * 1e3:.1f} ms, "
+        f"max {latency['max'] * 1e3:.1f} ms over {latency['count']} answers"
     )
 
     print("\n--- service-backed admission + scheduling ---")

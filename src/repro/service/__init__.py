@@ -1,7 +1,7 @@
 """The estimation service: xMem as queryable middleware (paper §1, §6).
 
 Wraps any estimator behind a request pipeline — fingerprint-keyed
-caching, validation, rate limiting, audit logging — with a concurrent
+caching, validation, rate limiting, an audit ledger — with a concurrent
 worker pool and single-flight deduplication, so schedulers and admission
 controllers can query estimates at cluster rates instead of once per
 blocking call.  For traffic beyond one worker pool,
@@ -30,6 +30,7 @@ from .control import (
     QOS_CLASSES,
     AuthShimMiddleware,
     ControlPlane,
+    RateLimitMiddleware,
     TenantConfig,
     TenantGrant,
     TokenBucket,
@@ -136,13 +137,10 @@ from .tcp import (
     TcpServiceClient,
 )
 from .middleware import (
-    AuditLogMiddleware,
     CacheMiddleware,
     DeadlineMiddleware,
     MiddlewareChain,
-    RateLimitMiddleware,
     ServiceMiddleware,
-    TimingMiddleware,
     ValidationMiddleware,
     default_middlewares,
 )
@@ -153,7 +151,6 @@ __all__ = [
     "AsyncServiceGateway",
     "AsyncTcpServiceClient",
     "AuditLedger",
-    "AuditLogMiddleware",
     "AuthShimMiddleware",
     "BreakerConfig",
     "BroadcastWarmupRouting",
@@ -217,7 +214,6 @@ __all__ = [
     "Telemetry",
     "TenantConfig",
     "TenantGrant",
-    "TimingMiddleware",
     "TokenBucket",
     "Tracer",
     "TrafficRequest",

@@ -35,7 +35,8 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from ..errors import (
@@ -43,15 +44,20 @@ from ..errors import (
     AuthorizationError,
     DeadlineExceededError,
     QuotaExceededError,
+    RateLimitExceededError,
 )
+from .context import LockFactory, NullLock
 from .middleware import ServiceMiddleware
 
 __all__ = [
     "DEFAULT_PRIORITY",
+    "MAX_LAZY_TENANTS",
+    "OVERFLOW_TENANT",
     "QOS_CLASSES",
     "QOS_RESERVE",
     "AuthShimMiddleware",
     "ControlPlane",
+    "RateLimitMiddleware",
     "TenantConfig",
     "TenantGrant",
     "TokenBucket",
@@ -72,6 +78,13 @@ DEFAULT_PRIORITY = QOS_CLASSES["standard"]
 #: share below the reserve kept for interactive/standard traffic, which
 #: is what prevents priority inversion inside one tenant.
 QOS_RESERVE = {0: 0.0, 1: 0.0, 2: 0.5}
+
+#: How many unregistered tenants a plane with a ``default_config`` gives
+#: a state of their own.  Tenant names arrive off the wire, so the table
+#: they materialize must be bounded: the last slot is one shared state,
+#: :data:`OVERFLOW_TENANT`, that every further stranger admits against.
+MAX_LAZY_TENANTS = 1024
+OVERFLOW_TENANT = "(overflow)"
 
 
 def qos_class(priority: int) -> str:
@@ -214,7 +227,10 @@ class ControlPlane:
        queue slot (:class:`~repro.errors.DeadlineExceededError`);
     2. **authentication** — in strict mode an unknown tenant is refused
        (:class:`~repro.errors.AuthenticationError`); otherwise it is
-       admitted under ``default_config``;
+       admitted under ``default_config`` (at most
+       :data:`MAX_LAZY_TENANTS` stranger states, the last of them shared
+       by every stranger past the cap — still a pure function of
+       submission order);
     3. **quota** — the tenant's own token bucket
        (:class:`~repro.errors.QuotaExceededError`, ``scope="quota"``);
     4. **fair share** — the tenant's weighted slice of the fleet
@@ -257,7 +273,10 @@ class ControlPlane:
         total_weight = sum(config.weight for config in configs) or 1.0
         self._total_weight = total_weight
         for config in configs:
+            if config.name == OVERFLOW_TENANT:
+                raise ValueError(f"{OVERFLOW_TENANT!r} is a reserved name")
             self._register(config, total_weight)
+        self._registered = len(self._tenants)
 
     def _register(
         self, config: TenantConfig, total_weight: float
@@ -287,17 +306,18 @@ class ControlPlane:
                 raise AuthenticationError(
                     f"unknown tenant {tenant!r}"
                 )
+            if len(self._tenants) - self._registered >= MAX_LAZY_TENANTS - 1:
+                # the stranger table is full: everyone past the cap
+                # shares one state, so a peer minting tenant names
+                # cannot grow the plane (or its snapshot) without bound
+                tenant = OVERFLOW_TENANT
             # lazily materialize an unregistered tenant under the default
             # knobs; its weight joins the pool already priced into the
             # default's share fraction (no re-normalization — admitting a
             # stranger must not silently shrink paying tenants' shares)
-            config = TenantConfig(
-                name=tenant,
-                quota_rate=self.default_config.quota_rate,
-                quota_burst=self.default_config.quota_burst,
-                weight=self.default_config.weight,
+            state = self._tenants.get(tenant) or self._register(
+                replace(self.default_config, name=tenant), self._total_weight
             )
-            state = self._register(config, self._total_weight)
         return state
 
     def admit(
@@ -392,13 +412,13 @@ class AuthShimMiddleware(ServiceMiddleware):
             tokens = {
                 f"token-{grant.tenant}": grant for grant in grants
             }
-        self._tokens = dict(tokens)
+        self._grants = dict(tokens)
 
     def on_request(self, request, ctx):
         token = request.metadata.get("auth_token")
         if token is None:
             raise AuthenticationError("request carries no auth_token")
-        grant = self._tokens.get(token)
+        grant = self._grants.get(token)
         if grant is None:
             raise AuthenticationError("unknown auth token")
         if request.tenant and request.tenant != grant.tenant:
@@ -417,4 +437,41 @@ class AuthShimMiddleware(ServiceMiddleware):
                 f"{qos_class(request.priority)!r} (grant floor: "
                 f"{qos_class(grant.min_priority)!r})"
             )
+        return None
+
+
+class RateLimitMiddleware(ServiceMiddleware):
+    """A wall-clock :class:`TokenBucket` in front of one service: at most
+    ``burst`` requests instantly, refilled at ``rate_per_second``.
+    Placed before :class:`~repro.service.middleware.CacheMiddleware` it
+    meters every request that reaches the chain (cache hits included);
+    placed after, only computation.  Note the engine's single-flight
+    deduplication answers identical *in-flight* requests before any
+    middleware runs, so piggybacked duplicates consume no tokens.
+    """
+
+    name = "rate_limit"
+
+    def __init__(
+        self,
+        rate_per_second: float,
+        burst: int = 1,
+        clock: Callable[[], float] = time.monotonic,
+    ):
+        if rate_per_second <= 0 or burst < 1:
+            raise ValueError("rate must be positive and burst >= 1")
+        self._clock = clock
+        self._bucket = TokenBucket(burst, rate_per_second, now=clock())
+        self._lock = NullLock()
+
+    def bind_lock(self, lock_factory: LockFactory) -> None:
+        if isinstance(self._lock, NullLock):
+            self._lock = lock_factory()
+
+    def on_request(self, request, ctx):
+        with self._lock:
+            self._bucket.refill(self._clock())
+            if not self._bucket.peek():
+                raise RateLimitExceededError(self._bucket.deficit_time())
+            self._bucket.take()
         return None

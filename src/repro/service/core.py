@@ -148,6 +148,26 @@ class Admission:
     depth: int
 
 
+#: How each way a request can end is observed — ``outcome ->
+#: (ServiceMetrics recorder, ledger event, root-span status)``.  The
+#: service-side sibling of :func:`~repro.service.dispatch.admit_refusal`:
+#: every path through :class:`ServiceCore` ends in one
+#: :meth:`ServiceCore._emit` reading one row, so counter, ledger and span
+#: cannot disagree about an outcome.
+OUTCOMES = {
+    "cache_hit": ("record_cache_hit", ledger_events.CACHE_HIT, "ok"),
+    "short_circuit": ("record_computed", ledger_events.ADMIT, "ok"),
+    "computed": ("record_computed", ledger_events.COMPUTED, "ok"),
+    "deduplicated": ("record_deduplicated", ledger_events.DEDUP, "ok"),
+    "deadline": ("record_rejected", ledger_events.DEADLINE, "deadline"),
+    "throttled": ("record_throttled", ledger_events.THROTTLED, "throttled"),
+    "rejected": ("record_rejected", ledger_events.REJECTED, "rejected"),
+    "error": ("record_error", ledger_events.ERROR, "error"),
+}
+#: the outcomes that answered the caller: their recorders take the latency
+_ANSWERED = ("cache_hit", "short_circuit", "computed")
+
+
 class ServiceCore:
     """Driver-independent request pipeline for one estimation service.
 
@@ -204,6 +224,28 @@ class ServiceCore:
             attributes=attributes,
         )
 
+    def _emit(
+        self,
+        outcome: str,
+        cause: str,
+        ctx: RequestContext,
+        /,
+        worker: Optional[str] = None,
+        **span_attributes,
+    ) -> None:
+        """Observe one request's end on all three channels at once — the
+        metrics counter, the ledger event, the root span's status.  The
+        only place any of them learns how a request ended."""
+        recorder, event, status = OUTCOMES[outcome]
+        record = getattr(self.metrics, recorder)
+        if outcome in _ANSWERED:
+            record(self.clock() - ctx.submitted_at)
+        else:
+            record()
+        self._record_decision(event, cause, ctx, worker=worker)
+        if ctx.telemetry is not None:
+            ctx.telemetry.close(status, **span_attributes)
+
     def open_request(
         self,
         workload: WorkloadConfig,
@@ -257,12 +299,7 @@ class ServiceCore:
     def note_deduplicated(self, ctx: RequestContext) -> None:
         """Record that this caller piggybacked on an in-flight duplicate."""
         ctx.deduplicated = True
-        self.metrics.record_deduplicated()
-        self._record_decision(
-            ledger_events.DEDUP, "single_flight", ctx
-        )
-        if ctx.telemetry is not None:
-            ctx.telemetry.close("ok", deduplicated=True)
+        self._emit("deduplicated", "single_flight", ctx, deduplicated=True)
 
     def check_deadline(self, ctx: RequestContext) -> None:
         """Reject (and count) a request whose deadline already passed.
@@ -273,12 +310,7 @@ class ServiceCore:
         """
         now = self.clock()
         if ctx.expired(now):
-            self.metrics.record_rejected()
-            self._record_decision(
-                ledger_events.DEADLINE, "expired_before_dispatch", ctx
-            )
-            if ctx.telemetry is not None:
-                ctx.telemetry.close("deadline")
+            self._emit("deadline", "expired_before_dispatch", ctx)
             raise DeadlineExceededError(now - ctx.deadline)
 
     def run_request_hooks(
@@ -301,46 +333,28 @@ class ServiceCore:
         try:
             short, depth = self.chain.run_request(request, ctx)
         except RateLimitExceededError:
-            self.metrics.record_throttled()
-            self._record_decision(ledger_events.THROTTLED, "rate_limit", ctx)
-            if ctx.telemetry is not None:
-                ctx.telemetry.close("throttled")
+            self._emit("throttled", "rate_limit", ctx)
             raise
         except RequestRejectedError as error:
-            self.metrics.record_rejected()
-            self._record_decision(
-                ledger_events.REJECTED, type(error).__name__, ctx
-            )
-            if ctx.telemetry is not None:
-                ctx.telemetry.close("rejected")
+            self._emit("rejected", type(error).__name__, ctx)
             raise
         except BaseException as error:
-            self.metrics.record_error()
-            self._record_decision(
-                ledger_events.ERROR, type(error).__name__, ctx
-            )
-            if ctx.telemetry is not None:
-                ctx.telemetry.close("error")
+            self._emit("error", type(error).__name__, ctx)
             raise
         if short is not None:
             short = self.chain.run_result(request, short, ctx, depth)
-            latency = self.clock() - ctx.submitted_at
+            producer = ctx.short_circuited_by
             if ctx.cache_hit:
-                self.metrics.record_cache_hit(latency)
-                self._record_decision(
-                    ledger_events.CACHE_HIT,
-                    ctx.short_circuited_by or "cache",
-                    ctx,
+                self._emit(
+                    "cache_hit", producer or "cache", ctx, cache_hit=True
                 )
             else:
-                self.metrics.record_computed(latency)
-                self._record_decision(
-                    ledger_events.ADMIT,
-                    f"short_circuit:{ctx.short_circuited_by or 'unknown'}",
+                self._emit(
+                    "short_circuit",
+                    f"short_circuit:{producer or 'unknown'}",
                     ctx,
+                    cache_hit=False,
                 )
-            if ctx.telemetry is not None:
-                ctx.telemetry.close("ok", cache_hit=ctx.cache_hit)
             return Admission(result=short, depth=depth)
         now = self.clock()
         if ctx.expired(now):
@@ -349,12 +363,7 @@ class ServiceCore:
             # any other mid-chain rejection, then refuse the dispatch
             error = DeadlineExceededError(now - ctx.deadline)
             self.chain.run_error(request, error, ctx, depth)
-            self.metrics.record_rejected()
-            self._record_decision(
-                ledger_events.DEADLINE, "budget_exhausted_in_chain", ctx
-            )
-            if ctx.telemetry is not None:
-                ctx.telemetry.close("deadline")
+            self._emit("deadline", "budget_exhausted_in_chain", ctx)
             raise error
         self._record_decision(ledger_events.ADMIT, "compute", ctx)
         return Admission(result=None, depth=depth)
@@ -372,22 +381,24 @@ class ServiceCore:
         sources = getattr(result, "stage_sources", None)
         if stages:
             # staged estimators report where computed time went; recorded
-            # alongside record_computed (and never for cache hits) so the
-            # per-stage counts reconcile with the computed counter
+            # alongside the computed outcome (and never for cache hits) so
+            # the per-stage counts reconcile with the computed counter
             self.metrics.record_stages(stages, sources)
-        self.metrics.record_computed(self.clock() - ctx.submitted_at)
+        if ctx.telemetry is not None:
+            ctx.telemetry.finish_estimate(stage_seconds=stages)
         worker = ctx.tags.get("worker")
+        self._emit(
+            "computed",
+            "estimator",
+            ctx,
+            worker=str(worker) if worker is not None else None,
+            cache_hit=False,
+        )
         if worker is not None:
             # attribution only once the result is accepted: a result an
             # on_result hook rejects is classified as an error, and the
             # per-worker counts must keep summing to `computed`
             self.metrics.record_worker(worker)
-        self._record_decision(
-            ledger_events.COMPUTED,
-            "estimator",
-            ctx,
-            worker=str(worker) if worker is not None else None,
-        )
         store_stages = sorted(
             stage
             for stage, source in (sources or {}).items()
@@ -403,9 +414,6 @@ class ServiceCore:
                 ctx,
                 attributes={"stages": store_stages},
             )
-        if ctx.telemetry is not None:
-            ctx.telemetry.finish_estimate(stage_seconds=stages)
-            ctx.telemetry.close("ok", cache_hit=False)
         return result
 
     def fail(
@@ -419,13 +427,10 @@ class ServiceCore:
         could not hand the request to its substrate: unwind the entered
         ``on_error`` hooks + count it."""
         self.chain.run_error(request, error, ctx, depth)
-        self.metrics.record_error()
-        self._record_decision(
-            ledger_events.ERROR, type(error).__name__, ctx
-        )
         if ctx.telemetry is not None:
             ctx.telemetry.finish_estimate(status="error")
-            ctx.telemetry.close("error", error=type(error).__name__)
+        name = type(error).__name__
+        self._emit("error", name, ctx, error=name)
 
     def refuse(
         self,
@@ -439,10 +444,7 @@ class ServiceCore:
         driver's substrate turned the dispatch away (e.g. a pool racing
         shutdown): unwind the entered layers + count a rejection."""
         self.chain.run_error(request, error, ctx, depth)
-        self.metrics.record_rejected()
-        self._record_decision(ledger_events.REJECTED, cause, ctx)
-        if ctx.telemetry is not None:
-            ctx.telemetry.close("rejected", cause=cause)
+        self._emit("rejected", cause, ctx, cause=cause)
 
 
 # ----------------------------------------------------------------------

@@ -13,54 +13,47 @@ Every estimation request flows through an ordered chain of
   chain order.  Returning a non-None value replaces the result (used for
   enrichment; the built-ins never mutate the estimate itself).
 * ``on_error(request, error, ctx)`` — when estimation or a hook raised.
-  Observability only; the error propagates afterwards.
+  For unwinding what ``on_request`` set up; it cannot swallow the error,
+  which propagates afterwards.
 
 This mirrors the onion model of HTTP/MCP middleware stacks: the first
 middleware in the list is the outermost layer — first to see the request,
 last to see the result.
 
 The chain is part of the sans-IO core: it never imports a concurrency
-substrate.  Middlewares that mutate shared state (the token bucket, the
-audit trail, the timing reservoir) declare a :class:`~repro.service.context.NullLock`
-slot; a concurrent driver *binds* a real primitive via ``bind_lock``
-(the thread driver passes ``threading.Lock``; the asyncio driver binds
-nothing because its hooks all run on the event loop).
+substrate.  Middlewares that mutate shared state (the cache, the rate
+limiter's token bucket in :mod:`repro.service.control`) declare a
+:class:`~repro.service.context.NullLock` slot; a concurrent driver
+*binds* a real primitive via ``bind_lock`` (the thread driver passes
+``threading.Lock``; the asyncio driver binds nothing because its hooks
+all run on the event loop).
+
+The chain carries **policy only** — validate, answer from cache, stamp a
+budget, throttle, authorize.  What happened to a request is observed in
+one place, :class:`~repro.service.core.ServiceCore` (metrics window,
+ledger, root span), so a middleware instance shared by every request
+keeps no per-request state.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.result import EstimationResult
-from ..errors import (
-    ModelNotFoundError,
-    RateLimitExceededError,
-    RequestRejectedError,
-)
+from ..errors import ModelNotFoundError, RequestRejectedError
 from ..framework.optim import optimizer_names
 from ..models.registry import get_model_spec
 from .cache import EstimateCache
-from .context import (
-    LockFactory,
-    NullLock,
-    RequestContext,
-    ServiceRequest,
-)
-from .telemetry.exporters import InMemorySpanExporter
-from .telemetry.ledger import AuditLedger
-from .telemetry.spans import MIDDLEWARE_PREFIX, Span, Tracer
+from .context import LockFactory, RequestContext, ServiceRequest
 
 __all__ = [
-    "AuditLogMiddleware",
     "CacheMiddleware",
     "DeadlineMiddleware",
     "MiddlewareChain",
-    "RateLimitMiddleware",
     "RequestContext",
     "ServiceMiddleware",
     "ServiceRequest",
-    "TimingMiddleware",
     "ValidationMiddleware",
     "default_middlewares",
 ]
@@ -127,58 +120,26 @@ class MiddlewareChain:
 
         When the request carries a live tracing handle (the core attached
         one) and the tracer runs at ``detail="full"``, every
-        ``on_request`` hook runs inside its own ``middleware:<name>``
+        ``on_request`` hook is followed by its own ``middleware:<name>``
         span — the per-layer cost breakdown the span tree exists to
         show.  Untraced (or standard-detail) requests pay one check per
-        request and nothing else.
+        hook and nothing else.
         """
         telemetry = ctx.telemetry
-        if telemetry is None or telemetry.tracer.detail != "full":
-            for index, middleware in enumerate(self.middlewares):
-                try:
-                    result = middleware.on_request(request, ctx)
-                except BaseException as error:
-                    self.run_error(request, error, ctx, depth=index)
-                    raise
-                if result is not None:
-                    ctx.short_circuited_by = middleware.name
-                    return result, index
-            return None, len(self.middlewares)
-        # traced path: hooks are synchronous, so each span can be built
-        # in one shot at hook exit (2 clock reads + 1 alloc per layer)
-        # instead of going through the open/close helper chain — the
-        # middleware spans sit on every request and dominate span count
-        tracer = telemetry.tracer
-        root = telemetry.root
+        clock = None
+        if telemetry is not None and telemetry.tracer.detail == "full":
+            clock = telemetry.tracer.clock
         for index, middleware in enumerate(self.middlewares):
-            started = tracer.clock()
+            started = clock() if clock else None
             try:
                 result = middleware.on_request(request, ctx)
             except BaseException as error:
-                tracer.exporter.export(
-                    Span(
-                        name=MIDDLEWARE_PREFIX + middleware.name,
-                        trace_id=root.trace_id,
-                        span_id=tracer._new_id(),
-                        parent_id=root.span_id,
-                        start=started,
-                        end=tracer.clock(),
-                        status="error",
-                        attributes={"error": type(error).__name__},
-                    )
-                )
+                if clock:
+                    telemetry.hook_span(middleware.name, started, error)
                 self.run_error(request, error, ctx, depth=index)
                 raise
-            tracer.exporter.export(
-                Span(
-                    name=MIDDLEWARE_PREFIX + middleware.name,
-                    trace_id=root.trace_id,
-                    span_id=tracer._new_id(),
-                    parent_id=root.span_id,
-                    start=started,
-                    end=tracer.clock(),
-                )
-            )
+            if clock:
+                telemetry.hook_span(middleware.name, started)
             if result is not None:
                 ctx.short_circuited_by = middleware.name
                 return result, index
@@ -299,179 +260,6 @@ class DeadlineMiddleware(ServiceMiddleware):
         return None
 
 
-class RateLimitMiddleware(ServiceMiddleware):
-    """A token bucket: at most ``burst`` requests instantly, refilled at
-    ``rate_per_second``.  Placed before :class:`CacheMiddleware` it
-    meters every request that reaches the chain (cache hits included);
-    placed after, only computation.  Note the engine's single-flight
-    deduplication answers identical *in-flight* requests before any
-    middleware runs, so piggybacked duplicates consume no tokens.
-    """
-
-    name = "rate_limit"
-
-    def __init__(
-        self,
-        rate_per_second: float,
-        burst: int = 1,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if rate_per_second <= 0 or burst < 1:
-            raise ValueError("rate must be positive and burst >= 1")
-        self.rate = rate_per_second
-        self.burst = burst
-        self._clock = clock
-        self._tokens = float(burst)
-        self._refilled_at = clock()
-        self._lock = NullLock()
-
-    def bind_lock(self, lock_factory: LockFactory) -> None:
-        if isinstance(self._lock, NullLock):
-            self._lock = lock_factory()
-
-    def on_request(self, request, ctx):
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                float(self.burst),
-                self._tokens + (now - self._refilled_at) * self.rate,
-            )
-            self._refilled_at = now
-            if self._tokens < 1.0:
-                raise RateLimitExceededError((1.0 - self._tokens) / self.rate)
-            self._tokens -= 1.0
-        return None
-
-
-class AuditLogMiddleware(ServiceMiddleware):
-    """Keeps a bounded audit trail of requests and outcomes.
-
-    A thin adapter over :class:`~repro.service.telemetry.ledger.AuditLedger`
-    — the deque/lock bookkeeping it used to own lives there now, and the
-    ledger's durability and query surface come for free (``.ledger``).
-    The legacy ``records`` dict shape is preserved exactly.
-    """
-
-    name = "audit_log"
-
-    def __init__(
-        self,
-        max_records: int = 1000,
-        logger=None,
-        ledger: Optional[AuditLedger] = None,
-    ):
-        self.max_records = max_records
-        self.logger = logger
-        self.ledger = (
-            ledger if ledger is not None else AuditLedger(max_events=max_records)
-        )
-
-    def _append(
-        self, event: str, cause: str, ctx, fingerprint: str, attributes: dict
-    ) -> None:
-        entry = self.ledger.record(
-            event,
-            cause=cause,
-            fingerprint=fingerprint,
-            request_id=ctx.request_id,
-            shard=ctx.shard_hint,
-            attributes=attributes,
-        )
-        if self.logger is not None:
-            self.logger.info("xmem.service %s", self._legacy(entry))
-
-    @staticmethod
-    def _legacy(entry) -> dict[str, Any]:
-        """An event in the pre-ledger record shape (kept public API)."""
-        return {
-            "event": entry.event,
-            "request_id": entry.request_id,
-            "fingerprint": entry.fingerprint,
-            **entry.attributes,
-        }
-
-    def on_request(self, request, ctx):
-        self._append(
-            "request",
-            "middleware",
-            ctx,
-            request.fingerprint,
-            {
-                "workload": request.workload.as_dict(),
-                "device": request.device.name,
-            },
-        )
-        return None
-
-    def on_result(self, request, result, ctx):
-        self._append(
-            "result",
-            "middleware",
-            ctx,
-            request.fingerprint,
-            {
-                "peak_bytes": result.peak_bytes,
-                "predicts_oom": result.predicts_oom(),
-                "cache_hit": ctx.cache_hit,
-            },
-        )
-        return None
-
-    def on_error(self, request, error, ctx):
-        self._append(
-            "error",
-            type(error).__name__,
-            ctx,
-            request.fingerprint,
-            {
-                "error": type(error).__name__,
-                "message": str(error),
-            },
-        )
-
-    @property
-    def records(self) -> list[dict[str, Any]]:
-        return [self._legacy(entry) for entry in self.ledger.events()]
-
-
-class TimingMiddleware(ServiceMiddleware):
-    """Measures wall-clock time each request spends inside the service
-    (queueing + estimation; ~0 for cache hits when placed outermost).
-
-    A thin adapter over the telemetry span primitives: each completed
-    request becomes one ``service.request`` span in a private in-memory
-    exporter, and ``samples`` reads the span durations — the duplicated
-    timestamp/list/lock code is gone.
-    """
-
-    name = "timing"
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self._clock = clock
-        self._exporter = InMemorySpanExporter()
-        self._tracer = Tracer(self._exporter, clock=clock)
-
-    def on_request(self, request, ctx):
-        ctx.tags["timing_start"] = self._clock()
-        return None
-
-    def on_result(self, request, result, ctx):
-        started = ctx.tags.get("timing_start")
-        if started is not None:
-            span = self._tracer.start_span(
-                "service.request",
-                trace_id=request.fingerprint,
-                start=started,
-                attributes={"request_id": ctx.request_id},
-            )
-            self._tracer.end(span)
-        return None
-
-    @property
-    def samples(self) -> list[float]:
-        return [span.duration for span in self._exporter.spans]
-
-
 def default_middlewares(cache: EstimateCache) -> tuple[ServiceMiddleware, ...]:
-    """The standard stack: timing outermost, then validation, then cache."""
-    return (TimingMiddleware(), ValidationMiddleware(), CacheMiddleware(cache))
+    """The standard stack: validation outermost, then the cache."""
+    return (ValidationMiddleware(), CacheMiddleware(cache))

@@ -167,27 +167,18 @@ class Tracer:
         )
 
     def start_span(
-        self,
-        name: str,
-        parent: Optional[Span] = None,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-        start: Optional[float] = None,
-        attributes: Optional[dict] = None,
+        self, name: str, parent: Span, attributes: Optional[dict] = None
     ) -> Span:
-        """Open a child span (of ``parent``, or of explicit ids).
+        """Open a child span of ``parent``.
 
         Takes ownership of ``attributes``, like :meth:`start_trace`.
         """
-        if parent is not None:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
         return Span(
             name=name,
-            trace_id=trace_id or "local",
+            trace_id=parent.trace_id,
             span_id=self._new_id(),
-            parent_id=parent_id,
-            start=self.clock() if start is None else start,
+            parent_id=parent.span_id,
+            start=self.clock(),
             attributes=attributes if attributes is not None else {},
         )
 
@@ -258,20 +249,39 @@ class RequestTelemetry:
         """The JSON/pickle-safe span context for the metadata bag."""
         return {"trace_id": self.root.trace_id, "span_id": self.root.span_id}
 
-    def child(
-        self, name: str, attributes: Optional[dict] = None
-    ) -> Span:
-        """Open a span under the root (middleware hooks, estimate)."""
-        return self.tracer.start_span(
-            name, parent=self.root, attributes=attributes
-        )
+    def hook_span(
+        self,
+        name: str,
+        started: float,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Export the ``middleware:<name>`` span of one ``on_request``
+        hook that just returned (or raised ``error``).
 
-    def end(self, span: Span, status: str = "ok", **attributes) -> None:
-        self.tracer.end(span, status=status, **attributes)
+        Hooks are synchronous, so the span is built in one shot at hook
+        exit (one clock read + one alloc) instead of going through the
+        open/close helper chain — at ``detail="full"`` these sit on
+        every request and dominate the span count.
+        """
+        tracer = self.tracer
+        span = Span(
+            name=MIDDLEWARE_PREFIX + name,
+            trace_id=self.root.trace_id,
+            span_id=tracer._new_id(),
+            parent_id=self.root.span_id,
+            start=started,
+            end=tracer.clock(),
+        )
+        if error is not None:
+            span.status = "error"
+            span.attributes["error"] = type(error).__name__
+        tracer.exporter.export(span)
 
     def begin_estimate(self, **attributes) -> Span:
         """Open the estimator-invocation span (thread/asyncio drivers)."""
-        self.estimate = self.child(ESTIMATE_SPAN, attributes or None)
+        self.estimate = self.tracer.start_span(
+            ESTIMATE_SPAN, self.root, attributes or None
+        )
         return self.estimate
 
     def finish_estimate(

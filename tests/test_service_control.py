@@ -13,6 +13,7 @@ split.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,7 @@ from repro.service import (
     replay,
     tenant_configs,
 )
+from repro.service import control
 from repro.service.context import ServiceRequest
 from repro.service.wire import error_from_wire, error_to_wire
 from repro.workload import RTX_3060, WorkloadConfig
@@ -174,9 +176,15 @@ def _decide(plane: ControlPlane, calls) -> list[tuple]:
     return outcomes
 
 
+#: registered tenants plus more strangers than the patched-down cap
+#: below admits on their own buckets, so the shared overflow state is
+#: part of what must replay identically
+TENANTS = ("gold", "bronze", "stranger") + tuple(f"s{i}" for i in range(5))
+small_stranger_table = mock.patch.object(control, "MAX_LAZY_TENANTS", 3)
+
 admission_calls = st.lists(
     st.tuples(
-        st.sampled_from(("gold", "bronze", "stranger")),
+        st.sampled_from(TENANTS),
         st.sampled_from((0, 1, 2)),
         st.sampled_from((None, -0.5, 5.0)),
     ),
@@ -186,6 +194,7 @@ admission_calls = st.lists(
 
 
 class TestControlPlaneProperties:
+    @small_stranger_table
     @settings(max_examples=80, deadline=None)
     @given(calls=admission_calls)
     def test_same_sequence_same_decisions(self, calls):
@@ -197,6 +206,7 @@ class TestControlPlaneProperties:
         )
         assert _decide(build(), calls) == _decide(build(), calls)
 
+    @small_stranger_table
     @settings(max_examples=80, deadline=None)
     @given(calls=admission_calls)
     def test_admitted_never_exceeds_quota_budget(self, calls):
@@ -206,6 +216,7 @@ class TestControlPlaneProperties:
         )
         _decide(plane, calls)
         snapshot = plane.snapshot()
+        assert len(snapshot["tenants"]) <= len(ROSTER) + 3
         ticks = snapshot["tick"]
         for name, counters in snapshot["tenants"].items():
             config = next(
@@ -253,6 +264,38 @@ class TestControlPlaneDecisions:
         assert plane.admit(tenant="stranger") == "tenant:stranger"
         # the stranger's arrival must not shrink existing tenants' shares
         assert plane.snapshot()["tenants"]["gold"]["weight"] == before
+
+    def test_stranger_table_is_bounded_and_counters_conserve(self):
+        """Tenant names come off the wire: minting them must not grow
+        the plane.  Past the cap strangers share one overflow state."""
+        plane = ControlPlane(
+            ROSTER,
+            admit_rate=4.0,
+            admit_burst=8.0,
+            default_config=TenantConfig("guest", quota_rate=0.1),
+        )
+        names = [f"minted-{i}" for i in range(control.MAX_LAZY_TENANTS + 1000)]
+        outcomes = _decide(plane, [(name, 1, None) for name in names])
+        tenants = plane.snapshot()["tenants"]
+        assert len(tenants) == control.MAX_LAZY_TENANTS + len(ROSTER)
+        # under the cap a stranger is admitted on its own buckets, under
+        # its own name; past it, on the shared state (which soon sheds)
+        assert outcomes[0] == ("admitted", "tenant:minted-0")
+        overflow = tenants[control.OVERFLOW_TENANT]
+        assert overflow["admitted"] >= 1 and overflow["quota_shed"] >= 1
+        assert ("denied", "quota", control.OVERFLOW_TENANT) in outcomes
+        decided = sum(
+            row["admitted"] + row["quota_shed"] + row["share_shed"]
+            for row in tenants.values()
+        )
+        assert decided == len(names) == plane.snapshot()["tick"]
+        # a name seen before the table filled keeps its own state
+        assert plane._state("minted-0") is not plane._state("minted-late")
+        assert plane._state("minted-late").config.name == control.OVERFLOW_TENANT
+
+    def test_registering_the_overflow_name_is_refused(self):
+        with pytest.raises(ValueError, match="reserved"):
+            ControlPlane([TenantConfig(control.OVERFLOW_TENANT)])
 
     def test_quota_exhaustion_is_scope_quota(self):
         plane = ControlPlane(

@@ -5,15 +5,13 @@ import pytest
 from repro.core.result import EstimationResult
 from repro.errors import RateLimitExceededError, RequestRejectedError
 from repro.service.cache import EstimateCache
+from repro.service.control import RateLimitMiddleware
 from repro.service.middleware import (
-    AuditLogMiddleware,
     CacheMiddleware,
     MiddlewareChain,
-    RateLimitMiddleware,
     RequestContext,
     ServiceMiddleware,
     ServiceRequest,
-    TimingMiddleware,
     ValidationMiddleware,
 )
 from repro.units import GiB
@@ -202,37 +200,22 @@ class TestRateLimitMiddleware:
         with pytest.raises(ValueError):
             RateLimitMiddleware(rate_per_second=1, burst=0)
 
-
-class TestAuditLogMiddleware:
-    def test_records_request_result_error(self):
-        audit = AuditLogMiddleware()
-        request, ctx = make_request(), make_ctx()
-        audit.on_request(request, ctx)
-        audit.on_result(request, make_result(), ctx)
-        audit.on_error(request, RuntimeError("boom"), ctx)
-        events = [r["event"] for r in audit.records]
-        assert events == ["request", "result", "error"]
-        assert audit.records[0]["workload"] == WORKLOAD.as_dict()
-        assert audit.records[2]["error"] == "RuntimeError"
-
-    def test_trail_is_bounded(self):
-        audit = AuditLogMiddleware(max_records=3)
-        for index in range(10):
-            audit.on_request(make_request(fingerprint=str(index)), make_ctx())
-        records = audit.records
-        assert len(records) == 3
-        assert [r["fingerprint"] for r in records] == ["7", "8", "9"]
-
-
-class TestTimingMiddleware:
-    def test_measures_request_to_result(self):
-        now = [0.0]
-        timing = TimingMiddleware(clock=lambda: now[0])
-        request, ctx = make_request(), make_ctx()
-        timing.on_request(request, ctx)
-        now[0] += 0.25
-        timing.on_result(request, make_result(), ctx)
-        assert timing.samples == [0.25]
+    def test_backwards_clock_mints_nothing_and_does_not_throttle_early(self):
+        now = [10.0]
+        middleware = RateLimitMiddleware(
+            rate_per_second=1, burst=2, clock=lambda: now[0]
+        )
+        middleware.on_request(make_request(), make_ctx())
+        now[0] = 5.0  # skew: the token left in the bucket is still there
+        middleware.on_request(make_request(), make_ctx())
+        with pytest.raises(RateLimitExceededError) as info:
+            middleware.on_request(make_request(), make_ctx())
+        assert info.value.retry_after_seconds == pytest.approx(1.0)
+        now[0] = 10.0  # catching back up is not five seconds of refill
+        with pytest.raises(RateLimitExceededError):
+            middleware.on_request(make_request(), make_ctx())
+        now[0] = 11.0
+        middleware.on_request(make_request(), make_ctx())
 
 
 class TestEngineOnionSemantics:

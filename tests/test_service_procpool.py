@@ -88,7 +88,7 @@ class TestEnvelopeRoundTrip:
             cache_hit=True,
             deduplicated=True,
             short_circuited_by="cache",
-            tags={"timing_start": 1.0},
+            tags={"stamp": 1.0},
             metadata={"trace_id": "t"},
         )
         clone = RequestContext.from_dict(ctx.as_dict())

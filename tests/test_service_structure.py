@@ -1,12 +1,14 @@
-"""Structural guards on ``src/repro/service`` (AST only, nothing imported).
+"""Structural guards on ``src/repro/service`` (AST only; the one
+behavioural pin at the bottom is the only test that imports the package).
 
 "Policy lives once, in the sans-IO core; a driver is only the code that
 cannot be shared" is a property of the source tree, so it is checked on
 the source tree: the gateway lifecycle, the service request lifecycle and
 the TCP client protocol each exist in exactly one module, the core
-modules import no concurrency substrate, and the driver modules make no
+modules import no concurrency substrate, the driver modules make no
 gateway-layer decision, no service-core step and no use of a frame's
-contents themselves.
+contents themselves, and the middleware chain carries policy only — a
+request's outcome is observed once, in ``ServiceCore``.
 
 Run as a script to print per-module code-line counts (non-blank,
 non-comment, non-docstring) — CI prints the table next to the benchmark
@@ -104,6 +106,8 @@ FRAME_CODEC = {
     "OP_STATS",
     "OP_DRAIN",
 }
+#: observation adapters that lived in the policy layer: gone, stay gone
+MIDDLEWARE_RETIRED = ("TimingMiddleware", "AuditLogMiddleware")
 SANS_IO = (
     "context",
     "routing",
@@ -296,6 +300,89 @@ def test_drivers_make_no_gateway_decision():
                     "FaultInjector",
                     "ledger",
                 }, f"{name}.py imports {imported}"
+
+
+def test_the_middleware_chain_carries_policy_only():
+    """The retired observation adapters are defined nowhere, and
+    ``middleware.py`` cannot build a span: it imports no exporter, no
+    ``Tracer``, no ``Span``, and mints no span id."""
+    trees = modules()
+    for module, tree in trees.items():
+        copies = defined_names(tree) & set(MIDDLEWARE_RETIRED)
+        assert not copies, f"{module} defines {sorted(copies)}"
+    middleware = trees["middleware.py"]
+    for node in ast.walk(middleware):
+        if isinstance(node, ast.ImportFrom):
+            assert "exporters" not in (node.module or ""), node.module
+            imported = {alias.name for alias in node.names}
+            assert not imported & {"Span", "Tracer"}, imported
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "_new_id"
+
+
+def test_the_hook_loop_is_written_once():
+    """``run_request`` walks ``self.middlewares`` in one ``for`` — no
+    traced twin beside the plain loop."""
+    (run_request,) = [
+        node
+        for node in ast.walk(modules()["middleware.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "run_request"
+    ]
+    loops = [
+        node
+        for node in ast.walk(run_request)
+        if isinstance(node, ast.For)
+        and "self.middlewares" in ast.unparse(node.iter)
+    ]
+    assert len(loops) == 1
+
+
+def test_there_is_one_token_bucket():
+    """``_tokens`` is assigned in ``TokenBucket`` and nowhere else: the
+    rate limiter holds a bucket, it does not re-derive the refill."""
+    owners = set()
+    for module, tree in modules().items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "_tokens"
+                    and isinstance(node.ctx, ast.Store)
+                ):
+                    owners.add((module, cls.name))
+    assert owners == {("control.py", "TokenBucket")}
+
+
+def test_the_core_closes_a_request_span_in_one_place():
+    """Counter, ledger event and span status of an outcome come from one
+    function, so ``telemetry.close`` has exactly one caller in
+    ``ServiceCore``."""
+    (core,) = [
+        node
+        for node in modules()["core.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "ServiceCore"
+    ]
+    closers = [
+        method.name
+        for method in core.body
+        if isinstance(method, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith("telemetry.close")
+            for node in ast.walk(method)
+        )
+    ]
+    assert closers == ["_emit"]
+
+
+def test_the_default_chain_is_validation_then_cache():
+    """The one behavioural pin in this file (it imports the package)."""
+    from repro.service import EstimateCache, default_middlewares
+
+    names = tuple(m.name for m in default_middlewares(EstimateCache()))
+    assert names == ("validation", "cache")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from repro.core.estimator import XMemEstimator
 from repro.service import (
     AsyncServiceGateway,
     AuditLedger,
-    AuditLogMiddleware,
     EstimationService,
     InMemorySpanExporter,
     JsonLinesSpanExporter,
@@ -35,7 +34,6 @@ from repro.service import (
     Span,
     SyntheticEstimator,
     Telemetry,
-    TimingMiddleware,
     Tracer,
     canonical_trace_trees,
     latency_histogram,
@@ -333,44 +331,6 @@ class TestStageSpans:
         )
         tree = canonical_trace_trees(spans)[0]
         assert tree[0] == "request"
-
-
-class TestAdapterMiddlewares:
-    def test_audit_middleware_keeps_legacy_record_shape(self):
-        middleware = AuditLogMiddleware(max_records=10)
-        with EstimationService(
-            estimator=SyntheticEstimator(), middlewares=[middleware]
-        ) as service:
-            service.estimate(WORKLOAD, RTX_3060)
-        kinds = [record["event"] for record in middleware.records]
-        assert kinds == ["request", "result"]
-        request_record = middleware.records[0]
-        assert set(request_record) >= {"event", "request_id", "fingerprint", "workload"}
-        # the same decisions are queryable through the ledger interface
-        assert middleware.ledger.events(event="request")
-
-    def test_audit_middleware_accepts_shared_ledger(self):
-        shared = AuditLedger()
-        middleware = AuditLogMiddleware(ledger=shared)
-        with EstimationService(
-            estimator=SyntheticEstimator(), middlewares=[middleware]
-        ) as service:
-            service.estimate(WORKLOAD, RTX_3060)
-        assert shared.summary() == {"request": 1, "result": 1}
-
-    def test_timing_middleware_samples_from_spans(self):
-        clock_value = [0.0]
-
-        def clock():
-            clock_value[0] += 0.25
-            return clock_value[0]
-
-        middleware = TimingMiddleware(clock=clock)
-        with EstimationService(
-            estimator=SyntheticEstimator(), middlewares=[middleware]
-        ) as service:
-            service.estimate(WORKLOAD, RTX_3060)
-        assert middleware.samples == [pytest.approx(0.25)]
 
 
 class TestHistogram:
