@@ -639,6 +639,22 @@ class GatewayDispatch:
             )
         return future
 
+    def when_done(self, future, callback: Callable[[Any], None]) -> None:
+        """Run ``callback(future)`` once a future ``submit`` returned is
+        done — the substrate's primitive, for a transport in front."""
+        self._sub.when_done(future, callback)
+
+    def take_connection_drop(self) -> bool:
+        """Consume the next fault-plan index iff it is a planned
+        ``connection_drop`` (never, without a plan).  A network transport
+        asks before it submits a request and, on True, kills the
+        connection instead — see
+        :meth:`~repro.service.faults.FaultInjector.take_connection_drop`."""
+        if self._injector is None:
+            return False
+        with self._lock:
+            return self._injector.take_connection_drop()
+
     def pending(self) -> int:
         """Requests admitted by the gateway and not yet resolved."""
         with self._lock:

@@ -23,9 +23,10 @@ the decision where its failure mode physically lives:
     substrates without killable workers it degrades to an
     :class:`~repro.errors.InjectedFaultError`.
 ``connection_drop``
-    Applied by :class:`~repro.service.tcp.TcpEstimationServer`, which
-    consumes the planned index *before* the request reaches the gateway
-    and aborts the connection; on in-process substrates there is no
+    Applied by the TCP server's :class:`~repro.service.wire.ServerProtocol`,
+    which consumes the planned index (``gateway.take_connection_drop()``)
+    *before* the request reaches the gateway and has its shell abort
+    the connection; on in-process substrates there is no
     connection to drop, so the directive is a planned no-op (the index is
     still consumed, keeping plans aligned across drivers).
 """
@@ -319,7 +320,8 @@ class FaultInjector:
     def take_connection_drop(self) -> bool:
         """Consume the next index iff it is a planned connection drop.
 
-        Called by the TCP server *before* handing a request to the
+        Called (through ``GatewayDispatch.take_connection_drop``) by
+        the TCP server's protocol *before* handing a request to the
         gateway, so dropped requests still consume exactly one plan
         index — keeping index streams aligned with in-process drivers,
         where the gateway consumes the same index as a no-op.

@@ -2,27 +2,34 @@
 
 The fourth execution substrate: where the thread, asyncio, and process
 drivers all run the policy core in one process, this module puts a real
-socket between caller and core.  :class:`TcpEstimationServer` is a thin
-shell over :class:`~repro.service.aio.AsyncServiceGateway` — it owns
-*only* connection lifecycle and the frame codec
-(:mod:`repro.service.wire`); every policy decision (routing, admission,
-cache, dedup, deadline, telemetry) still happens in the gateway, so a
-TCP replay is byte-identical to an in-process one.  This mirrors how
-fastmcp layers interchangeable transports over one middleware server:
-the server object is transport-blind, the transport is policy-blind.
+socket between caller and core.  Everything here is a *shell*: it owns
+a socket (or stream pair), the thread, task or loop that reads it, and
+nothing that looks inside a frame — what either end of a connection
+decides lives in the sans-IO :mod:`repro.service.wire`
+(:class:`~repro.service.wire.ServerProtocol`,
+:class:`~repro.service.wire.ClientProtocol`).  Every policy decision
+(routing, admission, cache, dedup, deadline, telemetry) still happens in
+the :class:`~repro.service.aio.AsyncServiceGateway` behind the server,
+so a TCP replay is byte-identical to an in-process one.  This mirrors
+how fastmcp layers interchangeable transports over one middleware
+server: the server object is transport-blind, the transport is
+policy-blind.
 
 Pieces:
 
 * :class:`TcpEstimationServer` — asyncio streams server exposing the
   ``ping`` / ``estimate`` / ``estimate_many`` / ``stats`` / ``drain``
-  ops.  One coroutine per connection reads frames in arrival order and
-  runs the gateway's *synchronous* submit step inline — admission,
-  routing, and ledger decisions therefore happen in exact request order,
-  which is what keeps canonical ledger sequences identical to the
-  in-process drivers.  Only the *await* of each result runs in a spawned
-  task, so slow estimates never block the read loop.  Malformed frames
-  are answered with a connection-level error frame and a clean close;
-  they never take the server down.
+  ops.  Per connection: a stream pair, one
+  :class:`~repro.service.wire.ServerProtocol`, and a read loop that
+  hands it every chunk and awaits ``writer.drain()`` before reading the
+  next (back-pressure).  The protocol runs the gateway's *synchronous*
+  submit step inline, in frame-arrival order — which is what keeps
+  canonical ledger sequences identical to the in-process drivers — and
+  writes each answer from its future's completion callback: there is
+  no task and no lock per response.  The one thing the shell awaits on
+  the protocol's behalf is the ``drain`` op.  Malformed frames are
+  answered with a connection-level error frame and a clean close; they
+  never take the server down.
 * :class:`TcpServiceClient` — blocking client with the driver ``submit``
   surface (returns :class:`concurrent.futures.Future`), so the existing
   :func:`~repro.service.traffic.replay` drives it unchanged.
@@ -56,21 +63,7 @@ from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .aio import AsyncServiceGateway
 from .context import NullLock
-from .wire import (
-    OP_DRAIN,
-    OP_ESTIMATE,
-    OP_ESTIMATE_MANY,
-    OP_PING,
-    OP_STATS,
-    ClientProtocol,
-    FrameDecoder,
-    WireProtocolError,
-    encode_frame,
-    error_response,
-    ok_response,
-    result_to_wire,
-    validate_request_message,
-)
+from .wire import ClientProtocol, ServerProtocol
 
 __all__ = [
     "AsyncTcpServiceClient",
@@ -90,51 +83,9 @@ _RECONNECT_ATTEMPTS = 4
 _RECONNECT_BACKOFF = 0.02
 
 
-def _decode_estimate_payload(
-    message: dict, now: float
-) -> tuple[
-    WorkloadConfig,
-    DeviceSpec,
-    Optional[float],
-    Optional[dict],
-    str,
-    int,
-]:
-    """Pull (workload, device, rebased deadline, metadata, tenant,
-    priority) out of one op.
-
-    Raises :class:`WireProtocolError` on a structurally bad payload —
-    the caller answers it *per request* (the frame itself was valid, so
-    the connection is not poisoned).  ``tenant``/``priority`` are
-    optional on the wire (absent = untenanted standard traffic), so
-    pre-control-plane clients keep working unchanged.
-    """
-    request = message["request"]
-    try:
-        workload = WorkloadConfig.from_dict(request["workload"])
-        device = DeviceSpec.from_dict(request["device"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireProtocolError(
-            f"malformed estimate payload: {error!r}"
-        ) from error
-    metadata = request.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise WireProtocolError("'metadata' must be an object or null")
-    tenant = request.get("tenant", "")
-    if not isinstance(tenant, str):
-        raise WireProtocolError("'tenant' must be a string")
-    priority = request.get("priority", 1)
-    if isinstance(priority, bool) or not isinstance(priority, int):
-        raise WireProtocolError("'priority' must be an integer")
-    remaining = message.get("deadline_remaining")
-    # rebase: the client sent budget-left on *its* clock; the deadline
-    # the core enforces must live on *this* host's clock
-    deadline = None if remaining is None else now + remaining
-    return workload, device, deadline, metadata or None, tenant, priority
-
-
 class TcpEstimationServer:
-    """Serves the wire ops over TCP, one handler coroutine per connection.
+    """Serves the wire ops over TCP: a stream pair and a read loop per
+    connection around one :class:`~repro.service.wire.ServerProtocol`.
 
     ``clock`` must be the same clock the gateway's cores use for deadline
     checks (``time.perf_counter`` by default everywhere) — rebased wire
@@ -157,6 +108,7 @@ class TcpEstimationServer:
         self._connections = 0
         self._protocol_errors = 0
         self._injected_drops = 0
+        self._drains: set[asyncio.Task] = set()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -213,42 +165,39 @@ class TcpEstimationServer:
         # trip on loopback) — and whether it lands there flips with any
         # unrelated change to what the process allocated before
         writer.transport.max_size = _TRANSPORT_READ_BYTES
-        decoder = FrameDecoder()
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
+        answered = asyncio.Event()
+        # a whole frame goes out in one synchronous write() on the loop,
+        # so the frames of concurrent answers cannot interleave
+        protocol = ServerProtocol(
+            self.gateway,
+            self._clock,
+            write=writer.write,
+            close=answered.set,
+            abort=writer.transport.abort,
+            drain=self._drain,
+        )
         try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break  # orderly client disconnect
-                try:
-                    messages = decoder.feed(data)
-                except WireProtocolError as error:
-                    # unframeable stream: answer once at connection level
-                    # (id null), then close — there is no resynchronizing
-                    # a length-prefixed stream after a bad header
-                    self._protocol_errors += 1
-                    await self._send(
-                        writer, write_lock, error_response(None, error)
-                    )
-                    break
-                ok = True
-                for message in messages:
-                    if not self._handle_message(
-                        message, writer, write_lock, tasks
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # mid-request disconnect: in-flight work settles below
+            try:
+                while data := await reader.read(_READ_CHUNK):
+                    if not protocol.receive(data):
+                        break  # the protocol ended it: answer, then close
+                    # back-pressure: a peer that does not read its answers
+                    # gets no more requests admitted
+                    await writer.drain()
+                else:
+                    protocol.connection_ended()  # orderly client disconnect
+            except (ConnectionError, asyncio.IncompleteReadError):
+                protocol.connection_ended()  # mid-request disconnect
+            # nothing was awaited since the protocol's last decision, so
+            # the counters move before the peer sees the connection end
+            # (an abort's reset leaves on the loop's next turn)
+            self._protocol_errors += protocol.protocol_errors
+            self._injected_drops += protocol.injected_drops
+            # what is still outstanding settles the gateway accounting
+            # before the peer observes the close — tests and drains rely
+            # on that
+            await answered.wait()
         finally:
-            # let spawned responders settle (their writes tolerate a dead
-            # socket) so gateway accounting is quiescent when the peer
-            # observes the close — tests and drains rely on that
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -257,170 +206,17 @@ class TcpEstimationServer:
                 # — the socket is gone either way, exit quietly
                 pass
 
-    def _handle_message(
-        self,
-        message: dict,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        tasks: set,
-    ) -> bool:
-        """Dispatch one decoded frame; False = close the connection.
-
-        Runs synchronously on the loop inside the read loop, so gateway
-        submit order == frame arrival order (the determinism contract).
-        """
-
-        def spawn(coro) -> None:
-            task = asyncio.get_running_loop().create_task(coro)
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-
-        try:
-            op, msg_id = validate_request_message(message)
-        except WireProtocolError as error:
-            # schema violation (unknown op / bad id): the peer speaks a
-            # different protocol — answer at connection level and close
-            self._protocol_errors += 1
-            spawn(self._send(writer, write_lock, error_response(None, error)))
-            return False
-        if op == OP_PING:
-            spawn(self._send(writer, write_lock, ok_response(msg_id)))
-        elif op == OP_STATS:
-            payload = ok_response(msg_id, stats=self.gateway.stats())
-            spawn(self._send(writer, write_lock, payload))
-        elif op == OP_DRAIN:
-            spawn(
-                self._drain_and_respond(
-                    msg_id, message.get("timeout"), writer, write_lock
-                )
-            )
-        elif op == OP_ESTIMATE:
-            injector = getattr(self.gateway, "_injector", None)
-            if injector is not None and injector.take_connection_drop():
-                # the fault plan scheduled a connection drop at this
-                # submission index: consume the index *before* the
-                # gateway sees the request (keeping plan indices aligned
-                # with in-process drivers, where the same index is a
-                # gateway-side no-op) and kill the connection the hard
-                # way — abort sends RST, so the peer sees an abrupt
-                # reset, not an orderly close
-                self._injected_drops += 1
-                writer.transport.abort()
-                return False
-            outcome = self._begin_estimate(message, msg_id)
-            if isinstance(outcome, dict):  # rejected before enqueue
-                spawn(self._send(writer, write_lock, outcome))
-            else:
-                spawn(
-                    self._await_and_respond(
-                        msg_id, outcome, writer, write_lock
-                    )
-                )
-        elif op == OP_ESTIMATE_MANY:
-            outcomes = [
-                self._begin_estimate(
-                    {"request": item, "deadline_remaining": None}, msg_id
-                )
-                for item in message["requests"]
-            ]
-            spawn(
-                self._await_many_and_respond(
-                    msg_id, outcomes, writer, write_lock
-                )
-            )
-        return True
-
-    def _begin_estimate(self, message: dict, msg_id: int):
-        """Run the synchronous half of one submit, inline and in order.
-
-        Returns the gateway future on admission, or a ready error
-        response payload when the request was refused before enqueue
-        (validation reject, shed, closed, malformed payload) — the
-        connection stays open either way.
-        """
-        try:
-            (
-                workload,
-                device,
-                deadline,
-                metadata,
-                tenant,
-                priority,
-            ) = _decode_estimate_payload(message, self._clock())
-        except WireProtocolError as error:
-            return error_response(msg_id, error)
-        try:
-            return self.gateway.submit(
-                workload,
-                device,
-                deadline=deadline,
-                metadata=metadata,
-                tenant=tenant,
-                priority=priority,
-            )
-        except Exception as error:
-            return error_response(msg_id, error)
-
-    async def _await_and_respond(
-        self, msg_id: int, future, writer, write_lock
+    def _drain(
+        self, timeout: Optional[float], verdict: Callable[[bool], None]
     ) -> None:
-        try:
-            result = await future
-        except Exception as error:
-            payload = error_response(msg_id, error)
-        else:
-            payload = ok_response(msg_id, result=result_to_wire(result))
-        await self._send(writer, write_lock, payload)
+        """The protocol's one awaitable effect: drain the gateway."""
 
-    async def _await_many_and_respond(
-        self, msg_id: int, outcomes: list, writer, write_lock
-    ) -> None:
-        entries = []
-        for outcome in outcomes:
-            if isinstance(outcome, dict):  # pre-resolved error response
-                entries.append({"ok": False, "error": outcome["error"]})
-                continue
-            try:
-                result = await outcome
-            except Exception as error:
-                entries.append(error_response(None, error))
-                entries[-1].pop("id")
-            else:
-                entries.append({"ok": True, "result": result_to_wire(result)})
-        await self._send(
-            writer, write_lock, ok_response(msg_id, results=entries)
-        )
+        async def drain() -> None:
+            verdict(await self.gateway.drain(timeout))
 
-    async def _drain_and_respond(
-        self, msg_id: int, timeout, writer, write_lock
-    ) -> None:
-        drained = await self.gateway.drain(timeout)
-        await self._send(
-            writer, write_lock, ok_response(msg_id, drained=drained)
-        )
-
-    async def _send(self, writer, write_lock, payload: dict) -> None:
-        """Write one frame; concurrent responders never interleave bytes.
-
-        A peer that vanished mid-request is not an error: its estimate
-        already settled the gateway accounting, the response just has
-        nowhere to go.
-        """
-        try:
-            frame = encode_frame(payload)
-        except WireProtocolError as error:
-            # the response itself would not frame (oversized/unencodable
-            # detail) — tell the client *something* rather than leaving
-            # its future hanging
-            frame = encode_frame(error_response(payload.get("id"), error))
-        async with write_lock:
-            if writer.is_closing():
-                return
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+        task = asyncio.get_running_loop().create_task(drain())
+        self._drains.add(task)  # the loop holds a task only weakly
+        task.add_done_callback(self._drains.discard)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Framed wire codec for the service envelope (sans-IO).
+"""Framed wire codec and the two connection protocols (sans-IO).
 
 The byte-level contract of the TCP transport (:mod:`repro.service.tcp`)
 — and of any future transport that ships the envelope between hosts.
@@ -14,12 +14,14 @@ Frame format (see docs/wire.md for the full spec)::
     +----------------------+----------------------------+
 
 Strictness is the point: a frame longer than ``max_frame_bytes``, a
-zero-length frame, a body that is not valid UTF-8 JSON, or a body that
-is not a JSON *object* all raise :class:`WireProtocolError` — the
-transport answers with a protocol-error frame and closes the connection
-rather than guessing.  :class:`FrameDecoder` handles the TCP reality
-that frames arrive split and coalesced arbitrarily: feed it whatever
-``recv`` returned and it yields exactly the completed messages.
+zero-length frame, a body that is not valid UTF-8 JSON (``NaN`` and the
+infinities are not JSON), or a body that is not a JSON *object* all
+raise :class:`WireProtocolError` — the transport answers with a
+protocol-error frame and closes the connection rather than guessing.
+:class:`FrameDecoder` handles the TCP reality that frames arrive split
+and coalesced arbitrarily: feed it whatever ``recv`` returned and it
+yields exactly the completed messages — those ahead of a violation
+included, on the error it raises.
 
 What travels inside frames:
 
@@ -40,13 +42,20 @@ What travels inside frames:
   replay classifies remote rejections/sheds/deadline misses exactly
   like local ones.
 
-The client side of a connection is written here too, once:
+Both sides of a connection are written here too, once each.
 :class:`ClientProtocol` owns everything a client decides — message ids,
 the pending table, the frame of every op, which response settles which
 future with what, and when the connection counts as lost — as bytes in,
-frames and settled futures out.  The two clients in
-:mod:`repro.service.tcp` are shells around it that own a socket and the
-thread or task that reads it.  Time never crosses the wire as an
+frames and settled futures out.  :class:`ServerProtocol` owns everything
+the server decides — which op does what, which error ends the connection
+and which only the request, the deadline rebase, when a planned
+connection drop is consumed, how an ``estimate_many`` answer is
+assembled — as bytes in, four effects out (*write these bytes*, *close
+once what is outstanding has been answered*, *abort now*, *run the
+gateway's drain*).  The classes in :mod:`repro.service.tcp` are shells
+around them that own a socket and the thread, task or loop that reads
+it; the frame format is known to this module only.  Time never crosses
+the wire as an
 absolute stamp: a deadline travels as *remaining budget* and is rebased
 onto the receiver's clock (see
 :meth:`~repro.service.context.RequestContext.as_dict`).
@@ -56,6 +65,7 @@ from __future__ import annotations
 
 import json
 import struct
+from functools import partial
 from typing import Any, Callable, ContextManager, Optional, Sequence
 
 from ..core.result import EstimationResult
@@ -80,6 +90,7 @@ __all__ = [
     "ClientProtocol",
     "FrameDecoder",
     "RemoteServiceError",
+    "ServerProtocol",
     "WireProtocolError",
     "encode_frame",
     "error_from_wire",
@@ -125,6 +136,10 @@ class WireProtocolError(ServiceError):
     Transports treat this as fatal for the connection: answer with a
     protocol-error frame when the socket still works, then close.
     """
+
+    #: the messages :meth:`FrameDecoder.feed` had completed, from the same
+    #: bytes, before the violation: they are not lost with it
+    completed: Sequence[dict] = ()
 
 
 class RemoteServiceError(ServiceError):
@@ -179,15 +194,27 @@ def encode_frame(
     return _HEADER.pack(len(body)) + body
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"the constant {name} is not JSON")
+
+
+#: ``json.loads`` would let ``NaN`` / ``Infinity`` / ``-Infinity`` through;
+#: built once — passing ``parse_constant`` per frame builds one per call
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 class FrameDecoder:
     """Incremental frame reassembler for a TCP byte stream.
 
     Feed it every chunk the socket yields; it buffers partial frames and
     returns each completed message exactly once, in order.  Any protocol
-    violation — oversized or zero-length header, non-JSON body, non-object
-    body — raises :class:`WireProtocolError`; the decoder is then
-    poisoned and the connection must be closed (there is no way to
-    resynchronize a length-prefixed stream after a bad header).
+    violation — oversized or zero-length header, non-JSON body (``NaN``
+    and the infinities included), non-object body — raises
+    :class:`WireProtocolError`, which carries as ``completed`` the
+    messages decoded before it, so what a peer gets to say ahead of a
+    bad frame does not depend on how TCP chunked the two.  The decoder
+    is then poisoned and the connection must be closed (there is no way
+    to resynchronize a length-prefixed stream after a bad header).
     """
 
     __slots__ = ("max_frame_bytes", "_buffer")
@@ -205,11 +232,13 @@ class FrameDecoder:
         """Absorb ``data``; return every message it completed."""
         self._buffer.extend(data)
         messages: list[dict] = []
-        while True:
-            message = self._next_message()
-            if message is None:
-                return messages
-            messages.append(message)
+        try:
+            while (message := self._next_message()) is not None:
+                messages.append(message)
+        except WireProtocolError as error:
+            error.completed = messages
+            raise
+        return messages
 
     def _next_message(self) -> Optional[dict]:
         if len(self._buffer) < HEADER_BYTES:
@@ -228,8 +257,8 @@ class FrameDecoder:
         body = bytes(self._buffer[HEADER_BYTES:end])
         del self._buffer[:end]
         try:
-            message = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            message = _STRICT_JSON.decode(body.decode("utf-8"))
+        except ValueError as error:  # bad UTF-8, bad JSON, or a constant
             raise WireProtocolError(
                 f"frame body is not valid JSON: {error}"
             ) from error
@@ -476,6 +505,18 @@ def _deliver(future, outcome: Any) -> None:
         future.set_result(outcome)
 
 
+def _feed(
+    decoder: FrameDecoder, data: bytes
+) -> tuple[Sequence[dict], Optional[Exception]]:
+    """The messages ``data`` completed and, when the stream then broke
+    the framing, the violation — both protocols act on the first before
+    they fail the connection for the second."""
+    try:
+        return decoder.feed(data), None
+    except WireProtocolError as error:
+        return error.completed, error
+
+
 def _fail(pending: dict, error: Exception) -> None:
     for _op, future in pending.values():
         _deliver(future, error)
@@ -627,21 +668,18 @@ class ClientProtocol:
         is ours: either ends the connection for every pending request.
         """
         answered = []
-        failure: Optional[Exception] = None
         with self._lock:
             if self._closed or connection != self._connection:
                 return False
-            try:
-                for message in self._decoder.feed(data):
-                    msg_id = message.get("id")
-                    if msg_id is None:
-                        failure = error_from_wire(message.get("error", {}))
-                        break
-                    entry = self._pending.pop(msg_id, None)
-                    if entry is not None:
-                        answered.append((entry, message))
-            except WireProtocolError as error:
-                failure = error
+            messages, failure = _feed(self._decoder, data)
+            for message in messages:
+                msg_id = message.get("id")
+                if msg_id is None:
+                    failure = error_from_wire(message.get("error", {}))
+                    break
+                entry = self._pending.pop(msg_id, None)
+                if entry is not None:
+                    answered.append((entry, message))
         for (op, future), message in answered:
             _deliver(future, _outcome(op, message))
         if failure is not None:
@@ -693,3 +731,252 @@ class ClientProtocol:
             self._closed = True
             pending, self._pending = self._pending, {}
         _fail(pending, ConnectionError("client closed"))
+
+
+# ----------------------------------------------------------------------
+# the server side of one connection
+# ----------------------------------------------------------------------
+
+
+def _decode_estimate_payload(message: dict, now: float) -> tuple:
+    """Pull (workload, device, rebased deadline, metadata, tenant,
+    priority) out of one op.
+
+    Raises :class:`WireProtocolError` on a structurally bad payload —
+    the caller answers it *per request* (the frame itself was valid, so
+    the connection is not poisoned).  ``tenant``/``priority`` are
+    optional on the wire (absent = untenanted standard traffic), so
+    pre-control-plane clients keep working unchanged.
+    """
+    request = message["request"]
+    try:
+        workload = WorkloadConfig.from_dict(request["workload"])
+        device = DeviceSpec.from_dict(request["device"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise WireProtocolError(
+            f"malformed estimate payload: {error!r}"
+        ) from error
+    metadata = request.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise WireProtocolError("'metadata' must be an object or null")
+    tenant = request.get("tenant", "")
+    if not isinstance(tenant, str):
+        raise WireProtocolError("'tenant' must be a string")
+    priority = request.get("priority", 1)
+    if isinstance(priority, bool) or not isinstance(priority, int):
+        raise WireProtocolError("'priority' must be an integer")
+    remaining = message.get("deadline_remaining")
+    # rebase: the client sent budget-left on *its* clock; the deadline
+    # the core enforces must live on *this* host's clock
+    deadline = None if remaining is None else now + remaining
+    return workload, device, deadline, metadata or None, tenant, priority
+
+
+def _settled(future: Any) -> Any:
+    """What a done future holds: its result, or — returned, not raised —
+    the error it ended in.  (Reading a cancelled future raises inside
+    the completion callback, and the request would never be answered.)"""
+    if future.cancelled():
+        return ServiceError("the request was cancelled on the server")
+    error = future.exception()
+    return future.result() if error is None else error
+
+
+def _estimate_response(outcome: Any, **ident: Any) -> dict:
+    """The answer to one estimate: a result or the error it ended in.
+    With ``id=`` it is a response frame, without one an entry of an
+    ``estimate_many`` response — the two have the same shape."""
+    if isinstance(outcome, BaseException):
+        return {**ident, "ok": False, "error": error_to_wire(outcome)}
+    return {**ident, "ok": True, "result": result_to_wire(outcome)}
+
+
+class ServerProtocol:
+    """What the server of the wire decides, for one connection.
+
+    Bytes in, effects out.  A shell owns the stream pair and the loop
+    that reads it; it hands every chunk it read to :meth:`receive` and
+    reports the end of the peer's stream (or its reset) with
+    :meth:`connection_ended`.  The protocol tells it four things, each
+    a callable the shell supplies: ``write(frame)`` — put these bytes on
+    the stream, whole and in call order; ``close()`` — called exactly
+    once, when nothing more will be read and every request that was has
+    been answered (or its answer dropped): now close the stream;
+    ``abort()`` — reset the connection at once; ``drain(timeout,
+    verdict)`` — the one op whose gateway call is awaitable: run
+    ``gateway.drain(timeout)`` and call ``verdict`` with what it
+    returned.
+
+    ``gateway`` is asked for ``submit``, ``when_done``, ``stats`` and
+    ``take_connection_drop``.  ``submit`` runs inline, frame by frame in
+    arrival order, so admission, routing and ledger decisions are made
+    in exactly the order the requests were written; every answer is
+    written from the completion callback of its future, so answers
+    leave in completion order and are matched by id.  Everything runs on
+    the shell's one thread or loop: there is no lock.
+    """
+
+    def __init__(
+        self,
+        gateway: Any,
+        clock: Callable[[], float],
+        write: Callable[[bytes], None],
+        close: Callable[[], None],
+        abort: Callable[[], None],
+        drain: Callable[[Optional[float], Callable[[bool], None]], None],
+    ):
+        self._gateway = gateway
+        self._clock = clock
+        self._write = write
+        self._close = close
+        self._abort = abort
+        self._drain = drain
+        self._decoder = FrameDecoder()
+        #: requests read and not yet answered
+        self.outstanding = 0
+        #: nothing more is read: close once nothing is outstanding
+        self._closing = False
+        #: the peer is gone (its end of stream, or our abort): an answer
+        #: that settles now still counts down, it is just not written
+        self._gone = False
+        #: framing / schema violations answered ``id: null`` (0 or 1)
+        self.protocol_errors = 0
+        #: planned ``connection_drop`` faults carried out (0 or 1)
+        self.injected_drops = 0
+
+    def receive(self, data: bytes) -> bool:
+        """Absorb bytes the peer sent; False = stop reading.
+
+        Frames are dispatched in arrival order.  A frame that is no
+        valid request — unknown op, bad id, a field of the wrong type —
+        and a stream that cannot be framed at all (there is no
+        resynchronizing after a bad header) are answered once at
+        connection level, ``id: null``; the requests before it stand.
+        """
+        messages, failure = _feed(self._decoder, data)
+        for message in messages:
+            if self._closing:
+                break
+            try:
+                op, msg_id = validate_request_message(message)
+            except WireProtocolError as error:
+                failure = error
+                break
+            self._serve(op, msg_id, message)
+        if failure is not None and not self._closing:
+            self.protocol_errors += 1
+            self._write(encode_frame(error_response(None, failure)))
+            self._stop_reading()
+        return not self._closing
+
+    def connection_ended(self) -> None:
+        """The peer's stream ended or was reset: what is still
+        outstanding settles its accounting, but is written nowhere."""
+        self._gone = True
+        self._stop_reading()
+
+    # ------------------------------------------------------------------
+    # one request
+    # ------------------------------------------------------------------
+    def _serve(self, op: str, msg_id: int, message: dict) -> None:
+        if op == OP_ESTIMATE and self._gateway.take_connection_drop():
+            # the fault plan scheduled a drop at this submission index:
+            # the index is consumed *before* the gateway sees the request
+            # (in-process drivers consume the same index as a no-op, so
+            # plan indices stay aligned), and the connection dies the
+            # hard way — the peer sees a reset, not an orderly close
+            self.injected_drops += 1
+            self._abort()
+            self.connection_ended()
+            return
+        self.outstanding += 1
+        if op == OP_PING:
+            self._answer(ok_response(msg_id))
+        elif op == OP_STATS:
+            self._answer(ok_response(msg_id, stats=self._gateway.stats()))
+        elif op == OP_DRAIN:
+            self._drain(
+                message.get("timeout"),
+                lambda drained: self._answer(
+                    ok_response(msg_id, drained=drained)
+                ),
+            )
+        elif op == OP_ESTIMATE:
+            self._begin_estimate(
+                message,
+                lambda outcome: self._answer(
+                    _estimate_response(outcome, id=msg_id)
+                ),
+            )
+        else:
+            self._estimate_many(msg_id, message["requests"])
+
+    def _begin_estimate(
+        self, message: dict, deliver: Callable[[Any], None]
+    ) -> None:
+        """Run the synchronous half of one submit, inline and in order;
+        ``deliver`` gets the result, or the error the request ended in —
+        refused before enqueue (malformed payload, validation reject,
+        shed, closed gateway) or failed after.  The connection stays
+        open either way."""
+        try:
+            workload, device, deadline, metadata, tenant, priority = (
+                _decode_estimate_payload(message, self._clock())
+            )
+            future = self._gateway.submit(
+                workload,
+                device,
+                deadline=deadline,
+                metadata=metadata,
+                tenant=tenant,
+                priority=priority,
+            )
+        except Exception as error:
+            deliver(error)
+        else:
+            self._gateway.when_done(
+                future, lambda done: deliver(_settled(done))
+            )
+
+    def _estimate_many(self, msg_id: int, items: list) -> None:
+        """Submit every entry now, in order; answer once, in request
+        order, when the last of them has settled."""
+        entries: dict[int, dict] = {}
+
+        def collect(index: int, outcome: Any) -> None:
+            entries[index] = _estimate_response(outcome)
+            if len(entries) == len(items):
+                ordered = [entries[at] for at in range(len(items))]
+                self._answer(ok_response(msg_id, results=ordered))
+
+        if not items:
+            self._answer(ok_response(msg_id, results=[]))
+        for index, item in enumerate(items):
+            self._begin_estimate(
+                {"request": item, "deadline_remaining": None},
+                partial(collect, index),
+            )
+
+    # ------------------------------------------------------------------
+    # answers and the end of the connection
+    # ------------------------------------------------------------------
+    def _answer(self, payload: dict) -> None:
+        """Write the one response frame of an outstanding request."""
+        self.outstanding -= 1
+        if not self._gone:
+            try:
+                frame = encode_frame(payload)
+            except WireProtocolError as error:
+                # the response itself would not frame (oversized or
+                # unencodable detail) — tell the client *something*
+                # rather than leaving its future hanging
+                frame = encode_frame(error_response(payload["id"], error))
+            self._write(frame)
+        if self._closing and not self.outstanding:
+            self._close()
+
+    def _stop_reading(self) -> None:
+        if not self._closing:
+            self._closing = True
+            if not self.outstanding:
+                self._close()

@@ -4,15 +4,15 @@ behavioural pin at the bottom is the only test that imports the package).
 "Policy lives once, in the sans-IO core; a driver is only the code that
 cannot be shared" is a property of the source tree, so it is checked on
 the source tree: the gateway lifecycle, the service request lifecycle and
-the TCP client protocol each exist in exactly one module, the core
-modules import no concurrency substrate, the driver modules make no
+the two halves of the TCP protocol each exist in exactly one module, the
+core modules import no concurrency substrate, the driver modules make no
 gateway-layer decision, no service-core step and no use of a frame's
 contents themselves, and the middleware chain carries policy only — a
 request's outcome is observed once, in ``ServiceCore``.
 
 Run as a script to print per-module code-line counts (non-blank,
-non-comment, non-docstring) — CI prints the table next to the benchmark
-trends::
+non-comment, non-docstring) and the ``tcp.py + wire.py`` sum — CI prints
+the table next to the benchmark trends::
 
     python tests/test_service_structure.py
 """
@@ -94,12 +94,38 @@ CLIENT_RETIRED = (
     "_settle_response",
 )
 CLIENT_SHELLS = ("TcpServiceClient", "AsyncTcpServiceClient")
+#: the server side of the wire: written once, in wire.ServerProtocol (it
+#: shares the names ``receive`` / ``connection_ended`` with the client)
+SERVER_LIFECYCLE = (
+    "_serve",
+    "_begin_estimate",
+    "_estimate_many",
+    "_answer",
+    "_stop_reading",
+    "_decode_estimate_payload",
+    "_estimate_response",
+    "_settled",
+)
+#: the server's coroutines that decided those things in tcp.py
+SERVER_RETIRED = (
+    "_handle_message",
+    "_begin_estimate",
+    "_await_and_respond",
+    "_await_many_and_respond",
+    "_drain_and_respond",
+    "_decode_estimate_payload",
+)
+SERVER_SHELL = "TcpEstimationServer"
 #: what a shell would need in order to look inside a frame
 FRAME_CODEC = {
     "FrameDecoder",
     "encode_frame",
     "error_from_wire",
+    "error_response",
+    "ok_response",
     "result_from_wire",
+    "result_to_wire",
+    "validate_request_message",
     "OP_PING",
     "OP_ESTIMATE",
     "OP_ESTIMATE_MANY",
@@ -249,26 +275,97 @@ def test_the_client_protocol_is_written_once():
     tcp = trees["tcp.py"]
     copies = defined_names(tcp) & set(CLIENT_RETIRED)
     assert not copies, f"tcp.py defines {sorted(copies)}"
-    shells = [
+    for shell in classes(tcp, CLIENT_SHELLS):
+        assert_looks_inside_no_frame(shell)
+
+
+def classes(tree: ast.Module, names: tuple) -> list[ast.ClassDef]:
+    found = [
         node
-        for node in tcp.body
-        if isinstance(node, ast.ClassDef) and node.name in CLIENT_SHELLS
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in names
     ]
-    assert len(shells) == len(CLIENT_SHELLS)
-    for shell in shells:
-        for node in ast.walk(shell):
-            if isinstance(node, ast.Name):
-                assert node.id not in FRAME_CODEC, (
-                    f"{shell.name} uses {node.id}"
-                )
-            # message["field"] / message.get("field"): reading a frame
-            if isinstance(node, ast.Subscript):
-                key = getattr(node.slice, "value", None)
-                assert not isinstance(key, str), (
-                    f"{shell.name} subscripts with {key!r}"
-                )
-        reads = called_attributes(shell) & {"get", "pop", "feed"}
-        assert not reads, f"{shell.name} calls {sorted(reads)}"
+    assert len(found) == len(names)
+    return found
+
+
+def assert_looks_inside_no_frame(shell: ast.ClassDef) -> None:
+    """A shell names no codec function and no op constant, subscripts
+    nothing with a field name and calls no ``get``/``pop``/``feed``."""
+    for node in ast.walk(shell):
+        if isinstance(node, ast.Name):
+            assert node.id not in FRAME_CODEC, f"{shell.name} uses {node.id}"
+        # message["field"] / message.get("field"): reading a frame
+        if isinstance(node, ast.Subscript):
+            key = getattr(node.slice, "value", None)
+            assert not isinstance(key, str), (
+                f"{shell.name} subscripts with {key!r}"
+            )
+    reads = called_attributes(shell) & {"get", "pop", "feed"}
+    assert not reads, f"{shell.name} calls {sorted(reads)}"
+
+
+def test_the_server_protocol_is_written_once():
+    """Each step of serving a connection is defined in ``wire.py`` only;
+    the coroutines that decided them in ``tcp.py`` stay gone; the server
+    shell looks inside no frame, takes no lock and spawns at most the
+    drain op's task; and ``tcp.py`` knows the wire as two classes."""
+    trees = modules()
+    homes = {name: [] for name in SERVER_LIFECYCLE}
+    for module, tree in trees.items():
+        for name in defined_names(tree) & homes.keys():
+            homes[name].append(module)
+    assert homes == {name: ["wire.py"] for name in SERVER_LIFECYCLE}
+    (protocol,) = classes(trees["wire.py"], ("ServerProtocol",))
+    assert {"receive", "connection_ended"} <= defined_names(protocol)
+    tcp = trees["tcp.py"]
+    copies = defined_names(tcp) & set(SERVER_RETIRED)
+    assert not copies, f"tcp.py defines {sorted(copies)}"
+    (shell,) = classes(tcp, (SERVER_SHELL,))
+    assert_looks_inside_no_frame(shell)
+    spawns = [
+        node
+        for node in ast.walk(shell)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("create_task", "ensure_future")
+    ]
+    assert len(spawns) <= 1
+    assert "asyncio.Lock(" not in (SERVICE / "tcp.py").read_text()
+    from_wire = {
+        alias.name
+        for node in ast.walk(tcp)
+        if isinstance(node, ast.ImportFrom) and node.module == "wire"
+        for alias in node.names
+    }
+    assert from_wire == {"ClientProtocol", "ServerProtocol"}
+    names = {n.id for n in ast.walk(tcp) if isinstance(n, ast.Name)}
+    assert not names & FRAME_CODEC
+
+
+def test_the_transport_reads_no_private_field_of_a_gateway():
+    """``tcp.py`` reaches a gateway through public calls only — the
+    fault plan's drop is ``take_connection_drop()``, not a ``getattr``
+    for ``_injector`` — and the protocol, which holds the gateway,
+    likewise."""
+    trees = modules()
+    for module, holders in (("tcp.py", {"gateway"}), ("wire.py", {"_gateway"})):
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Attribute
+            ):
+                if node.value.attr in holders:
+                    assert not node.attr.startswith("_"), (
+                        f"{module} reads gateway.{node.attr}"
+                    )
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "getattr" and len(node.args) > 1:
+                    key = getattr(node.args[1], "value", "")
+                    assert not str(key).startswith("_"), (
+                        f"{module} getattr()s {key!r}"
+                    )
+    gateway = classes(trees["dispatch.py"], ("GatewayDispatch",))[0]
+    assert {"take_connection_drop", "when_done"} <= defined_names(gateway)
 
 
 def test_the_core_imports_no_concurrency_substrate():
@@ -394,3 +491,5 @@ if __name__ == "__main__":
     for module, count in counts.items():
         print(f"  {count:6d}  {module}")
     print(f"  {sum(counts.values()):6d}  total")
+    # the transport's budget: both halves of the protocol and their shells
+    print(f"  {counts['tcp.py'] + counts['wire.py']:6d}  tcp.py + wire.py")
