@@ -42,6 +42,33 @@ def monte_carlo_samples() -> int:
     return _SCALES[bench_scale()][1]
 
 
+def waves_of(workloads, waves: int, scenario: str = "warm"):
+    """``waves`` waves, each the same workloads once (on the RTX 3060):
+    unique fingerprints within a wave, repeats across waves — the trace
+    shape whose ledger decision sequence is a cross-driver invariant."""
+    # imported here: the paper-figure benches share this module and do
+    # not load the service
+    from repro.service import TrafficRequest, TrafficTrace
+    from repro.workload import RTX_3060
+
+    return TrafficTrace(
+        scenario=scenario,
+        seed=0,
+        requests=tuple(
+            TrafficRequest(workload=workload, device=RTX_3060, wave=wave)
+            for wave in range(waves)
+            for workload in workloads
+        ),
+    )
+
+
+def best_of(rounds: int, measure) -> float:
+    """The largest of ``rounds`` calls of ``measure()`` — the one timing
+    loop of the driver races: a best-of smooths scheduler noise without
+    hiding a real regression."""
+    return max(measure() for _ in range(rounds))
+
+
 def emit(name: str, text: str, capsys=None) -> None:
     """Print a report block (bypassing capture) and persist it."""
     banner = f"\n=== {name} (scale={bench_scale()}) ===\n"

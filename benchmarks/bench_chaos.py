@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from functools import partial
 
 from repro.errors import RateLimitExceededError, RequestRejectedError
 from repro.service import (
@@ -38,6 +39,7 @@ from repro.service import (
     default_resilience,
     generate_traffic,
 )
+from repro.service.loadtest import run_trace
 
 from _common import emit
 
@@ -47,17 +49,14 @@ WORK_SECONDS = 0.001
 GOODPUT_FLOOR = 0.5
 
 
-def _make_gateway(fault_plan=None, telemetry=None):
-    return ServiceGateway(
-        num_shards=NUM_SHARDS,
-        estimator_factory=lambda: SyntheticEstimator(
-            work_seconds=WORK_SECONDS
-        ),
-        max_queue_depth=256,
-        telemetry=telemetry,
-        resilience=default_resilience(),
-        fault_plan=fault_plan,
-    )
+#: the gateway of every run here, fault plan or not
+GATEWAY = {
+    "num_shards": NUM_SHARDS,
+    "estimator_factory": partial(
+        SyntheticEstimator, work_seconds=WORK_SECONDS
+    ),
+    "max_queue_depth": 256,
+}
 
 
 def plan_blackout(trace, seed: int) -> FaultPlan:
@@ -71,7 +70,7 @@ def plan_blackout(trace, seed: int) -> FaultPlan:
     """
     lo, hi = len(trace) // 4, len(trace) // 4 + len(trace) // 2
     ordered = [request for wave in trace.waves() for request in wave]
-    with _make_gateway() as probe:
+    with ServiceGateway(**GATEWAY) as probe:
         routed = [
             probe.shard_for(req.workload, req.device) for req in ordered
         ]
@@ -87,42 +86,34 @@ def plan_blackout(trace, seed: int) -> FaultPlan:
 
 
 def run_once(trace, fault_plan=None) -> dict:
-    """Replay wave by wave, keeping the outcome of every trace index.
-
-    Mirrors :func:`repro.service.traffic.replay` (submit a wave, join
-    it, next wave) but records per-index outcomes so the identity and
-    goodput checks can compare runs request by request.
-    """
+    """One replay, keeping the outcome of every trace index so the
+    identity and goodput checks can compare runs request by request."""
     telemetry = Telemetry()
     outcomes: dict[int, tuple] = {}
-    with _make_gateway(fault_plan, telemetry) as gateway:
-        index = 0
-        for wave in trace.waves():
-            pending = []
-            for request in wave:
-                try:
-                    future = gateway.submit(request.workload, request.device)
-                except (RateLimitExceededError, RequestRejectedError) as err:
-                    outcomes[index] = ("shed", type(err).__name__)
-                else:
-                    pending.append((index, future))
-                index += 1
-            for request_index, future in pending:
-                try:
-                    result = future.result(timeout=30.0)
-                except (RateLimitExceededError, RequestRejectedError) as err:
-                    outcomes[request_index] = ("shed", type(err).__name__)
-                except Exception as err:  # noqa: BLE001 - outcome capture
-                    outcomes[request_index] = ("error", type(err).__name__)
-                else:
-                    outcomes[request_index] = (
-                        "answered",
-                        (result.peak_bytes, json.dumps(result.detail)),
-                    )
-        stats = gateway.stats()
+
+    def keep(index, result, error):
+        if error is None:
+            outcomes[index] = (
+                "answered",
+                (result.peak_bytes, json.dumps(result.detail)),
+            )
+        else:
+            refused = (RateLimitExceededError, RequestRejectedError)
+            status = "shed" if isinstance(error, refused) else "error"
+            outcomes[index] = (status, type(error).__name__)
+
+    report, _ = run_trace(
+        "threads",
+        trace,
+        on_outcome=keep,
+        telemetry=telemetry,
+        resilience=default_resilience(),
+        fault_plan=fault_plan,
+        **GATEWAY,
+    )
     return {
         "outcomes": outcomes,
-        "stats": stats,
+        "stats": report.stats,
         "sequence": telemetry.ledger.resilience_sequence(),
     }
 

@@ -41,21 +41,15 @@ from functools import partial
 from pathlib import Path
 
 from repro.service import (
-    AsyncServiceGateway,
     ControlPlane,
-    ProcServiceGateway,
-    ServiceGateway,
     SyntheticEstimator,
-    TcpServerThread,
-    TcpServiceClient,
     Telemetry,
     TenantConfig,
     TrafficTrace,
     generate_traffic,
     make_control,
-    make_policy,
-    replay,
 )
+from repro.service.loadtest import DRIVERS, run_trace
 from repro.service.telemetry.ledger import AUTH, DEADLINE, QUOTA, SHED
 
 from _common import emit
@@ -80,23 +74,25 @@ ADMIT_OVERHEAD_CEILING_US = 250.0
 _ADMISSION_EVENTS = (QUOTA, AUTH, DEADLINE, SHED)
 
 
-def _factory():
-    return partial(SyntheticEstimator, work_seconds=WORK_SECONDS)
-
-
-def _thread_gateway(telemetry=None):
-    return ServiceGateway(
+def _replay(driver: str, trace: TrafficTrace, **gateway_kwargs):
+    """One replay against a fresh calibrated control plane."""
+    report, _ = run_trace(
+        driver,
+        trace,
         num_shards=NUM_SHARDS,
-        estimator_factory=_factory(),
-        policy=make_policy("hash", NUM_SHARDS, seed=0),
-        max_queue_depth=256,
-        # headroom for the hostile quota burst: the fairness claim is
-        # about the *admission* plane, so the few admitted hostile
-        # requests must not serialize behind too few workers
-        max_workers_per_shard=4,
-        telemetry=telemetry,
+        estimator_factory=partial(
+            SyntheticEstimator, work_seconds=WORK_SECONDS
+        ),
         control=make_control("noisy-neighbor"),
+        **gateway_kwargs,
     )
+    return report
+
+
+#: the fairness runs: headroom for the hostile quota burst — the claim
+#: is about the *admission* plane, so the few admitted hostile requests
+#: must not serialize behind too few workers
+FAIRNESS = {"max_queue_depth": 256, "max_workers_per_shard": 4}
 
 
 def _solo_trace(trace: TrafficTrace) -> TrafficTrace:
@@ -121,8 +117,7 @@ def _well_p99_ms(trace: TrafficTrace) -> float:
     """Median-of-N p99 latency (ms) of the well-behaved tenant."""
     samples = []
     for _ in range(LATENCY_REPEATS):
-        with _thread_gateway() as gateway:
-            report = replay(trace, gateway)
+        report = _replay("threads", trace, **FAIRNESS)
         samples.append(report.tenant_latency_ms("well-behaved", 99))
     return _median(samples)
 
@@ -160,67 +155,12 @@ def _admission_sequence(ledger) -> list[tuple]:
 def check_cross_driver_determinism(num_requests: int, seed: int) -> dict:
     """Same trace, four drivers: one admit/shed decision sequence."""
     trace = generate_traffic("noisy-neighbor", num_requests, seed=seed)
-    factory = _factory()
-    policy_args = ("hash", NUM_SHARDS)
     sequences = {}
     reports = {}
-
-    telemetry = Telemetry()
-    with ServiceGateway(
-        num_shards=NUM_SHARDS,
-        estimator_factory=factory,
-        policy=make_policy(*policy_args, seed=0),
-        telemetry=telemetry,
-        control=make_control("noisy-neighbor"),
-    ) as gateway:
-        reports["threads"] = replay(trace, gateway)
-    sequences["threads"] = _admission_sequence(telemetry.ledger)
-
-    telemetry = Telemetry()
-    with ProcServiceGateway(
-        num_shards=NUM_SHARDS,
-        estimator_factory=factory,
-        policy=make_policy(*policy_args, seed=0),
-        telemetry=telemetry,
-        control=make_control("noisy-neighbor"),
-    ) as gateway:
-        reports["processes"] = replay(trace, gateway)
-    sequences["processes"] = _admission_sequence(telemetry.ledger)
-
-    import asyncio
-
-    from repro.service import replay_async
-
-    async def _run_asyncio(telemetry):
-        gateway = AsyncServiceGateway(
-            num_shards=NUM_SHARDS,
-            estimator_factory=factory,
-            policy=make_policy(*policy_args, seed=0),
-            telemetry=telemetry,
-            control=make_control("noisy-neighbor"),
-        )
-        try:
-            return await replay_async(trace, gateway)
-        finally:
-            await gateway.aclose()
-
-    telemetry = Telemetry()
-    reports["asyncio"] = asyncio.run(_run_asyncio(telemetry))
-    sequences["asyncio"] = _admission_sequence(telemetry.ledger)
-
-    telemetry = Telemetry()
-    server_factory = partial(
-        AsyncServiceGateway,
-        num_shards=NUM_SHARDS,
-        estimator_factory=factory,
-        policy=make_policy(*policy_args, seed=0),
-        telemetry=telemetry,
-        control=make_control("noisy-neighbor"),
-    )
-    with TcpServerThread(server_factory) as server:
-        with TcpServiceClient(*server.address) as client:
-            reports["tcp"] = replay(trace, client)
-    sequences["tcp"] = _admission_sequence(telemetry.ledger)
+    for driver in DRIVERS:
+        telemetry = Telemetry()
+        reports[driver] = _replay(driver, trace, telemetry=telemetry)
+        sequences[driver] = _admission_sequence(telemetry.ledger)
 
     reference = sequences["threads"]
     assert reference, "noisy-neighbor trace produced no admission events"
@@ -254,8 +194,7 @@ def run_control_bench(num_requests: int = 240, seed: int = 0) -> dict:
     # jitter into a fake regression
     ratio = contended_p99_ms / max(solo_p99_ms, 1.0)
 
-    with _thread_gateway() as gateway:
-        contended = replay(trace, gateway)
+    contended = _replay("threads", trace, **FAIRNESS)
     well = contended.tenants["well-behaved"]
     hostile = contended.tenants["hostile"]
     hostile_shed_fraction = hostile["shed"] / hostile["submitted"]

@@ -1,26 +1,26 @@
-"""Process-pool driver vs. thread driver: same sans-IO core, no shared GIL.
+"""Process-pool driver vs. thread driver on CPU-bound estimation.
 
 Races :class:`~repro.service.procpool.ProcServiceGateway` (policy inline
 in the parent, estimation in worker processes) against the thread-driven
 :class:`~repro.service.gateway.ServiceGateway` on the identical
-:class:`~repro.service.core.GatewayCore` state machine.
+:class:`~repro.service.core.GatewayCore` state machine.  Identity and
+accounting across all four drivers are ``bench_drivers.py``'s; what only
+this file has:
 
-Acceptance (asserted):
-
-* **byte identity** — results served through the process driver equal
-  direct estimator calls and the thread driver exactly (real
-  ``XMemEstimator`` peaks + role breakdown, and the deterministic
-  synthetic peaks on *every* traffic scenario);
-* **accounting** — both drivers account for every generated request
-  (answered + shed + rejected + errors) on every scenario and reject
-  the same adversarial requests;
 * **throughput** — on a **cold-cache, unique-fingerprint, CPU-bound**
   stream (every request a distinct fingerprint, estimation a pure-Python
   busy loop that holds the GIL) with 4 workers each, the process driver
   sustains >= 1.5x the thread driver's throughput.  Threads cannot scale
   a GIL-bound stage past one core; processes can.  The assertion needs
   real parallelism, so it degrades with the host: full 1.5x bar on >= 4
-  CPUs (the CI runner), a weaker bar on 2-3, report-only on 1.
+  CPUs (the CI runner), a weaker bar on 2-3, report-only on 1;
+* **distribution** — the estimation work really spread across the pool
+  (at least two distinct worker processes answered).
+
+The gateways are built here rather than through ``run_trace`` because
+every worker is forced to exist *before* the clock starts
+(:func:`_warm_substrate`), which needs the gateway open ahead of the
+replay.
 
 ``python bench_proc_gateway.py [--smoke]`` runs standalone (``--smoke``
 shrinks the replay for CI); under pytest the smoke size is used.
@@ -33,141 +33,34 @@ import os
 import sys
 from functools import partial
 
-from repro.core.estimator import XMemEstimator
 from repro.service import (
-    SCENARIO_NAMES,
     ProcServiceGateway,
     ServiceGateway,
     SyntheticEstimator,
     TrafficRequest,
     TrafficTrace,
-    generate_traffic,
-    make_policy,
     replay,
 )
 from repro.workload import RTX_3060, WorkloadConfig
 
-from _common import emit
+from _common import best_of, emit
 
-NUM_SHARDS = 4
-#: workers for the CPU-bound race — 4 threads vs. 4 processes, per ISSUE
+#: workers for the race — 4 threads (one per shard) vs. 4 processes
 NUM_WORKERS = 4
-#: simulated sleep cost for the scenario sweep (GIL-released: both
-#: drivers overlap it, so the sweep checks accounting, not parallelism)
-WORK_SECONDS = 0.001
-#: simulated CPU-bound cost for the race (GIL-held busy loop)
+#: simulated CPU-bound cost (GIL-held busy loop)
 SPIN_SECONDS = 0.02
 ROUNDS = 2
 MIN_PROC_SPEEDUP = 1.5
 
-
-def _payload(report) -> dict:
-    data = report.as_dict()
-    aggregate = data.pop("stats")["aggregate"]
-    data["cache_hit_rate"] = aggregate["cache_hit_rate"]
-    data["workers"] = aggregate["workers"]
-    return data
-
-
-def _thread_gateway(factory, workers_per_shard: int = 2) -> ServiceGateway:
-    return ServiceGateway(
-        num_shards=NUM_SHARDS,
-        estimator_factory=factory,
-        policy=make_policy("hash", NUM_SHARDS),
-        max_workers_per_shard=workers_per_shard,
-    )
-
-
-def _proc_gateway(factory, pool_workers: int = NUM_WORKERS) -> ProcServiceGateway:
-    return ProcServiceGateway(
-        num_shards=NUM_SHARDS,
-        estimator_factory=factory,
-        policy=make_policy("hash", NUM_SHARDS),
-        pool_workers=pool_workers,
-    )
-
-
-def check_byte_identity() -> dict:
-    """The process driver must equal direct estimator calls exactly."""
-    workloads = [
-        WorkloadConfig("MobileNetV3Small", "sgd", 8),
-        WorkloadConfig("MobileNetV3Small", "adam", 16),
-    ]
-    factory = partial(XMemEstimator, iterations=1, curve=False)
-    with _proc_gateway(factory, pool_workers=2) as gateway:
-        via_processes = [gateway.estimate(w, RTX_3060) for w in workloads]
-    with _thread_gateway(factory) as gateway:
-        via_threads = [gateway.estimate(w, RTX_3060) for w in workloads]
-    direct = [factory().estimate(w, RTX_3060) for w in workloads]
-    for proc, threaded, reference in zip(via_processes, via_threads, direct):
-        assert proc.peak_bytes == reference.peak_bytes
-        assert threaded.peak_bytes == reference.peak_bytes
-        assert proc.detail == reference.detail
-        assert threaded.detail == reference.detail
-        assert proc.predicts_oom() == reference.predicts_oom()
-        # the pickled round trip must not lose the staged breakdown the
-        # parent merges into its metrics
-        assert set(proc.stage_seconds) == set(reference.stage_seconds)
-    return {
-        "workloads": [w.label() for w in workloads],
-        "peak_bytes": [r.peak_bytes for r in direct],
-        "byte_identical": True,
-    }
-
-
-def run_scenarios(num_requests: int) -> dict:
-    """Every traffic scenario through both drivers: accounting + peaks."""
-    factory = partial(SyntheticEstimator, work_seconds=WORK_SECONDS)
-    scenarios = {}
-    for name in SCENARIO_NAMES:
-        trace = generate_traffic(name, num_requests, seed=0)
-        with _thread_gateway(factory) as gateway:
-            threads_report = replay(trace, gateway)
-        with _proc_gateway(factory, pool_workers=2) as gateway:
-            proc_report = replay(trace, gateway)
-        # per-scenario byte identity: the deterministic synthetic peak of
-        # every *valid* unique request, served through each driver
-        valid = {}
-        for request in trace.requests:
-            try:
-                request.device.job_budget()
-            except ValueError:
-                continue  # adversarial budget-less device: both reject
-            valid.setdefault(
-                (request.workload.to_key(), request.device.to_key()),
-                (request.workload, request.device),
-            )
-        probes = list(valid.values())[:8]
-        with _thread_gateway(factory) as gateway:
-            threads_peaks = [
-                gateway.estimate(w, d).peak_bytes
-                for w, d in probes
-                if _is_valid_workload(w)
-            ]
-        with _proc_gateway(factory, pool_workers=2) as gateway:
-            proc_peaks = [
-                gateway.estimate(w, d).peak_bytes
-                for w, d in probes
-                if _is_valid_workload(w)
-            ]
-        scenarios[name] = {
-            "threads": _payload(threads_report),
-            "processes": _payload(proc_report),
-            "peaks_byte_identical": threads_peaks == proc_peaks,
-            "unique_probes": len(threads_peaks),
-        }
-    return scenarios
-
-
-def _is_valid_workload(workload: WorkloadConfig) -> bool:
-    from repro.errors import ModelNotFoundError
-    from repro.models.registry import get_model_spec
-
-    try:
-        get_model_spec(workload.model)
-    except ModelNotFoundError:
-        return False
-    return True
+spinning = partial(SyntheticEstimator, spin_seconds=SPIN_SECONDS)
+GATEWAYS = {
+    "threads": partial(
+        ServiceGateway, estimator_factory=spinning, max_workers_per_shard=1
+    ),
+    "processes": partial(
+        ProcServiceGateway, estimator_factory=spinning, pool_workers=NUM_WORKERS
+    ),
+}
 
 
 def cpu_bound_trace(num_requests: int) -> TrafficTrace:
@@ -215,72 +108,33 @@ def _warm_substrate(gateway) -> None:
 
 def run_throughput_race(num_requests: int) -> dict:
     """4 GIL-bound threads vs. 4 worker processes on unique requests."""
-    factory = partial(SyntheticEstimator, spin_seconds=SPIN_SECONDS)
     trace = cpu_bound_trace(num_requests)
+    workers: dict = {}
 
-    threads_best = 0.0
-    proc_best = 0.0
-    proc_workers: dict = {}
-    for _ in range(ROUNDS):
-        # one worker thread per shard: 4 threads total, matching the
-        # process pool's 4 workers
-        with _thread_gateway(factory, workers_per_shard=1) as gateway:
-            _warm_substrate(gateway)
-            threads_best = max(
-                threads_best, replay(trace, gateway).throughput_rps
-            )
-        with _proc_gateway(factory, pool_workers=NUM_WORKERS) as gateway:
+    def timed_replay(driver: str) -> float:
+        with GATEWAYS[driver]() as gateway:
             _warm_substrate(gateway)
             report = replay(trace, gateway)
-            proc_best = max(proc_best, report.throughput_rps)
-            proc_workers = report.stats["aggregate"]["workers"]
+        workers[driver] = report.stats["aggregate"]["workers"]
+        return report.throughput_rps
+
+    rps = {
+        driver: best_of(ROUNDS, partial(timed_replay, driver))
+        for driver in GATEWAYS
+    }
     return {
         "num_requests": num_requests,
         "spin_seconds": SPIN_SECONDS,
         "workers": NUM_WORKERS,
         "cpu_count": os.cpu_count(),
-        "threads_rps": threads_best,
-        "processes_rps": proc_best,
-        "speedup": proc_best / threads_best if threads_best else None,
-        "process_worker_distribution": proc_workers,
+        "threads_rps": rps["threads"],
+        "processes_rps": rps["processes"],
+        "speedup": rps["processes"] / rps["threads"],
+        "process_worker_distribution": workers["processes"],
     }
 
 
-def run_proc_bench(num_requests: int = 200) -> dict:
-    race_requests = max(24, min(num_requests // 4, 64))
-    return {
-        "num_shards": NUM_SHARDS,
-        "num_requests": num_requests,
-        "rounds": ROUNDS,
-        "scenarios": run_scenarios(num_requests),
-        "cpu_bound_throughput": run_throughput_race(race_requests),
-        "byte_identity": check_byte_identity(),
-    }
-
-
-def _check(report: dict) -> None:
-    assert report["byte_identity"]["byte_identical"]
-    for name, drivers in report["scenarios"].items():
-        assert drivers["peaks_byte_identical"], name
-        for driver in ("threads", "processes"):
-            scenario = drivers[driver]
-            total = (
-                scenario["answered"]
-                + scenario["shed"]
-                + scenario["rejected"]
-                + scenario["errors"]
-            )
-            assert total == scenario["num_requests"], (name, driver, scenario)
-        # validation is deterministic: the drivers reject identically
-        assert (
-            drivers["threads"]["rejected"] == drivers["processes"]["rejected"]
-        ), name
-    assert report["scenarios"]["adversarial"]["processes"]["rejected"] > 0
-    for name in ("uniform", "zipf", "bursty", "duplicate-storm"):
-        for driver in ("threads", "processes"):
-            assert report["scenarios"][name][driver]["errors"] == 0, name
-
-    race = report["cpu_bound_throughput"]
+def _check(race: dict) -> None:
     # the estimation work really spread across the pool
     assert len(race["process_worker_distribution"]) >= 2, race
     cpus = race["cpu_count"] or 1
@@ -302,13 +156,13 @@ def _check(report: dict) -> None:
 
 
 def test_proc_gateway_driver(capsys):
-    report = run_proc_bench(num_requests=120)
-    emit("proc_gateway_driver", json.dumps(report, indent=2), capsys)
-    _check(report)
+    race = run_throughput_race(30)
+    emit("proc_gateway_driver", json.dumps(race, indent=2), capsys)
+    _check(race)
 
 
 if __name__ == "__main__":
     smoke = "--smoke" in sys.argv[1:]
-    bench_report = run_proc_bench(num_requests=120 if smoke else 400)
-    _check(bench_report)
-    emit("proc_gateway_driver", json.dumps(bench_report, indent=2))
+    bench_race = run_throughput_race(30 if smoke else 64)
+    _check(bench_race)
+    emit("proc_gateway_driver", json.dumps(bench_race, indent=2))

@@ -36,7 +36,6 @@ is used.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import statistics
 import sys
@@ -44,20 +43,14 @@ from functools import partial
 
 from repro.core.estimator import XMemEstimator
 from repro.service import (
-    AsyncServiceGateway,
-    ProcServiceGateway,
-    ServiceGateway,
     SyntheticEstimator,
     Telemetry,
     canonical_trace_trees,
-    make_policy,
-    replay,
-    replay_async,
 )
-from repro.service.traffic import TrafficRequest, TrafficTrace
+from repro.service.loadtest import run_trace
 from repro.workload import RTX_3060, WorkloadConfig
 
-from _common import emit
+from _common import emit, waves_of
 
 NUM_SHARDS = 2
 #: acceptance floor for the gated (procpool) on/off throughput ratio
@@ -77,76 +70,33 @@ IDENTITY_WORKLOADS = [
 ]
 
 
-def _trace(workloads, waves: int) -> TrafficTrace:
-    requests = [
-        TrafficRequest(workload=workload, device=RTX_3060, wave=wave)
-        for wave in range(waves)
-        for workload in workloads
-    ]
-    return TrafficTrace(scenario="warm", seed=0, requests=tuple(requests))
-
-
 # --------------------------------------------------------------- identity
 
+#: the in-process drivers (``run_trace`` names); the socket's identity
+#: with threads is bench_drivers.py's
+DRIVERS = ("threads", "asyncio", "processes")
 
-def _run_threads(trace, factory, telemetry, probes=()):
-    with ServiceGateway(
+
+def _run(driver, trace, factory, telemetry, probes=()):
+    return run_trace(
+        driver,
+        trace,
+        probes=[(workload, RTX_3060) for workload in probes],
         num_shards=NUM_SHARDS,
         estimator_factory=factory,
-        policy=make_policy("hash", NUM_SHARDS, seed=0),
-        telemetry=telemetry,
-    ) as gateway:
-        report = replay(trace, gateway)
-        results = [gateway.estimate(w, RTX_3060) for w in probes]
-    return report, results
-
-
-def _run_asyncio(trace, factory, telemetry, probes=()):
-    async def _go():
-        gateway = AsyncServiceGateway(
-            num_shards=NUM_SHARDS,
-            estimator_factory=factory,
-            policy=make_policy("hash", NUM_SHARDS, seed=0),
-            telemetry=telemetry,
-        )
-        try:
-            report = await replay_async(trace, gateway)
-            results = [await gateway.estimate(w, RTX_3060) for w in probes]
-            return report, results
-        finally:
-            await gateway.aclose()
-
-    return asyncio.run(_go())
-
-
-def _run_procpool(trace, factory, telemetry, probes=()):
-    with ProcServiceGateway(
-        num_shards=NUM_SHARDS,
-        estimator_factory=factory,
-        policy=make_policy("hash", NUM_SHARDS, seed=0),
         pool_workers=2,
         telemetry=telemetry,
-    ) as gateway:
-        report = replay(trace, gateway)
-        results = [gateway.estimate(w, RTX_3060) for w in probes]
-    return report, results
-
-
-DRIVERS = {
-    "threads": _run_threads,
-    "asyncio": _run_asyncio,
-    "procpool": _run_procpool,
-}
+    )
 
 
 def check_driver_identity() -> dict:
     """Same trace, full telemetry: three drivers, one observable story."""
-    trace = _trace(IDENTITY_WORKLOADS, waves=3)
+    trace = waves_of(IDENTITY_WORKLOADS, waves=3)
     outcomes = {}
-    for name, runner in DRIVERS.items():
+    for name in DRIVERS:
         telemetry = Telemetry(detail="full")
-        report, results = runner(
-            trace, real_estimator, telemetry, probes=IDENTITY_WORKLOADS
+        report, results = _run(
+            name, trace, real_estimator, telemetry, probes=IDENTITY_WORKLOADS
         )
         assert report.answered == len(trace), (name, report.answered)
         outcomes[name] = {
@@ -187,13 +137,12 @@ def measure_overhead(driver: str, pairs: int, waves: int) -> dict:
         WorkloadConfig("MobileNetV2", "sgd", size)
         for size in (1, 2, 4, 8, 16, 32, 64, 128)
     ]
-    trace = _trace(workloads, waves=waves)
-    runner = DRIVERS[driver]
-    runner(trace, fast_synthetic, None)  # warm-up: imports, pools, caches
+    trace = waves_of(workloads, waves=waves)
+    _run(driver, trace, fast_synthetic, None)  # warm-up: imports, pools
     ratios, added_micros = [], []
     for _ in range(pairs):
-        off, _ = runner(trace, fast_synthetic, None)
-        on, _ = runner(trace, fast_synthetic, Telemetry())
+        off, _ = _run(driver, trace, fast_synthetic, None)
+        on, _ = _run(driver, trace, fast_synthetic, Telemetry())
         ratios.append(on.throughput_rps / off.throughput_rps)
         added_micros.append(
             (1.0 / on.throughput_rps - 1.0 / off.throughput_rps) * 1e6
@@ -218,7 +167,7 @@ def run_telemetry_bench(pairs: int = 3, waves: int = 6) -> dict:
             for name in DRIVERS
         },
         "gate": {
-            "gated_driver": "procpool",
+            "gated_driver": "processes",
             "min_ratio": MIN_RATIO,
             "thread_max_added_us": MAX_ADDED_MICROS,
         },
@@ -229,7 +178,7 @@ def run_telemetry_bench(pairs: int = 3, waves: int = 6) -> dict:
 
 def _check(report: dict) -> None:
     assert report["identity"]["byte_identical"]
-    gated = report["overhead"]["procpool"]["median_ratio"]
+    gated = report["overhead"]["processes"]["median_ratio"]
     assert gated >= MIN_RATIO, (
         f"procpool telemetry-on/off throughput ratio {gated:.3f} below "
         f"the {MIN_RATIO:.2f} floor (>10% overhead)"

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .core.estimator import XMemEstimator
 from .models.registry import list_models
@@ -30,6 +31,11 @@ def _device_from_args(args: argparse.Namespace) -> DeviceSpec:
             name="custom", capacity_bytes=parse_size(args.capacity)
         )
     return _DEVICES[args.device]
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -141,22 +147,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     try:
         batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
     except ValueError:
-        print(
-            f"error: --batch-sizes must be comma-separated integers, "
-            f"got {args.batch_sizes!r}",
-            file=sys.stderr,
+        return _usage_error(
+            "--batch-sizes must be comma-separated integers, "
+            f"got {args.batch_sizes!r}"
         )
-        return 2
     unknown = [
         name for name in args.devices.split(",") if name not in _DEVICES
     ]
     if unknown:
-        print(
-            f"error: unknown device alias(es) {unknown}; "
-            f"known: {sorted(_DEVICES)} (see `xmem devices`)",
-            file=sys.stderr,
+        return _usage_error(
+            f"unknown device alias(es) {unknown}; "
+            f"known: {sorted(_DEVICES)} (see `xmem devices`)"
         )
-        return 2
     devices = [_DEVICES[name] for name in args.devices.split(",")]
     with EstimationService(
         # the sweep only reads peaks: skip materializing usage curves
@@ -206,192 +208,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tenant_spec(spec: str):
-    """``name=rate:burst:weight`` -> TenantConfig (trailing parts optional).
-
-    ``acme=2:16:3`` is a tenant refilling 2 quota tokens per admission
-    tick, bursting to 16, holding fair-share weight 3; ``acme`` alone
-    takes the defaults (1:8:1).
-    """
-    from .service import TenantConfig
-
-    name, _, knobs = spec.partition("=")
-    name = name.strip()
-    if not name:
-        raise ValueError(f"tenant spec {spec!r} needs a name")
-    values = [1.0, 8.0, 1.0]
-    if knobs:
-        parts = knobs.split(":")
-        if len(parts) > 3:
-            raise ValueError(
-                f"tenant spec {spec!r} has more than rate:burst:weight"
-            )
-        for index, part in enumerate(parts):
-            if part:
-                values[index] = float(part)
-    return TenantConfig(
-        name, quota_rate=values[0], quota_burst=values[1], weight=values[2]
-    )
-
-
-def _control_factory(scenario: str, args):
-    """Per-gateway control-plane builder, or None for an open gateway.
-
-    A *factory* rather than an instance: token buckets are stateful, so
-    every (policy, driver) combo must admit against its own fresh plane
-    or the second run would start from the first run's drained buckets.
-    """
-    from .service import (
-        TENANT_SCENARIOS,
-        ControlPlane,
-        TenantConfig,
-        make_control,
-    )
-
-    if getattr(args, "tenants", None):
-        configs = tuple(_parse_tenant_spec(s) for s in args.tenants)
-        # untenanted requests still flow, under default knobs — explicit
-        # rosters on the CLI shape quotas, they don't lock the gate
-        default = TenantConfig("default")
-        return lambda: ControlPlane(configs, default_config=default)
-    if scenario in TENANT_SCENARIOS:
-        return lambda: make_control(scenario)
-    return None
-
-
-def _loadtest_replay(
-    trace, args, policy_name: str, driver: str, telemetry=None,
-    control_factory=None,
-):
-    """Replay one trace through one (policy, driver) gateway combo."""
-    from functools import partial
-
-    from .service import (
-        AsyncServiceGateway,
-        ProcServiceGateway,
-        ServiceGateway,
-        SyntheticEstimator,
-        make_policy,
-        replay,
-        replay_async,
-    )
-
-    # partial over an importable callable, not a lambda: the process
-    # driver ships the factory to its workers, which requires pickling
-    # under the spawn start method
-    artifact_store = getattr(args, "artifact_store", None)
-    if args.estimator == "synthetic":
-        factory = partial(
-            SyntheticEstimator,
-            work_seconds=args.work_ms / 1000.0,
-            spin_seconds=args.spin_ms / 1000.0,
-        )
-    else:
-        # the store path (a plain string) pickles through the factory
-        # partial, so procpool workers each open the shared store file
-        factory = partial(
-            XMemEstimator,
-            iterations=args.iterations,
-            curve=False,
-            artifact_store=artifact_store,
-        )
-    policy = make_policy(policy_name, args.shards, seed=args.seed)
-    # chaos mode: a seeded fault plan breaks things on schedule while the
-    # default resilience policy (retries + per-shard breakers) absorbs it
-    resilience = None
-    fault_plan = None
-    if getattr(args, "chaos", None):
-        from .service import chaos_plan, default_resilience
-
-        fault_plan = chaos_plan(
-            args.chaos, len(trace), args.shards, seed=args.seed
-        )
-        resilience = default_resilience()
-    # fresh control plane per gateway (factory, not instance): buckets
-    # are stateful, so combos must not share admission history
-    control = control_factory() if control_factory is not None else None
-    if driver == "processes":
-        with ProcServiceGateway(
-            num_shards=args.shards,
-            estimator_factory=factory,
-            policy=policy,
-            max_queue_depth=args.max_queue_depth,
-            pool_workers=args.pool_workers,
-            telemetry=telemetry,
-            resilience=resilience,
-            fault_plan=fault_plan,
-            control=control,
-        ) as gateway:
-            return replay(trace, gateway)
-    if driver == "asyncio":
-        import asyncio
-
-        async def _go():
-            gateway = AsyncServiceGateway(
-                num_shards=args.shards,
-                estimator_factory=factory,
-                policy=policy,
-                max_queue_depth=args.max_queue_depth,
-                max_workers_per_shard=args.workers_per_shard,
-                telemetry=telemetry,
-                resilience=resilience,
-                fault_plan=fault_plan,
-                control=control,
-            )
-            try:
-                return await replay_async(trace, gateway)
-            finally:
-                await gateway.aclose()
-
-        return asyncio.run(_go())
-    if driver == "tcp":
-        from .service.tcp import TcpServerThread, TcpServiceClient
-
-        if getattr(args, "connect", None):
-            # drive an already-running server: its own policy/estimator
-            # apply, ours are ignored (stats in the report come from the
-            # remote gateway via the stats op)
-            host, _, port = args.connect.rpartition(":")
-            with TcpServiceClient(host or "127.0.0.1", int(port)) as client:
-                return replay(trace, client)
-        # in-process: gateway + server on a private loop thread, driven
-        # through a real socket — the gateway is built *inside* the loop
-        # thread, so the factory closes over the config here
-        gateway_factory = partial(
-            AsyncServiceGateway,
-            num_shards=args.shards,
-            estimator_factory=factory,
-            policy=policy,
-            max_queue_depth=args.max_queue_depth,
-            max_workers_per_shard=args.workers_per_shard,
-            telemetry=telemetry,
-            resilience=resilience,
-            fault_plan=fault_plan,
-            control=control,
-        )
-        with TcpServerThread(gateway_factory) as server:
-            host, port = server.address
-            # under chaos the server aborts connections on schedule; the
-            # client must re-dial to keep driving the rest of the trace
-            with TcpServiceClient(
-                host, port, reconnect=fault_plan is not None
-            ) as client:
-                return replay(trace, client)
-    with ServiceGateway(
-        num_shards=args.shards,
-        estimator_factory=factory,
-        policy=policy,
-        max_queue_depth=args.max_queue_depth,
-        max_workers_per_shard=args.workers_per_shard,
-        telemetry=telemetry,
-        resilience=resilience,
-        fault_plan=fault_plan,
-        control=control,
-    ) as gateway:
-        return replay(trace, gateway)
-
-
 def _print_loadtest_report(trace, args, report) -> None:
+    from .service.telemetry.report import render_recovery_and_tenants
+
     aggregate = report.stats["aggregate"]
     gateway_stats = report.stats["gateway"]
     print(
@@ -414,33 +233,8 @@ def _print_loadtest_report(trace, args, report) -> None:
     p95 = aggregate["latency_seconds"]["p95"]
     if p95 is not None:
         print(f"latency p95     : {p95 * 1e3:.2f} ms")
-    faults = gateway_stats.get("faults")
-    if faults:
-        print(
-            f"faults injected : {faults['injected']} "
-            f"(seed {faults['seed']}, {faults['planned']} planned)"
-        )
-    resilience = gateway_stats.get("resilience")
-    if resilience:
-        print(
-            f"resilience      : retries {resilience['retries']}  "
-            f"reroutes {resilience['reroutes']}  "
-            f"breaker opens {resilience['breaker_opens']}  "
-            f"shed on drain {resilience['shed_on_drain']}"
-        )
-        print(f"breaker states  : {resilience['breaker_states']}")
-    if report.tenants:
-        print("per-tenant      :")
-        for name in sorted(report.tenants):
-            bucket = report.tenants[name]
-            print(
-                f"  {name:<14} submitted {bucket['submitted']:>5}  "
-                f"answered {bucket['answered']:>5}  "
-                f"quota-shed {bucket['quota_shed']:>4}  "
-                f"shed {bucket['shed']:>4}  "
-                f"rejected {bucket['rejected']:>4}  "
-                f"p99 {report.tenant_latency_ms(name, 99):.2f} ms"
-            )
+    for line in render_recovery_and_tenants(report):
+        print(line)
 
 
 def _print_loadtest_comparison(runs) -> None:
@@ -487,47 +281,39 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         qos_priority,
         render_loadtest_report,
     )
+    from .service.loadtest import gateway_options, parse_tenant_spec, run_trace
 
     scenarios = args.scenario or ["zipf"]
     policies = args.policy or ["hash"]
     drivers = args.driver or ["threads"]
-    if args.chaos and getattr(args, "connect", None):
-        print(
-            "error: --chaos configures the gateway at construction time "
-            "and cannot be applied to an already-running server "
-            "(--connect)",
-            file=sys.stderr,
-        )
-        return 2
-    if getattr(args, "connect", None) and (
-        args.tenants or any(s in TENANT_SCENARIOS for s in scenarios)
-    ):
-        print(
-            "error: --tenants and multi-tenant scenarios install a "
-            "control plane at gateway construction time and cannot be "
-            "applied to an already-running server (--connect)",
-            file=sys.stderr,
-        )
-        return 2
+    connect = None
+    if args.connect:
+        if "tcp" not in drivers:
+            return _usage_error("--connect needs --driver tcp")
+        tenanted = args.tenants or any(s in TENANT_SCENARIOS for s in scenarios)
+        if args.chaos or tenanted:
+            return _usage_error(
+                "--chaos, --tenants and multi-tenant scenarios configure "
+                "the gateway at construction time and cannot be applied to "
+                "an already-running server (--connect)"
+            )
+        host, _, port = args.connect.rpartition(":")
+        if not port.isdigit():
+            return _usage_error(
+                f"--connect takes HOST:PORT, got {args.connect!r}"
+            )
+        connect = (host or "127.0.0.1", int(port))
     try:
         qos = qos_priority(args.qos) if args.qos else None
+        for spec in args.tenants or ():
+            parse_tenant_spec(spec)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.tenants:
-        try:
-            for spec in args.tenants:
-                _parse_tenant_spec(spec)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if getattr(args, "artifact_store", None) and args.estimator != "xmem":
-        print(
-            "error: --artifact-store caches pipeline-stage artifacts and "
-            "needs the real pipeline (--estimator xmem)",
-            file=sys.stderr,
+        return _usage_error(str(error))
+    if args.artifact_store and args.estimator != "xmem":
+        return _usage_error(
+            "--artifact-store caches pipeline-stage artifacts and "
+            "needs the real pipeline (--estimator xmem)"
         )
-        return 2
     capture = args.report or args.spans_out or args.ledger_out
     runs = []
     for scenario in scenarios:
@@ -541,16 +327,13 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         if qos is not None:
             # pin every request to one QoS class — e.g. replay the same
             # mix as all-batch vs all-interactive to see the reserve act
-            from dataclasses import replace as _replace
-
-            trace = _replace(
+            trace = replace(
                 trace,
                 requests=tuple(
-                    _replace(request, priority=qos)
+                    replace(request, priority=qos)
                     for request in trace.requests
                 ),
             )
-        control_factory = _control_factory(scenario, args)
         for policy_name in policies:
             for driver in drivers:
                 # full detail: the report panel exists to show the
@@ -560,20 +343,22 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                     if capture
                     else None
                 )
-                report = _loadtest_replay(
-                    trace, args, policy_name, driver, telemetry=telemetry,
-                    control_factory=control_factory,
+                report, _ = run_trace(
+                    driver,
+                    trace,
+                    connect=connect if driver == "tcp" else None,
+                    telemetry=telemetry,
+                    **gateway_options(args, scenario, policy_name, len(trace)),
                 )
                 if telemetry is not None and args.spans_out:
                     # spans stay in memory during the run (the report
                     # panel reads them back); dump afterwards so several
                     # runs append to one capture file, like the ledger
                     with open(args.spans_out, "a", encoding="utf-8") as fh:
-                        for span in telemetry.spans():
-                            fh.write(
-                                json.dumps(span.as_dict(), sort_keys=True)
-                                + "\n"
-                            )
+                        fh.writelines(
+                            json.dumps(span.as_dict(), sort_keys=True) + "\n"
+                            for span in telemetry.spans()
+                        )
                 if telemetry is not None:
                     telemetry.close()
                 runs.append(
@@ -587,38 +372,28 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                     }
                 )
     if args.json:
-        if len(runs) == 1:
-            # single combo keeps the original flat payload
-            print(json.dumps(runs[0]["report"].as_dict()))
-        else:
-            print(
-                json.dumps(
-                    {
-                        "runs": [
-                            {
-                                "scenario": run["scenario"],
-                                "policy": run["policy"],
-                                "driver": run["driver"],
-                                **run["report"].as_dict(),
-                            }
-                            for run in runs
-                        ]
-                    }
-                )
-            )
+        payloads = [
+            {
+                **{key: run[key] for key in ("scenario", "policy", "driver")},
+                **run["report"].as_dict(),
+            }
+            for run in runs
+        ]
+        # single combo keeps the original flat payload
+        flat = runs[0]["report"].as_dict()
+        print(json.dumps(flat if len(runs) == 1 else {"runs": payloads}))
         return 0
     if args.report:
-        for index, run in enumerate(runs):
-            if index:
-                print()
-            telemetry = run["telemetry"]
-            print(
-                render_loadtest_report(
-                    run,
-                    ledger=telemetry.ledger if telemetry else None,
-                    spans=telemetry.spans() if telemetry else None,
-                )
+        # --report implies capture: every run has its telemetry
+        panels = (
+            render_loadtest_report(
+                run,
+                ledger=run["telemetry"].ledger,
+                spans=run["telemetry"].spans(),
             )
+            for run in runs
+        )
+        print("\n\n".join(panels))
         if len(runs) > 1:
             _print_loadtest_comparison(runs)
     elif len(runs) == 1:
@@ -745,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         QOS_CLASSES,
         SCENARIO_NAMES,
     )
+    from .service.loadtest import DRIVERS
 
     loadtest.add_argument(
         "--scenario", choices=SCENARIO_NAMES, action="append", default=None,
@@ -781,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "per-shard cache locality); several values print a comparison",
     )
     loadtest.add_argument(
-        "--driver", choices=("threads", "asyncio", "processes", "tcp"),
+        "--driver", choices=DRIVERS,
         action="append", default=None,
         help="execution driver over the sans-IO core, repeatable "
         "(default threads); several values print a comparison; tcp "

@@ -44,6 +44,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..core.base import Estimator
@@ -389,35 +390,52 @@ async def estimate_many_async(
 async def replay_async(trace: TrafficTrace, target) -> ReplayReport:
     """Replay a traffic trace against an async service or gateway.
 
-    The awaitable mirror of :func:`repro.service.traffic.replay`: each
-    wave is submitted back-to-back on the loop and awaited before the
-    next begins — bursts stress single-flight and queues, wave boundaries
-    let caches matter.  Sheds and validation rejections are counted, not
-    raised, through the same outcome table
-    (:meth:`~repro.service.traffic.ReplayReport.tally`) as the sync
-    replayer, so driver comparisons are apples-to-apples.
+    The awaitable mirror of :func:`repro.service.traffic.replay`: wave by
+    wave, with the same outcome table
+    (:meth:`~repro.service.traffic.ReplayReport.tally`), so driver
+    comparisons are apples-to-apples.  Sheds are counted wherever they
+    surface — raised by ``submit`` in-process, failing the future on a
+    network client — and ``target.stats()`` may be a coroutine there.
 
-    Sheds are counted wherever they surface: in-process drivers raise
-    :class:`RateLimitExceededError` synchronously from ``submit``, while
-    a network client only learns of a shed from the response frame — its
-    future fails with the same exception instead.  ``target.stats()`` may
-    likewise be a coroutine on network clients (one more round trip).
+    Nothing settles on a loop the replayer does not yield to, so a wave
+    submitted back-to-back would hold every slot it took and a gateway
+    would shed what the thread driver — whose workers settle meanwhile —
+    answers.  At most ``target.max_queue_depth`` requests are therefore
+    left in flight: past that, the replayer waits for one to settle.  A
+    target without the attribute gets each wave whole.
     """
     report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
+    window = getattr(target, "max_queue_depth", None) or len(trace)
+    in_flight = 0
+    progress = asyncio.Event()
+
+    def settled(request, submitted_at, future) -> None:
+        # as a done-callback this runs after the target's own, added at
+        # submit: the slot is free again by the time it is counted free
+        nonlocal in_flight
+        in_flight -= 1
+        error = asyncio.CancelledError() if future.cancelled() else future.exception()
+        report.tally(request.tenant, error, time.perf_counter() - submitted_at)
+        progress.set()
+
     started = time.perf_counter()
     for wave in trace.waves():
         for request, submitted_at, future in submit_wave(report, target, wave):
-            try:
-                await future
-            except Exception as error:
-                report.tally(request.tenant, error)
+            in_flight += 1
+            if future.done():  # a hit, settled at submit: holds no slot
+                settled(request, submitted_at, future)
             else:
-                report.tally(
-                    request.tenant, None, time.perf_counter() - submitted_at
+                future.add_done_callback(
+                    partial(settled, request, submitted_at)
                 )
+            while in_flight >= window:
+                progress.clear()
+                await progress.wait()
+        while in_flight:
+            progress.clear()
+            await progress.wait()
     report.elapsed_seconds = time.perf_counter() - started
-    stats = target.stats()
-    if asyncio.iscoroutine(stats):
-        stats = await stats
-    report.stats = stats
+    report.stats = target.stats()
+    if asyncio.iscoroutine(report.stats):
+        report.stats = await report.stats
     return report

@@ -16,6 +16,7 @@ __all__ = [
     "render_histogram",
     "render_shard_heat",
     "render_loadtest_report",
+    "render_recovery_and_tenants",
     "render_trend_summary",
 ]
 
@@ -87,6 +88,48 @@ def render_shard_heat(shards: Sequence[dict], routed: Optional[dict] = None) -> 
     return "\n".join(lines)
 
 
+def render_recovery_and_tenants(report) -> list[str]:
+    """What a chaos run and a tenanted run add to a replay's summary.
+
+    Lines, not text: the plain ``loadtest`` output prints them after its
+    own, the ``--report`` panel puts them in a block.  Faults and
+    resilience counters come from the gateway snapshot (present only
+    when a fault plan / resilience policy was configured), the table
+    from the report's per-tenant buckets; an open, fault-free,
+    untenanted run yields nothing.
+    """
+    gateway = report.stats.get("gateway", {})
+    lines = []
+    faults = gateway.get("faults")
+    if faults:
+        lines.append(
+            f"faults injected : {faults['injected']} "
+            f"(seed {faults['seed']}, {faults['planned']} planned)"
+        )
+    resilience = gateway.get("resilience")
+    if resilience:
+        lines.append(
+            f"resilience      : retries {resilience['retries']}  "
+            f"reroutes {resilience['reroutes']}  "
+            f"breaker opens {resilience['breaker_opens']}  "
+            f"shed on drain {resilience['shed_on_drain']}"
+        )
+        lines.append(f"breaker states  : {resilience['breaker_states']}")
+    if report.tenants:
+        lines.append("per-tenant      :")
+        for name in sorted(report.tenants):
+            bucket = report.tenants[name]
+            lines.append(
+                f"  {name:<14} submitted {bucket['submitted']:>5}  "
+                f"answered {bucket['answered']:>5}  "
+                f"quota-shed {bucket['quota_shed']:>4}  "
+                f"shed {bucket['shed']:>4}  "
+                f"rejected {bucket['rejected']:>4}  "
+                f"p99 {report.tenant_latency_ms(name, 99):.2f} ms"
+            )
+    return lines
+
+
 def render_loadtest_report(
     run: dict, ledger=None, spans: Optional[Sequence] = None
 ) -> str:
@@ -124,20 +167,10 @@ def render_loadtest_report(
         lines.append(
             render_shard_heat(shards, gateway.get("routed_per_shard"))
         )
-    tenants = getattr(report, "tenants", None)
-    if tenants:
+    recovery = render_recovery_and_tenants(report)
+    if recovery:
         lines.append("")
-        lines.append("per-tenant:")
-        for name in sorted(tenants):
-            bucket = tenants[name]
-            lines.append(
-                f"  {name:<14} submitted {bucket['submitted']:>5}  "
-                f"answered {bucket['answered']:>5}  "
-                f"quota-shed {bucket['quota_shed']:>4}  "
-                f"shed {bucket['shed']:>4}  "
-                f"rejected {bucket['rejected']:>4}  "
-                f"p99 {report.tenant_latency_ms(name, 99):.2f} ms"
-            )
+        lines.extend(recovery)
     if ledger is not None:
         lines.append("")
         lines.append("ledger decisions:")

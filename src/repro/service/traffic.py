@@ -676,9 +676,6 @@ class ReplayReport:
             },
         )
 
-    def note_latency(self, tenant: str, seconds: float) -> None:
-        self.tenant_latencies.setdefault(tenant, []).append(seconds)
-
     def tally(
         self,
         tenant: str,
@@ -707,7 +704,7 @@ class ReplayReport:
             if bucket is not None:
                 bucket[counter] += 1
         if error is None and tenant:
-            self.note_latency(tenant, latency)
+            self.tenant_latencies.setdefault(tenant, []).append(latency)
 
     def tenant_latency_ms(self, tenant: str, q: float) -> float:
         """Linear-interpolated latency percentile for one tenant (ms)."""
@@ -758,14 +755,14 @@ class ReplayReport:
         return report
 
 
-def submit_wave(report: ReplayReport, target, wave) -> list:
-    """Submit one wave back-to-back; the submit half of both replayers.
+def submit_wave(report: ReplayReport, target, wave):
+    """Submit one wave lazily; the submit half of both replayers.
 
-    Returns ``(request, submitted_at, future)`` for every request that
-    got a future.  Sheds and rejections ``submit`` raises synchronously
-    are counted into ``report``; any other exception propagates.
+    Yields ``(request, submitted_at, future)`` per request that got a
+    future, submitting the next only when asked for it — the caller sets
+    the pace.  Sheds and rejections ``submit`` raises synchronously are
+    counted into ``report``; any other exception propagates.
     """
-    futures = []
     for request in wave:
         # kwargs only off their defaults: untenanted traces call
         # submit() exactly as pre-control-plane replays did, so any
@@ -782,8 +779,7 @@ def submit_wave(report: ReplayReport, target, wave) -> list:
         except (RateLimitExceededError, RequestRejectedError) as error:
             report.tally(request.tenant, error)
         else:
-            futures.append((request, submitted_at, future))
-    return futures
+            yield request, submitted_at, future
 
 
 def replay(trace: TrafficTrace, target) -> ReplayReport:
@@ -804,7 +800,9 @@ def replay(trace: TrafficTrace, target) -> ReplayReport:
     report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
     started = time.perf_counter()
     for wave in trace.waves():
-        for request, submitted_at, future in submit_wave(report, target, wave):
+        # the whole wave back-to-back: worker threads settle meanwhile
+        submitted = list(submit_wave(report, target, wave))
+        for request, submitted_at, future in submitted:
             try:
                 future.result()
             except Exception as error:

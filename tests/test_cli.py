@@ -228,3 +228,82 @@ class TestLoadtest:
             "hash", "random",
         }
         assert all(run["answered"] == 20 for run in payload["runs"])
+
+    def test_connect_without_the_tcp_driver_is_a_usage_error(self, capsys):
+        # was: silently replayed against a local thread gateway, exit 0
+        code = main(["loadtest", "--requests", "20", "--connect", "127.0.0.1:1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --connect needs --driver tcp\n"
+        assert captured.out == ""
+
+    def test_malformed_connect_endpoint_is_a_usage_error(self, capsys):
+        # was: ValueError traceback out of int("nohost")
+        code = main(["loadtest", "--driver", "tcp", "--connect", "nohost"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --connect takes HOST:PORT, got 'nohost'\n"
+        )
+
+
+def _mask_timings(text: str) -> str:
+    """Blank what the clock decides; every other character is pinned."""
+    import re
+
+    text = re.sub(
+        r"^(throughput|cache hit rate|latency p95)( +: ).*$", r"\1\2T",
+        text, flags=re.MULTILINE,
+    )
+    return re.sub(r"p99 [0-9.]+ ms", "p99 T ms", text)
+
+
+#: plain ``loadtest`` stdout captured at the commit before the faults /
+#: resilience / per-tenant lines moved into telemetry/report.py
+PLAIN_CHAOS = """\
+scenario 'zipf': 120 requests (8 unique keys, 4 waves) over 4 shards [hash routing]
+answered 120  shed 0  rejected 0  errors 0
+throughput      : T
+cache hit rate  : T
+shed rate       : 0.0%
+routed per shard: [55, 32, 15, 18]
+latency p95     : T
+faults injected : {'shard_blackout': 17} (seed 0, 1 planned)
+resilience      : retries 17  reroutes 23  breaker opens 2  shed on drain 0
+breaker states  : ['closed', 'closed', 'closed', 'closed']
+"""
+PLAIN_TENANTS = """\
+scenario 'noisy-neighbor': 120 requests (92 unique keys, 4 waves) over 4 shards [hash routing]
+answered 42  shed 78  rejected 0  errors 0
+throughput      : T
+cache hit rate  : T
+shed rate       : 65.0%
+routed per shard: [15, 2, 21, 4]
+latency p95     : T
+per-tenant      :
+  hostile        submitted    90  answered    12  quota-shed   78  shed   78  rejected    0  p99 T ms
+  well-behaved   submitted    30  answered    30  quota-shed    0  shed    0  rejected    0  p99 T ms
+"""
+
+
+class TestLoadtestReportText:
+    def test_plain_chaos_report_is_byte_identical(self, capsys):
+        assert main(["loadtest", "--chaos", "shard-kill", "--requests", "120"]) == 0
+        assert _mask_timings(capsys.readouterr().out) == PLAIN_CHAOS
+
+    def test_plain_tenant_report_is_byte_identical(self, capsys):
+        code = main([
+            "loadtest", "--scenario", "noisy-neighbor", "--requests", "120",
+            "--seed", "2",
+        ])
+        assert code == 0
+        assert _mask_timings(capsys.readouterr().out) == PLAIN_TENANTS
+
+    def test_report_panel_shows_the_recovery_a_chaos_run_exists_for(self, capsys):
+        code = main([
+            "loadtest", "--chaos", "shard-kill", "--requests", "120", "--report",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        # the same three lines the plain report prints, from one helper
+        for line in PLAIN_CHAOS.splitlines()[-3:]:
+            assert line in out.splitlines()

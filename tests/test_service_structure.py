@@ -11,8 +11,9 @@ contents themselves, and the middleware chain carries policy only — a
 request's outcome is observed once, in ``ServiceCore``.
 
 Run as a script to print per-module code-line counts (non-blank,
-non-comment, non-docstring) and the ``tcp.py + wire.py`` sum — CI prints
-the table next to the benchmark trends::
+non-comment, non-docstring), the ``tcp.py + wire.py`` sum and the
+``cli.py + service/`` sum — CI prints the table next to the benchmark
+trends::
 
     python tests/test_service_structure.py
 """
@@ -24,7 +25,9 @@ import io
 import tokenize
 from pathlib import Path
 
-SERVICE = Path(__file__).resolve().parent.parent / "src" / "repro" / "service"
+ROOT = Path(__file__).resolve().parent.parent
+SERVICE = ROOT / "src" / "repro" / "service"
+CLI = ROOT / "src" / "repro" / "cli.py"
 
 #: the gateway's dispatch machine: each is written once
 LIFECYCLE = (
@@ -131,6 +134,15 @@ FRAME_CODEC = {
     "OP_ESTIMATE_MANY",
     "OP_STATS",
     "OP_DRAIN",
+}
+#: what picking a driver takes: named in service/loadtest.py, not by callers
+DRIVER_WIRING = {
+    "ServiceGateway",
+    "AsyncServiceGateway",
+    "ProcServiceGateway",
+    "TcpServerThread",
+    "TcpServiceClient",
+    "replay_async",
 }
 #: observation adapters that lived in the policy layer: gone, stay gone
 MIDDLEWARE_RETIRED = ("TimingMiddleware", "AuditLogMiddleware")
@@ -368,6 +380,57 @@ def test_the_transport_reads_no_private_field_of_a_gateway():
     assert {"take_connection_drop", "when_done"} <= defined_names(gateway)
 
 
+def names_used(tree: ast.AST) -> set[str]:
+    """Every identifier a module mentions: names, attributes, imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.split(".")[-1] for alias in node.names)
+    return used
+
+
+def constructed(tree: ast.AST) -> set[str]:
+    """Names called directly, or handed to ``partial`` as the callable."""
+    built = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            built.add(node.func.id)
+            if node.func.id == "partial" and node.args:
+                if isinstance(node.args[0], ast.Name):
+                    built.add(node.args[0].id)
+    return built
+
+
+def test_the_driver_table_is_written_once():
+    """A driver is picked by name, in ``service/loadtest.py``: the CLI
+    names no gateway, server, client or loop replayer and imports no
+    ``asyncio``; no bench outside the end-to-end harness (which measures
+    from outside ``src/`` on purpose) builds the loop gateway or the
+    socket server itself; and the module that does is a driver-side one
+    the package does not import, so a process that only serves requests
+    never loads it."""
+    cli = ast.parse(CLI.read_text())
+    wired = names_used(cli) & DRIVER_WIRING
+    assert not wired, f"cli.py names {sorted(wired)}"
+    assert "asyncio" not in imported_roots(cli)
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        built = constructed(ast.parse(path.read_text())) & {
+            "AsyncServiceGateway",
+            "TcpServerThread",
+        }
+        assert not built, f"{path.name} constructs {sorted(built)}"
+    trees = modules()
+    assert "run_trace" in defined_names(trees["loadtest.py"])
+    assert "loadtest" not in SANS_IO
+    for node in ast.walk(trees["__init__.py"]):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "loadtest", "repro.service imports loadtest"
+
+
 def test_the_core_imports_no_concurrency_substrate():
     trees = modules()
     for name in SANS_IO:
@@ -493,3 +556,5 @@ if __name__ == "__main__":
     print(f"  {sum(counts.values()):6d}  total")
     # the transport's budget: both halves of the protocol and their shells
     print(f"  {counts['tcp.py'] + counts['wire.py']:6d}  tcp.py + wire.py")
+    # the caller's side: what is left in the CLI once the wiring is here
+    print(f"  {code_lines(CLI) + sum(counts.values()):6d}  cli.py + service/")
