@@ -252,7 +252,7 @@ def race_warm_cache() -> dict:
             ("warm", cold_requests * WARM_REPEATS),
         ):
             started = time.perf_counter()
-            estimate_many(service, requests, share_profiles=False)
+            estimate_many(service, requests)
             rps[phase] = len(requests) / (time.perf_counter() - started)
         hit_rate = service.stats()["service"]["cache_hit_rate"]
     speedup = rps["warm"] / rps["cold"]

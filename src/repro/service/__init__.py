@@ -22,7 +22,7 @@ Quickstart::
         print(service.stats()["service"]["cache_hit_rate"])
 """
 
-from .batch import SweepCell, estimate_many, profile_workload, sweep
+from .batch import SweepCell, estimate_many, sweep
 from .cache import CacheStats, EstimateCache
 from .context import NullLock, RequestContext, ServiceRequest
 from .control import (
@@ -238,7 +238,6 @@ __all__ = [
     "make_control",
     "make_policy",
     "percentile",
-    "profile_workload",
     "qos_class",
     "qos_priority",
     "render_histogram",

@@ -41,16 +41,14 @@ against either driver with identical accounting.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..core.base import Estimator
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
-from .batch import plan_shared_traces, submit_all
+from .batch import submit_all
 from .cache import EstimateCache
 from .context import NullLock, RequestContext, ServiceRequest
 from .control import ControlPlane
@@ -147,9 +145,8 @@ class AsyncEstimationService(ServiceDispatch):
     Construction mirrors :class:`~repro.service.engine.EstimationService`
     exactly; ``max_workers`` sizes the executor that runs the CPU-bound
     estimates.  All public methods must be called from a running event
-    loop.  The middleware hooks run on the loop, so they keep their
-    sans-IO null locks — except the cache, which gets a real lock because
-    the bulk profile planner inspects it from executor threads.
+    loop.  The middleware hooks and the cache run on the loop, so they
+    keep their sans-IO null locks.
 
     ``submit`` is :meth:`ServiceDispatch.submit
     <repro.service.dispatch.ServiceDispatch.submit>` and must be called
@@ -175,8 +172,6 @@ class AsyncEstimationService(ServiceDispatch):
         super().__init__(
             estimator, middlewares, cache, metrics, telemetry, _LoopSubstrate()
         )
-        # the shared-profile planner reads the cache from executor threads
-        self.cache.bind_lock(threading.Lock)
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="xmem-aio"
         )
@@ -190,27 +185,18 @@ class AsyncEstimationService(ServiceDispatch):
             self._executor, self._estimate, request, ctx
         )
 
-    async def estimate(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-    ):
+    async def estimate(self, workload: WorkloadConfig, device: DeviceSpec):
         """Awaitable request — the drop-in for ``estimator.estimate()``."""
-        return await self.submit(workload, device, trace=trace)
+        return await self.submit(workload, device)
 
     async def estimate_many(
         self,
         requests: Sequence[tuple[WorkloadConfig, DeviceSpec]],
-        share_profiles: bool = True,
         return_exceptions: bool = False,
     ) -> list:
         """Awaitable bulk API; results in request order (see batch)."""
         return await estimate_many_async(
-            self,
-            requests,
-            share_profiles=share_profiles,
-            return_exceptions=return_exceptions,
+            self, requests, return_exceptions=return_exceptions
         )
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
@@ -301,14 +287,9 @@ class AsyncServiceGateway(GatewayDispatch):
             control=control,
         )
 
-    async def estimate(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-    ):
+    async def estimate(self, workload: WorkloadConfig, device: DeviceSpec):
         """Awaitable request — the drop-in for ``service.estimate()``."""
-        return await self.submit(workload, device, trace=trace)
+        return await self.submit(workload, device)
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop accepting requests and wait for in-flight ones to settle.
@@ -355,26 +336,18 @@ class AsyncServiceGateway(GatewayDispatch):
 async def estimate_many_async(
     service: AsyncEstimationService,
     requests: Sequence[tuple[WorkloadConfig, DeviceSpec]],
-    share_profiles: bool = True,
     return_exceptions: bool = False,
 ) -> list:
     """Estimate every (workload, device) pair; results in request order.
 
     The awaitable mirror of :func:`repro.service.batch.estimate_many`:
-    with ``share_profiles`` (and a trace-capable estimator), workloads
-    repeated across devices are profiled once up front — the planning
-    itself is CPU-bound, so it runs on the service's executor while the
-    loop stays responsive.  With ``return_exceptions``, failures come
-    back in-place instead of raising on the first bad request.
+    every request is submitted at once, so a workload repeated across
+    devices is profiled once by the estimator's own stage cache.  With
+    ``return_exceptions``, failures come back in-place instead of raising
+    on the first bad request.
     """
-    traces: dict[tuple, Trace] = {}
-    if share_profiles and getattr(service, "accepts_trace", False):
-        loop = asyncio.get_running_loop()
-        traces = await loop.run_in_executor(
-            service._executor, plan_shared_traces, service, requests
-        )
     results: list = []
-    for item in submit_all(service, requests, traces, return_exceptions):
+    for item in submit_all(service, requests, return_exceptions):
         if isinstance(item, Exception):
             results.append(item)
             continue

@@ -1,22 +1,18 @@
-"""Bulk estimation APIs that exploit shared work across requests.
+"""Bulk estimation APIs: many requests, one call.
 
-The expensive stage of an xMem estimate is the CPU profiling run, and it
-depends only on the *workload* — not the device or allocator config.  A
-sweep of one workload over N devices therefore needs one profile, not N.
-``estimate_many`` groups requests by workload, profiles each group once,
-and hands the shared trace to the service (whose estimator replays it per
-device); ``sweep`` builds the (model x batch size x device) grid the
-paper's capacity-planning scenarios ask for.
+``estimate_many`` submits every (workload, device) pair to a service and
+collects the results in request order; ``sweep`` builds the (model x
+batch size x device) grid the paper's capacity-planning scenarios ask
+for.  Both work on any synchronous driver — the thread service or the
+process one — and :func:`repro.service.aio.estimate_many_async` is the
+awaitable mirror over the same :func:`submit_all`.
 
-The planning step (:func:`plan_shared_traces`) is driver-agnostic: it
-only needs the service surface (``fingerprint`` / ``cache`` /
-``estimator``), so :func:`repro.service.aio.estimate_many_async` reuses
-it for the asyncio driver and
-:meth:`repro.service.procpool.ProcEstimationService.estimate_many` for
-the process driver — one planner, three substrates.  Under the process
-driver the profile is computed once in the parent and shipped (pickled)
-to whichever worker handles each request of the group, so N workers
-never profile the same workload N times.
+Nothing here shares a profile.  The expensive stage of an xMem estimate
+is the CPU profile, and it depends only on the workload, not the device;
+the estimator's own stage cache keys it that way, so a sweep of one
+workload over N devices profiles once per process (and, with an
+``artifact_store``, once across processes) — and ``stats()`` counts that
+profile as the request's own work.
 """
 
 from __future__ import annotations
@@ -25,74 +21,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..core.result import EstimationResult
-from ..runtime.loop import TrainLoopConfig
-from ..runtime.profiler import DEFAULT_PROFILE_ITERATIONS, profile_on_cpu
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .engine import EstimationService
-
-
-def profile_workload(
-    service: EstimationService, workload: WorkloadConfig
-) -> Trace:
-    """One CPU profile of ``workload``, matching the wrapped estimator's
-    own profiling parameters so estimates stay byte-identical.
-
-    A staged estimator profiles through its own pipeline, so the shared
-    trace lands in (or comes from) the stage cache — the bulk fast path
-    and the per-request stage caches reuse one artifact.
-    """
-    pipeline = getattr(service.estimator, "pipeline", None)
-    if pipeline is not None:
-        return pipeline.profile(workload)
-    iterations = getattr(
-        service.estimator, "iterations", DEFAULT_PROFILE_ITERATIONS
-    )
-    return profile_on_cpu(
-        workload.model,
-        batch_size=workload.batch_size,
-        optimizer=workload.optimizer,
-        loop=TrainLoopConfig(
-            iterations=iterations,
-            zero_grad_position=workload.zero_grad_position,
-            set_to_none=workload.set_to_none,
-        ),
-        iterations=iterations,
-    )
-
-
-def plan_shared_traces(
-    service,
-    requests: Sequence[tuple[WorkloadConfig, DeviceSpec]],
-) -> dict[tuple, Trace]:
-    """Profile each workload that appears in >= 2 non-cached requests.
-
-    ``service`` is any driver exposing ``fingerprint`` / ``cache`` /
-    ``estimator`` — the thread service or the asyncio one.
-    """
-    pending: dict[tuple, list[tuple[WorkloadConfig, DeviceSpec]]] = {}
-    for workload, device in requests:
-        if service.fingerprint(workload, device) in service.cache:
-            continue
-        pending.setdefault(workload.to_key(), []).append((workload, device))
-    traces: dict[tuple, Trace] = {}
-    for key, group in pending.items():
-        if len(group) < 2:
-            continue
-        try:
-            traces[key] = profile_workload(service, group[0][0])
-        except Exception:
-            # an unprofilable workload (unknown model, bad optimizer) is
-            # not this fast path's problem: leave the group trace-less so
-            # each request fails — or is rejected — individually
-            continue
-    return traces
 
 
 def submit_all(
     service,
     requests: Sequence[tuple[WorkloadConfig, DeviceSpec]],
-    traces: dict[tuple, Trace],
     return_exceptions: bool,
 ) -> list:
     """Submit every request; the submit half of both bulk APIs.
@@ -103,11 +38,7 @@ def submit_all(
     futures: list = []
     for workload, device in requests:
         try:
-            futures.append(
-                service.submit(
-                    workload, device, trace=traces.get(workload.to_key())
-                )
-            )
+            futures.append(service.submit(workload, device))
         except Exception as error:
             if not return_exceptions:
                 raise
@@ -118,22 +49,17 @@ def submit_all(
 def estimate_many(
     service: EstimationService,
     requests: Sequence[tuple[WorkloadConfig, DeviceSpec]],
-    share_profiles: bool = True,
     return_exceptions: bool = False,
 ) -> list:
     """Estimate every (workload, device) pair; results in request order.
 
-    With ``share_profiles`` (and a trace-capable estimator), workloads
-    repeated across devices are profiled once up front.  With
-    ``return_exceptions``, failures come back in-place instead of raising
-    on the first bad request.  ``service`` is any synchronous driver
-    exposing ``submit`` futures — the thread service or the process one.
+    With ``return_exceptions``, failures come back in-place instead of
+    raising on the first bad request.  ``service`` is any synchronous
+    driver exposing ``submit`` futures — the thread service or the
+    process one.
     """
-    traces: dict[tuple, Trace] = {}
-    if share_profiles and service.accepts_trace:
-        traces = plan_shared_traces(service, requests)
     results = []
-    for item in submit_all(service, requests, traces, return_exceptions):
+    for item in submit_all(service, requests, return_exceptions):
         if isinstance(item, Exception):
             results.append(item)
             continue
@@ -184,9 +110,10 @@ def sweep(
 ) -> list[SweepCell]:
     """Estimate the full (model x batch size x device) grid.
 
-    Each (model, batch size) workload is profiled at most once across all
-    devices.  Per-cell failures are captured, not raised: capacity planning
-    should see the whole grid even when one corner is invalid.
+    Each (model, batch size) workload is profiled at most once per
+    process, by the estimator's stage cache.  Per-cell failures are
+    captured, not raised: capacity planning should see the whole grid
+    even when one corner is invalid.
     """
     workloads = [
         WorkloadConfig(

@@ -14,8 +14,11 @@ the driver *binds* a real primitive via ``bind_lock`` (see
 :class:`ServiceRequest` is the immutable request; :class:`RequestContext`
 is the mutable per-request state threaded through every hook: identity
 (``request_id``, ``fingerprint``), budget (``deadline``, ``attempt``),
-placement (``shard_hint``), and outcome flags the drivers and middlewares
-fill in as the request advances.
+and outcome flags the drivers and middlewares fill in as the request
+advances.  Only the request has a serialized form
+(:meth:`ServiceRequest.as_dict`); a context never leaves the process
+that opened it — the TCP wire ships a deadline as remaining budget and
+the server opens a fresh context around it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, ContextManager, Optional
 
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 
 #: ``() -> context manager`` — what drivers pass to ``bind_lock`` (e.g.
@@ -59,8 +61,6 @@ class ServiceRequest:
     workload: WorkloadConfig
     device: DeviceSpec
     fingerprint: str
-    #: pre-computed CPU profile shared across requests (see service.batch)
-    trace: Optional[Trace] = None
     metadata: dict = field(default_factory=dict)
     #: the submitting tenant ("" = untenanted traffic; see service.control)
     tenant: str = ""
@@ -68,13 +68,11 @@ class ServiceRequest:
     priority: int = 1
 
     def as_dict(self) -> dict:
-        """JSON-ready identity of the request (everything but the trace).
+        """JSON-ready form of the request.
 
         This is the wire format the process-pool driver ships to worker
         processes: plain dicts survive any serialization substrate
-        (pickle today, JSON-over-socket tomorrow).  The trace is carried
-        out-of-band — it is a large binary artifact with its own
-        serialization, not part of the request identity.
+        (pickle today, JSON-over-socket tomorrow).
 
         ``tenant``/``priority`` ride only when set off their defaults,
         so untenanted payloads stay byte-identical to pre-control-plane
@@ -93,20 +91,12 @@ class ServiceRequest:
         return payload
 
     @classmethod
-    def from_dict(
-        cls, payload: dict, trace: Optional[Trace] = None
-    ) -> "ServiceRequest":
-        """Inverse of :meth:`as_dict` (round-trips exactly).
-
-        ``trace`` re-attaches the out-of-band profile on the receiving
-        side (the process-pool worker passes through whatever the parent
-        shipped alongside the payload).
-        """
+    def from_dict(cls, payload: dict) -> "ServiceRequest":
+        """Inverse of :meth:`as_dict` (round-trips exactly)."""
         return cls(
             workload=WorkloadConfig.from_dict(payload["workload"]),
             device=DeviceSpec.from_dict(payload["device"]),
             fingerprint=payload["fingerprint"],
-            trace=trace,
             metadata=dict(payload.get("metadata", {})),
             tenant=payload.get("tenant", ""),
             priority=payload.get("priority", 1),
@@ -133,8 +123,6 @@ class RequestContext:
     #: procpool worker-death recovery bumps it in place) — ledger events
     #: for attempt > 1 carry it as provenance
     attempt: int = 1
-    #: the shard the router picked (None outside a gateway)
-    shard_hint: Optional[int] = None
     cache_hit: bool = False
     deduplicated: bool = False
     short_circuited_by: Optional[str] = None
@@ -148,94 +136,6 @@ class RequestContext:
         default=None, compare=False, repr=False
     )
 
-    def remaining(self, now: float) -> Optional[float]:
-        """Seconds left before the deadline (None = no deadline)."""
-        if self.deadline is None:
-            return None
-        return self.deadline - now
-
     def expired(self, now: float) -> bool:
         """Whether the deadline has passed at clock value ``now``."""
         return self.deadline is not None and now >= self.deadline
-
-    def as_dict(self, now: Optional[float] = None) -> dict:
-        """JSON-ready snapshot of the per-request state.
-
-        The envelope's wire-format contract (paired with
-        :meth:`ServiceRequest.as_dict`): today's process-pool driver
-        keeps contexts in the parent and ships only the request, but any
-        transport that forwards in-progress requests — cross-process
-        retry/failover, a socket gateway — needs the whole envelope to
-        round-trip, and the property tests pin that both halves do.
-        ``tags`` is deliberately shallow-copied: middlewares only ever
-        store scalars there (timestamps, flags), never live objects.
-
-        ``submitted_at`` and ``deadline`` are values of the *sender's*
-        monotonic clock, which means nothing on another host (or even
-        another process after a reboot).  Passing ``now`` — the sender's
-        current clock reading — switches to the **wire form**: the
-        absolute stamps are replaced by ``age_seconds`` (how long the
-        request has been alive) and ``deadline_remaining`` (budget left,
-        None for no deadline), which any receiver can rebase onto its
-        own clock via ``from_dict(payload, now=receiver_clock())``.
-        Leave ``now`` unset only when the payload stays inside one clock
-        domain (the procpool pickle boundary on a single host).
-        """
-        payload = {
-            "request_id": self.request_id,
-            "fingerprint": self.fingerprint,
-            "attempt": self.attempt,
-            "shard_hint": self.shard_hint,
-            "cache_hit": self.cache_hit,
-            "deduplicated": self.deduplicated,
-            "short_circuited_by": self.short_circuited_by,
-            "tags": dict(self.tags),
-            "metadata": dict(self.metadata),
-        }
-        if now is None:
-            payload["submitted_at"] = self.submitted_at
-            payload["deadline"] = self.deadline
-        else:
-            payload["age_seconds"] = now - self.submitted_at
-            payload["deadline_remaining"] = self.remaining(now)
-        return payload
-
-    @classmethod
-    def from_dict(
-        cls, payload: dict, now: Optional[float] = None
-    ) -> "RequestContext":
-        """Inverse of :meth:`as_dict` (round-trips exactly).
-
-        A wire-form payload (``age_seconds`` / ``deadline_remaining``)
-        requires ``now`` — the *receiver's* current clock reading — and
-        rebases both stamps into the receiver's clock domain, preserving
-        the request's age and remaining budget regardless of clock skew
-        between the two hosts.  An absolute-form payload is taken as-is
-        (same clock domain).
-        """
-        if "age_seconds" in payload or "deadline_remaining" in payload:
-            if now is None:
-                raise ValueError(
-                    "wire-form context payload (age_seconds/"
-                    "deadline_remaining) needs the receiver clock: pass "
-                    "from_dict(payload, now=clock())"
-                )
-            submitted_at = now - payload.get("age_seconds", 0.0)
-            remaining = payload.get("deadline_remaining")
-            deadline = None if remaining is None else now + remaining
-        else:
-            submitted_at = payload["submitted_at"]
-            deadline = payload.get("deadline")
-        return cls(
-            request_id=payload["request_id"],
-            submitted_at=submitted_at,
-            fingerprint=payload.get("fingerprint", ""),
-            deadline=deadline,
-            attempt=payload.get("attempt", 1),
-            shard_hint=payload.get("shard_hint"),
-            cache_hit=payload.get("cache_hit", False),
-            deduplicated=payload.get("deduplicated", False),
-            short_circuited_by=payload.get("short_circuited_by"),
-            tags=dict(payload.get("tags", {})),
-            metadata=dict(payload.get("metadata", {})),
-        )

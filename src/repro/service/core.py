@@ -23,7 +23,6 @@ Driver contract:
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import time
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ from ..errors import (
     RequestRejectedError,
     ServiceClosedError,
 )
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .cache import EstimateCache
 from .context import RequestContext, ServiceRequest
@@ -65,12 +63,7 @@ def compute_fingerprint(
     )
 
 
-def estimator_accepts_trace(estimator) -> bool:
-    """Whether the estimator's ``estimate`` takes a pre-computed trace."""
-    return "trace" in inspect.signature(estimator.estimate).parameters
-
-
-def invoke_estimator(estimator, request: ServiceRequest, accepts_trace: bool):
+def invoke_estimator(estimator, request: ServiceRequest):
     """Run the wrapped estimator for one request (the CPU-bound step).
 
     Both drivers call this from their execution substrate — a worker
@@ -83,10 +76,6 @@ def invoke_estimator(estimator, request: ServiceRequest, accepts_trace: bool):
     directive = request.metadata.get("fault")
     if directive:
         apply_fault_directive(directive)
-    if request.trace is not None and accepts_trace:
-        return estimator.estimate(
-            request.workload, request.device, trace=request.trace
-        )
     return estimator.estimate(request.workload, request.device)
 
 
@@ -95,9 +84,9 @@ def adopt_chain_cache(
 ) -> EstimateCache:
     """The cache that actually serves hits for this chain.
 
-    ``stats()`` and the batch fast path must see the cache the chain's
-    :class:`CacheMiddleware` consults; fall back to the service's own
-    when the chain has none (hits are then impossible, stats just idle).
+    ``stats()`` must see the cache the chain's :class:`CacheMiddleware`
+    consults; fall back to the service's own when the chain has none
+    (hits are then impossible, stats just idle).
     """
     for middleware in middlewares:
         if isinstance(middleware, CacheMiddleware):
@@ -251,7 +240,6 @@ class ServiceCore:
         workload: WorkloadConfig,
         device: DeviceSpec,
         fingerprint: str,
-        trace: Optional[Trace] = None,
         deadline: Optional[float] = None,
         metadata: Optional[dict] = None,
         tenant: str = "",
@@ -263,7 +251,6 @@ class ServiceCore:
             workload=workload,
             device=device,
             fingerprint=fingerprint,
-            trace=trace,
             metadata=dict(metadata) if metadata else {},
             tenant=tenant,
             priority=priority,

@@ -53,7 +53,6 @@ from ..errors import (
     ServiceClosedError,
     ShardBlackoutError,
 )
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .cache import EstimateCache
 from .context import LockFactory, RequestContext, ServiceRequest
@@ -64,7 +63,6 @@ from .core import (
     adopt_chain_cache,
     aggregate_shard_stats,
     compute_fingerprint,
-    estimator_accepts_trace,
     invoke_estimator,
 )
 from .faults import FaultInjector, FaultPlan
@@ -165,8 +163,8 @@ class ServiceDispatch:
         if middlewares is None:
             middlewares = default_middlewares(self.cache)
         else:
-            # stats() and the batch fast path must see the cache that
-            # actually serves hits: adopt the chain's, if it has one
+            # stats() must see the cache that actually serves hits:
+            # adopt the chain's, if it has one
             self.cache = adopt_chain_cache(middlewares, self.cache)
         self.chain = MiddlewareChain(middlewares)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -187,16 +185,10 @@ class ServiceDispatch:
         self._dispatched = 0  # launched estimations not yet settled
         self._draining = False
         self._closed = False
-        self._accepts_trace = estimator_accepts_trace(self.estimator)
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    @property
-    def accepts_trace(self) -> bool:
-        """Whether the wrapped estimator can reuse a pre-computed trace."""
-        return self._accepts_trace
-
     def fingerprint(
         self, workload: WorkloadConfig, device: DeviceSpec
     ) -> str:
@@ -207,7 +199,6 @@ class ServiceDispatch:
         self,
         workload: WorkloadConfig,
         device: DeviceSpec,
-        trace: Optional[Trace] = None,
         fingerprint: Optional[str] = None,
         deadline: Optional[float] = None,
         metadata: Optional[dict] = None,
@@ -239,7 +230,6 @@ class ServiceDispatch:
             workload,
             device,
             fp,
-            trace=trace,
             deadline=deadline,
             metadata=metadata,
             tenant=tenant,
@@ -346,7 +336,7 @@ class ServiceDispatch:
         """The CPU-bound step, as an in-process executor runs it."""
         if ctx.telemetry is not None:
             ctx.telemetry.begin_estimate()
-        return invoke_estimator(self.estimator, request, self._accepts_trace)
+        return invoke_estimator(self.estimator, request)
 
     def _on_done(
         self,
@@ -439,7 +429,6 @@ class _ResilientCall:
 
     workload: WorkloadConfig
     device: DeviceSpec
-    trace: Optional[Trace]
     fingerprint: str
     seq: int
     #: global fault-plan submission index (None without an injector)
@@ -560,7 +549,6 @@ class GatewayDispatch:
         self,
         workload: WorkloadConfig,
         device: DeviceSpec,
-        trace: Optional[Trace] = None,
         deadline: Optional[float] = None,
         metadata: Optional[dict] = None,
         tenant: str = "",
@@ -590,7 +578,7 @@ class GatewayDispatch:
         """
         if self._resilience is not None or self._injector is not None:
             return self._submit_resilient(
-                workload, device, trace, deadline, metadata, tenant, priority
+                workload, device, deadline, metadata, tenant, priority
             )
         fingerprint = self.fingerprint(workload, device)
         with self._lock:
@@ -624,7 +612,6 @@ class GatewayDispatch:
             primary,
             workload,
             device,
-            trace,
             fingerprint,
             metadata=metadata,
             span=span,
@@ -635,7 +622,7 @@ class GatewayDispatch:
         )
         for shard_index in replicas:
             self._replicate(
-                shard_index, workload, device, trace, fingerprint, seq=seq
+                shard_index, workload, device, fingerprint, seq=seq
             )
         return future
 
@@ -767,7 +754,6 @@ class GatewayDispatch:
         shard_index: int,
         workload: WorkloadConfig,
         device: DeviceSpec,
-        trace: Optional[Trace],
         fingerprint: str,
         metadata: Optional[dict] = None,
         span=None,
@@ -791,7 +777,11 @@ class GatewayDispatch:
                     priority=priority,
                     deadline_remaining=deadline_remaining,
                 )
-        except (RateLimitExceededError, RequestRejectedError) as error:
+        except (
+            RateLimitExceededError,
+            RequestRejectedError,
+            ServiceClosedError,
+        ) as error:
             event, cause, status = admit_refusal(error)
             self._gateway_decision(event, cause, fingerprint, seq, shard_index)
             self._close_span(span, status)
@@ -804,7 +794,6 @@ class GatewayDispatch:
             future = self._shard_services[shard_index].submit(
                 workload,
                 device,
-                trace=trace,
                 fingerprint=fingerprint,
                 deadline=deadline,
                 metadata=metadata,
@@ -836,7 +825,6 @@ class GatewayDispatch:
         shard_index: int,
         workload: WorkloadConfig,
         device: DeviceSpec,
-        trace: Optional[Trace],
         fingerprint: str,
         seq: Optional[int] = None,
     ) -> None:
@@ -850,7 +838,7 @@ class GatewayDispatch:
         )
         try:
             future = self._shard_services[shard_index].submit(
-                workload, device, trace=trace, fingerprint=fingerprint
+                workload, device, fingerprint=fingerprint
             )
         except BaseException:
             self._settle(shard_index)
@@ -881,7 +869,6 @@ class GatewayDispatch:
         self,
         workload: WorkloadConfig,
         device: DeviceSpec,
-        trace: Optional[Trace],
         deadline: Optional[float],
         metadata: Optional[dict],
         tenant: str,
@@ -927,7 +914,6 @@ class GatewayDispatch:
         state = _ResilientCall(
             workload,
             device,
-            trace,
             fingerprint,
             seq,
             index,
@@ -945,7 +931,7 @@ class GatewayDispatch:
         self._maybe_schedule_hedge(state, target)
         for shard_index in replicas:
             self._replicate(
-                shard_index, workload, device, trace, fingerprint, seq=seq
+                shard_index, workload, device, fingerprint, seq=seq
             )
         return state.outer
 
@@ -1018,7 +1004,6 @@ class GatewayDispatch:
             future = self._shard_services[shard_index].submit(
                 state.workload,
                 state.device,
-                trace=state.trace,
                 fingerprint=state.fingerprint,
                 deadline=state.deadline,
                 metadata=metadata,

@@ -42,7 +42,6 @@ from concurrent.futures import (
 from typing import Optional, Sequence
 
 from ..core.base import Estimator
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .cache import EstimateCache
 from .context import RequestContext, ServiceRequest
@@ -127,14 +126,9 @@ class SyncServiceShell(ServiceDispatch):
         """Release the executor, if this service owns it."""
         raise NotImplementedError
 
-    def estimate(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-    ):
+    def estimate(self, workload: WorkloadConfig, device: DeviceSpec):
         """Blocking request — the drop-in for ``estimator.estimate()``."""
-        return self.submit(workload, device, trace=trace).result()
+        return self.submit(workload, device).result()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop accepting requests and wait for in-flight estimations.

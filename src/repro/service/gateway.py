@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .control import ControlPlane
 from .core import aggregate_shard_stats
@@ -115,14 +114,9 @@ class SyncGatewayShell(GatewayDispatch):
         """Tear down any substrate the subclass owns beyond the shards."""
         return None
 
-    def estimate(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        trace: Optional[Trace] = None,
-    ):
+    def estimate(self, workload: WorkloadConfig, device: DeviceSpec):
         """Blocking request — the drop-in for ``service.estimate()``."""
-        return self.submit(workload, device, trace=trace).result()
+        return self.submit(workload, device).result()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop accepting requests and wait for in-flight ones to finish.

@@ -20,10 +20,12 @@ Division of labour:
 * **workers** — each process builds its estimator **once**, via the
   pool initializer (:func:`_init_worker`), from a picklable factory.
   Stage caches (:class:`~repro.core.pipeline.PipelineCache`) therefore
-  warm *inside* each worker and persist across requests.  A worker only
-  ever sees the pickle-safe request payload
-  (:meth:`~repro.service.context.ServiceRequest.as_dict` + the optional
-  shared trace) and returns ``(worker_pid, result)``.
+  warm *inside* each worker and persist across requests: a workload is
+  profiled at most once per worker, and an ``artifact_store``
+  (:func:`with_artifact_store`) is how workers share one profile.  A
+  worker only ever sees the pickle-safe request payload
+  (:meth:`~repro.service.context.ServiceRequest.as_dict`) and returns
+  ``(worker_pid, result)``.
 
 Cross-process metrics: the result objects come back carrying their
 ``stage_seconds`` breakdown (``compare=False``, so byte-identity with
@@ -64,12 +66,9 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..core.estimator import XMemEstimator
-from ..trace.reader import Trace
-from ..workload import DeviceSpec, WorkloadConfig
-from .batch import estimate_many as _estimate_many
 from .cache import EstimateCache
 from .context import RequestContext, ServiceRequest
-from .core import estimator_accepts_trace, invoke_estimator
+from .core import invoke_estimator
 from .engine import SyncServiceShell
 from .faults import FaultPlan
 from .gateway import (
@@ -150,22 +149,19 @@ def with_artifact_store(
 #: runs before any work item, and every subsequent task in this process
 #: reuses the same instance — which is what lets stage caches warm.
 _WORKER_ESTIMATOR = None
-_WORKER_ACCEPTS_TRACE = False
 
 
 def _init_worker(factory: Callable[[], object]) -> None:
     """Pool initializer: construct this process's estimator exactly once."""
-    global _WORKER_ESTIMATOR, _WORKER_ACCEPTS_TRACE
+    global _WORKER_ESTIMATOR
     _WORKER_ESTIMATOR = factory()
-    _WORKER_ACCEPTS_TRACE = estimator_accepts_trace(_WORKER_ESTIMATOR)
 
 
-def _worker_estimate(payload: dict, trace: Optional[Trace]):
+def _worker_estimate(payload: dict):
     """Run one cache-miss estimation inside a worker process.
 
     ``payload`` is the pickle-safe envelope
-    (:meth:`ServiceRequest.as_dict`); the trace rides alongside because
-    it is a large out-of-band artifact, not request identity.  Returns
+    (:meth:`ServiceRequest.as_dict`).  Returns
     ``(pid, result, span_payloads)`` so the parent can attribute work to
     workers and re-attach the worker-side spans to the request's trace.
 
@@ -175,7 +171,7 @@ def _worker_estimate(payload: dict, trace: Optional[Trace]):
     them back as plain dicts — tracing crosses the pickle boundary the
     same way the request does.  Without a span context this is free.
     """
-    request = ServiceRequest.from_dict(payload, trace=trace)
+    request = ServiceRequest.from_dict(payload)
     fault = request.metadata.get("fault")
     if fault and fault.get("kind") == "worker_kill":
         # the injected fault this substrate can make *real*: die exactly
@@ -185,9 +181,7 @@ def _worker_estimate(payload: dict, trace: Optional[Trace]):
         os._exit(1)
     span_context = request.metadata.get("telemetry")
     started = time.perf_counter() if span_context else 0.0
-    result = invoke_estimator(
-        _WORKER_ESTIMATOR, request, _WORKER_ACCEPTS_TRACE
-    )
+    result = invoke_estimator(_WORKER_ESTIMATOR, request)
     pid = multiprocessing.current_process().pid
     span_payloads = None
     if span_context:
@@ -314,14 +308,14 @@ class ProcEstimationService(SyncServiceShell):
     """Serves estimation requests with estimator work in child processes.
 
     Mirrors :class:`~repro.service.engine.EstimationService`'s surface
-    (``submit`` / ``estimate`` / ``estimate_many`` / ``stats`` /
-    ``drain`` / ``close`` / context manager) and its behaviour —
-    byte-identical results, synchronous rejections, single-flight
-    dedup; only the cache-miss estimator call crosses the process
-    boundary — but takes an ``estimator_factory`` instead of an
+    (``submit`` / ``estimate`` / ``stats`` / ``drain`` / ``close`` /
+    context manager; bulk requests go through
+    :func:`~repro.service.batch.estimate_many` like on any sync driver)
+    and its behaviour — byte-identical results, synchronous rejections,
+    single-flight dedup; only the cache-miss estimator call crosses the
+    process boundary — but takes an ``estimator_factory`` instead of an
     estimator instance: the factory is shipped to each worker process,
-    while the parent keeps one *template* instance for fingerprinting
-    and the bulk planner's shared-profile work.
+    while the parent keeps one *template* instance for fingerprinting.
 
     ``supervisor`` lets a gateway share one pool across shards; the
     service then does not own (and will not shut down) the pool.
@@ -353,10 +347,9 @@ class ProcEstimationService(SyncServiceShell):
                 self.estimator_factory, artifact_store
             )
         # the template never estimates; it answers fingerprint inputs
-        # (name/version/allocator config), `accepts_trace`, and the bulk
-        # planner's profile calls — all parent-side concerns.  Completion
-        # hooks run on the pool's callback thread while new submissions
-        # run hooks on caller threads: the thread substrate's regime
+        # (name/version/allocator config).  Completion hooks run on the
+        # pool's callback thread while new submissions run hooks on
+        # caller threads: the thread substrate's regime
         super().__init__(
             self.estimator_factory(), middlewares, cache, metrics, telemetry
         )
@@ -374,25 +367,6 @@ class ProcEstimationService(SyncServiceShell):
         """The pool to dispatch onto right now (post-recovery aware)."""
         return self._supervisor.current()
 
-    def estimate_many(
-        self,
-        requests: Sequence[tuple[WorkloadConfig, DeviceSpec]],
-        share_profiles: bool = True,
-        return_exceptions: bool = False,
-    ) -> list:
-        """Bulk API; results in request order (see :mod:`.batch`).
-
-        Shared-profile planning (:func:`~repro.service.batch.plan_shared_traces`)
-        runs in the parent — one profile per repeated workload — and the
-        trace is shipped to whichever worker handles each request.
-        """
-        return _estimate_many(
-            self,
-            requests,
-            share_profiles=share_profiles,
-            return_exceptions=return_exceptions,
-        )
-
     def _shutdown_substrate(self, wait: bool) -> None:
         """A gateway-shared pool is the gateway's to close."""
         if self._owns_supervisor:
@@ -404,7 +378,7 @@ class ProcEstimationService(SyncServiceShell):
     # ------------------------------------------------------------------
     def _launch(self, request: ServiceRequest, ctx: RequestContext) -> Future:
         pool = self._executor
-        inner = pool.submit(_worker_estimate, request.as_dict(), request.trace)
+        inner = pool.submit(_worker_estimate, request.as_dict())
         # _recover must name the pool this attempt ran on: the
         # supervisor's replace() is identity-checked
         inner.pool = pool

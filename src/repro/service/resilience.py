@@ -274,7 +274,6 @@ class HedgePolicy:
     after_seconds: Optional[float] = None
     percentile: float = 95.0
     floor_seconds: float = 0.005
-    max_hedges: int = 1
 
     def threshold(self, samples: list[float]) -> float:
         if self.after_seconds is not None:

@@ -44,9 +44,8 @@ Pieces:
 
 Deadlines cross the wire as *remaining budget* and are rebased onto the
 server's clock (see :mod:`repro.service.wire`); results come back
-curve-less but otherwise exact.  Traces do not cross the wire at all —
-a CPU profile is a host-local artifact, so serving-tier estimators
-profile (or synthesize) server-side.
+curve-less but otherwise exact.  A request carries a workload, never a
+CPU profile: serving-tier estimators profile (or synthesize) server-side.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from concurrent.futures import Future
 from typing import Callable, Optional, Sequence
 
 from ..errors import ConnectionLostError, ServiceClosedError
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 from .aio import AsyncServiceGateway
 from .context import NullLock
@@ -300,7 +298,6 @@ class TcpServiceClient:
         self,
         workload: WorkloadConfig,
         device: DeviceSpec,
-        trace: Optional[Trace] = None,
         deadline: Optional[float] = None,
         metadata: Optional[dict] = None,
         tenant: str = "",
@@ -309,7 +306,7 @@ class TcpServiceClient:
         """Send one estimate request; returns a future of the result."""
         return self._send(
             self._protocol.estimate_request,
-            workload, device, trace, deadline, metadata, tenant, priority,
+            workload, device, deadline, metadata, tenant, priority,
         )
 
     def estimate(
@@ -500,7 +497,6 @@ class AsyncTcpServiceClient:
         self,
         workload: WorkloadConfig,
         device: DeviceSpec,
-        trace: Optional[Trace] = None,
         deadline: Optional[float] = None,
         metadata: Optional[dict] = None,
         tenant: str = "",
@@ -509,7 +505,7 @@ class AsyncTcpServiceClient:
         """Send one estimate request; returns a future of the result."""
         return self._write(
             self._protocol.estimate_request(
-                workload, device, trace, deadline, metadata, tenant, priority
+                workload, device, deadline, metadata, tenant, priority
             )
         )
 

@@ -56,9 +56,8 @@ gateway's drain*).  The classes in :mod:`repro.service.tcp` are shells
 around them that own a socket and the thread, task or loop that reads
 it; the frame format is known to this module only.  Time never crosses
 the wire as an
-absolute stamp: a deadline travels as *remaining budget* and is rebased
-onto the receiver's clock (see
-:meth:`~repro.service.context.RequestContext.as_dict`).
+absolute stamp: a deadline travels as *remaining budget* and
+:class:`ServerProtocol` rebases it onto the server's clock.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ from ..errors import (
     ServiceClosedError,
     ServiceError,
 )
-from ..trace.reader import Trace
 from ..workload import DeviceSpec, WorkloadConfig
 
 __all__ = [
@@ -595,7 +593,6 @@ class ClientProtocol:
         self,
         workload: WorkloadConfig,
         device: DeviceSpec,
-        trace: Optional[Trace] = None,
         deadline: Optional[float] = None,
         metadata: Optional[dict] = None,
         tenant: str = "",
@@ -603,11 +600,6 @@ class ClientProtocol:
     ) -> tuple[int, bytes, Any]:
         """``deadline`` is absolute on this side's clock; what is sent is
         the budget left at framing time, which the server rebases."""
-        if trace is not None:
-            raise ValueError(
-                "traces are host-local CPU profiles and do not cross the "
-                "wire; the server profiles (or synthesizes) on its side"
-            )
         request = {"workload": workload.as_dict(), "device": device.as_dict()}
         if metadata:
             request["metadata"] = dict(metadata)

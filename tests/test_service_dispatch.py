@@ -55,6 +55,7 @@ from repro.service import (
     default_middlewares,
 )
 from repro.service.dispatch import GatewayDispatch, ServiceDispatch
+from repro.service.telemetry.spans import GATEWAY_SPAN
 from repro.workload import RTX_3060, WorkloadConfig
 
 DEVICE = "dev"
@@ -384,6 +385,47 @@ class TestRetryAndDrain:
         assert isinstance(outer.exception(), InjectedFaultError)
         assert h.assert_settled_once().errors == 1
         assert h.counters()["retries"] == 1
+
+
+class TestDrainBetweenRouteAndAdmit:
+    """``drain()`` landing after a submit passed the intake gate but
+    before its admission: ``admit`` refuses with ``ServiceClosedError``,
+    and both paths record that refusal through the same table row."""
+
+    @pytest.mark.parametrize(
+        "resilience", [None, retry_only()], ids=["plain", "resilient"]
+    )
+    def test_the_refusal_is_ledgered_and_its_span_closed(self, resilience):
+        h = Harness(resilience)
+        route = h.gateway.core.route
+
+        def route_then_drain(fingerprint):
+            selected = route(fingerprint)
+            h.gateway.core.draining = True
+            return selected
+
+        h.gateway.core.route = route_then_drain
+        if resilience is None:
+            with pytest.raises(ServiceClosedError):
+                h.gateway.submit("w0", DEVICE)
+        else:
+            outer = h.gateway.submit("w0", DEVICE)
+            assert isinstance(outer.exception(), ServiceClosedError)
+        assert [e.cause for e in h.ledger("shed")] == ["closed"]
+        gateway_spans = [
+            span
+            for span in h.telemetry.tracer.exporter.spans
+            if span.name == GATEWAY_SPAN
+        ]
+        # only the plain path opens a gateway span of its own
+        assert [span.status for span in gateway_spans] == (
+            ["shed"] if resilience is None else []
+        )
+        gateway = h.gateway.stats()["gateway"]
+        assert gateway["requests"] == 1
+        assert gateway["shed"] == gateway["pending"] == 0
+        assert not any(shard.attempts for shard in h.shards)
+        assert h.gateway._quiescent()
 
 
 class TestBlackout:

@@ -1,6 +1,7 @@
 """EstimationService: concurrency, single-flight dedup, batch APIs."""
 
 import threading
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.service import (
     CacheMiddleware,
     EstimateCache,
     EstimationService,
+    ProcEstimationService,
     RateLimitMiddleware,
     ServiceMiddleware,
     estimate_many,
@@ -26,6 +28,17 @@ from repro.units import GiB
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 
 WORKLOAD = WorkloadConfig("gpt2", "adam", 8)
+#: module-level: the process driver pickles its estimator factory
+small_xmem = partial(XMemEstimator, iterations=2, curve=False)
+#: two workloads x three devices: what one profile per workload serves
+SWEEP = [
+    (workload, device)
+    for workload in (
+        WorkloadConfig("MobileNetV3Small", "sgd", 4),
+        WorkloadConfig("MnasNet", "sgd", 4),
+    )
+    for device in (RTX_3060, RTX_4060, RTX_3060.with_init(GiB))
+]
 
 
 class StubEstimator(Estimator):
@@ -58,21 +71,6 @@ class StubEstimator(Estimator):
             peak_bytes=self.peak_bytes,
             runtime_seconds=0.0,
         )
-
-
-class TracingStubEstimator(StubEstimator):
-    """Trace-capable stub: records the trace objects it was handed."""
-
-    iterations = 2
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.seen_traces = []
-
-    def estimate(self, workload, device, trace=None):
-        with self._lock:
-            self.seen_traces.append(trace)
-        return super().estimate(workload, device)
 
 
 def make_service(estimator=None, **kwargs):
@@ -181,8 +179,8 @@ class TestEngine:
         assert service.stats()["inflight"] == 0
 
     def test_adopts_cache_from_explicit_middleware_chain(self):
-        """stats() and the batch fast path must see the cache that
-        actually serves hits, even when only `middlewares` is passed."""
+        """stats() must see the cache that actually serves hits, even
+        when only `middlewares` is passed."""
         cache = EstimateCache()
         with make_service(
             middlewares=(CacheMiddleware(cache),)
@@ -248,49 +246,32 @@ class TestBatch:
             (WORKLOAD, RTX_4060),
         ]
         with make_service() as service:
-            results = estimate_many(service, requests, share_profiles=False)
+            results = estimate_many(service, requests)
         for (workload, device), result in zip(requests, results):
             assert result.workload == workload
             assert result.device == device
 
-    def test_shared_profiles_profile_each_workload_once(self, monkeypatch):
-        profiled = []
+    def test_stats_count_the_profiles_estimate_many_ran(self):
+        """Each workload is profiled once, by the stage cache inside a
+        request — so the profile shows up in that request's stages."""
+        with EstimationService(small_xmem(), max_workers=2) as service:
+            estimate_many(service, SWEEP)
+            stats = service.stats()["service"]
+        assert stats["stage_sources"]["profile:compute"] == 2
+        assert stats["stage_sources"]["profile:memory"] == 4
+        assert stats["stages"]["profile"]["total_seconds"] > 0
 
-        def fake_profile(service, workload):
-            profiled.append(workload.to_key())
-            return f"trace-{workload.label()}"
-
-        monkeypatch.setattr(
-            "repro.service.batch.profile_workload", fake_profile
-        )
-        stub = TracingStubEstimator()
-        requests = [
-            (WORKLOAD, RTX_3060),
-            (WORKLOAD, RTX_4060),
-            (WORKLOAD, RTX_3060.with_init(GiB)),
-            (WORKLOAD.with_batch_size(16), RTX_3060),  # singleton: no share
+    def test_worker_processes_profile_a_workload_at_most_once_each(self):
+        """Without a shared artifact store each worker keeps its own stage
+        cache: one profile per workload per worker, never one per cell."""
+        with ProcEstimationService(small_xmem, max_workers=2) as service:
+            results = estimate_many(service, SWEEP)
+            stats = service.stats()["service"]
+        assert [r.peak_bytes for r in results] == [
+            small_xmem().estimate(w, d).peak_bytes for w, d in SWEEP
         ]
-        with make_service(estimator=stub) as service:
-            assert service.accepts_trace
-            estimate_many(service, requests)
-        assert profiled == [WORKLOAD.to_key()]  # one profile for 3 devices
-        shared = f"trace-{WORKLOAD.label()}"
-        assert stub.seen_traces.count(shared) == 3
-        assert stub.seen_traces.count(None) == 1
-
-    def test_shared_profiles_skip_cached_requests(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            "repro.service.batch.profile_workload",
-            lambda service, workload: calls.append(1),
-        )
-        with make_service() as service:
-            service.estimate(WORKLOAD, RTX_3060)
-            service.estimate(WORKLOAD, RTX_4060)
-            estimate_many(
-                service, [(WORKLOAD, RTX_3060), (WORKLOAD, RTX_4060)]
-            )
-        assert calls == []  # everything was already cached
+        assert 2 <= stats["stage_sources"]["profile:compute"] <= 4
+        assert stats["stages"]["profile"]["count"] == len(SWEEP)
 
     def test_shared_profiles_survive_unprofilable_workloads(self):
         """Regression: an unknown model in a multi-device group must not
@@ -317,10 +298,7 @@ class TestBatch:
             (WORKLOAD.with_batch_size(16), RTX_3060),
         ]
         with make_service() as service:
-            results = estimate_many(
-                service, requests, share_profiles=False,
-                return_exceptions=True,
-            )
+            results = estimate_many(service, requests, return_exceptions=True)
         assert results[0].peak_bytes == GiB
         assert isinstance(results[1], RequestRejectedError)
         assert results[2].peak_bytes == GiB

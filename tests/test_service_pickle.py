@@ -5,7 +5,9 @@ crosses the process boundary — the request envelope going out, the
 estimation result coming back — survives serialization *exactly*.  These
 properties pin it with hypothesis-generated instances: pickle round
 trips preserve equality (and the canonical identity the fingerprint is
-built from), and the ``as_dict`` wire format round-trips through JSON.
+built from), and the request's ``as_dict`` wire format round-trips
+through JSON.  A :class:`RequestContext` has no wire form (it stays in
+the process that opened it), so only its pickle trip is pinned.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ contexts = st.builds(
         st.none(), st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
     ),
     attempt=st.integers(1, 16),
-    shard_hint=st.one_of(st.none(), st.integers(0, 63)),
     cache_hit=st.booleans(),
     deduplicated=st.booleans(),
     tags=bags,
@@ -155,7 +156,5 @@ def test_estimation_result_pickle_round_trips(result):
 
 @settings(max_examples=50)
 @given(ctx=contexts)
-def test_request_context_pickle_and_dict_round_trips(ctx):
+def test_request_context_pickle_round_trips(ctx):
     assert pickle.loads(pickle.dumps(ctx)) == ctx
-    clone = RequestContext.from_dict(json.loads(json.dumps(ctx.as_dict())))
-    assert clone == ctx

@@ -26,10 +26,10 @@ from repro.service import (
     EstimationService,
     ProcEstimationService,
     ProcServiceGateway,
-    RequestContext,
     ServiceGateway,
     ServiceRequest,
     SyntheticEstimator,
+    estimate_many,
 )
 from repro.service.procpool import default_estimator_factory, make_pool
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
@@ -58,41 +58,6 @@ class TestEnvelopeRoundTrip:
         )
         clone = ServiceRequest.from_dict(request.as_dict())
         assert clone == request
-
-    def test_service_request_trace_is_out_of_band(self):
-        from repro.runtime.profiler import profile_on_cpu
-
-        trace = profile_on_cpu(
-            WORKLOAD.model,
-            batch_size=WORKLOAD.batch_size,
-            optimizer=WORKLOAD.optimizer,
-            iterations=1,
-        )
-        request = ServiceRequest(
-            workload=WORKLOAD, device=RTX_3060, fingerprint="fp", trace=trace
-        )
-        payload = request.as_dict()
-        assert "trace" not in payload  # identity only — trace rides apart
-        clone = ServiceRequest.from_dict(payload, trace=trace)
-        assert clone.trace is trace
-        assert clone.workload == request.workload
-
-    def test_request_context_round_trips(self):
-        ctx = RequestContext(
-            request_id=7,
-            submitted_at=123.5,
-            fingerprint="fp-7",
-            deadline=999.0,
-            attempt=2,
-            shard_hint=3,
-            cache_hit=True,
-            deduplicated=True,
-            short_circuited_by="cache",
-            tags={"stamp": 1.0},
-            metadata={"trace_id": "t"},
-        )
-        clone = RequestContext.from_dict(ctx.as_dict())
-        assert clone == ctx
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +134,7 @@ class TestProcEstimationService:
         with ProcEstimationService(
             estimator_factory=tiny_xmem, max_workers=2
         ) as service:
-            results = service.estimate_many(requests)
+            results = estimate_many(service, requests)
         direct = [tiny_xmem().estimate(w, d) for w, d in requests]
         assert [r.peak_bytes for r in results] == [
             r.peak_bytes for r in direct

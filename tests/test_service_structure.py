@@ -56,7 +56,6 @@ SERVICE_LIFECYCLE = (
     "submit",
     "stats",
     "fingerprint",
-    "accepts_trace",
     "_estimate",
     "_on_done",
     "_resolve",
@@ -146,6 +145,18 @@ DRIVER_WIRING = {
 }
 #: observation adapters that lived in the policy layer: gone, stay gone
 MIDDLEWARE_RETIRED = ("TimingMiddleware", "AuditLogMiddleware")
+#: the service layer's own way to share a CPU profile: the estimator's
+#: stage cache is the one way, so these stay gone
+PROFILE_SHARING_RETIRED = (
+    "profile_workload",
+    "plan_shared_traces",
+    "estimator_accepts_trace",
+    "accepts_trace",
+)
+#: what a service module must not import: a profile is the estimator's
+PROFILE_PACKAGES = ("repro.trace", "repro.runtime")
+#: RequestContext's wire form: a context never leaves its process
+CONTEXT_RETIRED = ("as_dict", "from_dict", "remaining", "shard_hint")
 SANS_IO = (
     "context",
     "routing",
@@ -460,6 +471,64 @@ def test_drivers_make_no_gateway_decision():
                     "FaultInjector",
                     "ledger",
                 }, f"{name}.py imports {imported}"
+
+
+def imported_modules(module: str, tree: ast.Module) -> set[str]:
+    """Absolute names of every module ``tree`` imports from, relative
+    imports resolved against ``module``'s package."""
+    package = ["repro", "service", *Path(module).parent.parts]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            found.add(".".join(base + ([node.module] if node.module else [])))
+    return found
+
+
+def class_members(tree: ast.Module, name: str) -> set[str]:
+    """Methods and annotated fields a module-level class defines."""
+    (cls,) = classes(tree, (name,))
+    members = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members.add(node.name)
+        elif isinstance(node, ast.AnnAssign):
+            members.add(node.target.id)
+    return members
+
+
+def test_the_stage_cache_is_the_one_way_a_profile_is_shared():
+    """No service module imports the profiler or the trace package, takes
+    a ``share_profiles`` knob or defines the planner; a request carries
+    no trace; a context has no wire form; and the package exports none
+    of the retired names."""
+    trees = modules()
+    for module, tree in trees.items():
+        leaked = {
+            name
+            for name in imported_modules(module, tree)
+            if name.startswith(PROFILE_PACKAGES)
+        }
+        assert not leaked, f"{module} imports {sorted(leaked)}"
+        copies = defined_names(tree) & set(PROFILE_SHARING_RETIRED)
+        assert not copies, f"{module} defines {sorted(copies)}"
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = node.args.posonlyargs + node.args.args
+                names = {arg.arg for arg in arguments + node.args.kwonlyargs}
+                assert "share_profiles" not in names, f"{module}:{node.name}"
+    context = trees["context.py"]
+    assert "trace" not in class_members(context, "ServiceRequest")
+    assert not class_members(context, "RequestContext") & set(CONTEXT_RETIRED)
+    package = trees["__init__.py"]
+    exported = {
+        node.value
+        for node in ast.walk(package)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    } | names_used(package)
+    assert not exported & set(PROFILE_SHARING_RETIRED)
 
 
 def test_the_middleware_chain_carries_policy_only():

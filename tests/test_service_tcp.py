@@ -125,12 +125,6 @@ class TestBlockingClient:
                 # the connection survived the rejection
                 assert client.estimate(WORKLOAD, RTX_3060).peak_bytes > 0
 
-    def test_traces_are_refused_client_side(self):
-        with tcp_server() as server:
-            with TcpServiceClient(*server.address) as client:
-                with pytest.raises(ValueError, match="host-local"):
-                    client.submit(WORKLOAD, RTX_3060, trace=object())
-
     def test_cancelling_a_pending_future_leaves_the_reader_alive(self):
         # regression: the response to a caller-cancelled request used to
         # raise InvalidStateError inside the reader thread, which died

@@ -3,11 +3,13 @@
 The TCP transport's correctness rests on the same invariant the pickle
 properties pin for the process driver: everything that crosses the wire
 survives serialization exactly.  Here the codec is the framed JSON one
-(:mod:`repro.service.wire`), so three more things need pinning — frames
-reassemble correctly from arbitrary TCP chunkings, time fields rebase
-correctly across *skewed* clocks (the cross-host bug this PR fixes), and
-malformed input of any shape is rejected with ``WireProtocolError``
-rather than crashing or desynchronizing the stream.
+(:mod:`repro.service.wire`), so two more things need pinning — frames
+reassemble correctly from arbitrary TCP chunkings, and malformed input
+of any shape is rejected with ``WireProtocolError`` rather than crashing
+or desynchronizing the stream.  A deadline crosses the wire as remaining
+budget; the server protocol's rebase of it is pinned below
+(``test_what_submit_is_given_is_what_the_frame_said``) and across skewed
+clocks in ``tests/test_service_tcp.py``.
 
 The later sections drive the two halves of a connection with scripted
 bytes and no socket.  :class:`ClientProtocol`: every decision a TCP
@@ -49,7 +51,6 @@ from repro.service import (
     FaultPlan,
     FaultSpec,
     NullLock,
-    RequestContext,
     Telemetry,
 )
 from repro.service.dispatch import GatewayDispatch
@@ -380,72 +381,6 @@ def test_response_builders():
 
 
 # ----------------------------------------------------------------------
-# envelope round trips across skewed clocks (the cross-host bugfix)
-# ----------------------------------------------------------------------
-
-
-class SkewedClock:
-    """Injectable clock with its own epoch — models a peer host."""
-
-    def __init__(self, now: float):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-def test_deadline_rebases_across_skewed_clocks():
-    """The regression this PR fixes: an absolute ``time.monotonic``
-    deadline from host A is meaningless on host B.  The wire form ships
-    *remaining budget*, so the rebased deadline must grant the same
-    budget on B's clock no matter how far the two epochs disagree."""
-    client = SkewedClock(1_000.0)
-    server = SkewedClock(5.0)  # e.g. freshly booted: monotonic near zero
-    ctx = RequestContext(
-        request_id=1,
-        submitted_at=client() - 2.0,  # two seconds old
-        fingerprint="fp",
-        deadline=client() + 3.0,  # three seconds of budget left
-    )
-    payload = json.loads(json.dumps(ctx.as_dict(now=client())))
-    assert payload["age_seconds"] == pytest.approx(2.0)
-    assert payload["deadline_remaining"] == pytest.approx(3.0)
-    assert "submitted_at" not in payload and "deadline" not in payload
-    rebased = RequestContext.from_dict(payload, now=server())
-    assert rebased.remaining(server()) == pytest.approx(3.0)
-    assert server() - rebased.submitted_at == pytest.approx(2.0)
-    # the budget then burns down on the server's clock
-    server.advance(3.5)
-    assert rebased.expired(server())
-
-
-def test_no_deadline_stays_none_across_the_wire():
-    ctx = RequestContext(request_id=1, submitted_at=10.0)
-    payload = json.loads(json.dumps(ctx.as_dict(now=12.0)))
-    assert payload["deadline_remaining"] is None
-    rebased = RequestContext.from_dict(payload, now=99.0)
-    assert rebased.deadline is None
-    assert rebased.remaining(99.0) is None
-
-
-def test_wire_form_requires_receiver_clock():
-    ctx = RequestContext(request_id=1, submitted_at=0.0, deadline=5.0)
-    payload = ctx.as_dict(now=1.0)
-    with pytest.raises(ValueError, match="receiver clock"):
-        RequestContext.from_dict(payload)
-
-
-def test_absolute_form_still_round_trips_without_a_clock():
-    # the same-clock-domain form (procpool pickle boundary) is unchanged
-    ctx = RequestContext(request_id=1, submitted_at=7.0, deadline=9.0)
-    clone = RequestContext.from_dict(json.loads(json.dumps(ctx.as_dict())))
-    assert clone == ctx
-
-
-# ----------------------------------------------------------------------
 # the client protocol, driven with scripted bytes (no socket)
 # ----------------------------------------------------------------------
 
@@ -561,13 +496,6 @@ def test_request_frames_are_byte_identical_to_the_parent_clients(
         GOLDEN_DRAIN,
         GOLDEN_DRAIN_FOREVER,
     ]
-
-
-def test_traces_are_refused_before_anything_is_registered(make_protocol):
-    protocol = make_protocol()
-    with pytest.raises(ValueError, match="host-local"):
-        protocol.estimate_request(WORKLOAD, RTX_3060, trace=object())
-    assert protocol.ping_request()[0] == 0
 
 
 def test_a_request_that_does_not_frame_leaves_nothing_pending(make_protocol):
