@@ -28,10 +28,11 @@ standalone; under pytest the quick size is used.
 share one capacity-zero L1 so every cell goes to sqlite, which is what a
 fresh process with a warm store looks like.  ``--expect-warm-store``
 (the second CI invocation against the same path) asserts the store
-actually served: zero profile builds and at least one store hit per
-unique workload during the cold sweep.  Store-mode runs write to
-``--output`` (default ``BENCH_pipeline.json``) — CI points the store
-lane at ``BENCH_pipeline_store.json`` so the plain regression gate keeps
+actually served: zero profile and simulate builds, at least one profile
+hit per unique workload and one simulate hit per cell during the cold
+sweep.  Store-mode runs write to ``--output`` (default
+``BENCH_pipeline.json``) — CI points the store lane at
+``BENCH_pipeline_store.json`` so the plain regression gate keeps
 comparing like with like.
 """
 
@@ -162,12 +163,19 @@ def run_pipeline_bench(
         delta = {
             name: counters_after_cold.get(name, 0)
             - counters_before.get(name, 0)
-            for name in ("build:profile", "hit:profile")
+            for name in (
+                "build:profile",
+                "hit:profile",
+                "build:simulate",
+                "hit:simulate",
+            )
         }
         report["artifact_store"] = {
             "path": artifact_store,
             "cold_build_profile_delta": delta["build:profile"],
             "cold_hit_profile_delta": delta["hit:profile"],
+            "cold_build_simulate_delta": delta["build:simulate"],
+            "cold_hit_simulate_delta": delta["hit:simulate"],
             "counters": store.counters(),
         }
     return report
@@ -203,6 +211,9 @@ def _check(report: dict, expect_warm_store: bool = False) -> None:
         assert (
             stats["cold_hit_profile_delta"] >= report["unique_profiles"]
         ), stats
+        # every cold cell's simulate stage is a store read too
+        assert stats["cold_build_simulate_delta"] == 0, stats
+        assert stats["cold_hit_simulate_delta"] == report["num_cells"], stats
 
 
 def _write(report: dict, path: Path = RESULT_PATH) -> None:

@@ -42,16 +42,11 @@ class CachingAllocator:
         device: DeviceAllocator,
         config: AllocatorConfig = DEFAULT_CONFIG,
         record_timeline: bool = True,
-        timeline_max_points: Optional[int] = None,
     ):
         self.device = device
         self.config = config
         self.stats = AllocatorStats()
-        self.timeline = (
-            TimelineRecorder(max_points=timeline_max_points)
-            if record_timeline
-            else None
-        )
+        self.timeline = TimelineRecorder() if record_timeline else None
         self._small_pool = BlockPool(is_small=True)
         self._large_pool = BlockPool(is_small=False)
         self._segments: dict[int, Segment] = {}

@@ -15,7 +15,7 @@ timestamp so the simulator can output the paper's memory-usage curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 @dataclass
@@ -107,19 +107,11 @@ class TimelinePoint:
 class TimelineRecorder:
     """Append-only record of (ts, allocated, reserved) samples.
 
-    With ``max_points`` set, the recorder stays memory-bounded during long
-    replays: whenever the buffer grows past ``2 * max_points`` it is
-    compacted in place to at most ``max_points`` samples.  Compaction keeps
-    the first and last samples, the first point where each series reaches
-    its global maximum, and a uniform sample of the rest — and the peaks
-    themselves are tracked as running scalars, so ``peak_reserved()`` /
-    ``peak_allocated()`` are exact regardless of what was thinned.
+    Both peaks are tracked as running scalars as samples arrive;
+    :meth:`downsample` thins a copy for plotting.
     """
 
-    def __init__(self, max_points: Optional[int] = None) -> None:
-        if max_points is not None and max_points < 4:
-            raise ValueError("max_points must be >= 4")
-        self.max_points = max_points
+    def __init__(self) -> None:
         self._points: list[TimelinePoint] = []
         self._peak_reserved = 0
         self._peak_allocated = 0
@@ -130,11 +122,6 @@ class TimelineRecorder:
         if allocated > self._peak_allocated:
             self._peak_allocated = allocated
         self._points.append(TimelinePoint(ts, allocated, reserved))
-        if (
-            self.max_points is not None
-            and len(self._points) > 2 * self.max_points
-        ):
-            self._compact()
 
     @property
     def points(self) -> list[TimelinePoint]:
@@ -148,24 +135,6 @@ class TimelineRecorder:
 
     def peak_allocated(self) -> int:
         return self._peak_allocated
-
-    def _compact(self) -> None:
-        """Thin to <= max_points, keeping endpoints and both peak points."""
-        points = self._points
-        best_reserved = best_allocated = 0
-        reserved = allocated = -1
-        for index, point in enumerate(points):
-            if point.reserved_bytes > reserved:
-                reserved = point.reserved_bytes
-                best_reserved = index
-            if point.allocated_bytes > allocated:
-                allocated = point.allocated_bytes
-                best_allocated = index
-        keep = {0, len(points) - 1, best_reserved, best_allocated}
-        budget = max(1, self.max_points - len(keep))
-        stride = -(-len(points) // budget)  # ceil: uniform sample <= budget
-        keep.update(range(0, len(points), stride))
-        self._points = [points[index] for index in sorted(keep)]
 
     def series(self) -> tuple[list[int], list[int], list[int]]:
         """Return (ts, allocated, reserved) parallel lists for plotting."""

@@ -36,7 +36,7 @@ from .pipeline import (
     trace_fingerprint,
 )
 from .result import EstimationResult
-from .simulator import MemorySimulator, PeakProfile, SimulationResult
+from .simulator import MemorySimulator, SimulationResult
 
 __all__ = [
     "AnalyzedTrace",
@@ -71,7 +71,6 @@ __all__ = [
     "OrchestratedSequence",
     "OrchestrationRule",
     "ParameterRule",
-    "PeakProfile",
     "SimulationResult",
     "XMemEstimator",
     "attribute_blocks",

@@ -1,8 +1,8 @@
 """The xMem pipeline as explicit stages with intermediate-artifact caches.
 
 :class:`EstimationPipeline` splits ``XMemEstimator.estimate`` into its four
-stages — ``profile -> analyze -> orchestrate -> simulate`` — and gives the
-first three content-addressed caches (:class:`PipelineCache`):
+stages — ``profile -> analyze -> orchestrate -> simulate`` — and gives each
+a content-addressed cache (:class:`PipelineCache`):
 
 * **profile** — traces keyed by (model, optimizer, batch size, zero-grad
   placement, set_to_none, iterations): the full workload/loop identity the
@@ -10,12 +10,15 @@ first three content-addressed caches (:class:`PipelineCache`):
 * **analyze** — analyzed traces keyed by the trace's content fingerprint
   plus the analyzer's strictness;
 * **orchestrate** — replayable sequences keyed by the trace fingerprint
-  plus the orchestration rule set.
+  plus the orchestration rule set;
+* **simulate** — peak-only replay results keyed by the sequence
+  fingerprint, the allocator configuration and the two-level knob (a
+  usage curve is always replayed, never cached).
 
 Only the simulator — the stage that actually depends on the allocator
-configuration, the two-level ablation knob, and the accounting mode —
-re-runs when requests differ in those knobs alone, so a batch-size sweep
-profiles once per size and an allocator ablation profiles once in total.
+configuration and the two-level ablation knob — re-runs when requests
+differ in those knobs alone, so a batch-size sweep profiles once per size
+and an allocator ablation profiles once in total.
 Caching at each stage instead of only at the service edge is the
 middleware-style composition the paper argues for: the final-result cache
 stays exact, and the stage caches recover the shared upstream work that
@@ -195,12 +198,13 @@ class _StageStore:
 
 
 class PipelineCache:
-    """The three intermediate-artifact stores of one staged pipeline.
+    """The four stage stores of one staged pipeline.
 
     Safe to share between estimators (e.g. every shard-local worker of one
     service): all stores are internally locked, and the cached artifacts —
-    traces, analyzed traces, orchestrated sequences — are treated as
-    immutable by every pipeline stage.
+    traces, analyzed traces, orchestrated sequences, peak-only simulation
+    results — are treated as immutable by every pipeline stage.  With an
+    ``artifact_store`` every store consults and feeds that persistent L2.
     """
 
     def __init__(
@@ -220,23 +224,24 @@ class PipelineCache:
         self.sequences = _StageStore(
             max_sequences, stage=ORCHESTRATE, artifacts=store
         )
-        # peak profiles hold per-event arrays, so this store is L1-only —
-        # persisting them would store more bytes than re-deriving costs
-        self.simulations = _StageStore(max_simulations, stage=SIMULATE)
+        self.simulations = _StageStore(
+            max_simulations, stage=SIMULATE, artifacts=store
+        )
 
     def attach_artifact_store(self, artifact_store) -> None:
-        """Wire a persistent L2 under the profile/analyze/orchestrate
-        stores of an already-built cache (idempotent)."""
+        """Wire a persistent L2 under all four stores of an already-built
+        cache (idempotent)."""
         store = resolve_artifact_store(artifact_store)
         self.artifacts = store
-        for stage_store in (self.traces, self.analyses, self.sequences):
+        for stage_store in self._stores():
             stage_store._artifacts = store
 
+    def _stores(self) -> tuple[_StageStore, ...]:
+        return (self.traces, self.analyses, self.sequences, self.simulations)
+
     def clear(self) -> None:
-        self.traces.clear()
-        self.analyses.clear()
-        self.sequences.clear()
-        self.simulations.clear()
+        for stage_store in self._stores():
+            stage_store.clear()
 
     def stats(self) -> dict:
         """JSON-ready hit/miss/eviction counters per stage store."""
@@ -345,22 +350,18 @@ class EstimationPipeline:
         sequence: OrchestratedSequence,
         allocator_config: AllocatorConfig = DEFAULT_CONFIG,
         two_level: bool = True,
-        capacity_bytes: Optional[int] = None,
         curve: bool = True,
     ) -> SimulationResult:
-        """Stage 4: allocator replay, delta-cached on the peak-only path.
+        """Stage 4: allocator replay, cached on the peak-only path.
 
         ``curve=True`` always replays (the usage curve is the product).
         ``curve=False`` — the serving fast path — goes through the
-        simulate cache: one unbounded peak-profile replay per (sequence,
-        allocator config, two-level knob) serves every later peak query
-        for the same knobs in O(1), including capacity-bounded queries
-        that the profile proves cannot OOM.  A query whose capacity the
-        unbounded peak exceeds falls back to a real bounded replay (the
-        reclaim/OOM machinery diverges from the unbounded run there).
+        simulate store like the other three stages: one peak-only replay
+        per (sequence, allocator config, two-level knob), kept in the L1
+        and published to the L2 when one is attached.
         """
         return self._simulate_stage(
-            sequence, allocator_config, two_level, capacity_bytes, curve
+            sequence, allocator_config, two_level, curve
         )[0]
 
     def _simulate_stage(
@@ -368,34 +369,17 @@ class EstimationPipeline:
         sequence: OrchestratedSequence,
         allocator_config: AllocatorConfig,
         two_level: bool,
-        capacity_bytes: Optional[int],
         curve: bool,
     ) -> tuple[SimulationResult, str]:
-        if curve or self.cache is None:
-            result = MemorySimulator(
-                capacity_bytes=capacity_bytes,
-                allocator_config=allocator_config,
-                two_level=two_level,
-            ).replay(sequence, record_timeline=curve)
-            return result, SOURCE_COMPUTE
-        key = (sequence_fingerprint(sequence), allocator_config, two_level)
-        profile, source = self.cache.simulations.get_or_compute_traced(
-            key,
-            lambda: MemorySimulator(
+        def replay() -> SimulationResult:
+            return MemorySimulator(
                 allocator_config=allocator_config, two_level=two_level
-            ).replay_peak_profile(sequence),
-        )
-        result = profile.query(capacity_bytes)
-        if result is None:
-            # the capacity bound would trip OOM: the closed form can only
-            # screen for that; reclaim behaviour needs an honest replay
-            result = MemorySimulator(
-                capacity_bytes=capacity_bytes,
-                allocator_config=allocator_config,
-                two_level=two_level,
-            ).replay(sequence, record_timeline=False)
-            return result, SOURCE_COMPUTE
-        return result, source
+            ).replay(sequence, record_timeline=curve)
+
+        if curve or self.cache is None:
+            return replay(), SOURCE_COMPUTE
+        key = (sequence_fingerprint(sequence), allocator_config, two_level)
+        return self.cache.simulations.get_or_compute_traced(key, replay)
 
     # ------------------------------------------------------------------
     # the full chain
@@ -406,7 +390,6 @@ class EstimationPipeline:
         trace: Optional[Trace] = None,
         allocator_config: AllocatorConfig = DEFAULT_CONFIG,
         two_level: bool = True,
-        capacity_bytes: Optional[int] = None,
         curve: bool = True,
     ) -> PipelineRun:
         """Run all four stages; ``trace`` short-circuits profiling."""
@@ -437,7 +420,7 @@ class EstimationPipeline:
 
         started = time.perf_counter()
         simulation, source = self._simulate_stage(
-            sequence, allocator_config, two_level, capacity_bytes, curve
+            sequence, allocator_config, two_level, curve
         )
         stage_seconds[SIMULATE] = time.perf_counter() - started
         stage_cached[SIMULATE] = source is not SOURCE_COMPUTE

@@ -13,9 +13,7 @@ False`` drops cached-segment reclamation (DNNMem-style), and any
 
 from __future__ import annotations
 
-import bisect
-from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..allocator.caching import CachingAllocator
@@ -49,55 +47,6 @@ class SimulationResult:
         raise ValueError(f"unknown accounting mode {account!r}")
 
 
-@dataclass(frozen=True)
-class PeakProfile:
-    """One unbounded peak-only replay, queryable for any capacity.
-
-    The closed-form shortcut of the simulate cache: ``result`` is the
-    replay outcome on an unbounded device, and the three arrays record,
-    per processed event, its timestamp and the running maxima of the
-    reserved/allocated curves (prefix-max over the event stream).
-
-    Why this answers *bounded* queries exactly: a capacity-bounded replay
-    is event-for-event identical to the unbounded one until the first
-    device-allocation failure, and such a failure ever happens iff the
-    unbounded ``peak_reserved_bytes`` exceeds the capacity.  So any
-    query the profile proves OOM-free is served with the cached result —
-    byte-identical peaks, accounting modes, and event counts — in O(1);
-    a query that would OOM must fall back to a real bounded replay,
-    because reclaim behaviour diverges from the unbounded run there.
-    """
-
-    result: SimulationResult
-    event_ts: array = field(repr=False)
-    reserved_running_max: array = field(repr=False)
-    allocated_running_max: array = field(repr=False)
-
-    def peak(self, account: str = "segment") -> int:
-        return self.result.peak(account)
-
-    def would_oom(self, capacity_bytes: Optional[int]) -> bool:
-        """Would a replay under ``capacity_bytes`` hit device OOM?"""
-        if capacity_bytes is None or capacity_bytes >= UNBOUNDED_CAPACITY:
-            return False
-        return self.result.peak_reserved_bytes > capacity_bytes
-
-    def first_oom_event(self, capacity_bytes: Optional[int]) -> Optional[int]:
-        """Index of the first event whose reserved footprint would exceed
-        the capacity (None when it never does) — a bisect over the
-        monotone running max, no replay."""
-        if not self.would_oom(capacity_bytes):
-            return None
-        return bisect.bisect_right(self.reserved_running_max, capacity_bytes)
-
-    def query(self, capacity_bytes: Optional[int] = None):
-        """The exact bounded-replay result, or None when only a real
-        replay can answer (the capacity would trip OOM)."""
-        if self.would_oom(capacity_bytes):
-            return None
-        return self.result
-
-
 class MemorySimulator:
     """Replays orchestrated sequences through the allocator simulation."""
 
@@ -106,14 +55,12 @@ class MemorySimulator:
         capacity_bytes: Optional[int] = None,
         allocator_config: AllocatorConfig = DEFAULT_CONFIG,
         two_level: bool = True,
-        timeline_max_points: Optional[int] = None,
     ):
         self.capacity_bytes = capacity_bytes or UNBOUNDED_CAPACITY
         if not two_level:
             allocator_config = replace(allocator_config, reclaim_on_oom=False)
         self.allocator_config = allocator_config
         self.two_level = two_level
-        self.timeline_max_points = timeline_max_points
 
     def replay(
         self,
@@ -132,7 +79,6 @@ class MemorySimulator:
             device,
             config=self.allocator_config,
             record_timeline=record_timeline,
-            timeline_max_points=self.timeline_max_points,
         )
         oom = False
         oom_ts: Optional[int] = None
@@ -170,64 +116,4 @@ class MemorySimulator:
             timeline=timeline,
             stats=allocator.stats,
             num_events=processed,
-        )
-
-    def replay_peak_profile(
-        self, sequence: OrchestratedSequence
-    ) -> PeakProfile:
-        """One unbounded peak-only replay, instrumented per event.
-
-        The same loop as :meth:`replay` with ``record_timeline=False``
-        against an unbounded device (no allocation can fail, so no OOM
-        branch), additionally recording the running peak curves that let
-        :class:`PeakProfile` answer capacity-bounded peak queries without
-        replaying.  Only valid for an unbounded simulator — a bounded one
-        would diverge from the profile's premise at its first OOM.
-        """
-        if self.capacity_bytes != UNBOUNDED_CAPACITY:
-            raise ValueError(
-                "peak profiles are built over an unbounded replay; "
-                "construct the simulator without capacity_bytes"
-            )
-        device = DeviceAllocator(capacity=UNBOUNDED_CAPACITY)
-        allocator = CachingAllocator(
-            device,
-            config=self.allocator_config,
-            record_timeline=False,
-        )
-        event_ts = array("q")
-        reserved_max = array("q")
-        allocated_max = array("q")
-        processed = 0
-        live: set[int] = set()
-        malloc = allocator.malloc
-        free_owner = allocator.free_owner
-        stats = allocator.stats
-        for ts, is_alloc, block_id, size in sequence.event_stream():
-            if is_alloc:
-                malloc(size, ts, block_id)
-                live.add(block_id)
-            else:
-                if block_id not in live:
-                    continue  # free of a block dropped by a failed alloc
-                free_owner(block_id, ts)
-                live.discard(block_id)
-            processed += 1
-            event_ts.append(ts)
-            reserved_max.append(stats.reserved_bytes.peak)
-            allocated_max.append(stats.allocated_bytes.peak)
-        result = SimulationResult(
-            peak_reserved_bytes=allocator.peak_reserved_bytes,
-            peak_allocated_bytes=allocator.peak_allocated_bytes,
-            oom=False,
-            oom_ts=None,
-            timeline=TimelineRecorder(),
-            stats=allocator.stats,
-            num_events=processed,
-        )
-        return PeakProfile(
-            result=result,
-            event_ts=event_ts,
-            reserved_running_max=reserved_max,
-            allocated_running_max=allocated_max,
         )

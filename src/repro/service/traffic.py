@@ -796,12 +796,35 @@ def replay(trace: TrafficTrace, target) -> ReplayReport:
     client only learns of a shed from the server's response frame — its
     future fails with the same typed exception instead.  Both paths land
     in ``report.shed``, so driver comparisons stay apples-to-apples.
+
+    Like :func:`repro.service.aio.replay_async`, at most
+    ``target.max_queue_depth`` requests are left in flight: past that,
+    the replayer waits for one to settle, so a wave submitted faster
+    than the first answers come back does not overflow a shard's queue.
+    A target without the attribute gets each wave whole.
     """
     report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
+    window = getattr(target, "max_queue_depth", None) or len(trace)
+    in_flight = 0
+    progress = threading.Condition()
+
+    def settled(future) -> None:
+        # as a done-callback this runs after the target's own, added at
+        # submit: the slot is free again by the time it is counted free
+        nonlocal in_flight
+        with progress:
+            in_flight -= 1
+            progress.notify()
+
     started = time.perf_counter()
     for wave in trace.waves():
-        # the whole wave back-to-back: worker threads settle meanwhile
-        submitted = list(submit_wave(report, target, wave))
+        submitted = []
+        for request, submitted_at, future in submit_wave(report, target, wave):
+            submitted.append((request, submitted_at, future))
+            with progress:  # re-entrant: a done future calls back inline
+                in_flight += 1
+                future.add_done_callback(settled)
+                progress.wait_for(lambda: in_flight < window)
         for request, submitted_at, future in submitted:
             try:
                 future.result()

@@ -1,10 +1,10 @@
-"""Artifact store (L2) + delta-simulation correctness and failure modes.
+"""Artifact store (L2) + cached-simulate correctness and failure modes.
 
 The persistent store must behave like a cache, never like a dependency:
 corrupt blobs, truncated files, schema drift, and concurrent writers all
 degrade to misses and rebuilds — the pipeline's answers stay
-byte-identical with or without it.  The delta/closed-form simulate paths
-must be invisible in the numbers, exactly like the PR 3 stage caches.
+byte-identical with or without it.  The cached peak-only simulate path
+must be invisible in the numbers, exactly like the other stage caches.
 """
 
 import os
@@ -35,10 +35,10 @@ from repro.core.pipeline import (
     SOURCE_COMPUTE,
     SOURCE_MEMORY,
     SOURCE_STORE,
+    STAGES,
     EstimationPipeline,
     PipelineCache,
 )
-from repro.core.simulator import MemorySimulator
 from repro.workload import RTX_3060, WorkloadConfig
 
 WORKLOAD = WorkloadConfig("MobileNetV3Small", "sgd", 4)
@@ -399,98 +399,31 @@ class TestStageStoreGateRelease:
 
 
 # ----------------------------------------------------------------------
-# delta simulation + closed-form peaks
+# the cached peak-only simulate stage
 # ----------------------------------------------------------------------
 
 
 class TestDeltaSimulation:
-    def test_peak_profile_matches_full_replay(self):
-        sequence = synthetic_sequence()
-        simulator = MemorySimulator()
-        full = simulator.replay(sequence, record_timeline=True)
-        peak_only = simulator.replay(sequence, record_timeline=False)
-        profile = simulator.replay_peak_profile(sequence)
-        for result in (peak_only, profile.result):
-            assert result.peak_reserved_bytes == full.peak_reserved_bytes
-            assert result.peak_allocated_bytes == full.peak_allocated_bytes
-            assert result.num_events == full.num_events
-            assert result.oom is False and result.oom_ts is None
-
-    def test_profile_answers_bounded_queries_exactly(self):
-        sequence = synthetic_sequence()
-        profile = MemorySimulator().replay_peak_profile(sequence)
-        peak = profile.result.peak_reserved_bytes
-        # a capacity above the unbounded peak: closed form serves it
-        roomy = peak + MiB
-        assert profile.would_oom(roomy) is False
-        served = profile.query(roomy)
-        bounded = MemorySimulator(capacity_bytes=roomy).replay(
-            sequence, record_timeline=False
-        )
-        assert served.peak_reserved_bytes == bounded.peak_reserved_bytes
-        assert served.peak_allocated_bytes == bounded.peak_allocated_bytes
-        assert served.num_events == bounded.num_events
-        assert served.oom == bounded.oom is False
-
-    def test_profile_refuses_oom_capacities(self):
-        sequence = synthetic_sequence()
-        profile = MemorySimulator().replay_peak_profile(sequence)
-        tight = profile.result.peak_reserved_bytes - 1
-        assert profile.would_oom(tight) is True
-        assert profile.query(tight) is None
-        first = profile.first_oom_event(tight)
-        assert first is not None
-        # the running max is monotone: every event before `first` fits
-        assert profile.reserved_running_max[first - 1] <= tight
-
-    def test_bounded_simulator_rejects_peak_profile(self):
-        with pytest.raises(ValueError):
-            MemorySimulator(capacity_bytes=64 * MiB).replay_peak_profile(
-                synthetic_sequence()
-            )
-
     def test_pipeline_simulate_cache_serves_peak_only_repeats(self):
         cache = PipelineCache()
         pipeline = EstimationPipeline(iterations=2, cache=cache)
         sequence = synthetic_sequence()
         first, source = pipeline._simulate_stage(
-            sequence, DEFAULT_CONFIG, True, None, False
+            sequence, DEFAULT_CONFIG, True, False
         )
         assert source == SOURCE_COMPUTE
         second, source = pipeline._simulate_stage(
-            sequence, DEFAULT_CONFIG, True, None, False
+            sequence, DEFAULT_CONFIG, True, False
         )
         assert source == SOURCE_MEMORY
-        assert second is first  # the cached unbounded result, verbatim
+        assert second is first  # the cached peak-only result, verbatim
         # curve requests never touch the cache: the timeline is the point
         curved, source = pipeline._simulate_stage(
-            sequence, DEFAULT_CONFIG, True, None, True
+            sequence, DEFAULT_CONFIG, True, True
         )
         assert source == SOURCE_COMPUTE
         assert len(curved.timeline) > 0
         assert curved.peak_reserved_bytes == first.peak_reserved_bytes
-
-    def test_pipeline_simulate_oom_capacity_falls_back_to_replay(self):
-        cache = PipelineCache()
-        pipeline = EstimationPipeline(iterations=2, cache=cache)
-        sequence = synthetic_sequence()
-        unbounded, _ = pipeline._simulate_stage(
-            sequence, DEFAULT_CONFIG, True, None, False
-        )
-        tight = unbounded.peak_reserved_bytes // 2
-        via_pipeline, source = pipeline._simulate_stage(
-            sequence, DEFAULT_CONFIG, True, tight, False
-        )
-        direct = MemorySimulator(capacity_bytes=tight).replay(
-            sequence, record_timeline=False
-        )
-        assert source == SOURCE_COMPUTE
-        assert via_pipeline.oom == direct.oom
-        assert via_pipeline.oom_ts == direct.oom_ts
-        assert (
-            via_pipeline.peak_reserved_bytes == direct.peak_reserved_bytes
-        )
-        assert via_pipeline.num_events == direct.num_events
 
     def test_sequence_fingerprint_is_stable_and_memoized(self):
         one = synthetic_sequence()
@@ -532,11 +465,10 @@ class TestPipelineWithArtifactStore:
             stage_cache=PipelineCache(artifact_store=ArtifactStore(path)),
         )
         second = warm.estimate(WORKLOAD, RTX_3060)
-        # profile/analyze/orchestrate come from the store; simulate is
-        # L1-only and this cache is fresh, so it recomputes
-        assert second.stage_sources["profile"] == SOURCE_STORE
-        assert second.stage_sources["analyze"] == SOURCE_STORE
-        assert second.stage_sources["orchestrate"] == SOURCE_STORE
+        # a fresh L1 over a warm store: every stage is a store read
+        assert second.stage_sources == {
+            stage: SOURCE_STORE for stage in STAGES
+        }
         assert second.peak_bytes == first.peak_bytes
         assert second.detail == first.detail
 
@@ -566,4 +498,5 @@ class TestPipelineWithArtifactStore:
             stats = service.stats()
         sources = stats["service"]["stage_sources"]
         assert sources.get("profile:store") == 1
-        assert sources.get("simulate:compute") == 1
+        assert sources.get("simulate:store") == 1
+        assert "simulate:compute" not in sources

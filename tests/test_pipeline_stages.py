@@ -7,7 +7,9 @@ allocator configuration — must invalidate exactly the artifacts derived
 from it, nothing less.
 """
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 from tests.conftest import tiny_spec
 
 WORKLOAD = WorkloadConfig("MobileNetV3Small", "sgd", 4)
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def make_estimator(stage_cache=True, **knobs) -> XMemEstimator:
@@ -229,20 +232,62 @@ class TestReplayCore:
         assert fast.peak_reserved_bytes == recorded.peak_reserved_bytes
         assert fast.peak_allocated_bytes == recorded.peak_allocated_bytes
         assert fast.num_events == recorded.num_events
+        assert fast.oom is False and fast.oom_ts is None
         assert len(fast.timeline) == 0
         assert len(recorded.timeline) > 0
 
-    def test_bounded_timeline_replay_keeps_exact_peaks(self, tiny_trace):
-        pipeline = EstimationPipeline(iterations=3)
-        sequence = pipeline.orchestrate(pipeline.analyze(tiny_trace))
-        reference = MemorySimulator().replay(sequence)
-        bounded = MemorySimulator(timeline_max_points=32).replay(sequence)
-        assert bounded.peak_reserved_bytes == reference.peak_reserved_bytes
-        assert len(bounded.timeline) <= 64
-        assert (
-            bounded.timeline.peak_reserved()
-            == reference.timeline.peak_reserved()
-        )
+
+class TestOneSimulatePath:
+    """One replay loop, one cached value, no capacity knob on the stage."""
+
+    RETIRED = (
+        "PeakProfile",
+        "replay_peak_profile",
+        "first_oom_event",
+        "timeline_max_points",
+    )
+
+    def test_one_function_iterates_the_event_stream(self):
+        tree = ast.parse((SRC / "core" / "simulator.py").read_text())
+        loops = [
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and any(
+                isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.iter, ast.Call)
+                and isinstance(node.iter.func, ast.Attribute)
+                and node.iter.func.attr == "event_stream"
+                for node in ast.walk(function)
+            )
+        ]
+        assert loops == ["replay"]
+
+    def test_retired_names_stay_gone(self):
+        found = [
+            (str(path.relative_to(SRC)), name)
+            for path in sorted(SRC.rglob("*.py"))
+            for name in self.RETIRED
+            if name in path.read_text()
+        ]
+        assert found == []
+
+    def test_the_pipeline_takes_no_capacity(self):
+        tree = ast.parse((SRC / "core" / "pipeline.py").read_text())
+        (pipeline,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and node.name == "EstimationPipeline"
+        ]
+        params = {
+            method.name: [arg.arg for arg in method.args.args]
+            for method in pipeline.body
+            if isinstance(method, ast.FunctionDef)
+            and method.name in ("run", "simulate", "_simulate_stage")
+        }
+        assert sorted(params) == ["_simulate_stage", "run", "simulate"]
+        assert all("capacity_bytes" not in args for args in params.values())
 
 
 class TestPipelineCacheStore:

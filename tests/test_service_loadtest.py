@@ -54,11 +54,11 @@ class TestOutcomeParity:
     @pytest.mark.slow
     def test_processes_shed_only_while_the_first_answers_are_in_flight(self):
         """The same trace on the process pool: a cold miss is a round
-        trip to a worker (milliseconds), the submitting thread fills a
-        shard's queue with its duplicates in less, so the first wave
-        overflows (1 730 / 270, before this entry point and through it).
-        Every wave after it hits the parent-side cache and is answered
-        in full, like the other three drivers."""
+        trip to a worker (milliseconds), so a submitter that did not wait
+        would fill a shard's queue with duplicates before the first
+        answer.  The replayer keeps at most ``max_queue_depth`` requests
+        in flight, so the pool answers in full, like the other three
+        drivers."""
         trace = generate_traffic("zipf", 2000, seed=0)
         shed_at = []
         report, _ = run_trace(
@@ -67,18 +67,18 @@ class TestOutcomeParity:
             on_outcome=refusals_into(shed_at),
             estimator_factory=SyntheticEstimator,
         )
-        assert report.answered + report.shed == 2000
+        assert (report.answered, report.shed) == (2000, 0)
         assert report.rejected == report.errors == 0
-        assert len(shed_at) == report.shed
-        assert all(index < len(trace.waves()[0]) for index in shed_at)
+        assert shed_at == []
 
     @pytest.mark.parametrize("driver", ALL_DRIVERS)
     def test_a_queue_that_is_full_sheds_where_the_submitter_does_not_wait(
         self, driver
     ):
-        """Slow estimates, one shard, depth 2, one 40-request wave: the
-        sync replayer submits the wave back-to-back and the queue sheds;
-        the loop replayer waits for a slot first and nothing is shed."""
+        """Slow estimates, one shard, depth 2, one 40-request wave: both
+        replayers wait for a slot before submitting past the depth and
+        nothing is shed; the TCP client cannot see the remote depth,
+        submits the wave back-to-back and the queue sheds."""
         trace = generate_traffic("uniform", 40, seed=0, waves=1)
         report, _ = run_trace(
             driver,
@@ -88,7 +88,7 @@ class TestOutcomeParity:
             estimator_factory=partial(SyntheticEstimator, work_seconds=0.01),
         )
         assert report.answered + report.shed == 40
-        assert (report.shed == 0) == (driver == "asyncio")
+        assert (report.shed == 0) == (driver != "tcp")
 
 
 class TestRunTrace:

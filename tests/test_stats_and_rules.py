@@ -210,7 +210,7 @@ class TestOrchestratorComposition:
 
 
 class TestBoundedTimeline:
-    """The online max_points mode: memory-bounded, peaks exact."""
+    """The recorder keeps every sample; thinning is ``downsample()``'s."""
 
     @staticmethod
     def _fill(recorder, n=5000, seed=7):
@@ -221,38 +221,6 @@ class TestBoundedTimeline:
         for ts in range(n):
             allocated = max(0, allocated + rng.randint(-100, 120))
             recorder.record(ts, allocated, allocated + 50)
-
-    def test_bounded_recorder_matches_unbounded_peaks(self):
-        bounded = TimelineRecorder(max_points=32)
-        unbounded = TimelineRecorder()
-        self._fill(bounded)
-        self._fill(unbounded)
-        assert len(unbounded) == 5000
-        assert len(bounded) <= 2 * 32
-        assert bounded.peak_reserved() == unbounded.peak_reserved()
-        assert bounded.peak_allocated() == unbounded.peak_allocated()
-
-    def test_peak_points_survive_compaction(self):
-        bounded = TimelineRecorder(max_points=16)
-        self._fill(bounded, n=2000)
-        assert (
-            max(p.reserved_bytes for p in bounded.points)
-            == bounded.peak_reserved()
-        )
-        assert (
-            max(p.allocated_bytes for p in bounded.points)
-            == bounded.peak_allocated()
-        )
-
-    def test_endpoints_survive_compaction(self):
-        bounded = TimelineRecorder(max_points=8)
-        self._fill(bounded, n=1000)
-        assert bounded.points[0].ts == 0
-        assert bounded.points[-1].ts == 999
-
-    def test_max_points_validation(self):
-        with pytest.raises(ValueError):
-            TimelineRecorder(max_points=2)
 
     def test_unbounded_by_default(self):
         recorder = TimelineRecorder()
