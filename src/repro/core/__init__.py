@@ -33,6 +33,7 @@ from .pipeline import (
     EstimationPipeline,
     PipelineCache,
     PipelineRun,
+    SimulateRow,
     trace_fingerprint,
 )
 from .result import EstimationResult
@@ -59,6 +60,7 @@ __all__ = [
     "EventKind",
     "PipelineCache",
     "PipelineRun",
+    "SimulateRow",
     "STAGES",
     "trace_fingerprint",
     "GradientRule",

@@ -40,8 +40,9 @@ import threading
 import time
 from typing import Any, Callable, Optional, Union
 
-#: Bump when the table layout changes; old stores are dropped + recreated.
-SCHEMA_VERSION = 1
+#: Bump when the table layout or a stored value's shape changes; old
+#: stores are dropped + recreated.
+SCHEMA_VERSION = 2
 
 #: Default payload-byte budget before LRU reaping kicks in (256 MiB).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -200,6 +201,11 @@ class ArtifactStore:
                 except sqlite3.Error:
                     pass
                 self._conn = None
+        # a closed store must not be handed out again for its path
+        resolved = os.path.abspath(self.path)
+        with _REGISTRY_LOCK:
+            if _OPEN_STORES.get(resolved) is self:
+                del _OPEN_STORES[resolved]
 
     # ------------------------------------------------------------------
     # blob get / put

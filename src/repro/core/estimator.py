@@ -105,8 +105,8 @@ class XMemEstimator(Estimator):
             two_level=self.two_level,
             curve=self.curve,
         )
-        simulation = run.simulation
-        sequence = run.sequence
+        row = run.row
+        simulation = row.simulation
         runtime = time.perf_counter() - start
         return EstimationResult(
             estimator=self.name,
@@ -119,15 +119,12 @@ class XMemEstimator(Estimator):
             stage_cached=dict(run.stage_cached),
             stage_sources=dict(run.stage_sources),
             detail={
-                "num_blocks": sequence.num_blocks,
+                "num_blocks": row.num_blocks,
                 "num_events": simulation.num_events,
-                "persistent_bytes": sequence.persistent_bytes,
-                "rule_adjustments": dict(sequence.adjustments),
+                "persistent_bytes": row.persistent_bytes,
+                "rule_adjustments": dict(row.rule_adjustments),
                 "peak_allocated_bytes": simulation.peak_allocated_bytes,
-                "role_bytes": {
-                    role.value: size
-                    for role, size in run.analyzed.role_bytes().items()
-                },
-                "dropped_blocks": run.analyzed.dropped_blocks,
+                "role_bytes": dict(row.role_bytes),
+                "dropped_blocks": row.dropped_blocks,
             },
         )

@@ -59,6 +59,11 @@ class OrchestratedSequence:
     num_blocks: int
     persistent_bytes: int
     adjustments: dict[str, int] = field(default_factory=dict)
+    #: the analyzer's per-role byte totals (keyed by role value) and its
+    #: operator-filter drop count, carried so a cached simulation can
+    #: report them without loading the analyzed trace
+    role_bytes: dict[str, int] = field(default_factory=dict)
+    dropped_blocks: int = 0
 
     def __post_init__(self) -> None:
         self._stream: Optional[tuple[tuple[int, bool, int, int], ...]] = None
@@ -267,6 +272,11 @@ class MemoryOrchestrator:
             num_blocks=len(analyzed.blocks),
             persistent_bytes=persistent_bytes,
             adjustments=adjustments,
+            role_bytes={
+                role.value: size
+                for role, size in analyzed.role_bytes().items()
+            },
+            dropped_blocks=analyzed.dropped_blocks,
         )
 
 

@@ -7,13 +7,20 @@ a content-addressed cache (:class:`PipelineCache`):
 * **profile** — traces keyed by (model, optimizer, batch size, zero-grad
   placement, set_to_none, iterations): the full workload/loop identity the
   CPU profiler consumes;
-* **analyze** — analyzed traces keyed by the trace's content fingerprint
-  plus the analyzer's strictness;
+* **analyze** — analyzed traces keyed by the trace's fingerprint plus
+  the analyzer's strictness;
 * **orchestrate** — replayable sequences keyed by the trace fingerprint
   plus the orchestration rule set;
-* **simulate** — peak-only replay results keyed by the sequence
-  fingerprint, the allocator configuration and the two-level knob (a
-  usage curve is always replayed, never cached).
+* **simulate** — :class:`SimulateRow` values (the peak-only replay plus
+  the sequence's small facts) keyed by the sequence fingerprint, the
+  allocator configuration and the two-level knob (a usage curve is always
+  replayed, never cached).
+
+Every key is a derivation of one root — the profile key for a workload,
+the content fingerprint for a caller-supplied trace — so
+:meth:`EstimationPipeline.run` computes all four before loading anything
+and looks stages up bottom-up: the simulate row first, and each upstream
+stage only when the stage below it misses.  A stored cell is one row.
 
 Only the simulator — the stage that actually depends on the allocator
 configuration and the two-level ablation knob — re-runs when requests
@@ -239,6 +246,10 @@ class PipelineCache:
     def _stores(self) -> tuple[_StageStore, ...]:
         return (self.traces, self.analyses, self.sequences, self.simulations)
 
+    def stage_store(self, stage: str) -> _StageStore:
+        """The store of one stage name (``PROFILE`` ... ``SIMULATE``)."""
+        return self._stores()[STAGES.index(stage)]
+
     def clear(self) -> None:
         for stage_store in self._stores():
             stage_store.clear()
@@ -256,21 +267,57 @@ class PipelineCache:
         return stats
 
 
+@dataclass(frozen=True)
+class SimulateRow:
+    """The simulate stage's cached value: one replay plus the sequence
+    facts ``XMemEstimator.estimate`` reports, so a hit answers a cell
+    without loading the analyzed trace or the sequence."""
+
+    simulation: SimulationResult
+    num_blocks: int
+    persistent_bytes: int
+    rule_adjustments: dict[str, int]
+    role_bytes: dict[str, int]
+    dropped_blocks: int
+
+    @classmethod
+    def of(
+        cls, simulation: SimulationResult, sequence: OrchestratedSequence
+    ) -> "SimulateRow":
+        return cls(
+            simulation=simulation,
+            num_blocks=sequence.num_blocks,
+            persistent_bytes=sequence.persistent_bytes,
+            rule_adjustments=sequence.adjustments,
+            role_bytes=sequence.role_bytes,
+            dropped_blocks=sequence.dropped_blocks,
+        )
+
+
 @dataclass
 class PipelineRun:
-    """One staged estimation: every intermediate artifact plus timings."""
+    """One staged estimation: the simulate row, the upstream artifacts
+    that were loaded to produce it (``None`` where a downstream hit made
+    loading them unnecessary), and timings."""
 
-    trace: Trace
-    analyzed: AnalyzedTrace
-    sequence: OrchestratedSequence
-    simulation: SimulationResult
-    #: wall-clock seconds spent in each stage (cache hits cost ~0)
+    row: SimulateRow
+    trace: Optional[Trace] = None
+    analyzed: Optional[AnalyzedTrace] = None
+    sequence: Optional[OrchestratedSequence] = None
+    #: wall-clock seconds spent in each stage, excluding the upstream
+    #: stages it consulted (cache hits and unconsulted stages cost ~0)
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: True where the stage was answered from the cache (or, for profile,
     #: from a caller-supplied trace)
     stage_cached: dict[str, bool] = field(default_factory=dict)
-    #: artifact provenance per stage: "memory" / "store" / "compute"
+    #: artifact provenance per stage: "memory" / "store" / "compute"; a
+    #: stage that was not consulted reports the source of the stage below
+    #: it that answered
     stage_sources: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def simulation(self) -> SimulationResult:
+        return self.row.simulation
 
     def total_seconds(self) -> float:
         return sum(self.stage_seconds.values())
@@ -306,6 +353,49 @@ class EstimationPipeline:
     def profile_key(self, workload: WorkloadConfig) -> tuple:
         """Everything the CPU profiler's output depends on."""
         return ("profile", *workload.to_key(), self.iterations)
+
+    def _profile_root(self, workload: WorkloadConfig) -> str:
+        """The trace fingerprint a profiled ``workload`` is stamped with."""
+        return "|".join(str(part) for part in self.profile_key(workload))
+
+    def _analyze_key(self, root: str) -> tuple:
+        return (root, bool(self.analyzer.strict))
+
+    def _orchestrate_key(self, root: str) -> tuple:
+        return (root, self.rules_key())
+
+    @staticmethod
+    def _simulate_key(
+        sequence_key: str, allocator_config: AllocatorConfig, two_level: bool
+    ) -> tuple:
+        return (sequence_key, allocator_config, two_level)
+
+    def _stage_keys(
+        self,
+        workload: WorkloadConfig,
+        trace: Optional[Trace],
+        allocator_config: AllocatorConfig,
+        two_level: bool,
+        curve: bool,
+    ) -> dict[str, Any]:
+        """Every stage's cache key, derived from one root with no artifact
+        in hand (``None`` marks a stage that is not cached)."""
+        if self.cache is None:
+            return dict.fromkeys(STAGES)
+        root = (
+            trace_fingerprint(trace)
+            if trace is not None
+            else self._profile_root(workload)
+        )
+        orchestrate_key = self._orchestrate_key(root)
+        return {
+            PROFILE: self.profile_key(workload),
+            ANALYZE: self._analyze_key(root),
+            ORCHESTRATE: orchestrate_key,
+            SIMULATE: None if curve else self._simulate_key(
+                _sequence_key(orchestrate_key), allocator_config, two_level
+            ),
+        }
 
     def rules_key(self) -> tuple:
         """Identity of the orchestration rule set (and analyzer mode).
@@ -371,15 +461,18 @@ class EstimationPipeline:
         two_level: bool,
         curve: bool,
     ) -> tuple[SimulationResult, str]:
-        def replay() -> SimulationResult:
-            return MemorySimulator(
-                allocator_config=allocator_config, two_level=two_level
-            ).replay(sequence, record_timeline=curve)
+        def replay() -> SimulateRow:
+            return _replay(sequence, allocator_config, two_level, curve)
 
         if curve or self.cache is None:
-            return replay(), SOURCE_COMPUTE
-        key = (sequence_fingerprint(sequence), allocator_config, two_level)
-        return self.cache.simulations.get_or_compute_traced(key, replay)
+            return replay().simulation, SOURCE_COMPUTE
+        key = self._simulate_key(
+            sequence_fingerprint(sequence), allocator_config, two_level
+        )
+        row, source = self.cache.simulations.get_or_compute_traced(
+            key, replay
+        )
+        return row.simulation, source
 
     # ------------------------------------------------------------------
     # the full chain
@@ -392,48 +485,80 @@ class EstimationPipeline:
         two_level: bool = True,
         curve: bool = True,
     ) -> PipelineRun:
-        """Run all four stages; ``trace`` short-circuits profiling."""
-        stage_seconds: dict[str, float] = {}
-        stage_cached: dict[str, bool] = {}
-        stage_sources: dict[str, str] = {}
+        """Run the four stages bottom-up; ``trace`` short-circuits profiling.
 
-        started = time.perf_counter()
-        if trace is None:
-            trace, source = self._profile_stage(workload)
-        else:
-            source = SOURCE_MEMORY  # supplied by the caller: cost nothing
-        stage_seconds[PROFILE] = time.perf_counter() - started
-        stage_cached[PROFILE] = source is not SOURCE_COMPUTE
-        stage_sources[PROFILE] = source
-
-        started = time.perf_counter()
-        analyzed, source = self._analyze_stage(trace)
-        stage_seconds[ANALYZE] = time.perf_counter() - started
-        stage_cached[ANALYZE] = source is not SOURCE_COMPUTE
-        stage_sources[ANALYZE] = source
-
-        started = time.perf_counter()
-        sequence, source = self._orchestrate_stage(analyzed)
-        stage_seconds[ORCHESTRATE] = time.perf_counter() - started
-        stage_cached[ORCHESTRATE] = source is not SOURCE_COMPUTE
-        stage_sources[ORCHESTRATE] = source
-
-        started = time.perf_counter()
-        simulation, source = self._simulate_stage(
-            sequence, allocator_config, two_level, curve
+        The simulate row is looked up first, by a key derived from the
+        workload (or the supplied trace).  Each stage's build consults the
+        stage above it, so a hit — in the L1 or the L2 — loads nothing
+        upstream; ``curve=True`` starts at the orchestrate store.
+        """
+        keys = self._stage_keys(
+            workload, trace, allocator_config, two_level, curve
         )
-        stage_seconds[SIMULATE] = time.perf_counter() - started
-        stage_cached[SIMULATE] = source is not SOURCE_COMPUTE
-        stage_sources[SIMULATE] = source
+        seconds: dict[str, float] = {}
+        sources: dict[str, str] = {}
+        loaded: dict[str, Any] = {}
 
+        def consult(stage: str, build: Callable[[], Any]) -> Any:
+            started = time.perf_counter()
+            key = keys[stage]
+            if key is None:
+                value, source = build(), SOURCE_COMPUTE
+            else:
+                value, source = self.cache.stage_store(
+                    stage
+                ).get_or_compute_traced(key, build)
+            seconds[stage] = time.perf_counter() - started
+            sources[stage] = source
+            loaded[stage] = value
+            return value
+
+        def need_trace() -> Trace:
+            if trace is None:
+                return consult(PROFILE, lambda: self._run_profiler(workload))
+            seconds[PROFILE] = 0.0  # supplied by the caller: cost nothing
+            sources[PROFILE] = SOURCE_MEMORY
+            loaded[PROFILE] = trace
+            return trace
+
+        def need_analyzed() -> AnalyzedTrace:
+            return consult(
+                ANALYZE, lambda: self.analyzer.analyze(need_trace())
+            )
+
+        def need_sequence() -> OrchestratedSequence:
+            return consult(
+                ORCHESTRATE,
+                lambda: self._run_orchestrator(
+                    need_analyzed(), keys[ORCHESTRATE]
+                ),
+            )
+
+        row = consult(
+            SIMULATE,
+            lambda: _replay(
+                need_sequence(), allocator_config, two_level, curve
+            ),
+        )
+
+        # bottom-up: a stage's time includes the stage above it that it
+        # consulted; an unconsulted stage inherits its answerer's source
+        for stage, upstream in zip(STAGES[:0:-1], STAGES[-2::-1]):
+            if upstream in seconds:
+                seconds[stage] -= seconds[upstream]
+            else:
+                seconds[upstream] = 0.0
+                sources[upstream] = sources[stage]
         return PipelineRun(
-            trace=trace,
-            analyzed=analyzed,
-            sequence=sequence,
-            simulation=simulation,
-            stage_seconds=stage_seconds,
-            stage_cached=stage_cached,
-            stage_sources=stage_sources,
+            row=row,
+            trace=loaded.get(PROFILE),
+            analyzed=loaded.get(ANALYZE),
+            sequence=loaded.get(ORCHESTRATE),
+            stage_seconds={stage: seconds[stage] for stage in STAGES},
+            stage_cached={
+                stage: sources[stage] != SOURCE_COMPUTE for stage in STAGES
+            },
+            stage_sources={stage: sources[stage] for stage in STAGES},
         )
 
     # ------------------------------------------------------------------
@@ -459,14 +584,15 @@ class EstimationPipeline:
             iterations=self.iterations,
         )
         # the profile key fully determines this trace: skip content hashing
-        key = "|".join(str(part) for part in self.profile_key(workload))
-        object.__setattr__(trace, _TRACE_KEY_ATTR, key)
+        object.__setattr__(
+            trace, _TRACE_KEY_ATTR, self._profile_root(workload)
+        )
         return trace
 
     def _analyze_stage(self, trace: Trace) -> tuple[AnalyzedTrace, str]:
         if self.cache is None:
             return self.analyzer.analyze(trace), SOURCE_COMPUTE
-        key = (trace_fingerprint(trace), bool(self.analyzer.strict))
+        key = self._analyze_key(trace_fingerprint(trace))
         return self.cache.analyses.get_or_compute_traced(
             key, lambda: self.analyzer.analyze(trace)
         )
@@ -476,17 +602,35 @@ class EstimationPipeline:
     ) -> tuple[OrchestratedSequence, str]:
         if self.cache is None or analyzed.trace is None:
             return self.orchestrator.orchestrate(analyzed), SOURCE_COMPUTE
-        key = (trace_fingerprint(analyzed.trace), self.rules_key())
+        key = self._orchestrate_key(trace_fingerprint(analyzed.trace))
         return self.cache.sequences.get_or_compute_traced(
             key, lambda: self._run_orchestrator(analyzed, key)
         )
 
     def _run_orchestrator(
-        self, analyzed: AnalyzedTrace, key: tuple
+        self, analyzed: AnalyzedTrace, key: Optional[tuple]
     ) -> OrchestratedSequence:
         sequence = self.orchestrator.orchestrate(analyzed)
-        # the orchestrate key fully determines this sequence: stamp it as
-        # the sequence fingerprint so the simulate cache keys stably
-        # (including across processes) without hashing the event list
-        sequence.fingerprint = f"orch:{key!r}"
+        if key is not None:
+            # the orchestrate key fully determines this sequence: stamp it
+            # as the sequence fingerprint so the simulate cache keys stably
+            # (including across processes) without hashing the event list
+            sequence.fingerprint = _sequence_key(key)
         return sequence
+
+
+def _sequence_key(orchestrate_key: tuple) -> str:
+    """The fingerprint of the sequence an orchestrate key produces."""
+    return f"orch:{orchestrate_key!r}"
+
+
+def _replay(
+    sequence: OrchestratedSequence,
+    allocator_config: AllocatorConfig,
+    two_level: bool,
+    curve: bool,
+) -> SimulateRow:
+    simulation = MemorySimulator(
+        allocator_config=allocator_config, two_level=two_level
+    ).replay(sequence, record_timeline=curve)
+    return SimulateRow.of(simulation, sequence)

@@ -109,6 +109,25 @@ class TestArtifactStoreBasics:
         path = str(tmp_path / "store.sqlite")
         assert open_artifact_store(path) is open_artifact_store(path)
 
+    def test_closed_store_does_not_poison_its_path(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        store = open_artifact_store(path)
+        assert store.put("profile", "k", "v")
+        store.close()
+        reopened = open_artifact_store(path)
+        assert reopened is not store
+        assert reopened.get("profile", "k") == "v"
+        reopened.close()
+
+    def test_close_leaves_a_newer_registry_entry_alone(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        stale = open_artifact_store(path)
+        stale.close()
+        current = open_artifact_store(path)
+        stale.close()  # closing twice must not evict the live store
+        assert open_artifact_store(path) is current
+        current.close()
+
     def test_build_failure_releases_claim(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store.sqlite"))
 
@@ -471,6 +490,74 @@ class TestPipelineWithArtifactStore:
         }
         assert second.peak_bytes == first.peak_bytes
         assert second.detail == first.detail
+
+    @staticmethod
+    def _zero_l1_estimator(path: str) -> XMemEstimator:
+        return XMemEstimator(
+            iterations=2,
+            curve=False,
+            stage_cache=PipelineCache(
+                max_traces=0,
+                max_analyses=0,
+                max_sequences=0,
+                max_simulations=0,
+                artifact_store=open_artifact_store(path),
+            ),
+        )
+
+    def test_stored_cell_is_answered_by_one_row(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        cells = [WORKLOAD, WORKLOAD.with_batch_size(8)]
+        writer = XMemEstimator(
+            iterations=2, curve=False, artifact_store=ArtifactStore(path)
+        )
+        cold = [writer.estimate(cell, RTX_3060) for cell in cells]
+        estimator = self._zero_l1_estimator(path)
+        store = estimator.stage_cache.artifacts
+        try:
+            for cell, expected in zip(cells, cold):
+                hits, counters = store.hits, store.counters()
+                result = estimator.estimate(cell, RTX_3060)
+                assert store.hits == hits + 1
+                after = store.counters()
+                for stage in ("profile", "analyze", "orchestrate"):
+                    name = f"hit:{stage}"
+                    assert after.get(name, 0) == counters.get(name, 0)
+                assert result.peak_bytes == expected.peak_bytes
+                assert result.detail == expected.detail
+                assert result.stage_sources == {
+                    stage: SOURCE_STORE for stage in STAGES
+                }
+        finally:
+            store.close()
+
+    def test_corrupt_simulate_row_falls_back_to_the_sequence(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        cold = XMemEstimator(
+            iterations=2, curve=False, artifact_store=ArtifactStore(path)
+        ).estimate(WORKLOAD, RTX_3060)
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "UPDATE artifacts SET payload = substr(payload, 1, 16) "
+                "WHERE stage = 'simulate'"
+            )
+            conn.commit()
+        estimator = self._zero_l1_estimator(path)
+        store = estimator.stage_cache.artifacts
+        try:
+            before = store.counters()
+            result = estimator.estimate(WORKLOAD, RTX_3060)
+            after = store.counters()
+        finally:
+            store.close()
+        assert store.corrupt_dropped == 1
+        assert after["hit:orchestrate"] == before.get("hit:orchestrate", 0) + 1
+        assert after["build:simulate"] == before["build:simulate"] + 1
+        assert after.get("hit:analyze", 0) == before.get("hit:analyze", 0)
+        assert result.stage_sources[SIMULATE] == SOURCE_COMPUTE
+        assert result.stage_sources["orchestrate"] == SOURCE_STORE
+        assert result.peak_bytes == cold.peak_bytes
+        assert result.detail == cold.detail
 
     def test_artifact_key_is_process_stable(self):
         # repr-based addressing: primitive tuples hash identically across

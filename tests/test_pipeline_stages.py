@@ -20,10 +20,12 @@ from repro.core.pipeline import (
     ORCHESTRATE,
     PROFILE,
     SIMULATE,
+    STAGES,
     EstimationPipeline,
     PipelineCache,
     trace_fingerprint,
 )
+from repro.core.orchestrator import sequence_fingerprint
 from repro.core.simulator import MemorySimulator
 from repro.runtime.profiler import profile_on_cpu
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
@@ -201,12 +203,18 @@ class TestTraceFingerprint:
         workload = WorkloadConfig("TinyConvNet", "sgd", 4)
         first = profile_on_cpu(tiny_spec(), batch_size=4, optimizer="sgd")
         second = profile_on_cpu(tiny_spec(), batch_size=4, optimizer="sgd")
-        estimator = make_estimator()
-        estimator.estimate(workload, RTX_3060, trace=first)
-        warm = estimator.estimate(workload, RTX_3060, trace=second)
+        cache = PipelineCache()
+        make_estimator(stage_cache=cache).estimate(
+            workload, RTX_3060, trace=first
+        )
+        # another rule set misses the orchestrate store, so the analysis
+        # is consulted — by the twin's content key
+        warm = make_estimator(stage_cache=cache, orchestrate=False).estimate(
+            workload, RTX_3060, trace=second
+        )
         assert warm.stage_cached[ANALYZE]
-        assert warm.stage_cached[ORCHESTRATE]
-        assert estimator.stage_cache.analyses.stats()["hits"] == 1
+        assert not warm.stage_cached[ORCHESTRATE]
+        assert cache.analyses.stats()["hits"] == 1
 
 
 class TestReplayCore:
@@ -288,6 +296,66 @@ class TestOneSimulatePath:
         }
         assert sorted(params) == ["_simulate_stage", "run", "simulate"]
         assert all("capacity_bytes" not in args for args in params.values())
+
+
+class TestBottomUpLookup:
+    """Every stage key derives from the workload; a hit loads nothing
+    upstream of the stage that answered."""
+
+    @staticmethod
+    def derived_simulate_key(pipeline, workload, trace=None) -> tuple:
+        keys = pipeline._stage_keys(workload, trace, DEFAULT_CONFIG, True, False)
+        return keys[SIMULATE]
+
+    def test_derived_key_matches_the_built_sequence(self):
+        pipeline = EstimationPipeline(iterations=2, cache=PipelineCache())
+        run = pipeline.run(WORKLOAD, curve=False)
+        key = self.derived_simulate_key(pipeline, WORKLOAD)
+        assert key[0] == sequence_fingerprint(run.sequence)
+        assert list(pipeline.cache.simulations._entries) == [key]
+        # the artifact-first stage methods stamp the same fingerprint
+        other = EstimationPipeline(iterations=2, cache=PipelineCache())
+        sequence = other.orchestrate(other.analyze(other.profile(WORKLOAD)))
+        assert sequence_fingerprint(sequence) == key[0]
+
+    def test_derived_key_matches_a_supplied_trace(self):
+        workload = WorkloadConfig("TinyConvNet", "sgd", 4)
+        trace = profile_on_cpu(tiny_spec(), batch_size=4, optimizer="sgd")
+        twin = profile_on_cpu(tiny_spec(), batch_size=4, optimizer="sgd")
+        pipeline = EstimationPipeline(iterations=2, cache=PipelineCache())
+        run = pipeline.run(workload, trace=trace, curve=False)
+        key = self.derived_simulate_key(pipeline, workload, trace=twin)
+        assert key[0] == sequence_fingerprint(run.sequence)
+        again = pipeline.run(workload, trace=twin, curve=False)
+        assert again.stage_sources[SIMULATE] == "memory"
+
+    def test_simulate_hit_loads_nothing_upstream(self):
+        cache = PipelineCache()
+        pipeline = EstimationPipeline(iterations=2, cache=cache)
+        cold = pipeline.run(WORKLOAD, curve=False)
+        assert set(cold.stage_sources.values()) == {"compute"}
+        assert cold.trace is not None and cold.sequence is not None
+        before = {name: s["hits"] for name, s in cache.stats().items()}
+        warm = pipeline.run(WORKLOAD, curve=False)
+        after = {name: s["hits"] for name, s in cache.stats().items()}
+        assert warm.stage_sources == dict.fromkeys(STAGES, "memory")
+        assert (warm.trace, warm.analyzed, warm.sequence) == (None,) * 3
+        assert warm.simulation is cold.simulation
+        assert after["simulations"] == before["simulations"] + 1
+        for name in ("traces", "analyses", "sequences"):
+            assert after[name] == before[name]
+
+    def test_curve_request_starts_at_the_sequence(self):
+        cache = PipelineCache()
+        pipeline = EstimationPipeline(iterations=2, cache=cache)
+        pipeline.run(WORKLOAD, curve=False)
+        curved = pipeline.run(WORKLOAD, curve=True)
+        assert curved.stage_sources[SIMULATE] == "compute"
+        assert curved.stage_sources[ORCHESTRATE] == "memory"
+        assert curved.sequence is not None and curved.trace is None
+        assert len(curved.simulation.timeline) > 0
+        assert cache.sequences.stats()["hits"] == 1
+        assert cache.traces.stats()["hits"] == 0
 
 
 class TestPipelineCacheStore:
