@@ -51,10 +51,13 @@ RESULT_PATH = REPO_ROOT / "BENCH_artifacts.json"
 ITERATIONS = 2
 #: stored vs. storeless sweep; must stay above 1.0 — a store slower than
 #: recomputing is a failure.  Measured over 16 --quick runs on a 2-vCPU
-#: machine: 71-135x — a cold cell is 49-100 ms, a stored one 0.49-0.79 ms
-#: (one simulate-row read + unpickle; nothing upstream is loaded).
-#: The floor is 0.85x the lowest of those runs.
-MIN_STORE_SPEEDUP = 60.0
+#: machine: 17-80x — a cold cell is ~34 ms, a stored one 0.39-1.5 ms
+#: (one simulate-row read + unpickle; nothing upstream is loaded; the
+#: spread is the stored side's, whose two cells are timed in one fresh
+#: interpreter).  The ratio falls as the cold chain gets faster.  The
+#: floor is 0.85x the lowest of those runs, still ten times the 1.3x
+#: of a store that read its upstream blobs (the artifacts baseline).
+MIN_STORE_SPEEDUP = 14.0
 POOL_WORKERS = 4
 
 

@@ -38,8 +38,8 @@ def _sequence(early_free: bool) -> OrchestratedSequence:
         step(EventKind.FREE, 0, TENSORS[0])
     for index, size in enumerate(TENSORS[1:], start=1):
         step(EventKind.FREE, index, size)
-    return OrchestratedSequence(
-        events=events, horizon=ts + 1, num_blocks=len(TENSORS),
+    return OrchestratedSequence.from_ops(
+        events, horizon=ts + 1, num_blocks=len(TENSORS),
         persistent_bytes=0,
     )
 

@@ -115,6 +115,11 @@ class CachingAllocator:
             raise InvalidFreeError(f"no live block for owner {owner}")
         self.free(block, ts=ts)
 
+    @property
+    def live_owners(self) -> dict[int, Block]:
+        """Live blocks by ``owner`` id (read-only: use ``malloc``/``free``)."""
+        return self._owners
+
     def empty_cache(self, ts: int = 0) -> int:
         """Release every fully-free cached segment; returns bytes released."""
         released = self._release_free_segments(self._small_pool)

@@ -226,8 +226,8 @@ class DNNMemEstimator(Estimator):
                         size=sizes.get(event.block_id, 0),
                     )
                 )
-        return OrchestratedSequence(
-            events=fixed,
+        return OrchestratedSequence.from_ops(
+            fixed,
             horizon=ts + 1,
             num_blocks=len(sizes),
             persistent_bytes=param_bytes,

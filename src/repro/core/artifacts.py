@@ -42,7 +42,7 @@ from typing import Any, Callable, Optional, Union
 
 #: Bump when the table layout or a stored value's shape changes; old
 #: stores are dropped + recreated.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Default payload-byte budget before LRU reaping kicks in (256 MiB).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024

@@ -10,24 +10,45 @@ free appears in the trace).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional
 
 from ..errors import LifecycleError
-from ..trace.events import MemoryEvent
+from ..trace.events import MemoryColumns, MemoryEvent
 
 _block_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class MemoryBlock:
-    """One reconstructed allocation lifecycle ("memory block" in the paper)."""
-
+class _BlockFields(NamedTuple):
     addr: int
     size: int
     alloc_ts: int
-    free_ts: Optional[int] = None  # None -> persistent for the trace
-    block_id: int = field(default_factory=lambda: next(_block_ids))
+    free_ts: Optional[int]  # None -> persistent for the trace
+    block_id: int
+
+
+class MemoryBlock(_BlockFields):
+    """One reconstructed allocation lifecycle ("memory block" in the paper).
+
+    An immutable tuple record: the lifecycle sweep builds thousands per
+    trace, and a tuple costs a fraction of a frozen dataclass to create.
+    ``block_id`` defaults to the next process-wide id.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        addr: int,
+        size: int,
+        alloc_ts: int,
+        free_ts: Optional[int] = None,
+        block_id: Optional[int] = None,
+    ) -> "MemoryBlock":
+        if block_id is None:
+            block_id = next(_block_ids)
+        return tuple.__new__(cls, (addr, size, alloc_ts, free_ts, block_id))
 
     @property
     def persistent(self) -> bool:
@@ -44,7 +65,7 @@ class MemoryBlock:
 
     def with_free_ts(self, free_ts: Optional[int]) -> "MemoryBlock":
         """Copy with an adjusted deallocation time (keeps the block id)."""
-        return replace(self, free_ts=free_ts)
+        return self._replace(free_ts=free_ts)
 
 
 @dataclass(frozen=True)
@@ -60,81 +81,74 @@ class LifecycleReport:
 
 
 def reconstruct_lifecycles(
-    memory_events: Iterable[MemoryEvent],
+    memory: MemoryColumns | Iterable[MemoryEvent],
     strict: bool = False,
 ) -> LifecycleReport:
     """Pair allocation/deallocation events into lifecycles.
 
-    Events must be in timestamp order.  With ``strict=True``, frees that
+    One sweep over the ``ts`` / ``addr`` / ``nbytes`` columns (event
+    objects are converted first).  Events must be in timestamp order.
+    With ``strict=True``, an allocation at a live address, frees that
     match no live allocation and size-mismatched frees raise
-    :class:`LifecycleError`; otherwise they are tolerated and counted, the
-    way the paper's Analyzer must tolerate truncated traces.
+    :class:`LifecycleError`; otherwise they are tolerated and counted,
+    the way the paper's Analyzer must tolerate truncated traces.
     """
+    if not isinstance(memory, MemoryColumns):
+        memory = MemoryColumns.from_events(memory)
     open_blocks: dict[int, tuple[int, int]] = {}  # addr -> (alloc_ts, size)
     seen_addrs: set[int] = set()
     blocks: list[MemoryBlock] = []
+    append = blocks.append
+    new_block = tuple.__new__
+    next_id = _block_ids.__next__
     unmatched = 0
     reused = 0
-    last_ts = None
-    for event in memory_events:
-        if last_ts is not None and event.ts < last_ts:
-            raise LifecycleError(
-                f"memory events out of order at ts={event.ts}"
-            )
-        last_ts = event.ts
-        if event.is_alloc:
-            if event.addr in open_blocks:
+    last_ts = memory.ts[0] if memory.ts else 0
+    for ts, addr, nbytes in zip(memory.ts, memory.addr, memory.nbytes):
+        if ts < last_ts:
+            raise LifecycleError(f"memory events out of order at ts={ts}")
+        last_ts = ts
+        if nbytes > 0:
+            if addr in open_blocks:
                 if strict:
                     raise LifecycleError(
-                        f"allocation at live address {event.addr:#x} "
-                        f"(ts={event.ts})"
+                        f"allocation at live address {addr:#x} (ts={ts})"
                     )
                 # tolerate: close the phantom block as freed here
-                alloc_ts, size = open_blocks.pop(event.addr)
-                blocks.append(
-                    MemoryBlock(
-                        addr=event.addr,
-                        size=size,
-                        alloc_ts=alloc_ts,
-                        free_ts=event.ts,
-                    )
+                alloc_ts, size = open_blocks.pop(addr)
+                append(
+                    new_block(MemoryBlock, (addr, size, alloc_ts, ts, next_id()))
                 )
-            if event.addr in seen_addrs:
+            if addr in seen_addrs:
                 reused += 1
-            seen_addrs.add(event.addr)
-            open_blocks[event.addr] = (event.ts, event.size)
+            else:
+                seen_addrs.add(addr)
+            open_blocks[addr] = (ts, nbytes)
         else:
-            record = open_blocks.pop(event.addr, None)
+            record = open_blocks.pop(addr, None)
             if record is None:
                 unmatched += 1
                 if strict:
                     raise LifecycleError(
-                        f"free of unknown address {event.addr:#x} "
-                        f"(ts={event.ts})"
+                        f"free of unknown address {addr:#x} (ts={ts})"
                     )
                 continue
             alloc_ts, size = record
-            if size != event.size and strict:
+            if strict and size != -nbytes:
                 raise LifecycleError(
-                    f"free size {event.size} != alloc size {size} at "
-                    f"{event.addr:#x}"
+                    f"free size {-nbytes} != alloc size {size} at {addr:#x}"
                 )
-            blocks.append(
-                MemoryBlock(
-                    addr=event.addr,
-                    size=size,
-                    alloc_ts=alloc_ts,
-                    free_ts=event.ts,
-                )
-            )
+            append(new_block(MemoryBlock, (addr, size, alloc_ts, ts, next_id())))
     for addr, (alloc_ts, size) in open_blocks.items():
-        blocks.append(
-            MemoryBlock(addr=addr, size=size, alloc_ts=alloc_ts, free_ts=None)
-        )
-    blocks.sort(key=lambda b: (b.alloc_ts, b.block_id))
+        append(new_block(MemoryBlock, (addr, size, alloc_ts, None, next_id())))
+    blocks.sort(key=_ALLOC_ORDER)
     return LifecycleReport(
         blocks=blocks, unmatched_frees=unmatched, reused_addresses=reused
     )
+
+
+#: ``(alloc_ts, block_id)`` of a block
+_ALLOC_ORDER = itemgetter(2, 4)
 
 
 def peak_live_bytes(blocks: Iterable[MemoryBlock]) -> int:

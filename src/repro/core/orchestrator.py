@@ -21,7 +21,7 @@ import bisect
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..framework.tensor import TensorRole
 from .analyzer import AnalyzedTrace
@@ -33,9 +33,19 @@ class EventKind(str, Enum):
     FREE = "free"
 
 
+#: ``kind`` of a sequence row: frees (0) sort before allocs (1) at equal
+#: timestamps — a GPU stream completes pending releases before the next
+#: kernel's allocations
+KIND_FREE = 0
+KIND_ALLOC = 1
+
+#: One replayable operation: ``(ts, kind, block_id, size, role)``.
+Row = tuple[int, int, int, int, Optional[TensorRole]]
+
+
 @dataclass(frozen=True, slots=True)
 class MemoryOp:
-    """One replayable allocator operation."""
+    """One replayable allocator operation (the object view of a row)."""
 
     ts: int
     kind: EventKind
@@ -44,17 +54,23 @@ class MemoryOp:
     role: Optional[TensorRole] = None
 
     def sort_key(self) -> tuple[int, int, int]:
-        # frees before allocs at equal timestamps: a GPU stream completes
-        # pending releases before the next kernel's allocations
-        kind_order = 0 if self.kind is EventKind.FREE else 1
-        return (self.ts, kind_order, self.block_id)
+        return self.row[:3]
+
+    @property
+    def row(self) -> Row:
+        kind = KIND_FREE if self.kind is EventKind.FREE else KIND_ALLOC
+        return (self.ts, kind, self.block_id, self.size, self.role)
 
 
 @dataclass
 class OrchestratedSequence:
-    """Orchestrator output: the refined, replayable memory sequence."""
+    """Orchestrator output: the refined, replayable memory sequence.
 
-    events: list[MemoryOp]
+    ``rows`` are :data:`Row` tuples in replay order, the one stored form;
+    ``events`` is a :class:`MemoryOp` view of them, built on first use.
+    """
+
+    rows: list[Row]
     horizon: int  # timestamp at/after every event
     num_blocks: int
     persistent_bytes: int
@@ -66,38 +82,38 @@ class OrchestratedSequence:
     dropped_blocks: int = 0
 
     def __post_init__(self) -> None:
-        self._stream: Optional[tuple[tuple[int, bool, int, int], ...]] = None
+        self._events: Optional[list[MemoryOp]] = None
         #: stable content identity, stamped by the pipeline's orchestrate
         #: stage (see :func:`sequence_fingerprint`)
         self.fingerprint: Optional[str] = None
 
+    @classmethod
+    def from_ops(cls, ops: Iterable[MemoryOp], **fields) -> "OrchestratedSequence":
+        """A sequence replaying ``ops`` in the given order; ``fields`` are
+        the remaining constructor arguments."""
+        return cls(rows=[op.row for op in ops], **fields)
+
     def __getstate__(self) -> dict:
-        # the flat stream is derived state: rebuild it lazily after
-        # unpickling instead of doubling every artifact-store blob
+        # the object view is derived state: never part of a stored blob
         state = self.__dict__.copy()
-        state["_stream"] = None
+        state["_events"] = None
         return state
 
+    @property
+    def events(self) -> list[MemoryOp]:
+        """The rows as :class:`MemoryOp` objects (cached; do not mutate)."""
+        events = self._events
+        if events is None:
+            alloc, free = EventKind.ALLOC, EventKind.FREE
+            events = [
+                MemoryOp(ts, alloc if kind else free, block_id, size, role)
+                for ts, kind, block_id, size, role in self.rows
+            ]
+            self._events = events
+        return events
+
     def total_alloc_bytes(self) -> int:
-        return sum(e.size for e in self.events if e.kind is EventKind.ALLOC)
-
-    def event_stream(self) -> tuple[tuple[int, bool, int, int], ...]:
-        """Flat ``(ts, is_alloc, block_id, size)`` tuples in replay order.
-
-        Computed once per sequence and cached, so a stage-cached sequence
-        replayed under many allocator configurations pays the per-event
-        attribute walk a single time.  Callers must not mutate ``events``
-        after the stream has been materialized.
-        """
-        stream = self._stream
-        if stream is None:
-            alloc = EventKind.ALLOC
-            stream = tuple(
-                (e.ts, e.kind is alloc, e.block_id, e.size)
-                for e in self.events
-            )
-            self._stream = stream
-        return stream
+        return sum(row[3] for row in self.rows if row[1] == KIND_ALLOC)
 
 
 def sequence_fingerprint(sequence: OrchestratedSequence) -> str:
@@ -106,14 +122,17 @@ def sequence_fingerprint(sequence: OrchestratedSequence) -> str:
     Sequences produced by the pipeline's orchestrate stage carry a
     fingerprint derived from the orchestrate cache key (deterministic
     across processes), so they are never re-hashed; caller-built
-    sequences are hashed over their flat event stream once.  Never uses
-    ``id()`` — object identity is reused after garbage collection, which
-    would alias distinct sequences in a long-lived simulate cache.
+    sequences are hashed over their rows once.  Never uses ``id()`` —
+    object identity is reused after garbage collection, which would
+    alias distinct sequences in a long-lived simulate cache.
     """
     cached = getattr(sequence, "fingerprint", None)
     if cached is not None:
         return cached
-    lines = [f"{e}\n" for e in sequence.event_stream()]
+    lines = [
+        f"{(ts, kind == KIND_ALLOC, block_id, size)}\n"
+        for ts, kind, block_id, size, _ in sequence.rows
+    ]
     lines.append(
         f"h|{sequence.horizon}|{sequence.num_blocks}"
         f"|{sequence.persistent_bytes}\n"
@@ -226,48 +245,39 @@ class MemoryOrchestrator:
 
     def orchestrate(self, analyzed: AnalyzedTrace) -> OrchestratedSequence:
         """Refine lifecycles and produce the ordered event sequence."""
-        events: list[MemoryOp] = []
-        adjustments: dict[str, int] = {rule.name: 0 for rule in self.rules}
+        rows: list[Row] = []
+        append = rows.append
+        rules = self.rules
+        no_change = OrchestrationRule.NO_CHANGE
+        adjustments: dict[str, int] = {rule.name: 0 for rule in rules}
         horizon = 0
         persistent_bytes = 0
         for item in analyzed.blocks:
-            free_ts = item.block.free_ts
-            for rule in self.rules:
+            _, size, alloc_ts, free_ts, block_id = item.block
+            role = item.role
+            for rule in rules:
                 outcome = rule.adjust(item, analyzed)
-                if outcome is OrchestrationRule.NO_CHANGE:
+                if outcome is no_change:
                     continue
                 if outcome != free_ts:
                     adjustments[rule.name] += 1
                 free_ts = outcome
                 break  # first applicable rule wins
-            events.append(
-                MemoryOp(
-                    ts=item.block.alloc_ts,
-                    kind=EventKind.ALLOC,
-                    block_id=item.block.block_id,
-                    size=item.block.size,
-                    role=item.role,
-                )
-            )
-            horizon = max(horizon, item.block.alloc_ts)
+            append((alloc_ts, KIND_ALLOC, block_id, size, role))
+            if alloc_ts > horizon:
+                horizon = alloc_ts
             if free_ts is None:
-                persistent_bytes += item.block.size
+                persistent_bytes += size
             else:
-                if free_ts < item.block.alloc_ts:
-                    free_ts = item.block.alloc_ts + 1
-                events.append(
-                    MemoryOp(
-                        ts=free_ts,
-                        kind=EventKind.FREE,
-                        block_id=item.block.block_id,
-                        size=item.block.size,
-                        role=item.role,
-                    )
-                )
-                horizon = max(horizon, free_ts)
-        events.sort(key=MemoryOp.sort_key)
+                if free_ts < alloc_ts:
+                    free_ts = alloc_ts + 1
+                append((free_ts, KIND_FREE, block_id, size, role))
+                if free_ts > horizon:
+                    horizon = free_ts
+        # block ids are unique, so the sort never compares past them
+        rows.sort()
         return OrchestratedSequence(
-            events=events,
+            rows=rows,
             horizon=horizon + 1,
             num_blocks=len(analyzed.blocks),
             persistent_bytes=persistent_bytes,

@@ -87,8 +87,9 @@ def trace_fingerprint(trace: Trace) -> str:
             f"s|{span.name}|{span.category.value}|{span.ts}|{span.dur}"
             f"|{span.tid}\n"
         )
-    for event in trace.memory_events:
-        lines.append(f"m|{event.ts}|{event.addr}|{event.nbytes}\n")
+    memory = trace.memory_events
+    for ts, addr, nbytes in zip(memory.ts, memory.addr, memory.nbytes):
+        lines.append(f"m|{ts}|{addr}|{nbytes}\n")
     for key in sorted(trace.metadata):
         lines.append(f"d|{key}|{trace.metadata[key]}\n")
     digest = hashlib.sha256("".join(lines).encode("utf-8"))

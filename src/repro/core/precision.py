@@ -88,8 +88,8 @@ def rescale_sequence(
     persistent = sequence.persistent_bytes + (
         extra_param_copy if plan.mode == "amp" else 0
     )
-    return OrchestratedSequence(
-        events=events,
+    return OrchestratedSequence.from_ops(
+        events,
         horizon=sequence.horizon,
         num_blocks=sequence.num_blocks,
         persistent_bytes=persistent,
@@ -127,8 +127,8 @@ def estimate_precision_peak(
                 size=param_bytes,
                 role=TensorRole.PARAMETER,
             )
-            sequence = OrchestratedSequence(
-                events=[copy_event] + sequence.events,
+            sequence = OrchestratedSequence.from_ops(
+                [copy_event] + sequence.events,
                 horizon=sequence.horizon,
                 num_blocks=sequence.num_blocks + 1,
                 persistent_bytes=sequence.persistent_bytes,

@@ -83,21 +83,17 @@ class MemorySimulator:
         oom = False
         oom_ts: Optional[int] = None
         processed = 0
-        live: set[int] = set()
-        # the flat stream skips per-event dataclass attribute lookups and
-        # EventKind comparisons — this loop dominates warm-cache estimates
         malloc = allocator.malloc
         free_owner = allocator.free_owner
-        for ts, is_alloc, block_id, size in sequence.event_stream():
+        live = allocator.live_owners
+        for ts, is_alloc, block_id, size, _ in sequence.rows:
             try:
                 if is_alloc:
                     malloc(size, ts, block_id)
-                    live.add(block_id)
-                else:
-                    if block_id not in live:
-                        continue  # free of a block dropped by a failed alloc
+                elif block_id in live:
                     free_owner(block_id, ts)
-                    live.discard(block_id)
+                else:
+                    continue  # free of a block this replay never allocated
             except SimOutOfMemoryError:
                 oom = True
                 oom_ts = ts

@@ -9,6 +9,7 @@ from .events import (
     PROFILER_STEP_PREFIX,
     ZERO_GRAD_PREFIX,
     EventCategory,
+    MemoryColumns,
     MemoryEvent,
     SpanEvent,
     is_dataloader_next,
@@ -33,6 +34,7 @@ __all__ = [
     "load_kineto_file",
     "EventCategory",
     "MODEL_TO_DEVICE",
+    "MemoryColumns",
     "MemoryEvent",
     "OPTIMIZER_STEP_PREFIX",
     "PROFILER_STEP_PREFIX",

@@ -8,11 +8,12 @@ immutable :class:`~repro.trace.reader.Trace`.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from typing import Any, Iterator
 
 from ..errors import TraceError
-from .events import EventCategory, MemoryEvent, SpanEvent
+from .events import EventCategory, MemoryColumns, SpanEvent
 from .reader import Trace
 
 
@@ -45,7 +46,7 @@ class TraceBuilder:
     def __init__(self, metadata: dict[str, Any] | None = None):
         self.metadata: dict[str, Any] = dict(metadata or {})
         self._spans: list[SpanEvent] = []
-        self._memory_events: list[MemoryEvent] = []
+        self._memory = MemoryColumns([], [], [], [])
         self._stack: list[_OpenSpan] = []
         self._total_allocated = 0
         self._finished = False
@@ -110,35 +111,24 @@ class TraceBuilder:
     # ------------------------------------------------------------------
     # instant events
     # ------------------------------------------------------------------
-    def record_alloc(self, ts: int, addr: int, nbytes: int, device: str = "cpu") -> None:
+    def record_alloc(self, ts: int, addr: int, nbytes: int) -> None:
         if nbytes <= 0:
             raise TraceError(f"allocation must have positive size, got {nbytes}")
-        self._check_open()
-        self._total_allocated += nbytes
-        self._memory_events.append(
-            MemoryEvent(
-                ts=ts,
-                addr=addr,
-                nbytes=nbytes,
-                total_allocated=self._total_allocated,
-                device=device,
-            )
-        )
+        self._record(ts, addr, nbytes)
 
-    def record_free(self, ts: int, addr: int, nbytes: int, device: str = "cpu") -> None:
+    def record_free(self, ts: int, addr: int, nbytes: int) -> None:
         if nbytes <= 0:
             raise TraceError(f"free must have positive size, got {nbytes}")
+        self._record(ts, addr, -nbytes)
+
+    def _record(self, ts: int, addr: int, nbytes: int) -> None:
         self._check_open()
-        self._total_allocated -= nbytes
-        self._memory_events.append(
-            MemoryEvent(
-                ts=ts,
-                addr=addr,
-                nbytes=-nbytes,
-                total_allocated=self._total_allocated,
-                device=device,
-            )
-        )
+        self._total_allocated += nbytes
+        memory = self._memory
+        memory.ts.append(ts)
+        memory.addr.append(addr)
+        memory.nbytes.append(nbytes)
+        memory.total.append(self._total_allocated)
 
     def annotate(self, name: str, ts: int, dur: int = 0, args: dict | None = None) -> None:
         """Emit a complete user_annotation span in one call."""
@@ -164,10 +154,24 @@ class TraceBuilder:
         self._finished = True
         return Trace(
             spans=sorted(self._spans, key=lambda e: (e.ts, -e.dur)),
-            memory_events=sorted(self._memory_events, key=lambda e: e.ts),
+            memory_events=_in_time_order(self._memory),
             metadata=self.metadata,
         )
 
     def _check_open(self) -> None:
         if self._finished:
             raise TraceError("builder already finished")
+
+
+def _in_time_order(memory: MemoryColumns) -> MemoryColumns:
+    """``memory`` stably sorted by ts (as recorded when already in order)."""
+    ts = memory.ts
+    if all(map(operator.le, ts, ts[1:])):
+        return memory
+    order = sorted(range(len(ts)), key=ts.__getitem__)
+    return MemoryColumns(
+        *(
+            [column[i] for i in order]
+            for column in (ts, memory.addr, memory.nbytes, memory.total)
+        )
+    )

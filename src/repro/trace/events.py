@@ -20,6 +20,7 @@ only.  All events are immutable.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
@@ -110,6 +111,84 @@ class MemoryEvent:
     @property
     def size(self) -> int:
         return abs(self.nbytes)
+
+
+class MemoryColumns(Sequence):
+    """A trace's ``[memory]`` stream as parallel int columns.
+
+    ``ts``, ``addr`` and signed ``nbytes`` are what the Analyzer sweeps;
+    ``total`` is the running ``Total Allocated`` the profiler reported.
+    Stages read the columns; indexing or iterating yields
+    :class:`MemoryEvent` objects, built once on first use and cached (the
+    cache is dropped on pickling).  The stream is the CPU profile, so no
+    device is stored.
+    """
+
+    __slots__ = ("ts", "addr", "nbytes", "total", "_events")
+
+    def __init__(
+        self,
+        ts: list[int],
+        addr: list[int],
+        nbytes: list[int],
+        total: list[int],
+    ):
+        self.ts = ts
+        self.addr = addr
+        self.nbytes = nbytes
+        self.total = total
+        self._events: Optional[list[MemoryEvent]] = None
+
+    @classmethod
+    def from_events(cls, events: Iterable[MemoryEvent]) -> "MemoryColumns":
+        """Columns of ``events``; the objects themselves become the view."""
+        events = list(events)
+        columns = cls(
+            [e.ts for e in events],
+            [e.addr for e in events],
+            [e.nbytes for e in events],
+            [e.total_allocated for e in events],
+        )
+        columns._events = events
+        return columns
+
+    def _view(self) -> list[MemoryEvent]:
+        events = self._events
+        if events is None:
+            events = [
+                MemoryEvent(ts=ts, addr=addr, nbytes=nbytes, total_allocated=total)
+                for ts, addr, nbytes, total in zip(
+                    self.ts, self.addr, self.nbytes, self.total
+                )
+            ]
+            self._events = events
+        return events
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, index):
+        return self._view()[index]
+
+    def __iter__(self) -> Iterator[MemoryEvent]:
+        return iter(self._view())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MemoryColumns):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self) -> tuple[list[int], ...]:
+        return (self.ts, self.addr, self.nbytes, self.total)
+
+    def __setstate__(self, state: tuple[list[int], ...]) -> None:
+        self.ts, self.addr, self.nbytes, self.total = state
+        self._events = None
+
+    def __repr__(self) -> str:
+        return f"MemoryColumns({len(self)} events)"
 
 
 def is_profiler_step(event: SpanEvent) -> bool:

@@ -16,6 +16,7 @@ from typing import Any, Iterator
 from ..errors import TraceError
 from .events import (
     EventCategory,
+    MemoryColumns,
     MemoryEvent,
     SpanEvent,
     is_dataloader_next,
@@ -27,11 +28,23 @@ from .events import (
 
 @dataclass(frozen=True)
 class Trace:
-    """A completed profiling trace (spans + memory events + metadata)."""
+    """A completed profiling trace (spans + memory events + metadata).
+
+    ``memory_events`` is held as :class:`MemoryColumns`; a list of
+    :class:`MemoryEvent` objects (file load, tests) is converted once.
+    """
 
     spans: list[SpanEvent]
-    memory_events: list[MemoryEvent]
+    memory_events: MemoryColumns
     metadata: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.memory_events, MemoryColumns):
+            object.__setattr__(
+                self,
+                "memory_events",
+                MemoryColumns.from_events(self.memory_events),
+            )
 
     # ------------------------------------------------------------------
     # category views
@@ -93,8 +106,12 @@ class Trace:
     # ------------------------------------------------------------------
     def span_bounds(self) -> tuple[int, int]:
         """(first ts, last end) over all events in the trace."""
-        starts = [e.ts for e in self.spans] + [e.ts for e in self.memory_events]
-        ends = [e.end for e in self.spans] + [e.ts for e in self.memory_events]
+        starts = [e.ts for e in self.spans]
+        ends = [e.end for e in self.spans]
+        memory_ts = self.memory_events.ts
+        if memory_ts:
+            starts.append(min(memory_ts))
+            ends.append(max(memory_ts))
         if not starts:
             raise TraceError("empty trace has no bounds")
         return min(starts), max(ends)

@@ -42,10 +42,11 @@ class TraceSummary:
 
 def summarize_trace(trace: Trace) -> TraceSummary:
     """Compute a :class:`TraceSummary` for ``trace``."""
-    allocs = [e for e in trace.memory_events if e.is_alloc]
-    frees = [e for e in trace.memory_events if e.is_free]
-    peak = max((e.total_allocated for e in trace.memory_events), default=0)
-    if trace.spans or trace.memory_events:
+    memory = trace.memory_events
+    allocs = [nbytes for nbytes in memory.nbytes if nbytes > 0]
+    num_frees = sum(1 for nbytes in memory.nbytes if nbytes < 0)
+    peak = max(memory.total, default=0)
+    if trace.spans or memory:
         start, end = trace.span_bounds()
         duration = end - start
     else:
@@ -55,11 +56,11 @@ def summarize_trace(trace: Trace) -> TraceSummary:
         num_python_functions=len(trace.by_category(EventCategory.PYTHON_FUNCTION)),
         num_user_annotations=len(trace.by_category(EventCategory.USER_ANNOTATION)),
         num_cpu_ops=len(trace.by_category(EventCategory.CPU_OP)),
-        num_memory_events=len(trace.memory_events),
+        num_memory_events=len(memory),
         num_allocs=len(allocs),
-        num_frees=len(frees),
+        num_frees=num_frees,
         num_iterations=trace.num_iterations(),
         peak_traced_bytes=peak,
-        total_alloc_bytes=sum(e.nbytes for e in allocs),
+        total_alloc_bytes=sum(allocs),
         duration_us=duration,
     )

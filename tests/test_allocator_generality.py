@@ -60,8 +60,8 @@ class TestTensorFlowFlavour:
             MemoryOp(ts=2, kind=EventKind.FREE, block_id=1, size=3 * MiB),
             MemoryOp(ts=3, kind=EventKind.ALLOC, block_id=2, size=2 * MiB),
         ]
-        sequence = OrchestratedSequence(
-            events=events, horizon=4, num_blocks=2, persistent_bytes=0
+        sequence = OrchestratedSequence.from_ops(
+            events, horizon=4, num_blocks=2, persistent_bytes=0
         )
         torch_result = MemorySimulator().replay(sequence)
         tf_result = MemorySimulator(allocator_config=TF_BFC_CONFIG).replay(

@@ -63,8 +63,8 @@ def synthetic_sequence() -> OrchestratedSequence:
         size = 1 * MiB if block_id < 8 else 2 * MiB
         events.append(MemoryOp(ts, EventKind.FREE, block_id, size))
         ts += 1
-    return OrchestratedSequence(
-        events=events, horizon=ts, num_blocks=12, persistent_bytes=0
+    return OrchestratedSequence.from_ops(
+        events, horizon=ts, num_blocks=12, persistent_bytes=0
     )
 
 
@@ -490,6 +490,34 @@ class TestPipelineWithArtifactStore:
         }
         assert second.peak_bytes == first.peak_bytes
         assert second.detail == first.detail
+
+    def test_version_2_store_is_a_miss_and_rebuilds(self, tmp_path):
+        # version 2 pickled MemoryEvent / MemoryOp objects; version 3
+        # stores the memory columns and the sequence rows
+        assert SCHEMA_VERSION == 3
+        path = str(tmp_path / "store.sqlite")
+        writer = ArtifactStore(path)
+        cold = XMemEstimator(
+            iterations=2, curve=False, artifact_store=writer
+        ).estimate(WORKLOAD, RTX_3060)
+        writer.close()
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "UPDATE meta SET value = '2' WHERE key = 'schema_version'"
+            )
+            conn.commit()
+        store = ArtifactStore(path)
+        try:
+            rebuilt = XMemEstimator(
+                iterations=2, curve=False, artifact_store=store
+            ).estimate(WORKLOAD, RTX_3060)
+            assert store.schema_resets == 1
+            assert store.hits == 0
+        finally:
+            store.close()
+        assert set(rebuilt.stage_sources.values()) == {SOURCE_COMPUTE}
+        assert rebuilt.peak_bytes == cold.peak_bytes
+        assert rebuilt.detail == cold.detail
 
     @staticmethod
     def _zero_l1_estimator(path: str) -> XMemEstimator:

@@ -307,8 +307,8 @@ class TestSimulator:
             MemoryOp(ts=ts, kind=kind, block_id=bid, size=size)
             for ts, kind, bid, size in ops
         ]
-        return OrchestratedSequence(
-            events=events, horizon=max(e.ts for e in events) + 1,
+        return OrchestratedSequence.from_ops(
+            events, horizon=max(e.ts for e in events) + 1,
             num_blocks=len({e.block_id for e in events}),
             persistent_bytes=0,
         )

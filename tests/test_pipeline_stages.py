@@ -8,6 +8,7 @@ from it, nothing less.
 """
 
 import ast
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,9 @@ from repro.core.pipeline import (
 from repro.core.orchestrator import sequence_fingerprint
 from repro.core.simulator import MemorySimulator
 from repro.runtime.profiler import profile_on_cpu
+from repro.trace.builder import TraceBuilder
+from repro.trace.events import EventCategory, MemoryEvent, SpanEvent
+from repro.trace.reader import Trace
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 
 from tests.conftest import tiny_spec
@@ -199,6 +203,37 @@ class TestTraceFingerprint:
         trace = profile_on_cpu(tiny_spec(), batch_size=4, optimizer="sgd")
         assert trace_fingerprint(trace) is trace_fingerprint(trace)
 
+    #: the content key of the hand-built trace below; a change to it
+    #: re-keys every caller-supplied trace's stages
+    PINNED = "content:234b5e3bc56dc62357a5b9a5dcd2dd0c"
+
+    def test_hand_built_trace_has_a_pinned_digest(self):
+        metadata = {"model": "hand", "batch_size": 4}
+        step = EventCategory.USER_ANNOTATION
+        from_objects = Trace(
+            spans=[
+                SpanEvent("ProfilerStep#0", step, ts=0, dur=100),
+                SpanEvent("aten::mm", EventCategory.CPU_OP, 10, 20, tid=1),
+            ],
+            memory_events=[
+                MemoryEvent(ts=12, addr=0x1000, nbytes=4096),
+                MemoryEvent(ts=25, addr=0x1000, nbytes=-4096),
+                MemoryEvent(ts=40, addr=0x2000, nbytes=512),
+            ],
+            metadata=metadata,
+        )
+        builder = TraceBuilder(metadata)
+        builder.begin_span("ProfilerStep#0", step, ts=0)
+        builder.begin_span("aten::mm", EventCategory.CPU_OP, ts=10, tid=1)
+        builder.record_alloc(12, 0x1000, 4096)
+        builder.record_free(25, 0x1000, 4096)
+        builder.end_span(30)
+        builder.record_alloc(40, 0x2000, 512)
+        builder.end_span(100)
+        for trace in (from_objects, builder.finish()):
+            assert trace_fingerprint(trace) == self.PINNED
+            assert trace_fingerprint(replace(trace)) == self.PINNED
+
     def test_supplied_twin_trace_hits_the_analysis_cache(self):
         workload = WorkloadConfig("TinyConvNet", "sgd", 4)
         first = profile_on_cpu(tiny_spec(), batch_size=4, optimizer="sgd")
@@ -218,19 +253,22 @@ class TestTraceFingerprint:
 
 
 class TestReplayCore:
-    def test_event_stream_matches_events(self, tiny_trace):
+    def test_rows_match_events(self, tiny_trace):
         pipeline = EstimationPipeline(iterations=3)
         sequence = pipeline.orchestrate(pipeline.analyze(tiny_trace))
-        stream = sequence.event_stream()
-        assert len(stream) == len(sequence.events)
-        for flat, event in zip(stream, sequence.events):
-            assert flat == (
+        assert len(sequence.rows) == len(sequence.events)
+        for row, event in zip(sequence.rows, sequence.events):
+            assert row == (
                 event.ts,
-                event.kind.value == "alloc",
+                int(event.kind.value == "alloc"),
                 event.block_id,
                 event.size,
+                event.role,
             )
-        assert sequence.event_stream() is stream  # cached
+        assert sequence.events is sequence.events  # cached view
+        restored = pickle.loads(pickle.dumps(sequence))
+        assert restored.__dict__["_events"] is None  # view not stored
+        assert restored.rows == sequence.rows
 
     def test_replay_without_timeline_matches_peaks(self, tiny_trace):
         pipeline = EstimationPipeline(iterations=3)
@@ -253,9 +291,10 @@ class TestOneSimulatePath:
         "replay_peak_profile",
         "first_oom_event",
         "timeline_max_points",
+        "event_stream",
     )
 
-    def test_one_function_iterates_the_event_stream(self):
+    def test_one_function_iterates_the_rows(self):
         tree = ast.parse((SRC / "core" / "simulator.py").read_text())
         loops = [
             function.name
@@ -263,9 +302,8 @@ class TestOneSimulatePath:
             if isinstance(function, ast.FunctionDef)
             and any(
                 isinstance(node, (ast.For, ast.comprehension))
-                and isinstance(node.iter, ast.Call)
-                and isinstance(node.iter.func, ast.Attribute)
-                and node.iter.func.attr == "event_stream"
+                and isinstance(node.iter, ast.Attribute)
+                and node.iter.attr == "rows"
                 for node in ast.walk(function)
             )
         ]
