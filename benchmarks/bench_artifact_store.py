@@ -13,18 +13,28 @@ measures what the **content-addressed sqlite store**
 * **stored** — a third child (fresh interpreter, cold L1) runs the sweep
   against the now-warm store: each cell is one simulate-row read.
 
+The store holds orchestrate and simulate rows only — what a fresh
+process reads; the profile and analyze stages stay in-process.
+
 Acceptance (asserted):
 
 * the stored child's sweep is faster than the storeless child's, by at
   least ``MIN_STORE_SPEEDUP`` — a store slower than recomputing is a
   failure;
+* the stored child is served one row a cell: over its sweep the store's
+  persistent counters show no build at all, one ``hit:simulate`` per
+  cell and no upstream (``hit:orchestrate``) hit — the promise repeated
+  CI runs and CLI sessions buy from the L2;
 * every child reports byte-identical peaks, and the full replay agrees
   exactly with the cached peak-only ``pipeline.simulate``;
 * a 4-worker :class:`~repro.service.procpool.ProcEstimationService`
-  sharing one store builds each unique workload's profile and its
-  simulation **exactly once** across the whole pool (the store's
-  persistent ``build:profile`` / ``build:simulate`` counters, not a
-  wall-clock claim — they hold on any host).
+  whose factory binds one store path
+  (``partial(XMemEstimator, artifact_store=PATH)``) builds each unique
+  workload's orchestrate row and its simulate row **exactly once**
+  across the whole pool (the store's persistent ``build:orchestrate`` /
+  ``build:simulate`` counters, not a wall-clock claim — they hold on
+  any host; the orchestrate row's claim is what keeps a profile from
+  being built twice).
 
 Writes ``BENCH_artifacts.json`` at the repository root (CI gates it
 against ``benchmarks/baselines/BENCH_artifacts.baseline.json``).
@@ -56,7 +66,7 @@ ITERATIONS = 2
 #: spread is the stored side's, whose two cells are timed in one fresh
 #: interpreter).  The ratio falls as the cold chain gets faster.  The
 #: floor is 0.85x the lowest of those runs, still ten times the 1.3x
-#: of a store that read its upstream blobs (the artifacts baseline).
+#: of a store that read its upstream blobs.
 MIN_STORE_SPEEDUP = 14.0
 POOL_WORKERS = 4
 
@@ -83,6 +93,7 @@ def _child_sweep(quick: bool, store_path: str | None) -> dict:
     from repro.workload import RTX_3060, WorkloadConfig
 
     grid = _grid(quick)
+    store = None
     if store_path:
         cache = PipelineCache(
             max_traces=0,
@@ -91,6 +102,7 @@ def _child_sweep(quick: bool, store_path: str | None) -> dict:
             max_simulations=0,
             artifact_store=store_path,
         )
+        store = cache.artifacts
         estimator = XMemEstimator(
             iterations=ITERATIONS, curve=False, stage_cache=cache
         )
@@ -98,6 +110,7 @@ def _child_sweep(quick: bool, store_path: str | None) -> dict:
         estimator = XMemEstimator(
             iterations=ITERATIONS, curve=False, stage_cache=False
         )
+    before = store.counters() if store else {}
     peaks = {}
     started = time.perf_counter()
     for model, batch_size in grid:
@@ -106,10 +119,22 @@ def _child_sweep(quick: bool, store_path: str | None) -> dict:
         )
         peaks[f"{model}/bs{batch_size}"] = result.peak_bytes
     seconds = time.perf_counter() - started
+    after = store.counters() if store else {}
     sources = (
         dict(result.stage_sources) if store_path else {}
     )  # last cell's provenance: "store" everywhere once warm
-    return {"seconds": seconds, "peaks": peaks, "last_sources": sources}
+    return {
+        "seconds": seconds,
+        "peaks": peaks,
+        "last_sources": sources,
+        # what this sweep did to the store's hit / build counters
+        "counters": {
+            name: after[name] - before.get(name, 0)
+            for name in sorted(after)
+            if name.startswith(("hit:", "build:"))
+            and after[name] != before.get(name, 0)
+        },
+    }
 
 
 def _run_child(quick: bool, store_path: str | None) -> dict:
@@ -186,13 +211,14 @@ def check_delta_identity() -> dict:
 
 
 def check_procpool_exactly_once(quick: bool, store_path: str) -> dict:
-    """4 workers x 2 devices per workload: one profile build and one
+    """4 workers x 2 devices per workload: one orchestrate build and one
     simulate build per workload.
 
-    The persistent ``build:profile`` / ``build:simulate`` counters are
-    the proof — claims make the first worker to need a workload build it
-    and every other worker (and the second device's request) inherit the
-    artifact; the simulation does not depend on the device.
+    The persistent ``build:orchestrate`` / ``build:simulate`` counters
+    are the proof — claims make the first worker to need a workload build
+    it and every other worker (and the second device's request) inherit
+    the row; the simulation does not depend on the device.  The store
+    path rides the factory's pickle into every worker.
     """
     from repro.core.artifacts import ArtifactStore
     from repro.core.estimator import XMemEstimator
@@ -200,11 +226,14 @@ def check_procpool_exactly_once(quick: bool, store_path: str) -> dict:
     from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 
     grid = _grid(quick)
-    factory = partial(XMemEstimator, iterations=ITERATIONS, curve=False)
-    with ProcEstimationService(
-        estimator_factory=factory,
-        max_workers=POOL_WORKERS,
+    factory = partial(
+        XMemEstimator,
+        iterations=ITERATIONS,
+        curve=False,
         artifact_store=store_path,
+    )
+    with ProcEstimationService(
+        estimator_factory=factory, max_workers=POOL_WORKERS
     ) as service:
         futures = [
             service.submit(WorkloadConfig(model, "adam", bs), device)
@@ -217,7 +246,7 @@ def check_procpool_exactly_once(quick: bool, store_path: str) -> dict:
         "workers": POOL_WORKERS,
         "requests": len(peaks),
         "unique_workloads": len(grid),
-        "profile_builds": counters.get("build:profile", 0),
+        "orchestrate_builds": counters.get("build:orchestrate", 0),
         "simulate_builds": counters.get("build:simulate", 0),
         "store_counters": {
             name: count
@@ -255,6 +284,7 @@ def run_artifact_bench(quick: bool = True) -> dict:
             "store_speedup": storeless["seconds"] / stored["seconds"],
             "warming_overhead": warming["seconds"] / storeless["seconds"],
             "stored_last_sources": stored["last_sources"],
+            "stored_counters": stored["counters"],
             "peaks_byte_identical": (
                 storeless["peaks"] == warming["peaks"] == stored["peaks"]
             ),
@@ -280,9 +310,16 @@ def _check(report: dict) -> None:
     stages = {"profile", "analyze", "orchestrate", "simulate"}
     sources = report["stored_last_sources"]
     assert all(sources.get(stage) == "store" for stage in stages), sources
+    # ... and each cell was one simulate row: no build, nothing upstream
+    assert report["stored_counters"] == {
+        "hit:simulate": report["num_cells"]
+    }, report["stored_counters"]
     pool = report["procpool"]
-    assert pool["profile_builds"] == pool["unique_workloads"], pool
-    assert pool["simulate_builds"] == pool["unique_workloads"], pool
+    assert (
+        pool["simulate_builds"]
+        == pool["orchestrate_builds"]
+        == pool["unique_workloads"]
+    ), pool
 
 
 def _write(report: dict) -> None:

@@ -471,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument(
         "--artifact-store", metavar="PATH", default=None,
-        help="sqlite file caching profile/analyze/orchestrate artifacts "
-        "across runs — repeated invocations start warm",
+        help="sqlite file caching orchestrate/simulate rows across runs "
+        "— repeated invocations start warm",
     )
     estimate.set_defaults(func=_cmd_estimate)
 

@@ -5,7 +5,9 @@ warm path, but it dies with the process: every new CLI run, CI job, and
 procpool worker pays the cold profile/analyze/orchestrate chain again.
 :class:`ArtifactStore` is the cross-process answer — a stdlib-``sqlite3``
 blob store, content-addressed by stage name + cache key, that the stage
-stores consult on an L1 miss and populate after a build.
+stores consult on an L1 miss and populate after a build.  The pipeline
+persists only the rows a fresh process reads — orchestrate and simulate;
+the profile and analyze stages stay in-process.
 
 Design points:
 
@@ -23,8 +25,8 @@ Design points:
   the rest poll the store and inherit the artifact. Claims go stale after
   ``claim_timeout`` seconds so a dead owner cannot wedge the fleet.
 * **Persistent counters** — per-stage build/hit/miss counts survive the
-  process, which is how a bench can assert "the profile stage ran exactly
-  once per unique workload across all 4 workers".
+  process, which is how a bench can assert "the orchestrate stage ran
+  exactly once per unique workload across all 4 workers".
 
 Everything here fails open: if sqlite misbehaves the store degrades to
 "always miss, builds run locally" and the pipeline stays correct.
@@ -41,8 +43,9 @@ import time
 from typing import Any, Callable, Optional, Union
 
 #: Bump when the table layout or a stored value's shape changes; old
-#: stores are dropped + recreated.
-SCHEMA_VERSION = 3
+#: stores are dropped + recreated.  Version 4 stores orchestrate and
+#: simulate rows only.
+SCHEMA_VERSION = 4
 
 #: Default payload-byte budget before LRU reaping kicks in (256 MiB).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -534,12 +537,14 @@ def open_artifact_store(path: str, **kwargs: Any) -> ArtifactStore:
 
     ``kwargs`` (``max_bytes``, ``claim_timeout``) only apply when this
     call creates the instance; later callers inherit the first opener's
-    configuration.
+    configuration.  ``~`` expands to the home directory, and a missing
+    parent directory is created.
     """
-    resolved = os.path.abspath(os.fspath(path))
+    resolved = os.path.abspath(os.path.expanduser(os.fspath(path)))
     with _REGISTRY_LOCK:
         store = _OPEN_STORES.get(resolved)
         if store is None:
+            os.makedirs(os.path.dirname(resolved), exist_ok=True)
             store = ArtifactStore(resolved, **kwargs)
             _OPEN_STORES[resolved] = store
         return store

@@ -38,9 +38,12 @@ class XMemEstimator(Estimator):
     off; every call recomputes the full chain), or a shared
     :class:`PipelineCache` instance.  ``artifact_store`` (a path or an
     :class:`~repro.core.artifacts.ArtifactStore`) attaches a persistent
-    cross-process L2 under the stage cache, so repeated runs — and every
-    procpool worker sharing the path — start warm; as a plain string it
-    pickles through ``functools.partial`` factories unchanged.
+    cross-process L2 under the private stage cache, so repeated runs — and
+    every procpool worker sharing the path — start warm; as a plain string
+    it pickles through ``functools.partial`` factories unchanged
+    (``partial(XMemEstimator, artifact_store=PATH)``).  A shared cache
+    brings its own store (``PipelineCache(artifact_store=...)``), so
+    passing both is a ``ValueError``.
     """
 
     name = "xMem"
@@ -70,10 +73,14 @@ class XMemEstimator(Estimator):
         )
         if stage_cache is True:
             stage_cache = PipelineCache(artifact_store=artifact_store)
+        elif artifact_store is not None:
+            raise ValueError(
+                "artifact_store needs the estimator's own stage cache; "
+                "give a shared cache its store with "
+                "PipelineCache(artifact_store=...)"
+            )
         elif stage_cache is False:
             stage_cache = None
-        elif artifact_store is not None:
-            stage_cache.attach_artifact_store(artifact_store)
         self.stage_cache: Optional[PipelineCache] = stage_cache
         self.pipeline = EstimationPipeline(
             iterations=iterations,

@@ -212,7 +212,12 @@ class PipelineCache:
     service): all stores are internally locked, and the cached artifacts —
     traces, analyzed traces, orchestrated sequences, peak-only simulation
     results — are treated as immutable by every pipeline stage.  With an
-    ``artifact_store`` every store consults and feeds that persistent L2.
+    ``artifact_store`` the orchestrate and simulate stores consult and
+    feed that persistent L2: those are the rows a fresh process reads (a
+    simulate row answers a peak, the orchestrate row a curve or another
+    allocator configuration).  Traces and analyzed traces stay in the L1;
+    the orchestrate row's cross-process claim is what keeps a profile
+    from being built twice.
     """
 
     def __init__(
@@ -225,24 +230,14 @@ class PipelineCache:
     ):
         store = resolve_artifact_store(artifact_store)
         self.artifacts = store
-        self.traces = _StageStore(max_traces, stage=PROFILE, artifacts=store)
-        self.analyses = _StageStore(
-            max_analyses, stage=ANALYZE, artifacts=store
-        )
+        self.traces = _StageStore(max_traces)
+        self.analyses = _StageStore(max_analyses)
         self.sequences = _StageStore(
             max_sequences, stage=ORCHESTRATE, artifacts=store
         )
         self.simulations = _StageStore(
             max_simulations, stage=SIMULATE, artifacts=store
         )
-
-    def attach_artifact_store(self, artifact_store) -> None:
-        """Wire a persistent L2 under all four stores of an already-built
-        cache (idempotent)."""
-        store = resolve_artifact_store(artifact_store)
-        self.artifacts = store
-        for stage_store in self._stores():
-            stage_store._artifacts = store
 
     def _stores(self) -> tuple[_StageStore, ...]:
         return (self.traces, self.analyses, self.sequences, self.simulations)

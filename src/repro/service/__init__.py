@@ -121,7 +121,6 @@ from .procpool import (
     ProcEstimationService,
     ProcServiceGateway,
     default_estimator_factory,
-    with_artifact_store,
 )
 from .wire import (
     MAX_FRAME_BYTES,
@@ -225,7 +224,6 @@ __all__ = [
     "canonical_trace_trees",
     "chaos_plan",
     "default_estimator_factory",
-    "with_artifact_store",
     "default_middlewares",
     "default_resilience",
     "encode_frame",

@@ -21,9 +21,9 @@ Division of labour:
   pool initializer (:func:`_init_worker`), from a picklable factory.
   Stage caches (:class:`~repro.core.pipeline.PipelineCache`) therefore
   warm *inside* each worker and persist across requests: a workload is
-  profiled at most once per worker, and an ``artifact_store``
-  (:func:`with_artifact_store`) is how workers share one profile.  A
-  worker only ever sees the pickle-safe request payload
+  profiled at most once per worker, and a store path bound in the
+  factory (``partial(XMemEstimator, artifact_store=PATH)``) is how
+  workers share one profile.  A worker only ever sees the pickle-safe request payload
   (:meth:`~repro.service.context.ServiceRequest.as_dict`) and returns
   ``(worker_pid, result)``.
 
@@ -55,7 +55,6 @@ lambda.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import os
 import threading
@@ -90,7 +89,6 @@ __all__ = [
     "ProcEstimationService",
     "ProcServiceGateway",
     "default_estimator_factory",
-    "with_artifact_store",
 ]
 
 DEFAULT_POOL_WORKERS = 4
@@ -105,39 +103,6 @@ MAX_WORKER_REDISPATCHES = 2
 #: serving tier reads peaks; skipping curve materialization keeps the
 #: result payload small on the wire).  Module-level so it pickles.
 default_estimator_factory = partial(XMemEstimator, curve=False)
-
-
-def with_artifact_store(
-    factory: Callable[[], object], artifact_store
-) -> Callable[[], object]:
-    """Bind a persistent artifact-store *path* into a picklable factory.
-
-    The store itself holds a sqlite connection and cannot cross the
-    process boundary — the path (a plain string) can, riding the
-    ``initargs`` pickle into :func:`_init_worker`, where each worker's
-    estimator opens its own connection to the shared file.  Raises
-    ``TypeError`` up front when the factory cannot accept the knob
-    (e.g. the synthetic loadtest estimator), rather than failing inside
-    every worker process.
-    """
-    if artifact_store is None:
-        return factory
-    path = os.fspath(artifact_store)
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):
-        parameters = None  # builtins/opaque callables: let it ride
-    if parameters is not None:
-        accepts = "artifact_store" in parameters or any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
-        if not accepts:
-            raise TypeError(
-                f"estimator factory {factory!r} does not accept "
-                "artifact_store="
-            )
-    return partial(factory, artifact_store=path)
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +296,6 @@ class ProcEstimationService(SyncServiceShell):
         mp_context: Optional[str] = None,
         telemetry=None,
         supervisor: Optional[PoolSupervisor] = None,
-        artifact_store=None,
     ):
         if supervisor is None and max_workers < 1:
             raise ValueError("service needs at least one worker")
@@ -340,12 +304,6 @@ class ProcEstimationService(SyncServiceShell):
             if estimator_factory is not None
             else default_estimator_factory
         )
-        if artifact_store is not None:
-            # every worker (and the parent template) opens the same store
-            # file: a 4-worker sweep warms one cache instead of four
-            self.estimator_factory = with_artifact_store(
-                self.estimator_factory, artifact_store
-            )
         # the template never estimates; it answers fingerprint inputs
         # (name/version/allocator config).  Completion hooks run on the
         # pool's callback thread while new submissions run hooks on
@@ -463,7 +421,6 @@ class ProcServiceGateway(SyncGatewayShell):
         telemetry=None,
         resilience: Optional[ResiliencePolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        artifact_store=None,
         control=None,
     ):
         if num_shards < 1:
@@ -473,8 +430,6 @@ class ProcServiceGateway(SyncGatewayShell):
             if estimator_factory is not None
             else default_estimator_factory
         )
-        if artifact_store is not None:
-            factory = with_artifact_store(factory, artifact_store)
         self._supervisor = PoolSupervisor(pool_workers, factory, mp_context)
         self.pool_workers = pool_workers
         try:

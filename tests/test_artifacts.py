@@ -5,6 +5,8 @@ corrupt blobs, truncated files, schema drift, and concurrent writers all
 degrade to misses and rebuilds — the pipeline's answers stay
 byte-identical with or without it.  The cached peak-only simulate path
 must be invisible in the numbers, exactly like the other stage caches.
+The pipeline persists the orchestrate and simulate rows only: those are
+what a fresh process reads.
 """
 
 import os
@@ -12,6 +14,7 @@ import sqlite3
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +34,7 @@ from repro.core.orchestrator import (
     sequence_fingerprint,
 )
 from repro.core.pipeline import (
+    ORCHESTRATE,
     SIMULATE,
     SOURCE_COMPUTE,
     SOURCE_MEMORY,
@@ -76,47 +80,66 @@ def synthetic_sequence() -> OrchestratedSequence:
 class TestArtifactStoreBasics:
     def test_roundtrip_and_counters(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store.sqlite"))
-        assert store.get("profile", ("k",)) is _MISS
-        assert store.put("profile", ("k",), {"v": 1})
-        assert store.get("profile", ("k",)) == {"v": 1}
+        assert store.get("orchestrate", ("k",)) is _MISS
+        assert store.put("orchestrate", ("k",), {"v": 1})
+        assert store.get("orchestrate", ("k",)) == {"v": 1}
         assert store.hits == 1 and store.misses == 1 and store.puts == 1
         persistent = store.counters()
-        assert persistent["put:profile"] == 1
-        assert persistent["hit:profile"] == 1
+        assert persistent["put:orchestrate"] == 1
+        assert persistent["hit:orchestrate"] == 1
 
     def test_none_is_a_valid_value(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store.sqlite"))
-        store.put("analyze", "k", None)
-        assert store.get("analyze", "k") is None
+        store.put("simulate", "k", None)
+        assert store.get("simulate", "k") is None
 
     def test_get_or_compute_builds_once_across_instances(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         first = ArtifactStore(path)
         calls = []
         value, stored = first.get_or_compute(
-            "profile", "k", lambda: calls.append(1) or "artifact"
+            "orchestrate", "k", lambda: calls.append(1) or "artifact"
         )
         assert (value, stored) == ("artifact", False)
         second = ArtifactStore(path)  # a "new process"
         value, stored = second.get_or_compute(
-            "profile", "k", lambda: calls.append(1) or "rebuilt"
+            "orchestrate", "k", lambda: calls.append(1) or "rebuilt"
         )
         assert (value, stored) == ("artifact", True)
         assert len(calls) == 1
-        assert second.counters()["build:profile"] == 1
+        assert second.counters()["build:orchestrate"] == 1
 
     def test_open_artifact_store_shares_per_process(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         assert open_artifact_store(path) is open_artifact_store(path)
 
+    def test_home_relative_path_opens_under_a_new_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # the documented example: "~" expands, missing parents are made
+        monkeypatch.setenv("HOME", str(tmp_path))
+        estimator = XMemEstimator(
+            artifact_store="~/.cache/xmem/store.sqlite"
+        )
+        store = estimator.stage_cache.artifacts
+        try:
+            assert store.path == str(
+                tmp_path / ".cache" / "xmem" / "store.sqlite"
+            )
+            assert store.put("simulate", "k", "v")
+            assert store.get("simulate", "k") == "v"
+            assert store is open_artifact_store(store.path)
+        finally:
+            store.close()
+
     def test_closed_store_does_not_poison_its_path(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         store = open_artifact_store(path)
-        assert store.put("profile", "k", "v")
+        assert store.put("orchestrate", "k", "v")
         store.close()
         reopened = open_artifact_store(path)
         assert reopened is not store
-        assert reopened.get("profile", "k") == "v"
+        assert reopened.get("orchestrate", "k") == "v"
         reopened.close()
 
     def test_close_leaves_a_newer_registry_entry_alone(self, tmp_path):
@@ -132,12 +155,14 @@ class TestArtifactStoreBasics:
         store = ArtifactStore(str(tmp_path / "store.sqlite"))
 
         def boom():
-            raise RuntimeError("profiler crashed")
+            raise RuntimeError("orchestrator crashed")
 
         with pytest.raises(RuntimeError):
-            store.get_or_compute("profile", "k", boom)
+            store.get_or_compute("orchestrate", "k", boom)
         # the claim is gone: the next builder proceeds immediately
-        value, stored = store.get_or_compute("profile", "k", lambda: "ok")
+        value, stored = store.get_or_compute(
+            "orchestrate", "k", lambda: "ok"
+        )
         assert (value, stored) == ("ok", False)
 
 
@@ -150,7 +175,7 @@ class TestArtifactStoreFailureModes:
     def test_truncated_blob_is_a_miss(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         store = ArtifactStore(path)
-        store.put("profile", "k", list(range(1000)))
+        store.put("orchestrate", "k", list(range(1000)))
         # truncate the payload behind the store's back (checksum now
         # mismatches, exactly like a torn write)
         with sqlite3.connect(path) as conn:
@@ -158,17 +183,19 @@ class TestArtifactStoreFailureModes:
                 "UPDATE artifacts SET payload = substr(payload, 1, 16)"
             )
             conn.commit()
-        assert store.get("profile", "k") is _MISS
+        assert store.get("orchestrate", "k") is _MISS
         assert store.corrupt_dropped == 1
         # the corrupt row was dropped, so a rebuild can land cleanly
-        value, stored = store.get_or_compute("profile", "k", lambda: "new")
+        value, stored = store.get_or_compute(
+            "orchestrate", "k", lambda: "new"
+        )
         assert (value, stored) == ("new", False)
-        assert store.get("profile", "k") == "new"
+        assert store.get("orchestrate", "k") == "new"
 
     def test_unpicklable_garbage_blob_is_a_miss(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         store = ArtifactStore(path)
-        store.put("analyze", "k", "fine")
+        store.put("simulate", "k", "fine")
         import hashlib
 
         garbage = b"\x80\x04notpickle"
@@ -180,7 +207,7 @@ class TestArtifactStoreFailureModes:
                 (garbage, hashlib.sha256(garbage).hexdigest()),
             )
             conn.commit()
-        assert store.get("analyze", "k") is _MISS
+        assert store.get("simulate", "k") is _MISS
         assert store.corrupt_dropped == 1
 
     def test_corrupt_database_file_is_recreated(self, tmp_path):
@@ -189,13 +216,13 @@ class TestArtifactStoreFailureModes:
             handle.write(b"this is not a sqlite database at all")
         store = ArtifactStore(path)
         assert store.schema_resets == 1
-        store.put("profile", "k", "v")
-        assert store.get("profile", "k") == "v"
+        store.put("orchestrate", "k", "v")
+        assert store.get("orchestrate", "k") == "v"
 
     def test_schema_version_mismatch_recreates_store(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         old = ArtifactStore(path)
-        old.put("profile", "k", "stale")
+        old.put("orchestrate", "k", "stale")
         old.close()
         with sqlite3.connect(path) as conn:
             conn.execute(
@@ -205,7 +232,7 @@ class TestArtifactStoreFailureModes:
             conn.commit()
         fresh = ArtifactStore(path)
         assert fresh.schema_resets == 1
-        assert fresh.get("profile", "k") is _MISS  # old rows dropped
+        assert fresh.get("orchestrate", "k") is _MISS  # old rows dropped
         with sqlite3.connect(path) as conn:
             row = conn.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
@@ -218,22 +245,24 @@ class TestArtifactStoreFailureModes:
         store = ArtifactStore(
             str(tmp_path / "store.sqlite"), max_bytes=2 * 4200
         )
-        store.put("profile", "a", blob)
-        store.put("profile", "b", blob)
-        assert store.get("profile", "a") == blob  # refresh a's recency
-        store.put("profile", "c", blob)  # over budget: b is the LRU row
-        assert store.get("profile", "b") is _MISS
-        assert store.get("profile", "a") == blob
-        assert store.get("profile", "c") == blob
+        store.put("orchestrate", "a", blob)
+        store.put("orchestrate", "b", blob)
+        assert store.get("orchestrate", "a") == blob  # refresh a's recency
+        store.put("orchestrate", "c", blob)  # over budget: b is the LRU row
+        assert store.get("orchestrate", "b") is _MISS
+        assert store.get("orchestrate", "a") == blob
+        assert store.get("orchestrate", "c") == blob
         assert store.evictions == 1
 
     def test_closed_store_degrades_to_misses(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store.sqlite"))
-        store.put("profile", "k", "v")
+        store.put("orchestrate", "k", "v")
         store.close()
-        assert store.get("profile", "k") is _MISS
-        assert store.put("profile", "k2", "v") is False
-        value, stored = store.get_or_compute("profile", "k3", lambda: "built")
+        assert store.get("orchestrate", "k") is _MISS
+        assert store.put("orchestrate", "k2", "v") is False
+        value, stored = store.get_or_compute(
+            "orchestrate", "k3", lambda: "built"
+        )
         assert (value, stored) == ("built", False)
 
 
@@ -250,7 +279,7 @@ store = ArtifactStore(path, claim_timeout=10.0)
 for index in range(12):
     key = ("shared", index)
     value, _ = store.get_or_compute(
-        "profile", key, lambda index=index: f"artifact-{index}"
+        "orchestrate", key, lambda index=index: f"artifact-{index}"
     )
     assert value == f"artifact-{index}", (tag, key, value)
 print("ok", tag)
@@ -287,9 +316,9 @@ class TestArtifactStoreConcurrency:
             assert out.startswith("ok")
         store = ArtifactStore(path)
         counters = store.counters()
-        assert counters["build:profile"] == 12  # exactly once per key
+        assert counters["build:orchestrate"] == 12  # exactly once per key
         for index in range(12):
-            assert store.get("profile", ("shared", index)) == (
+            assert store.get("orchestrate", ("shared", index)) == (
                 f"artifact-{index}"
             )
 
@@ -306,23 +335,23 @@ class TestArtifactStoreConcurrency:
         real_claim = ours._claim
 
         def claim_once_the_peer_is_done(address):
-            peer.get_or_compute("profile", "k", lambda: "peer-built")
+            peer.get_or_compute("orchestrate", "k", lambda: "peer-built")
             return real_claim(address)
 
         ours._claim = claim_once_the_peer_is_done
         built = []
         value, stored = ours.get_or_compute(
-            "profile", "k", lambda: built.append("ours") or "ours"
+            "orchestrate", "k", lambda: built.append("ours") or "ours"
         )
         assert (value, stored) == ("peer-built", True)
         assert built == []
         counters = ours.counters()
-        assert counters["build:profile"] == 1
+        assert counters["build:orchestrate"] == 1
         # the second look is the same request: ours + the peer's, not 3
         assert ours.misses == 1
-        assert counters["miss:profile"] == 2
+        assert counters["miss:orchestrate"] == 2
         # and the claim we won was given back
-        assert peer._claim(artifact_key("profile", "k"))
+        assert peer._claim(artifact_key("orchestrate", "k"))
 
     def test_peer_stores_as_our_wait_for_its_claim_times_out(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
@@ -330,17 +359,17 @@ class TestArtifactStoreConcurrency:
         peer = ArtifactStore(path)
 
         def peer_holds_the_claim_and_finishes(address):
-            peer.put("profile", "k", "peer-built")
+            peer.put("orchestrate", "k", "peer-built")
             return False
 
         ours._claim = peer_holds_the_claim_and_finishes
         built = []
         value, stored = ours.get_or_compute(
-            "profile", "k", lambda: built.append("ours") or "ours"
+            "orchestrate", "k", lambda: built.append("ours") or "ours"
         )
         assert (value, stored) == ("peer-built", True)
         assert built == []
-        assert "build:profile" not in ours.counters()
+        assert "build:orchestrate" not in ours.counters()
 
     def test_concurrent_threads_single_store(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store.sqlite"))
@@ -351,7 +380,7 @@ class TestArtifactStoreConcurrency:
             barrier.wait()
             for key in range(8):
                 value, _ = store.get_or_compute(
-                    "analyze", key, lambda key=key: f"v{key}"
+                    "simulate", key, lambda key=key: f"v{key}"
                 )
                 results[(index, key)] = value
 
@@ -467,6 +496,33 @@ class TestDeltaSimulation:
 # end-to-end: pipeline over a persistent store
 # ----------------------------------------------------------------------
 
+CELLS = (WORKLOAD, WORKLOAD.with_batch_size(8))
+NO_SPLIT = replace(DEFAULT_CONFIG, allow_split=False)
+
+
+def _zero_l1_estimator(path: str, **knobs) -> XMemEstimator:
+    """A fresh process's shape: nothing in the L1, everything in the L2."""
+    return XMemEstimator(
+        iterations=2,
+        stage_cache=PipelineCache(
+            max_traces=0,
+            max_analyses=0,
+            max_sequences=0,
+            max_simulations=0,
+            artifact_store=open_artifact_store(path),
+        ),
+        **knobs,
+    )
+
+
+def _delta(before: dict, after: dict, prefixes=("hit:", "build:")) -> dict:
+    """Persistent counters that moved, restricted to ``prefixes``."""
+    return {
+        name: after[name] - before.get(name, 0)
+        for name in after
+        if name.startswith(prefixes) and after[name] != before.get(name, 0)
+    }
+
 
 class TestPipelineWithArtifactStore:
     def test_second_cache_starts_warm_from_the_store(self, tmp_path):
@@ -492,9 +548,9 @@ class TestPipelineWithArtifactStore:
         assert second.detail == first.detail
 
     def test_version_2_store_is_a_miss_and_rebuilds(self, tmp_path):
-        # version 2 pickled MemoryEvent / MemoryOp objects; version 3
-        # stores the memory columns and the sequence rows
-        assert SCHEMA_VERSION == 3
+        # version 2 pickled MemoryEvent / MemoryOp objects; version 4
+        # stores the orchestrate and simulate rows only
+        assert SCHEMA_VERSION == 4
         path = str(tmp_path / "store.sqlite")
         writer = ArtifactStore(path)
         cold = XMemEstimator(
@@ -519,38 +575,50 @@ class TestPipelineWithArtifactStore:
         assert rebuilt.peak_bytes == cold.peak_bytes
         assert rebuilt.detail == cold.detail
 
-    @staticmethod
-    def _zero_l1_estimator(path: str) -> XMemEstimator:
-        return XMemEstimator(
-            iterations=2,
-            curve=False,
-            stage_cache=PipelineCache(
-                max_traces=0,
-                max_analyses=0,
-                max_sequences=0,
-                max_simulations=0,
-                artifact_store=open_artifact_store(path),
-            ),
-        )
+    def test_a_cold_pass_stores_orchestrate_and_simulate_rows_only(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "store.sqlite")
+        store = ArtifactStore(path)
+        try:
+            writer = XMemEstimator(
+                iterations=2, curve=False, artifact_store=store
+            )
+            for cell in CELLS:
+                writer.estimate(cell, RTX_3060)
+            counters = store.counters()
+        finally:
+            store.close()
+        with sqlite3.connect(path) as conn:
+            stages = {
+                row[0]
+                for row in conn.execute(
+                    "SELECT DISTINCT stage FROM artifacts"
+                )
+            }
+        assert stages == {ORCHESTRATE, SIMULATE}
+        for name in ("put:profile", "put:analyze", "build:profile"):
+            assert name not in counters, counters
+        assert counters["build:orchestrate"] == len(CELLS)
+        assert counters["build:simulate"] == len(CELLS)
 
     def test_stored_cell_is_answered_by_one_row(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
-        cells = [WORKLOAD, WORKLOAD.with_batch_size(8)]
         writer = XMemEstimator(
             iterations=2, curve=False, artifact_store=ArtifactStore(path)
         )
-        cold = [writer.estimate(cell, RTX_3060) for cell in cells]
-        estimator = self._zero_l1_estimator(path)
+        cold = [writer.estimate(cell, RTX_3060) for cell in CELLS]
+        estimator = _zero_l1_estimator(path, curve=False)
         store = estimator.stage_cache.artifacts
         try:
-            for cell, expected in zip(cells, cold):
+            for cell, expected in zip(CELLS, cold):
                 hits, counters = store.hits, store.counters()
                 result = estimator.estimate(cell, RTX_3060)
                 assert store.hits == hits + 1
-                after = store.counters()
-                for stage in ("profile", "analyze", "orchestrate"):
-                    name = f"hit:{stage}"
-                    assert after.get(name, 0) == counters.get(name, 0)
+                # one simulate hit, and no other hit, build or put
+                assert _delta(
+                    counters, store.counters(), ("hit:", "build:", "put:")
+                ) == {"hit:simulate": 1}
                 assert result.peak_bytes == expected.peak_bytes
                 assert result.detail == expected.detail
                 assert result.stage_sources == {
@@ -558,6 +626,57 @@ class TestPipelineWithArtifactStore:
                 }
         finally:
             store.close()
+
+    @pytest.mark.parametrize(
+        "knobs, served",
+        [
+            # another allocator configuration: the orchestrate row
+            # answers, one replay builds and stores its simulate row
+            (
+                {"allocator_config": NO_SPLIT, "curve": False},
+                {"hit:orchestrate": 1, "build:simulate": 1},
+            ),
+            # a curve is never cached: the orchestrate row answers
+            ({"curve": True}, {"hit:orchestrate": 1}),
+        ],
+        ids=["no_split", "curve"],
+    )
+    def test_a_simulate_miss_is_served_by_the_orchestrate_row(
+        self, tmp_path, knobs, served
+    ):
+        path = str(tmp_path / "store.sqlite")
+        writer = XMemEstimator(
+            iterations=2, curve=False, artifact_store=ArtifactStore(path)
+        )
+        for cell in CELLS:  # a default pass warms the store
+            writer.estimate(cell, RTX_3060)
+        estimator = _zero_l1_estimator(path, **knobs)
+        store = estimator.stage_cache.artifacts
+        try:
+            for cell in CELLS:
+                counters = store.counters()
+                result = estimator.estimate(cell, RTX_3060)
+                assert _delta(counters, store.counters()) == served
+                assert result.stage_sources == {
+                    **{stage: SOURCE_STORE for stage in STAGES},
+                    SIMULATE: SOURCE_COMPUTE,
+                }
+                storeless = XMemEstimator(
+                    iterations=2, stage_cache=False, **knobs
+                ).estimate(cell, RTX_3060)
+                assert result.peak_bytes == storeless.peak_bytes
+                assert result.detail == storeless.detail
+                if result.curve is not None:
+                    assert result.curve.series() == storeless.curve.series()
+        finally:
+            store.close()
+
+    def test_a_shared_cache_brings_its_own_store(self, tmp_path):
+        with pytest.raises(ValueError, match="artifact_store"):
+            XMemEstimator(
+                stage_cache=PipelineCache(),
+                artifact_store=str(tmp_path / "store.sqlite"),
+            )
 
     def test_corrupt_simulate_row_falls_back_to_the_sequence(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
@@ -570,7 +689,7 @@ class TestPipelineWithArtifactStore:
                 "WHERE stage = 'simulate'"
             )
             conn.commit()
-        estimator = self._zero_l1_estimator(path)
+        estimator = _zero_l1_estimator(path, curve=False)
         store = estimator.stage_cache.artifacts
         try:
             before = store.counters()
@@ -591,8 +710,12 @@ class TestPipelineWithArtifactStore:
         # repr-based addressing: primitive tuples hash identically across
         # processes (unlike salted hash())
         key = ("profile", "MobileNetV3Small", "sgd", 4, "pos1", True, 2)
-        assert artifact_key("profile", key) == artifact_key("profile", key)
-        assert artifact_key("profile", key) != artifact_key("analyze", key)
+        assert artifact_key("orchestrate", key) == artifact_key(
+            "orchestrate", key
+        )
+        assert artifact_key("orchestrate", key) != artifact_key(
+            "simulate", key
+        )
 
     def test_store_metrics_flow_through_service(self, tmp_path):
         from repro.service import EstimationService

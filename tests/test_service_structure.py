@@ -155,6 +155,9 @@ PROFILE_SHARING_RETIRED = (
 )
 #: what a service module must not import: a profile is the estimator's
 PROFILE_PACKAGES = ("repro.trace", "repro.runtime")
+#: the late ways to attach an artifact store: a store is attached where
+#: the estimator or its cache is built, so these stay gone
+STORE_ATTACH_RETIRED = ("with_artifact_store", "attach_artifact_store")
 #: RequestContext's wire form: a context never leaves its process
 CONTEXT_RETIRED = ("as_dict", "from_dict", "remaining", "shard_hint")
 SANS_IO = (
@@ -529,6 +532,29 @@ def test_the_stage_cache_is_the_one_way_a_profile_is_shared():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     } | names_used(package)
     assert not exported & set(PROFILE_SHARING_RETIRED)
+
+
+def test_an_artifact_store_is_attached_one_way():
+    """A store is bound where the estimator is built — a path in the
+    pool's factory, ``PipelineCache(artifact_store=)`` for a shared
+    cache: no source, bench or doc names a helper that attaches one
+    later, and the pool drivers take no store of their own."""
+    for folder in ("src", "benchmarks", "docs"):
+        for path in sorted((ROOT / folder).rglob("*")):
+            if path.suffix not in (".py", ".md"):
+                continue
+            text = path.read_text()
+            for name in STORE_ATTACH_RETIRED:
+                assert name not in text, f"{path.relative_to(ROOT)}: {name}"
+    drivers = ("ProcEstimationService", "ProcServiceGateway")
+    for cls in classes(modules()["procpool.py"], drivers):
+        (init,) = [
+            node
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        ]
+        names = {arg.arg for arg in init.args.args + init.args.kwonlyargs}
+        assert "artifact_store" not in names, cls.name
 
 
 def test_the_middleware_chain_carries_policy_only():
