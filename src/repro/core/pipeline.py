@@ -106,6 +106,15 @@ SOURCE_STORE = "store"  # persistent artifact-store (L2) hit
 SOURCE_COMPUTE = "compute"  # actually built this time
 
 
+class _Flight(threading.Event):
+    """One in-flight build.  The owner leaves its value here before it
+    sets the event, so the threads that waited take the value itself —
+    a zero-capacity store, which keeps nothing, still builds once."""
+
+    built = False
+    value: Any = None
+
+
 class _StageStore:
     """Thread-safe bounded LRU with per-key single-flight on misses.
 
@@ -123,7 +132,7 @@ class _StageStore:
         self._artifacts = artifacts
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
-        self._inflight: dict[Any, threading.Event] = {}
+        self._inflight: dict[Any, _Flight] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -148,14 +157,18 @@ class _StageStore:
                     return self._entries[key], SOURCE_MEMORY
                 gate = self._inflight.get(key)
                 if gate is None:
-                    gate = self._inflight[key] = threading.Event()
+                    gate = self._inflight[key] = _Flight()
                     owner = True
                 else:
                     owner = False
             if not owner:
-                # another thread is building this key: wait, then re-check
-                # (its success is our hit; its failure makes us the owner)
+                # another thread is building this key: its success is our
+                # hit, its failure makes one of its waiters the next owner
                 gate.wait()
+                if gate.built:
+                    with self._lock:
+                        self.hits += 1
+                    return gate.value, SOURCE_MEMORY
                 continue
             # the gate MUST be released on every exit from here on — a
             # builder that raises (or a bug in the bookkeeping itself)
@@ -179,6 +192,7 @@ class _StageStore:
                         while len(self._entries) > self.max_entries:
                             self._entries.popitem(last=False)
                             self.evictions += 1
+                gate.value, gate.built = value, True
                 return value, source
             finally:
                 with self._lock:
@@ -421,15 +435,29 @@ class EstimationPipeline:
     # ------------------------------------------------------------------
     def profile(self, workload: WorkloadConfig) -> Trace:
         """Stage 1: CPU-profile the workload (cached by workload identity)."""
-        return self._profile_stage(workload)[0]
+        key = None if self.cache is None else self.profile_key(workload)
+        return self._consult(
+            PROFILE, key, lambda: self._run_profiler(workload)
+        )[0]
 
     def analyze(self, trace: Trace) -> AnalyzedTrace:
         """Stage 2: lifecycle + attribution analysis (cached by content)."""
-        return self._analyze_stage(trace)[0]
+        key = None
+        if self.cache is not None:
+            key = self._analyze_key(trace_fingerprint(trace))
+        return self._consult(
+            ANALYZE, key, lambda: self.analyzer.analyze(trace)
+        )[0]
 
     def orchestrate(self, analyzed: AnalyzedTrace) -> OrchestratedSequence:
-        """Stage 3: rule-refined replayable sequence (cached by trace+rules)."""
-        return self._orchestrate_stage(analyzed)[0]
+        """Stage 3: rule-refined replayable sequence (cached by trace+rules;
+        an analyzed trace that carries no trace is not cached)."""
+        key = None
+        if self.cache is not None and analyzed.trace is not None:
+            key = self._orchestrate_key(trace_fingerprint(analyzed.trace))
+        return self._consult(
+            ORCHESTRATE, key, lambda: self._run_orchestrator(analyzed, key)
+        )[0]
 
     def simulate(
         self,
@@ -446,29 +474,26 @@ class EstimationPipeline:
         per (sequence, allocator config, two-level knob), kept in the L1
         and published to the L2 when one is attached.
         """
-        return self._simulate_stage(
-            sequence, allocator_config, two_level, curve
-        )[0]
-
-    def _simulate_stage(
-        self,
-        sequence: OrchestratedSequence,
-        allocator_config: AllocatorConfig,
-        two_level: bool,
-        curve: bool,
-    ) -> tuple[SimulationResult, str]:
-        def replay() -> SimulateRow:
-            return _replay(sequence, allocator_config, two_level, curve)
-
-        if curve or self.cache is None:
-            return replay().simulation, SOURCE_COMPUTE
-        key = self._simulate_key(
-            sequence_fingerprint(sequence), allocator_config, two_level
+        key = None
+        if self.cache is not None and not curve:
+            key = self._simulate_key(
+                sequence_fingerprint(sequence), allocator_config, two_level
+            )
+        row, _ = self._consult(
+            SIMULATE,
+            key,
+            lambda: _replay(sequence, allocator_config, two_level, curve),
         )
-        row, source = self.cache.simulations.get_or_compute_traced(
-            key, replay
-        )
-        return row.simulation, source
+        return row.simulation
+
+    def _consult(
+        self, stage: str, key: Any, build: Callable[[], Any]
+    ) -> tuple[Any, str]:
+        """``(value, source)`` of one stage: from its store under ``key``,
+        or built uncached when ``key`` is ``None``."""
+        if key is None:
+            return build(), SOURCE_COMPUTE
+        return self.cache.stage_store(stage).get_or_compute_traced(key, build)
 
     # ------------------------------------------------------------------
     # the full chain
@@ -497,13 +522,7 @@ class EstimationPipeline:
 
         def consult(stage: str, build: Callable[[], Any]) -> Any:
             started = time.perf_counter()
-            key = keys[stage]
-            if key is None:
-                value, source = build(), SOURCE_COMPUTE
-            else:
-                value, source = self.cache.stage_store(
-                    stage
-                ).get_or_compute_traced(key, build)
+            value, source = self._consult(stage, keys[stage], build)
             seconds[stage] = time.perf_counter() - started
             sources[stage] = source
             loaded[stage] = value
@@ -560,13 +579,6 @@ class EstimationPipeline:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _profile_stage(self, workload: WorkloadConfig) -> tuple[Trace, str]:
-        if self.cache is None:
-            return self._run_profiler(workload), SOURCE_COMPUTE
-        return self.cache.traces.get_or_compute_traced(
-            self.profile_key(workload), lambda: self._run_profiler(workload)
-        )
-
     def _run_profiler(self, workload: WorkloadConfig) -> Trace:
         trace = profile_on_cpu(
             workload.model,
@@ -584,24 +596,6 @@ class EstimationPipeline:
             trace, _TRACE_KEY_ATTR, self._profile_root(workload)
         )
         return trace
-
-    def _analyze_stage(self, trace: Trace) -> tuple[AnalyzedTrace, str]:
-        if self.cache is None:
-            return self.analyzer.analyze(trace), SOURCE_COMPUTE
-        key = self._analyze_key(trace_fingerprint(trace))
-        return self.cache.analyses.get_or_compute_traced(
-            key, lambda: self.analyzer.analyze(trace)
-        )
-
-    def _orchestrate_stage(
-        self, analyzed: AnalyzedTrace
-    ) -> tuple[OrchestratedSequence, str]:
-        if self.cache is None or analyzed.trace is None:
-            return self.orchestrator.orchestrate(analyzed), SOURCE_COMPUTE
-        key = self._orchestrate_key(trace_fingerprint(analyzed.trace))
-        return self.cache.sequences.get_or_compute_traced(
-            key, lambda: self._run_orchestrator(analyzed, key)
-        )
 
     def _run_orchestrator(
         self, analyzed: AnalyzedTrace, key: Optional[tuple]

@@ -2,9 +2,9 @@
 
 Third substrate, same policy.  The thread driver (:mod:`.engine`) and the
 asyncio driver (:mod:`.aio`) both execute estimation under one GIL, so a
-CPU-bound estimator — the simulate-stage-dominated cold path of the real
-pipeline — cannot scale past one core no matter how many workers the
-pool has.  :class:`ProcEstimationService` keeps every *policy* step
+CPU-bound estimator — the cold path of the real pipeline, all four
+stages pure Python — cannot scale past one core no matter how many
+workers the pool has.  :class:`ProcEstimationService` keeps every *policy* step
 inline in the parent process (fingerprinting, middleware hooks, cache
 lookup and population, single-flight dedup, metrics — all driven through
 the identical :class:`~repro.service.core.ServiceCore`) and dispatches

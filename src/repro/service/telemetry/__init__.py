@@ -16,6 +16,10 @@ Three cooperating pieces, all stdlib-only:
 service or gateway: pass paths to capture durably, nothing to keep
 everything in memory, and leave drivers telemetry-free (the default)
 for zero overhead.
+
+The package exports :class:`Telemetry` only; every other name is
+imported from the module that defines it (``.spans``, ``.exporters``,
+``.ledger``, ``.report``).
 """
 
 from __future__ import annotations
@@ -25,79 +29,12 @@ from typing import Optional
 from .exporters import (
     InMemorySpanExporter,
     JsonLinesSpanExporter,
-    NullSpanExporter,
     SpanExporter,
 )
-from .ledger import (
-    ADMIT,
-    BREAKER,
-    CACHE_HIT,
-    COMPUTED,
-    DEADLINE,
-    DEDUP,
-    ERROR,
-    FAULT,
-    HEDGE,
-    REJECTED,
-    REROUTE,
-    RESILIENCE_EVENTS,
-    RETRY,
-    SHED,
-    THROTTLED,
-    WARMUP,
-    AuditLedger,
-    LedgerEvent,
-)
-from .report import (
-    render_histogram,
-    render_loadtest_report,
-    render_shard_heat,
-    render_trend_summary,
-)
-from .spans import (
-    RequestTelemetry,
-    Span,
-    Tracer,
-    canonical_trace_trees,
-    stage_spans,
-    worker_estimate_spans,
-)
+from .ledger import AuditLedger
+from .spans import Tracer
 
-__all__ = [
-    "Telemetry",
-    "Span",
-    "Tracer",
-    "RequestTelemetry",
-    "canonical_trace_trees",
-    "stage_spans",
-    "worker_estimate_spans",
-    "SpanExporter",
-    "InMemorySpanExporter",
-    "JsonLinesSpanExporter",
-    "NullSpanExporter",
-    "AuditLedger",
-    "LedgerEvent",
-    "ADMIT",
-    "SHED",
-    "DEDUP",
-    "CACHE_HIT",
-    "COMPUTED",
-    "THROTTLED",
-    "DEADLINE",
-    "REJECTED",
-    "ERROR",
-    "WARMUP",
-    "RETRY",
-    "HEDGE",
-    "BREAKER",
-    "REROUTE",
-    "FAULT",
-    "RESILIENCE_EVENTS",
-    "render_histogram",
-    "render_loadtest_report",
-    "render_shard_heat",
-    "render_trend_summary",
-]
+__all__ = ["Telemetry"]
 
 
 class Telemetry:

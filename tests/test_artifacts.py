@@ -9,16 +9,25 @@ The pipeline persists the orchestrate and simulate rows only: those are
 what a fresh process reads.
 """
 
+import dataclasses
+import hashlib
 import os
 import sqlite3
 import subprocess
 import sys
 import threading
+import typing
 from dataclasses import replace
 
 import pytest
 
 from repro.allocator.constants import DEFAULT_CONFIG
+from repro.allocator.stats import (
+    AllocatorStats,
+    StatCounter,
+    TimelinePoint,
+    TimelineRecorder,
+)
 from repro.core.artifacts import (
     _MISS,
     ArtifactStore,
@@ -42,7 +51,10 @@ from repro.core.pipeline import (
     STAGES,
     EstimationPipeline,
     PipelineCache,
+    SimulateRow,
 )
+from repro.core.simulator import SimulationResult
+from repro.framework.tensor import TensorRole
 from repro.workload import RTX_3060, WorkloadConfig
 
 WORKLOAD = WorkloadConfig("MobileNetV3Small", "sgd", 4)
@@ -267,6 +279,70 @@ class TestArtifactStoreFailureModes:
 
 
 # ----------------------------------------------------------------------
+# stored shape: a class a row reaches changes only with a schema bump
+# ----------------------------------------------------------------------
+
+#: the shape digest each schema version was written with
+STORED_SHAPES = {4: "ac02c3c8d0593cda"}
+#: every dataclass a stored (simulate or orchestrate) row reaches
+STORED_DATACLASSES = (
+    SimulateRow,
+    SimulationResult,
+    AllocatorStats,
+    StatCounter,
+    TimelinePoint,
+    OrchestratedSequence,
+)
+
+
+def stored_shape_digest() -> str:
+    """Field names and annotation strings of the stored dataclasses, the
+    instance attributes of the two stored classes that hold more than
+    dataclass fields, and ``TensorRole``'s members."""
+    parts: list = [
+        (cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)])
+        for cls in STORED_DATACLASSES
+    ]
+    parts.append(("TimelineRecorder", sorted(vars(TimelineRecorder()))))
+    sequence = OrchestratedSequence(
+        rows=[], horizon=0, num_blocks=0, persistent_bytes=0
+    )
+    parts.append(("OrchestratedSequence", sorted(vars(sequence))))
+    parts.append(("TensorRole", [(r.name, r.value) for r in TensorRole]))
+    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
+
+
+def repro_classes(hint) -> set:
+    """The classes of this package a resolved type hint mentions."""
+    found = set()
+    if isinstance(hint, type) and hint.__module__.startswith("repro."):
+        found.add(hint)
+    for argument in typing.get_args(hint):
+        found |= repro_classes(argument)
+    return found
+
+
+class TestStoredShape:
+    """An old pickle of a class that gained a defaulted field unpickles
+    as a *hit* that reads the class default, so a shape change without a
+    ``SCHEMA_VERSION`` bump would answer from stale rows."""
+
+    def test_the_stored_shape_is_pinned_to_the_schema_version(self):
+        assert stored_shape_digest() == STORED_SHAPES[SCHEMA_VERSION], (
+            "a class a stored row reaches changed shape: bump "
+            "artifacts.SCHEMA_VERSION and pin the new digest"
+        )
+
+    def test_the_digest_covers_every_class_a_row_reaches(self):
+        covered = set(STORED_DATACLASSES) | {TimelineRecorder, TensorRole}
+        for cls in STORED_DATACLASSES:
+            fields = dataclasses.fields(cls)
+            assert all(isinstance(f.type, str) for f in fields)
+            for hint in typing.get_type_hints(cls).values():
+                assert repro_classes(hint) <= covered, cls.__name__
+
+
+# ----------------------------------------------------------------------
 # cross-process behaviour
 # ----------------------------------------------------------------------
 
@@ -456,20 +532,19 @@ class TestDeltaSimulation:
         cache = PipelineCache()
         pipeline = EstimationPipeline(iterations=2, cache=cache)
         sequence = synthetic_sequence()
-        first, source = pipeline._simulate_stage(
-            sequence, DEFAULT_CONFIG, True, False
-        )
-        assert source == SOURCE_COMPUTE
-        second, source = pipeline._simulate_stage(
-            sequence, DEFAULT_CONFIG, True, False
-        )
-        assert source == SOURCE_MEMORY
+
+        def counters():
+            stats = cache.simulations.stats()
+            return stats["misses"], stats["hits"]
+
+        first = pipeline.simulate(sequence, DEFAULT_CONFIG, True, curve=False)
+        assert counters() == (1, 0)  # built
+        second = pipeline.simulate(sequence, DEFAULT_CONFIG, True, curve=False)
+        assert counters() == (1, 1)  # served from the L1
         assert second is first  # the cached peak-only result, verbatim
         # curve requests never touch the cache: the timeline is the point
-        curved, source = pipeline._simulate_stage(
-            sequence, DEFAULT_CONFIG, True, True
-        )
-        assert source == SOURCE_COMPUTE
+        curved = pipeline.simulate(sequence, DEFAULT_CONFIG, True, curve=True)
+        assert counters() == (1, 1)
         assert len(curved.timeline) > 0
         assert curved.peak_reserved_bytes == first.peak_reserved_bytes
 

@@ -330,9 +330,9 @@ class TestOneSimulatePath:
             method.name: [arg.arg for arg in method.args.args]
             for method in pipeline.body
             if isinstance(method, ast.FunctionDef)
-            and method.name in ("run", "simulate", "_simulate_stage")
+            and method.name in ("run", "simulate")
         }
-        assert sorted(params) == ["_simulate_stage", "run", "simulate"]
+        assert sorted(params) == ["run", "simulate"]
         assert all("capacity_bytes" not in args for args in params.values())
 
 
@@ -437,6 +437,78 @@ class TestPipelineCacheStore:
         cache.traces.get_or_compute("k", lambda: 1)
         cache.clear()
         assert cache.traces.stats()["size"] == 0
+
+    @staticmethod
+    def two_callers_one_key(monkeypatch, store, finish):
+        """Two threads ask ``store`` for one key.  The first one's build
+        returns ``finish()`` (or raises from it) only once the second is
+        parked on the in-flight build; a later build returns a fresh
+        object.  Returns the builders' names and each caller's outcome."""
+        import threading
+
+        started = threading.Event()
+        parked = threading.Event()
+        real_wait = threading.Event.wait
+
+        def wait(event, timeout=None):
+            if threading.current_thread().name == "second":
+                parked.set()
+            return real_wait(event, timeout)
+
+        monkeypatch.setattr(threading.Event, "wait", wait)
+        builds, outcomes = [], {}
+
+        def build():
+            builds.append(threading.current_thread().name)
+            if len(builds) > 1:
+                return object()
+            started.set()
+            assert parked.wait(timeout=10)
+            return finish()
+
+        def call():
+            name = threading.current_thread().name
+            try:
+                outcomes[name] = store.get_or_compute_traced("k", build)
+            except RuntimeError as error:
+                outcomes[name] = error
+
+        first = threading.Thread(target=call, name="first")
+        first.start()
+        assert started.wait(timeout=10)
+        second = threading.Thread(target=call, name="second")
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        return builds, outcomes
+
+    @pytest.mark.parametrize("capacity", [0, 4])
+    def test_a_waiter_takes_the_owners_build(self, monkeypatch, capacity):
+        """Single-flight holds at every capacity: a zero-capacity store
+        keeps nothing, so the waiter must take the value from the build
+        it waited on instead of re-checking an empty L1."""
+        store = PipelineCache(max_traces=capacity).traces
+        builds, outcomes = self.two_callers_one_key(
+            monkeypatch, store, object
+        )
+        assert builds == ["first"]
+        assert outcomes["first"][1] == "compute"
+        assert outcomes["second"][1] == "memory"
+        assert outcomes["second"][0] is outcomes["first"][0]
+        assert store.stats()["hits"] == 1
+
+    def test_a_failed_build_makes_a_waiter_the_next_owner(
+        self, monkeypatch
+    ):
+        def fail():
+            raise RuntimeError("profile failed")
+
+        store = PipelineCache(max_traces=0).traces
+        builds, outcomes = self.two_callers_one_key(monkeypatch, store, fail)
+        assert builds == ["first", "second"]
+        assert isinstance(outcomes["first"], RuntimeError)
+        assert outcomes["second"][1] == "compute"
 
     def test_concurrent_misses_build_once(self):
         import threading

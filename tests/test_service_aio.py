@@ -232,7 +232,7 @@ class TestAsyncService:
     def test_deadline_middleware_budget_rejects_before_dispatch(self):
         # regression: a budget stamped *by* a hook must be enforced by
         # the core's post-chain check — the estimator is never invoked
-        from repro.service import DeadlineMiddleware
+        from repro.service.middleware import DeadlineMiddleware
 
         async def main():
             estimator = SyntheticEstimator()

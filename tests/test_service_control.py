@@ -27,7 +27,6 @@ from repro.errors import (
     RateLimitExceededError,
 )
 from repro.service import (
-    DEFAULT_PRIORITY,
     QOS_CLASSES,
     AuthShimMiddleware,
     ControlPlane,
@@ -37,14 +36,13 @@ from repro.service import (
     Telemetry,
     TenantConfig,
     TenantGrant,
-    TokenBucket,
     generate_traffic,
     make_control,
-    qos_class,
     qos_priority,
     replay,
-    tenant_configs,
 )
+from repro.service.control import DEFAULT_PRIORITY, TokenBucket, qos_class
+from repro.service.traffic import tenant_configs
 from repro.service import control
 from repro.service.context import ServiceRequest
 from repro.service.wire import error_from_wire, error_to_wire

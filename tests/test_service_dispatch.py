@@ -41,19 +41,17 @@ from repro.service import (
     EstimationService,
     FaultPlan,
     FaultSpec,
-    HedgePolicy,
-    NullLock,
     ProcEstimationService,
     ProcServiceGateway,
     RateLimitMiddleware,
-    ResiliencePolicy,
-    RetryPolicy,
     ServiceGateway,
     ServiceMiddleware,
     SyntheticEstimator,
     Telemetry,
     default_middlewares,
 )
+from repro.service.context import NullLock
+from repro.service.resilience import HedgePolicy, ResiliencePolicy, RetryPolicy
 from repro.service.dispatch import GatewayDispatch, ServiceDispatch
 from repro.service.telemetry.spans import GATEWAY_SPAN
 from repro.workload import RTX_3060, WorkloadConfig

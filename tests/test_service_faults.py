@@ -14,11 +14,10 @@ import json
 import pytest
 
 from repro.errors import InjectedFaultError, ShardBlackoutError
-from repro.service import (
+from repro.service import FaultPlan, FaultSpec
+from repro.service.faults import (
     FAULT_KINDS,
     FaultInjector,
-    FaultPlan,
-    FaultSpec,
     apply_fault_directive,
 )
 

@@ -10,15 +10,17 @@ from repro.errors import (
     ServiceClosedError,
 )
 from repro.service import (
-    BroadcastWarmupRouting,
     ConsistentHashRouting,
     EstimationService,
-    LeastLoadedRouting,
-    RandomRouting,
     ServiceGateway,
     SyntheticEstimator,
-    aggregate_shard_stats,
     make_policy,
+)
+from repro.service.core import aggregate_shard_stats
+from repro.service.routing import (
+    BroadcastWarmupRouting,
+    LeastLoadedRouting,
+    RandomRouting,
 )
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 
@@ -458,7 +460,7 @@ class TestAggregation:
         assert aggregate["latency_seconds"]["count"] == 2
 
     def test_percentile_validates_q_even_on_empty_reservoirs(self):
-        from repro.service import percentile
+        from repro.service.metrics import percentile
 
         assert percentile([], 95) is None
         with pytest.raises(ValueError):

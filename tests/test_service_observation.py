@@ -31,21 +31,22 @@ from repro.errors import (
 )
 from repro.service import (
     AsyncEstimationService,
-    AuditLedger,
     EstimateCache,
     EstimationService,
-    InMemorySpanExporter,
-    MiddlewareChain,
-    NullSpanExporter,
-    ServiceCore,
     ServiceMetrics,
     ServiceMiddleware,
-    Span,
     SyntheticEstimator,
     Telemetry,
-    Tracer,
     default_middlewares,
 )
+from repro.service.core import ServiceCore
+from repro.service.middleware import MiddlewareChain
+from repro.service.telemetry.exporters import (
+    InMemorySpanExporter,
+    NullSpanExporter,
+)
+from repro.service.telemetry.ledger import AuditLedger
+from repro.service.telemetry.spans import Span, Tracer
 from repro.service import core as service_core
 from repro.workload import RTX_3060, WorkloadConfig
 

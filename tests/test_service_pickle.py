@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.result import EstimationResult
 from repro.runtime.loop import POS0, POS1
-from repro.service import RequestContext, ServiceRequest
+from repro.service.context import RequestContext, ServiceRequest
 from repro.workload import DeviceSpec, WorkloadConfig
 
 # readable-but-arbitrary identifiers (JSON-safe text, no surrogates)

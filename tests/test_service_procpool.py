@@ -27,10 +27,10 @@ from repro.service import (
     ProcEstimationService,
     ProcServiceGateway,
     ServiceGateway,
-    ServiceRequest,
     SyntheticEstimator,
     estimate_many,
 )
+from repro.service.context import ServiceRequest
 from repro.service.procpool import default_estimator_factory, make_pool
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 from tests.test_service_dispatch import SERVICE_DRIVERS, shut

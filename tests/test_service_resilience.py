@@ -30,30 +30,30 @@ from repro.errors import (
 )
 from repro.service import (
     AsyncServiceGateway,
-    AuditLedger,
-    BreakerConfig,
-    CircuitBreaker,
     FaultPlan,
     FaultSpec,
-    HedgePolicy,
-    ResilienceCore,
-    ResiliencePolicy,
-    RetryBudget,
-    RetryPolicy,
     ServiceGateway,
     SyntheticEstimator,
     Telemetry,
     default_resilience,
     generate_traffic,
-    is_transient,
     replay,
-    workload_catalog,
 )
 from repro.service.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    BreakerConfig,
+    CircuitBreaker,
+    HedgePolicy,
+    ResilienceCore,
+    ResiliencePolicy,
+    RetryBudget,
+    RetryPolicy,
+    is_transient,
 )
+from repro.service.telemetry.ledger import AuditLedger
+from repro.service.traffic import workload_catalog
 from repro.workload import EVAL_DEVICES
 from test_service_aio import GatedSyntheticEstimator
 

@@ -8,7 +8,9 @@ the two halves of the TCP protocol each exist in exactly one module, the
 core modules import no concurrency substrate, the driver modules make no
 gateway-layer decision, no service-core step and no use of a frame's
 contents themselves, and the middleware chain carries policy only — a
-request's outcome is observed once, in ``ServiceCore``.
+request's outcome is observed once, in ``ServiceCore``.  The package's
+public surface is checked the same way: ``repro.service`` re-exports
+exactly the names its callers outside ``tests/`` import from it.
 
 Run as a script to print per-module code-line counts (non-blank,
 non-comment, non-docstring), the ``tcp.py + wire.py`` sum and the
@@ -22,12 +24,15 @@ from __future__ import annotations
 
 import ast
 import io
+import re
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SERVICE = ROOT / "src" / "repro" / "service"
 CLI = ROOT / "src" / "repro" / "cli.py"
+#: a fenced Python block of a Markdown file
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 #: the gateway's dispatch machine: each is written once
 LIFECYCLE = (
@@ -630,6 +635,74 @@ def test_the_core_closes_a_request_span_in_one_place():
         )
     ]
     assert closers == ["_emit"]
+
+
+def python_blocks(path: Path) -> list[str]:
+    """The fenced Python blocks of a Markdown file, in order."""
+    return PYTHON_BLOCK.findall(path.read_text())
+
+
+def caller_sources() -> list[tuple[Path, str, str]]:
+    """``(file, source, package)`` for every caller of the service outside
+    ``tests/``; ``package`` resolves a relative import (``""``: none)."""
+    repro = ROOT / "src" / "repro"
+    found = [
+        (path, path.read_text(), "repro")
+        for path in (CLI, repro / "__init__.py")
+    ]
+    scripts = sorted((ROOT / "benchmarks").rglob("*.py"))
+    scripts += sorted((ROOT / "examples").glob("*.py"))
+    found.extend((path, path.read_text(), "") for path in scripts)
+    for path in sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md"]:
+        found.extend((path, block, "") for block in python_blocks(path))
+    return found
+
+
+def names_imported_from(module: str) -> set[str]:
+    """Every name some caller outside ``tests/`` imports from ``module``."""
+    names = set()
+    for _, source, package in caller_sources():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            name = node.module or ""
+            if node.level:
+                name = f"{package}.{name}"
+            if name == module:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def exported(tree: ast.Module) -> list[str]:
+    """A module's ``__all__``, read without importing it."""
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(target) for target in node.targets] == ["__all__"]
+    ]
+    return ast.literal_eval(value)
+
+
+def test_the_package_exports_exactly_what_its_callers_import():
+    """``repro.service`` re-exports a name iff the CLI, the package root,
+    a bench, an example or a doc imports it from there: a re-export
+    nobody imports makes an internal public API, an import without one
+    breaks a caller.  The facade binds nothing beyond its ``__all__``,
+    and the telemetry package exports ``Telemetry`` alone."""
+    trees = modules()
+    package = trees["__init__.py"]
+    names = exported(package)
+    assert len(names) == len(set(names))
+    assert set(names) == names_imported_from("repro.service")
+    bound = {
+        alias.asname or alias.name
+        for node in package.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert bound == set(names)
+    assert exported(trees["telemetry/__init__.py"]) == ["Telemetry"]
 
 
 def test_the_default_chain_is_validation_then_cache():

@@ -29,7 +29,6 @@ from repro.errors import (
 )
 from repro.service import (
     AsyncServiceGateway,
-    AsyncTcpServiceClient,
     FaultPlan,
     FaultSpec,
     ServiceGateway,
@@ -39,6 +38,7 @@ from repro.service import (
     generate_traffic,
     replay,
 )
+from repro.service.tcp import AsyncTcpServiceClient
 from repro.service.wire import FrameDecoder, WireProtocolError, encode_frame
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 

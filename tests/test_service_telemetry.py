@@ -23,29 +23,31 @@ from hypothesis import strategies as st
 from repro.core.estimator import XMemEstimator
 from repro.service import (
     AsyncServiceGateway,
-    AuditLedger,
     EstimationService,
-    InMemorySpanExporter,
-    JsonLinesSpanExporter,
-    LedgerEvent,
-    NullSpanExporter,
     ServiceGateway,
     ServiceMetrics,
-    Span,
     SyntheticEstimator,
     Telemetry,
-    Tracer,
     canonical_trace_trees,
-    latency_histogram,
     make_policy,
-    render_histogram,
     render_loadtest_report,
-    render_trend_summary,
     replay,
     replay_async,
 )
+from repro.service.metrics import latency_histogram
+from repro.service.telemetry.exporters import (
+    InMemorySpanExporter,
+    JsonLinesSpanExporter,
+    NullSpanExporter,
+)
+from repro.service.telemetry.ledger import AuditLedger, LedgerEvent
 from repro.service.telemetry import ledger as ledger_events
-from repro.service.telemetry.report import render_shard_heat
+from repro.service.telemetry.report import (
+    render_histogram,
+    render_shard_heat,
+    render_trend_summary,
+)
+from repro.service.telemetry.spans import Span, Tracer
 from repro.service.traffic import TrafficRequest, TrafficTrace
 from repro.workload import RTX_3060, WorkloadConfig
 

@@ -8,8 +8,8 @@ from repro.service import (
     SyntheticEstimator,
     generate_traffic,
     replay,
-    workload_catalog,
 )
+from repro.service.traffic import workload_catalog
 from repro.service.middleware import (
     RequestContext,
     ServiceRequest,

@@ -47,12 +47,8 @@ from repro.errors import (
     ServiceClosedError,
 )
 from repro.runtime.loop import POS0, POS1
-from repro.service import (
-    FaultPlan,
-    FaultSpec,
-    NullLock,
-    Telemetry,
-)
+from repro.service import FaultPlan, FaultSpec, Telemetry
+from repro.service.context import NullLock
 from repro.service.dispatch import GatewayDispatch
 from repro.service.wire import (
     MAX_FRAME_BYTES,
