@@ -16,7 +16,12 @@ see ``docs/resilience.md``) to four acceptance properties:
   erroring through it);
 * **determinism** — two runs of the same seeded plan produce the
   identical resilience decision sequence
-  (:meth:`~repro.service.telemetry.AuditLedger.resilience_sequence`).
+  (:meth:`~repro.service.telemetry.AuditLedger.resilience_sequence`);
+* **driver agreement** — the seeded plan through every driver (threads,
+  asyncio, processes, TCP) yields the same outcome per trace index and
+  the same resilience decision sequence.  The full
+  ``decision_sequence()`` is not compared: dedup and cache-hit races
+  make it differ even between two thread runs (see ``bench_drivers.py``).
 
 ``python bench_chaos.py [--quick]`` runs standalone (``--quick`` shrinks
 the trace for CI); under pytest the quick size is used.
@@ -39,7 +44,7 @@ from repro.service import (
     default_resilience,
     generate_traffic,
 )
-from repro.service.loadtest import run_trace
+from repro.service.loadtest import DRIVERS, run_trace
 
 from _common import emit
 
@@ -85,7 +90,7 @@ def plan_blackout(trace, seed: int) -> FaultPlan:
     )
 
 
-def run_once(trace, fault_plan=None) -> dict:
+def run_once(trace, fault_plan=None, driver: str = "threads") -> dict:
     """One replay, keeping the outcome of every trace index so the
     identity and goodput checks can compare runs request by request."""
     telemetry = Telemetry()
@@ -103,7 +108,7 @@ def run_once(trace, fault_plan=None) -> dict:
             outcomes[index] = (status, type(error).__name__)
 
     report, _ = run_trace(
-        "threads",
+        driver,
         trace,
         on_outcome=keep,
         telemetry=telemetry,
@@ -173,6 +178,21 @@ def run_chaos_bench(num_requests: int = 240, seed: int = 0) -> dict:
         "resilience decision sequence diverged across same-seed runs"
     )
 
+    # --- driver agreement: every driver decides and answers alike -----
+    for driver in DRIVERS:
+        if driver == "threads":
+            continue
+        other = run_once(trace, plan, driver)
+        assert other["outcomes"] == chaotic["outcomes"], (
+            f"{driver}: per-index outcomes differ from threads"
+        )
+        ours, theirs = set(chaotic["sequence"]), set(other["sequence"])
+        assert other["sequence"] == chaotic["sequence"], (
+            f"{driver}: resilience decision sequence differs from threads; "
+            f"only threads {sorted(ours - theirs)[:4]}, "
+            f"only {driver} {sorted(theirs - ours)[:4]}"
+        )
+
     faults = chaotic["stats"]["gateway"]["faults"]
     resilience = chaotic["stats"]["gateway"]["resilience"]
     return {
@@ -194,6 +214,7 @@ def run_chaos_bench(num_requests: int = 240, seed: int = 0) -> dict:
         "breaker_opens": resilience["breaker_opens"],
         "decision_events": len(chaotic["sequence"]),
         "deterministic": True,
+        "drivers_agree": list(DRIVERS),
     }
 
 

@@ -8,11 +8,12 @@ Two lifecycles live here, one per layer, and every driver runs both:
   driver's execution substrate, completion hooks, release, settle, and
   the dispatched count ``drain()`` waits on.  It drives
   :class:`~repro.service.core.ServiceCore`.
-* :class:`GatewayDispatch` — everything a sharded gateway *decides*: the
-  plain path (count, route, span, admit, ledger, submit-to-shard,
-  settle, warm-up replicas) and the resilient path (the attempt
-  lifecycle — first dispatch, retry with backoff, hedge, drain-time
-  shedding — under one gateway-owned future per request).  It drives
+* :class:`GatewayDispatch` — everything a sharded gateway *decides*:
+  one attempt step (admit, ledger, submit-to-shard, breaker, settle a
+  slot the shard refused) that both paths take — the plain path around
+  it (count, route, span, warm-up replicas), and the resilient path
+  (first dispatch, retry with backoff, hedge, drain-time shedding)
+  under one gateway-owned future per request.  It drives
   :class:`~repro.service.core.GatewayCore`,
   :class:`~repro.service.resilience.ResilienceCore` and
   :class:`~repro.service.faults.FaultInjector`, and it is the only place
@@ -29,10 +30,12 @@ core this module imports neither ``threading`` nor ``asyncio``, so both
 lifecycles run in a unit test against inline futures and a manual timer
 wheel.
 
-The gateway's plain and resilient paths stay two paths, selected by what
-the gateway can observe: whether a
+The gateway's two paths share that attempt step and differ only in who
+owns the caller's future: the plain path hands out the shard's own, the
+resilient path — taken when a
 :class:`~repro.service.resilience.ResiliencePolicy` or a
-:class:`~repro.service.faults.FaultPlan` was configured.
+:class:`~repro.service.faults.FaultPlan` was configured — an outer future
+that attempts come and go under.
 """
 
 from __future__ import annotations
@@ -608,17 +611,21 @@ class GatewayDispatch:
                     "span_id": span.span_id,
                 },
             }
-        future = self._dispatch(
+        future = self._attempt(
             primary,
             workload,
             device,
             fingerprint,
-            metadata=metadata,
-            span=span,
-            seq=seq,
-            deadline=deadline,
-            tenant=tenant,
-            priority=priority,
+            seq,
+            tenant,
+            priority,
+            deadline,
+            metadata,
+            "route",
+            span,
+        )
+        self._sub.when_done(
+            future, partial(self._settle_dispatched, primary, span)
         )
         for shard_index in replicas:
             self._replicate(
@@ -749,19 +756,28 @@ class GatewayDispatch:
         if span is not None and self.telemetry is not None:
             self.telemetry.tracer.end(span, status=status)
 
-    def _dispatch(
+    def _attempt(
         self,
         shard_index: int,
         workload: WorkloadConfig,
         device: DeviceSpec,
         fingerprint: str,
-        metadata: Optional[dict] = None,
+        seq: int,
+        tenant: str,
+        priority: int,
+        deadline: Optional[float],
+        metadata: Optional[dict],
+        cause: str,
         span=None,
-        seq: Optional[int] = None,
-        deadline: Optional[float] = None,
-        tenant: str = "",
-        priority: int = DEFAULT_PRIORITY,
+        attributes: Optional[dict] = None,
     ):
+        """Admit one attempt onto a shard, ledger it and submit it;
+        returns the shard's future, which the caller settles.
+
+        A refusal is ledgered and raised holding no slot; a ``submit``
+        that raises settles its slot here.  Either failure feeds the
+        breaker (before the slot settles) and closes ``span``.
+        """
         deadline_remaining = (
             None if deadline is None else deadline - time.perf_counter()
         )
@@ -782,16 +798,17 @@ class GatewayDispatch:
             RequestRejectedError,
             ServiceClosedError,
         ) as error:
-            event, cause, status = admit_refusal(error)
-            self._gateway_decision(event, cause, fingerprint, seq, shard_index)
+            event, refusal, status = admit_refusal(error)
+            self._gateway_decision(event, refusal, fingerprint, seq, shard_index)
+            self._record_breaker(shard_index, seq, error)
             self._close_span(span, status)
             raise
         self._sub.mark_busy()
         self._gateway_decision(
-            ledger_events.ADMIT, "route", fingerprint, seq, shard_index
+            ledger_events.ADMIT, cause, fingerprint, seq, shard_index, attributes
         )
         try:
-            future = self._shard_services[shard_index].submit(
+            return self._shard_services[shard_index].submit(
                 workload,
                 device,
                 fingerprint=fingerprint,
@@ -803,16 +820,31 @@ class GatewayDispatch:
         except BaseException as error:
             throttled = isinstance(error, RateLimitExceededError)
             rejected = isinstance(error, RequestRejectedError)
+            self._record_breaker(shard_index, seq, error)
             self._settle(shard_index, rejected=rejected, throttled=throttled)
             self._close_span(
                 span,
                 "throttled" if throttled else "rejected" if rejected else "error",
             )
             raise
-        self._sub.when_done(
-            future, partial(self._settle_dispatched, shard_index, span)
-        )
-        return future
+
+    def _record_breaker(
+        self, shard_index: int, seq: int, error: Optional[BaseException]
+    ) -> None:
+        """Feed one attempt's outcome to its shard's breaker, *before*
+        the slot settles: every outcome of a wave is then buffered by the
+        time the idle-edge sync runs (determinism of deferred breakers).
+        A live breaker's transition is ledgered here, at the completion
+        that caused it."""
+        res = self._resilience
+        if res is None or not (error is None or is_transient(error)):
+            return
+        with self._lock:
+            transition = res.record_outcome(shard_index, seq, error is None)
+        if transition is not None:
+            self._gateway_decision(
+                ledger_events.BREAKER, transition, "", seq, shard_index
+            )
 
     def _settle_dispatched(self, shard_index: int, span, future) -> None:
         self._settle(shard_index)
@@ -947,80 +979,36 @@ class GatewayDispatch:
             if state.settled:
                 return  # drained/settled while this attempt was scheduled
             # symmetric with the decrement in _attempt_outcome: every
-            # path below funnels through _finish_attempt exactly once
+            # path below reaches it exactly once
             state.inflight += 1
         if directive is not None and directive.get("kind") == "shard_blackout":
             # a blacked-out shard is *unreachable*: the attempt fails at
             # the gateway without touching the shard (its cache included)
-            self._finish_attempt(
-                state,
-                shard_index,
-                is_hedge,
-                None,
-                ShardBlackoutError(shard_index),
-                slot_held=False,
-            )
+            error = ShardBlackoutError(shard_index)
+            self._record_breaker(shard_index, state.seq, error)
+            self._attempt_outcome(state, shard_index, is_hedge, None, error)
             return
-        deadline_remaining = (
-            None
-            if state.deadline is None
-            else state.deadline - time.perf_counter()
-        )
-        try:
-            # (no mark_busy: the open outer future already holds the
-            # gateway busy for as long as attempts can start)
-            with self._lock:
-                self.core.admit(
-                    shard_index,
-                    tenant=state.tenant,
-                    priority=state.priority,
-                    deadline_remaining=deadline_remaining,
-                )
-        except (
-            RateLimitExceededError,
-            RequestRejectedError,
-            ServiceClosedError,
-        ) as error:
-            event, refusal, _status = admit_refusal(error)
-            self._gateway_decision(
-                event, refusal, state.fingerprint, state.seq, shard_index
-            )
-            self._finish_attempt(
-                state, shard_index, is_hedge, None, error, slot_held=False
-            )
-            return
-        self._gateway_decision(
-            ledger_events.ADMIT,
-            cause,
-            state.fingerprint,
-            state.seq,
-            shard_index,
-            attributes={"attempt": state.attempt} if state.attempt > 1 else None,
-        )
         metadata: dict = {**(state.metadata or {}), "attempt": state.attempt}
         if directive is not None:
             metadata["fault"] = directive
         try:
-            future = self._shard_services[shard_index].submit(
+            future = self._attempt(
+                shard_index,
                 state.workload,
                 state.device,
-                fingerprint=state.fingerprint,
-                deadline=state.deadline,
-                metadata=metadata,
-                tenant=state.tenant,
-                priority=state.priority,
+                state.fingerprint,
+                state.seq,
+                state.tenant,
+                state.priority,
+                state.deadline,
+                metadata,
+                cause,
+                attributes=(
+                    {"attempt": state.attempt} if state.attempt > 1 else None
+                ),
             )
         except BaseException as error:
-            self._finish_attempt(
-                state,
-                shard_index,
-                is_hedge,
-                None,
-                error,
-                slot_held=True,
-                rejected=isinstance(error, RequestRejectedError),
-                throttled=isinstance(error, RateLimitExceededError),
-            )
+            self._attempt_outcome(state, shard_index, is_hedge, None, error)
             return
         self._sub.when_done(
             future,
@@ -1035,30 +1023,8 @@ class GatewayDispatch:
         else:
             error = future.exception()
             result = future.result() if error is None else None
-        self._finish_attempt(
-            state, shard_index, is_hedge, result, error, slot_held=True
-        )
-
-    def _finish_attempt(
-        self,
-        state: _ResilientCall,
-        shard_index: int,
-        is_hedge: bool,
-        result,
-        error: Optional[BaseException],
-        slot_held: bool,
-        rejected: bool = False,
-        throttled: bool = False,
-    ) -> None:
-        res = self._resilience
-        # breaker accounting happens *before* the slot settles so every
-        # outcome of a wave is buffered by the time the idle-edge sync
-        # runs (determinism of deferred breaker transitions)
-        if res is not None and (error is None or is_transient(error)):
-            with self._lock:
-                res.record_outcome(shard_index, state.seq, error is None)
-        if slot_held:
-            self._settle(shard_index, rejected=rejected, throttled=throttled)
+        self._record_breaker(shard_index, state.seq, error)
+        self._settle(shard_index)
         self._attempt_outcome(state, shard_index, is_hedge, result, error)
 
     def _attempt_outcome(

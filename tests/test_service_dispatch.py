@@ -7,7 +7,9 @@ manual wheel the test advances, shard futures resolve when the test
 says so, and both locks are :class:`~repro.service.context.NullLock`.
 After every step the harness re-checks conservation
 (``submitted == answered + shed + rejected + errors + open``) and that
-no outer future was settled twice.
+no outer future was settled twice; a hypothesis state machine runs the
+same checks, plus "every resilience counter equals its ledger count",
+over arbitrary interleavings.
 
 :class:`~repro.service.dispatch.ServiceDispatch` gets the same
 treatment one layer down (``_launch`` hands the test a future to resolve
@@ -22,10 +24,20 @@ import asyncio
 import logging
 import threading
 from concurrent.futures import CancelledError, Future, InvalidStateError
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.errors import (
     CircuitOpenError,
@@ -51,7 +63,12 @@ from repro.service import (
     default_middlewares,
 )
 from repro.service.context import NullLock
-from repro.service.resilience import HedgePolicy, ResiliencePolicy, RetryPolicy
+from repro.service.resilience import (
+    BreakerConfig,
+    HedgePolicy,
+    ResiliencePolicy,
+    RetryPolicy,
+)
 from repro.service.dispatch import GatewayDispatch, ServiceDispatch
 from repro.service.telemetry.spans import GATEWAY_SPAN
 from repro.workload import RTX_3060, WorkloadConfig
@@ -448,6 +465,41 @@ class TestBlackout:
         assert h.assert_settled_once().answered == 1
 
 
+def live_breaker(cooldown_ticks=1):
+    return replace(
+        retry_only(),
+        breaker=BreakerConfig(
+            failure_threshold=1, cooldown_ticks=cooldown_ticks, deferred=False
+        ),
+    )
+
+
+class TestLiveBreaker:
+    def test_every_transition_reaches_the_ledger(self):
+        """A live breaker's ``open`` / ``closed`` land in the ledger at
+        the completion that caused them, like the ticked ``half_open``."""
+        victim = Harness().primary()
+        h = Harness(live_breaker(), fault_plan=blackout(victim, stop=1))
+        first = h.submit()  # blacked out: the victim's breaker opens
+        h.step(h.sub.advance, BACKOFF)
+        (_, retry), = h.shards[1 - victim].attempts
+        h.step(retry.set_result, "rerouted")
+        assert first.result() == "rerouted"
+        second = h.submit()  # the cooldown elapses: a half-open probe
+        (_, probe), = h.shards[victim].attempts
+        h.step(probe.set_result, "probe")  # ... which closes the circuit
+        assert second.result() == "probe"
+        h.assert_settled_once()
+        counters = h.counters()
+        assert (counters["breaker_opens"], counters["breaker_closes"]) == (1, 1)
+        assert [(e.cause, e.shard, e.request_id) for e in h.ledger("breaker")] == [
+            ("open", victim, 1),
+            ("half_open", victim, 2),
+            ("closed", victim, 2),
+        ]
+        assert counters["breaker_states"][victim] == "closed"
+
+
 class TestHedging:
     def launch(self, resilience=None):
         h = Harness(resilience or hedge_only())
@@ -576,6 +628,134 @@ class TestCancelledOuterFuture:
         assert outer.cancelled() and outer.settles == 1
         assert h.assert_settled_once().errors == 1
         assert h.counters()["shed_on_drain"] == 1
+
+
+#: resilience counter -> the (ledger event, cause) that records it
+COUNTER_EVENTS = {
+    "retries": ("retry", None),
+    "hedges": ("hedge", "latency_threshold"),
+    "hedge_wins": ("hedge", "won"),
+    "hedge_losers": ("hedge", "loser"),
+    "shed_open_circuit": ("shed", "circuit_open"),
+    "shed_on_drain": ("shed", "drained_during_backoff"),
+    "breaker_opens": ("breaker", "open"),
+    "breaker_closes": ("breaker", "closed"),
+}
+MACHINE_CONFIGS = {
+    "plain": lambda: Harness(),
+    "retry": lambda: Harness(retry_only()),
+    "hedge": lambda: Harness(hedge_only()),
+    "retry-blackout": lambda: Harness(retry_only(), fault_plan=blackout(0)),
+    "live-breaker": lambda: Harness(live_breaker(cooldown_ticks=2)),
+}
+
+
+class GatewayMachine(RuleBasedStateMachine):
+    """Arbitrary interleavings of submits, shard answers, timer ticks,
+    caller cancels and a drain, with the harness invariants and the
+    counter/ledger agreement re-checked after every step."""
+
+    make_harness = staticmethod(MACHINE_CONFIGS["plain"])
+
+    def __init__(self):
+        super().__init__()
+        self.h = self.make_harness()
+
+    def open_attempts(self):
+        return [
+            future
+            for shard in self.h.shards
+            for _, future in shard.attempts
+            if not future.done()
+        ]
+
+    @rule(workload=st.sampled_from(["w0", "w1", "w2"]))
+    def submit(self, workload):
+        if self.h.gateway.core.draining:
+            with pytest.raises(ServiceClosedError):
+                self.h.gateway.submit(workload, DEVICE)
+        else:
+            self.h.submit(workload)
+
+    @precondition(lambda self: self.open_attempts())
+    @rule(
+        pick=st.integers(min_value=0),
+        outcome=st.sampled_from(["ok", "fault", "rejected"]),
+    )
+    def resolve(self, pick, outcome):
+        attempts = self.open_attempts()
+        future = attempts[pick % len(attempts)]
+        if outcome == "ok":
+            self.h.step(future.set_result, "answer")
+        elif outcome == "fault":
+            self.h.step(
+                future.set_exception, InjectedFaultError("estimator_error")
+            )
+        else:
+            self.h.step(future.set_exception, RequestRejectedError("bad"))
+
+    @rule(seconds=st.sampled_from([0.01, BACKOFF, 2 * BACKOFF]))
+    def advance(self, seconds):
+        self.h.step(self.h.sub.advance, seconds)
+
+    @precondition(lambda self: any(not f.done() for f in self.h.outers))
+    @rule(pick=st.integers(min_value=0))
+    def cancel(self, pick):
+        open_outers = [f for f in self.h.outers if not f.done()]
+        self.h.step(open_outers[pick % len(open_outers)].cancel)
+
+    @precondition(lambda self: not self.h.gateway.core.draining)
+    @rule()
+    def drain(self):
+        self.h.step(self.h.gateway._begin_drain)
+
+    @invariant()
+    def conserved_and_ledgered(self):
+        self.h.check()
+        if self.h.gateway._resilience is None:
+            return
+        counters = self.h.counters()
+        for counter, (event, cause) in COUNTER_EVENTS.items():
+            entries = self.h.ledger(event)
+            ledgered = sum(cause is None or e.cause == cause for e in entries)
+            assert counters[counter] == ledgered, counter
+
+    @invariant()
+    def quiescent_when_nothing_can_happen(self):
+        if self.open_attempts() or self.h.sub.live_timers():
+            return
+        gateway = self.h.gateway
+        assert not gateway._parked and gateway._open_calls == 0
+        assert gateway.pending() == 0
+        self.h.assert_settled_once()
+
+    def teardown(self):
+        """Answer everything and run every timer: nothing stays open."""
+        while self.open_attempts() or self.h.sub.live_timers():
+            for future in self.open_attempts():
+                self.h.step(future.set_result, "answer")
+            self.h.step(self.h.sub.advance, 2 * BACKOFF)
+            self.conserved_and_ledgered()
+        self.quiescent_when_nothing_can_happen()
+
+
+@pytest.mark.parametrize("config", list(MACHINE_CONFIGS))
+def test_the_gateway_machine_holds_under_any_interleaving(config):
+    machine = type(
+        "GatewayMachine",
+        (GatewayMachine,),
+        {"make_harness": staticmethod(MACHINE_CONFIGS[config])},
+    )
+    run_state_machine_as_test(
+        machine,
+        settings=settings(
+            max_examples=30,
+            stateful_step_count=25,
+            deadline=None,
+            derandomize=True,
+            database=None,
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

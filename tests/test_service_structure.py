@@ -39,7 +39,6 @@ LIFECYCLE = (
     "_submit_resilient",
     "_begin_attempt",
     "_resilient_dispatched",
-    "_finish_attempt",
     "_attempt_outcome",
     "_fire_retry",
     "_shed_parked_retry",
@@ -47,7 +46,8 @@ LIFECYCLE = (
     "_fire_hedge",
     "_cancel_timers",
     "_settle_outer",
-    "_dispatch",
+    "_attempt",
+    "_record_breaker",
     "_replicate",
     "_settle",
     "_gateway_decision",
@@ -55,7 +55,13 @@ LIFECYCLE = (
     "_ResilientCall",
 )
 #: per-driver copies that must not come back
-RETIRED = ("_AsyncResilientCall", "_sync_resilience_locked", "_schedule_retry")
+RETIRED = (
+    "_AsyncResilientCall",
+    "_sync_resilience_locked",
+    "_schedule_retry",
+    "_dispatch",
+    "_finish_attempt",
+)
 #: one service's request lifecycle: written once, in ServiceDispatch
 SERVICE_LIFECYCLE = (
     "submit",
@@ -265,6 +271,18 @@ def test_the_dispatch_lifecycle_is_written_once():
     assert {name: homes[name] for name in RETIRED} == {
         name: [] for name in RETIRED
     }
+
+
+def test_the_gateway_admits_an_attempt_in_one_place():
+    """The plain and the resilient path share one attempt step, so
+    ``dispatch.py`` asks ``GatewayCore`` to admit in exactly one call."""
+    admits = [
+        node
+        for node in ast.walk(modules()["dispatch.py"])
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "self.core.admit"
+    ]
+    assert len(admits) == 1
 
 
 def test_the_service_lifecycle_is_written_once():
