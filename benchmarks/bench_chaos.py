@@ -49,7 +49,7 @@ from repro.service.loadtest import DRIVERS, run_trace
 from _common import emit
 
 NUM_SHARDS = 4
-#: simulated per-estimate cost; nonzero so retries/hedges have a window
+#: simulated per-estimate cost; nonzero so retries have a window
 WORK_SECONDS = 0.001
 GOODPUT_FLOOR = 0.5
 

@@ -243,7 +243,7 @@ class AsyncServiceGateway(GatewayDispatch):
 
     The same :class:`~repro.service.dispatch.GatewayDispatch` machine as
     the thread gateway, driven from the event loop: routing, admission,
-    shed and retry/hedge decisions are plain calls (the loop serializes
+    shed and retry decisions are plain calls (the loop serializes
     them), timers are ``loop.call_later``, and ``drain()`` awaits an
     ``asyncio.Event`` the settle path sets when the fleet goes idle.
     ``submit`` must be called on the running loop.

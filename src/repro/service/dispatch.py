@@ -12,9 +12,9 @@ Two lifecycles live here, one per layer, and every driver runs both:
   one attempt step (admit, ledger, submit-to-shard, breaker, settle a
   slot the shard refused) that both paths take — the plain path around
   it (count, route, span, warm-up replicas), and the resilient path
-  (first dispatch, retry with backoff, hedge, drain-time shedding)
-  under one gateway-owned future per request.  It drives
-  :class:`~repro.service.core.GatewayCore`,
+  (first dispatch, retry with backoff, drain-time shedding) under one
+  gateway-owned future per request, with at most one attempt in
+  flight.  It drives :class:`~repro.service.core.GatewayCore`,
   :class:`~repro.service.resilience.ResilienceCore` and
   :class:`~repro.service.faults.FaultInjector`, and it is the only place
   a gateway-layer ledger event is recorded.
@@ -425,9 +425,9 @@ class _ResilientCall:
     """Gateway-side state for one request under the resilience plane.
 
     The caller holds the *outer* future; attempts (first dispatch,
-    retries, hedges) come and go underneath it and it settles exactly
-    once.  ``lock`` guards the settled/inflight/hedged bookkeeping —
-    lock order is always ``state.lock`` -> gateway lock.
+    retries) run one at a time underneath it and it settles exactly
+    once.  ``lock`` guards the settled/attempt bookkeeping — lock order
+    is always ``state.lock`` -> gateway lock.
     """
 
     workload: WorkloadConfig
@@ -444,11 +444,6 @@ class _ResilientCall:
     lock: ContextManager
     attempt: int = 1
     settled: bool = False
-    #: attempts currently running (primary + hedge twin)
-    inflight: int = 0
-    #: a hedge attempt was launched
-    hedged: bool = False
-    hedge_timer: Any = None
 
 
 class GatewayDispatch:
@@ -575,9 +570,9 @@ class GatewayDispatch:
 
         With a :class:`~repro.service.resilience.ResiliencePolicy` or
         :class:`~repro.service.faults.FaultPlan` configured, the future
-        returned is gateway-owned: attempts (retries, hedges) come and
-        go underneath it and it settles exactly once with the final
-        result or a typed error.
+        returned is gateway-owned: attempts (the first, then retries)
+        run one at a time underneath it and it settles exactly once with
+        the final result or a typed error.
         """
         if self._resilience is not None or self._injector is not None:
             return self._submit_resilient(
@@ -834,17 +829,19 @@ class GatewayDispatch:
         """Feed one attempt's outcome to its shard's breaker, *before*
         the slot settles: every outcome of a wave is then buffered by the
         time the idle-edge sync runs (determinism of deferred breakers).
-        A live breaker's transition is ledgered here, at the completion
-        that caused it."""
+        A non-transient error is buffered as no verdict, which frees a
+        half-open probe slot and nothing else."""
         res = self._resilience
-        if res is None or not (error is None or is_transient(error)):
+        if res is None:
             return
+        if error is None:
+            ok = True
+        elif is_transient(error):
+            ok = False
+        else:
+            ok = None
         with self._lock:
-            transition = res.record_outcome(shard_index, seq, error is None)
-        if transition is not None:
-            self._gateway_decision(
-                ledger_events.BREAKER, transition, "", seq, shard_index
-            )
+            res.record_outcome(shard_index, seq, ok)
 
     def _settle_dispatched(self, shard_index: int, span, future) -> None:
         self._settle(shard_index)
@@ -895,7 +892,7 @@ class GatewayDispatch:
                 self._wave_boundary()
 
     # ------------------------------------------------------------------
-    # the resilient path (retries, breakers, hedging, fault injection)
+    # the resilient path (retries, breakers, fault injection)
     # ------------------------------------------------------------------
     def _submit_resilient(
         self,
@@ -960,7 +957,6 @@ class GatewayDispatch:
             self._open_calls += 1
         self._sub.mark_busy()
         self._begin_attempt(state, target, directive, cause="route")
-        self._maybe_schedule_hedge(state, target)
         for shard_index in replicas:
             self._replicate(
                 shard_index, workload, device, fingerprint, seq=seq
@@ -973,20 +969,16 @@ class GatewayDispatch:
         shard_index: int,
         directive: Optional[dict],
         cause: str,
-        is_hedge: bool = False,
     ) -> None:
         with state.lock:
             if state.settled:
                 return  # drained/settled while this attempt was scheduled
-            # symmetric with the decrement in _attempt_outcome: every
-            # path below reaches it exactly once
-            state.inflight += 1
         if directive is not None and directive.get("kind") == "shard_blackout":
             # a blacked-out shard is *unreachable*: the attempt fails at
             # the gateway without touching the shard (its cache included)
             error = ShardBlackoutError(shard_index)
             self._record_breaker(shard_index, state.seq, error)
-            self._attempt_outcome(state, shard_index, is_hedge, None, error)
+            self._attempt_outcome(state, shard_index, None, error)
             return
         metadata: dict = {**(state.metadata or {}), "attempt": state.attempt}
         if directive is not None:
@@ -1008,15 +1000,15 @@ class GatewayDispatch:
                 ),
             )
         except BaseException as error:
-            self._attempt_outcome(state, shard_index, is_hedge, None, error)
+            self._attempt_outcome(state, shard_index, None, error)
             return
         self._sub.when_done(
             future,
-            partial(self._resilient_dispatched, state, shard_index, is_hedge),
+            partial(self._resilient_dispatched, state, shard_index),
         )
 
     def _resilient_dispatched(
-        self, state: _ResilientCall, shard_index: int, is_hedge: bool, future
+        self, state: _ResilientCall, shard_index: int, future
     ) -> None:
         if future.cancelled():
             result, error = None, self._sub.CancelledError()
@@ -1025,103 +1017,72 @@ class GatewayDispatch:
             result = future.result() if error is None else None
         self._record_breaker(shard_index, state.seq, error)
         self._settle(shard_index)
-        self._attempt_outcome(state, shard_index, is_hedge, result, error)
+        self._attempt_outcome(state, shard_index, result, error)
 
     def _attempt_outcome(
         self,
         state: _ResilientCall,
         shard_index: int,
-        is_hedge: bool,
         result,
         error: Optional[BaseException],
     ) -> None:
+        """The call's one attempt ended: settle the outer future, or park
+        the call in backoff for a retry (shed instead when draining)."""
         res = self._resilience
-        loser = settles = False
         retry_target: Optional[int] = None
-        retry_delay = 0.0
         with state.lock:
-            state.inflight -= 1
             if state.settled:
-                loser = state.hedged
-            elif error is None:
-                state.settled = settles = True
+                return  # a call settles once
+            if error is not None and res is not None:
+                with self._lock:
+                    if not self.core.draining and res.should_retry(
+                        error, state.attempt
+                    ):
+                        retry_target = res.retry_target(
+                            shard_index, state.attempt + 1
+                        )
+                        if retry_target is not None:
+                            res.spend_retry()
+            if retry_target is None:
+                state.settled = True
             else:
-                if res is not None and not is_hedge:
-                    with self._lock:
-                        if not self.core.draining and res.should_retry(
-                            error, state.attempt
-                        ):
-                            candidate = res.retry_target(
-                                shard_index, state.attempt + 1
-                            )
-                            if candidate is not None:
-                                res.spend_retry()
-                                retry_target = candidate
-                if retry_target is not None:
-                    state.attempt += 1
-                    retry_delay = res.policy.retry.delay(
-                        state.fingerprint, state.attempt
-                    )
-                elif state.inflight == 0:
-                    state.settled = settles = True
-                # else a hedge twin is still running; let it decide
-        if loser:
-            if res is not None:
-                with self._lock:
-                    res.counters["hedge_losers"] += 1
-            self._gateway_decision(
-                ledger_events.HEDGE,
-                "loser",
-                state.fingerprint,
-                state.seq,
-                shard_index,
-            )
-        elif retry_target is not None:
-            self._gateway_decision(
-                ledger_events.RETRY,
-                type(error).__name__,
-                state.fingerprint,
-                state.seq,
-                retry_target,
-                attributes={
-                    "attempt": state.attempt,
-                    "delay": round(retry_delay, 6),
-                },
-            )
-            # re-check the plan against the retry's destination: a retry
-            # routed back into a blackout window still fails
-            next_directive = (
-                self._injector.peek_window(state.index, retry_target)
-                if self._injector is not None
-                else None
-            )
-            with self._lock:
-                draining = self.core.draining
-                if not draining:
-                    # armed under the lock _fire_retry takes first, so
-                    # the timer cannot fire before it is registered
-                    self._parked[state] = self._sub.call_later(
-                        retry_delay,
-                        self._fire_retry,
-                        state,
-                        retry_target,
-                        next_directive,
-                    )
-            if draining:
-                self._shed_parked_retry(state)
-        elif settles:
-            self._cancel_timers(state)
-            if error is None and is_hedge:
-                with self._lock:
-                    res.counters["hedge_wins"] += 1
-                self._gateway_decision(
-                    ledger_events.HEDGE,
-                    "won",
-                    state.fingerprint,
-                    state.seq,
-                    shard_index,
-                )
+                state.attempt += 1
+        if retry_target is None:
             self._settle_outer(state, result=result, error=error)
+            return
+        retry_delay = res.policy.retry.delay(state.fingerprint, state.attempt)
+        self._gateway_decision(
+            ledger_events.RETRY,
+            type(error).__name__,
+            state.fingerprint,
+            state.seq,
+            retry_target,
+            attributes={
+                "attempt": state.attempt,
+                "delay": round(retry_delay, 6),
+            },
+        )
+        # re-check the plan against the retry's destination: a retry
+        # routed back into a blackout window still fails
+        next_directive = (
+            self._injector.peek_window(state.index, retry_target)
+            if self._injector is not None
+            else None
+        )
+        with self._lock:
+            draining = self.core.draining
+            if not draining:
+                # armed under the lock _fire_retry takes first, so
+                # the timer cannot fire before it is registered
+                self._parked[state] = self._sub.call_later(
+                    retry_delay,
+                    self._fire_retry,
+                    state,
+                    retry_target,
+                    next_directive,
+                )
+        if draining:
+            self._shed_parked_retry(state)
 
     def _fire_retry(
         self, state: _ResilientCall, target: int, directive: Optional[dict]
@@ -1155,56 +1116,6 @@ class GatewayDispatch:
             state,
             error=CircuitOpenError("gateway drained during retry backoff"),
         )
-
-    def _maybe_schedule_hedge(
-        self, state: _ResilientCall, primary: int
-    ) -> None:
-        res = self._resilience
-        if res is None or res.policy.hedge is None:
-            return
-        threshold = res.policy.hedge.threshold(self._latency_samples())
-        with state.lock:  # _fire_hedge clears the handle under it
-            state.hedge_timer = self._sub.call_later(
-                threshold, self._fire_hedge, state, primary
-            )
-
-    def _fire_hedge(self, state: _ResilientCall, primary: int) -> None:
-        res = self._resilience
-        with state.lock:
-            state.hedge_timer = None
-            if state.settled or state.inflight == 0 or state.hedged:
-                return
-            with self._lock:
-                if self.core.draining:
-                    return
-                target = res.hedge_target(primary)
-                if target is None:
-                    return
-                res.counters["hedges"] += 1
-            state.hedged = True
-        self._gateway_decision(
-            ledger_events.HEDGE,
-            "latency_threshold",
-            state.fingerprint,
-            state.seq,
-            target,
-        )
-        directive = None
-        if self._injector is not None:
-            directive = self._injector.peek_window(state.index, target)
-        self._begin_attempt(
-            state, target, directive, cause="hedge", is_hedge=True
-        )
-
-    def _cancel_timers(self, state: _ResilientCall) -> None:
-        with self._lock:
-            timer = self._parked.pop(state, None)
-        if timer is not None:
-            timer.cancel()
-        hedge_timer = state.hedge_timer
-        if hedge_timer is not None:
-            hedge_timer.cancel()
-            state.hedge_timer = None
 
     def _settle_outer(
         self,

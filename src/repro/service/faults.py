@@ -168,7 +168,7 @@ class FaultPlan:
     def window_directive(self, index: int, shard: int) -> Optional[dict]:
         """Only the *window* faults (blackouts) covering this dispatch.
 
-        Retries and hedges consult this instead of :meth:`directive_for`:
+        Retries consult this instead of :meth:`directive_for`:
         point faults are one-shot (they fired at first dispatch and do
         not chase the request across attempts), but a blackout window is
         a property of the destination shard — a retry routed back into
@@ -308,7 +308,7 @@ class FaultInjector:
         return directive
 
     def peek_window(self, index: int, shard: int) -> Optional[dict]:
-        """Blackout coverage of a retry/hedge destination (no counting).
+        """Blackout coverage of a retry destination (no counting).
 
         Point faults are one-shot and already counted at first dispatch;
         only window faults follow the request across attempts.

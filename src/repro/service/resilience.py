@@ -1,4 +1,4 @@
-"""Resilience policies: retry/backoff, circuit breaking, hedging.
+"""Resilience policies: retry/backoff and circuit breaking.
 
 The recovery side of the fault plane (:mod:`repro.service.faults`),
 expressed — like every other policy in this stack — as sans-IO decision
@@ -8,16 +8,14 @@ objects the drivers consult.  Nothing here sleeps, spawns, or schedules:
 gateway shells own the timers (``threading.Timer`` on the thread/procpool
 substrate, ``loop.call_later`` on asyncio) and call back in.
 
-Determinism is a design axis, not an accident.  Breakers default to
-*deferred* mode: attempt outcomes are buffered and applied — sorted by
-the gateway submission sequence that produced them — only when the
-gateway goes idle (a wave boundary in every replay harness).  State
-transitions, and therefore every re-route decision, then depend only on
-the request stream and the fault plan, never on completion
-interleaving.  Backoff jitter is a hash of ``(fingerprint, attempt)``
-rather than a PRNG draw, so retry schedules replay exactly.  Pass
-``deferred=False`` for a live breaker that reacts mid-wave when
-reproducibility is not required.
+Determinism is a design axis, not an accident.  A breaker buffers
+attempt outcomes and applies them — sorted by the gateway submission
+sequence that produced them — only when the gateway goes idle (a wave
+boundary in every replay harness).  State transitions, and therefore
+every re-route decision, then depend only on the request stream and the
+fault plan, never on completion interleaving.  Backoff jitter is a hash
+of ``(fingerprint, attempt)`` rather than a PRNG draw, so retry
+schedules replay exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "BREAKER_OPEN",
     "BreakerConfig",
     "CircuitBreaker",
-    "HedgePolicy",
     "ResilienceCore",
     "ResiliencePolicy",
     "RetryBudget",
@@ -156,9 +153,6 @@ class BreakerConfig:
     failure_threshold: int = 4
     #: gateway submissions an OPEN breaker sits out before HALF_OPEN
     cooldown_ticks: int = 24
-    #: buffer outcomes and apply at idle boundaries (deterministic) vs.
-    #: apply immediately on each completion (reactive)
-    deferred: bool = True
 
 
 class CircuitBreaker:
@@ -167,7 +161,8 @@ class CircuitBreaker:
     Time is measured in gateway submission *ticks*, not wall-clock —
     the cooldown of an open breaker elapses as traffic flows, which is
     both deterministic and load-proportional.  HALF_OPEN admits exactly
-    one probe; its outcome closes or re-opens the circuit.
+    one probe; its outcome closes or re-opens the circuit, and a probe
+    whose outcome carries no verdict frees the slot for the next one.
     """
 
     __slots__ = (
@@ -187,7 +182,7 @@ class CircuitBreaker:
         self._consecutive = 0
         self._cooldown_left = 0
         self._probe_inflight = False
-        self._buffer: list[tuple[int, bool]] = []
+        self._buffer: list[tuple[int, Optional[bool]]] = []
         self.opens = 0
         self.closes = 0
 
@@ -200,20 +195,18 @@ class CircuitBreaker:
             return True
         return False
 
-    def record(self, seq: int, ok: bool) -> Optional[str]:
-        """Note an attempt outcome; returns a transition name if live.
+    def record(self, seq: int, ok: Optional[bool]) -> None:
+        """Buffer an attempt outcome until :meth:`sync`.
 
-        In deferred mode the outcome is buffered until :meth:`sync`;
-        ``seq`` (the gateway submission sequence) is the sort key that
-        makes the deferred application order run-independent.
+        ``ok`` is True for an answer, False for a transient failure and
+        None for an outcome that says nothing about the shard's health
+        (a rejection); ``seq`` (the gateway submission sequence) is the
+        sort key that makes the application order run-independent.
         """
-        if self.config.deferred:
-            self._buffer.append((seq, ok))
-            return None
-        return self._apply(ok)
+        self._buffer.append((seq, ok))
 
     def sync(self) -> list[str]:
-        """Apply buffered outcomes in submission order (deferred mode)."""
+        """Apply buffered outcomes in submission order."""
         if not self._buffer:
             return []
         self._buffer.sort(key=lambda item: item[0])
@@ -235,7 +228,12 @@ class CircuitBreaker:
                 return BREAKER_HALF_OPEN
         return None
 
-    def _apply(self, ok: bool) -> Optional[str]:
+    def _apply(self, ok: Optional[bool]) -> Optional[str]:
+        if ok is None:
+            # no verdict: only a probe slot is freed
+            if self.state == BREAKER_HALF_OPEN:
+                self._probe_inflight = False
+            return None
         if ok:
             self._consecutive = 0
             if self.state == BREAKER_HALF_OPEN:
@@ -263,58 +261,27 @@ class CircuitBreaker:
 
 
 @dataclass(frozen=True)
-class HedgePolicy:
-    """When and how to dispatch a duplicate of a slow request.
-
-    Fixed ``after_seconds`` when set; otherwise the threshold is the
-    ``percentile`` of observed shard latencies (never below
-    ``floor_seconds``, so cold starts do not hedge everything).
-    """
-
-    after_seconds: Optional[float] = None
-    percentile: float = 95.0
-    floor_seconds: float = 0.005
-
-    def threshold(self, samples: list[float]) -> float:
-        if self.after_seconds is not None:
-            return self.after_seconds
-        if not samples:
-            return self.floor_seconds
-        ordered = sorted(samples)
-        rank = max(
-            0, min(len(ordered) - 1, int(len(ordered) * self.percentile / 100.0))
-        )
-        return max(self.floor_seconds, ordered[rank])
-
-
-@dataclass(frozen=True)
 class ResiliencePolicy:
     """The policy bundle a gateway is constructed with.
 
     Every member is optional: ``retry=None`` disables retries,
     ``breaker=None`` disables circuit breaking (and re-routing),
-    ``hedge=None`` disables hedged dispatch, ``budget=None`` removes the
-    global retry cap.  A gateway constructed without any
-    ``ResiliencePolicy`` at all runs the exact pre-resilience code path.
+    ``budget=None`` removes the global retry cap.  A gateway constructed
+    without any ``ResiliencePolicy`` at all runs the exact
+    pre-resilience code path.
     """
 
     retry: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
     budget: Optional[RetryBudget] = None
     breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
-    hedge: Optional[HedgePolicy] = None
 
 
-def default_resilience(deferred: bool = True) -> ResiliencePolicy:
-    """The chaos-lane default: retries + breakers, no hedging.
-
-    ``deferred`` picks breaker mode — keep the default for reproducible
-    replays; pass ``False`` for substrates without clean wave boundaries.
-    """
+def default_resilience() -> ResiliencePolicy:
+    """The chaos-lane default: retries, a generous budget, breakers."""
     return ResiliencePolicy(
         retry=RetryPolicy(),
         budget=RetryBudget(ratio=1.0, burst=64),
-        breaker=BreakerConfig(deferred=deferred),
-        hedge=None,
+        breaker=BreakerConfig(),
     )
 
 
@@ -336,9 +303,6 @@ class ResilienceCore:
         self.counters = {
             "retries": 0,
             "reroutes": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
-            "hedge_losers": 0,
             "breaker_opens": 0,
             "breaker_closes": 0,
             "shed_open_circuit": 0,
@@ -392,39 +356,25 @@ class ResilienceCore:
                 return candidate
         return None
 
-    def hedge_target(self, current: int) -> Optional[int]:
-        """A healthy shard other than ``current`` for a hedged duplicate."""
-        for offset in range(1, self.num_shards):
-            candidate = (current + offset) % self.num_shards
-            if self.shard_allowed(candidate):
-                return candidate
-        return None
-
     # -- outcomes --------------------------------------------------------
 
-    def record_outcome(self, shard: int, seq: int, ok: bool) -> Optional[str]:
+    def record_outcome(self, shard: int, seq: int, ok: Optional[bool]) -> None:
         breaker = self.breakers[shard]
-        if breaker is None:
-            return None
-        transition = breaker.record(seq, ok)
-        self._count_transition(transition)
-        return transition
+        if breaker is not None:
+            breaker.record(seq, ok)
 
     def sync(self) -> list[tuple[int, str]]:
-        """Apply deferred breaker outcomes (call at idle boundaries)."""
+        """Apply buffered breaker outcomes (call at idle boundaries)."""
         transitions = []
         for shard, breaker in enumerate(self.breakers):
             if breaker is not None:
                 for transition in breaker.sync():
-                    self._count_transition(transition)
+                    if transition == BREAKER_OPEN:
+                        self.counters["breaker_opens"] += 1
+                    elif transition == BREAKER_CLOSED:
+                        self.counters["breaker_closes"] += 1
                     transitions.append((shard, transition))
         return transitions
-
-    def _count_transition(self, transition: Optional[str]) -> None:
-        if transition == BREAKER_OPEN:
-            self.counters["breaker_opens"] += 1
-        elif transition == BREAKER_CLOSED:
-            self.counters["breaker_closes"] += 1
 
     # -- retry decisions -------------------------------------------------
 

@@ -47,7 +47,6 @@ __all__ = [
     "QUOTA",
     "AUTH",
     "RETRY",
-    "HEDGE",
     "BREAKER",
     "REROUTE",
     "FAULT",
@@ -78,7 +77,6 @@ AUTH = "auth"
 #: Resilience-plane decisions (PR 8): recorded at the gateway layer with
 #: the deterministic gateway submission sequence as ``request_id``.
 RETRY = "retry"
-HEDGE = "hedge"
 BREAKER = "breaker"
 REROUTE = "reroute"
 FAULT = "fault"
@@ -86,10 +84,8 @@ FAULT = "fault"
 #: provenance for results assembled from cross-process cached artifacts.
 ARTIFACT = "artifact"
 
-#: The events whose canonical order is asserted replay-deterministic —
-#: see :meth:`AuditLedger.resilience_sequence`.  ``hedge`` is excluded:
-#: hedges fire on wall-clock latency thresholds, which is exactly the
-#: kind of timing the determinism invariant factors out.
+#: Every resilience-plane event: their canonical order is asserted
+#: replay-deterministic — see :meth:`AuditLedger.resilience_sequence`.
 RESILIENCE_EVENTS = frozenset({RETRY, BREAKER, REROUTE, FAULT})
 
 

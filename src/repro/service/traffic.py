@@ -515,7 +515,7 @@ def chaos_plan(
       of estimator errors; drops are real RSTs on the TCP driver and
       planned no-ops in-process, so plan indices stay aligned.
     * ``latency-storm`` — a third of requests eat a latency spike; no
-      errors at all (the hedging/deadline drill, not the retry drill).
+      errors at all (the deadline drill, not the retry drill).
     """
     if scenario not in CHAOS_SCENARIOS:
         raise ValueError(

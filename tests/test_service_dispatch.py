@@ -1,7 +1,7 @@
 """The two dispatch machines against a fake substrate.
 
 :class:`~repro.service.dispatch.GatewayDispatch` is sans-IO, so the whole
-attempt lifecycle — retry, backoff, hedge, drain-time shedding — runs
+attempt lifecycle — retry, backoff, breaker, drain-time shedding — runs
 here with no threads, no event loop and no sleeps: timers sit on a
 manual wheel the test advances, shard futures resolve when the test
 says so, and both locks are :class:`~repro.service.context.NullLock`.
@@ -64,8 +64,8 @@ from repro.service import (
 )
 from repro.service.context import NullLock
 from repro.service.resilience import (
+    BREAKER_HALF_OPEN,
     BreakerConfig,
-    HedgePolicy,
     ResiliencePolicy,
     RetryPolicy,
 )
@@ -273,12 +273,6 @@ def retry_only(**retry):
     return ResiliencePolicy(retry=RetryPolicy(**retry), breaker=None)
 
 
-def hedge_only(after=0.01):
-    return ResiliencePolicy(
-        retry=None, breaker=None, hedge=HedgePolicy(after_seconds=after)
-    )
-
-
 def blackout(shard, stop=100):
     return FaultPlan.from_specs(
         [FaultSpec(kind="shard_blackout", start=0, stop=stop, shard=shard)]
@@ -465,26 +459,33 @@ class TestBlackout:
         assert h.assert_settled_once().answered == 1
 
 
-def live_breaker(cooldown_ticks=1):
+def with_breaker(cooldown_ticks=1):
+    """Retries plus a breaker that trips on one failure."""
     return replace(
         retry_only(),
         breaker=BreakerConfig(
-            failure_threshold=1, cooldown_ticks=cooldown_ticks, deferred=False
+            failure_threshold=1, cooldown_ticks=cooldown_ticks
         ),
     )
 
 
-class TestLiveBreaker:
-    def test_every_transition_reaches_the_ledger(self):
-        """A live breaker's ``open`` / ``closed`` land in the ledger at
-        the completion that caused them, like the ticked ``half_open``."""
+class TestBreaker:
+    def trip_the_victim(self):
+        """Submission 0 is blacked out on its primary, so that shard's
+        breaker opens at the wave boundary after the retry answers."""
         victim = Harness().primary()
-        h = Harness(live_breaker(), fault_plan=blackout(victim, stop=1))
-        first = h.submit()  # blacked out: the victim's breaker opens
+        h = Harness(with_breaker(), fault_plan=blackout(victim, stop=1))
+        first = h.submit()
         h.step(h.sub.advance, BACKOFF)
         (_, retry), = h.shards[1 - victim].attempts
         h.step(retry.set_result, "rerouted")
         assert first.result() == "rerouted"
+        return h, victim
+
+    def test_every_transition_reaches_the_ledger(self):
+        """``open`` / ``closed`` land in the ledger at the sync that
+        applied them, like the ticked ``half_open``."""
+        h, victim = self.trip_the_victim()
         second = h.submit()  # the cooldown elapses: a half-open probe
         (_, probe), = h.shards[victim].attempts
         h.step(probe.set_result, "probe")  # ... which closes the circuit
@@ -499,94 +500,29 @@ class TestLiveBreaker:
         ]
         assert counters["breaker_states"][victim] == "closed"
 
-
-class TestHedging:
-    def launch(self, resilience=None):
-        h = Harness(resilience or hedge_only())
-        outer = h.submit()
-        primary = h.primary()
-        (_, first), = h.shards[primary].attempts
-        h.step(h.sub.advance, 0.01)
-        (_, twin), = h.shards[1 - primary].attempts
-        assert h.counters()["hedges"] == 1
-        assert [e.cause for e in h.ledger("hedge")] == ["latency_threshold"]
-        return h, outer, first, twin
-
-    def test_hedge_wins_and_the_loser_is_accounted(self):
-        h, outer, first, twin = self.launch()
-        h.step(twin.set_result, "fast")
-        assert outer.result() == "fast"
-        assert h.gateway.pending() == 1  # the slow primary still holds a slot
-        assert not h.sub.idle
-        h.step(first.set_result, "slow")
-        assert outer.result() == "fast"
-        assert h.assert_settled_once().answered == 1
+    def test_a_probe_without_a_verdict_lets_the_next_request_probe(self):
+        """A rejected probe says nothing about the shard: the breaker
+        stays half-open with its probe slot free, so the shard is not
+        left out of rotation for the life of the gateway."""
+        h, victim = self.trip_the_victim()
+        second = h.submit()
+        (_, probe), = h.shards[victim].attempts
+        h.step(probe.set_exception, RequestRejectedError("bad request"))
+        assert isinstance(second.exception(), RequestRejectedError)
+        assert h.counters()["breaker_states"][victim] == "half_open"
+        third = h.submit()  # probes the victim again, not a re-route
+        assert len(h.shards[victim].attempts) == 2
+        h.step(h.shards[victim].attempts[1][1].set_result, "probe")
+        assert third.result() == "probe"
+        h.assert_settled_once()
         counters = h.counters()
-        assert (counters["hedge_wins"], counters["hedge_losers"]) == (1, 1)
-        assert [e.cause for e in h.ledger("hedge")] == [
-            "latency_threshold",
-            "won",
-            "loser",
+        assert counters["breaker_states"][victim] == "closed"
+        assert counters["reroutes"] == 0
+        assert [e.cause for e in h.ledger("breaker")] == [
+            "open",
+            "half_open",
+            "closed",
         ]
-
-    def test_primary_wins_and_the_hedge_is_the_loser(self):
-        h, outer, first, twin = self.launch()
-        h.step(first.set_result, "primary")
-        h.step(twin.set_exception, InjectedFaultError("estimator_error"))
-        assert outer.result() == "primary"
-        assert h.assert_settled_once().answered == 1
-        counters = h.counters()
-        assert (counters["hedge_wins"], counters["hedge_losers"]) == (0, 1)
-
-    def test_a_twin_still_in_flight_defers_the_error(self):
-        h, outer, first, twin = self.launch()
-        h.step(first.set_exception, InjectedFaultError("estimator_error"))
-        assert not outer.done()  # the twin decides
-        h.step(twin.set_result, "rescued")
-        assert outer.result() == "rescued"
-        assert h.assert_settled_once().answered == 1
-        assert h.counters()["hedge_wins"] == 1
-
-    def test_both_twins_failing_surfaces_the_last_error(self):
-        h, outer, first, twin = self.launch()
-        h.step(first.set_exception, InjectedFaultError("estimator_error"))
-        h.step(twin.set_exception, InjectedFaultError("worker_kill"))
-        assert outer.exception().kind == "worker_kill"
-        assert h.assert_settled_once().errors == 1
-
-    def test_hedged_means_a_hedge_attempt_was_launched(self):
-        """No healthy second shard: the timer fires and launches
-        nothing, so no hedge is counted or ledgered and the lone attempt
-        is never a 'loser'."""
-        h = Harness(hedge_only(), num_shards=1)
-        outer = h.submit()
-        h.step(h.sub.advance, 0.01)
-        assert h.counters()["hedges"] == 0 and not h.ledger("hedge")
-        (_, attempt), = h.shards[0].attempts
-        h.step(attempt.set_result, "answer")
-        assert outer.result() == "answer"
-        assert h.counters()["hedge_losers"] == 0
-        assert h.assert_settled_once().answered == 1
-
-    def test_no_hedge_once_draining(self):
-        h = Harness(hedge_only())
-        outer = h.submit()
-        h.step(h.gateway._begin_drain)
-        h.step(h.sub.advance, 0.01)
-        assert h.counters()["hedges"] == 0
-        h.step(h.shards[h.primary()].attempts[0][1].set_result, "answer")
-        assert outer.result() == "answer"
-        assert h.assert_settled_once().answered == 1
-
-    def test_an_answer_before_the_threshold_cancels_the_hedge(self):
-        h = Harness(hedge_only())
-        outer = h.submit()
-        h.step(h.shards[h.primary()].attempts[0][1].set_result, "answer")
-        assert outer.result() == "answer"
-        assert not h.sub.live_timers()
-        h.step(h.sub.advance, 1.0)
-        assert h.counters()["hedges"] == 0
-        assert h.assert_settled_once().answered == 1
 
 
 class TestCancelledOuterFuture:
@@ -633,9 +569,6 @@ class TestCancelledOuterFuture:
 #: resilience counter -> the (ledger event, cause) that records it
 COUNTER_EVENTS = {
     "retries": ("retry", None),
-    "hedges": ("hedge", "latency_threshold"),
-    "hedge_wins": ("hedge", "won"),
-    "hedge_losers": ("hedge", "loser"),
     "shed_open_circuit": ("shed", "circuit_open"),
     "shed_on_drain": ("shed", "drained_during_backoff"),
     "breaker_opens": ("breaker", "open"),
@@ -644,9 +577,8 @@ COUNTER_EVENTS = {
 MACHINE_CONFIGS = {
     "plain": lambda: Harness(),
     "retry": lambda: Harness(retry_only()),
-    "hedge": lambda: Harness(hedge_only()),
     "retry-blackout": lambda: Harness(retry_only(), fault_plan=blackout(0)),
-    "live-breaker": lambda: Harness(live_breaker(cooldown_ticks=2)),
+    "breaker": lambda: Harness(with_breaker()),
 }
 
 
@@ -728,6 +660,13 @@ class GatewayMachine(RuleBasedStateMachine):
         assert not gateway._parked and gateway._open_calls == 0
         assert gateway.pending() == 0
         self.h.assert_settled_once()
+        if gateway._resilience is not None and not gateway.core.draining:
+            # a probe slot is only taken by an attempt in flight or parked
+            for breaker in gateway._resilience.breakers:
+                assert breaker is None or not (
+                    breaker.state == BREAKER_HALF_OPEN
+                    and breaker._probe_inflight
+                )
 
     def teardown(self):
         """Answer everything and run every timer: nothing stays open."""

@@ -1,11 +1,11 @@
-"""Resilience plane: retry/backoff, breakers, hedging, recovery.
+"""Resilience plane: retry/backoff, breakers, recovery.
 
 Unit-tests the sans-IO decision objects in
 :mod:`repro.service.resilience`, then integration-tests them through the
 thread-driver :class:`~repro.service.gateway.ServiceGateway` against
 seeded :class:`~repro.service.faults.FaultPlan` chaos: blackouts are
-retried around, breakers open and re-route, hedges duplicate slow
-requests, drain sheds backoff-parked requests with a typed error, and —
+retried around, breakers open and re-route, drain sheds
+backoff-parked requests with a typed error, and —
 the property the whole plane is built around — the ledger's resilience
 decision sequence is identical across same-seed runs.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +44,6 @@ from repro.service.resilience import (
     BREAKER_OPEN,
     BreakerConfig,
     CircuitBreaker,
-    HedgePolicy,
     ResilienceCore,
     ResiliencePolicy,
     RetryBudget,
@@ -151,60 +149,86 @@ class TestRetryBudget:
         assert budget.allow()
 
 
+def settle(breaker, seq, ok):
+    """Record one outcome and apply it, as the gateway's next idle edge
+    does; returns the transition it caused, if any."""
+    breaker.record(seq, ok)
+    transitions = breaker.sync()
+    assert len(transitions) <= 1
+    return transitions[0] if transitions else None
+
+
 class TestCircuitBreaker:
-    def live(self, threshold=2, cooldown=3):
+    def circuit(self, threshold=2, cooldown=3):
         return CircuitBreaker(
-            BreakerConfig(
-                failure_threshold=threshold,
-                cooldown_ticks=cooldown,
-                deferred=False,
-            )
+            BreakerConfig(failure_threshold=threshold, cooldown_ticks=cooldown)
         )
 
     def test_consecutive_failures_trip_the_circuit(self):
-        breaker = self.live(threshold=2)
-        assert breaker.record(0, ok=False) is None
-        assert breaker.record(1, ok=False) == BREAKER_OPEN
+        breaker = self.circuit(threshold=2)
+        assert settle(breaker, 0, ok=False) is None
+        assert settle(breaker, 1, ok=False) == BREAKER_OPEN
         assert not breaker.allow()
         assert breaker.opens == 1
 
     def test_success_resets_the_failure_streak(self):
-        breaker = self.live(threshold=2)
-        breaker.record(0, ok=False)
-        breaker.record(1, ok=True)
-        assert breaker.record(2, ok=False) is None
+        breaker = self.circuit(threshold=2)
+        settle(breaker, 0, ok=False)
+        settle(breaker, 1, ok=True)
+        assert settle(breaker, 2, ok=False) is None
         assert breaker.state == BREAKER_CLOSED
 
     def test_cooldown_elapses_in_submission_ticks(self):
-        breaker = self.live(threshold=1, cooldown=2)
-        breaker.record(0, ok=False)
+        breaker = self.circuit(threshold=1, cooldown=2)
+        settle(breaker, 0, ok=False)
         assert breaker.tick() is None
         assert breaker.tick() == BREAKER_HALF_OPEN
 
     def test_half_open_admits_exactly_one_probe(self):
-        breaker = self.live(threshold=1, cooldown=1)
-        breaker.record(0, ok=False)
+        breaker = self.circuit(threshold=1, cooldown=1)
+        settle(breaker, 0, ok=False)
         breaker.tick()
         assert breaker.allow()  # the probe
         assert not breaker.allow()  # everyone else waits
 
     def test_probe_success_closes_failure_reopens(self):
-        breaker = self.live(threshold=1, cooldown=1)
-        breaker.record(0, ok=False)
+        breaker = self.circuit(threshold=1, cooldown=1)
+        settle(breaker, 0, ok=False)
         breaker.tick()
         breaker.allow()
-        assert breaker.record(1, ok=True) == BREAKER_CLOSED
+        assert settle(breaker, 1, ok=True) == BREAKER_CLOSED
         assert breaker.closes == 1
 
-        breaker.record(2, ok=False)
+        settle(breaker, 2, ok=False)
         breaker.tick()
         breaker.allow()
-        assert breaker.record(3, ok=False) == BREAKER_OPEN
+        assert settle(breaker, 3, ok=False) == BREAKER_OPEN
+
+    def test_outcomes_wait_for_sync(self):
+        breaker = self.circuit(threshold=1)
+        assert breaker.record(0, ok=False) is None
+        assert breaker.state == BREAKER_CLOSED and breaker.allow()
+        assert breaker.sync() == [BREAKER_OPEN]
+
+    def test_a_probe_without_a_verdict_frees_the_slot_and_nothing_else(self):
+        breaker = self.circuit(threshold=1, cooldown=1)
+        settle(breaker, 0, ok=False)
+        breaker.tick()
+        assert breaker.allow() and not breaker.allow()  # probe in flight
+        assert settle(breaker, 1, ok=None) is None  # e.g. a rejection
+        assert breaker.state == BREAKER_HALF_OPEN
+        assert (breaker.opens, breaker.closes) == (1, 0)
+        assert breaker.allow()  # the next request probes
+        assert settle(breaker, 2, ok=True) == BREAKER_CLOSED
+
+    def test_no_verdict_leaves_the_failure_streak_alone(self):
+        breaker = self.circuit(threshold=2)
+        settle(breaker, 0, ok=False)
+        settle(breaker, 1, ok=None)
+        assert settle(breaker, 2, ok=False) == BREAKER_OPEN
 
     def test_deferred_outcomes_apply_in_submission_order(self):
-        breaker = CircuitBreaker(
-            BreakerConfig(failure_threshold=2, deferred=True)
-        )
+        breaker = CircuitBreaker(BreakerConfig(failure_threshold=2))
         # completion order scrambled: the success lands between the
         # failures once sorted by seq, so the streak never reaches 2
         breaker.record(2, ok=False)
@@ -225,12 +249,13 @@ class TestResilienceCore:
             num_shards,
             ResiliencePolicy(
                 retry=RetryPolicy(max_attempts=3),
-                breaker=BreakerConfig(failure_threshold=1, deferred=False),
+                breaker=BreakerConfig(failure_threshold=1),
             ),
         )
 
     def trip(self, core, shard):
         core.record_outcome(shard, 0, ok=False)
+        assert core.sync() == [(shard, BREAKER_OPEN)]
 
     def test_choose_shard_prefers_primary(self):
         assert self.core().choose_shard(1) == (1, False)
@@ -276,17 +301,6 @@ class TestResilienceCore:
         snap = self.core().snapshot()
         assert snap["breaker_states"] == ["closed"] * 3
         assert snap["retries"] == 0
-
-
-class TestHedgePolicy:
-    def test_fixed_threshold_wins(self):
-        assert HedgePolicy(after_seconds=0.2).threshold([0.001]) == 0.2
-
-    def test_percentile_threshold_with_floor(self):
-        policy = HedgePolicy(percentile=50.0, floor_seconds=0.005)
-        assert policy.threshold([]) == 0.005
-        assert policy.threshold([0.001, 0.002, 0.003]) == 0.005  # floored
-        assert policy.threshold([0.1, 0.2, 0.4]) == 0.2
 
 
 class TestGatewayUnderChaos:
@@ -342,34 +356,6 @@ class TestGatewayUnderChaos:
         assert stats["breaker_opens"] >= 1
         assert stats["reroutes"] >= 1
         assert stats["breaker_states"][victim] == "open"
-
-    def test_hedge_duplicates_slow_request_and_wins(self):
-        workloads = workload_catalog(2, seed=0)
-        plan = FaultPlan.from_specs(
-            [
-                FaultSpec(
-                    kind="latency_spike", index=0, latency_seconds=0.5
-                )
-            ]
-        )
-        with make_gateway(
-            num_shards=2,
-            resilience=ResiliencePolicy(
-                retry=None,
-                breaker=None,
-                hedge=HedgePolicy(after_seconds=0.01),
-            ),
-            fault_plan=plan,
-        ) as gateway:
-            started = time.perf_counter()
-            result = gateway.estimate(workloads[0], DEVICE)
-            elapsed = time.perf_counter() - started
-            stats = gateway.stats()["gateway"]["resilience"]
-        assert result.peak_bytes > 0
-        assert stats["hedges"] == 1
-        assert stats["hedge_wins"] == 1
-        # the hedge answered while the primary was still in its spike
-        assert elapsed < 0.5
 
     def test_drain_sheds_backoff_parked_requests(self):
         """Satellite regression: drain during open-circuit backoff.

@@ -13,9 +13,10 @@ public surface is checked the same way: ``repro.service`` re-exports
 exactly the names its callers outside ``tests/`` import from it.
 
 Run as a script to print per-module code-line counts (non-blank,
-non-comment, non-docstring), the ``tcp.py + wire.py`` sum and the
-``cli.py + service/`` sum — CI prints the table next to the benchmark
-trends::
+non-comment, non-docstring), the ``tcp.py + wire.py`` sum, the
+resilience plane's ``dispatch.py + resilience.py + faults.py`` sum and
+the ``cli.py + service/`` sum — CI prints the table next to the
+benchmark trends::
 
     python tests/test_service_structure.py
 """
@@ -42,9 +43,6 @@ LIFECYCLE = (
     "_attempt_outcome",
     "_fire_retry",
     "_shed_parked_retry",
-    "_maybe_schedule_hedge",
-    "_fire_hedge",
-    "_cancel_timers",
     "_settle_outer",
     "_attempt",
     "_record_breaker",
@@ -61,6 +59,10 @@ RETIRED = (
     "_schedule_retry",
     "_dispatch",
     "_finish_attempt",
+    # hedged dispatch: a resilient call has one attempt in flight
+    "_maybe_schedule_hedge",
+    "_fire_hedge",
+    "_cancel_timers",
 )
 #: one service's request lifecycle: written once, in ServiceDispatch
 SERVICE_LIFECYCLE = (
@@ -188,7 +190,6 @@ DECISIONS = {
     "tick",
     "choose_shard",
     "retry_target",
-    "hedge_target",
     "record_outcome",
     "should_retry",
     "spend_retry",
@@ -283,6 +284,40 @@ def test_the_gateway_admits_an_attempt_in_one_place():
         and ast.unparse(node.func) == "self.core.admit"
     ]
     assert len(admits) == 1
+
+
+def dataclass_fields(tree: ast.Module, name: str) -> list[str]:
+    """The annotated fields of a module-level class, in order."""
+    (cls,) = classes(tree, (name,))
+    return [
+        node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)
+    ]
+
+
+def test_the_resilience_policy_has_only_the_knobs_in_use():
+    """Each knob has a value some caller sets: the policy bundle is
+    retry, budget and breaker, a breaker is a threshold and a cooldown
+    (outcomes always apply at idle edges), and the chaos default takes
+    no parameter."""
+    tree = modules()["resilience.py"]
+    assert dataclass_fields(tree, "ResiliencePolicy") == [
+        "retry",
+        "budget",
+        "breaker",
+    ]
+    assert dataclass_fields(tree, "BreakerConfig") == [
+        "failure_threshold",
+        "cooldown_ticks",
+    ]
+    (default,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "default_resilience"
+    ]
+    args = default.args
+    assert not (args.posonlyargs or args.args or args.kwonlyargs)
+    assert args.vararg is None and args.kwarg is None
 
 
 def test_the_service_lifecycle_is_written_once():
@@ -742,5 +777,8 @@ if __name__ == "__main__":
     print(f"  {sum(counts.values()):6d}  total")
     # the transport's budget: both halves of the protocol and their shells
     print(f"  {counts['tcp.py'] + counts['wire.py']:6d}  tcp.py + wire.py")
+    # the resilience plane: the attempt machine and its two policy modules
+    plane = ("dispatch.py", "resilience.py", "faults.py")
+    print(f"  {sum(counts[name] for name in plane):6d}  {' + '.join(plane)}")
     # the caller's side: what is left in the CLI once the wiring is here
     print(f"  {code_lines(CLI) + sum(counts.values()):6d}  cli.py + service/")
