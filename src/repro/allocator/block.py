@@ -50,10 +50,6 @@ class Block:
         """True when this block does not span its whole segment."""
         return self.prev is not None or self.next is not None
 
-    def sort_key(self) -> tuple[int, int]:
-        """Best-fit ordering: by size, then by address."""
-        return (self.size, self.addr)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alloc" if self.allocated else "free"
         return f"Block(addr={self.addr:#x}, size={self.size}, {state})"

@@ -68,25 +68,41 @@ class CachingAllocator:
             raise InvalidFreeError(
                 f"owner {owner} already holds a live block — double alloc"
             )
+        stats = self.stats
         rounded = round_size(size, self.config)
         pool = self._pool_for(rounded)
         block = self._find_cached_block(pool, rounded)
         if block is not None:
-            self.stats.num_cache_hits += 1
+            stats.num_cache_hits += 1
             pool.remove(block)
         else:
-            self.stats.num_cache_misses += 1
+            stats.num_cache_misses += 1
             block = self._alloc_segment_block(pool, rounded)
-        block = self._maybe_split(pool, block, rounded)
+        if block.size > rounded and self._should_split(pool, block, rounded):
+            self._split(pool, block, rounded)
         block.allocated = True
         block.requested_size = size
         block.owner = owner
         if owner is not None:
             self._owners[owner] = block
-        self.stats.allocated_bytes.increase(block.size)
-        self.stats.requested_bytes.increase(size)
-        self.stats.active_blocks.increase(1)
-        self._record(ts)
+        # StatCounter.increase, inlined: three counters per call
+        counter = stats.allocated_bytes
+        counter.current += block.size
+        counter.allocated += block.size
+        if counter.current > counter.peak:
+            counter.peak = counter.current
+        counter = stats.requested_bytes
+        counter.current += size
+        counter.allocated += size
+        if counter.current > counter.peak:
+            counter.peak = counter.current
+        counter = stats.active_blocks
+        counter.current += 1
+        counter.allocated += 1
+        if counter.current > counter.peak:
+            counter.peak = counter.current
+        if self.timeline is not None:
+            self._record(ts)
         return block
 
     def free(self, block: Block, ts: int = 0) -> None:
@@ -94,9 +110,23 @@ class CachingAllocator:
         if not block.allocated:
             raise InvalidFreeError(f"double free of {block!r}")
         pool = self._pool_for_segment(block.segment)
-        self.stats.allocated_bytes.decrease(block.size)
-        self.stats.requested_bytes.decrease(block.requested_size)
-        self.stats.active_blocks.decrease(1)
+        # StatCounter.decrease, inlined, negative check kept
+        stats = self.stats
+        counter = stats.allocated_bytes
+        counter.current -= block.size
+        counter.freed += block.size
+        if counter.current < 0:
+            counter.raise_negative()
+        counter = stats.requested_bytes
+        counter.current -= block.requested_size
+        counter.freed += block.requested_size
+        if counter.current < 0:
+            counter.raise_negative()
+        counter = stats.active_blocks
+        counter.current -= 1
+        counter.freed += 1
+        if counter.current < 0:
+            counter.raise_negative()
         block.allocated = False
         block.requested_size = 0
         if block.owner is not None:
@@ -106,7 +136,8 @@ class CachingAllocator:
         pool.add(merged)
         if not self.config.cache_segments and merged.segment.is_fully_free():
             self._release_segment(pool, merged.segment)
-        self._record(ts)
+        if self.timeline is not None:
+            self._record(ts)
 
     def free_owner(self, owner: int, ts: int = 0) -> None:
         """Free the live block registered under ``owner``."""
@@ -271,9 +302,8 @@ class CachingAllocator:
                 capacity=self.device.stats.capacity,
             ) from None
 
-    def _maybe_split(self, pool: BlockPool, block: Block, rounded: int) -> Block:
-        if not self._should_split(pool, block, rounded):
-            return block
+    def _split(self, pool: BlockPool, block: Block, rounded: int) -> None:
+        """Cut ``block`` down to ``rounded``; the rest becomes a free block."""
         remainder = Block(
             addr=block.addr + rounded,
             size=block.size - rounded,
@@ -287,7 +317,6 @@ class CachingAllocator:
         block.size = rounded
         pool.add(remainder)
         self.stats.num_splits += 1
-        return block
 
     def _should_split(self, pool: BlockPool, block: Block, rounded: int) -> bool:
         if not self.config.allow_split:

@@ -29,12 +29,12 @@ class BlockPool:
         return len(self._blocks)
 
     def __contains__(self, block: Block) -> bool:
-        index = bisect.bisect_left(self._keys, block.sort_key())
+        index = bisect.bisect_left(self._keys, (block.size, block.addr))
         return index < len(self._blocks) and self._blocks[index] is block
 
     def add(self, block: Block) -> None:
         """Insert a free block; raises if it is already present."""
-        key = block.sort_key()
+        key = (block.size, block.addr)
         index = bisect.bisect_left(self._keys, key)
         if index < len(self._blocks) and self._blocks[index] is block:
             raise ValueError(f"block {block!r} already in pool")
@@ -43,7 +43,7 @@ class BlockPool:
 
     def remove(self, block: Block) -> None:
         """Remove a block from the pool; raises KeyError if absent."""
-        key = block.sort_key()
+        key = (block.size, block.addr)
         index = bisect.bisect_left(self._keys, key)
         while index < len(self._blocks) and self._keys[index] == key:
             if self._blocks[index] is block:

@@ -37,10 +37,13 @@ class StatCounter:
         self.current -= amount
         self.freed += amount
         if self.current < 0:
-            raise ValueError(
-                f"stat counter went negative ({self.current}) — "
-                "allocation bookkeeping bug"
-            )
+            self.raise_negative()
+
+    def raise_negative(self) -> None:
+        raise ValueError(
+            f"stat counter went negative ({self.current}) — "
+            "allocation bookkeeping bug"
+        )
 
     def reset_peak(self) -> None:
         self.peak = self.current
@@ -144,21 +147,29 @@ class TimelineRecorder:
         return ts, allocated, reserved
 
     def downsample(self, max_points: int) -> "TimelineRecorder":
-        """Uniformly thin the timeline, keeping peaks intact.
+        """Uniformly thin the timeline, keeping both peaks intact.
 
-        Keeps every point whose reserved value is a running maximum so the
-        estimated peak is never lost, plus a uniform sample of the rest.
+        Keeps every point whose reserved value is a running maximum (the
+        Segment curve steps up a few times per run) and the first point of
+        the allocated peak (the Tensor curve rises with every allocation,
+        so its running maxima would keep most of a warm-up), plus a uniform
+        sample of the rest.  Neither curve loses its peak.
         """
         if max_points <= 0:
             raise ValueError("max_points must be positive")
         if len(self._points) <= max_points:
             return self
         keep: set[int] = set()
-        best = -1
+        best_reserved = best_allocated = -1
+        allocated_peak = 0
         for index, point in enumerate(self._points):
-            if point.reserved_bytes > best:
-                best = point.reserved_bytes
+            if point.reserved_bytes > best_reserved:
+                best_reserved = point.reserved_bytes
                 keep.add(index)
+            if point.allocated_bytes > best_allocated:
+                best_allocated = point.allocated_bytes
+                allocated_peak = index
+        keep.add(allocated_peak)
         stride = max(1, len(self._points) // max_points)
         keep.update(range(0, len(self._points), stride))
         keep.add(len(self._points) - 1)

@@ -166,29 +166,21 @@ class ParameterRule(OrchestrationRule):
 
 
 class BatchDataRule(OrchestrationRule):
-    """Rule 2: batch data lives at most until its iteration boundary."""
+    """Rule 2: batch data lives at most until the end of the iteration it
+    was allocated in (the block's ``iteration``)."""
 
     name = "batch_iteration_bound"
 
     def adjust(self, item: AttributedBlock, analyzed: AnalyzedTrace):
         if item.role is not TensorRole.BATCH_DATA:
             return self.NO_CHANGE
-        boundary = self._iteration_end(item, analyzed)
-        if boundary is None:
-            return self.NO_CHANGE
+        if item.iteration is None:
+            return self.NO_CHANGE  # allocated outside every iteration
+        boundary = analyzed.iterations[item.iteration].end
         free_ts = item.block.free_ts
         if free_ts is None or free_ts > boundary:
             return boundary
         return self.NO_CHANGE
-
-    @staticmethod
-    def _iteration_end(
-        item: AttributedBlock, analyzed: AnalyzedTrace
-    ) -> Optional[int]:
-        for window in analyzed.iterations:
-            if window.contains_time(item.block.alloc_ts):
-                return window.end
-        return None
 
 
 class GradientRule(OrchestrationRule):
@@ -204,8 +196,9 @@ class GradientRule(OrchestrationRule):
     def adjust(self, item: AttributedBlock, analyzed: AnalyzedTrace):
         if item.role is not TensorRole.GRADIENT:
             return self.NO_CHANGE
-        starts = [w.ts for w in analyzed.zero_grads]
-        index = bisect.bisect_right(starts, item.block.alloc_ts)
+        index = bisect.bisect_right(
+            analyzed.zero_grad_starts, item.block.alloc_ts
+        )
         if index >= len(analyzed.zero_grads):
             return None  # no later zero_grad: persists past the trace
         window = analyzed.zero_grads[index]

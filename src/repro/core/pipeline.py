@@ -81,12 +81,14 @@ def trace_fingerprint(trace: Trace) -> str:
         return cached
     # one digest.update over a single joined buffer: per-span update calls
     # dominate hashing cost on large traces (satellite of PR 9)
-    lines: list[str] = []
-    for span in trace.spans:
-        lines.append(
-            f"s|{span.name}|{span.category.value}|{span.ts}|{span.dur}"
-            f"|{span.tid}\n"
+    spans = trace.spans
+    names = spans.names
+    lines = [
+        f"s|{names[name_id]}|{category.value}|{ts}|{dur}|{tid}\n"
+        for name_id, category, ts, dur, tid in zip(
+            spans.name_id, spans.category, spans.ts, spans.dur, spans.tid
         )
+    ]
     memory = trace.memory_events
     for ts, addr, nbytes in zip(memory.ts, memory.addr, memory.nbytes):
         lines.append(f"m|{ts}|{addr}|{nbytes}\n")

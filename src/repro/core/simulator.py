@@ -84,16 +84,17 @@ class MemorySimulator:
         oom_ts: Optional[int] = None
         processed = 0
         malloc = allocator.malloc
-        free_owner = allocator.free_owner
-        live = allocator.live_owners
+        free = allocator.free
+        live = allocator.live_owners.get
         for ts, is_alloc, block_id, size, _ in sequence.rows:
             try:
                 if is_alloc:
                     malloc(size, ts, block_id)
-                elif block_id in live:
-                    free_owner(block_id, ts)
                 else:
-                    continue  # free of a block this replay never allocated
+                    block = live(block_id)
+                    if block is None:
+                        continue  # a block this replay never allocated
+                    free(block, ts)
             except SimOutOfMemoryError:
                 oom = True
                 oom_ts = ts

@@ -276,7 +276,8 @@ class TrainingEngine:
                 self._run_iteration(iteration)
         except SimOutOfMemoryError as oom:
             self._open_module_path.clear()
-            self._close_open_spans()
+            if self.tracer is not None:
+                self.tracer.close_open_spans(self.clock.now)
             return RunResult(
                 completed_iterations=self._done_iterations,
                 oom=True,
@@ -292,12 +293,6 @@ class TrainingEngine:
             param_bytes=sum(h.size for h in self._param_handles),
             optimizer_state_bytes=sum(h.size for h in self._opt_state_handles),
         )
-
-    def _close_open_spans(self) -> None:
-        if self.tracer is None:
-            return
-        while self.tracer._stack:  # close everything so finish() works
-            self.tracer.end_span(self.clock.now)
 
     def _model_to_device(self) -> None:
         self._begin(MODEL_TO_DEVICE, EventCategory.USER_ANNOTATION)

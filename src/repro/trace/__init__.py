@@ -11,6 +11,7 @@ from .events import (
     EventCategory,
     MemoryColumns,
     MemoryEvent,
+    SpanColumns,
     SpanEvent,
     is_dataloader_next,
     is_optimizer_step,
@@ -39,6 +40,7 @@ __all__ = [
     "OPTIMIZER_STEP_PREFIX",
     "PROFILER_STEP_PREFIX",
     "SCHEMA_VERSION",
+    "SpanColumns",
     "SpanEvent",
     "Trace",
     "TraceBuilder",

@@ -13,26 +13,10 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from ..errors import TraceError
-from .events import EventCategory, MemoryColumns, SpanEvent
+from .events import EventCategory, MemoryColumns, SpanColumns
 from .reader import Trace
 
-
-class _OpenSpan:
-    __slots__ = ("name", "category", "ts", "tid", "args")
-
-    def __init__(
-        self,
-        name: str,
-        category: EventCategory,
-        ts: int,
-        tid: int,
-        args: dict[str, Any],
-    ):
-        self.name = name
-        self.category = category
-        self.ts = ts
-        self.tid = tid
-        self.args = args
+_FINISHED = "builder already finished"
 
 
 class TraceBuilder:
@@ -40,14 +24,18 @@ class TraceBuilder:
 
     The builder does not own a clock — callers pass explicit timestamps —
     so the same builder works for the virtual-time runtime and for tests
-    that construct pathological traces by hand.
+    that construct pathological traces by hand.  Spans and memory events
+    are written straight into columns (:class:`SpanColumns`,
+    :class:`MemoryColumns`); no event object is built.
     """
 
     def __init__(self, metadata: dict[str, Any] | None = None):
         self.metadata: dict[str, Any] = dict(metadata or {})
-        self._spans: list[SpanEvent] = []
+        self._spans = SpanColumns([], [], [], [], [], [], [])
+        self._name_ids: dict[str, int] = {}
         self._memory = MemoryColumns([], [], [], [])
-        self._stack: list[_OpenSpan] = []
+        #: open spans, outermost first: (name_id, category, ts, tid, args)
+        self._open: list[tuple[int, EventCategory, int, int, Any]] = []
         self._total_allocated = 0
         self._finished = False
 
@@ -62,34 +50,47 @@ class TraceBuilder:
         args: dict[str, Any] | None = None,
         tid: int = 0,
     ) -> None:
-        self._check_open()
-        if self._stack and ts < self._stack[-1].ts:
+        if self._finished:
+            raise TraceError(_FINISHED)
+        open_spans = self._open
+        if open_spans and ts < open_spans[-1][2]:
+            parent_id, _, parent_ts, _, _ = open_spans[-1]
             raise TraceError(
                 f"span {name!r} starts at {ts} before its parent "
-                f"{self._stack[-1].name!r} at {self._stack[-1].ts}"
+                f"{self._spans.names[parent_id]!r} at {parent_ts}"
             )
-        self._stack.append(_OpenSpan(name, category, ts, tid, dict(args or {})))
-
-    def end_span(self, ts: int) -> SpanEvent:
-        self._check_open()
-        if not self._stack:
-            raise TraceError("end_span with no open span")
-        open_span = self._stack.pop()
-        if ts < open_span.ts:
-            raise TraceError(
-                f"span {open_span.name!r} ends at {ts} before it starts "
-                f"at {open_span.ts}"
-            )
-        event = SpanEvent(
-            name=open_span.name,
-            category=open_span.category,
-            ts=open_span.ts,
-            dur=ts - open_span.ts,
-            tid=open_span.tid,
-            args=open_span.args,
+        name_id = self._name_ids.get(name)
+        if name_id is None:
+            name_id = self._name_ids[name] = len(self._spans.names)
+            self._spans.names.append(name)
+        open_spans.append(
+            (name_id, category, ts, tid, dict(args) if args else None)
         )
-        self._spans.append(event)
-        return event
+
+    def end_span(self, ts: int) -> None:
+        if self._finished:
+            raise TraceError(_FINISHED)
+        if not self._open:
+            raise TraceError("end_span with no open span")
+        name_id, category, start, tid, args = self._open.pop()
+        if ts < start:
+            raise TraceError(
+                f"span {self._spans.names[name_id]!r} ends at {ts} before "
+                f"it starts at {start}"
+            )
+        spans = self._spans
+        spans.name_id.append(name_id)
+        spans.category.append(category)
+        spans.ts.append(start)
+        spans.dur.append(ts - start)
+        spans.tid.append(tid)
+        spans.args.append(args)
+
+    def close_open_spans(self, ts: int) -> None:
+        """End every open span at ``ts``, innermost first (an aborted run
+        keeps the spans it was in, so :meth:`finish` still works)."""
+        while self._open:
+            self.end_span(ts)
 
     @contextmanager
     def span(
@@ -122,7 +123,8 @@ class TraceBuilder:
         self._record(ts, addr, -nbytes)
 
     def _record(self, ts: int, addr: int, nbytes: int) -> None:
-        self._check_open()
+        if self._finished:
+            raise TraceError(_FINISHED)
         self._total_allocated += nbytes
         memory = self._memory
         memory.ts.append(ts)
@@ -130,37 +132,46 @@ class TraceBuilder:
         memory.nbytes.append(nbytes)
         memory.total.append(self._total_allocated)
 
-    def annotate(self, name: str, ts: int, dur: int = 0, args: dict | None = None) -> None:
-        """Emit a complete user_annotation span in one call."""
-        self._check_open()
-        self._spans.append(
-            SpanEvent(
-                name=name,
-                category=EventCategory.USER_ANNOTATION,
-                ts=ts,
-                dur=dur,
-                args=dict(args or {}),
-            )
-        )
-
     # ------------------------------------------------------------------
     # finish
     # ------------------------------------------------------------------
     def finish(self) -> Trace:
-        self._check_open()
-        if self._stack:
-            names = [s.name for s in self._stack]
+        if self._finished:
+            raise TraceError(_FINISHED)
+        if self._open:
+            names = [self._spans.names[name_id] for name_id, *_ in self._open]
             raise TraceError(f"finish() with open spans: {names}")
         self._finished = True
         return Trace(
-            spans=sorted(self._spans, key=lambda e: (e.ts, -e.dur)),
+            spans=_in_start_order(self._spans),
             memory_events=_in_time_order(self._memory),
             metadata=self.metadata,
         )
 
-    def _check_open(self) -> None:
-        if self._finished:
-            raise TraceError("builder already finished")
+
+def _in_start_order(spans: SpanColumns) -> SpanColumns:
+    """``spans`` stably sorted by ``(ts, -dur)``: a parent before the
+    children it encloses (spans are recorded as they end, children first)."""
+    order = [
+        index
+        for _, _, index in sorted(
+            zip(spans.ts, map(operator.neg, spans.dur), range(len(spans)))
+        )
+    ]
+    return SpanColumns(
+        spans.names,
+        *(
+            [column[i] for i in order]
+            for column in (
+                spans.name_id,
+                spans.category,
+                spans.ts,
+                spans.dur,
+                spans.tid,
+                spans.args,
+            )
+        ),
+    )
 
 
 def _in_time_order(memory: MemoryColumns) -> MemoryColumns:

@@ -19,13 +19,10 @@ only.  All events are immutable.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
-
-_event_ids = itertools.count(1)
 
 
 class EventCategory(str, Enum):
@@ -53,7 +50,6 @@ class SpanEvent:
     dur: int  # microseconds
     tid: int = 0
     args: dict[str, Any] = field(default_factory=dict)
-    event_id: int = field(default_factory=lambda: next(_event_ids))
 
     @property
     def end(self) -> int:
@@ -98,7 +94,6 @@ class MemoryEvent:
     nbytes: int
     total_allocated: int = 0
     device: str = "cpu"
-    event_id: int = field(default_factory=lambda: next(_event_ids))
 
     @property
     def is_alloc(self) -> bool:
@@ -189,6 +184,164 @@ class MemoryColumns(Sequence):
 
     def __repr__(self) -> str:
         return f"MemoryColumns({len(self)} events)"
+
+
+class SpanColumns(Sequence):
+    """A trace's duration events as parallel columns.
+
+    ``ts``, ``dur`` and ``tid`` are ints; ``category`` holds
+    :class:`EventCategory` members; ``name_id`` indexes the interned
+    ``names`` table; ``args`` holds each span's argument dict, or ``None``
+    when it has none.  Stages read the columns.  Indexing or iterating
+    yields :class:`SpanEvent` objects: one index builds that span alone,
+    iteration or a slice builds them all, and either is cached so a row
+    always yields the same object (the caches are dropped on pickling).
+    """
+
+    __slots__ = (
+        "names",
+        "name_id",
+        "category",
+        "ts",
+        "dur",
+        "tid",
+        "args",
+        "_events",
+        "_picked",
+    )
+
+    def __init__(
+        self,
+        names: list[str],
+        name_id: list[int],
+        category: list[EventCategory],
+        ts: list[int],
+        dur: list[int],
+        tid: list[int],
+        args: list[Optional[dict[str, Any]]],
+    ):
+        self.names = names
+        self.name_id = name_id
+        self.category = category
+        self.ts = ts
+        self.dur = dur
+        self.tid = tid
+        self.args = args
+        self._events: Optional[list[SpanEvent]] = None
+        self._picked: dict[int, SpanEvent] = {}
+
+    @classmethod
+    def from_events(cls, events: Iterable[SpanEvent]) -> "SpanColumns":
+        """Columns of ``events``; the objects themselves become the view."""
+        events = list(events)
+        ids: dict[str, int] = {}
+        name_id = [ids.setdefault(e.name, len(ids)) for e in events]
+        columns = cls(
+            list(ids),
+            name_id,
+            [e.category for e in events],
+            [e.ts for e in events],
+            [e.dur for e in events],
+            [e.tid for e in events],
+            [e.args or None for e in events],
+        )
+        columns._events = events
+        return columns
+
+    def _make(self, index: int) -> SpanEvent:
+        return SpanEvent(
+            self.names[self.name_id[index]],
+            self.category[index],
+            self.ts[index],
+            self.dur[index],
+            self.tid[index],
+            self.args[index] or {},
+        )
+
+    def _view(self) -> list[SpanEvent]:
+        events = self._events
+        if events is None:
+            names = self.names
+            events = [
+                SpanEvent(names[name_id], category, ts, dur, tid, args or {})
+                for name_id, category, ts, dur, tid, args in zip(
+                    self.name_id,
+                    self.category,
+                    self.ts,
+                    self.dur,
+                    self.tid,
+                    self.args,
+                )
+            ]
+            # a copy: another thread may pick a span meanwhile
+            for index, event in list(self._picked.items()):
+                events[index] = event
+            self._picked.clear()
+            self._events = events
+        return events
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, index):
+        if self._events is not None or isinstance(index, slice):
+            return self._view()[index]
+        if index < 0:
+            index += len(self.ts)
+        if not 0 <= index < len(self.ts):
+            raise IndexError("span index out of range")
+        event = self._picked.get(index)
+        if event is None:
+            event = self._picked[index] = self._make(index)
+        return event
+
+    def __iter__(self) -> Iterator[SpanEvent]:
+        return iter(self._view())
+
+    def _content(self) -> tuple[list, ...]:
+        names = self.names
+        return (
+            [names[name_id] for name_id in self.name_id],
+            self.category,
+            self.ts,
+            self.dur,
+            self.tid,
+            self.args,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpanColumns):
+            return NotImplemented
+        return self._content() == other._content()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self) -> tuple[list, ...]:
+        return (
+            self.names,
+            self.name_id,
+            self.category,
+            self.ts,
+            self.dur,
+            self.tid,
+            self.args,
+        )
+
+    def __setstate__(self, state: tuple[list, ...]) -> None:
+        (
+            self.names,
+            self.name_id,
+            self.category,
+            self.ts,
+            self.dur,
+            self.tid,
+            self.args,
+        ) = state
+        self._events = None
+        self._picked = {}
+
+    def __repr__(self) -> str:
+        return f"SpanColumns({len(self)} spans)"
 
 
 def is_profiler_step(event: SpanEvent) -> bool:

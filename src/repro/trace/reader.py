@@ -9,6 +9,7 @@ attribution to :mod:`repro.core`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -18,6 +19,7 @@ from .events import (
     EventCategory,
     MemoryColumns,
     MemoryEvent,
+    SpanColumns,
     SpanEvent,
     is_dataloader_next,
     is_optimizer_step,
@@ -30,15 +32,21 @@ from .events import (
 class Trace:
     """A completed profiling trace (spans + memory events + metadata).
 
-    ``memory_events`` is held as :class:`MemoryColumns`; a list of
-    :class:`MemoryEvent` objects (file load, tests) is converted once.
+    ``spans`` is held as :class:`SpanColumns` and ``memory_events`` as
+    :class:`MemoryColumns`; lists of :class:`SpanEvent` /
+    :class:`MemoryEvent` objects (file load, Kineto import, tests) are
+    converted once.
     """
 
-    spans: list[SpanEvent]
+    spans: SpanColumns
     memory_events: MemoryColumns
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spans, SpanColumns):
+            object.__setattr__(
+                self, "spans", SpanColumns.from_events(self.spans)
+            )
         if not isinstance(self.memory_events, MemoryColumns):
             object.__setattr__(
                 self,
@@ -50,7 +58,13 @@ class Trace:
     # category views
     # ------------------------------------------------------------------
     def by_category(self, category: EventCategory) -> list[SpanEvent]:
-        return [e for e in self.spans if e.category is category]
+        """Spans of ``category`` in trace order (builds only those)."""
+        spans = self.spans
+        return [
+            spans[index]
+            for index, kind in enumerate(spans.category)
+            if kind is category
+        ]
 
     @property
     def python_functions(self) -> list[SpanEvent]:
@@ -106,8 +120,9 @@ class Trace:
     # ------------------------------------------------------------------
     def span_bounds(self) -> tuple[int, int]:
         """(first ts, last end) over all events in the trace."""
-        starts = [e.ts for e in self.spans]
-        ends = [e.end for e in self.spans]
+        spans = self.spans
+        starts = list(spans.ts)
+        ends = list(map(operator.add, spans.ts, spans.dur))
         memory_ts = self.memory_events.ts
         if memory_ts:
             starts.append(min(memory_ts))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .events import EventCategory
@@ -51,11 +52,12 @@ def summarize_trace(trace: Trace) -> TraceSummary:
         duration = end - start
     else:
         duration = 0
+    categories = Counter(trace.spans.category)
     return TraceSummary(
         num_spans=len(trace.spans),
-        num_python_functions=len(trace.by_category(EventCategory.PYTHON_FUNCTION)),
-        num_user_annotations=len(trace.by_category(EventCategory.USER_ANNOTATION)),
-        num_cpu_ops=len(trace.by_category(EventCategory.CPU_OP)),
+        num_python_functions=categories[EventCategory.PYTHON_FUNCTION],
+        num_user_annotations=categories[EventCategory.USER_ANNOTATION],
+        num_cpu_ops=categories[EventCategory.CPU_OP],
         num_memory_events=len(memory),
         num_allocs=len(allocs),
         num_frees=num_frees,

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import attribution
 from repro.core.analyzer import Analyzer
 from repro.core.attribution import AttributedBlock, attribute_blocks
 from repro.core.lifecycle import MemoryBlock
@@ -242,25 +243,28 @@ SCALING_DEPTH = 10
 #: span per block needs ~2e8 ``contains_time`` calls for the module spans
 #: alone: measured 1.8 s at a quarter of this size, so ~30 s at this one.
 SCALING_BOUND_SECONDS = 7.0
-#: the clock-free form of the same guard: every look at a span reads its
-#: ``end``.  The sweep reads ~27 per block here (an 11-deep stack is
-#: filtered and re-minimised at each op); the per-block scan read 2e8.
-SCALING_END_READS_PER_BLOCK = 200
+#: the clock-free form of the same guard: the sweep's own work, rows
+#: admitted plus stack entries re-checked when a span expires
+#: (``_OpenSpans.examined``).  The sweep does 14 per block here (an op
+#: and a leaf module admitted, the 11-deep module stack re-checked when
+#: the leaf expires); a scan of every earlier span per block does ~2e4.
+SCALING_WORK_PER_BLOCK = 200
 
 
-class CountingSpan(SpanEvent):
-    end_reads = 0
+class RecordingOpenSpans(attribution._OpenSpans):
+    """``_OpenSpans`` that remembers every instance, to read its work."""
 
-    @property
-    def end(self) -> int:
-        CountingSpan.end_reads += 1
-        return self.ts + self.dur
+    instances: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        RecordingOpenSpans.instances.append(self)
 
 
-def test_analyze_is_linear_in_spans_and_blocks():
+def test_analyze_is_linear_in_spans_and_blocks(monkeypatch):
     horizon = SCALING_OPS * 10 + 100
     spans = [
-        CountingSpan(
+        SpanEvent(
             f"nn.Module: level{depth}",
             EventCategory.PYTHON_FUNCTION,
             ts=depth,
@@ -276,20 +280,21 @@ def test_analyze_is_linear_in_spans_and_blocks():
         start = 50 + index * 10
         # each op under its own module call, as in a real forward pass
         spans.append(
-            CountingSpan(
+            SpanEvent(
                 "nn.Module: leaf", EventCategory.PYTHON_FUNCTION, start - 1, 8
             )
         )
-        spans.append(CountingSpan("aten::relu", EventCategory.CPU_OP, start, 6))
+        spans.append(SpanEvent("aten::relu", EventCategory.CPU_OP, start, 6))
         memory_events.append(MemoryEvent(ts=start + 1, addr=index, nbytes=64))
         memory_events.append(MemoryEvent(ts=start + 4, addr=index, nbytes=-64))
     trace = Trace(spans=spans, memory_events=memory_events)
 
-    CountingSpan.end_reads = 0
+    monkeypatch.setattr(attribution, "_OpenSpans", RecordingOpenSpans)
+    RecordingOpenSpans.instances = []
     started = time.perf_counter()
     analyzed = Analyzer().analyze(trace)
     elapsed = time.perf_counter() - started
-    end_reads = CountingSpan.end_reads
+    work = sum(sweep.examined for sweep in RecordingOpenSpans.instances)
 
     assert len(analyzed.blocks) == SCALING_OPS
     path = "/".join(
@@ -302,5 +307,6 @@ def test_analyze_is_linear_in_spans_and_blocks():
         and item.role is TensorRole.TEMPORARY
         for item in analyzed.blocks
     )
-    assert end_reads < SCALING_END_READS_PER_BLOCK * SCALING_OPS, end_reads
+    assert len(RecordingOpenSpans.instances) == 3  # one per span category
+    assert work < SCALING_WORK_PER_BLOCK * SCALING_OPS, work
     assert elapsed < SCALING_BOUND_SECONDS, f"analyze took {elapsed:.2f} s"

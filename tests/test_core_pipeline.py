@@ -95,7 +95,8 @@ class TestAnalyzer:
 
     def test_empty_trace_rejected(self):
         builder = TraceBuilder()
-        builder.annotate("ProfilerStep#0", ts=0, dur=10)
+        builder.begin_span("ProfilerStep#0", EventCategory.USER_ANNOTATION, ts=0)
+        builder.end_span(10)
         trace = builder.finish()
         with pytest.raises(TraceError):
             Analyzer().analyze(trace)

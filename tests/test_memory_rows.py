@@ -198,3 +198,17 @@ def test_a_cold_estimate_builds_no_object_view():
     )
     assert run.trace.memory_events._events is None
     assert run.sequence._events is None
+
+
+def test_a_cold_estimate_builds_no_span_view():
+    run = EstimationPipeline(iterations=2).run(
+        WorkloadConfig("MobileNetV3Small", "sgd", 4), curve=False
+    )
+    spans = run.trace.spans
+    assert spans._events is None
+    # only the loop markers were built: Module.to plus four per iteration
+    assert len(spans._picked) <= 1 + 4 * 2 < len(spans)
+    assert all(
+        spans.category[row] is EventCategory.USER_ANNOTATION
+        for row in spans._picked
+    )

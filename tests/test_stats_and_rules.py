@@ -1,7 +1,7 @@
 """Allocator stats/timelines and orchestration-rule unit behaviour."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.allocator.stats import (
@@ -84,18 +84,27 @@ class TestTimeline:
     @settings(max_examples=30, deadline=None)
     @given(
         values=st.lists(
-            st.tuples(st.integers(0, 10**6), st.integers(0, 10**9)),
+            st.tuples(
+                st.integers(0, 10**6),
+                st.integers(0, 10**9),
+                st.integers(0, 10**9),
+            ),
             min_size=1,
             max_size=200,
         )
     )
+    # the Tensor peak sits between the samples a budget of 1 keeps, and
+    # the Segment curve never rises after the first point
+    @example(values=[(0, 100, 100), (1, 90, 80), (2, 90, 10), (3, 90, 90)])
     def test_downsample_never_raises_peak(self, values):
         timeline = TimelineRecorder()
-        for ts, reserved in sorted(values):
-            timeline.record(ts, 0, reserved)
+        for ts, reserved, slack in sorted(values):
+            # allocated <= reserved, as in any allocator state
+            timeline.record(ts, max(0, reserved - slack), reserved)
         for budget in (1, 5, 50):
             thinned = timeline.downsample(budget)
             assert thinned.peak_reserved() == timeline.peak_reserved()
+            assert thinned.peak_allocated() == timeline.peak_allocated()
 
 
 def make_analyzed(blocks, iterations=(), zero_grads=()):
@@ -114,9 +123,9 @@ def span(name, ts, dur, category=EventCategory.USER_ANNOTATION):
     return SpanEvent(name=name, category=category, ts=ts, dur=dur)
 
 
-def attributed(role, alloc_ts, free_ts):
+def attributed(role, alloc_ts, free_ts, iteration=None):
     block = MemoryBlock(addr=1, size=1024, alloc_ts=alloc_ts, free_ts=free_ts)
-    item = AttributedBlock(block=block)
+    item = AttributedBlock(block=block, iteration=iteration)
     item.role = role
     return item
 
@@ -135,13 +144,13 @@ class TestBatchDataRule:
     def test_clamps_to_iteration_end(self):
         iteration = span("ProfilerStep#0", 0, 100)
         analyzed = make_analyzed([], iterations=[iteration])
-        late = attributed(TensorRole.BATCH_DATA, 10, 150)
+        late = attributed(TensorRole.BATCH_DATA, 10, 150, iteration=0)
         assert BatchDataRule().adjust(late, analyzed) == 100
 
     def test_keeps_earlier_free(self):
         iteration = span("ProfilerStep#0", 0, 100)
         analyzed = make_analyzed([], iterations=[iteration])
-        early = attributed(TensorRole.BATCH_DATA, 10, 50)
+        early = attributed(TensorRole.BATCH_DATA, 10, 50, iteration=0)
         assert (
             BatchDataRule().adjust(early, analyzed)
             is OrchestrationRule.NO_CHANGE
@@ -150,8 +159,18 @@ class TestBatchDataRule:
     def test_persistent_batch_clamped(self):
         iteration = span("ProfilerStep#0", 0, 100)
         analyzed = make_analyzed([], iterations=[iteration])
-        leak = attributed(TensorRole.BATCH_DATA, 10, None)
+        leak = attributed(TensorRole.BATCH_DATA, 10, None, iteration=0)
         assert BatchDataRule().adjust(leak, analyzed) == 100
+
+
+    def test_block_outside_every_iteration_untouched(self):
+        iteration = span("ProfilerStep#0", 0, 100)
+        analyzed = make_analyzed([], iterations=[iteration])
+        setup = attributed(TensorRole.BATCH_DATA, 120, None)
+        assert (
+            BatchDataRule().adjust(setup, analyzed)
+            is OrchestrationRule.NO_CHANGE
+        )
 
 
 class TestGradientRule:

@@ -55,6 +55,41 @@ class TestSpanEvent:
         assert free.is_free and free.size == 512
 
 
+class TestSpanColumns:
+    def test_identical_events_compare_equal(self):
+        assert SpanEvent("x", EventCategory.CPU_OP, 1, 2) == SpanEvent(
+            "x", EventCategory.CPU_OP, 1, 2
+        )
+        assert MemoryEvent(ts=1, addr=2, nbytes=3) == MemoryEvent(
+            ts=1, addr=2, nbytes=3
+        )
+
+    def test_builder_columns_equal_the_objects_they_view(self):
+        trace = build_simple_trace()
+        objects = Trace(spans=list(trace.spans), memory_events=[])
+        assert objects.spans == trace.spans
+        assert [e.name for e in trace.spans] == [
+            "ProfilerStep#0",
+            "nn.Module: fc",
+            "aten::addmm",
+        ]
+
+    def test_one_index_builds_one_span_and_keeps_it(self):
+        spans = build_simple_trace().spans
+        op = spans[2]
+        assert spans._events is None and list(spans._picked) == [2]
+        assert spans[-1] is op
+        assert list(spans)[2] is op  # the full view reuses it
+
+    def test_pickling_drops_the_view(self):
+        import pickle
+
+        spans = build_simple_trace().spans
+        list(spans)
+        copy = pickle.loads(pickle.dumps(spans))
+        assert copy._events is None and copy == spans
+
+
 class TestBuilder:
     def test_nested_spans(self):
         trace = build_simple_trace()
@@ -78,6 +113,17 @@ class TestBuilder:
         with pytest.raises(TraceError):
             builder.end_span(5)
 
+    def test_close_open_spans_ends_them_innermost_first(self):
+        builder = TraceBuilder()
+        builder.begin_span("outer", EventCategory.USER_ANNOTATION, ts=0)
+        builder.begin_span("inner", EventCategory.CPU_OP, ts=2)
+        builder.close_open_spans(7)
+        trace = builder.finish()
+        assert [(e.name, e.ts, e.end) for e in trace.spans] == [
+            ("outer", 0, 7),
+            ("inner", 2, 7),
+        ]
+
     def test_total_allocated_running_sum(self):
         builder = TraceBuilder()
         builder.begin_span("s", EventCategory.USER_ANNOTATION, ts=0)
@@ -91,10 +137,11 @@ class TestBuilder:
 
     def test_builder_rejects_use_after_finish(self):
         builder = TraceBuilder()
-        builder.annotate("x", ts=0)
+        builder.begin_span("x", EventCategory.USER_ANNOTATION, ts=0)
+        builder.end_span(0)
         builder.finish()
         with pytest.raises(TraceError):
-            builder.annotate("y", ts=1)
+            builder.begin_span("y", EventCategory.USER_ANNOTATION, ts=1)
 
     def test_nonpositive_alloc_rejected(self):
         builder = TraceBuilder()
@@ -107,8 +154,8 @@ class TestSchemaRoundTrip:
         trace = build_simple_trace()
         document = trace_to_json(trace.spans, trace.memory_events, trace.metadata)
         spans, memory_events, metadata = trace_from_json(document)
-        assert len(spans) == len(trace.spans)
-        assert len(memory_events) == len(trace.memory_events)
+        assert spans == list(trace.spans)
+        assert memory_events == list(trace.memory_events)
         assert metadata == {"model": "test"}
 
     def test_events_sorted_by_ts(self):
@@ -122,8 +169,9 @@ class TestSchemaRoundTrip:
         path = tmp_path / "trace.json"
         trace.save(path)
         loaded = Trace.load(path)
-        assert len(loaded) == len(trace)
-        assert loaded.metadata["model"] == "test"
+        assert list(loaded.spans) == list(trace.spans)
+        assert list(loaded.memory_events) == list(trace.memory_events)
+        assert loaded == trace
 
     def test_malformed_document_raises(self):
         with pytest.raises(TraceSchemaError):
