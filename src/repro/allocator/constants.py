@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..units import MiB
+from ..units import MiB, require_types
 
 #: All requested sizes are rounded up to a multiple of this (512 bytes).
 MIN_BLOCK_SIZE = 512
@@ -60,6 +60,20 @@ class AllocatorConfig:
     reclaim_on_oom: bool = True
 
     def __post_init__(self) -> None:
+        require_types(
+            self,
+            min_block_size=int,
+            small_size=int,
+            small_buffer=int,
+            large_buffer=int,
+            min_large_alloc=int,
+            round_large=int,
+            allow_split=bool,
+            cache_segments=bool,
+            reclaim_on_oom=bool,
+        )
+        if self.max_split_size is not None:
+            require_types(self, max_split_size=int)
         if self.min_block_size <= 0:
             raise ValueError("min_block_size must be positive")
         if self.small_size > self.small_buffer:

@@ -25,6 +25,9 @@ from typing import Any, Callable, Optional
 
 from .context import LockFactory, NullLock
 
+#: Answers an :class:`EstimateCache` keeps unless told otherwise.
+DEFAULT_MAX_ENTRIES = 1024
+
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -59,7 +62,7 @@ class EstimateCache:
 
     def __init__(
         self,
-        max_entries: int = 1024,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
         ttl_seconds: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ):

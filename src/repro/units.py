@@ -3,7 +3,8 @@
 All memory sizes in this project are plain ``int`` byte counts.  These
 helpers exist so that literals in model definitions, allocator constants,
 and tests read naturally (``2 * MiB``) and so that reports render sizes
-the way the paper does (GB curves, MB tables).
+the way the paper does (GB curves, MB tables).  :func:`require_types`
+is how the frozen configs keep their counts plain ``int``.
 """
 
 from __future__ import annotations
@@ -76,3 +77,22 @@ def align_up(value: int, alignment: int) -> int:
     if alignment <= 0:
         raise ValueError(f"alignment must be positive, got {alignment}")
     return ((value + alignment - 1) // alignment) * alignment
+
+
+def require_types(config: object, **kinds: type) -> None:
+    """Raise ``TypeError`` unless each named field of ``config`` is an
+    instance of its kind, where a ``bool`` is never an ``int``.
+
+    Equal configs must encode to identical JSON: ``8 == 8.0 == True``
+    compare and hash equal but serialise differently, so a fingerprint
+    memoised by value would answer with whichever spelling came first.
+    """
+    for field, kind in kinds.items():
+        value = getattr(config, field)
+        if not isinstance(value, kind) or (
+            kind is int and isinstance(value, bool)
+        ):
+            raise TypeError(
+                f"{type(config).__name__}.{field} must be {kind.__name__}, "
+                f"got {value!r}"
+            )

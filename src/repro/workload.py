@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .runtime.loop import POS0, POS1
-from .units import GiB, MiB
+from .units import GiB, MiB, require_types
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,9 @@ class WorkloadConfig:
     set_to_none: bool = True
 
     def __post_init__(self) -> None:
+        require_types(
+            self, model=str, optimizer=str, batch_size=int, set_to_none=bool
+        )
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.zero_grad_position not in (POS0, POS1):
@@ -88,6 +91,15 @@ class DeviceSpec:
     capacity_bytes: int  # M^max
     init_bytes: int = 0  # M^init — memory already used on the device
     framework_bytes: int = 600 * MiB  # M^fm — CUDA context + framework
+
+    def __post_init__(self) -> None:
+        require_types(
+            self,
+            name=str,
+            capacity_bytes=int,
+            init_bytes=int,
+            framework_bytes=int,
+        )
 
     def job_budget(self) -> int:
         """Memory available to the training job itself."""

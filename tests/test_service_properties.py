@@ -5,7 +5,9 @@ consistent-hash routing — keys on the canonical identity of
 ``WorkloadConfig``/``DeviceSpec``.  These properties pin that identity:
 ``as_dict``/``from_dict`` round-trip exactly, the round trip is immune
 to dict field *order*, survives a JSON serialize→deserialize cycle, and
-never changes the fingerprint.
+never changes the fingerprint.  The stability properties run the
+uncached encoding (``fingerprint_request.__wrapped__``): an equal
+workload would otherwise hit the memo and encode nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from hypothesis import strategies as st
 from repro.runtime.loop import POS0, POS1
 from repro.service import fingerprint_request
 from repro.workload import DeviceSpec, WorkloadConfig
+
+#: the canonical encoding without the memo in front of it
+encode = fingerprint_request.__wrapped__
 
 # readable-but-arbitrary identifiers (JSON-safe text, no surrogates)
 names = st.text(
@@ -105,14 +110,14 @@ class TestFingerprintStability:
         self, workload, device
     ):
         """The wire cycle a persistent cache would do changes nothing."""
-        original = fingerprint_request(
+        original = encode(
             workload, device, estimator_name="xMem", estimator_version="1"
         )
         wire = json.dumps(
             {"workload": workload.as_dict(), "device": device.as_dict()}
         )
         decoded = json.loads(wire)
-        revived = fingerprint_request(
+        revived = encode(
             WorkloadConfig.from_dict(decoded["workload"]),
             DeviceSpec.from_dict(decoded["device"]),
             estimator_name="xMem",
@@ -129,13 +134,20 @@ class TestFingerprintStability:
     def test_field_order_never_changes_the_fingerprint(
         self, workload, device, order
     ):
-        original = fingerprint_request(
-            workload, device, estimator_name="xMem"
-        )
+        original = encode(workload, device, estimator_name="xMem")
         shuffled = WorkloadConfig.from_dict(
             reordered(workload.as_dict(), list(order))
         )
-        assert (
-            fingerprint_request(shuffled, device, estimator_name="xMem")
-            == original
-        )
+        assert encode(shuffled, device, estimator_name="xMem") == original
+
+    @settings(max_examples=100, deadline=None)
+    @given(workload=workloads, device=devices)
+    def test_the_memo_answers_what_the_encoding_computes(
+        self, workload, device
+    ):
+        for _ in range(2):  # a miss, then a hit
+            assert fingerprint_request(
+                workload, device, estimator_name="xMem", estimator_version="1"
+            ) == encode(
+                workload, device, estimator_name="xMem", estimator_version="1"
+            )

@@ -1013,6 +1013,32 @@ def test_what_submit_is_given_is_what_the_frame_said():
     )
 
 
+@pytest.mark.parametrize(
+    "request_body",
+    [
+        {
+            "workload": {**WORKLOAD.as_dict(), "batch_size": 8.0},
+            "device": RTX_3060.as_dict(),
+        },
+        {
+            "workload": WORKLOAD.as_dict(),
+            "device": {**RTX_3060.as_dict(), "capacity_bytes": 12.0 * 2**30},
+        },
+    ],
+)
+def test_a_float_where_an_int_belongs_is_a_malformed_payload(request_body):
+    """``8.0 == 8`` but encodes differently: it must not reach the
+    gateway as a second spelling of the same request."""
+    protocol, shell, gateway = serve()
+    frame = encode_frame({"op": "estimate", "id": 9, "request": request_body})
+    assert protocol.receive(frame) is True
+    (answer,) = shell.answers()
+    assert answer["id"] == 9 and answer["ok"] is False
+    assert answer["error"]["type"] == "protocol"
+    assert answer["error"]["message"].startswith("malformed estimate payload")
+    assert "submit" not in gateway.calls
+
+
 def test_out_of_order_settles_are_answered_by_id():
     protocol, shell, gateway = serve()
     client = requests()
