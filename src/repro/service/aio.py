@@ -367,8 +367,7 @@ async def replay_async(trace: TrafficTrace, target) -> ReplayReport:
     wave, with the same outcome table
     (:meth:`~repro.service.traffic.ReplayReport.tally`), so driver
     comparisons are apples-to-apples.  Sheds are counted wherever they
-    surface — raised by ``submit`` in-process, failing the future on a
-    network client — and ``target.stats()`` may be a coroutine there.
+    surface — raised by ``submit`` or failing the future.
 
     Nothing settles on a loop the replayer does not yield to, so a wave
     submitted back-to-back would hold every slot it took and a gateway
@@ -409,6 +408,4 @@ async def replay_async(trace: TrafficTrace, target) -> ReplayReport:
             await progress.wait()
     report.elapsed_seconds = time.perf_counter() - started
     report.stats = target.stats()
-    if asyncio.iscoroutine(report.stats):
-        report.stats = await report.stats
     return report

@@ -41,36 +41,17 @@ from typing import Callable, Optional, Sequence
 
 from ..workload import DeviceSpec, WorkloadConfig
 from .control import ControlPlane
-from .core import aggregate_shard_stats
 from .dispatch import GatewayDispatch
 from .engine import EstimationService, ThreadSubstrate
 from .faults import FaultPlan
 from .resilience import ResiliencePolicy
-from .routing import (
-    DEFAULT_VNODES,
-    POLICY_NAMES,
-    BroadcastWarmupRouting,
-    ConsistentHashRouting,
-    LeastLoadedRouting,
-    RandomRouting,
-    RoutingPolicy,
-    make_policy,
-)
+from .routing import RoutingPolicy
 
 __all__ = [
-    "BroadcastWarmupRouting",
-    "ConsistentHashRouting",
     "DEFAULT_MAX_QUEUE_DEPTH",
     "DEFAULT_NUM_SHARDS",
-    "DEFAULT_VNODES",
-    "LeastLoadedRouting",
-    "POLICY_NAMES",
-    "RandomRouting",
-    "RoutingPolicy",
     "ServiceGateway",
     "SyncGatewayShell",
-    "aggregate_shard_stats",
-    "make_policy",
 ]
 
 DEFAULT_NUM_SHARDS = 4

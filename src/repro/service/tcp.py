@@ -17,9 +17,10 @@ policy-blind.
 
 Pieces:
 
-* :class:`TcpEstimationServer` — asyncio streams server exposing the
-  ``ping`` / ``estimate`` / ``estimate_many`` / ``stats`` / ``drain``
-  ops.  Per connection: a stream pair, one
+* :class:`TcpServerThread` — gateway + asyncio streams server on a
+  private event loop in a daemon thread, exposing the ``ping`` /
+  ``estimate`` / ``estimate_many`` / ``stats`` / ``drain`` ops.  Per
+  connection: a stream pair, one
   :class:`~repro.service.wire.ServerProtocol`, and a read loop that
   hands it every chunk and awaits ``writer.drain()`` before reading the
   next (back-pressure).  The protocol runs the gateway's *synchronous*
@@ -32,15 +33,12 @@ Pieces:
   never take the server down.
 * :class:`TcpServiceClient` — blocking client with the driver ``submit``
   surface (returns :class:`concurrent.futures.Future`), so the existing
-  :func:`~repro.service.traffic.replay` drives it unchanged.
-* :class:`AsyncTcpServiceClient` — the awaitable mirror, matching
-  :func:`~repro.service.aio.replay_async`.  Both clients are shells over
-  the one sans-IO :class:`~repro.service.wire.ClientProtocol`: a shell
-  holds a socket, the thread or task that reads it and (blocking only)
-  the dial loop; ids, frames, the pending table and every decision
-  about a response or a lost connection live in the protocol.
-* :class:`TcpServerThread` — gateway + server on a private event loop in
-  a daemon thread, for in-process loadtests and tests.
+  :func:`~repro.service.traffic.replay` drives it unchanged.  It is a
+  shell over the sans-IO :class:`~repro.service.wire.ClientProtocol`:
+  it holds a socket, the thread that reads it and the dial loop; ids,
+  frames, the pending table and every decision about a response or a
+  lost connection live in the protocol.  Asyncio callers in the same
+  process use :class:`~repro.service.aio.AsyncServiceGateway` directly.
 
 Deadlines cross the wire as *remaining budget* and are rebased onto the
 server's clock (see :mod:`repro.service.wire`); results come back
@@ -60,15 +58,9 @@ from typing import Callable, Optional, Sequence
 from ..errors import ConnectionLostError, ServiceClosedError
 from ..workload import DeviceSpec, WorkloadConfig
 from .aio import AsyncServiceGateway
-from .context import NullLock
 from .wire import ClientProtocol, ServerProtocol
 
-__all__ = [
-    "AsyncTcpServiceClient",
-    "TcpEstimationServer",
-    "TcpServerThread",
-    "TcpServiceClient",
-]
+__all__ = ["TcpServerThread", "TcpServiceClient"]
 
 _READ_CHUNK = 64 * 1024
 #: recv() size of a server connection's transport: small enough that
@@ -81,73 +73,96 @@ _RECONNECT_ATTEMPTS = 4
 _RECONNECT_BACKOFF = 0.02
 
 
-class TcpEstimationServer:
-    """Serves the wire ops over TCP: a stream pair and a read loop per
+class TcpServerThread:
+    """Gateway + TCP server on a private event loop in a daemon thread.
+
+    Serves the wire ops over TCP: a stream pair and a read loop per
     connection around one :class:`~repro.service.wire.ServerProtocol`.
+    The gateway is constructed *inside* the loop thread (its
+    ``asyncio.Event`` must bind to that loop), from the factory the
+    caller supplies; ``stop()`` closes the listener, then drains and
+    closes the gateway on the loop, and joins the thread.
 
     ``clock`` must be the same clock the gateway's cores use for deadline
     checks (``time.perf_counter`` by default everywhere) — rebased wire
-    deadlines are expressed in it.  The server never closes the gateway:
-    the owner that built the gateway shuts it down.
+    deadlines are expressed in it.
     """
 
     def __init__(
         self,
-        gateway: AsyncServiceGateway,
+        gateway_factory: Callable[[], AsyncServiceGateway],
         host: str = "127.0.0.1",
         port: int = 0,
         clock: Callable[[], float] = time.perf_counter,
     ):
-        self.gateway = gateway
-        self.host = host
-        self.port = port
+        self._gateway_factory = gateway_factory
+        self._host = host
+        self._port = port
         self._clock = clock
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections = 0
-        self._protocol_errors = 0
-        self._injected_drops = 0
+        self.gateway: Optional[AsyncServiceGateway] = None
+        #: the bound (host, port) — resolves ``port=0`` once started
+        self.address: Optional[tuple[str, int]] = None
+        self.connections_served = 0
+        #: connections dropped for framing/schema violations (diagnostic)
+        self.protocol_errors = 0
+        #: connections aborted by the fault plan (``connection_drop``)
+        self.injected_drops = 0
         self._drains: set[asyncio.Task] = set()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) — resolves ``port=0`` after ``start``."""
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        return self._server.sockets[0].getsockname()[:2]
-
-    @property
-    def connections_served(self) -> int:
-        return self._connections
-
-    @property
-    def protocol_errors(self) -> int:
-        """Connections dropped for framing/schema violations (diagnostic)."""
-        return self._protocol_errors
-
-    @property
-    def injected_drops(self) -> int:
-        """Connections aborted by the fault plan (``connection_drop``)."""
-        return self._injected_drops
-
-    async def start(self) -> "TcpEstimationServer":
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._ready = threading.Event()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop: Optional[asyncio.Event] = None
+        self._startup_error: Optional[BaseException] = None
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()),
+            name="tcp-server-loop",
+            daemon=True,
         )
+
+    def start(self) -> tuple[str, int]:
+        """Boot the loop thread; returns the bound (host, port)."""
+        self._thread.start()
+        self._ready.wait()
+        if self._startup_error is not None:
+            self._thread.join()
+            raise RuntimeError(
+                "TCP server failed to start"
+            ) from self._startup_error
+        assert self.address is not None
+        return self.address
+
+    def stop(self) -> None:
+        """Drain + close server and gateway, then join the loop thread."""
+        if not self._thread.is_alive():
+            return
+        if self._loop is not None and self._stop is not None:
+            self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join(timeout=30.0)
+
+    def __enter__(self) -> "TcpServerThread":
+        self.start()
         return self
 
-    async def aclose(self) -> None:
-        """Stop accepting connections and close the listening socket."""
-        if self._server is None:
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        try:
+            self.gateway = self._gateway_factory()
+            listener = await asyncio.start_server(
+                self._handle_connection, self._host, self._port
+            )
+            self.address = listener.sockets[0].getsockname()[:2]
+        except BaseException as error:
+            self._startup_error = error
             return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-
-    async def __aenter__(self) -> "TcpEstimationServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.aclose()
+        finally:
+            self._ready.set()
+        await self._stop.wait()
+        listener.close()
+        await listener.wait_closed()
+        await self.gateway.aclose()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -155,7 +170,7 @@ class TcpEstimationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections += 1
+        self.connections_served += 1
         # asyncio recv()s into a fresh 256 KiB buffer per read event and
         # frees it again, for request frames well under 1 KiB.  When that
         # buffer lands at the top of a glibc heap, the pair grows and
@@ -189,8 +204,8 @@ class TcpEstimationServer:
             # nothing was awaited since the protocol's last decision, so
             # the counters move before the peer sees the connection end
             # (an abort's reset leaves on the loop's next turn)
-            self._protocol_errors += protocol.protocol_errors
-            self._injected_drops += protocol.injected_drops
+            self.protocol_errors += protocol.protocol_errors
+            self.injected_drops += protocol.injected_drops
             # what is still outstanding settles the gateway accounting
             # before the peer observes the close — tests and drains rely
             # on that
@@ -446,213 +461,3 @@ class TcpServiceClient:
         except OSError:
             pass  # closed under us (client close or peer reset)
         self._protocol.connection_ended(connection=connection)
-
-
-# ----------------------------------------------------------------------
-# async client
-# ----------------------------------------------------------------------
-
-
-class AsyncTcpServiceClient:
-    """Awaitable TCP client mirroring the async drivers' surface.
-
-    The other shell over :class:`~repro.service.wire.ClientProtocol`: a
-    stream pair and the task that reads it.  ``submit`` is synchronous
-    and returns an :class:`asyncio.Future` (frames go out through the
-    stream writer's buffer), matching
-    :meth:`~repro.service.aio.AsyncServiceGateway.submit` closely enough
-    that :func:`~repro.service.aio.replay_async` drives it unchanged —
-    ``stats()`` is the one awaitable difference, which the replayer
-    already accommodates.  It never re-dials: once the connection is
-    lost, ``submit`` raises :class:`~repro.errors.ConnectionLostError`.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self._clock = clock
-        loop = asyncio.get_running_loop()
-        self._protocol = ClientProtocol(NullLock(), loop.create_future, clock)
-        self._read_task = loop.create_task(self._read_loop())
-
-    @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> "AsyncTcpServiceClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, clock=clock)
-
-    # ------------------------------------------------------------------
-    # driver surface
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        deadline: Optional[float] = None,
-        metadata: Optional[dict] = None,
-        tenant: str = "",
-        priority: int = 1,
-    ) -> "asyncio.Future":
-        """Send one estimate request; returns a future of the result."""
-        return self._write(
-            self._protocol.estimate_request(
-                workload, device, deadline, metadata, tenant, priority
-            )
-        )
-
-    async def estimate(
-        self,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        deadline: Optional[float] = None,
-    ):
-        """Awaitable request — the drop-in for ``service.estimate()``."""
-        return await self.submit(workload, device, deadline=deadline)
-
-    async def stats(self) -> dict:
-        return await self._write(self._protocol.stats_request())
-
-    async def ping(self) -> float:
-        started = self._clock()
-        await self._write(self._protocol.ping_request())
-        return self._clock() - started
-
-    async def drain(self, timeout: Optional[float] = None) -> bool:
-        return await self._write(self._protocol.drain_request(timeout))
-
-    async def aclose(self) -> None:
-        self._protocol.close()
-        self._read_task.cancel()
-        try:
-            await self._read_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "AsyncTcpServiceClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.aclose()
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _write(self, request: tuple) -> "asyncio.Future":
-        _msg_id, frame, future = request
-        self._writer.write(frame)
-        return future
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                data = await self._reader.read(_READ_CHUNK)
-                if not data or not self._protocol.receive(data):
-                    break
-        except OSError:
-            pass  # reset under us; cancellation (aclose) propagates
-        self._protocol.connection_ended()
-
-
-# ----------------------------------------------------------------------
-# in-process server harness
-# ----------------------------------------------------------------------
-
-
-class TcpServerThread:
-    """Gateway + TCP server on a private event loop in a daemon thread.
-
-    The in-process deployment mode: loadtests and tests get a real
-    socket without a second process.  The gateway is constructed *inside*
-    the loop thread (its ``asyncio.Event`` must bind to that loop), from
-    the factory the caller supplies; ``stop()`` drains and closes both
-    server and gateway on the loop, then joins the thread.
-    """
-
-    def __init__(
-        self,
-        gateway_factory: Callable[[], AsyncServiceGateway],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
-        self._gateway_factory = gateway_factory
-        self._host = host
-        self._port = port
-        self._clock = clock
-        self.gateway: Optional[AsyncServiceGateway] = None
-        self.server: Optional[TcpEstimationServer] = None
-        self.address: Optional[tuple[str, int]] = None
-        self._ready = threading.Event()
-        self._stop: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="tcp-server-loop", daemon=True
-        )
-
-    def start(self) -> tuple[str, int]:
-        """Boot the loop thread; returns the bound (host, port)."""
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise RuntimeError(
-                "TCP server failed to start"
-            ) from self._startup_error
-        assert self.address is not None
-        return self.address
-
-    def stop(self) -> None:
-        """Drain + close server and gateway, then join the loop thread."""
-        if not self._thread.is_alive():
-            return
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30.0)
-
-    def __enter__(self) -> "TcpServerThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    _loop: Optional[asyncio.AbstractEventLoop] = None
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            self.gateway = self._gateway_factory()
-            self.server = TcpEstimationServer(
-                self.gateway,
-                host=self._host,
-                port=self._port,
-                clock=self._clock,
-            )
-            await self.server.start()
-            self.address = self.server.address
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop.wait()
-        await self.server.aclose()
-        await self.gateway.aclose()

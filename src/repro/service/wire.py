@@ -730,12 +730,18 @@ class ClientProtocol:
 # ----------------------------------------------------------------------
 
 
+#: metadata keys only the gateway stamps — a fault directive, the retry
+#: attempt — so a peer's request carrying one is refused, not applied
+_GATEWAY_METADATA = frozenset(("fault", "attempt"))
+
+
 def _decode_estimate_payload(message: dict, now: float) -> tuple:
     """Pull (workload, device, rebased deadline, metadata, tenant,
     priority) out of one op.
 
-    Raises :class:`WireProtocolError` on a structurally bad payload —
-    the caller answers it *per request* (the frame itself was valid, so
+    Raises :class:`WireProtocolError` on a structurally bad payload, or
+    one whose metadata claims what only the gateway may stamp — the
+    caller answers it *per request* (the frame itself was valid, so
     the connection is not poisoned).  ``tenant``/``priority`` are
     optional on the wire (absent = untenanted standard traffic), so
     pre-control-plane clients keep working unchanged.
@@ -751,6 +757,11 @@ def _decode_estimate_payload(message: dict, now: float) -> tuple:
     metadata = request.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise WireProtocolError("'metadata' must be an object or null")
+    if metadata and not _GATEWAY_METADATA.isdisjoint(metadata):
+        stamped = sorted(_GATEWAY_METADATA.intersection(metadata))
+        raise WireProtocolError(
+            f"'metadata' carries gateway-only keys {stamped}"
+        )
     tenant = request.get("tenant", "")
     if not isinstance(tenant, str):
         raise WireProtocolError("'tenant' must be a string")

@@ -108,7 +108,7 @@ CLIENT_RETIRED = (
     "_estimate_message",
     "_settle_response",
 )
-CLIENT_SHELLS = ("TcpServiceClient", "AsyncTcpServiceClient")
+CLIENT_SHELLS = ("TcpServiceClient",)
 #: the server side of the wire: written once, in wire.ServerProtocol (it
 #: shares the names ``receive`` / ``connection_ended`` with the client)
 SERVER_LIFECYCLE = (
@@ -130,7 +130,12 @@ SERVER_RETIRED = (
     "_drain_and_respond",
     "_decode_estimate_payload",
 )
-SERVER_SHELL = "TcpEstimationServer"
+SERVER_SHELL = "TcpServerThread"
+#: the shells folded away: the awaitable client (asyncio callers use the
+#: loop gateway in-process) and the server the thread harness wrapped
+SHELLS_RETIRED = ("AsyncTcpServiceClient", "TcpEstimationServer")
+#: code lines of both halves of the protocol and their shells
+TCP_BUDGET = 890
 #: what a shell would need in order to look inside a frame
 FRAME_CODEC = {
     "FrameDecoder",
@@ -425,6 +430,15 @@ def test_the_server_protocol_is_written_once():
     assert from_wire == {"ClientProtocol", "ServerProtocol"}
     names = {n.id for n in ast.walk(tcp) if isinstance(n, ast.Name)}
     assert not names & FRAME_CODEC
+
+
+def test_the_wire_has_one_shell_per_side_within_its_budget():
+    """``tcp.py`` defines one client and one server shell — the retired
+    twins stay gone — and the transport stays inside its code budget."""
+    copies = defined_names(modules()["tcp.py"]) & set(SHELLS_RETIRED)
+    assert not copies, f"tcp.py defines {sorted(copies)}"
+    lines = code_lines(SERVICE / "tcp.py") + code_lines(SERVICE / "wire.py")
+    assert lines <= TCP_BUDGET, f"tcp.py + wire.py: {lines} code lines"
 
 
 def test_the_transport_reads_no_private_field_of_a_gateway():

@@ -11,7 +11,6 @@ server down.  Each test boots its own in-process server thread
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import json
 import socket
@@ -38,7 +37,6 @@ from repro.service import (
     generate_traffic,
     replay,
 )
-from repro.service.tcp import AsyncTcpServiceClient
 from repro.service.wire import FrameDecoder, WireProtocolError, encode_frame
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 
@@ -208,7 +206,7 @@ class TestProtocolViolations:
             # and the server is still serving fresh connections
             with TcpServiceClient(*server.address) as client:
                 assert client.estimate(WORKLOAD, RTX_3060).peak_bytes > 0
-            assert server.server.protocol_errors == 1
+            assert server.protocol_errors == 1
 
     def test_oversized_header_answered_and_closed(self):
         with tcp_server() as server:
@@ -249,6 +247,23 @@ class TestProtocolViolations:
                 assert by_id[0]["ok"] is False
                 assert by_id[0]["error"]["type"] == "protocol"
                 assert by_id[1]["ok"] is True  # still talking
+
+    def test_gateway_only_metadata_is_refused_before_it_is_counted(self):
+        with tcp_server() as server:
+            with TcpServiceClient(*server.address) as client:
+                for metadata in (
+                    {"fault": {"kind": "estimator_error"}},
+                    {"attempt": "x"},
+                ):
+                    future = client.submit(
+                        WORKLOAD, RTX_3060, metadata=metadata
+                    )
+                    with pytest.raises(WireProtocolError):
+                        future.result(5.0)
+                assert client.estimate(WORKLOAD, RTX_3060).peak_bytes > 0
+                fleet = client.stats()["aggregate"]
+        assert fleet["requests"] == 1
+        assert fleet["computed"] + fleet["errors"] == 1
 
     def test_frame_split_across_many_sends_still_parses(self):
         frame = encode_frame({"op": "ping", "id": 9})
@@ -298,7 +313,7 @@ class TestConnectionLoss:
                     client.submit(OTHER, RTX_4060)
             finally:
                 client.close()
-            assert server.server.injected_drops == 1
+            assert server.injected_drops == 1
 
     def test_reconnect_restores_service_after_a_drop(self):
         direct = SyntheticEstimator().estimate(OTHER, RTX_4060)
@@ -314,39 +329,6 @@ class TestConnectionLoss:
                 assert client.estimate(OTHER, RTX_4060) == direct
                 assert client.reconnects == 1
 
-    def test_async_client_surfaces_typed_error(self):
-        with tcp_server(fault_plan=self.drop_first_request_plan()) as server:
-            host, port = server.address
-
-            async def main():
-                async with await AsyncTcpServiceClient.connect(
-                    host, port
-                ) as client:
-                    with pytest.raises(ConnectionLostError) as excinfo:
-                        await client.estimate(WORKLOAD, RTX_3060)
-                    return excinfo.value
-
-            error = asyncio.run(main())
-        assert error.pending_request_ids
-
-    def test_async_client_refuses_requests_once_the_connection_is_lost(self):
-        # regression: the awaitable client kept accepting requests after
-        # the server dropped it, wrote them into the dead transport and
-        # returned futures that never settled
-        with tcp_server(fault_plan=self.drop_first_request_plan()) as server:
-            host, port = server.address
-
-            async def main():
-                async with await AsyncTcpServiceClient.connect(
-                    host, port
-                ) as client:
-                    with pytest.raises(ConnectionLostError):
-                        await client.estimate(WORKLOAD, RTX_3060)
-                    with pytest.raises(ConnectionLostError, match="reconnect"):
-                        client.submit(OTHER, RTX_4060)
-
-            asyncio.run(main())
-
     def test_an_unframeable_request_is_not_reported_as_in_flight(self):
         # regression: the request was registered before it was encoded,
         # so the id of one that never left the process stayed pending
@@ -357,78 +339,6 @@ class TestConnectionLoss:
                 with pytest.raises(ConnectionLostError) as excinfo:
                     client.estimate(OTHER, RTX_4060)
         assert len(excinfo.value.pending_request_ids) == 1
-
-
-class TestAsyncClient:
-    def test_estimate_and_stats(self):
-        direct = SyntheticEstimator().estimate(WORKLOAD, RTX_3060)
-        with tcp_server() as server:
-            host, port = server.address
-
-            async def main():
-                async with await AsyncTcpServiceClient.connect(
-                    host, port
-                ) as client:
-                    result = await client.estimate(WORKLOAD, RTX_3060)
-                    rtt = await client.ping()
-                    stats = await client.stats()
-                    return result, rtt, stats
-
-            result, rtt, stats = asyncio.run(main())
-        assert result == direct
-        assert rtt < 5.0
-        assert stats["gateway"]["requests"] == 1
-
-    def test_cancelling_a_pending_future_leaves_the_reader_alive(self):
-        slow = partial(SyntheticEstimator, work_seconds=0.2)
-        with tcp_server(estimator_factory=slow) as server:
-            host, port = server.address
-
-            async def main():
-                async with await AsyncTcpServiceClient.connect(
-                    host, port
-                ) as client:
-                    abandoned = client.submit(WORKLOAD, RTX_3060)
-                    assert abandoned.cancel()
-                    return await asyncio.wait_for(
-                        client.estimate(OTHER, RTX_3060), timeout=2.0
-                    )
-
-            assert asyncio.run(main()).peak_bytes > 0
-
-    def test_replay_async_drives_the_wire_client(self):
-        from repro.service import replay_async
-
-        trace = generate_traffic("zipf", 40, seed=5, unique_workloads=6)
-        with tcp_server() as server:
-            host, port = server.address
-
-            async def main():
-                async with await AsyncTcpServiceClient.connect(
-                    host, port
-                ) as client:
-                    return await replay_async(trace, client)
-
-            report = asyncio.run(main())
-        assert report.answered == 40
-        assert report.errors == 0
-        assert report.stats["gateway"]["requests"] == 40
-
-    def test_typed_errors_cross_the_wire(self):
-        bad = WorkloadConfig("no-such-model", "sgd", 8)
-        with tcp_server() as server:
-            host, port = server.address
-
-            async def main():
-                async with await AsyncTcpServiceClient.connect(
-                    host, port
-                ) as client:
-                    with pytest.raises(RequestRejectedError):
-                        await client.estimate(bad, RTX_3060)
-                    return await client.estimate(WORKLOAD, RTX_3060)
-
-            result = asyncio.run(main())
-        assert result.peak_bytes > 0
 
 
 class TestServerLifecycle:
@@ -453,7 +363,7 @@ class TestServerLifecycle:
                 b.ping()
             # handler bookkeeping lives on the loop thread; the counter
             # increments at accept, which both pings have forced already
-            assert server.server.connections_served == 2
+            assert server.connections_served == 2
 
     def test_stats_round_trip_preserves_json_shape(self):
         with tcp_server() as server:

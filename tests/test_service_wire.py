@@ -436,9 +436,10 @@ def loop():
 
 @pytest.fixture(scope="module", params=["threads", "loop"])
 def make_protocol(request, loop):
-    """A protocol factory per substrate the client shells bind: the
-    blocking client's (real lock, ``concurrent.futures.Future``) and the
-    awaitable client's (``NullLock``, a loop future)."""
+    """A protocol factory per substrate: the blocking client's (real
+    lock, ``concurrent.futures.Future``) and an event loop's
+    (``NullLock``, a loop future) — the protocol takes both from its
+    shell, so it stays substrate-blind with one shell bound."""
 
     def make() -> ClientProtocol:
         if request.param == "threads":
@@ -634,7 +635,7 @@ def test_end_of_stream_names_the_sorted_in_flight_ids(make_protocol):
         assert isinstance(error, ServiceClosedError)
         assert error.pending_request_ids == (0, 2, 3)
     assert futures[1].result() is True
-    # a lost connection refuses new requests (both clients, identically)
+    # a lost connection refuses new requests, on either substrate
     with pytest.raises(ConnectionLostError, match="reconnect is off"):
         protocol.estimate_request(WORKLOAD, RTX_3060)
 
@@ -1037,6 +1038,47 @@ def test_a_float_where_an_int_belongs_is_a_malformed_payload(request_body):
     assert answer["error"]["type"] == "protocol"
     assert answer["error"]["message"].startswith("malformed estimate payload")
     assert "submit" not in gateway.calls
+
+
+@pytest.mark.parametrize(
+    "metadata",
+    [
+        {"fault": {"kind": "latency_spike", "latency_seconds": 1.5}},
+        {"fault": {"kind": "estimator_error"}},
+        {"attempt": "x"},
+        {"team": "ml", "attempt": 2},
+    ],
+    ids=["latency-spike", "estimator-error", "bad-attempt", "attempt"],
+)
+def test_a_peer_cannot_stamp_gateway_only_metadata(metadata):
+    """``fault`` and ``attempt`` are the gateway's to stamp: a peer's
+    bag carrying either is refused for that request alone, before the
+    gateway counts it, and the connection goes on serving."""
+    protocol, shell, gateway = serve()
+    client = requests()
+    frame = client.estimate_request(WORKLOAD, RTX_3060, metadata=metadata)[1]
+    assert protocol.receive(frame) is True
+    assert protocol.receive(client.estimate_request(OTHER, RTX_4060)[1])
+    gateway.future().set_result(RESULT)
+    refused, served = shell.answers()
+    assert refused["id"] == 0 and refused["ok"] is False
+    assert refused["error"]["type"] == "protocol"
+    assert "gateway-only" in refused["error"]["message"]
+    assert served["id"] == 1 and served["ok"] is True
+    assert gateway.calls.count("submit") == 1
+    ((workload, _, options, _),) = gateway.submitted
+    assert workload == OTHER and options["metadata"] is None
+
+
+def test_a_telemetry_context_still_crosses_the_wire():
+    protocol, _shell, gateway = serve()
+    telemetry = {"trace_id": "t", "span_id": "s"}
+    frame = requests().estimate_request(
+        WORKLOAD, RTX_3060, metadata={"telemetry": telemetry}
+    )[1]
+    protocol.receive(frame)
+    ((_, _, options, _),) = gateway.submitted
+    assert options["metadata"] == {"telemetry": telemetry}
 
 
 def test_out_of_order_settles_are_answered_by_id():
