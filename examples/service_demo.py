@@ -45,7 +45,7 @@ JOB_QUEUE = [
 
 
 def main() -> None:
-    cache = EstimateCache(max_entries=256, ttl_seconds=3600)
+    cache = EstimateCache(max_entries=256)
     # the chain is policy; what happened to each request is observed by
     # the service core and lands in the telemetry bundle
     telemetry = Telemetry(max_ledger_events=1000)

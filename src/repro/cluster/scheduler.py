@@ -284,29 +284,6 @@ class ServiceAdmissionController:
                 )
         return jobs, decisions
 
-    async def build_jobs_async(
-        self,
-        submissions: Sequence[tuple[WorkloadConfig, int]],
-        duration: int = 1,
-    ) -> tuple[list[Job], list[AdmissionDecision]]:
-        """``build_jobs`` for asyncio-driver services.
-
-        Decisions are awaited in submission order (repeats hit the
-        service cache and concurrent duplicates single-flight exactly as
-        in the blocking path), so the returned lists are byte-identical
-        to ``build_jobs`` over the same service state.
-        """
-        jobs: list[Job] = []
-        decisions: list[AdmissionDecision] = []
-        for workload, actual_peak_bytes in submissions:
-            decision = await self.decide_async(workload)
-            decisions.append(decision)
-            if decision.admitted:
-                jobs.append(
-                    self._job_from(decision, actual_peak_bytes, duration)
-                )
-        return jobs, decisions
-
     @staticmethod
     def _job_from(
         decision: AdmissionDecision, actual_peak_bytes: int, duration: int
@@ -327,23 +304,6 @@ class ServiceAdmissionController:
     ) -> tuple[ScheduleOutcome, list[AdmissionDecision]]:
         """Admission + scheduling in one call (the full service-backed path)."""
         jobs, decisions = self.build_jobs(submissions, duration=duration)
-        scheduler = scheduler or MemoryAwareScheduler(
-            list(self.devices), gpus_per_device=gpus_per_device
-        )
-        return scheduler.simulate(jobs), decisions
-
-    async def simulate_async(
-        self,
-        submissions: Sequence[tuple[WorkloadConfig, int]],
-        duration: int = 1,
-        gpus_per_device: int = 1,
-        scheduler: Optional[MemoryAwareScheduler] = None,
-    ) -> tuple[ScheduleOutcome, list[AdmissionDecision]]:
-        """``simulate`` for asyncio-driver services: admission awaits the
-        service; the scheduling sweep itself is pure CPU and runs inline."""
-        jobs, decisions = await self.build_jobs_async(
-            submissions, duration=duration
-        )
         scheduler = scheduler or MemoryAwareScheduler(
             list(self.devices), gpus_per_device=gpus_per_device
         )

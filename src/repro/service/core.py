@@ -446,7 +446,7 @@ class _ShardState:
 
     def __init__(self):
         self.pending = 0  # queued-or-running requests admitted by us
-        self.routed = 0  # lifetime requests this shard was primary for
+        self.routed = 0  # lifetime requests routed to this shard
 
 
 class GatewayCore:
@@ -483,7 +483,6 @@ class GatewayCore:
         self.shed = 0
         self.rejected = 0
         self.throttled = 0
-        self.warmup_replicas = 0
 
     # -- intake gate ---------------------------------------------------
     def check_open(self) -> None:
@@ -498,10 +497,9 @@ class GatewayCore:
     def loads(self) -> list[int]:
         return [shard.pending for shard in self.shards]
 
-    def route(self, fingerprint: str) -> tuple[int, tuple[int, ...]]:
-        """(primary shard, warm-up replica shards) for one fingerprint."""
-        selected = self.policy.select(fingerprint, self.loads())
-        return selected[0], tuple(selected[1:])
+    def route(self, fingerprint: str) -> int:
+        """The shard that serves one fingerprint."""
+        return self.policy.select(fingerprint, self.loads())
 
     # -- admission -----------------------------------------------------
     def admit(
@@ -511,7 +509,7 @@ class GatewayCore:
         priority: int = DEFAULT_PRIORITY,
         deadline_remaining: Optional[float] = None,
     ) -> None:
-        """Reserve one primary slot on a shard, or shed.
+        """Reserve one slot on a shard, or shed.
 
         Re-checks the intake gate so a drain/close racing with a submit
         either sees the pending slot or turns the request away — never
@@ -551,23 +549,6 @@ class GatewayCore:
         shard.pending += 1
         shard.routed += 1
 
-    def admit_replica(self, shard_index: int) -> bool:
-        """Reserve a best-effort warm-up slot; False = silently skip.
-
-        Warm-up never sheds real traffic: a full queue or a closing
-        gateway simply drops the replica.
-        """
-        shard = self.shards[shard_index]
-        if (
-            self.closed
-            or self.draining
-            or shard.pending >= self.max_queue_depth
-        ):
-            return False
-        shard.pending += 1
-        self.warmup_replicas += 1
-        return True
-
     def settle(
         self,
         shard_index: int,
@@ -598,7 +579,6 @@ class GatewayCore:
             "shed": self.shed,
             "rejected": self.rejected,
             "throttled": self.throttled,
-            "warmup_replicas": self.warmup_replicas,
             "pending": self.pending(),
             "routed_per_shard": [shard.routed for shard in self.shards],
         }
@@ -637,7 +617,7 @@ def aggregate_shard_stats(
         "throttled",
         "errors",
     )
-    cache_keys = ("hits", "misses", "evictions", "expirations", "size")
+    cache_keys = ("hits", "misses", "evictions", "size")
     totals = {key: 0 for key in service_keys}
     cache = {key: 0 for key in cache_keys}
     # a shard with an empty (or absent) reservoir must not poison the

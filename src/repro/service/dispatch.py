@@ -11,7 +11,7 @@ Two lifecycles live here, one per layer, and every driver runs both:
 * :class:`GatewayDispatch` — everything a sharded gateway *decides*:
   one attempt step (admit, ledger, submit-to-shard, breaker, settle a
   slot the shard refused) that both paths take — the plain path around
-  it (count, route, span, warm-up replicas), and the resilient path
+  it (count, route, span), and the resilient path
   (first dispatch, retry with backoff, drain-time shedding) under one
   gateway-owned future per request, with at most one attempt in
   flight.  It drives :class:`~repro.service.core.GatewayCore`,
@@ -528,20 +528,20 @@ class GatewayDispatch:
 
     @property
     def shards(self) -> tuple:
-        """The underlying services, for tests and warm-up hooks."""
+        """The underlying services, for tests and stats."""
         return self._shard_services
 
     def fingerprint(
         self, workload: WorkloadConfig, device: DeviceSpec
     ) -> str:
-        """The routing/cache key — identical on every (replica) shard."""
+        """The routing/cache key — identical on every shard."""
         return self._shard_services[0].fingerprint(workload, device)
 
     def shard_for(self, workload: WorkloadConfig, device: DeviceSpec) -> int:
-        """The primary shard the current policy would pick right now."""
+        """The shard the current policy would pick right now."""
         fingerprint = self.fingerprint(workload, device)
         with self._lock:
-            return self.core.route(fingerprint)[0]
+            return self.core.route(fingerprint)
 
     def submit(
         self,
@@ -584,7 +584,7 @@ class GatewayDispatch:
             seq = self.core.requests
             # stateful policies (the seeded RNG) rely on the driver for
             # serialization, so routing happens inside the lock too
-            primary, replicas = self.core.route(fingerprint)
+            shard = self.core.route(fingerprint)
         span = None
         metadata = dict(metadata) if metadata else None
         if self.telemetry is not None:
@@ -593,7 +593,7 @@ class GatewayDispatch:
                 name=GATEWAY_SPAN,
                 attributes={
                     "policy": self.core.policy.name,
-                    "shard": primary,
+                    "shard": shard,
                     "fingerprint": fingerprint,
                 },
             )
@@ -607,7 +607,7 @@ class GatewayDispatch:
                 },
             }
         future = self._attempt(
-            primary,
+            shard,
             workload,
             device,
             fingerprint,
@@ -620,12 +620,8 @@ class GatewayDispatch:
             span,
         )
         self._sub.when_done(
-            future, partial(self._settle_dispatched, primary, span)
+            future, partial(self._settle_dispatched, shard, span)
         )
-        for shard_index in replicas:
-            self._replicate(
-                shard_index, workload, device, fingerprint, seq=seq
-            )
         return future
 
     def when_done(self, future, callback: Callable[[Any], None]) -> None:
@@ -849,38 +845,6 @@ class GatewayDispatch:
             failed = future.cancelled() or future.exception() is not None
             self._close_span(span, "error" if failed else "ok")
 
-    def _replicate(
-        self,
-        shard_index: int,
-        workload: WorkloadConfig,
-        device: DeviceSpec,
-        fingerprint: str,
-        seq: Optional[int] = None,
-    ) -> None:
-        """Best-effort warm-up duplicate: never surfaces to the caller."""
-        with self._lock:
-            if not self.core.admit_replica(shard_index):
-                return  # warm-up never sheds real traffic
-        self._sub.mark_busy()
-        self._gateway_decision(
-            ledger_events.WARMUP, "replica", fingerprint, seq, shard_index
-        )
-        try:
-            future = self._shard_services[shard_index].submit(
-                workload, device, fingerprint=fingerprint
-            )
-        except BaseException:
-            self._settle(shard_index)
-            return
-        self._sub.when_done(
-            future,
-            lambda f: (
-                # consume: warm-up failures are silent
-                None if f.cancelled() else f.exception(),
-                self._settle(shard_index),
-            ),
-        )
-
     def _settle(
         self, shard_index: int, rejected: bool = False, throttled: bool = False
     ) -> None:
@@ -910,7 +874,7 @@ class GatewayDispatch:
             self.core.count_request()
             seq = self.core.requests
             transitions = res.tick() if res is not None else []
-            primary, replicas = self.core.route(fingerprint)
+            primary = self.core.route(fingerprint)
             if res is not None:
                 target, rerouted = res.choose_shard(primary)
             else:
@@ -957,10 +921,6 @@ class GatewayDispatch:
             self._open_calls += 1
         self._sub.mark_busy()
         self._begin_attempt(state, target, directive, cause="route")
-        for shard_index in replicas:
-            self._replicate(
-                shard_index, workload, device, fingerprint, seq=seq
-            )
         return state.outer
 
     def _begin_attempt(

@@ -400,7 +400,7 @@ class ProcServiceGateway(SyncGatewayShell):
     """Routes estimation requests across N shards over one process pool.
 
     The gateway shell — routing under the lock, admit/shed/settle,
-    warm-up replicas, condition-variable ``drain()``, fleet ``stats()``
+    condition-variable ``drain()``, fleet ``stats()``
     — is inherited verbatim from
     :class:`~repro.service.gateway.SyncGatewayShell` (the thread
     gateway's shell): the decisions are byte-for-byte the same.  What

@@ -1,4 +1,4 @@
-"""Routing policies: which shard(s) serve one fingerprint (sans-IO core).
+"""Routing policies: which shard serves one fingerprint (sans-IO core).
 
 Extracted from the gateway so the policies are pure, driver-independent
 decision functions — no threads, no event loop, no clocks.  A policy sees
@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 #: virtual nodes per shard on the consistent-hash ring (smooths the
 #: key-space split so a 4-shard ring is within a few percent of 25/25/25/25)
@@ -34,12 +34,10 @@ def _ring_hash(token: str) -> int:
 
 
 class RoutingPolicy:
-    """Picks the shard(s) that serve one fingerprint.
+    """Picks the one shard that serves a fingerprint.
 
-    ``select`` returns a non-empty tuple of shard indices: the first is
-    the *primary* (its future is the caller's answer); any others receive
-    best-effort warm-up replicas whose results and failures are ignored.
-    ``loads`` is the current queued-or-running count per shard.
+    ``select`` returns that shard's index; ``loads`` is the current
+    queued-or-running count per shard.
 
     Policies may keep state (an RNG, ring tables) but must not
     synchronize: drivers serialize every ``select`` call themselves.
@@ -47,9 +45,7 @@ class RoutingPolicy:
 
     name = "policy"
 
-    def select(
-        self, fingerprint: str, loads: Sequence[int]
-    ) -> tuple[int, ...]:
+    def select(self, fingerprint: str, loads: Sequence[int]) -> int:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -85,7 +81,7 @@ class ConsistentHashRouting(RoutingPolicy):
         return self._owner[index % len(self._owner)]
 
     def select(self, fingerprint, loads):
-        return (self.shard_for(fingerprint),)
+        return self.shard_for(fingerprint)
 
 
 class RandomRouting(RoutingPolicy):
@@ -102,7 +98,7 @@ class RandomRouting(RoutingPolicy):
         self._rng = random.Random(seed)
 
     def select(self, fingerprint, loads):
-        return (self._rng.randrange(len(loads)),)
+        return self._rng.randrange(len(loads))
 
 
 class LeastLoadedRouting(RoutingPolicy):
@@ -115,34 +111,10 @@ class LeastLoadedRouting(RoutingPolicy):
     name = "least_loaded"
 
     def select(self, fingerprint, loads):
-        return (min(range(len(loads)), key=lambda index: loads[index]),)
+        return min(range(len(loads)), key=lambda index: loads[index])
 
 
-class BroadcastWarmupRouting(RoutingPolicy):
-    """Wraps a primary policy and replicates every request to all shards.
-
-    The caller's answer comes from the primary policy's shard; the other
-    shards receive best-effort duplicates that populate their caches.
-    Use for fleet warm-up (every shard learns the catalog), then swap the
-    gateway back to the plain primary policy.
-    """
-
-    name = "broadcast"
-
-    def __init__(self, primary: Optional[RoutingPolicy] = None):
-        self.primary = primary
-
-    def select(self, fingerprint, loads):
-        if self.primary is not None:
-            first = self.primary.select(fingerprint, loads)[0]
-        else:
-            first = _ring_hash(fingerprint) % len(loads)
-        return (first,) + tuple(
-            shard for shard in range(len(loads)) if shard != first
-        )
-
-
-POLICY_NAMES = ("broadcast", "hash", "least_loaded", "random")
+POLICY_NAMES = ("hash", "least_loaded", "random")
 
 
 def make_policy(name: str, num_shards: int, seed: int = 0) -> RoutingPolicy:
@@ -153,8 +125,6 @@ def make_policy(name: str, num_shards: int, seed: int = 0) -> RoutingPolicy:
         return RandomRouting(seed=seed)
     if name == "least_loaded":
         return LeastLoadedRouting()
-    if name == "broadcast":
-        return BroadcastWarmupRouting(ConsistentHashRouting(num_shards))
     raise ValueError(
         f"unknown routing policy {name!r}; choose from {sorted(POLICY_NAMES)}"
     )

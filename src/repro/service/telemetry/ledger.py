@@ -43,7 +43,6 @@ __all__ = [
     "DEADLINE",
     "REJECTED",
     "ERROR",
-    "WARMUP",
     "QUOTA",
     "AUTH",
     "RETRY",
@@ -67,7 +66,6 @@ THROTTLED = "throttled"
 DEADLINE = "deadline"
 REJECTED = "rejected"
 ERROR = "error"
-WARMUP = "warmup"
 #: Control-plane decisions (PR 10): a tenant's quota or fair share shed
 #: the request, or the auth shim refused it — recorded at the gateway
 #: layer with the deterministic gateway submission sequence as

@@ -31,7 +31,9 @@ import hashlib
 import random
 import threading
 import time
+from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..core.base import Estimator
@@ -785,7 +787,7 @@ def submit_wave(report: ReplayReport, target, wave):
 def replay(trace: TrafficTrace, target) -> ReplayReport:
     """Replay a trace against a service or gateway, wave by wave.
 
-    Each wave is submitted concurrently (``submit``) and joined before
+    Each wave is submitted concurrently (``submit``) and settles before
     the next begins — bursts stress single-flight and queues, wave
     boundaries let caches matter.  Sheds (``RateLimitExceededError``)
     and validation rejections are *expected* outcomes under adversarial
@@ -806,34 +808,37 @@ def replay(trace: TrafficTrace, target) -> ReplayReport:
     report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
     window = getattr(target, "max_queue_depth", None) or len(trace)
     in_flight = 0
+    #: (tenant, error, latency) per settled future, tallied by this thread
+    outcomes: list = []
     progress = threading.Condition()
 
-    def settled(future) -> None:
+    def settled(request, submitted_at, future) -> None:
         # as a done-callback this runs after the target's own, added at
-        # submit: the slot is free again by the time it is counted free
+        # submit: the slot is free again by the time it is counted free,
+        # and the latency is read when the future settled, not when the
+        # replayer gets around to it
         nonlocal in_flight
+        latency = time.perf_counter() - submitted_at
+        error = CancelledError() if future.cancelled() else future.exception()
         with progress:
+            outcomes.append((request.tenant, error, latency))
             in_flight -= 1
             progress.notify()
 
     started = time.perf_counter()
     for wave in trace.waves():
-        submitted = []
         for request, submitted_at, future in submit_wave(report, target, wave):
-            submitted.append((request, submitted_at, future))
             with progress:  # re-entrant: a done future calls back inline
                 in_flight += 1
-                future.add_done_callback(settled)
-                progress.wait_for(lambda: in_flight < window)
-        for request, submitted_at, future in submitted:
-            try:
-                future.result()
-            except Exception as error:
-                report.tally(request.tenant, error)
-            else:
-                report.tally(
-                    request.tenant, None, time.perf_counter() - submitted_at
+                future.add_done_callback(
+                    partial(settled, request, submitted_at)
                 )
+                progress.wait_for(lambda: in_flight < window)
+        with progress:
+            progress.wait_for(lambda: in_flight == 0)
+            for outcome in outcomes:
+                report.tally(*outcome)
+            outcomes.clear()
     report.elapsed_seconds = time.perf_counter() - started
     report.stats = target.stats()
     return report

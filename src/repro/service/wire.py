@@ -739,10 +739,11 @@ def _decode_estimate_payload(message: dict, now: float) -> tuple:
     """Pull (workload, device, rebased deadline, metadata, tenant,
     priority) out of one op.
 
-    Raises :class:`WireProtocolError` on a structurally bad payload, or
-    one whose metadata claims what only the gateway may stamp — the
-    caller answers it *per request* (the frame itself was valid, so
-    the connection is not poisoned).  ``tenant``/``priority`` are
+    Raises :class:`WireProtocolError` on a structurally bad payload, one
+    whose metadata claims what only the gateway may stamp, or one whose
+    ``telemetry`` span context is not ``{"trace_id": str[, "span_id":
+    str]}`` — the caller answers it *per request* (the frame itself was
+    valid, so the connection is not poisoned).  ``tenant``/``priority`` are
     optional on the wire (absent = untenanted standard traffic), so
     pre-control-plane clients keep working unchanged.
     """
@@ -762,6 +763,17 @@ def _decode_estimate_payload(message: dict, now: float) -> tuple:
         raise WireProtocolError(
             f"'metadata' carries gateway-only keys {stamped}"
         )
+    if metadata and "telemetry" in metadata:
+        context = metadata["telemetry"]
+        if not (
+            isinstance(context, dict)
+            and isinstance(context.get("trace_id"), str)
+            and isinstance(context.get("span_id", ""), str)
+        ):
+            raise WireProtocolError(
+                "'metadata.telemetry' must be an object with a string "
+                "'trace_id' and, if present, a string 'span_id'"
+            )
     tenant = request.get("tenant", "")
     if not isinstance(tenant, str):
         raise WireProtocolError("'tenant' must be a string")

@@ -448,23 +448,3 @@ class TestAdmissionControllerAsync:
         assert [d.reserved_bytes for d in evented] == [
             d.reserved_bytes for d in blocking
         ]
-
-    def test_simulate_async_runs_the_full_path(self):
-        from repro.cluster import ServiceAdmissionController
-
-        async def main():
-            async with AsyncEstimationService(
-                estimator=SyntheticEstimator()
-            ) as service:
-                controller = ServiceAdmissionController(
-                    service, devices=[RTX_3060]
-                )
-                outcome, decisions = await controller.simulate_async(
-                    [(WORKLOAD, 1 << 30), (OTHER, 1 << 30)]
-                )
-            assert len(decisions) == 2
-            assert outcome.completed == sum(
-                1 for d in decisions if d.admitted
-            )
-
-        asyncio.run(main())

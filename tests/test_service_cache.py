@@ -1,19 +1,8 @@
-"""LRU + TTL estimate cache."""
+"""LRU estimate cache."""
 
 import pytest
 
 from repro.service.cache import EstimateCache
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 class TestLru:
@@ -57,10 +46,22 @@ class TestLru:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             EstimateCache(max_entries=-1)
-        with pytest.raises(ValueError):
-            EstimateCache(ttl_seconds=0)
-        with pytest.raises(ValueError):
-            EstimateCache(ttl_seconds=-1)
+
+    def test_clear(self):
+        cache = EstimateCache()
+        cache.put("a", 1)
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.get("a") is None
+
+    def test_stats_as_dict(self):
+        cache = EstimateCache(max_entries=8)
+        cache.put("a", 1)
+        cache.get("a")
+        payload = cache.stats().as_dict()
+        assert payload["size"] == 1
+        assert payload["max_entries"] == 8
+        assert payload["hit_rate"] == 1.0
 
 
 class TestEdgeCapacities:
@@ -96,104 +97,6 @@ class TestEdgeCapacities:
         assert cache.stats().evictions == 0
 
 
-class TestTtlBoundary:
-    def test_entry_expires_exactly_at_the_boundary(self):
-        """The contract is `now >= expires_at`: the boundary tick is dead."""
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        clock.advance(10.0)  # exactly ttl later
-        assert "a" not in cache
-        assert cache.get("a") is None
-        assert cache.stats().expirations == 1
-
-    def test_entry_lives_an_instant_before_the_boundary(self):
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        clock.advance(10.0 - 1e-9)
-        assert cache.get("a") == 1
-        assert cache.stats().expirations == 0
-
-
-class TestExpiredEntryAccounting:
-    """Dead entries must not linger in size counts after any peek."""
-
-    def test_contains_reaps_expired_entry(self):
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        clock.advance(11)
-        assert "a" not in cache
-        # the peek itself purged and counted the expiration — no get needed
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.size == 0
-        # and it did not touch the hit/miss counters (peek semantics)
-        assert stats.hits == 0 and stats.misses == 0
-
-    def test_len_does_not_count_dead_entries(self):
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        clock.advance(5)
-        cache.put("c", 3)  # expires 10s after the others
-        clock.advance(6)  # a, b dead; c alive
-        assert len(cache) == 1
-        assert cache.stats().expirations == 2
-        assert cache.get("c") == 3
-
-    def test_stats_size_reflects_only_live_entries(self):
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        clock.advance(11)
-        stats = cache.stats()
-        assert stats.size == 0
-        assert stats.expirations == 2
-        # reaping is idempotent: a second snapshot does not double count
-        assert cache.stats().expirations == 2
-
-    def test_reap_preserves_live_lru_order(self):
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=2, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        clock.advance(5)
-        cache.put("b", 2)
-        clock.advance(6)  # a dead, b alive
-        assert len(cache) == 1
-        cache.put("c", 3)  # fits: the dead entry freed its slot
-        assert cache.get("b") == 2 and cache.get("c") == 3
-        assert cache.stats().evictions == 0
-
-    def test_put_timestamp_is_read_under_the_lock(self):
-        """A put never stamps an *earlier* expiry than the clock's present.
-
-        The regression shape: with the clock read outside the lock, a
-        concurrent advance between the read and the insert could make a
-        fresh entry appear older than an already-expired one.  With an
-        injectable clock the observable contract is simply that the TTL
-        countdown starts at the put's own clock reading.
-        """
-
-        class AdvanceOnReadClock(FakeClock):
-            def __call__(self):
-                value = self.now
-                self.now += 1.0  # every read advances: order is observable
-                return value
-
-        clock = AdvanceOnReadClock()
-        cache = EstimateCache(max_entries=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)  # stamped at t=0, expires at t=10
-        # reads so far: 1 (the put). gets read t=1..9: alive until >= 10
-        for _ in range(9):
-            assert cache.get("a") == 1
-        assert cache.get("a") is None  # the read that crossed t=10
-        assert cache.stats().expirations == 1
-
-
 class TestEvictionOrder:
     def test_mixed_get_put_interleaving_orders_eviction(self):
         """Recency is what get/put *touch*, not insertion order."""
@@ -222,50 +125,3 @@ class TestEvictionOrder:
         cache.put("c", 3)
         assert cache.get("a") is None  # a was still the LRU entry
         assert cache.get("b") == 2
-
-
-class TestTtl:
-    def test_entries_expire(self):
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.9)
-        assert cache.get("a") == 1
-        clock.advance(0.2)
-        assert cache.get("a") is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.misses == 1
-        assert "a" not in cache
-
-    def test_put_resets_ttl(self):
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        clock.advance(8)
-        cache.put("a", 2)
-        clock.advance(8)
-        assert cache.get("a") == 2  # 16s after first put, 8s after second
-
-    def test_no_ttl_never_expires(self):
-        clock = FakeClock()
-        cache = EstimateCache(max_entries=4, clock=clock)
-        cache.put("a", 1)
-        clock.advance(1e9)
-        assert cache.get("a") == 1
-
-    def test_clear(self):
-        cache = EstimateCache()
-        cache.put("a", 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("a") is None
-
-    def test_stats_as_dict(self):
-        cache = EstimateCache(max_entries=8)
-        cache.put("a", 1)
-        cache.get("a")
-        payload = cache.stats().as_dict()
-        assert payload["size"] == 1
-        assert payload["max_entries"] == 8
-        assert payload["hit_rate"] == 1.0

@@ -18,7 +18,6 @@ from repro.service import (
 )
 from repro.service.core import aggregate_shard_stats
 from repro.service.routing import (
-    BroadcastWarmupRouting,
     LeastLoadedRouting,
     RandomRouting,
 )
@@ -61,29 +60,20 @@ class TestRoutingPolicies:
 
     def test_least_loaded_picks_shortest_queue(self):
         policy = LeastLoadedRouting()
-        assert policy.select("any", [3, 1, 2]) == (1,)
-        assert policy.select("any", [0, 0, 5]) == (0,)  # tie -> lowest
+        assert policy.select("any", [3, 1, 2]) == 1
+        assert policy.select("any", [0, 0, 5]) == 0  # tie -> lowest
 
     def test_random_routing_is_seed_deterministic(self):
         loads = [0, 0, 0, 0]
         sequence1 = RandomRouting(seed=7)
         sequence2 = RandomRouting(seed=7)
-        picks1 = [sequence1.select("x", loads)[0] for _ in range(32)]
-        picks2 = [sequence2.select("x", loads)[0] for _ in range(32)]
+        picks1 = [sequence1.select("x", loads) for _ in range(32)]
+        picks2 = [sequence2.select("x", loads) for _ in range(32)]
         assert picks1 == picks2
         assert set(picks1) <= {0, 1, 2, 3}
 
-    def test_broadcast_returns_primary_first_then_all_others(self):
-        policy = BroadcastWarmupRouting(ConsistentHashRouting(3))
-        selected = policy.select("some-fingerprint", [0, 0, 0])
-        assert len(selected) == 3
-        assert sorted(selected) == [0, 1, 2]
-        assert selected[0] == ConsistentHashRouting(3).shard_for(
-            "some-fingerprint"
-        )
-
     def test_make_policy_names(self):
-        for name in ("hash", "random", "least_loaded", "broadcast"):
+        for name in ("hash", "random", "least_loaded"):
             assert make_policy(name, 4).name == name
         with pytest.raises(ValueError):
             make_policy("nope", 4)
@@ -114,20 +104,6 @@ class TestGatewayRouting:
             served = gateway.estimate(WORKLOAD, RTX_3060)
         assert served.peak_bytes == reference.peak_bytes
         assert served.workload == reference.workload
-
-    def test_broadcast_warms_every_shard(self):
-        with make_gateway(
-            policy=BroadcastWarmupRouting(ConsistentHashRouting(4))
-        ) as gateway:
-            gateway.estimate(WORKLOAD, RTX_3060)
-            gateway.drain()
-            stats = gateway.stats()
-            assert stats["gateway"]["warmup_replicas"] == 3
-            # after warm-up, the key is cached on every shard
-            fingerprint = gateway.fingerprint(WORKLOAD, RTX_3060)
-            assert all(
-                fingerprint in shard.cache for shard in gateway.shards
-            )
 
     def test_least_loaded_ignores_the_fingerprint(self):
         with make_gateway(policy=LeastLoadedRouting()) as gateway:
@@ -339,7 +315,6 @@ class TestAggregation:
                 "hits": 2,
                 "misses": 2,
                 "evictions": 0,
-                "expirations": 0,
                 "size": 2,
             },
             "inflight": 0,
@@ -358,7 +333,6 @@ class TestAggregation:
                 "hits": 0,
                 "misses": 2,
                 "evictions": 0,
-                "expirations": 0,
                 "size": 2,
             },
             "inflight": 1,
@@ -428,7 +402,6 @@ class TestAggregation:
                 "hits": 1,
                 "misses": 3,
                 "evictions": 0,
-                "expirations": 0,
                 "size": 3,
             },
             "inflight": 0,

@@ -1,5 +1,5 @@
-"""Structural guards on ``src/repro/service`` (AST only; the one
-behavioural pin at the bottom is the only test that imports the package).
+"""Structural guards on ``src/repro/service`` (AST only; the two
+behavioural pins at the bottom are the only tests that import the package).
 
 "Policy lives once, in the sans-IO core; a driver is only the code that
 cannot be shared" is a property of the source tree, so it is checked on
@@ -46,7 +46,6 @@ LIFECYCLE = (
     "_settle_outer",
     "_attempt",
     "_record_breaker",
-    "_replicate",
     "_settle",
     "_gateway_decision",
     "_sync_resilience",
@@ -63,6 +62,8 @@ RETIRED = (
     "_maybe_schedule_hedge",
     "_fire_hedge",
     "_cancel_timers",
+    # warm-up replicas: a request goes to the one shard its policy picks
+    "_replicate",
 )
 #: one service's request lifecycle: written once, in ServiceDispatch
 SERVICE_LIFECYCLE = (
@@ -176,6 +177,14 @@ PROFILE_PACKAGES = ("repro.trace", "repro.runtime")
 #: the late ways to attach an artifact store: a store is attached where
 #: the estimator or its cache is built, so these stay gone
 STORE_ATTACH_RETIRED = ("with_artifact_store", "attach_artifact_store")
+#: broadcast warm-up and the result-cache TTL: one shard per request, and
+#: LRU eviction the one way out of the cache
+ONE_SHARD_RETIRED = (
+    "BroadcastWarmupRouting",
+    "admit_replica",
+    "_reap_expired_locked",
+    "WARMUP",
+)
 #: RequestContext's wire form: a context never leaves its process
 CONTEXT_RETIRED = ("as_dict", "from_dict", "remaining", "shard_hint")
 SANS_IO = (
@@ -215,6 +224,17 @@ def modules() -> dict[str, ast.Module]:
 def defined_names(tree: ast.Module) -> set[str]:
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return {node.name for node in ast.walk(tree) if isinstance(node, kinds)}
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    """Defined names plus every plainly assigned one (constants)."""
+    assigned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            assigned.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            assigned.add(node.target.id)
+    return defined_names(tree) | assigned
 
 
 def imported_roots(tree: ast.Module) -> set[str]:
@@ -277,6 +297,16 @@ def test_the_dispatch_lifecycle_is_written_once():
     assert {name: homes[name] for name in RETIRED} == {
         name: [] for name in RETIRED
     }
+
+
+def test_a_request_has_one_shard_and_the_cache_one_way_out():
+    """Broadcast warm-up and the cache TTL stay gone, constants included
+    (``ledger.WARMUP`` is an assignment, not a definition)."""
+    copies = {
+        module: sorted(bound_names(tree) & set(ONE_SHARD_RETIRED))
+        for module, tree in modules().items()
+    }
+    assert {module: names for module, names in copies.items() if names} == {}
 
 
 def test_the_gateway_admits_an_attempt_in_one_place():
@@ -773,11 +803,21 @@ def test_the_package_exports_exactly_what_its_callers_import():
 
 
 def test_the_default_chain_is_validation_then_cache():
-    """The one behavioural pin in this file (it imports the package)."""
+    """A behavioural pin (it imports the package)."""
     from repro.service import EstimateCache, default_middlewares
 
     names = tuple(m.name for m in default_middlewares(EstimateCache()))
     assert names == ("validation", "cache")
+
+
+def test_every_policy_selects_one_shard():
+    """A behavioural pin: ``select`` answers one shard index."""
+    from repro.service.routing import POLICY_NAMES, make_policy
+
+    fingerprint = "9b2d6c98084d2ab3676d7c05072ed27f"
+    for name in POLICY_NAMES:
+        shard = make_policy(name, 4).select(fingerprint, [0] * 4)
+        assert type(shard) is int and shard in range(4), (name, shard)
 
 
 if __name__ == "__main__":

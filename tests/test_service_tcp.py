@@ -34,6 +34,8 @@ from repro.service import (
     SyntheticEstimator,
     TcpServerThread,
     TcpServiceClient,
+    Telemetry,
+    default_resilience,
     generate_traffic,
     replay,
 )
@@ -264,6 +266,36 @@ class TestProtocolViolations:
                 fleet = client.stats()["aggregate"]
         assert fleet["requests"] == 1
         assert fleet["computed"] + fleet["errors"] == 1
+
+    def test_a_malformed_telemetry_context_is_refused_before_it_is_counted(
+        self,
+    ):
+        """On a traced, resilient gateway the peer's span context reaches
+        the tracer as sent, so a malformed one is refused at the wire."""
+        with tcp_server(
+            num_shards=1,
+            telemetry=Telemetry(),
+            resilience=default_resilience(),
+        ) as server:
+            with TcpServiceClient(*server.address) as client:
+                for context in (5, {"span_id": "x"}, "abc"):
+                    future = client.submit(
+                        WORKLOAD, RTX_3060, metadata={"telemetry": context}
+                    )
+                    with pytest.raises(WireProtocolError):
+                        future.result(5.0)
+                assert client.estimate(WORKLOAD, RTX_3060).peak_bytes > 0
+                fleet = client.stats()["aggregate"]
+        outcomes = (
+            "cache_hits",
+            "computed",
+            "deduplicated",
+            "rejected",
+            "throttled",
+            "errors",
+        )
+        assert fleet["requests"] == 1
+        assert fleet["requests"] == sum(fleet[key] for key in outcomes)
 
     def test_frame_split_across_many_sends_still_parses(self):
         frame = encode_frame({"op": "ping", "id": 9})

@@ -1,5 +1,9 @@
 """Traffic scenarios: determinism, shape guarantees, replay accounting."""
 
+import threading
+from concurrent.futures import Future
+from functools import partial
+
 import pytest
 
 from repro.service import (
@@ -9,7 +13,11 @@ from repro.service import (
     generate_traffic,
     replay,
 )
-from repro.service.traffic import workload_catalog
+from repro.service.traffic import (
+    TrafficRequest,
+    TrafficTrace,
+    workload_catalog,
+)
 from repro.service.middleware import (
     RequestContext,
     ServiceRequest,
@@ -162,3 +170,61 @@ class TestReplay:
             report = replay(trace, service)
         assert report.answered == 30
         assert report.throughput_rps > 0
+
+
+class _ScriptedTarget:
+    """Settles each tenant's request as ``script[tenant]`` says:
+    ``(seconds, "result" | "cancel")``; zero seconds settles at submit."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def submit(self, workload, device, tenant=""):
+        future = Future()
+        delay, outcome = self.script[tenant]
+        if outcome == "cancel":
+            settle = future.cancel
+        else:
+            settle = partial(future.set_result, tenant)
+        if delay:
+            threading.Timer(delay, settle).start()
+        else:
+            settle()
+        return future
+
+    def stats(self):
+        return {}
+
+
+def _one_wave(*tenants):
+    workload = workload_catalog(1, seed=0)[0]
+    return TrafficTrace(
+        scenario="scripted",
+        seed=0,
+        requests=tuple(
+            TrafficRequest(workload, RTX_3060, wave=0, tenant=tenant)
+            for tenant in tenants
+        ),
+    )
+
+
+class TestReplayLatency:
+    def test_latency_is_read_when_the_future_settles(self):
+        """A request answered at submit is not charged for an earlier,
+        slower request of its wave (the join order)."""
+        target = _ScriptedTarget(
+            {"slow": (0.2, "result"), "fast": (0, "result")}
+        )
+        report = replay(_one_wave("slow", "fast"), target)
+        assert report.answered == 2
+        assert report.tenant_latency_ms("fast", 50) < 50
+        assert report.tenant_latency_ms("slow", 50) >= 150
+
+    def test_a_cancelled_future_is_an_error_and_the_wave_still_ends(self):
+        target = _ScriptedTarget(
+            {"gone": (0.05, "cancel"), "fast": (0, "result")}
+        )
+        report = replay(_one_wave("gone", "fast"), target)
+        assert report.answered == 1
+        assert report.errors == 1
+        assert report.tenants["gone"]["errors"] == 1

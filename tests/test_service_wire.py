@@ -1070,6 +1070,30 @@ def test_a_peer_cannot_stamp_gateway_only_metadata(metadata):
     assert workload == OTHER and options["metadata"] is None
 
 
+@pytest.mark.parametrize(
+    "context",
+    [5, "abc", {"span_id": "x"}, {"trace_id": 7}, {"trace_id": "t", "span_id": 3}],
+    ids=["number", "string", "no-trace-id", "int-trace-id", "int-span-id"],
+)
+def test_a_malformed_telemetry_context_is_refused_per_request(context):
+    """A span context the tracer cannot join is refused for that request
+    alone, before the gateway counts it, and the connection goes on."""
+    protocol, shell, gateway = serve()
+    client = requests()
+    frame = client.estimate_request(
+        WORKLOAD, RTX_3060, metadata={"telemetry": context}
+    )[1]
+    assert protocol.receive(frame) is True
+    assert protocol.receive(client.estimate_request(OTHER, RTX_4060)[1])
+    gateway.future().set_result(RESULT)
+    refused, served = shell.answers()
+    assert refused["id"] == 0 and refused["ok"] is False
+    assert refused["error"]["type"] == "protocol"
+    assert "telemetry" in refused["error"]["message"]
+    assert served["id"] == 1 and served["ok"] is True
+    assert gateway.calls.count("submit") == 1
+
+
 def test_a_telemetry_context_still_crosses_the_wire():
     protocol, _shell, gateway = serve()
     telemetry = {"trace_id": "t", "span_id": "s"}
