@@ -2,7 +2,7 @@
 
 The service stack is sans-IO: the middleware onion, fingerprint cache,
 single-flight dedup, and gateway routing/shedding are pure policy steps
-(:mod:`repro.service.core`), and two thin drivers execute them — the
+(:mod:`repro.service.dispatch`), and two thin drivers execute them — the
 thread pool (:class:`~repro.service.engine.EstimationService`) and the
 event loop (:class:`~repro.service.aio.AsyncEstimationService`).  This
 example drives the asyncio side:

@@ -1,17 +1,17 @@
-"""The asyncio execution driver over the sans-IO service core.
+"""The asyncio execution driver over the sans-IO dispatch machines.
 
 :class:`AsyncEstimationService` and :class:`AsyncServiceGateway` run the
-*same* policy core as the thread driver — the middleware onion, the
+*same* policy as the thread driver — the middleware onion, the
 fingerprint cache, single-flight deduplication, routing, and queue/shed
-accounting all come from :mod:`repro.service.core`, and service and
-gateway are the one :class:`~repro.service.dispatch.ServiceDispatch` /
-:class:`~repro.service.dispatch.GatewayDispatch` machines over a loop
-substrate (null locks, ``asyncio`` futures, ``loop.call_later``) — but
-on an event loop: cache lookups, hooks, and bookkeeping execute
-inline on the loop (serialized by it, so the core's ``NullLock`` slots
-stay null), while the CPU-bound estimator call is offloaded to a thread
-executor.  Results are byte-identical to the thread driver's and to
-direct estimator calls.
+accounting: service and gateway are the one
+:class:`~repro.service.dispatch.ServiceDispatch` /
+:class:`~repro.service.dispatch.GatewayDispatch` machines (the latter
+over :class:`~repro.service.core.GatewayCore`) on a loop substrate (null
+locks, ``asyncio`` futures, ``loop.call_later``): cache lookups, hooks,
+and bookkeeping execute inline on the loop (serialized by it, so the
+``NullLock`` slots stay null), while the CPU-bound estimator call is
+offloaded to a thread executor.  Results are byte-identical to the
+thread driver's and to direct estimator calls.
 
 Why a second driver instead of wrapping the thread service in
 ``run_in_executor``?  Because the expensive part of a serving tier under

@@ -15,10 +15,10 @@ the driver *binds* a real primitive via ``bind_lock`` (see
 is the mutable per-request state threaded through every hook: identity
 (``request_id``, ``fingerprint``), budget (``deadline``, ``attempt``),
 and outcome flags the drivers and middlewares fill in as the request
-advances.  Only the request has a serialized form
-(:meth:`ServiceRequest.as_dict`); a context never leaves the process
-that opened it — the TCP wire ships a deadline as remaining budget and
-the server opens a fresh context around it.
+advances.  A request crosses a process boundary as itself (the process
+pool pickles it, metadata bag included); a context never leaves the
+process that opened it — the TCP wire ships a deadline as remaining
+budget and the server opens a fresh context around it.
 """
 
 from __future__ import annotations
@@ -67,49 +67,13 @@ class ServiceRequest:
     #: QoS class (0 interactive / 1 standard / 2 batch)
     priority: int = 1
 
-    def as_dict(self) -> dict:
-        """JSON-ready form of the request.
-
-        This is the wire format the process-pool driver ships to worker
-        processes: plain dicts survive any serialization substrate
-        (pickle today, JSON-over-socket tomorrow).
-
-        ``tenant``/``priority`` ride only when set off their defaults,
-        so untenanted payloads stay byte-identical to pre-control-plane
-        frames (backward/forward wire compatibility).
-        """
-        payload = {
-            "workload": self.workload.as_dict(),
-            "device": self.device.as_dict(),
-            "fingerprint": self.fingerprint,
-            "metadata": dict(self.metadata),
-        }
-        if self.tenant:
-            payload["tenant"] = self.tenant
-        if self.priority != 1:
-            payload["priority"] = self.priority
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServiceRequest":
-        """Inverse of :meth:`as_dict` (round-trips exactly)."""
-        return cls(
-            workload=WorkloadConfig.from_dict(payload["workload"]),
-            device=DeviceSpec.from_dict(payload["device"]),
-            fingerprint=payload["fingerprint"],
-            metadata=dict(payload.get("metadata", {})),
-            tenant=payload.get("tenant", ""),
-            priority=payload.get("priority", 1),
-        )
-
 
 @dataclass
 class RequestContext:
     """Mutable per-request state threaded through the hooks.
 
     ``tags`` is the middlewares' scratchpad (e.g. timing start stamps);
-    ``metadata`` is the caller/driver-supplied annotation bag (trace IDs,
-    tenant labels) that the core carries but never interprets.
+    the caller's annotation bag is the request's ``metadata``.
     """
 
     request_id: int
@@ -127,11 +91,11 @@ class RequestContext:
     deduplicated: bool = False
     short_circuited_by: Optional[str] = None
     tags: dict = field(default_factory=dict)
-    metadata: dict[str, Any] = field(default_factory=dict)
     #: live tracing handle (:class:`~repro.service.telemetry.RequestTelemetry`)
-    #: attached by the core when a tracer is configured.  Never serialized:
-    #: the JSON-safe span context travels in ``metadata["telemetry"]``
-    #: instead, and the receiving side re-opens its own spans against it.
+    #: attached by the service when a tracer is configured.  Never
+    #: serialized: the JSON-safe span context travels in the request's
+    #: ``metadata["telemetry"]`` instead, and the receiving side re-opens
+    #: its own spans against it.
     telemetry: Optional[Any] = field(
         default=None, compare=False, repr=False
     )

@@ -421,7 +421,7 @@ class AuthShimMiddleware(ServiceMiddleware):
         grant = self._grants.get(token)
         if grant is None:
             raise AuthenticationError("unknown auth token")
-        if request.tenant and request.tenant != grant.tenant:
+        if request.tenant != grant.tenant:
             raise AuthenticationError(
                 f"token is for tenant {grant.tenant!r}, "
                 f"request claims {request.tenant!r}"

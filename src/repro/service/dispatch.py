@@ -6,8 +6,9 @@ Two lifecycles live here, one per layer, and every driver runs both:
   gate, fingerprint, deadline, single-flight lookup, request hooks,
   short-circuit, the locked gate re-check + claim, launch onto the
   driver's execution substrate, completion hooks, release, settle, and
-  the dispatched count ``drain()`` waits on.  It drives
-  :class:`~repro.service.core.ServiceCore`.
+  the dispatched count ``drain()`` waits on — and how each way it ends
+  is observed: one row of :data:`OUTCOMES` (metrics counter, ledger
+  event, root-span status), read in one place, ``_emit``.
 * :class:`GatewayDispatch` — everything a sharded gateway *decides*:
   one attempt step (admit, ledger, submit-to-shard, breaker, settle a
   slot the shard refused) that both paths take — the plain path around
@@ -40,6 +41,7 @@ that attempts come and go under.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -47,6 +49,7 @@ from typing import Any, Callable, ContextManager, Optional, Protocol, Sequence
 
 from ..core.base import Estimator
 from ..core.estimator import XMemEstimator
+from ..core.result import EstimationResult
 from ..errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -60,17 +63,12 @@ from ..workload import DeviceSpec, WorkloadConfig
 from .cache import EstimateCache
 from .context import LockFactory, RequestContext, ServiceRequest
 from .control import DEFAULT_PRIORITY, ControlPlane
-from .core import (
-    GatewayCore,
-    ServiceCore,
-    adopt_chain_cache,
-    aggregate_shard_stats,
-    compute_fingerprint,
-    invoke_estimator,
-)
+from .core import GatewayCore, aggregate_shard_stats, invoke_estimator
 from .faults import FaultInjector, FaultPlan
+from .fingerprint import fingerprint_request
 from .metrics import ServiceMetrics
 from .middleware import (
+    CacheMiddleware,
     MiddlewareChain,
     ServiceMiddleware,
     default_middlewares,
@@ -78,7 +76,7 @@ from .middleware import (
 from .resilience import ResilienceCore, ResiliencePolicy, is_transient
 from .routing import ConsistentHashRouting, RoutingPolicy
 from .telemetry import ledger as ledger_events
-from .telemetry.spans import GATEWAY_SPAN
+from .telemetry.spans import GATEWAY_SPAN, RequestTelemetry
 
 __all__ = ["GatewayDispatch", "ServiceDispatch", "Substrate", "admit_refusal"]
 
@@ -136,6 +134,26 @@ class Substrate(Protocol):
         """Nothing is open any more: wake ``drain()`` (lock held)."""
 
 
+#: How each way a request can end is observed — ``outcome ->
+#: (ServiceMetrics recorder, ledger event, root-span status)``.  The
+#: service-side sibling of :func:`admit_refusal`: every path through
+#: :class:`ServiceDispatch` ends in one :meth:`ServiceDispatch._emit`
+#: reading one row, so counter, ledger and span cannot disagree about an
+#: outcome.
+OUTCOMES = {
+    "cache_hit": ("record_cache_hit", ledger_events.CACHE_HIT, "ok"),
+    "short_circuit": ("record_computed", ledger_events.ADMIT, "ok"),
+    "computed": ("record_computed", ledger_events.COMPUTED, "ok"),
+    "deduplicated": ("record_deduplicated", ledger_events.DEDUP, "ok"),
+    "deadline": ("record_rejected", ledger_events.DEADLINE, "deadline"),
+    "throttled": ("record_throttled", ledger_events.THROTTLED, "throttled"),
+    "rejected": ("record_rejected", ledger_events.REJECTED, "rejected"),
+    "error": ("record_error", ledger_events.ERROR, "error"),
+}
+#: the outcomes that answered the caller: their recorders take the latency
+_ANSWERED = ("cache_hit", "short_circuit", "computed")
+
+
 class ServiceDispatch:
     """Serves estimation requests through a middleware chain.
 
@@ -168,23 +186,26 @@ class ServiceDispatch:
         else:
             # stats() must see the cache that actually serves hits:
             # adopt the chain's, if it has one
-            self.cache = adopt_chain_cache(middlewares, self.cache)
+            self.cache = next(
+                (m.cache for m in middlewares if isinstance(m, CacheMiddleware)),
+                self.cache,
+            )
         self.chain = MiddlewareChain(middlewares)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         # hooks run on caller and worker threads at once under the
         # thread substrate (real locks); the loop serializes them (null)
         self.cache.bind_lock(substrate.call_lock)
         self.chain.bind_lock(substrate.call_lock)
-        self.telemetry = telemetry
-        self.core = ServiceCore(
-            self.chain,
-            self.cache,
-            self.metrics,
-            tracer=telemetry.tracer if telemetry is not None else None,
-            ledger=telemetry.ledger if telemetry is not None else None,
-        )
+        self.tracer = telemetry.tracer if telemetry is not None else None
+        self.ledger = telemetry.ledger if telemetry is not None else None
+        #: gateway-assigned position in the fleet (None standalone);
+        #: stamped onto every ledger event for provenance
+        self.shard_id: Optional[int] = None
         self._sub = substrate
         self._lock = substrate.lock
+        #: fingerprint -> the master future its duplicates share
+        self._inflight: dict[str, Any] = {}
+        self._request_ids = itertools.count(1)
         self._dispatched = 0  # launched estimations not yet settled
         self._draining = False
         self._closed = False
@@ -196,7 +217,14 @@ class ServiceDispatch:
         self, workload: WorkloadConfig, device: DeviceSpec
     ) -> str:
         """The cache/single-flight key this service uses for a request."""
-        return compute_fingerprint(self.estimator, workload, device)
+        estimator = self.estimator
+        return fingerprint_request(
+            workload,
+            device,
+            estimator_name=estimator.name,
+            estimator_version=str(getattr(estimator, "version", "")),
+            allocator_config=getattr(estimator, "allocator_config", None),
+        )
 
     def submit(
         self,
@@ -224,34 +252,28 @@ class ServiceDispatch:
         """
         if self._closed or self._draining:
             raise ServiceClosedError("service is closed")
-        fp = (
-            fingerprint
-            if fingerprint is not None
-            else self.fingerprint(workload, device)
-        )
-        request, ctx = self.core.open_request(
-            workload,
-            device,
-            fp,
-            deadline=deadline,
-            metadata=metadata,
-            tenant=tenant,
-            priority=priority,
+        if fingerprint is None:
+            fingerprint = self.fingerprint(workload, device)
+        request, ctx = self._open_request(
+            workload, device, fingerprint, deadline, metadata, tenant, priority
         )
         # an already-expired deadline is rejected before the dedup lookup:
-        # piggybacking would hand the caller a result it declared useless
-        self.core.check_deadline(ctx)
+        # piggybacking would hand the caller a result it declared useless,
+        # and an expired caller never pays for a hook either
+        now = time.perf_counter()
+        if ctx.expired(now):
+            self._emit("deadline", "expired_before_dispatch", ctx)
+            raise DeadlineExceededError(now - ctx.deadline)
         with self._lock:
-            shared = self.core.inflight.get(fp)
+            shared = self._inflight.get(fingerprint)
         if shared is not None:
-            self.core.note_deduplicated(ctx)
-            return self._sub.share(shared)
+            return self._piggyback(ctx, shared)
         # hooks run outside the lock: cache/rate-limit state is internally
         # locked, and a hook may call back into stats() without deadlock
-        admission = self.core.run_request_hooks(request, ctx)
-        if admission.result is not None:
+        short, depth = self._run_request_hooks(request, ctx)
+        if short is not None:
             future = self._sub.new_future()
-            future.set_result(admission.result)
+            future.set_result(short)
             return future
         with self._lock:
             # re-check the intake gate under the lock: a drain() racing
@@ -264,26 +286,22 @@ class ServiceDispatch:
                 # another caller may have registered this fingerprint
                 # while our hooks ran (it already paid its own trip
                 # through the chain, so piggybacking now is safe)
-                shared = self.core.inflight.get(fp)
+                shared = self._inflight.get(fingerprint)
                 if shared is None:
                     master = self._sub.new_master()
-                    self.core.inflight.claim(fp, master)
+                    self._inflight[fingerprint] = master
                     self._dispatched += 1
                     self._sub.mark_busy()
         if refused:
             # the hooks already ran for this request: unwind the entered
-            # layers and classify the outcome (core.refuse = on_error
-            # hooks + the rejected counter + the ledger entry) so
-            # counters keep reconciling — outside the lock, because
-            # hooks must never run under it
+            # layers and count a rejection so counters keep reconciling —
+            # outside the lock, because hooks must never run under it
             error = ServiceClosedError("service is closed")
-            self.core.refuse(
-                request, ctx, error, admission.depth, cause="drain_race"
-            )
+            self.chain.run_error(request, error, ctx, depth)
+            self._emit("rejected", "drain_race", ctx, cause="drain_race")
             raise error
         if shared is not None:
-            self.core.note_deduplicated(ctx)
-            return self._sub.share(shared)
+            return self._piggyback(ctx, shared)
         try:
             inner = self._launch(request, ctx)
         except BaseException as error:
@@ -291,18 +309,17 @@ class ServiceDispatch:
             # settle through the future like any failed estimation, so
             # nothing piggybacks on a slot no worker will ever resolve
             # and the entered middleware layers are unwound
-            self._resolve(request, ctx, master, admission.depth, error=error)
+            self._resolve(request, ctx, master, depth, error=error)
         else:
             self._sub.when_done(
-                inner,
-                partial(self._on_done, request, ctx, master, admission.depth),
+                inner, partial(self._on_done, request, ctx, master, depth)
             )
         return self._sub.share(master)
 
     def stats(self) -> dict:
         """Service metrics + cache counters in one JSON-ready snapshot."""
         with self._lock:
-            inflight = len(self.core.inflight)
+            inflight = len(self._inflight)
         return {
             "service": self.metrics.as_dict(),
             "cache": self.cache.stats().as_dict(),
@@ -331,6 +348,113 @@ class ServiceDispatch:
         """A re-launched future when the *substrate* (not the estimator)
         failed and the driver could repair it; None surfaces ``error``."""
         return None
+
+    # ------------------------------------------------------------------
+    # the request path (the caller's thread, or the loop)
+    # ------------------------------------------------------------------
+    def _open_request(
+        self,
+        workload: WorkloadConfig,
+        device: DeviceSpec,
+        fingerprint: str,
+        deadline: Optional[float],
+        metadata: Optional[dict],
+        tenant: str,
+        priority: int,
+    ) -> tuple[ServiceRequest, RequestContext]:
+        """Count one request in and stamp its envelope."""
+        self.metrics.record_request()
+        request = ServiceRequest(
+            workload, device, fingerprint, dict(metadata or {}), tenant, priority
+        )
+        ctx = RequestContext(
+            request_id=next(self._request_ids),
+            submitted_at=time.perf_counter(),
+            fingerprint=fingerprint,
+            deadline=deadline,
+        )
+        if "attempt" in request.metadata:
+            # the resilience plane stamps the attempt number into the
+            # metadata bag (it survives every substrate boundary); the
+            # context carries it from here on
+            ctx.attempt = int(request.metadata["attempt"])
+        if self.tracer is not None:
+            ctx.telemetry = RequestTelemetry.begin(
+                self.tracer,
+                fingerprint,
+                ctx.request_id,
+                parent_context=request.metadata.get("telemetry"),
+            )
+            # the JSON-safe span context rides the metadata bag so any
+            # transport (the procpool pickle boundary included) can
+            # re-parent its own spans under this request
+            request.metadata["telemetry"] = ctx.telemetry.context()
+        return request, ctx
+
+    def _piggyback(self, ctx: RequestContext, master):
+        """Hand this caller the in-flight duplicate's outcome."""
+        ctx.deduplicated = True
+        self._emit("deduplicated", "single_flight", ctx, deduplicated=True)
+        return self._sub.share(master)
+
+    def _run_request_hooks(
+        self, request: ServiceRequest, ctx: RequestContext
+    ) -> tuple[Optional[EstimationResult], int]:
+        """``on_request`` hooks + budget check, with outcome classification.
+
+        Returns ``(short, depth)``: ``short`` non-None is a short-circuit
+        answer (cache hit, synthetic answer) that has already passed
+        ``on_result`` for the outer layers and been observed; ``short``
+        None means the estimator must run, and ``depth`` is how many
+        layers are owed ``on_result`` / ``on_error`` afterwards.
+
+        Raises the hook's own exception after observing it (throttled /
+        rejected / error).  Deadlines are enforced twice overall:
+        :meth:`submit` checks caller-supplied ones before the dedup
+        lookup, and this method re-checks after the chain, before
+        admitting a compute dispatch — so a budget stamped *by* a hook
+        (:class:`~repro.service.middleware.DeadlineMiddleware`) still
+        rejects before the estimator is paid for.  A short-circuit
+        answer is exempt from the second check: it is already computed
+        and costs nothing to hand back.
+        """
+        try:
+            short, depth = self.chain.run_request(request, ctx)
+        except RateLimitExceededError:
+            self._emit("throttled", "rate_limit", ctx)
+            raise
+        except RequestRejectedError as error:
+            self._emit("rejected", type(error).__name__, ctx)
+            raise
+        except BaseException as error:
+            self._emit("error", type(error).__name__, ctx)
+            raise
+        if short is not None:
+            short = self.chain.run_result(request, short, ctx, depth)
+            producer = ctx.short_circuited_by
+            if ctx.cache_hit:
+                self._emit(
+                    "cache_hit", producer or "cache", ctx, cache_hit=True
+                )
+            else:
+                self._emit(
+                    "short_circuit",
+                    f"short_circuit:{producer or 'unknown'}",
+                    ctx,
+                    cache_hit=False,
+                )
+            return short, depth
+        now = time.perf_counter()
+        if ctx.expired(now):
+            # the budget ran out inside the chain (or a hook stamped one
+            # that is already hopeless): unwind the entered layers like
+            # any other mid-chain rejection, then refuse the dispatch
+            error = DeadlineExceededError(now - ctx.deadline)
+            self.chain.run_error(request, error, ctx, depth)
+            self._emit("deadline", "budget_exhausted_in_chain", ctx)
+            raise error
+        self._record_decision(ledger_events.ADMIT, "compute", ctx)
+        return None, depth
 
     # ------------------------------------------------------------------
     # the completion path (worker / callback thread, or the loop)
@@ -365,13 +489,61 @@ class ServiceDispatch:
                 )
             return
         try:
-            result = self.core.finish(
+            result = self._finish(
                 request, ctx, self._unpack(ctx, outcome), depth
             )
         except BaseException as error:
             self._resolve(request, ctx, master, depth, error=error)
             return
         self._resolve(request, ctx, master, depth, result=result)
+
+    def _finish(
+        self,
+        request: ServiceRequest,
+        ctx: RequestContext,
+        result: EstimationResult,
+        depth: int,
+    ) -> EstimationResult:
+        """Post-estimation completion: ``on_result`` hooks + accounting."""
+        result = self.chain.run_result(request, result, ctx, depth)
+        stages = getattr(result, "stage_seconds", None)
+        sources = getattr(result, "stage_sources", None)
+        if stages:
+            # staged estimators report where computed time went; recorded
+            # alongside the computed outcome (and never for cache hits) so
+            # the per-stage counts reconcile with the computed counter
+            self.metrics.record_stages(stages, sources)
+        if ctx.telemetry is not None:
+            ctx.telemetry.finish_estimate(stage_seconds=stages)
+        worker = ctx.tags.get("worker")
+        self._emit(
+            "computed",
+            "estimator",
+            ctx,
+            worker=str(worker) if worker is not None else None,
+            cache_hit=False,
+        )
+        if worker is not None:
+            # attribution only once the result is accepted: a result an
+            # on_result hook rejects is classified as an error, and the
+            # per-worker counts must keep summing to `computed`
+            self.metrics.record_worker(worker)
+        store_stages = sorted(
+            stage
+            for stage, source in (sources or {}).items()
+            if source == "store"
+        )
+        if store_stages:
+            # stages answered by the persistent artifact store (L2) leave
+            # an audit trail: cold processes inheriting warm artifacts is
+            # a provenance fact, not just a latency win
+            self._record_decision(
+                ledger_events.ARTIFACT,
+                "store_hit",
+                ctx,
+                attributes={"stages": store_stages},
+            )
+        return result
 
     def _resolve(
         self,
@@ -382,23 +554,86 @@ class ServiceDispatch:
         result=None,
         error: Optional[BaseException] = None,
     ) -> None:
-        """Settle one claimed request, exactly once."""
-        if error is not None:
-            self.core.fail(request, ctx, error, depth)
-        # release before resolving: a done-callback that resubmits this
-        # fingerprint must find the cache, not a resolved piggyback
-        with self._lock:
-            self.core.inflight.release(request.fingerprint)
-        if error is not None:
-            master.set_exception(error)
+        """Settle one claimed request, exactly once — whatever its hooks
+        do: an ``on_error`` hook that raises still leaves the request
+        observed, released, resolved with ``error`` and counted down (its
+        own exception propagates afterwards, to whoever ran this)."""
+        try:
+            if error is not None:
+                # failure after admission — the estimator raised, an
+                # on_result hook did, or the substrate refused the launch
+                self.chain.run_error(request, error, ctx, depth)
+        finally:
+            if error is not None:
+                if ctx.telemetry is not None:
+                    ctx.telemetry.finish_estimate(status="error")
+                name = type(error).__name__
+                self._emit("error", name, ctx, error=name)
+            # release before resolving: a done-callback that resubmits
+            # this fingerprint must find the cache, not a resolved
+            # piggyback
+            with self._lock:
+                self._inflight.pop(request.fingerprint, None)
+            if error is not None:
+                master.set_exception(error)
+            else:
+                master.set_result(result)
+            # count down after resolving: a drain() that returns True
+            # promises every future already handed out is done
+            with self._lock:
+                self._dispatched -= 1
+                if self._dispatched == 0:
+                    self._sub.notify_idle()
+
+    # ------------------------------------------------------------------
+    # observation
+    # ------------------------------------------------------------------
+    def _record_decision(
+        self,
+        event: str,
+        cause: str,
+        ctx: RequestContext,
+        worker: Optional[str] = None,
+        attributes: Optional[dict] = None,
+    ) -> None:
+        """Ledger one service-layer policy decision (no-op unledgered)."""
+        if self.ledger is None:
+            return
+        if ctx.attempt > 1:
+            # retries/failovers carry their attempt number into the
+            # ledger so provenance distinguishes re-dispatched work
+            attributes = {**(attributes or {}), "attempt": ctx.attempt}
+        self.ledger.record(
+            event,
+            cause=cause,
+            fingerprint=ctx.fingerprint,
+            request_id=ctx.request_id,
+            shard=self.shard_id,
+            worker=worker,
+            attributes=attributes,
+        )
+
+    def _emit(
+        self,
+        outcome: str,
+        cause: str,
+        ctx: RequestContext,
+        /,
+        worker: Optional[str] = None,
+        **span_attributes,
+    ) -> None:
+        """Observe one request's end on all three channels at once — the
+        metrics counter, the ledger event, the root span's status.  The
+        only place any of them learns how a request ended."""
+        recorder, event, status = OUTCOMES[outcome]
+        record = getattr(self.metrics, recorder)
+        if outcome in _ANSWERED:
+            record(time.perf_counter() - ctx.submitted_at)
         else:
-            master.set_result(result)
-        # count down after resolving: a drain() that returns True
-        # promises every future already handed out is done
-        with self._lock:
-            self._dispatched -= 1
-            if self._dispatched == 0:
-                self._sub.notify_idle()
+            record()
+        self._record_decision(event, cause, ctx, worker=worker)
+        if ctx.telemetry is not None:
+            ctx.telemetry.close(status, **span_attributes)
 
 
 def admit_refusal(error: BaseException) -> tuple[str, str, str]:
@@ -494,22 +729,21 @@ class GatewayDispatch:
             max_queue_depth=max_queue_depth,
             control=control,
         )
-        # one Telemetry bundle spans the whole fleet: every shard core is
+        # one Telemetry bundle spans the whole fleet: every shard is
         # stamped with its position and pointed at the shared tracer +
         # ledger (unless the shard was pre-built with its own), so one
         # request yields one trace across gateway and shard layers and
         # the ledger records provenance per shard
         self.telemetry = telemetry
         for index, service in enumerate(self._shard_services):
-            shard_core = getattr(service, "core", None)
-            if shard_core is None:
-                continue
-            shard_core.shard_id = index
+            if not isinstance(service, ServiceDispatch):
+                continue  # a test double answers for itself
+            service.shard_id = index
             if telemetry is not None:
-                if shard_core.tracer is None:
-                    shard_core.tracer = telemetry.tracer
-                if shard_core.ledger is None:
-                    shard_core.ledger = telemetry.ledger
+                if service.tracer is None:
+                    service.tracer = telemetry.tracer
+                if service.ledger is None:
+                    service.ledger = telemetry.ledger
 
     # ------------------------------------------------------------------
     # public API (mirrors EstimationService)

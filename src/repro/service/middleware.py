@@ -30,9 +30,10 @@ all run on the event loop).
 
 The chain carries **policy only** — validate, answer from cache, stamp a
 budget, throttle, authorize.  What happened to a request is observed in
-one place, :class:`~repro.service.core.ServiceCore` (metrics window,
-ledger, root span), so a middleware instance shared by every request
-keeps no per-request state.
+one place, :meth:`ServiceDispatch._emit
+<repro.service.dispatch.ServiceDispatch._emit>` (metrics window, ledger,
+root span), so a middleware instance shared by every request keeps no
+per-request state.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ class MiddlewareChain:
         hook exception, runs ``on_error`` for the layers already entered
         and re-raises.
 
-        When the request carries a live tracing handle (the core attached
-        one) and the tracer runs at ``detail="full"``, every
+        When the request carries a live tracing handle (the service
+        attached one) and the tracer runs at ``detail="full"``, every
         ``on_request`` hook is followed by its own ``middleware:<name>``
         span — the per-layer cost breakdown the span tree exists to
         show.  Untraced (or standard-detail) requests pay one check per

@@ -7,25 +7,26 @@ stages pure Python — cannot scale past one core no matter how many
 workers the pool has.  :class:`ProcEstimationService` keeps every *policy* step
 inline in the parent process (fingerprinting, middleware hooks, cache
 lookup and population, single-flight dedup, metrics — all driven through
-the identical :class:`~repro.service.core.ServiceCore`) and dispatches
-only the cache-miss estimator invocation to a pool of worker processes.
+the identical :class:`~repro.service.dispatch.ServiceDispatch`) and
+dispatches only the cache-miss estimator invocation to a pool of worker
+processes.
 
 Division of labour:
 
 * **parent** — owns the cache, the chain, the single-flight table, and
   the metrics.  Hooks run on the submitting thread; completion hooks
   (``on_result`` → cache population → accounting) run on the pool's
-  callback thread, under the ``threading.Lock`` primitives this driver
-  binds onto the core, exactly like the thread driver's worker side.
+  callback thread, under the ``threading.Lock`` primitives of the
+  thread substrate, exactly like the thread driver's worker side.
 * **workers** — each process builds its estimator **once**, via the
   pool initializer (:func:`_init_worker`), from a picklable factory.
   Stage caches (:class:`~repro.core.pipeline.PipelineCache`) therefore
   warm *inside* each worker and persist across requests: a workload is
   profiled at most once per worker, and a store path bound in the
   factory (``partial(XMemEstimator, artifact_store=PATH)``) is how
-  workers share one profile.  A worker only ever sees the pickle-safe request payload
-  (:meth:`~repro.service.context.ServiceRequest.as_dict`) and returns
-  ``(worker_pid, result)``.
+  workers share one profile.  A worker receives the
+  :class:`~repro.service.context.ServiceRequest` itself (it pickles,
+  metadata bag included) and returns ``(worker_pid, result, spans)``.
 
 Cross-process metrics: the result objects come back carrying their
 ``stage_seconds`` breakdown (``compare=False``, so byte-identity with
@@ -122,21 +123,19 @@ def _init_worker(factory: Callable[[], object]) -> None:
     _WORKER_ESTIMATOR = factory()
 
 
-def _worker_estimate(payload: dict):
+def _worker_estimate(request: ServiceRequest):
     """Run one cache-miss estimation inside a worker process.
 
-    ``payload`` is the pickle-safe envelope
-    (:meth:`ServiceRequest.as_dict`).  Returns
-    ``(pid, result, span_payloads)`` so the parent can attribute work to
-    workers and re-attach the worker-side spans to the request's trace.
+    Returns ``(pid, result, span_payloads)`` so the parent can attribute
+    work to workers and re-attach the worker-side spans to the request's
+    trace.
 
-    When the envelope's metadata bag carries a span context (the parent
+    When the request's metadata bag carries a span context (the parent
     had tracing enabled), the worker times the estimate and builds the
     ``estimate`` span plus its ``stage:*`` children locally, shipping
     them back as plain dicts — tracing crosses the pickle boundary the
     same way the request does.  Without a span context this is free.
     """
-    request = ServiceRequest.from_dict(payload)
     fault = request.metadata.get("fault")
     if fault and fault.get("kind") == "worker_kill":
         # the injected fault this substrate can make *real*: die exactly
@@ -336,7 +335,7 @@ class ProcEstimationService(SyncServiceShell):
     # ------------------------------------------------------------------
     def _launch(self, request: ServiceRequest, ctx: RequestContext) -> Future:
         pool = self._executor
-        inner = pool.submit(_worker_estimate, request.as_dict())
+        inner = pool.submit(_worker_estimate, request)
         # _recover must name the pool this attempt ran on: the
         # supervisor's replace() is identity-checked
         inner.pool = pool
@@ -350,7 +349,7 @@ class ProcEstimationService(SyncServiceShell):
             # onto the parent clock (they arrive in the worker's
             # perf_counter domain)
             ctx.telemetry.attach_spans(
-                span_payloads, rebase_to=self.core.clock()
+                span_payloads, rebase_to=time.perf_counter()
             )
         return result
 
@@ -381,15 +380,12 @@ class ProcEstimationService(SyncServiceShell):
         ctx.attempt += 1
         request.metadata.pop("fault", None)
         request.metadata["attempt"] = ctx.attempt
-        if self.core.ledger is not None:
-            self.core.ledger.record(
-                ledger_events.RETRY,
-                cause="worker_death",
-                fingerprint=request.fingerprint,
-                request_id=ctx.request_id,
-                shard=self.core.shard_id,
-                attributes={"layer": "service", "attempt": ctx.attempt},
-            )
+        self._record_decision(
+            ledger_events.RETRY,
+            "worker_death",
+            ctx,
+            attributes={"layer": "service"},
+        )
         try:
             return self._launch(request, ctx)
         except BaseException:

@@ -148,7 +148,7 @@ class TestAsyncService:
                 assert all(o is outcomes[0] for o in outcomes)
                 assert isinstance(outcomes[0], EstimationError)
                 # the single-flight slot was released: a retry re-estimates
-                assert len(service.core.inflight) == 0
+                assert len(service._inflight) == 0
                 assert estimator.calls == 1
 
         asyncio.run(main())

@@ -44,7 +44,6 @@ from repro.service import (
 from repro.service.control import DEFAULT_PRIORITY, TokenBucket, qos_class
 from repro.service.traffic import tenant_configs
 from repro.service import control
-from repro.service.context import ServiceRequest
 from repro.service.wire import error_from_wire, error_to_wire
 from repro.workload import RTX_3060, WorkloadConfig
 
@@ -535,6 +534,18 @@ class TestAuthShim:
                     metadata={"auth_token": "token-rival"},
                 )
 
+    def test_an_untenanted_request_cannot_borrow_a_token(self):
+        """The token's tenant must match the claimed one, and claiming
+        none is no match: a token holder is never admitted under the
+        gateway's stranger bucket instead of its own quota."""
+        with self._service(TenantGrant("acme")) as service:
+            with pytest.raises(AuthenticationError, match="claims ''"):
+                service.submit(
+                    WORKLOAD,
+                    RTX_3060,
+                    metadata={"auth_token": "token-acme"},
+                )
+
     def test_model_outside_grant_is_unauthorized(self):
         grant = TenantGrant("acme", models=frozenset({"SqueezeNet"}))
         with self._service(grant) as service:
@@ -578,34 +589,11 @@ class TestAuthShim:
 
 
 # ----------------------------------------------------------------------
-# wire + request-shape compatibility
+# wire compatibility
 # ----------------------------------------------------------------------
 
 
 class TestWireCompat:
-    def test_untenanted_request_dict_is_byte_compatible(self):
-        request = ServiceRequest(
-            workload=WORKLOAD, device=RTX_3060, fingerprint="fp"
-        )
-        payload = request.as_dict()
-        assert "tenant" not in payload
-        assert "priority" not in payload
-        restored = ServiceRequest.from_dict(payload)
-        assert restored.tenant == ""
-        assert restored.priority == DEFAULT_PRIORITY
-
-    def test_tenanted_request_round_trips(self):
-        request = ServiceRequest(
-            workload=WORKLOAD,
-            device=RTX_3060,
-            fingerprint="fp",
-            tenant="acme",
-            priority=2,
-        )
-        restored = ServiceRequest.from_dict(request.as_dict())
-        assert restored.tenant == "acme"
-        assert restored.priority == 2
-
     def test_quota_error_round_trips_with_tenant_and_scope(self):
         error = QuotaExceededError(
             "acme", retry_after_seconds=1.5, scope="fair_share"

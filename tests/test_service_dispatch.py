@@ -735,6 +735,20 @@ class FakeService(ServiceDispatch):
         return None
 
 
+class UnwindsBadly(ServiceMiddleware):
+    """An ``on_error`` hook that fails while unwinding."""
+
+    name = "unwinds_badly"
+
+    def on_error(self, request, error, ctx):
+        raise RuntimeError("the unwinding hook broke too")
+
+
+class FailingEstimator(SyntheticEstimator):
+    def estimate(self, workload, device):
+        raise EstimationError("boom")
+
+
 class ServiceHarness:
     def __init__(self, **kwargs):
         self.service = FakeService(**kwargs)
@@ -768,11 +782,11 @@ class ServiceHarness:
             + counters["rejected"]
             + counters["throttled"]
             + counters["errors"]
-            + len(service.core.inflight)
+            + len(service._inflight)
         )
         # every claimed slot is a launched estimation, and what a
         # waiting drain() sees is what the machine believes
-        assert service._dispatched == len(service.core.inflight)
+        assert service._dispatched == len(service._inflight)
         assert service.sub.idle == (service._dispatched == 0)
         for future in self.futures:
             assert getattr(future, "settles", 0) <= 1
@@ -867,6 +881,15 @@ class TestServiceLifecycle:
         h.assert_settled_once()
         counters = h.counters()
         assert (counters["errors"], counters["computed"]) == (1, 0)
+
+    def test_an_unwinding_hook_that_raises_still_settles_the_request(self):
+        h = ServiceHarness(middlewares=(UnwindsBadly(),))
+        future = h.submit()
+        assert h.submit() is future
+        h.step(h.service.launched[0].set_exception, EstimationError("boom"))
+        assert isinstance(future.exception(), EstimationError)
+        h.assert_settled_once()
+        assert h.counters()["errors"] == 1
 
     def test_hook_refusals_are_classified_and_never_launch(self):
         h = ServiceHarness(
@@ -1000,6 +1023,31 @@ class TestEveryServiceDriver:
             aggregate = gateway.stats()["aggregate"]
         assert (aggregate["computed"], aggregate["errors"]) == (1, 0)
         assert stray_errors() == []
+
+    @pytest.mark.parametrize("driver", ["thread", "asyncio"])
+    def test_an_unwinding_hook_that_raises_strands_nothing(self, driver):
+        """The estimator fails and an ``on_error`` hook raises too: the
+        caller still gets the estimator's error, the single-flight slot
+        is freed and ``drain()`` sees the service go idle."""
+
+        async def main():
+            service = SERVICE_DRIVERS[driver](
+                FailingEstimator, middlewares=(UnwindsBadly(),)
+            )
+            try:
+                future = service.submit(WORKLOAD, RTX_3060)
+                with pytest.raises(EstimationError):
+                    await asyncio.wait_for(outcome(future), 2.0)
+                drained = service.drain(timeout=2.0)
+                if asyncio.iscoroutine(drained):
+                    drained = await drained
+                return drained, service.stats()
+            finally:
+                await shut(service, wait=False)
+
+        drained, stats = asyncio.run(main())
+        assert drained and stats["inflight"] == 0
+        assert stats["service"]["requests"] == stats["service"]["errors"] == 1
 
     @pytest.mark.parametrize("driver", SERVICE_DRIVERS)
     def test_a_launch_that_raises_surfaces_as_one_error(self, driver):

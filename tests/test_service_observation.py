@@ -1,4 +1,5 @@
-"""Observation lives in the core; the chain keeps no per-request state.
+"""Observation lives in the service machine; the chain keeps no
+per-request state.
 
 Two promises of the policy/observation split are pinned here:
 
@@ -11,7 +12,10 @@ Two promises of the policy/observation split are pinned here:
   a private exporter nothing read — ~555 B/request, forever.)
 * **One outcome, one row.**  However a request ends, the metrics
   counter, the ledger event and the root span's status come from the
-  same row of :data:`repro.service.core.OUTCOMES`.
+  same row of :data:`repro.service.dispatch.OUTCOMES`.  Each scenario
+  drives a :class:`~repro.service.dispatch.ServiceDispatch` on the fake
+  substrate through ``submit`` and the launched future, as a driver
+  would.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import types
+from concurrent.futures import Future
 
 import pytest
 
@@ -39,16 +44,14 @@ from repro.service import (
     Telemetry,
     default_middlewares,
 )
-from repro.service.core import ServiceCore
-from repro.service.middleware import MiddlewareChain
+from repro.service.dispatch import OUTCOMES, ServiceDispatch
 from repro.service.telemetry.exporters import (
     InMemorySpanExporter,
     NullSpanExporter,
 )
-from repro.service.telemetry.ledger import AuditLedger
-from repro.service.telemetry.spans import Span, Tracer
-from repro.service import core as service_core
+from repro.service.telemetry.spans import Span
 from repro.workload import RTX_3060, WorkloadConfig
+from tests.test_service_dispatch import FakeSubstrate
 
 WORKLOADS = [WorkloadConfig("MobileNetV2", "sgd", size) for size in (1, 2, 4, 8)]
 HITS = 2000
@@ -128,7 +131,7 @@ def census(service) -> dict:
     return {
         "spans": live_spans(),
         "chain": reachable(service.chain.middlewares),
-        "core": reachable(service.core),
+        "service": reachable(service),
     }
 
 
@@ -195,17 +198,20 @@ class TestNothingAccumulates:
 
 
 class Scripted(ServiceMiddleware):
-    """Raises or answers on demand."""
+    """Raises, answers, or runs a side effect on demand."""
 
     name = "scripted"
 
     def __init__(self):
         self.raises = None
         self.answer = None
+        self.then = None
 
     def on_request(self, request, ctx):
         if self.raises is not None:
             raise self.raises
+        if self.then is not None:
+            self.then()
         return self.answer
 
 
@@ -219,28 +225,37 @@ def make_result(workload=WORKLOADS[0]):
     )
 
 
+class ParkingService(ServiceDispatch):
+    """``_launch`` parks a future the scenario resolves by hand."""
+
+    def _launch(self, request, ctx):
+        self.launched = Future()
+        return self.launched
+
+
 class Harness:
-    """A bare :class:`ServiceCore` with all three channels observable."""
+    """A :class:`ServiceDispatch` on the fake substrate with all three
+    channels observable; every request is submitted under one
+    fingerprint, ``"fp"``."""
 
     def __init__(self):
         self.scripted = Scripted()
         self.cache = EstimateCache()
         self.exporter = InMemorySpanExporter()
-        self.ledger = AuditLedger()
         self.metrics = ServiceMetrics()
-        self.core = ServiceCore(
-            MiddlewareChain(
-                (self.scripted, *default_middlewares(self.cache))
-            ),
+        self.service = ParkingService(
+            SyntheticEstimator(),
+            (self.scripted, *default_middlewares(self.cache)),
             self.cache,
             self.metrics,
-            tracer=Tracer(self.exporter),
-            ledger=self.ledger,
+            Telemetry(exporter=self.exporter),
+            FakeSubstrate(),
         )
+        self.ledger = self.service.ledger
 
-    def open(self, fingerprint="fp", deadline=None):
-        return self.core.open_request(
-            WORKLOADS[0], RTX_3060, fingerprint, deadline=deadline
+    def submit(self, deadline=None):
+        return self.service.submit(
+            WORKLOADS[0], RTX_3060, fingerprint="fp", deadline=deadline
         )
 
     def observed(self) -> tuple:
@@ -262,53 +277,50 @@ class Harness:
 
 
 def _dedup(h):
-    _, ctx = h.open()
-    h.core.note_deduplicated(ctx)
+    # a duplicate of this request is already in flight
+    h.service._inflight["fp"] = FakeSubstrate.new_master()
+    h.submit()
 
 
 def _expired(h):
-    _, ctx = h.open(deadline=-1.0)
     with pytest.raises(DeadlineExceededError):
-        h.core.check_deadline(ctx)
+        h.submit(deadline=-1.0)
 
 
 def _hook_raises(error):
     def scenario(h):
         h.scripted.raises = error
         with pytest.raises(type(error)):
-            h.core.run_request_hooks(*h.open())
+            h.submit()
 
     return scenario
 
 
 def _cache_hit(h):
     h.cache.put("fp", make_result())
-    assert h.core.run_request_hooks(*h.open()).result is not None
+    assert h.submit().result() is not None
 
 
 def _short_circuit(h):
     h.scripted.answer = make_result()
-    assert h.core.run_request_hooks(*h.open()).result is not None
+    assert h.submit().result() is not None
 
 
 def _computed(h):
-    request, ctx = h.open()
-    admission = h.core.run_request_hooks(request, ctx)
-    h.core.finish(request, ctx, make_result(), admission.depth)
+    h.submit()
+    h.service.launched.set_result(make_result())
 
 
 def _failed(h):
-    request, ctx = h.open()
-    admission = h.core.run_request_hooks(request, ctx)
-    h.core.fail(request, ctx, RuntimeError("boom"), admission.depth)
+    h.submit()
+    h.service.launched.set_exception(RuntimeError("boom"))
 
 
 def _refused(h):
-    request, ctx = h.open()
-    admission = h.core.run_request_hooks(request, ctx)
-    h.core.refuse(
-        request, ctx, ServiceClosedError("closed"), admission.depth
-    )
+    # a drain() lands while the request hooks run
+    h.scripted.then = lambda: setattr(h.service, "_draining", True)
+    with pytest.raises(ServiceClosedError):
+        h.submit()
 
 
 #: scenario -> (driver, the counter that moves, ledger event, span status)
@@ -362,7 +374,7 @@ class TestOneOutcomeTable:
             (RECORDERS[counter], event, status)
             for _, counter, event, status in SCENARIOS.values()
         }
-        assert reached == set(service_core.OUTCOMES.values())
+        assert reached == set(OUTCOMES.values())
 
     def test_outcome_attributes_on_the_root_span(self):
         """What the span says beyond its status is per call site."""
@@ -372,7 +384,7 @@ class TestOneOutcomeTable:
             "short_circuit": {"cache_hit": False},
             "computed": {"cache_hit": False},
             "failed": {"error": "RuntimeError"},
-            "refused": {"cause": "dispatch_refused"},
+            "refused": {"cause": "drain_race"},
             "throttled": {},
         }
         for name, extra in expected.items():
@@ -389,7 +401,7 @@ class TestOneOutcomeTable:
 class TestHookSpans:
     def _spans(self, scenario):
         harness = Harness()
-        harness.core.tracer.detail = "full"
+        harness.service.tracer.detail = "full"
         scenario(harness)
         return harness.exporter.spans
 

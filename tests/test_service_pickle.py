@@ -5,14 +5,13 @@ crosses the process boundary — the request envelope going out, the
 estimation result coming back — survives serialization *exactly*.  These
 properties pin it with hypothesis-generated instances: pickle round
 trips preserve equality (and the canonical identity the fingerprint is
-built from), and the request's ``as_dict`` wire format round-trips
-through JSON.  A :class:`RequestContext` has no wire form (it stays in
-the process that opened it), so only its pickle trip is pinned.
+built from).  The pool submits the :class:`ServiceRequest` itself, so
+its pickle trip is its only wire form; a :class:`RequestContext` stays
+in the process that opened it, and only its pickle trip is pinned too.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 
 from hypothesis import given, settings
@@ -104,7 +103,6 @@ contexts = st.builds(
     cache_hit=st.booleans(),
     deduplicated=st.booleans(),
     tags=bags,
-    metadata=bags,
 )
 
 
@@ -130,16 +128,6 @@ def test_service_request_pickle_round_trips(request):
     clone = pickle.loads(pickle.dumps(request))
     assert clone == request
     assert clone.fingerprint == request.fingerprint
-
-
-@settings(max_examples=50)
-@given(request=requests)
-def test_service_request_wire_format_survives_json(request):
-    # the as_dict envelope is the substrate-agnostic wire format: it must
-    # survive an actual JSON encode/decode, not just a dict copy
-    payload = json.loads(json.dumps(request.as_dict()))
-    clone = ServiceRequest.from_dict(payload)
-    assert clone == request
 
 
 @settings(max_examples=50)

@@ -11,6 +11,7 @@ picklable factory.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import threading
 import time
 from functools import partial
@@ -49,15 +50,26 @@ tiny_xmem = partial(XMemEstimator, iterations=1, curve=False)
 
 
 class TestEnvelopeRoundTrip:
-    def test_service_request_as_dict_round_trips(self):
+    def test_service_request_pickles_with_its_metadata(self):
+        """The pool submits the request itself: the span context, the
+        fault directive and the attempt in its metadata bag, its tenant
+        and its QoS class all reach the worker."""
         request = ServiceRequest(
             workload=WORKLOAD,
             device=RTX_3060,
             fingerprint="fp-1",
-            metadata={"tenant": "a"},
+            metadata={
+                "telemetry": {"trace_id": "t-1", "span_id": "s-1"},
+                "fault": {"kind": "worker_kill"},
+                "attempt": 2,
+            },
+            tenant="acme",
+            priority=2,
         )
-        clone = ServiceRequest.from_dict(request.as_dict())
+        clone = pickle.loads(pickle.dumps(request))
         assert clone == request
+        assert (clone.tenant, clone.priority) == ("acme", 2)
+        assert clone.metadata["fault"] == {"kind": "worker_kill"}
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +210,7 @@ class TestProcEstimationService:
             try:
                 with pytest.raises(ServiceClosedError):
                     service.submit(WORKLOAD, RTX_3060)
-                return service.stats()["service"], len(service.core.inflight)
+                return service.stats()["service"], len(service._inflight)
             finally:
                 await shut(service, wait=False)
 
@@ -223,7 +235,7 @@ class TestProcEstimationService:
             future = service.submit(WORKLOAD, RTX_3060)
             with pytest.raises(RuntimeError):
                 future.result(timeout=10)
-            assert len(service.core.inflight) == 0
+            assert len(service._inflight) == 0
             assert service.stats()["service"]["errors"] == 1
         finally:
             service.close(wait=False)

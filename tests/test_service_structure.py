@@ -8,15 +8,17 @@ the two halves of the TCP protocol each exist in exactly one module, the
 core modules import no concurrency substrate, the driver modules make no
 gateway-layer decision, no service-core step and no use of a frame's
 contents themselves, and the middleware chain carries policy only — a
-request's outcome is observed once, in ``ServiceCore``.  The package's
+request's outcome is observed once, in ``ServiceDispatch._emit``.  The
+package's
 public surface is checked the same way: ``repro.service`` re-exports
 exactly the names its callers outside ``tests/`` import from it.
 
 Run as a script to print per-module code-line counts (non-blank,
 non-comment, non-docstring), the ``tcp.py + wire.py`` sum, the
-resilience plane's ``dispatch.py + resilience.py + faults.py`` sum and
-the ``cli.py + service/`` sum — CI prints the table next to the
-benchmark trends::
+``dispatch.py + core.py`` sum, the resilience plane's
+``dispatch.py + resilience.py + faults.py`` sum and the
+``cli.py + service/`` sum — CI prints the table next to the benchmark
+trends::
 
     python tests/test_service_structure.py
 """
@@ -77,15 +79,25 @@ SERVICE_LIFECYCLE = (
 #: the per-driver completion paths / future plumbing that must not come back
 SERVICE_RETIRED = ("_run", "_redispatch", "_chain_future")
 SERVICE_DRIVERS = ("engine", "aio", "procpool")
-#: ServiceCore / SingleFlight steps only the machine may sequence
+#: request steps only the machine may sequence (a driver ledgers its own
+#: substrate decision through ``_record_decision``)
 SERVICE_STEPS = {
-    "open_request",
-    "check_deadline",
-    "note_deduplicated",
-    "run_request_hooks",
-    "claim",
-    "release",
+    "_open_request",
+    "_piggyback",
+    "_run_request_hooks",
+    "_finish",
+    "_emit",
 }
+#: the service-side core ServiceDispatch absorbed: one class per request
+SERVICE_CORE_RETIRED = (
+    "ServiceCore",
+    "SingleFlight",
+    "Admission",
+    "compute_fingerprint",
+    "adopt_chain_cache",
+)
+#: code lines of the two dispatch machines and the gateway core
+CORE_BUDGET = 1110
 #: the client side of the wire: written once, in wire.ClientProtocol
 CLIENT_LIFECYCLE = (
     "request",
@@ -185,8 +197,17 @@ ONE_SHARD_RETIRED = (
     "_reap_expired_locked",
     "WARMUP",
 )
-#: RequestContext's wire form: a context never leaves its process
-CONTEXT_RETIRED = ("as_dict", "from_dict", "remaining", "shard_hint")
+#: RequestContext's wire form (a context never leaves its process) and
+#: its copy of the request's metadata bag
+CONTEXT_RETIRED = (
+    "as_dict",
+    "from_dict",
+    "remaining",
+    "shard_hint",
+    "metadata",
+)
+#: ServiceRequest's dict form: the pool pickles the request itself
+REQUEST_RETIRED = ("as_dict", "from_dict")
 SANS_IO = (
     "context",
     "routing",
@@ -307,6 +328,27 @@ def test_a_request_has_one_shard_and_the_cache_one_way_out():
         for module, tree in modules().items()
     }
     assert {module: names for module, names in copies.items() if names} == {}
+
+
+def test_a_service_request_is_one_class_within_its_budget():
+    """``ServiceDispatch`` serves a request alone: the service-side core,
+    its single-flight table and its admission record are bound nowhere,
+    and the machines plus the gateway core stay inside their budget."""
+    copies = {
+        module: sorted(bound_names(tree) & set(SERVICE_CORE_RETIRED))
+        for module, tree in modules().items()
+    }
+    assert {module: names for module, names in copies.items() if names} == {}
+    lines = code_lines(SERVICE / "dispatch.py") + code_lines(SERVICE / "core.py")
+    assert lines <= CORE_BUDGET, f"dispatch.py + core.py: {lines} code lines"
+
+
+def test_a_request_has_one_envelope():
+    """The pool pickles a ``ServiceRequest`` as it is, so it has no dict
+    form; its metadata bag is the only one — a context keeps no copy."""
+    context = modules()["context.py"]
+    assert not class_members(context, "ServiceRequest") & set(REQUEST_RETIRED)
+    assert not class_members(context, "RequestContext") & set(CONTEXT_RETIRED)
 
 
 def test_the_gateway_admits_an_attempt_in_one_place():
@@ -715,15 +757,11 @@ def test_there_is_one_token_bucket():
 def test_the_core_closes_a_request_span_in_one_place():
     """Counter, ledger event and span status of an outcome come from one
     function, so ``telemetry.close`` has exactly one caller in
-    ``ServiceCore``."""
-    (core,) = [
-        node
-        for node in modules()["core.py"].body
-        if isinstance(node, ast.ClassDef) and node.name == "ServiceCore"
-    ]
+    ``ServiceDispatch``."""
+    (machine,) = classes(modules()["dispatch.py"], ("ServiceDispatch",))
     closers = [
         method.name
-        for method in core.body
+        for method in machine.body
         if isinstance(method, ast.FunctionDef)
         and any(
             isinstance(node, ast.Call)
@@ -831,6 +869,8 @@ if __name__ == "__main__":
     print(f"  {sum(counts.values()):6d}  total")
     # the transport's budget: both halves of the protocol and their shells
     print(f"  {counts['tcp.py'] + counts['wire.py']:6d}  tcp.py + wire.py")
+    # the core's budget: both dispatch machines and the gateway core
+    print(f"  {counts['dispatch.py'] + counts['core.py']:6d}  dispatch.py + core.py")
     # the resilience plane: the attempt machine and its two policy modules
     plane = ("dispatch.py", "resilience.py", "faults.py")
     print(f"  {sum(counts[name] for name in plane):6d}  {' + '.join(plane)}")
