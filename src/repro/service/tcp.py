@@ -3,9 +3,9 @@
 The fourth execution substrate: where the thread, asyncio, and process
 drivers all run the policy core in one process, this module puts a real
 socket between caller and core.  Everything here is a *shell*: it owns
-a socket (or stream pair), the thread, task or loop that reads it, and
-nothing that looks inside a frame — what either end of a connection
-decides lives in the sans-IO :mod:`repro.service.wire`
+a socket or a transport, the thread or loop that reads it, and nothing
+that looks inside a frame — what either end of a connection decides
+lives in the sans-IO :mod:`repro.service.wire`
 (:class:`~repro.service.wire.ServerProtocol`,
 :class:`~repro.service.wire.ClientProtocol`).  Every policy decision
 (routing, admission, cache, dedup, deadline, telemetry) still happens in
@@ -17,20 +17,22 @@ policy-blind.
 
 Pieces:
 
-* :class:`TcpServerThread` — gateway + asyncio streams server on a
-  private event loop in a daemon thread, exposing the ``ping`` /
-  ``estimate`` / ``estimate_many`` / ``stats`` / ``drain`` ops.  Per
-  connection: a stream pair, one
-  :class:`~repro.service.wire.ServerProtocol`, and a read loop that
-  hands it every chunk and awaits ``writer.drain()`` before reading the
-  next (back-pressure).  The protocol runs the gateway's *synchronous*
-  submit step inline, in frame-arrival order — which is what keeps
-  canonical ledger sequences identical to the in-process drivers — and
-  writes each answer from its future's completion callback: there is
-  no task and no lock per response.  The one thing the shell awaits on
-  the protocol's behalf is the ``drain`` op.  Malformed frames are
-  answered with a connection-level error frame and a clean close; they
-  never take the server down.
+* :class:`TcpServerThread` — gateway + asyncio server on a private
+  event loop in a daemon thread, exposing the ``ping`` / ``estimate`` /
+  ``estimate_many`` / ``stats`` / ``drain`` ops.  Per connection: one
+  :class:`asyncio.Protocol` around one
+  :class:`~repro.service.wire.ServerProtocol`, so a read costs one turn
+  of the loop: ``data_received`` hands the chunk to the protocol, which
+  runs the gateway's *synchronous* submit step inline, in frame-arrival
+  order — which is what keeps canonical ledger sequences identical to
+  the in-process drivers.  The answers written while that call runs
+  (cache hits, refusals) are joined into one ``transport.write``; an
+  answer that settles later is written from its future's completion
+  callback: there is no task and no lock per response.  A transport
+  whose write buffer is full stops being read (back-pressure).  The one
+  thing the shell awaits on the protocol's behalf is the ``drain`` op.
+  Malformed frames are answered with a connection-level error frame and
+  a clean close; they never take the server down.
 * :class:`TcpServiceClient` — blocking client with the driver ``submit``
   surface (returns :class:`concurrent.futures.Future`), so the existing
   :func:`~repro.service.traffic.replay` drives it unchanged.  It is a
@@ -49,6 +51,7 @@ CPU profile: serving-tier estimators profile (or synthesize) server-side.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import threading
 import time
@@ -76,12 +79,13 @@ _RECONNECT_BACKOFF = 0.02
 class TcpServerThread:
     """Gateway + TCP server on a private event loop in a daemon thread.
 
-    Serves the wire ops over TCP: a stream pair and a read loop per
+    Serves the wire ops over TCP: one :class:`_Connection` per accepted
     connection around one :class:`~repro.service.wire.ServerProtocol`.
     The gateway is constructed *inside* the loop thread (its
     ``asyncio.Event`` must bind to that loop), from the factory the
-    caller supplies; ``stop()`` closes the listener, then drains and
-    closes the gateway on the loop, and joins the thread.
+    caller supplies; ``stop()`` closes the listener, drains and closes
+    the gateway on the loop, then resets every connection still open,
+    and joins the thread.
 
     ``clock`` must be the same clock the gateway's cores use for deadline
     checks (``time.perf_counter`` by default everywhere) — rebased wire
@@ -108,6 +112,7 @@ class TcpServerThread:
         #: connections aborted by the fault plan (``connection_drop``)
         self.injected_drops = 0
         self._drains: set[asyncio.Task] = set()
+        self._transports: set[asyncio.Transport] = set()
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
@@ -150,8 +155,8 @@ class TcpServerThread:
         self._stop = asyncio.Event()
         try:
             self.gateway = self._gateway_factory()
-            listener = await asyncio.start_server(
-                self._handle_connection, self._host, self._port
+            listener = await self._loop.create_server(
+                lambda: _Connection(self), self._host, self._port
             )
             self.address = listener.sockets[0].getsockname()[:2]
         except BaseException as error:
@@ -161,63 +166,13 @@ class TcpServerThread:
             self._ready.set()
         await self._stop.wait()
         listener.close()
-        await listener.wait_closed()
         await self.gateway.aclose()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_served += 1
-        # asyncio recv()s into a fresh 256 KiB buffer per read event and
-        # frees it again, for request frames well under 1 KiB.  When that
-        # buffer lands at the top of a glibc heap, the pair grows and
-        # trims the heap on every request (~+20 us CPU, +40 us a round
-        # trip on loopback) — and whether it lands there flips with any
-        # unrelated change to what the process allocated before
-        writer.transport.max_size = _TRANSPORT_READ_BYTES
-        answered = asyncio.Event()
-        # a whole frame goes out in one synchronous write() on the loop,
-        # so the frames of concurrent answers cannot interleave
-        protocol = ServerProtocol(
-            self.gateway,
-            self._clock,
-            write=writer.write,
-            close=answered.set,
-            abort=writer.transport.abort,
-            drain=self._drain,
-        )
-        try:
-            try:
-                while data := await reader.read(_READ_CHUNK):
-                    if not protocol.receive(data):
-                        break  # the protocol ended it: answer, then close
-                    # back-pressure: a peer that does not read its answers
-                    # gets no more requests admitted
-                    await writer.drain()
-                else:
-                    protocol.connection_ended()  # orderly client disconnect
-            except (ConnectionError, asyncio.IncompleteReadError):
-                protocol.connection_ended()  # mid-request disconnect
-            # nothing was awaited since the protocol's last decision, so
-            # the counters move before the peer sees the connection end
-            # (an abort's reset leaves on the loop's next turn)
-            self.protocol_errors += protocol.protocol_errors
-            self.injected_drops += protocol.injected_drops
-            # what is still outstanding settles the gateway accounting
-            # before the peer observes the close — tests and drains rely
-            # on that
-            await answered.wait()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                # CancelledError: loop teardown raced the close handshake
-                # — the socket is gone either way, exit quietly
-                pass
+        # what was admitted has been answered: reset every connection
+        # still open, and let the loop close their sockets (and tell
+        # their protocols) before it closes itself
+        for transport in tuple(self._transports):
+            transport.abort()
+        await asyncio.sleep(0)
 
     def _drain(
         self, timeout: Optional[float], verdict: Callable[[bool], None]
@@ -230,6 +185,99 @@ class TcpServerThread:
         task = asyncio.get_running_loop().create_task(drain())
         self._drains.add(task)  # the loop holds a task only weakly
         task.add_done_callback(self._drains.discard)
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection: a shell around one
+    :class:`~repro.service.wire.ServerProtocol`.
+
+    Each read is one ``data_received`` on the loop, handed to the
+    protocol whole.  The answers the protocol writes while that call
+    runs (cache hits, refusals, ``ping``, ``stats``) are joined and
+    written once, when it returns or before the protocol closes or
+    aborts the connection; answers that settle later (misses, ``drain``)
+    are written as they come.  Back-pressure: while the transport's
+    write buffer is over its high-water mark, the connection is not
+    read, so a peer that does not read its answers gets no more
+    requests admitted.
+    """
+
+    def __init__(self, server: TcpServerThread):
+        self._server = server
+        self._reading = True
+        #: frames written during one ``data_received``; None outside it
+        self._batch: Optional[list[bytes]] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._server.connections_served += 1
+        self._server._transports.add(transport)
+        # asyncio recv()s into a fresh 256 KiB buffer per read event and
+        # frees it again, for request frames well under 1 KiB.  When that
+        # buffer lands at the top of a glibc heap, the pair grows and
+        # trims the heap on every request (~+20 us CPU, +40 us a round
+        # trip on loopback) — and whether it lands there flips with any
+        # unrelated change to what the process allocated before
+        transport.max_size = _TRANSPORT_READ_BYTES
+        self._transport = transport
+        self._protocol = ServerProtocol(
+            self._server.gateway,
+            self._server._clock,
+            write=self._write,
+            close=lambda: self._flush() or transport.close(),
+            abort=lambda: self._flush() or transport.abort(),
+            drain=self._server._drain,
+        )
+
+    def data_received(self, data: bytes) -> None:
+        self._batch = []
+        try:
+            if not self._protocol.receive(data):
+                self._end_reading()  # the protocol ended it
+        finally:
+            self._flush()
+
+    def eof_received(self) -> bool:
+        self._end_reading(peer_gone=True)  # orderly client disconnect
+        # keep the transport: the protocol closes it once what is still
+        # outstanding has settled the gateway accounting
+        return True
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server._transports.discard(self._transport)
+        self._end_reading(peer_gone=True)  # reset, or the peer vanished
+
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if self._reading:
+            self._transport.resume_reading()
+
+    def _write(self, frame: bytes) -> None:
+        # a whole frame goes out in one synchronous write() on the loop,
+        # so the frames of concurrent answers cannot interleave
+        if self._batch is None:
+            self._transport.write(frame)
+        else:
+            self._batch.append(frame)
+
+    def _flush(self) -> None:
+        """Write the read's batch; later frames go out on their own."""
+        batch, self._batch = self._batch, None
+        if batch:
+            self._transport.write(b"".join(batch))
+
+    def _end_reading(self, peer_gone: bool = False) -> None:
+        if self._reading:
+            self._reading = False
+            self._transport.pause_reading()
+            if peer_gone:
+                self._protocol.connection_ended()
+            # the counters move in the callback that ended reading, so
+            # before the peer sees the connection end (a close or an
+            # abort leaves on the loop's next turn)
+            self._server.protocol_errors += self._protocol.protocol_errors
+            self._server.injected_drops += self._protocol.injected_drops
 
 
 # ----------------------------------------------------------------------
@@ -374,10 +422,8 @@ class TcpServiceClient:
     def close(self) -> None:
         """Close the socket; outstanding futures fail with ConnectionError."""
         self._protocol.close()
-        try:
+        with contextlib.suppress(OSError):
             self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         self._sock.close()
         self._reader.join(timeout=5.0)
 
@@ -453,11 +499,10 @@ class TcpServiceClient:
             )
 
     def _read_loop(self, sock: socket.socket, connection: int) -> None:
-        try:
+        # OSError: closed under us (client close or peer reset)
+        with contextlib.suppress(OSError):
             while True:
                 data = sock.recv(_READ_CHUNK)
                 if not data or not self._protocol.receive(data, connection):
                     break
-        except OSError:
-            pass  # closed under us (client close or peer reset)
         self._protocol.connection_ended(connection=connection)

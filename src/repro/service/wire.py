@@ -157,6 +157,12 @@ class RemoteServiceError(ServiceError):
 # ----------------------------------------------------------------------
 
 
+#: built once — ``json.dumps`` with these options builds one per call
+_CANONICAL_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+)
+
+
 def encode_frame(
     payload: dict, max_frame_bytes: int = MAX_FRAME_BYTES
 ) -> bytes:
@@ -173,13 +179,7 @@ def encode_frame(
             f"frame payload must be a dict, got {type(payload).__name__}"
         )
     try:
-        body = json.dumps(
-            payload,
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=False,
-            allow_nan=False,
-        ).encode("utf-8")
+        body = _CANONICAL_JSON.encode(payload).encode("utf-8")
     except (TypeError, ValueError) as error:
         raise WireProtocolError(
             f"payload is not JSON-encodable: {error}"
@@ -809,7 +809,7 @@ def _estimate_response(outcome: Any, **ident: Any) -> dict:
 class ServerProtocol:
     """What the server of the wire decides, for one connection.
 
-    Bytes in, effects out.  A shell owns the stream pair and the loop
+    Bytes in, effects out.  A shell owns the connection and the loop
     that reads it; it hands every chunk it read to :meth:`receive` and
     reports the end of the peer's stream (or its reset) with
     :meth:`connection_ended`.  The protocol tells it four things, each

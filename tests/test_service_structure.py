@@ -142,8 +142,11 @@ SERVER_RETIRED = (
     "_await_many_and_respond",
     "_drain_and_respond",
     "_decode_estimate_payload",
+    "_handle_connection",
 )
-SERVER_SHELL = "TcpServerThread"
+#: the server's shells: the loop thread and listener, and one
+#: ``asyncio.Protocol`` per connection (no stream pair, no read task)
+SERVER_SHELLS = ("TcpServerThread", "_Connection")
 #: the shells folded away: the awaitable client (asyncio callers use the
 #: loop gateway in-process) and the server the thread harness wrapped
 SHELLS_RETIRED = ("AsyncTcpServiceClient", "TcpEstimationServer")
@@ -468,9 +471,10 @@ def assert_looks_inside_no_frame(shell: ast.ClassDef) -> None:
 
 def test_the_server_protocol_is_written_once():
     """Each step of serving a connection is defined in ``wire.py`` only;
-    the coroutines that decided them in ``tcp.py`` stay gone; the server
-    shell looks inside no frame, takes no lock and spawns at most the
-    drain op's task; and ``tcp.py`` knows the wire as two classes."""
+    the coroutines that decided them in ``tcp.py`` stay gone, and so
+    does the stream pair; the server's shells look inside no frame, take
+    no lock and spawn at most the drain op's task; and ``tcp.py`` knows
+    the wire as two classes."""
     trees = modules()
     homes = {name: [] for name in SERVER_LIFECYCLE}
     for module, tree in trees.items():
@@ -482,16 +486,19 @@ def test_the_server_protocol_is_written_once():
     tcp = trees["tcp.py"]
     copies = defined_names(tcp) & set(SERVER_RETIRED)
     assert not copies, f"tcp.py defines {sorted(copies)}"
-    (shell,) = classes(tcp, (SERVER_SHELL,))
-    assert_looks_inside_no_frame(shell)
+    shells = classes(tcp, SERVER_SHELLS)
+    for shell in shells:
+        assert_looks_inside_no_frame(shell)
     spawns = [
         node
+        for shell in shells
         for node in ast.walk(shell)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in ("create_task", "ensure_future")
     ]
     assert len(spawns) <= 1
+    assert not names_used(tcp) & {"start_server", "StreamReader"}
     assert "asyncio.Lock(" not in (SERVICE / "tcp.py").read_text()
     from_wire = {
         alias.name

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import socket
 import struct
+import threading
 import time
 from functools import partial
 
@@ -23,6 +25,7 @@ import pytest
 from repro.errors import (
     ConnectionLostError,
     DeadlineExceededError,
+    RateLimitExceededError,
     RequestRejectedError,
     ServiceClosedError,
 )
@@ -39,8 +42,19 @@ from repro.service import (
     generate_traffic,
     replay,
 )
+from repro.service.tcp import _Connection
 from repro.service.wire import FrameDecoder, WireProtocolError, encode_frame
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
+from tests.test_service_wire import (
+    GOLDEN_BAD_PAYLOAD,
+    GOLDEN_ID_NULL,
+    GOLDEN_OK_ESTIMATE,
+    GOLDEN_PING_OK,
+    GOLDEN_SHED,
+    RESULT,
+    SHED,
+    StubGateway,
+)
 
 WORKLOAD = WorkloadConfig("MobileNetV2", "sgd", 8)
 OTHER = WorkloadConfig("MobileNetV2", "adam", 16)
@@ -382,6 +396,28 @@ class TestServerLifecycle:
         with pytest.raises(RuntimeError, match="failed to start"):
             server.start()
 
+    def test_stop_hangs_up_on_a_connected_client_quietly(self, caplog):
+        # regression: stop() cancelled the connection's read task, and
+        # the asyncio logger recorded the CancelledError as an error
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with tcp_server() as server:
+                client = TcpServiceClient(*server.address, timeout=5.0)
+                client.estimate(WORKLOAD, RTX_3060)
+        try:
+            # the connection ended with the server, not at the timeout
+            started = time.monotonic()
+            with pytest.raises(ConnectionLostError):
+                client.estimate(WORKLOAD, RTX_3060)
+            assert time.monotonic() - started < 1.0
+        finally:
+            client.close()
+        errors = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
+
     def test_stop_is_idempotent(self):
         with tcp_server() as server:
             pass
@@ -406,3 +442,187 @@ class TestServerLifecycle:
                 assert json.loads(json.dumps(stats)) == stats
                 gateway_stats = server.gateway.stats()
         assert stats["gateway"]["requests"] == gateway_stats["gateway"]["requests"]
+
+
+class TestBackPressure:
+    def test_a_peer_that_reads_no_answers_gets_no_more_requests_admitted(
+        self,
+    ):
+        """The server stops reading a connection whose answers pile up
+        unread, and reads it again once the peer catches up."""
+        request = {"workload": WORKLOAD.as_dict(), "device": RTX_3060.as_dict()}
+        burst = b"".join(
+            encode_frame({"op": "estimate", "id": index, "request": request})
+            for index in range(100)
+        )
+        sending = threading.Event()
+        sending.set()
+
+        def send(peer):
+            with contextlib.suppress(OSError):
+                while sending.is_set():
+                    peer.sendall(burst)
+
+        def read(peer):
+            with contextlib.suppress(OSError):
+                while peer.recv(65536):
+                    pass
+
+        with tcp_server() as server, TcpServiceClient(
+            *server.address
+        ) as probe, socket.socket() as peer:
+
+            def admitted():
+                return probe.stats()["gateway"]["requests"]
+
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            peer.connect(server.address)
+            sender = threading.Thread(target=send, args=(peer,), daemon=True)
+            sender.start()
+            # every estimate is a cache hit after the first: without
+            # back-pressure the count would climb for as long as the
+            # peer sends
+            counts = [admitted()]
+            deadline = time.monotonic() + 20.0
+            while not (counts[-1] > 0 and len(set(counts[-6:])) == 1):
+                assert time.monotonic() < deadline, counts[-6:]
+                time.sleep(0.1)
+                counts.append(admitted())
+            stalled = counts[-1]
+            reader = threading.Thread(target=read, args=(peer,), daemon=True)
+            reader.start()
+            deadline = time.monotonic() + 20.0
+            while admitted() <= stalled:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            sending.clear()
+            sender.join(10.0)
+            peer.shutdown(socket.SHUT_RDWR)
+            reader.join(10.0)
+        assert not sender.is_alive() and not reader.is_alive()
+
+
+# ----------------------------------------------------------------------
+# the connection shell, driven without a socket
+# ----------------------------------------------------------------------
+
+
+class FakeTransport:
+    """Records what a connection asks of its transport, in order."""
+
+    def __init__(self):
+        self.log: list = []
+        self.reading = True
+
+    def write(self, data: bytes) -> None:
+        self.log.append(("write", bytes(data)))
+
+    def close(self) -> None:
+        self.log.append("close")
+
+    def abort(self) -> None:
+        self.log.append("abort")
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def writes(self) -> list[bytes]:
+        return [entry[1] for entry in self.log if entry[0] == "write"]
+
+
+class SettledGateway(StubGateway):
+    """Answers every admitted estimate at once, as a cache hit does."""
+
+    def submit(self, workload, device, **options):
+        future = super().submit(workload, device, **options)
+        future.set_result(RESULT)
+        return future
+
+
+def connect(gateway):
+    server = TcpServerThread(lambda: gateway)  # never started
+    server.gateway = gateway
+    transport = FakeTransport()
+    connection = _Connection(server)
+    connection.connection_made(transport)
+    return connection, transport, server
+
+
+def estimate_frame(msg_id, request):
+    return encode_frame({"op": "estimate", "id": msg_id, "request": request})
+
+
+def payload(workload):
+    return {"workload": workload.as_dict(), "device": RTX_3060.as_dict()}
+
+
+class TestConnectionShell:
+    def test_the_answers_of_one_read_leave_in_one_write(self):
+        gateway = SettledGateway(
+            refuse={"shed": RateLimitExceededError(1.5)}
+        )
+        connection, transport, _ = connect(gateway)
+        connection.data_received(
+            estimate_frame(0, payload(WORKLOAD))
+            + estimate_frame(1, {"workload": {"model": 7}})
+            + estimate_frame(2, payload(SHED))
+        )
+        assert transport.log == [
+            ("write", GOLDEN_OK_ESTIMATE + GOLDEN_BAD_PAYLOAD + GOLDEN_SHED)
+        ]
+
+    def test_an_answer_that_settles_later_is_written_on_its_own(self):
+        connection, transport, server = connect(gateway := StubGateway())
+        connection.data_received(
+            estimate_frame(0, payload(WORKLOAD))
+            + encode_frame({"op": "ping", "id": 4})
+        )
+        assert transport.writes() == [GOLDEN_PING_OK]
+        gateway.future().set_result(RESULT)
+        assert transport.writes() == [GOLDEN_PING_OK, GOLDEN_OK_ESTIMATE]
+        assert transport.reading and server.protocol_errors == 0
+
+    def test_a_bad_frame_is_answered_before_the_close(self):
+        connection, transport, server = connect(StubGateway())
+        connection.data_received(
+            encode_frame({"op": "ping", "id": 4})
+            + encode_frame({"op": "transmogrify", "id": 7})
+        )
+        assert transport.log == [
+            ("write", GOLDEN_PING_OK + GOLDEN_ID_NULL),
+            "close",
+        ]
+        assert not transport.reading and server.protocol_errors == 1
+
+    def test_what_was_answered_leaves_before_a_planned_drop(self):
+        connection, transport, server = connect(StubGateway(drops={0}))
+        connection.data_received(
+            encode_frame({"op": "ping", "id": 4})
+            + estimate_frame(0, payload(WORKLOAD))
+        )
+        assert transport.log == [("write", GOLDEN_PING_OK), "abort", "close"]
+        assert server.injected_drops == 1
+
+    def test_a_full_write_buffer_pauses_reading(self):
+        connection, transport, _ = connect(StubGateway())
+        connection.pause_writing()
+        assert not transport.reading
+        connection.resume_writing()
+        assert transport.reading
+
+    def test_draining_the_buffer_does_not_resume_an_ended_connection(self):
+        connection, transport, _ = connect(gateway := StubGateway())
+        # the estimate stays outstanding, so the connection stays open
+        connection.data_received(
+            estimate_frame(0, payload(WORKLOAD))
+            + encode_frame({"op": "transmogrify", "id": 7})
+        )
+        assert transport.writes() == [GOLDEN_ID_NULL]
+        connection.pause_writing()
+        connection.resume_writing()
+        assert not transport.reading
+        gateway.future().set_result(RESULT)
+        assert transport.log[-2:] == [("write", GOLDEN_OK_ESTIMATE), "close"]
