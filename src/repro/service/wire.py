@@ -58,13 +58,31 @@ it; the frame format is known to this module only.  Time never crosses
 the wire as an
 absolute stamp: a deadline travels as *remaining budget* and
 :class:`ServerProtocol` rebases it onto the server's clock.
+
+Each distinct frame costs one codec pass.  A canonical body is a fixed
+*head*, the message id, and a *rest* whose meaning does not depend on
+the id.  So a client's estimate request with no deadline and no
+metadata, and a server's answer with a result object it has answered
+before, are spliced from head, id and a memoised rest.  A server's
+estimate request with ``deadline_remaining: null`` and no metadata, and
+a client's ``ok`` estimate answer, are looked up by their rest: a hit
+skips the JSON decoder, the schema check and ``from_dict``.  A rest is
+learned on its second sighting, and only from a body whose id is in
+canonical spelling and which re-encodes to itself, so a hit is exactly
+what the strict decoder returns.  Errors are never memoised.  Each
+table holds at most :data:`MEMO_ENTRIES` entries; a client has its own,
+and the connections of one server share the server's.  A memoised
+:class:`~repro.core.result.EstimationResult` is one object shared by
+every future it settles, as the in-process gateways share cached
+results.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from functools import partial
+import weakref
+from functools import lru_cache, partial
 from typing import Any, Callable, ContextManager, Optional, Sequence
 
 from ..core.result import EstimationResult
@@ -80,10 +98,12 @@ from ..errors import (
     ServiceError,
 )
 from ..workload import DeviceSpec, WorkloadConfig
+from .cache import DEFAULT_MAX_ENTRIES
 
 __all__ = [
     "HEADER_BYTES",
     "MAX_FRAME_BYTES",
+    "MEMO_ENTRIES",
     "OPS",
     "ClientProtocol",
     "FrameDecoder",
@@ -108,6 +128,10 @@ HEADER_BYTES = _HEADER.size
 #: (requests are a few hundred bytes, results a few KiB) while bounding
 #: what a hostile peer can make the server buffer.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: Bound of every memo table of the wire: as many distinct frames as a
+#: default :class:`~.cache.EstimateCache` keeps answers.
+MEMO_ENTRIES = DEFAULT_MAX_ENTRIES
 
 #: The closed vocabulary of request operations.
 OP_PING = "ping"
@@ -184,6 +208,10 @@ def encode_frame(
         raise WireProtocolError(
             f"payload is not JSON-encodable: {error}"
         ) from error
+    return _framed(body, max_frame_bytes)
+
+
+def _framed(body: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     if len(body) > max_frame_bytes:
         raise WireProtocolError(
             f"frame body of {len(body)} bytes exceeds the "
@@ -213,6 +241,8 @@ class FrameDecoder:
     bad frame does not depend on how TCP chunked the two.  The decoder
     is then poisoned and the connection must be closed (there is no way
     to resynchronize a length-prefixed stream after a bad header).
+    :meth:`bodies` reassembles without decoding: the protocols decode a
+    body only when their memo does not know it.
     """
 
     __slots__ = ("max_frame_bytes", "_buffer")
@@ -228,17 +258,34 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[dict]:
         """Absorb ``data``; return every message it completed."""
-        self._buffer.extend(data)
+        bodies, failure = self.bodies(data)
         messages: list[dict] = []
         try:
-            while (message := self._next_message()) is not None:
-                messages.append(message)
+            for body in bodies:
+                messages.append(_decode_body(body))
         except WireProtocolError as error:
-            error.completed = messages
-            raise
+            failure = error
+        if failure is not None:
+            failure.completed = messages
+            raise failure
         return messages
 
-    def _next_message(self) -> Optional[dict]:
+    def bodies(self, data: bytes) -> tuple[list, Optional[Exception]]:
+        """Absorb ``data``; return the body of every frame it completed,
+        not yet decoded, and — returned, not raised — the violation of
+        the framing that followed them, if one did.  Both protocols act
+        on the bodies before they fail the connection for the
+        violation."""
+        self._buffer.extend(data)
+        bodies: list[bytes] = []
+        try:
+            while (body := self._next_body()) is not None:
+                bodies.append(body)
+        except WireProtocolError as error:
+            return bodies, error
+        return bodies, None
+
+    def _next_body(self) -> Optional[bytes]:
         if len(self._buffer) < HEADER_BYTES:
             return None
         (length,) = _HEADER.unpack_from(self._buffer)
@@ -254,18 +301,103 @@ class FrameDecoder:
             return None
         body = bytes(self._buffer[HEADER_BYTES:end])
         del self._buffer[:end]
+        return body
+
+
+def _decode_body(body: bytes) -> dict:
+    """The strict decode of one frame body: a JSON object, or
+    :class:`WireProtocolError`."""
+    try:
+        message = _STRICT_JSON.decode(body.decode("utf-8"))
+    # bad UTF-8, bad JSON or a constant; or nested deeper than the
+    # decoder recurses
+    except (RecursionError, ValueError) as error:
+        raise WireProtocolError(
+            f"frame body is not valid JSON: {error}"
+        ) from error
+    if not isinstance(message, dict):
+        raise WireProtocolError(
+            f"frame body must be a JSON object, got "
+            f"{type(message).__name__}"
+        )
+    return message
+
+
+# ----------------------------------------------------------------------
+# memo: one codec pass per distinct frame
+# ----------------------------------------------------------------------
+
+
+#: what every memoised body starts with, up to its id
+_REQUEST_HEAD = b'{"deadline_remaining":null,"id":'
+_RESPONSE_HEAD = b'{"id":'
+
+
+def _splice(head: bytes, msg_id: int, rest: bytes) -> bytes:
+    """The frame of the body ``head`` + ``msg_id`` + ``rest``."""
+    return _framed(b"%s%d%s" % (head, msg_id, rest))
+
+
+def _remember(table: dict, key: Any, value: Any) -> None:
+    """Insert into a memo table; past :data:`MEMO_ENTRIES` the oldest
+    entry goes."""
+    if len(table) >= MEMO_ENTRIES:
+        del table[next(iter(table))]
+    table[key] = value
+
+
+class _Memo:
+    """What keys mean, learned on their second sighting.  The bodies
+    that start with ``head`` are keyed by the bytes after their id,
+    which mean the same whatever the id; the server's answers, by the
+    id of their result object."""
+
+    def __init__(self, head: bytes = b""):
+        self._head = head
+        self.meanings: dict[Any, Any] = {}
+        #: hashes of the keys sighted once and not learned since: a key
+        #: seen once pins nothing (a collision only learns a key early)
+        self._seen: dict[int, bool] = {}
+
+    def sighted_before(self, key: Any) -> bool:
+        """Note a sighting of ``key``; True at the second, which spends
+        the note."""
+        if self._seen.pop(hash(key), False):
+            return True
+        _remember(self._seen, hash(key), True)
+        return False
+
+    def recall(self, body: bytes) -> tuple[Optional[tuple[int, bytes]], Any]:
+        """``(id, rest)`` of a body that starts with the head and an id
+        in canonical spelling (else None), and what the rest was learned
+        to mean (else None)."""
+        start = len(self._head)
+        end = body.find(b",", start)
+        digits = body[start:end]
+        # an id in canonical spelling: digits without a leading zero, and
+        # at most 18 of them — far fewer than ``int`` refuses to parse
+        canonical = digits.isdigit() and (digits[0] != 48 or end == start + 1)
+        if not (canonical and end - start <= 18 and body.startswith(self._head)):
+            return None, None
+        rest = body[end:]
+        return (int(digits), rest), self.meanings.get(rest)
+
+    def second_sighting(self, split, message: dict) -> bool:
+        """Note the sighting of a body, strictly decoded to ``message``,
+        whose id is the one spelled; True at its second."""
+        return split is not None and message.get("id") == split[0] and self.sighted_before(split[1])
+
+    def learn(self, split, body: bytes, message: dict, meaning: Any) -> None:
+        """``body``, strictly decoded to ``message`` and sighted a second
+        time, means ``meaning``.  Its rest is learned if the body
+        re-encodes to itself: then the same rest after any id decodes
+        the same."""
         try:
-            message = _STRICT_JSON.decode(body.decode("utf-8"))
-        except ValueError as error:  # bad UTF-8, bad JSON, or a constant
-            raise WireProtocolError(
-                f"frame body is not valid JSON: {error}"
-            ) from error
-        if not isinstance(message, dict):
-            raise WireProtocolError(
-                f"frame body must be a JSON object, got "
-                f"{type(message).__name__}"
-            )
-        return message
+            if _CANONICAL_JSON.encode(message).encode("utf-8") == body:
+                _remember(self.meanings, split[1], meaning)
+        # a number the decoder read as an infinity (``1e400``) is no JSON
+        except (RecursionError, TypeError, ValueError):
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +414,11 @@ def _require(message: dict, field: str, kinds: tuple, op: str) -> Any:
             f"{type(value).__name__}"
         )
     return value
+
+
+#: the types of a number of seconds or null (not ``bool``, an int
+#: subclass: ``true`` is no number of seconds)
+_SECONDS_OR_NULL = (int, float, type(None))
 
 
 def validate_request_message(message: dict) -> tuple[str, int]:
@@ -302,10 +439,7 @@ def validate_request_message(message: dict) -> tuple[str, int]:
         raise WireProtocolError(f"op {op!r} needs an integer 'id'")
     if op == OP_ESTIMATE:
         _require(message, "request", (dict,), op)
-        remaining = message.get("deadline_remaining")
-        if remaining is not None and not isinstance(
-            remaining, (int, float)
-        ):
+        if type(message.get("deadline_remaining")) not in _SECONDS_OR_NULL:
             raise WireProtocolError(
                 "'deadline_remaining' must be a number or null"
             )
@@ -318,8 +452,7 @@ def validate_request_message(message: dict) -> tuple[str, int]:
                     f"got {type(item).__name__}"
                 )
     elif op == OP_DRAIN:
-        timeout = message.get("timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
+        if type(message.get("timeout")) not in _SECONDS_OR_NULL:
             raise WireProtocolError("'timeout' must be a number or null")
     return op, msg_id
 
@@ -487,7 +620,10 @@ def _outcome(op: str, message: dict) -> Any:
             return error_from_wire(message.get("error", {}))
         decode = _RESPONSE_VALUE.get(op)
         return True if decode is None else decode(message)
-    except (AttributeError, KeyError, TypeError, WireProtocolError) as error:
+    # a missing or mistyped field, or a number an error message formats
+    # that is none (``"soon"``) or too large for a float: a malformed
+    # response fails its own request, never the read it came in
+    except Exception as error:
         return WireProtocolError(f"malformed {op} response: {error!r}")
 
 
@@ -503,16 +639,30 @@ def _deliver(future, outcome: Any) -> None:
         future.set_result(outcome)
 
 
-def _feed(
-    decoder: FrameDecoder, data: bytes
-) -> tuple[Sequence[dict], Optional[Exception]]:
-    """The messages ``data`` completed and, when the stream then broke
-    the framing, the violation — both protocols act on the first before
-    they fail the connection for the second."""
-    try:
-        return decoder.feed(data), None
-    except WireProtocolError as error:
-        return error.completed, error
+def _estimate_fields(workload, device, tenant, priority, metadata=None) -> dict:
+    """The ``request`` object of an estimate message."""
+    request = {"workload": workload.as_dict(), "device": device.as_dict()}
+    if metadata:
+        request["metadata"] = dict(metadata)
+    # tenant/priority ride only off their defaults so untenanted
+    # frames stay byte-identical to pre-control-plane clients
+    if tenant:
+        request["tenant"] = tenant
+    if priority != 1:
+        request["priority"] = priority
+    return request
+
+
+@lru_cache(maxsize=MEMO_ENTRIES, typed=True)
+def _estimate_rest(workload, device, tenant: str, priority: int) -> bytes:
+    """The body of an estimate request with no deadline and no metadata,
+    after its id.  Keyed by value: ``require_types`` makes equal
+    workloads and devices encode identically, as
+    :func:`~.fingerprint.fingerprint_request` relies on too."""
+    message = {"deadline_remaining": None, "id": 0, "op": OP_ESTIMATE}
+    message["request"] = _estimate_fields(workload, device, tenant, priority)
+    # what follows the id 0
+    return encode_frame(message)[HEADER_BYTES + len(_REQUEST_HEAD) + 1 :]
 
 
 def _fail(pending: dict, error: Exception) -> None:
@@ -551,6 +701,8 @@ class ClientProtocol:
         self._new_future = new_future
         self._clock = clock
         self._decoder = FrameDecoder()
+        #: ``ok`` estimate answers, by the bytes after their id
+        self._results = _Memo(_RESPONSE_HEAD)
         self._pending: dict[int, tuple[str, Any]] = {}
         self._next_id = 0
         self._connection = 0
@@ -574,6 +726,9 @@ class ClientProtocol:
         that does not frame raises :class:`WireProtocolError` and leaves
         no pending entry behind.
         """
+        return self._register(op, lambda msg_id: encode_frame({"op": op, "id": msg_id, **fields}))
+
+    def _register(self, op: str, frame_of: Callable) -> tuple[int, bytes, Any]:
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("client is closed")
@@ -583,7 +738,7 @@ class ClientProtocol:
                     f"connection lost and reconnect is off: {self._lost}",
                 )
             msg_id = self._next_id
-            frame = encode_frame({"op": op, "id": msg_id, **fields})
+            frame = frame_of(msg_id)
             future = self._new_future()
             self._next_id += 1
             self._pending[msg_id] = (op, future)
@@ -600,15 +755,10 @@ class ClientProtocol:
     ) -> tuple[int, bytes, Any]:
         """``deadline`` is absolute on this side's clock; what is sent is
         the budget left at framing time, which the server rebases."""
-        request = {"workload": workload.as_dict(), "device": device.as_dict()}
-        if metadata:
-            request["metadata"] = dict(metadata)
-        # tenant/priority ride only off their defaults so untenanted
-        # frames stay byte-identical to pre-control-plane clients
-        if tenant:
-            request["tenant"] = tenant
-        if priority != 1:
-            request["priority"] = priority
+        if deadline is None and not metadata:
+            rest = _estimate_rest(workload, device, tenant, priority)
+            return self._register(OP_ESTIMATE, partial(_splice, _REQUEST_HEAD, rest=rest))
+        request = _estimate_fields(workload, device, tenant, priority, metadata)
         remaining = None if deadline is None else deadline - self._clock()
         return self.request(
             OP_ESTIMATE, request=request, deadline_remaining=remaining
@@ -659,21 +809,39 @@ class ClientProtocol:
         is the server's connection-level error and an unframeable stream
         is ours: either ends the connection for every pending request.
         """
-        answered = []
+        # (op, future), and the result recalled or the message to decode
+        # it from, with (split, body) at the answer's second sighting
+        answered: list[tuple[tuple[str, Any], Any, Optional[dict], Any]] = []
         with self._lock:
             if self._closed or connection != self._connection:
                 return False
-            messages, failure = _feed(self._decoder, data)
-            for message in messages:
+            bodies, failure = self._decoder.bodies(data)
+            for body in bodies:
+                split, result = self._results.recall(body)
+                # a learned answer settles only a request that is an estimate
+                if result is not None and self._pending.get(split[0], ("",))[0] == OP_ESTIMATE:
+                    answered.append((self._pending.pop(split[0]), result, None, None))
+                    continue
+                try:
+                    message = _decode_body(body)
+                except WireProtocolError as error:
+                    failure = error
+                    break
                 msg_id = message.get("id")
                 if msg_id is None:
                     failure = error_from_wire(message.get("error", {}))
                     break
                 entry = self._pending.pop(msg_id, None)
                 if entry is not None:
-                    answered.append((entry, message))
-        for (op, future), message in answered:
-            _deliver(future, _outcome(op, message))
+                    second = self._results.second_sighting(split, message)
+                    answered.append((entry, None, message, second and (split, body)))
+        for (op, future), outcome, message, learn in answered:
+            if message is not None:  # decoded outside the lock
+                outcome = _outcome(op, message)
+                if learn and isinstance(outcome, EstimationResult):
+                    with self._lock:
+                        self._results.learn(*learn, message, outcome)
+            _deliver(future, outcome)
         if failure is not None:
             self.connection_ended(failure, connection)
         return failure is None
@@ -806,6 +974,12 @@ def _estimate_response(outcome: Any, **ident: Any) -> dict:
     return {**ident, "ok": True, "result": result_to_wire(outcome)}
 
 
+#: the memos of a server, by its gateway: every connection of a server
+#: shares them, and the one loop they all run on, so what the memos hold
+#: is bounded per server and not per connection
+_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class ServerProtocol:
     """What the server of the wire decides, for one connection.
 
@@ -847,6 +1021,10 @@ class ServerProtocol:
         self._abort = abort
         self._drain = drain
         self._decoder = FrameDecoder()
+        #: estimate requests, by the bytes after their id, and answers:
+        #: id(result) -> (result, answer body after the id), holding the
+        #: result so that its id is not reused while the entry lives
+        self._requests, self._answers = _MEMOS.setdefault(gateway, (_Memo(_REQUEST_HEAD), _Memo()))
         #: requests read and not yet answered
         self.outstanding = 0
         #: nothing more is read: close once nothing is outstanding
@@ -868,16 +1046,28 @@ class ServerProtocol:
         resynchronizing after a bad header) are answered once at
         connection level, ``id: null``; the requests before it stand.
         """
-        messages, failure = _feed(self._decoder, data)
-        for message in messages:
+        bodies, failure = self._decoder.bodies(data)
+        for body in bodies:
             if self._closing:
                 break
+            split, request = self._requests.recall(body)
+            if request is not None:
+                self._serve_estimate(split[0], request)
+                continue
             try:
+                message = _decode_body(body)
                 op, msg_id = validate_request_message(message)
             except WireProtocolError as error:
                 failure = error
                 break
-            self._serve(op, msg_id, message)
+            if op != OP_ESTIMATE:
+                self._serve(op, msg_id, message)
+                continue
+            request = self._payload(message)
+            if isinstance(request, tuple) and request[3] is None:
+                if self._requests.second_sighting(split, message):
+                    self._requests.learn(split, body, message, request)
+            self._serve_estimate(msg_id, request)
         if failure is not None and not self._closing:
             self.protocol_errors += 1
             self._write(encode_frame(error_response(None, failure)))
@@ -893,8 +1083,9 @@ class ServerProtocol:
     # ------------------------------------------------------------------
     # one request
     # ------------------------------------------------------------------
-    def _serve(self, op: str, msg_id: int, message: dict) -> None:
-        if op == OP_ESTIMATE and self._gateway.take_connection_drop():
+    def _serve_estimate(self, msg_id: int, request: Any) -> None:
+        """``request`` is what :meth:`_payload` returned."""
+        if self._gateway.take_connection_drop():
             # the fault plan scheduled a drop at this submission index:
             # the index is consumed *before* the gateway sees the request
             # (in-process drivers consume the same index as a no-op, so
@@ -904,6 +1095,10 @@ class ServerProtocol:
             self._abort()
             self.connection_ended()
             return
+        self.outstanding += 1
+        self._begin_estimate(request, partial(self._answer_estimate, msg_id))
+
+    def _serve(self, op: str, msg_id: int, message: dict) -> None:
         self.outstanding += 1
         if op == OP_PING:
             self._answer(ok_response(msg_id))
@@ -916,28 +1111,29 @@ class ServerProtocol:
                     ok_response(msg_id, drained=drained)
                 ),
             )
-        elif op == OP_ESTIMATE:
-            self._begin_estimate(
-                message,
-                lambda outcome: self._answer(
-                    _estimate_response(outcome, id=msg_id)
-                ),
-            )
         else:
             self._estimate_many(msg_id, message["requests"])
 
+    def _payload(self, message: dict) -> Any:
+        """What :func:`_decode_estimate_payload` makes of ``message`` —
+        or, returned, not raised, the error it ended in."""
+        try:
+            return _decode_estimate_payload(message, self._clock())
+        except Exception as error:
+            return error
+
     def _begin_estimate(
-        self, message: dict, deliver: Callable[[Any], None]
+        self, request: Any, deliver: Callable[[Any], None]
     ) -> None:
         """Run the synchronous half of one submit, inline and in order;
         ``deliver`` gets the result, or the error the request ended in —
         refused before enqueue (malformed payload, validation reject,
         shed, closed gateway) or failed after.  The connection stays
         open either way."""
+        if isinstance(request, Exception):
+            return deliver(request)
         try:
-            workload, device, deadline, metadata, tenant, priority = (
-                _decode_estimate_payload(message, self._clock())
-            )
+            workload, device, deadline, metadata, tenant, priority = request
             future = self._gateway.submit(
                 workload,
                 device,
@@ -968,24 +1164,44 @@ class ServerProtocol:
             self._answer(ok_response(msg_id, results=[]))
         for index, item in enumerate(items):
             self._begin_estimate(
-                {"request": item, "deadline_remaining": None},
-                partial(collect, index),
+                self._payload({"request": item}), partial(collect, index)
             )
 
     # ------------------------------------------------------------------
     # answers and the end of the connection
     # ------------------------------------------------------------------
     def _answer(self, payload: dict) -> None:
+        self._write_answer(payload["id"], partial(encode_frame, payload))
+
+    def _answer_estimate(self, msg_id: int, outcome: Any) -> None:
+        if isinstance(outcome, BaseException):
+            return self._answer(_estimate_response(outcome, id=msg_id))
+        self._write_answer(msg_id, partial(self._answer_frame, msg_id, outcome))
+
+    def _answer_frame(self, msg_id: int, result: EstimationResult) -> bytes:
+        """The frame of an ``ok`` estimate answer.  The gateway's cache
+        answers a hit with the object it stored: a result object's
+        second answer learns its rest, and every later one is spliced."""
+        known = self._answers.meanings.get(id(result))
+        if known is not None:
+            return _splice(_RESPONSE_HEAD, msg_id, known[1])
+        frame = encode_frame(ok_response(msg_id, result=result_to_wire(result)))
+        if self._answers.sighted_before(id(result)):
+            rest = frame[HEADER_BYTES + len(_RESPONSE_HEAD) + len(b"%d" % msg_id) :]
+            _remember(self._answers.meanings, id(result), (result, rest))
+        return frame
+
+    def _write_answer(self, msg_id: int, frame_of: Callable[[], bytes]) -> None:
         """Write the one response frame of an outstanding request."""
         self.outstanding -= 1
         if not self._gone:
             try:
-                frame = encode_frame(payload)
+                frame = frame_of()
             except WireProtocolError as error:
                 # the response itself would not frame (oversized or
                 # unencodable detail) — tell the client *something*
                 # rather than leaving its future hanging
-                frame = encode_frame(error_response(payload["id"], error))
+                frame = encode_frame(error_response(msg_id, error))
             self._write(frame)
         if self._closing and not self.outstanding:
             self._close()

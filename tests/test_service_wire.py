@@ -32,6 +32,7 @@ import json
 import struct
 import threading
 from concurrent.futures import CancelledError, Future, InvalidStateError
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -48,9 +49,11 @@ from repro.errors import (
 )
 from repro.runtime.loop import POS0, POS1
 from repro.service import FaultPlan, FaultSpec, Telemetry
+from repro.service import wire
 from repro.service.context import NullLock
 from repro.service.dispatch import GatewayDispatch
 from repro.service.wire import (
+    HEADER_BYTES,
     MAX_FRAME_BYTES,
     ClientProtocol,
     FrameDecoder,
@@ -229,6 +232,15 @@ def test_frames_completed_before_a_violation_are_handed_back():
     assert list(alone.value.completed) == []
 
 
+def test_a_body_nested_past_the_decoders_recursion_is_garbage_too():
+    """Regression: ``RecursionError`` escaped the strict decoder, so a
+    hostile peer's ``[[[[…`` ended a server connection with no
+    ``id: null`` answer and killed a client's reader thread."""
+    body = b"[" * 100_000
+    with pytest.raises(WireProtocolError, match="not valid JSON"):
+        FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+
+
 def test_non_object_body_is_rejected():
     body = json.dumps([1, 2, 3]).encode()
     decoder = FrameDecoder()
@@ -290,9 +302,17 @@ def test_valid_ops_pass_validation():
             "request": {},
             "deadline_remaining": "soon",
         },
+        {  # a boolean is no budget: it used to be rebased to now + 1 s
+            "op": "estimate",
+            "id": 1,
+            "request": {},
+            "deadline_remaining": True,
+        },
         {"op": "estimate_many", "id": 1},  # missing requests
         {"op": "estimate_many", "id": 1, "requests": [{}, 7]},
         {"op": "drain", "id": 1, "timeout": "later"},
+        # a boolean is no timeout: it used to reach ``gateway.drain``
+        {"op": "drain", "id": 2, "timeout": False},
         {},  # empty message
     ],
 )
@@ -599,6 +619,34 @@ def test_malformed_ok_response_fails_that_request_only(make_protocol):
     assert fine.result() is True
 
 
+def test_a_malformed_number_in_an_error_frame_fails_its_request_only(
+    make_protocol,
+):
+    """Regression: a wire error whose message formats a number that is
+    none (``DeadlineExceededError`` formats ``late_by_seconds`` with
+    ``:.3f``) raised ``ValueError`` out of ``receive``: the futures of
+    that read were already popped and never settled, and the TCP
+    client's reader thread died with every later call."""
+    protocol = make_protocol()
+    futures = [protocol.estimate_request(WORKLOAD, RTX_3060)[2] for _ in range(3)]
+    _, _, ping = protocol.ping_request()
+    frames = [
+        b'{"error":{"late_by_seconds":"soon","type":"deadline"},"id":0,"ok":false}',
+        b'{"error":{"retry_after_seconds":[1],"type":"rate_limited"},"id":1,'
+        b'"ok":false}',
+        # an integer too large for a float: OverflowError, not ValueError
+        b'{"error":{"retry_after_seconds":1%s,"tenant":"t","type":'
+        b'"quota_exceeded"},"id":2,"ok":false}' % (b"0" * 400),
+    ]
+    stream = b"".join(raw_frame(body) for body in frames) + ok_frame(3)
+    assert protocol.receive(stream) is True
+    for future in futures:
+        assert isinstance(error_of(future), WireProtocolError)
+        assert "malformed estimate response" in str(error_of(future))
+    assert ping.result() is True
+    assert protocol.lost is None
+
+
 def test_connection_level_error_frame_fails_everything_and_ends_the_stream(
     make_protocol,
 ):
@@ -836,12 +884,12 @@ class StubGateway:
         return self.submitted[at][3]
 
 
-def serve(gateway=None):
+def serve(gateway=None, clock=lambda: 100.0):
     gateway = gateway or StubGateway()
     shell = Shell()
     protocol = ServerProtocol(
         gateway,
-        lambda: 100.0,
+        clock,
         write=shell.write,
         close=shell.close,
         abort=shell.abort,
@@ -1349,6 +1397,396 @@ def test_the_end_of_an_idle_connection_closes_at_once():
     protocol.connection_ended()
     protocol.connection_ended()  # a reset reported after the end: no-op
     assert shell.log == ["write", "close"]
+
+
+# ----------------------------------------------------------------------
+# one codec pass per distinct frame: the memos are exact
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def strict_decodes(monkeypatch):
+    """Every body handed to the strict decoder, by either protocol."""
+    bodies: list[bytes] = []
+    decode = wire._decode_body
+
+    def counting(body):
+        bodies.append(body)
+        return decode(body)
+
+    monkeypatch.setattr(wire, "_decode_body", counting)
+    return bodies
+
+
+def estimate_of(workload, msg_id, **fields) -> bytes:
+    payload = {"workload": workload.as_dict(), "device": RTX_3060.as_dict()}
+    return encode_frame(
+        {"op": "estimate", "id": msg_id, "request": payload, **fields}
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    workload=workloads,
+    device=devices,
+    tenant=st.one_of(st.just(""), names),
+    priority=st.integers(-3, 2**40),
+    skip=st.integers(0, 12),
+)
+def test_a_spliced_request_frame_is_the_encoded_message(
+    workload, device, tenant, priority, skip
+):
+    client = requests()
+    for _ in range(skip):  # ids of one and two digits
+        client.ping_request()
+    request = {"workload": workload.as_dict(), "device": device.as_dict()}
+    if tenant:
+        request["tenant"] = tenant
+    if priority != 1:
+        request["priority"] = priority
+    for msg_id in (skip, skip + 1):
+        _, frame, _ = client.estimate_request(
+            workload, device, tenant=tenant, priority=priority
+        )
+        assert frame == encode_frame(
+            {
+                "op": "estimate",
+                "id": msg_id,
+                "request": request,
+                "deadline_remaining": None,
+            }
+        )
+
+
+@settings(max_examples=50, deadline=None)
+@given(result=results, ids=st.lists(st.integers(0, 2**40), min_size=3, max_size=5))
+def test_a_spliced_answer_is_the_encoded_response(result, ids):
+    """The server splices every answer after the first of one result
+    object; a client decodes the third and later from its memo — both
+    are what the strict codec makes of the same message."""
+    protocol, shell, gateway = serve()
+    for msg_id in ids:
+        protocol.receive(estimate_of(WORKLOAD, msg_id))
+        gateway.future().set_result(result)
+    assert shell.written == [
+        encode_frame(ok_response(msg_id, result=result_to_wire(result)))
+        for msg_id in ids
+    ]
+    client = requests()
+    futures = [client.estimate_request(WORKLOAD, RTX_3060)[2] for _ in ids]
+    for at, frame in enumerate(shell.written):
+        body = frame[HEADER_BYTES:]
+        client.receive(raw_frame(b'{"id":%d%s' % (at, body[body.index(b","):])))
+    for future in futures:
+        decoded = future.result()
+        assert decoded == result
+        assert decoded.stage_seconds == result.stage_seconds
+        assert decoded.stage_cached == result.stage_cached
+        assert decoded.detail == result.detail
+
+
+def test_a_memo_hit_is_the_strict_decode(strict_decodes):
+    protocol, shell, gateway = serve()
+    client = requests()
+    sent = [
+        client.estimate_request(OTHER, RTX_4060, tenant="acme", priority=0)
+        for _ in range(4)
+    ]
+    for _, frame, _ in sent:
+        protocol.receive(frame)
+    # the first two sightings are decoded, the later ones recalled
+    assert len(strict_decodes) == 2
+    assert [entry[:3] for entry in gateway.submitted] == [
+        (OTHER, RTX_4060, {"deadline": None, "metadata": None,
+                           "tenant": "acme", "priority": 0})
+    ] * 4
+    for entry in gateway.submitted:
+        entry[3].set_result(RESULT)
+    assert [answer["id"] for answer in shell.answers()] == [0, 1, 2, 3]
+    del strict_decodes[:]
+    for frame in shell.written:
+        client.receive(frame)
+    assert len(strict_decodes) == 2
+    strict, _, hit, _ = (future.result() for _, _, future in sent)
+    assert hit == strict == RESULT
+    assert (hit.stage_seconds, hit.stage_sources, hit.detail) == (
+        strict.stage_seconds,
+        strict.stage_sources,
+        strict.detail,
+    )
+    # a learned answer body under an id that waits for something other
+    # than an estimate is decoded strictly, as that op's response
+    _, _, stats = client.stats_request()
+    body = shell.written[0][HEADER_BYTES:]
+    client.receive(raw_frame(b'{"id":4' + body[body.index(b","):]))
+    assert "malformed stats response" in str(error_of(stats))
+
+
+def test_a_body_is_learned_on_its_second_sighting(strict_decodes):
+    """Traffic that never repeats pays one set insert and is never
+    learned; a body seen once is decoded normally."""
+    protocol, _shell, gateway = serve()
+    for msg_id in range(3):
+        protocol.receive(estimate_of(WORKLOAD, msg_id, deadline_remaining=None))
+        assert len(strict_decodes) == min(msg_id + 1, 2)
+    assert len(gateway.submitted) == 3
+
+
+def test_a_result_answered_once_is_not_pinned():
+    """A stream of cache misses answers each result object once: the
+    server encodes each afresh and holds none of them; a result object
+    answered a second time is learned, and the third is spliced."""
+    protocol, shell, gateway = serve()
+    fresh = [replace(RESULT, peak_bytes=RESULT.peak_bytes + at) for at in range(4)]
+    for msg_id, result in enumerate(fresh + [RESULT] * 3):
+        protocol.receive(estimate_of(WORKLOAD, msg_id))
+        gateway.future().set_result(result)
+    assert shell.written == [
+        result_frame(msg_id, result)
+        for msg_id, result in enumerate(fresh + [RESULT] * 3)
+    ]
+    assert [entry[0] for entry in protocol._answers.meanings.values()] == [RESULT]
+
+
+def test_the_connections_of_a_server_share_its_memos(strict_decodes):
+    """What one connection learned, the next connection to the same
+    gateway recalls, so the memos are bounded per server however many
+    connections it serves; another server's gateway has its own."""
+    gateway = StubGateway()
+    first, _, _ = serve(gateway)
+    for _ in range(2):
+        first.receive(GOLDEN_DEFAULT_ESTIMATE)
+    second, _, _ = serve(gateway)
+    second.receive(GOLDEN_DEFAULT_ESTIMATE)
+    assert len(strict_decodes) == 2
+    assert len(gateway.submitted) == 3
+    other, _, _ = serve()
+    other.receive(GOLDEN_DEFAULT_ESTIMATE)
+    assert len(strict_decodes) == 3
+
+
+def test_answers_are_decoded_outside_the_client_lock(monkeypatch):
+    """Senders wait on the lock the reader holds: it is held to pop the
+    pending entries and to learn, not while a result is decoded."""
+    held = []
+
+    class Lock:
+        def __enter__(self):
+            held.append(True)
+
+        def __exit__(self, *exc_info):
+            held.pop()
+
+    decode = wire._outcome
+    decoded_under = []
+
+    def outcome(op, message):
+        decoded_under.append(bool(held))
+        return decode(op, message)
+
+    monkeypatch.setattr(wire, "_outcome", outcome)
+    client = ClientProtocol(Lock(), Future, lambda: 100.0)
+    futures = [client.estimate_request(WORKLOAD, RTX_3060)[2] for _ in range(3)]
+    for msg_id in range(3):  # decoded, decoded and learned, recalled
+        client.receive(result_frame(msg_id))
+    assert decoded_under == [False, False]
+    assert [future.result() for future in futures] == [RESULT] * 3
+
+
+def test_a_budget_or_a_bag_is_decoded_at_every_sighting(strict_decodes):
+    """A deadline is rebased onto the clock of its own arrival, even one
+    whose spelling is as long as ``null``; a metadata bag is the
+    request's own object."""
+    ticks = iter(range(100, 200))
+    protocol, _shell, gateway = serve(clock=lambda: float(next(ticks)))
+    for msg_id in (1, 1, 2, 2):
+        protocol.receive(
+            raw_frame(
+                b'{"deadline_remaining":0.25,"id":%d%s' % (msg_id, REQUEST_REST)
+            )
+        )
+    client = requests()
+    for _ in range(3):
+        protocol.receive(
+            client.estimate_request(WORKLOAD, RTX_3060, metadata={"team": "ml"})[1]
+        )
+    assert len(strict_decodes) == 7
+    deadlines = [entry[2]["deadline"] for entry in gateway.submitted[:4]]
+    assert deadlines == [100.25, 101.25, 102.25, 103.25]
+    bags = [entry[2]["metadata"] for entry in gateway.submitted[4:]]
+    assert bags == [{"team": "ml"}] * 3
+    assert len({id(bag) for bag in bags}) == 3
+
+
+def test_errors_are_never_memoised(strict_decodes):
+    protocol, shell, _gateway = serve()
+    for msg_id in range(4):
+        protocol.receive(
+            encode_frame(
+                {
+                    "op": "estimate",
+                    "id": msg_id,
+                    "request": {"workload": {"model": 7}},
+                    "deadline_remaining": None,
+                }
+            )
+        )
+    assert len(strict_decodes) == 4
+    assert [answer["ok"] for answer in shell.answers()] == [False] * 4
+    client = requests()
+    futures = [client.estimate_request(WORKLOAD, RTX_3060)[2] for _ in range(4)]
+    for msg_id in range(4):
+        client.receive(
+            encode_frame(error_response(msg_id, RateLimitExceededError(1.5)))
+        )
+    errors = [error_of(future) for future in futures]
+    assert len({id(error) for error in errors}) == 4
+
+
+#: the canonical body of a default estimate, cut after its id
+REQUEST_HEAD = b'{"deadline_remaining":null,"id":'
+REQUEST_REST = GOLDEN_DEFAULT_ESTIMATE[HEADER_BYTES + len(REQUEST_HEAD) + 1 :]
+#: bodies (``%d`` = the id they spell first) that only look canonical:
+#: a second ``id`` key overrides the first, and a leading zero or a
+#: space is no canonical spelling — strict JSON refuses the zero
+LOOK_ALIKE_REQUESTS = {
+    "duplicate-id": REQUEST_HEAD + b'%d,"id":8' + REQUEST_REST,
+    "escaped-duplicate-id": REQUEST_HEAD + b'%d,"\\u0069d":8' + REQUEST_REST,
+    "escaped-id-key": b'{"deadline_remaining":null,"\\u0069d":%d' + REQUEST_REST,
+    "leading-zero-id": REQUEST_HEAD + b"0%d" + REQUEST_REST,
+    "space-before-id": REQUEST_HEAD + b" %d" + REQUEST_REST,
+    "space-after-id": REQUEST_HEAD + b"%d" + REQUEST_REST.replace(b",", b", ", 1),
+    "deadline": b'{"deadline_remaining":0.5,"id":%d' + REQUEST_REST,
+    # past the digits ``int`` parses: the strict decoder refuses it
+    "huge-id": REQUEST_HEAD + b"1" * 5000 + b"%d" + REQUEST_REST,
+    # decoded as an infinity, which does not encode back: the body is
+    # no canonical one and must not end the connection on its second
+    # sighting
+    "infinite-number": REQUEST_HEAD + b"%d" + REQUEST_REST[:-1] + b',"x":1e400}',
+}
+
+
+@pytest.mark.parametrize(
+    "template", LOOK_ALIKE_REQUESTS.values(), ids=LOOK_ALIKE_REQUESTS.keys()
+)
+def test_a_look_alike_request_is_never_served_from_the_memo(
+    strict_decodes, template
+):
+    """Each look-alike is sighted with id 8 twice, then with id 9: a
+    memo that learned it would answer the third under id 9, where the
+    strict decoder reads 8 (or refuses it) — so does the protocol, on a
+    cold memo and on one that knows the canonical body."""
+    sighted = []
+
+    def sight(protocol):
+        for msg_id in (8, 8, 9):
+            sighted.append(template % msg_id)
+            if not protocol.receive(raw_frame(sighted[-1])):
+                break  # the strict decoder refused it: connection over
+
+    cold, cold_shell, cold_gateway = serve()
+    sight(cold)
+    warm, warm_shell, warm_gateway = serve()
+    for _ in range(3):  # the canonical body: learned, then recalled
+        warm.receive(GOLDEN_DEFAULT_ESTIMATE)
+    assert strict_decodes[len(sighted) :] == [GOLDEN_DEFAULT_ESTIMATE[4:]] * 2
+    for entry in warm_gateway.submitted:
+        entry[3].set_result(RESULT)
+    del warm_shell.written[:], warm_gateway.submitted[:], strict_decodes[-2:]
+    sight(warm)
+    assert strict_decodes == sighted
+    assert [entry[:3] for entry in warm_gateway.submitted] == [
+        entry[:3] for entry in cold_gateway.submitted
+    ]
+    for entry in warm_gateway.submitted + cold_gateway.submitted:
+        entry[3].set_result(RESULT)
+    assert warm_shell.written == cold_shell.written
+
+
+#: the canonical body of an ``ok`` estimate answer, cut after its id
+RESPONSE_REST = GOLDEN_OK_ESTIMATE[HEADER_BYTES + len(b'{"id":0') :]
+LOOK_ALIKE_RESPONSES = {
+    "duplicate-id": b'{"id":%d,"id":3' + RESPONSE_REST,
+    "escaped-duplicate-id": b'{"id":%d,"\\u0069d":3' + RESPONSE_REST,
+    "escaped-id-key": b'{"\\u0069d":%d' + RESPONSE_REST,
+    "leading-zero-id": b'{"id":0%d' + RESPONSE_REST,
+    "space-before-id": b'{"id": %d' + RESPONSE_REST,
+    "space-after-id": b'{"id":%d' + RESPONSE_REST.replace(b",", b", ", 1),
+    "huge-id": b'{"id":' + b"1" * 5000 + b"%d" + RESPONSE_REST,
+    "infinite-number": b'{"id":%d' + RESPONSE_REST.replace(
+        b'"detail":{"role":"weights"}', b'"detail":{"role":1e400}'
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "template", LOOK_ALIKE_RESPONSES.values(), ids=LOOK_ALIKE_RESPONSES.keys()
+)
+def test_a_look_alike_answer_is_never_decoded_from_the_memo(
+    strict_decodes, template
+):
+    """As for requests, on a client whose memo knows the canonical
+    answer: sightings with id 3, 3, then 4."""
+    look_alikes = [raw_frame(template % msg_id) for msg_id in (3, 3, 4)]
+
+    def settled(*reads) -> list:
+        """What futures 3 and 4 of a fresh client hold once it read
+        ``reads`` and the connection ended."""
+        client = requests()
+        futures = [client.estimate_request(WORKLOAD, RTX_3060)[2] for _ in range(5)]
+        for data in reads:
+            client.receive(data)
+        client.connection_ended()
+        return [
+            "lost" if isinstance(future.exception(), ConnectionLostError)
+            else repr(future.exception() or future.result())
+            for future in futures[3:]
+        ]
+
+    # one read each: what a read decodes is learned once it is over
+    warmup = [
+        raw_frame(b'{"id":%d%s' % (msg_id, RESPONSE_REST)) for msg_id in range(3)
+    ]
+    cold = settled(b"".join(look_alikes))
+    read = strict_decodes[:]  # a cold client decodes every body it reads
+    del strict_decodes[:]
+    assert settled(*warmup, b"".join(look_alikes)) == cold
+    # the canonical answer was learned, then recalled; no look-alike was
+    assert strict_decodes == [
+        b'{"id":0' + RESPONSE_REST,
+        b'{"id":1' + RESPONSE_REST,
+        *read,
+    ]
+
+
+def test_golden_answers_are_byte_identical_on_a_warm_protocol(strict_decodes):
+    """Three passes of the golden stream through one protocol: the
+    second learns the estimate, the third is served from the memo."""
+    protocol, shell, gateway = serve(
+        StubGateway(refuse={"shed": RateLimitExceededError(1.5)})
+    )
+    stream = b"".join(
+        [
+            GOLDEN_DEFAULT_ESTIMATE,
+            encode_frame({"op": "estimate", "id": 1, "request": {"workload": {"model": 7}}}),
+            estimate_of(SHED, 2, deadline_remaining=2.5),
+            encode_frame({"op": "ping", "id": 4}),
+            encode_frame({"op": "stats", "id": 5}),
+        ]
+    )
+    for recalled in (False, False, True):
+        del strict_decodes[:]
+        assert protocol.receive(stream) is True
+        gateway.future().set_result(RESULT)
+        assert shell.written == [
+            GOLDEN_BAD_PAYLOAD,
+            GOLDEN_SHED,
+            GOLDEN_PING_OK,
+            GOLDEN_STATS_OK,
+            GOLDEN_OK_ESTIMATE,
+        ]
+        assert len(strict_decodes) == 5 - recalled
+        del shell.written[:]
 
 
 # ----------------------------------------------------------------------
