@@ -23,34 +23,47 @@ Package layout:
   fingerprint cache, concurrent request engine
 """
 
-from .allocator import AllocatorConfig, CachingAllocator, DeviceAllocator
-from .baselines import DNNMemEstimator, LLMemEstimator, SchedTuneEstimator
-from .core import (
-    Analyzer,
-    EstimationPipeline,
-    EstimationResult,
-    MemoryOrchestrator,
-    MemorySimulator,
-    PipelineCache,
-    XMemEstimator,
-)
-from .errors import ReproError, SimOutOfMemoryError
-from .models import get_model_spec, list_models
-from .runtime import (
-    TrainLoopConfig,
-    profile_on_cpu,
-    run_gpu_ground_truth,
-)
-from .service import EstimateCache, EstimationService, ServiceMetrics
-from .units import GB, GiB, KiB, MB, MiB, format_bytes, format_gb
-from .workload import (
-    A100_40GB,
-    EVAL_DEVICES,
-    RTX_3060,
-    RTX_4060,
-    DeviceSpec,
-    WorkloadConfig,
-)
+from ._lazy import lazy_exports
+
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "AllocatorConfig": ".allocator",
+    "CachingAllocator": ".allocator",
+    "DeviceAllocator": ".allocator",
+    "DNNMemEstimator": ".baselines",
+    "LLMemEstimator": ".baselines",
+    "SchedTuneEstimator": ".baselines",
+    "Analyzer": ".core",
+    "EstimationPipeline": ".core",
+    "EstimationResult": ".core",
+    "MemoryOrchestrator": ".core",
+    "MemorySimulator": ".core",
+    "PipelineCache": ".core",
+    "XMemEstimator": ".core",
+    "ReproError": ".errors",
+    "SimOutOfMemoryError": ".errors",
+    "get_model_spec": ".models",
+    "list_models": ".models",
+    "TrainLoopConfig": ".runtime",
+    "profile_on_cpu": ".runtime",
+    "run_gpu_ground_truth": ".runtime",
+    "EstimateCache": ".service",
+    "EstimationService": ".service",
+    "ServiceMetrics": ".service",
+    "GB": ".units",
+    "GiB": ".units",
+    "KiB": ".units",
+    "MB": ".units",
+    "MiB": ".units",
+    "format_bytes": ".units",
+    "format_gb": ".units",
+    "A100_40GB": ".workload",
+    "EVAL_DEVICES": ".workload",
+    "RTX_3060": ".workload",
+    "RTX_4060": ".workload",
+    "DeviceSpec": ".workload",
+    "WorkloadConfig": ".workload",
+}
 
 __version__ = "1.0.0"
 
@@ -93,3 +106,5 @@ __all__ = [
     "profile_on_cpu",
     "run_gpu_ground_truth",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

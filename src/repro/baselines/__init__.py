@@ -1,9 +1,15 @@
 """Baseline estimators: DNNMem (static), SchedTune (ML), LLMem (GPU probe)."""
 
-from .base import Estimator
-from .dnnmem import DNNMemEstimator
-from .llmem import LLMemEstimator
-from .schedtune import HistoryRecord, SchedTuneEstimator
+from .._lazy import lazy_exports
+
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "Estimator": ".base",
+    "DNNMemEstimator": ".dnnmem",
+    "LLMemEstimator": ".llmem",
+    "HistoryRecord": ".schedtune",
+    "SchedTuneEstimator": ".schedtune",
+}
 
 __all__ = [
     "DNNMemEstimator",
@@ -12,3 +18,5 @@ __all__ = [
     "LLMemEstimator",
     "SchedTuneEstimator",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

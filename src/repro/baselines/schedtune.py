@@ -12,10 +12,9 @@ configuration and allocator behaviour; xMem paper §5.2).
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ..core.result import EstimationResult
 from ..framework.optim import make_optimizer
@@ -65,7 +64,7 @@ def _activation_bytes_per_sample(spec: ModelSpec) -> int:
     return _ACTIVATION_CACHE[spec.name]
 
 
-def _features(workload: WorkloadConfig, spec: ModelSpec) -> np.ndarray:
+def _features(workload: WorkloadConfig, spec: ModelSpec) -> list[float]:
     """SchedTune's feature vector: model and job characteristics only.
 
     Deliberately excludes what SchedTune cannot see: allocator behaviour,
@@ -78,16 +77,34 @@ def _features(workload: WorkloadConfig, spec: ModelSpec) -> np.ndarray:
         len(optimizer.state_tensors(p.meta)) for p in model.parameters()
     ) / max(1, sum(1 for _ in model.parameters()))
     activation_mb = _activation_bytes_per_sample(spec) / 1e6
-    return np.array(
-        [
-            1.0,
-            params / 1e6,
-            workload.batch_size,
-            (params / 1e6) * state_multiplier,
-            activation_mb * workload.batch_size,
-            1.0 if spec.family == "transformer" else 0.0,
-        ]
-    )
+    return [
+        1.0,
+        params / 1e6,
+        float(workload.batch_size),
+        (params / 1e6) * state_multiplier,
+        activation_mb * workload.batch_size,
+        1.0 if spec.family == "transformer" else 0.0,
+    ]
+
+
+def _solve(matrix: list[list[float]], vector: list[float]) -> list[float]:
+    """``x`` with ``matrix @ x == vector``: Gaussian elimination with
+    partial pivoting (the ridge system is 6 x 6, symmetric positive
+    definite, so it never meets a zero pivot)."""
+    size = len(vector)
+    rows = [[*row, value] for row, value in zip(matrix, vector)]
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / rows[col][col]
+            for k in range(col, size + 1):
+                row[k] -= factor * rows[col][k]
+    solution = [0.0] * size
+    for r in reversed(range(size)):
+        tail = sum(rows[r][k] * solution[k] for k in range(r + 1, size))
+        solution[r] = (rows[r][size] - tail) / rows[r][r]
+    return solution
 
 
 class SchedTuneEstimator(Estimator):
@@ -109,7 +126,7 @@ class SchedTuneEstimator(Estimator):
         self.training_device = training_device
         self.headroom = headroom
         self._history = list(history) if history is not None else None
-        self._weights: Optional[np.ndarray] = None
+        self._weights: Optional[list[float]] = None
 
     # ------------------------------------------------------------------
     # training
@@ -122,7 +139,8 @@ class SchedTuneEstimator(Estimator):
                 workload.batch_size,
                 workload.optimizer,
                 capacity_bytes=64 * GiB,  # history holds only completed jobs
-                seed=hash(workload.label()) & 0xFFFF,
+                # a stable seed: ``hash()`` of a str is salted per process
+                seed=zlib.crc32(workload.label().encode()) & 0xFFFF,
             )
             records.append(
                 HistoryRecord(workload=workload, peak_bytes=truth.measured_peak)
@@ -135,16 +153,22 @@ class SchedTuneEstimator(Estimator):
             self._history = list(history)
         if self._history is None:
             self._history = self._default_history()
-        rows = []
-        targets = []
-        for record in self._history:
-            spec = get_model_spec(record.workload.model)
-            rows.append(_features(record.workload, spec))
-            targets.append(record.peak_bytes / GiB)
-        design = np.array(rows)
-        target = np.array(targets)
-        gram = design.T @ design + self.ridge_lambda * np.eye(design.shape[1])
-        self._weights = np.linalg.solve(gram, design.T @ target)
+        design = [
+            _features(record.workload, get_model_spec(record.workload.model))
+            for record in self._history
+        ]
+        target = [record.peak_bytes / GiB for record in self._history]
+        columns = list(zip(*design))
+        gram = [
+            [
+                sum(a * b for a, b in zip(left, right))
+                + (self.ridge_lambda if i == j else 0.0)
+                for j, right in enumerate(columns)
+            ]
+            for i, left in enumerate(columns)
+        ]
+        moments = [sum(a * b for a, b in zip(column, target)) for column in columns]
+        self._weights = _solve(gram, moments)
 
     # ------------------------------------------------------------------
     # estimation
@@ -160,7 +184,10 @@ class SchedTuneEstimator(Estimator):
             self.fit()
             start = time.perf_counter()  # training is offline, not runtime
         spec = get_model_spec(workload.model)
-        prediction_gib = float(_features(workload, spec) @ self._weights)
+        prediction_gib = sum(
+            feature * weight
+            for feature, weight in zip(_features(workload, spec), self._weights)
+        )
         # a trained estimator never predicts below a tiny floor
         peak = max(int(prediction_gib * self.headroom * GiB), 64 * MiB)
         runtime = time.perf_counter() - start

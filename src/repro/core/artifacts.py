@@ -551,9 +551,9 @@ def open_artifact_store(path: str, **kwargs: Any) -> ArtifactStore:
 
 
 def resolve_artifact_store(
-    store: Union[ArtifactStore, str, os.PathLike, None],
-) -> Optional[ArtifactStore]:
-    """Accept a store instance, a path, or None (the common knob shape)."""
-    if store is None or isinstance(store, ArtifactStore):
+    store: Union[ArtifactStore, str, os.PathLike],
+) -> ArtifactStore:
+    """Accept a store instance or a path to open one at."""
+    if isinstance(store, ArtifactStore):
         return store
     return open_artifact_store(store)

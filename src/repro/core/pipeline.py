@@ -50,7 +50,6 @@ from ..runtime.profiler import DEFAULT_PROFILE_ITERATIONS, profile_on_cpu
 from ..trace.reader import Trace
 from ..workload import WorkloadConfig
 from .analyzer import AnalyzedTrace, Analyzer
-from .artifacts import resolve_artifact_store
 from .orchestrator import (
     MemoryOrchestrator,
     OrchestratedSequence,
@@ -244,7 +243,12 @@ class PipelineCache:
         max_simulations: int = 64,
         artifact_store=None,
     ):
-        store = resolve_artifact_store(artifact_store)
+        store = None
+        if artifact_store is not None:
+            # the store module (and sqlite3) loads only when a store is used
+            from .artifacts import resolve_artifact_store
+
+            store = resolve_artifact_store(artifact_store)
         self.artifacts = store
         self.traces = _StageStore(max_traces)
         self.analyses = _StageStore(max_analyses)

@@ -23,52 +23,63 @@ Quickstart::
 
 The package re-exports only the names some caller outside ``tests/``
 imports from it; everything else is imported from its defining module
-(``repro.service.core``, ``repro.service.resilience``, ...).
+(``repro.service.core``, ``repro.service.resilience``, ...).  A
+re-export loads its module when it is first read, so importing the
+package loads no driver: ``EstimationService`` brings no event loop,
+and no process pool.
 """
 
-from .batch import estimate_many, sweep
-from .cache import EstimateCache
-from .control import (
-    QOS_CLASSES,
-    AuthShimMiddleware,
-    ControlPlane,
-    RateLimitMiddleware,
-    TenantConfig,
-    TenantGrant,
-    qos_priority,
-)
-from .core import GatewayCore
-from .engine import EstimationService
-from .faults import FaultPlan, FaultSpec
-from .resilience import default_resilience
-from .fingerprint import fingerprint_request
-from .gateway import ServiceGateway
-from .routing import POLICY_NAMES, ConsistentHashRouting, make_policy
-from .metrics import ServiceMetrics
-from .telemetry import Telemetry
-from .telemetry.report import render_loadtest_report
-from .telemetry.spans import canonical_trace_trees
-from .traffic import (
-    CHAOS_SCENARIOS,
-    SCENARIO_NAMES,
-    TENANT_SCENARIOS,
-    SyntheticEstimator,
-    TrafficRequest,
-    TrafficTrace,
-    generate_traffic,
-    make_control,
-    replay,
-)
-from .aio import AsyncEstimationService, AsyncServiceGateway, replay_async
-from .procpool import ProcEstimationService, ProcServiceGateway
-from .wire import FrameDecoder, encode_frame
-from .tcp import TcpServerThread, TcpServiceClient
-from .middleware import (
-    CacheMiddleware,
-    ServiceMiddleware,
-    ValidationMiddleware,
-    default_middlewares,
-)
+from .._lazy import lazy_exports
+
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "estimate_many": ".batch",
+    "sweep": ".batch",
+    "EstimateCache": ".cache",
+    "QOS_CLASSES": ".control",
+    "AuthShimMiddleware": ".control",
+    "ControlPlane": ".control",
+    "RateLimitMiddleware": ".control",
+    "TenantConfig": ".control",
+    "TenantGrant": ".control",
+    "qos_priority": ".control",
+    "GatewayCore": ".core",
+    "EstimationService": ".engine",
+    "FaultPlan": ".faults",
+    "FaultSpec": ".faults",
+    "default_resilience": ".resilience",
+    "fingerprint_request": ".fingerprint",
+    "ServiceGateway": ".gateway",
+    "POLICY_NAMES": ".routing",
+    "ConsistentHashRouting": ".routing",
+    "make_policy": ".routing",
+    "ServiceMetrics": ".metrics",
+    "Telemetry": ".telemetry",
+    "render_loadtest_report": ".telemetry.report",
+    "canonical_trace_trees": ".telemetry.spans",
+    "CHAOS_SCENARIOS": ".traffic",
+    "SCENARIO_NAMES": ".traffic",
+    "TENANT_SCENARIOS": ".traffic",
+    "SyntheticEstimator": ".traffic",
+    "TrafficRequest": ".traffic",
+    "TrafficTrace": ".traffic",
+    "generate_traffic": ".traffic",
+    "make_control": ".traffic",
+    "replay": ".traffic",
+    "AsyncEstimationService": ".aio",
+    "AsyncServiceGateway": ".aio",
+    "replay_async": ".aio",
+    "ProcEstimationService": ".procpool",
+    "ProcServiceGateway": ".procpool",
+    "FrameDecoder": ".wire",
+    "encode_frame": ".wire",
+    "TcpServerThread": ".tcp",
+    "TcpServiceClient": ".tcp",
+    "CacheMiddleware": ".middleware",
+    "ServiceMiddleware": ".middleware",
+    "ValidationMiddleware": ".middleware",
+    "default_middlewares": ".middleware",
+}
 
 __all__ = [
     "AsyncEstimationService",
@@ -118,3 +129,5 @@ __all__ = [
     "replay_async",
     "sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,19 +11,14 @@ does not import this module — serving a request does not need it — and
 
 from __future__ import annotations
 
-import asyncio
 from contextlib import ExitStack
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..core.estimator import XMemEstimator
-from .aio import AsyncServiceGateway, replay_async
 from .control import ControlPlane, TenantConfig
-from .gateway import ServiceGateway
-from .procpool import ProcServiceGateway
 from .resilience import default_resilience
 from .routing import make_policy
-from .tcp import TcpServerThread, TcpServiceClient
 from .traffic import (
     TENANT_SCENARIOS,
     ReplayReport,
@@ -98,7 +93,12 @@ def run_trace(
     )
     log: list = []
     recorded = partial(_Recorder, log=log) if on_outcome else (lambda t: t)
+    # each driver's module is imported in the branch that builds it: a
+    # run, like the CLI's parser, loads no substrate it does not use
     if driver == "asyncio":
+        import asyncio
+
+        from .aio import AsyncServiceGateway, replay_async
 
         async def on_loop():
             async with AsyncServiceGateway(**gateway_kwargs) as gateway:
@@ -109,10 +109,17 @@ def run_trace(
     else:
         with ExitStack() as stack:
             if driver == "threads":
+                from .gateway import ServiceGateway
+
                 target = ServiceGateway(**gateway_kwargs)
             elif driver == "processes":
+                from .procpool import ProcServiceGateway
+
                 target = ProcServiceGateway(**gateway_kwargs)
             else:
+                from .aio import AsyncServiceGateway
+                from .tcp import TcpServerThread, TcpServiceClient
+
                 if connect is None:
                     # the gateway is built inside the server's loop thread
                     connect = stack.enter_context(

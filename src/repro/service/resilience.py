@@ -21,10 +21,9 @@ schedules replay exactly.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import Optional
-
-from concurrent.futures.process import BrokenProcessPool
 
 from ..errors import (
     ConnectionLostError,
@@ -54,10 +53,13 @@ BREAKER_HALF_OPEN = "half_open"
 #: Transient failures worth another attempt.  Rejections
 #: (:class:`RequestRejectedError`, which includes deadline misses) are
 #: excluded — re-sending an invalid or expired request cannot succeed.
+#: ``BrokenExecutor`` is the base of the process pool's
+#: ``BrokenProcessPool``; naming the base keeps ``multiprocessing`` out of
+#: every process that runs no pool.
 _TRANSIENT_ERRORS = (
     InjectedFaultError,
     ConnectionLostError,
-    BrokenProcessPool,
+    BrokenExecutor,
     RateLimitExceededError,
 )
 

@@ -417,8 +417,19 @@ def _require(message: dict, field: str, kinds: tuple, op: str) -> Any:
 
 
 #: the types of a number of seconds or null (not ``bool``, an int
-#: subclass: ``true`` is no number of seconds)
+#: subclass: ``true`` is no number of seconds), and the field of each op
+#: that holds one
 _SECONDS_OR_NULL = (int, float, type(None))
+_SECONDS_FIELDS = {OP_ESTIMATE: "deadline_remaining", OP_DRAIN: "timeout"}
+
+
+def _message_id(message: dict, sender: str) -> int:
+    """A frame's ``id``; :class:`WireProtocolError` unless it is an
+    integer (a boolean, though an ``int`` to Python, is not), the one
+    rule both ends of a connection apply."""
+    if type(message.get("id")) is not int:
+        raise WireProtocolError(f"{sender} needs an integer 'id'")
+    return message["id"]
 
 
 def validate_request_message(message: dict) -> tuple[str, int]:
@@ -433,16 +444,9 @@ def validate_request_message(message: dict) -> tuple[str, int]:
         raise WireProtocolError(
             f"unknown op {op!r}; expected one of {', '.join(OPS)}"
         )
-    msg_id = message.get("id")
-    # bool is an int subclass; a boolean id is a schema violation
-    if not isinstance(msg_id, int) or isinstance(msg_id, bool):
-        raise WireProtocolError(f"op {op!r} needs an integer 'id'")
+    msg_id = _message_id(message, f"op {op!r}")
     if op == OP_ESTIMATE:
         _require(message, "request", (dict,), op)
-        if type(message.get("deadline_remaining")) not in _SECONDS_OR_NULL:
-            raise WireProtocolError(
-                "'deadline_remaining' must be a number or null"
-            )
     elif op == OP_ESTIMATE_MANY:
         requests = _require(message, "requests", (list,), op)
         for index, item in enumerate(requests):
@@ -451,9 +455,9 @@ def validate_request_message(message: dict) -> tuple[str, int]:
                     f"op {op!r} request #{index} must be an object, "
                     f"got {type(item).__name__}"
                 )
-    elif op == OP_DRAIN:
-        if type(message.get("timeout")) not in _SECONDS_OR_NULL:
-            raise WireProtocolError("'timeout' must be a number or null")
+    seconds = _SECONDS_FIELDS.get(op)
+    if seconds and type(message.get(seconds)) not in _SECONDS_OR_NULL:
+        raise WireProtocolError(f"{seconds!r} must be a number or null")
     return op, msg_id
 
 
@@ -806,8 +810,10 @@ class ClientProtocol:
 
         A response settles the request whose id it echoes; an id nothing
         waits on (unknown, or answered twice) is ignored.  ``id: null``
-        is the server's connection-level error and an unframeable stream
-        is ours: either ends the connection for every pending request.
+        is the server's connection-level error; an unframeable stream and
+        an id that is no integer (``true``, ``1.0``, ``"1"``, ``[0]``:
+        the server's own rule) are ours.  Each ends the connection for
+        every pending request.
         """
         # (op, future), and the result recalled or the message to decode
         # it from, with (split, body) at the answer's second sighting
@@ -824,12 +830,12 @@ class ClientProtocol:
                     continue
                 try:
                     message = _decode_body(body)
+                    if message.get("id") is None:  # connection-level error
+                        failure = error_from_wire(message.get("error", {}))
+                        break
+                    msg_id = _message_id(message, "a response")
                 except WireProtocolError as error:
                     failure = error
-                    break
-                msg_id = message.get("id")
-                if msg_id is None:
-                    failure = error_from_wire(message.get("error", {}))
                     break
                 entry = self._pending.pop(msg_id, None)
                 if entry is not None:

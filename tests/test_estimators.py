@@ -250,3 +250,41 @@ class TestLLMem:
                 / truth.measured_peak
             )
         assert abs(errors[0] - errors[1]) > 0.05
+
+
+#: SchedTune over its built-in history, RTX 3060, batch size 4: the peaks
+#: of the ridge fit as numpy's ``linalg.solve`` computed it
+SCHEDTUNE_PEAKS = {
+    ("Cerebras-GPT-111M", "sgd"): 1769395636,
+    ("Cerebras-GPT-111M", "adam"): 2926211163,
+    ("ConvNeXtTiny", "sgd"): 273118772,
+    ("ConvNeXtTiny", "adam"): 570847362,
+    ("VGG16", "sgd"): 1911415604,
+    ("VGG16", "adam"): 3352689267,
+    ("VGG19", "sgd"): 1992403375,
+    ("VGG19", "adam"): 3488988262,
+    ("distilgpt2", "sgd"): 1218545383,
+    ("distilgpt2", "adam"): 2071830539,
+    ("t5-small", "sgd"): 975107328,
+    ("t5-small", "adam"): 1605395531,
+}
+
+
+@pytest.fixture(scope="module")
+def default_schedtune():
+    estimator = SchedTuneEstimator()
+    estimator.fit()
+    return estimator
+
+
+@pytest.mark.parametrize("model, optimizer", sorted(SCHEDTUNE_PEAKS))
+def test_schedtune_default_history_peaks_are_pinned(
+    default_schedtune, model, optimizer
+):
+    """The default fit is the same in every process (its history seeds
+    do not depend on the process's string-hash salt) and its peaks hold
+    to the byte."""
+    result = default_schedtune.estimate(
+        WorkloadConfig(model, optimizer, 4), RTX_3060
+    )
+    assert result.peak_bytes == SCHEDTUNE_PEAKS[model, optimizer]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,7 @@ class TestTransience:
             ShardBlackoutError(1),
             ConnectionLostError((), "gone"),
             RateLimitExceededError(0.5),
+            BrokenProcessPool("a worker died"),
         ],
     )
     def test_transient_failures(self, error):

@@ -643,6 +643,24 @@ def test_the_driver_table_is_written_once():
     for node in ast.walk(trees["__init__.py"]):
         if isinstance(node, ast.ImportFrom):
             assert node.module != "loadtest", "repro.service imports loadtest"
+    assert ".loadtest" not in lazy_table(trees["__init__.py"]).values()
+    # the table imports each driver in the branch that builds it
+    top = ast.Module(
+        body=[
+            node
+            for node in trees["loadtest.py"].body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ],
+        type_ignores=[],
+    )
+    substrates = imported_modules("loadtest.py", top) & {
+        "asyncio",
+        "repro.service.aio",
+        "repro.service.gateway",
+        "repro.service.procpool",
+        "repro.service.tcp",
+    }
+    assert not substrates, f"loadtest.py imports {sorted(substrates)} on load"
 
 
 def test_the_core_imports_no_concurrency_substrate():
@@ -849,11 +867,24 @@ def caller_sources() -> list[tuple[Path, str, str]]:
     return found
 
 
+def lazy_table(tree: ast.Module) -> dict[str, str]:
+    """A package facade's ``_EXPORTS`` (name -> defining module, relative
+    to the package), read without importing it; ``{}`` if it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [
+            ast.unparse(target) for target in node.targets
+        ] == ["_EXPORTS"]:
+            return ast.literal_eval(node.value)
+    return {}
+
+
 def names_imported_from(module: str) -> set[str]:
-    """Every name some caller outside ``tests/`` imports from ``module``."""
+    """Every name some caller outside ``tests/`` imports from ``module``,
+    by an import statement or by a lazy facade's table."""
     names = set()
     for _, source, package in caller_sources():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
             name = node.module or ""
@@ -861,6 +892,11 @@ def names_imported_from(module: str) -> set[str]:
                 name = f"{package}.{name}"
             if name == module:
                 names.update(alias.name for alias in node.names)
+        names.update(
+            name
+            for name, where in lazy_table(tree).items()
+            if f"{package}{where}" == module
+        )
     return names
 
 
@@ -879,20 +915,32 @@ def test_the_package_exports_exactly_what_its_callers_import():
     """``repro.service`` re-exports a name iff the CLI, the package root,
     a bench, an example or a doc imports it from there: a re-export
     nobody imports makes an internal public API, an import without one
-    breaks a caller.  The facade binds nothing beyond its ``__all__``,
-    and the telemetry package exports ``Telemetry`` alone."""
+    breaks a caller.  The facade imports nothing but its loader: its
+    lazy table holds exactly its ``__all__``, each name under the module
+    that binds it, and the telemetry package exports ``Telemetry`` alone."""
     trees = modules()
     package = trees["__init__.py"]
     names = exported(package)
     assert len(names) == len(set(names))
     assert set(names) == names_imported_from("repro.service")
-    bound = {
-        alias.asname or alias.name
+    imported = [
+        (node.module, [alias.name for alias in node.names])
         for node in package.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert bound == set(names)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imported == [("_lazy", ["lazy_exports"])]
+    table = lazy_table(package)
+    assert set(table) == set(names)
+    for name, where in table.items():
+        path = where.lstrip(".").replace(".", "/")
+        tree = trees.get(f"{path}.py") or trees[f"{path}/__init__.py"]
+        binders = bound_names(tree) | {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert name in binders, f"{where} binds no {name}"
     assert exported(trees["telemetry/__init__.py"]) == ["Telemetry"]
 
 

@@ -662,6 +662,24 @@ def test_connection_level_error_frame_fails_everything_and_ends_the_stream(
         protocol.ping_request()
 
 
+@pytest.mark.parametrize(
+    "msg_id", [[0], True, 1.0, "1"], ids=["list", "true", "float", "string"]
+)
+def test_an_id_that_is_no_integer_ends_the_connection(make_protocol, msg_id):
+    """A response's id follows the rule the server holds a request's id
+    to: an integer, and not a boolean.  An unhashable id does not raise
+    out of ``receive``, and ``true`` or ``1.0`` settles no request 1; the
+    answer ahead of it in the same read still stands."""
+    protocol = make_protocol()
+    first, second, third = [protocol.ping_request()[2] for _ in range(3)]
+    assert protocol.receive(ok_frame(0) + ok_frame(msg_id)) is False
+    assert first.result() is True
+    for future in (second, third):
+        assert isinstance(error_of(future), WireProtocolError)
+        assert "a response needs an integer 'id'" in str(error_of(future))
+    assert isinstance(protocol.lost, WireProtocolError)
+
+
 def test_garbage_header_poisons_the_stream(make_protocol):
     protocol = make_protocol()
     _, _, future = protocol.ping_request()
