@@ -1,4 +1,4 @@
-"""Process start: what three ways into the package cost, and what they load.
+"""Process start: what four ways into the package cost, and what they load.
 
 Every CLI call, every spawned worker and every benchmark child pays for
 its imports before it does any work.  The package facades resolve their
@@ -6,7 +6,9 @@ re-exports on first use, so each of these loads only what it runs:
 
 * ``from repro import XMemEstimator`` — the estimator, no service plane;
 * ``import repro.service`` — the facade alone, no driver;
-* ``xmem --help`` — the CLI's parser, no event loop.
+* ``xmem --help`` — the CLI's parser, no event loop;
+* ``import repro.workload`` — the workload and device records, no
+  runtime (the TCP client and the wire codec need no more).
 
 Each command runs in ``RUNS`` fresh interpreters (9; ``--smoke`` 3),
 the three taken in turn so that drift in the machine's load meets
@@ -76,6 +78,7 @@ COMMANDS = (
         ),
     ),
     ("import repro.service", "import repro.service", ("multiprocessing", "numpy")),
+    ("import repro.workload", "import repro.workload", ("repro.runtime",)),
     ("xmem --help", _CLI_HELP, ("asyncio", "numpy")),
 )
 

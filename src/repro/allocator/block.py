@@ -9,12 +9,8 @@ paper cites (§3.4 "Algorithm").
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
-
-_block_ids = itertools.count(1)
-_segment_ids = itertools.count(1)
 
 
 @dataclass(eq=False, slots=True)
@@ -39,7 +35,6 @@ class Block:
     #: Identifier of the logical allocation occupying this block (simulation
     #: replay uses the memory-event block id); None while free.
     owner: Optional[int] = None
-    block_id: int = field(default_factory=lambda: next(_block_ids))
 
     @property
     def end(self) -> int:
@@ -63,7 +58,6 @@ class Segment:
     size: int
     is_small: bool
     first_block: Optional[Block] = None
-    segment_id: int = field(default_factory=lambda: next(_segment_ids))
 
     def blocks(self) -> Iterator[Block]:
         """Iterate blocks in address order."""

@@ -12,11 +12,18 @@ from dataclasses import replace
 
 from .core.estimator import XMemEstimator
 from .models.registry import list_models
-from .runtime.loop import POS0, POS1
 from .runtime.profiler import profile_on_cpu
 from .trace.stats import summarize_trace
 from .units import format_gb, parse_size
-from .workload import A100_40GB, RTX_3060, RTX_4060, DeviceSpec, WorkloadConfig
+from .workload import (
+    A100_40GB,
+    POS0,
+    POS1,
+    RTX_3060,
+    RTX_4060,
+    DeviceSpec,
+    WorkloadConfig,
+)
 
 _DEVICES = {
     "rtx3060": RTX_3060,

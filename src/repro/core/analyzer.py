@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..errors import TraceError
-from ..framework.tensor import TensorRole
+from ..framework.tensor import ROLES, TensorRole
 from ..trace.events import (
     SpanEvent,
     is_optimizer_step,
@@ -21,16 +21,26 @@ from ..trace.events import (
     is_zero_grad,
 )
 from ..trace.reader import Trace
-from .attribution import AttributedBlock, attribute_blocks, operator_filter
+from .attribution import (
+    AttributedBlock,
+    AttributedColumns,
+    attribute_blocks,
+    operator_filter,
+)
 from .lifecycle import reconstruct_lifecycles
 
 
 @dataclass
 class AnalyzedTrace:
-    """Analyzer output: classified blocks plus the loop structure."""
+    """Analyzer output: classified blocks plus the loop structure.
+
+    ``blocks`` is held as :class:`AttributedColumns`; a list of
+    :class:`AttributedBlock` records (tests, hand-built inputs) is
+    converted once, the records becoming the view.
+    """
 
     trace: Trace
-    blocks: list[AttributedBlock]
+    blocks: AttributedColumns
     iterations: list[SpanEvent]
     zero_grads: list[SpanEvent]
     optimizer_steps: list[SpanEvent]
@@ -41,20 +51,26 @@ class AnalyzedTrace:
     #: parameter-tensor sizes, used by the optimizer-state filter (§3.3)
     parameter_sizes: set[int] = field(default_factory=set)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.blocks, AttributedColumns):
+            self.blocks = AttributedColumns.from_items(self.blocks)
+
     @cached_property
     def zero_grad_starts(self) -> list[int]:
         """Start of every ``zero_grad`` window, in order."""
         return [window.ts for window in self.zero_grads]
 
     def blocks_by_role(self, role: TensorRole) -> list[AttributedBlock]:
-        return [b for b in self.blocks if b.role is role]
+        blocks = self.blocks
+        return [blocks[row] for row in blocks.rows_of(role)]
 
     def role_bytes(self) -> dict[TensorRole, int]:
-        totals: dict[TensorRole, int] = {}
-        for item in self.blocks:
-            if item.role is not None:
-                totals[item.role] = totals.get(item.role, 0) + item.block.size
-        return totals
+        """Bytes per role, in the order each role first appears."""
+        totals: dict[int, int] = {}
+        for code, size in zip(self.blocks.role, self.blocks.blocks.size):
+            if code >= 0:
+                totals[code] = totals.get(code, 0) + size
+        return {ROLES[code]: total for code, total in totals.items()}
 
 
 class Analyzer:
@@ -90,8 +106,7 @@ class Analyzer:
             reused_addresses=report.reused_addresses,
             dropped_blocks=dropped,
             parameter_sizes={
-                item.block.size
-                for item in kept
-                if item.role is TensorRole.PARAMETER
+                kept.blocks.size[row]
+                for row in kept.rows_of(TensorRole.PARAMETER)
             },
         )

@@ -44,8 +44,8 @@ from typing import Any, Callable, Optional, Union
 
 #: Bump when the table layout or a stored value's shape changes; old
 #: stores are dropped + recreated.  Version 4 stores orchestrate and
-#: simulate rows only.
-SCHEMA_VERSION = 4
+#: simulate rows only; version 5 stores a sequence as int columns.
+SCHEMA_VERSION = 5
 
 #: Default payload-byte budget before LRU reaping kicks in (256 MiB).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024

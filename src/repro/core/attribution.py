@@ -13,9 +13,11 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Optional
 
-from ..framework.tensor import TensorRole
+from ..framework.tensor import NO_ROLE, ROLE_CODES, ROLES, TensorRole
 from ..trace.events import (
     DATALOADER_NEXT,
     MODEL_TO_DEVICE,
@@ -27,19 +29,27 @@ from ..trace.events import (
     is_optimizer_step,
     is_profiler_step,
     is_zero_grad,
+    int_column,
 )
 from ..trace.reader import Trace
-from .lifecycle import MemoryBlock
+from .lifecycle import NO_FREE, BlockColumns, MemoryBlock
+
+#: the ``op`` / ``annotation`` / ``iteration`` column entry for "none"
+NONE = -1
+#: the ``op`` / ``annotation`` entry of a hand-built block whose span is
+#: an object, not a row of the trace's span columns
+SPAN_OBJECT = -2
 
 
 class AttributedBlock:
     """A memory block plus its attributed execution context.
 
-    A cheap record.  The attribution sweep stores the rows of the
-    innermost op and annotation (``spans`` is the trace's
-    :class:`SpanColumns`), and :attr:`op` / :attr:`annotation` resolve them
-    through the trace's span view on demand.  Built by hand, without
-    ``spans``, ``op`` and ``annotation`` are the spans themselves.
+    The object view of one :class:`AttributedColumns` row, or a record
+    built by hand.  A view holds the rows of the innermost op and
+    annotation (``spans`` is the trace's :class:`SpanColumns`), and
+    :attr:`op` / :attr:`annotation` resolve them through the trace's span
+    view on demand.  Built by hand, without ``spans``, ``op`` and
+    ``annotation`` are the spans themselves.
     """
 
     __slots__ = (
@@ -106,6 +116,155 @@ class AttributedBlock:
         )
 
 
+class AttributedColumns(Sequence):
+    """Attributed blocks as parallel columns: the Analyzer's stored form.
+
+    ``blocks`` holds the lifecycles (:class:`BlockColumns`).  Per row,
+    ``role`` is the role code (``ROLES[code]``; -1 is none),
+    ``iteration`` the ProfilerStep index (:data:`NONE`: setup), ``op`` and
+    ``annotation`` the innermost span rows of ``spans`` (:data:`NONE`: no
+    span), ``module`` an index into the ``module_paths`` table and
+    ``backward`` 0 or 1.  Stages read the columns.  Indexing or iterating
+    yields :class:`AttributedBlock` views, built once on first use and
+    cached (the cache is dropped on pickling).
+    """
+
+    __slots__ = (
+        "blocks",
+        "spans",
+        "role",
+        "iteration",
+        "op",
+        "annotation",
+        "module",
+        "module_paths",
+        "backward",
+        "_items",
+    )
+
+    def __init__(
+        self,
+        blocks: BlockColumns,
+        spans: Optional[SpanColumns],
+        role: Iterable[int],
+        iteration: Iterable[int],
+        op: Iterable[int],
+        annotation: Iterable[int],
+        module: Iterable[int],
+        backward: Iterable[int],
+        module_paths: list[Optional[str]],
+    ):
+        self.blocks = blocks
+        self.spans = spans
+        self.role = array("b", role)
+        self.iteration = int_column(iteration)
+        self.op = int_column(op)
+        self.annotation = int_column(annotation)
+        self.module = int_column(module)
+        self.module_paths = module_paths
+        self.backward = array("b", backward)
+        self._items: Optional[list[AttributedBlock]] = None
+
+    @classmethod
+    def from_items(cls, items: Iterable[AttributedBlock]) -> "AttributedColumns":
+        """Columns of ``items``; the objects themselves become the view."""
+        items = list(items)
+        module_ids: dict[Optional[str], int] = {}
+        columns = cls(
+            BlockColumns.from_blocks(item.block for item in items),
+            next(
+                (item._spans for item in items if item._spans is not None),
+                None,
+            ),
+            [ROLE_CODES[item.role] for item in items],
+            [NONE if item.iteration is None else item.iteration for item in items],
+            [_span_row(item._op) for item in items],
+            [_span_row(item._annotation) for item in items],
+            [
+                module_ids.setdefault(item.module_path, len(module_ids))
+                for item in items
+            ],
+            [bool(item.backward) for item in items],
+            list(module_ids),
+        )
+        columns._items = items
+        return columns
+
+    def _columns(self) -> tuple:
+        return (
+            self.role,
+            self.iteration,
+            self.op,
+            self.annotation,
+            self.module,
+            self.backward,
+        )
+
+    def take(self, rows: list[int]) -> "AttributedColumns":
+        """The rows ``rows``, in that order (a built view comes along)."""
+        taken = AttributedColumns(
+            self.blocks.take(rows),
+            self.spans,
+            *(map(column.__getitem__, rows) for column in self._columns()),
+            self.module_paths,
+        )
+        if self._items is not None:
+            taken._items = list(map(self._items.__getitem__, rows))
+        return taken
+
+    def _view(self) -> list[AttributedBlock]:
+        items = self._items
+        if items is None:
+            spans = self.spans
+            paths = self.module_paths
+            items = [
+                AttributedBlock(
+                    block,
+                    None if op < 0 else op,
+                    paths[module],
+                    None if annotation < 0 else annotation,
+                    None if iteration < 0 else iteration,
+                    bool(backward),
+                    ROLES[role],
+                    spans,
+                )
+                for block, role, iteration, op, annotation, module, backward
+                in zip(self.blocks, *self._columns())
+            ]
+            self._items = items
+        return items
+
+    def rows_of(self, role: TensorRole) -> list[int]:
+        """The rows classified as ``role``, in order."""
+        code = ROLE_CODES[role]
+        return [row for row, value in enumerate(self.role) if value == code]
+
+    def __len__(self) -> int:
+        return len(self.role)
+
+    def __getitem__(self, index):
+        return self._view()[index]
+
+    def __iter__(self) -> Iterator[AttributedBlock]:
+        return iter(self._view())
+
+    def __getstate__(self) -> tuple:
+        return (self.blocks, self.spans, *self._columns(), self.module_paths)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
+
+    def __repr__(self) -> str:
+        return f"AttributedColumns({len(self)} blocks)"
+
+
+def _span_row(span) -> int:
+    """A span reference as its column entry."""
+    if span is None:
+        return NONE
+    return span if isinstance(span, int) else SPAN_OBJECT
+
+
 class _OpenSpans:
     """The spans of one category that contain a forward-moving timestamp.
 
@@ -168,26 +327,31 @@ class _OpenSpans:
 #: an annotation whose blocks take their role from the block itself
 _STEP = "step"
 
+_PARAMETER = ROLE_CODES[TensorRole.PARAMETER]
+_BATCH_DATA = ROLE_CODES[TensorRole.BATCH_DATA]
+_TEMPORARY = ROLE_CODES[TensorRole.TEMPORARY]
+_OPTIMIZER_STATE = ROLE_CODES[TensorRole.OPTIMIZER_STATE]
+_GRADIENT = ROLE_CODES[TensorRole.GRADIENT]
+_ACTIVATION = ROLE_CODES[TensorRole.ACTIVATION]
+
 
 def _annotation_role(name: str):
-    """The role an annotation gives every block allocated inside it;
+    """The role code an annotation gives every block allocated inside it;
     ``_STEP`` when the block's free decides, None when the annotation does
     not decide."""
     if name == MODEL_TO_DEVICE:
-        return TensorRole.PARAMETER
+        return _PARAMETER
     if name == DATALOADER_NEXT:
-        return TensorRole.BATCH_DATA
+        return _BATCH_DATA
     if name.startswith(ZERO_GRAD_PREFIX):
-        return TensorRole.TEMPORARY
+        return _TEMPORARY
     if name.startswith(OPTIMIZER_STEP_PREFIX):
         return _STEP
     return None
 
 
-def _freed_within(
-    free_ts: Optional[int], windows: list[tuple[int, int]]
-) -> bool:
-    if free_ts is not None:
+def _freed_within(free_ts: int, windows: list[tuple[int, int]]) -> bool:
+    if free_ts != NO_FREE:
         for start, end in windows:
             if start <= free_ts <= end:
                 return True
@@ -195,15 +359,17 @@ def _freed_within(
 
 
 def attribute_blocks(
-    trace: Trace, blocks: list[MemoryBlock]
-) -> list[AttributedBlock]:
+    trace: Trace, blocks: BlockColumns | Iterable[MemoryBlock]
+) -> AttributedColumns:
     """Attribute every block to its operator, module stack and loop phase,
     and classify its :class:`TensorRole` from that context.
 
     One sweep over time: blocks are visited in ``alloc_ts`` order (the
     result keeps the input order) while one :class:`_OpenSpans` per
     category follows along over the span columns — O((spans + blocks) x
-    nesting depth).  Roles (matching the §3.3 orchestration categories):
+    nesting depth).  The result is columns (:class:`AttributedColumns`;
+    block objects are converted first).  Roles (matching the §3.3
+    orchestration categories):
 
     * allocated inside ``Module.to`` -> PARAMETER;
     * allocated inside ``dataloader.__next__`` -> BATCH_DATA;
@@ -216,6 +382,8 @@ def attribute_blocks(
     * freed within its own operator window -> TEMPORARY;
     * everything else -> ACTIVATION.
     """
+    if not isinstance(blocks, BlockColumns):
+        blocks = BlockColumns.from_blocks(blocks)
     spans = trace.spans
     names = spans.names
     name_id = spans.name_id
@@ -262,18 +430,26 @@ def attribute_blocks(
     annotation_roles = [_annotation_role(name) for name in names]
 
     # context of the current timestamp, recomputed when its stack changes
-    op: Optional[int] = None
+    op = NONE
     op_end = -1
     op_backward = False
-    annotation: Optional[int] = None
+    annotation = NONE
     annotation_role = None
-    module_path: Optional[str] = None
+    module_ids: dict[Optional[str], int] = {None: 0}
+    module = 0
     in_autograd = False
-    alloc_times = [block[2] for block in blocks]
-    attributed: list[Optional[AttributedBlock]] = [None] * len(blocks)
-    for index in sorted(range(len(blocks)), key=alloc_times.__getitem__):
-        block = blocks[index]
-        _, _, ts, free_ts, _ = block
+    count = len(blocks)
+    role_column = array("b", [NO_ROLE]) * count
+    iteration_column = array("q", [NONE]) * count
+    op_column = array("q", [NONE]) * count
+    annotation_column = array("q", [NONE]) * count
+    module_column = array("q", [0]) * count
+    backward_column = array("b", [0]) * count
+    alloc_times = blocks.alloc_ts
+    free_times = blocks.free_ts
+    for index in sorted(range(count), key=alloc_times.__getitem__):
+        ts = alloc_times[index]
+        free_ts = free_times[index]
         if ts >= ops.due and ops.advance(ts):
             if ops.stack:
                 op = ops.stack[-1]
@@ -283,49 +459,63 @@ def attribute_blocks(
                     op_args is not None and bool(op_args.get("Backward", False))
                 )
             else:
-                op, op_backward = None, False
+                op, op_backward = NONE, False
         if ts >= annotations.due and annotations.advance(ts):
             if annotations.stack:
                 annotation = annotations.stack[-1]
                 annotation_role = annotation_roles[name_id[annotation]]
             else:
-                annotation = annotation_role = None
+                annotation, annotation_role = NONE, None
         if ts >= functions.due and functions.advance(ts):
             stack = functions.stack
             module_path = (
                 "/".join([module_names[name_id[row]] for row in stack]) or None
             )
+            module = module_ids.setdefault(module_path, len(module_ids))
             in_autograd = any(autograd_names[name_id[row]] for row in stack)
-        iteration: Optional[int] = None
         position = bisect.bisect_right(iter_starts, ts) - 1
         if position >= 0 and ts <= iter_ends[position]:
-            iteration = position
+            iteration_column[index] = position
         backward = in_autograd or op_backward
 
         role = annotation_role
         if role is _STEP:
             role = (
-                TensorRole.TEMPORARY
+                _TEMPORARY
                 if _freed_within(free_ts, step_windows)
-                else TensorRole.OPTIMIZER_STATE
+                else _OPTIMIZER_STATE
             )
         elif role is None:
             if backward and (
-                free_ts is None or _freed_within(free_ts, gradient_windows)
+                free_ts == NO_FREE or _freed_within(free_ts, gradient_windows)
             ):
-                role = TensorRole.GRADIENT
-            elif op is not None and free_ts is not None and free_ts <= op_end:
+                role = _GRADIENT
+            elif op != NONE and free_ts != NO_FREE and free_ts <= op_end:
                 # the op contains ts, so it contains [alloc_ts, free_ts]
-                role = TensorRole.TEMPORARY
+                role = _TEMPORARY
             else:
-                role = TensorRole.ACTIVATION
-        attributed[index] = AttributedBlock(
-            block, op, module_path, annotation, iteration, backward, role, spans
-        )
-    return attributed
+                role = _ACTIVATION
+        role_column[index] = role
+        op_column[index] = op
+        annotation_column[index] = annotation
+        module_column[index] = module
+        backward_column[index] = backward
+    return AttributedColumns(
+        blocks,
+        spans,
+        role_column,
+        iteration_column,
+        op_column,
+        annotation_column,
+        module_column,
+        backward_column,
+        list(module_ids),
+    )
 
 
-def operator_filter(attributed: list[AttributedBlock]) -> list[AttributedBlock]:
+def operator_filter(
+    attributed: AttributedColumns | Iterable[AttributedBlock],
+) -> AttributedColumns:
     """The paper's operator-centric filter (§3.2).
 
     Keep a block when either: (i) its whole lifespan falls within its
@@ -337,8 +527,15 @@ def operator_filter(attributed: list[AttributedBlock]) -> list[AttributedBlock]:
     attributable to nothing — temporaries of the surrounding script — are
     presumed CPU-only and dropped.
     """
-    return [
-        item
-        for item in attributed
-        if item._op is not None or item._annotation is not None
+    if not isinstance(attributed, AttributedColumns):
+        attributed = AttributedColumns.from_items(attributed)
+    kept = [
+        row
+        for row, (op, annotation) in enumerate(
+            zip(attributed.op, attributed.annotation)
+        )
+        if op != NONE or annotation != NONE
     ]
+    if len(kept) == len(attributed):
+        return attributed
+    return attributed.take(kept)

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from ..framework.tensor import TensorRole
+from ..framework.tensor import ROLE_CODES, ROLES, TensorRole
+from ..trace.events import int_column
 from .analyzer import AnalyzedTrace
-from .attribution import AttributedBlock
+from .attribution import AttributedBlock, AttributedColumns
+from .lifecycle import NO_FREE
 
 
 class EventKind(str, Enum):
@@ -66,11 +69,19 @@ class MemoryOp:
 class OrchestratedSequence:
     """Orchestrator output: the refined, replayable memory sequence.
 
-    ``rows`` are :data:`Row` tuples in replay order, the one stored form;
-    ``events`` is a :class:`MemoryOp` view of them, built on first use.
+    One row per allocator operation, in replay order, held as parallel
+    columns: ``ts``, ``block_id`` and ``size`` are ``array('q')``;
+    ``kind`` (:data:`KIND_FREE` / :data:`KIND_ALLOC`) and ``role`` (the
+    role code, ``ROLES[code]``) are ``array('b')``.  That is the one
+    stored form.  :attr:`rows` (:data:`Row` tuples) and :attr:`events`
+    (:class:`MemoryOp` objects, cached) are views built on demand.
     """
 
-    rows: list[Row]
+    ts: array
+    kind: array
+    block_id: array
+    size: array
+    role: array
     horizon: int  # timestamp at/after every event
     num_blocks: int
     persistent_bytes: int
@@ -88,16 +99,38 @@ class OrchestratedSequence:
         self.fingerprint: Optional[str] = None
 
     @classmethod
+    def from_rows(cls, rows: Iterable[Row], **fields) -> "OrchestratedSequence":
+        """A sequence replaying ``rows`` in the given order; ``fields`` are
+        the remaining constructor arguments."""
+        return cls(
+            *_columns(
+                (ts, kind, block_id, size, ROLE_CODES[role])
+                for ts, kind, block_id, size, role in rows
+            ),
+            **fields,
+        )
+
+    @classmethod
     def from_ops(cls, ops: Iterable[MemoryOp], **fields) -> "OrchestratedSequence":
         """A sequence replaying ``ops`` in the given order; ``fields`` are
         the remaining constructor arguments."""
-        return cls(rows=[op.row for op in ops], **fields)
+        return cls.from_rows([op.row for op in ops], **fields)
 
     def __getstate__(self) -> dict:
         # the object view is derived state: never part of a stored blob
         state = self.__dict__.copy()
         state["_events"] = None
         return state
+
+    @property
+    def rows(self) -> list[Row]:
+        """The rows as :data:`Row` tuples (a new list on every read)."""
+        return [
+            (ts, kind, block_id, size, ROLES[role])
+            for ts, kind, block_id, size, role in zip(
+                self.ts, self.kind, self.block_id, self.size, self.role
+            )
+        ]
 
     @property
     def events(self) -> list[MemoryOp]:
@@ -113,7 +146,23 @@ class OrchestratedSequence:
         return events
 
     def total_alloc_bytes(self) -> int:
-        return sum(row[3] for row in self.rows if row[1] == KIND_ALLOC)
+        return sum(
+            size
+            for kind, size in zip(self.kind, self.size)
+            if kind == KIND_ALLOC
+        )
+
+
+def _columns(rows: Iterable[tuple[int, int, int, int, int]]) -> tuple[array, ...]:
+    """``(ts, kind, block_id, size, role code)`` rows as the five columns."""
+    ts, kind, block_id, size, role = list(zip(*rows)) or [()] * 5
+    return (
+        int_column(ts),
+        array("b", kind),
+        int_column(block_id),
+        int_column(size),
+        array("b", role),
+    )
 
 
 def sequence_fingerprint(sequence: OrchestratedSequence) -> str:
@@ -131,7 +180,9 @@ def sequence_fingerprint(sequence: OrchestratedSequence) -> str:
         return cached
     lines = [
         f"{(ts, kind == KIND_ALLOC, block_id, size)}\n"
-        for ts, kind, block_id, size, _ in sequence.rows
+        for ts, kind, block_id, size in zip(
+            sequence.ts, sequence.kind, sequence.block_id, sequence.size
+        )
     ]
     lines.append(
         f"h|{sequence.horizon}|{sequence.num_blocks}"
@@ -143,15 +194,34 @@ def sequence_fingerprint(sequence: OrchestratedSequence) -> str:
     return fingerprint
 
 
+_PARAMETER = ROLE_CODES[TensorRole.PARAMETER]
+_BATCH_DATA = ROLE_CODES[TensorRole.BATCH_DATA]
+_GRADIENT = ROLE_CODES[TensorRole.GRADIENT]
+_OPTIMIZER_STATE = ROLE_CODES[TensorRole.OPTIMIZER_STATE]
+
+
 class OrchestrationRule:
-    """One lifecycle-adjustment rule; returns a new free_ts (or None to
-    keep the block persistent) when the rule applies, else NO_CHANGE."""
+    """One lifecycle-adjustment rule.
+
+    :meth:`adjust_row` reads one row of the analyzed trace's columns
+    (:class:`AttributedColumns`) and returns a new free_ts (or None to
+    keep the block persistent) when the rule applies, else NO_CHANGE.  A
+    rule implements that method; :meth:`adjust` asks the same of one
+    :class:`AttributedBlock` record.
+    """
 
     NO_CHANGE = object()
     name = "rule"
 
-    def adjust(self, item: AttributedBlock, analyzed: AnalyzedTrace):
+    def adjust_row(
+        self, blocks: AttributedColumns, row: int, analyzed: AnalyzedTrace
+    ):
         raise NotImplementedError
+
+    def adjust(self, item: AttributedBlock, analyzed: AnalyzedTrace):
+        return self.adjust_row(
+            AttributedColumns.from_items([item]), 0, analyzed
+        )
 
 
 class ParameterRule(OrchestrationRule):
@@ -159,8 +229,8 @@ class ParameterRule(OrchestrationRule):
 
     name = "parameters_persistent"
 
-    def adjust(self, item: AttributedBlock, analyzed: AnalyzedTrace):
-        if item.role is TensorRole.PARAMETER:
+    def adjust_row(self, blocks, row, analyzed):
+        if blocks.role[row] == _PARAMETER:
             return None
         return self.NO_CHANGE
 
@@ -171,14 +241,15 @@ class BatchDataRule(OrchestrationRule):
 
     name = "batch_iteration_bound"
 
-    def adjust(self, item: AttributedBlock, analyzed: AnalyzedTrace):
-        if item.role is not TensorRole.BATCH_DATA:
+    def adjust_row(self, blocks, row, analyzed):
+        if blocks.role[row] != _BATCH_DATA:
             return self.NO_CHANGE
-        if item.iteration is None:
+        iteration = blocks.iteration[row]
+        if iteration < 0:
             return self.NO_CHANGE  # allocated outside every iteration
-        boundary = analyzed.iterations[item.iteration].end
-        free_ts = item.block.free_ts
-        if free_ts is None or free_ts > boundary:
+        boundary = analyzed.iterations[iteration].end
+        free_ts = blocks.blocks.free_ts[row]
+        if free_ts == NO_FREE or free_ts > boundary:
             return boundary
         return self.NO_CHANGE
 
@@ -193,17 +264,18 @@ class GradientRule(OrchestrationRule):
 
     name = "gradient_zero_grad_alignment"
 
-    def adjust(self, item: AttributedBlock, analyzed: AnalyzedTrace):
-        if item.role is not TensorRole.GRADIENT:
+    def adjust_row(self, blocks, row, analyzed):
+        if blocks.role[row] != _GRADIENT:
             return self.NO_CHANGE
+        lifecycles = blocks.blocks
         index = bisect.bisect_right(
-            analyzed.zero_grad_starts, item.block.alloc_ts
+            analyzed.zero_grad_starts, lifecycles.alloc_ts[row]
         )
         if index >= len(analyzed.zero_grads):
             return None  # no later zero_grad: persists past the trace
         window = analyzed.zero_grads[index]
-        traced_free = item.block.free_ts
-        if traced_free is not None and traced_free < window.ts:
+        traced_free = lifecycles.free_ts[row]
+        if traced_free != NO_FREE and traced_free < window.ts:
             # freed before the next zero_grad (an activation gradient
             # misclassified, or custom clearing) — trust the trace
             return self.NO_CHANGE
@@ -216,8 +288,8 @@ class OptimizerStateRule(OrchestrationRule):
 
     name = "optimizer_state_persistent"
 
-    def adjust(self, item: AttributedBlock, analyzed: AnalyzedTrace):
-        if item.role is TensorRole.OPTIMIZER_STATE:
+    def adjust_row(self, blocks, row, analyzed):
+        if blocks.role[row] == _OPTIMIZER_STATE:
             return None
         return self.NO_CHANGE
 
@@ -238,18 +310,28 @@ class MemoryOrchestrator:
 
     def orchestrate(self, analyzed: AnalyzedTrace) -> OrchestratedSequence:
         """Refine lifecycles and produce the ordered event sequence."""
-        rows: list[Row] = []
+        rows: list[tuple[int, int, int, int, int]] = []
         append = rows.append
         rules = self.rules
         no_change = OrchestrationRule.NO_CHANGE
         adjustments: dict[str, int] = {rule.name: 0 for rule in rules}
         horizon = 0
         persistent_bytes = 0
-        for item in analyzed.blocks:
-            _, size, alloc_ts, free_ts, block_id = item.block
-            role = item.role
+        blocks = analyzed.blocks
+        lifecycles = blocks.blocks
+        for row, (size, alloc_ts, free_ts, block_id, role) in enumerate(
+            zip(
+                lifecycles.size,
+                lifecycles.alloc_ts,
+                lifecycles.free_ts,
+                lifecycles.block_id,
+                blocks.role,
+            )
+        ):
+            if free_ts == NO_FREE:
+                free_ts = None
             for rule in rules:
-                outcome = rule.adjust(item, analyzed)
+                outcome = rule.adjust_row(blocks, row, analyzed)
                 if outcome is no_change:
                     continue
                 if outcome != free_ts:
@@ -270,9 +352,9 @@ class MemoryOrchestrator:
         # block ids are unique, so the sort never compares past them
         rows.sort()
         return OrchestratedSequence(
-            rows=rows,
+            *_columns(rows),
             horizon=horizon + 1,
-            num_blocks=len(analyzed.blocks),
+            num_blocks=len(blocks),
             persistent_bytes=persistent_bytes,
             adjustments=adjustments,
             role_bytes={

@@ -86,7 +86,9 @@ class MemorySimulator:
         malloc = allocator.malloc
         free = allocator.free
         live = allocator.live_owners.get
-        for ts, is_alloc, block_id, size, _ in sequence.rows:
+        for ts, is_alloc, block_id, size in zip(
+            sequence.ts, sequence.kind, sequence.block_id, sequence.size
+        ):
             try:
                 if is_alloc:
                     malloc(size, ts, block_id)

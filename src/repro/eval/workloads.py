@@ -15,8 +15,7 @@ import random
 from typing import Iterator, Sequence
 
 from ..models.registry import list_models
-from ..runtime.loop import POS0, POS1
-from ..workload import EVAL_DEVICES, DeviceSpec, WorkloadConfig
+from ..workload import EVAL_DEVICES, POS0, POS1, DeviceSpec, WorkloadConfig
 
 CNN_OPTIMIZERS: tuple[str, ...] = ("sgd", "adam", "adamw", "rmsprop", "adagrad")
 TRANSFORMER_OPTIMIZERS: tuple[str, ...] = ("sgd", "adafactor", "adam", "adamw")

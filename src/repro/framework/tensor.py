@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 from .dtypes import DEFAULT_DTYPE, DType
 
@@ -25,6 +26,16 @@ class TensorRole(str, Enum):
     OPTIMIZER_STATE = "optimizer_state"
     BATCH_DATA = "batch_data"
     TEMPORARY = "temporary"
+
+
+#: Every role by its int code, the form stage columns store; the last
+#: entry is "no role", so code ``NO_ROLE`` (-1) reads back as ``None``.
+ROLES: tuple[Optional[TensorRole], ...] = (*TensorRole, None)
+NO_ROLE = -1
+#: role (or ``None``) -> its code
+ROLE_CODES: dict[Optional[TensorRole], int] = {
+    role: code for code, role in enumerate(TensorRole)
+} | {None: NO_ROLE}
 
 
 @dataclass(frozen=True)

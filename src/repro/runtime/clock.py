@@ -26,4 +26,5 @@ class VirtualClock:
 
     def tick(self) -> int:
         """Advance by the smallest unit — separates ordered events."""
-        return self.advance(1)
+        self._now += 1
+        return self._now

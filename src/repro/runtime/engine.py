@@ -233,9 +233,9 @@ class TrainingEngine:
     # ------------------------------------------------------------------
     # allocation helpers
     # ------------------------------------------------------------------
-    def _alloc(self, size: int, role: TensorRole, tag: str) -> AllocationHandle:
+    def _alloc(self, size: int, role: TensorRole) -> AllocationHandle:
         self._flush_due_frees()
-        return self.sink.alloc(size, role, self.clock.tick(), tag=tag)
+        return self.sink.alloc(size, role, self.clock.tick())
 
     def _free(self, handle: AllocationHandle, delay_us: int = 0) -> None:
         if delay_us > 0:
@@ -297,9 +297,7 @@ class TrainingEngine:
     def _model_to_device(self) -> None:
         self._begin(MODEL_TO_DEVICE, EventCategory.USER_ANNOTATION)
         for param in self.params:
-            handle = self._alloc(
-                param.nbytes, TensorRole.PARAMETER, tag=param.name
-            )
+            handle = self._alloc(param.nbytes, TensorRole.PARAMETER)
             self._param_handles.append(handle)
         self.clock.advance(10)
         self._end()
@@ -350,16 +348,14 @@ class TrainingEngine:
         tensors: dict[int, _TensorState] = {}
         input_state = _TensorState(is_batch=True)
         input_state.handle = self._alloc(
-            self.input_meta.nbytes, TensorRole.BATCH_DATA, tag="batch.input"
+            self.input_meta.nbytes, TensorRole.BATCH_DATA
         )
         input_state.alive = True
         input_state.fwd_pending = len(
             self._consumers.get(PlanContext.INPUT_OP_ID, [])
         )
         tensors[PlanContext.INPUT_OP_ID] = input_state
-        label_handle = self._alloc(
-            self.label_meta.nbytes, TensorRole.BATCH_DATA, tag="batch.labels"
-        )
+        label_handle = self._alloc(self.label_meta.nbytes, TensorRole.BATCH_DATA)
         self.clock.advance(5)
         self._end()
         self.clock.tick()
@@ -382,19 +378,17 @@ class TrainingEngine:
                 tag, size = exec_op.library_state
                 if tag not in self._library_state:
                     self._library_state[tag] = self._alloc(
-                        size, TensorRole.TEMPORARY, tag=tag
+                        size, TensorRole.TEMPORARY
                     )
             if exec_op.workspace_bytes > 0:
                 workspace = self._alloc(
-                    exec_op.workspace_bytes,
-                    TensorRole.TEMPORARY,
-                    tag=f"{op.name}.workspace",
+                    exec_op.workspace_bytes, TensorRole.TEMPORARY
                 )
             target = self._resolve(op.op_id)
             if target == op.op_id and op.output is not None:
                 state = _TensorState()
                 state.handle = self._alloc(
-                    op.output.nbytes, TensorRole.ACTIVATION, tag=op.module_path
+                    op.output.nbytes, TensorRole.ACTIVATION
                 )
                 state.alive = True
                 state.fwd_pending = len(self._consumers.get(op.op_id, []))
@@ -402,12 +396,8 @@ class TrainingEngine:
                 tensors[op.op_id] = state
             # extra saved tensors (masks, indices, stats) are freed when
             # this op's backward runs
-            for extra_index, extra in enumerate(op.extra_saved):
-                handle = self._alloc(
-                    extra.nbytes,
-                    TensorRole.SAVED,
-                    tag=f"{op.module_path}.saved{extra_index}",
-                )
+            for extra in op.extra_saved:
+                handle = self._alloc(extra.nbytes, TensorRole.SAVED)
                 self._extra_saved.setdefault(op.op_id, []).append(handle)
             self.clock.advance(exec_op.duration_us)
             if workspace is not None:
@@ -456,7 +446,6 @@ class TrainingEngine:
             if output_id in self._meta
             else 4,
             TensorRole.TEMPORARY,
-            tag="grad.seed",
         )
         grads[output_id] = seed
         for op in reversed(self.plan.ops):
@@ -471,9 +460,7 @@ class TrainingEngine:
             workspace = None
             if exec_op.backward_workspace_bytes > 0:
                 workspace = self._alloc(
-                    exec_op.backward_workspace_bytes,
-                    TensorRole.TEMPORARY,
-                    tag=f"{op.name}.bw_workspace",
+                    exec_op.backward_workspace_bytes, TensorRole.TEMPORARY
                 )
             # gradient buffers for the op's inputs (first contribution wins)
             for producer in self._inputs[op.op_id]:
@@ -485,18 +472,14 @@ class TrainingEngine:
                 if grad_state is None:
                     grad_state = _GradState()
                     grad_state.handle = self._alloc(
-                        self._meta[producer].nbytes,
-                        TensorRole.TEMPORARY,
-                        tag=f"grad.activation.{producer}",
+                        self._meta[producer].nbytes, TensorRole.TEMPORARY
                     )
                     grads[producer] = grad_state
             # parameter gradients persist until zero_grad
             if op.param_bytes > 0 and op.op_id not in self._grad_handles:
                 if self.loop.set_to_none or iteration == 0:
                     self._grad_handles[op.op_id] = self._alloc(
-                        op.param_bytes,
-                        TensorRole.GRADIENT,
-                        tag=f"grad.param.{op.module_path}",
+                        op.param_bytes, TensorRole.GRADIENT
                     )
             self.clock.advance(exec_op.backward_duration_us)
             if workspace is not None:
@@ -549,19 +532,13 @@ class TrainingEngine:
                     param.meta
                 ):
                     handle = self._alloc(
-                        state_meta.nbytes,
-                        TensorRole.OPTIMIZER_STATE,
-                        tag=f"opt.{param.name}.{state_name}",
+                        state_meta.nbytes, TensorRole.OPTIMIZER_STATE
                     )
                     self._opt_state_handles.append(handle)
         for param in self.params:
             workspace_bytes = self.optimizer.step_workspace_bytes(param.meta)
             if workspace_bytes > 0:
-                workspace = self._alloc(
-                    workspace_bytes,
-                    TensorRole.TEMPORARY,
-                    tag=f"opt.step.{param.name}",
-                )
+                workspace = self._alloc(workspace_bytes, TensorRole.TEMPORARY)
                 self.clock.advance(1)
                 self._free(workspace)
         self.clock.advance(5)

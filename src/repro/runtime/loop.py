@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-POS0 = "pos0"
-POS1 = "pos1"
+from ..workload import POS0, POS1
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ allocation/free with its role and timestamp:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..allocator.caching import CachingAllocator
 from ..errors import InvalidFreeError
@@ -22,22 +22,19 @@ from ..framework.tensor import TensorRole
 from ..trace.builder import TraceBuilder
 
 
-@dataclass(frozen=True)
-class AllocationHandle:
-    """Opaque ticket returned by a sink for every allocation."""
+class AllocationHandle(NamedTuple):
+    """Opaque ticket returned by a sink for every allocation (a tuple:
+    the engine makes one per allocation)."""
 
     handle_id: int
     size: int
     role: TensorRole
-    tag: str
 
 
 class MemorySink:
     """Interface the engine drives."""
 
-    def alloc(
-        self, size: int, role: TensorRole, ts: int, tag: str = ""
-    ) -> AllocationHandle:
+    def alloc(self, size: int, role: TensorRole, ts: int) -> AllocationHandle:
         raise NotImplementedError
 
     def free(self, handle: AllocationHandle, ts: int) -> None:
@@ -65,9 +62,7 @@ class CpuProfilingSink(MemorySink):
         self._live_bytes = 0
         self.peak_bytes = 0
 
-    def alloc(
-        self, size: int, role: TensorRole, ts: int, tag: str = ""
-    ) -> AllocationHandle:
+    def alloc(self, size: int, role: TensorRole, ts: int) -> AllocationHandle:
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
         if self._free_addrs:
@@ -75,12 +70,13 @@ class CpuProfilingSink(MemorySink):
         else:
             addr = self._next_addr
             self._next_addr += (size + 63) // 64 * 64 + 64
-        handle = AllocationHandle(next(self._ids), size, role, tag)
-        self._live[handle.handle_id] = addr
-        self._live_bytes += size
-        self.peak_bytes = max(self.peak_bytes, self._live_bytes)
+        handle_id = next(self._ids)
+        self._live[handle_id] = addr
+        live = self._live_bytes = self._live_bytes + size
+        if live > self.peak_bytes:
+            self.peak_bytes = live
         self._builder.record_alloc(ts, addr, size)
-        return handle
+        return AllocationHandle(handle_id, size, role)
 
     def free(self, handle: AllocationHandle, ts: int) -> None:
         addr = self._live.pop(handle.handle_id, None)
@@ -109,10 +105,8 @@ class AllocatorSink(MemorySink):
         #: per-role live bytes, useful for tests and reports
         self.role_bytes: dict[TensorRole, int] = {role: 0 for role in TensorRole}
 
-    def alloc(
-        self, size: int, role: TensorRole, ts: int, tag: str = ""
-    ) -> AllocationHandle:
-        handle = AllocationHandle(next(self._ids), size, role, tag)
+    def alloc(self, size: int, role: TensorRole, ts: int) -> AllocationHandle:
+        handle = AllocationHandle(next(self._ids), size, role)
         self.allocator.malloc(size, ts=ts, owner=handle.handle_id)
         self._live_bytes += size
         self.role_bytes[role] += size
@@ -136,10 +130,8 @@ class NullSink(MemorySink):
         self._live_bytes = 0
         self.peak_bytes = 0
 
-    def alloc(
-        self, size: int, role: TensorRole, ts: int, tag: str = ""
-    ) -> AllocationHandle:
-        handle = AllocationHandle(next(self._ids), size, role, tag)
+    def alloc(self, size: int, role: TensorRole, ts: int) -> AllocationHandle:
+        handle = AllocationHandle(next(self._ids), size, role)
         self._live_bytes += size
         self.peak_bytes = max(self.peak_bytes, self._live_bytes)
         return handle

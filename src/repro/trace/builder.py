@@ -25,15 +25,28 @@ class TraceBuilder:
     The builder does not own a clock — callers pass explicit timestamps —
     so the same builder works for the virtual-time runtime and for tests
     that construct pathological traces by hand.  Spans and memory events
-    are written straight into columns (:class:`SpanColumns`,
-    :class:`MemoryColumns`); no event object is built.
+    are written straight into int columns (:class:`SpanColumns`,
+    :class:`MemoryColumns`); no event object is built.  Span arguments
+    are copied once per distinct content: the engine's ``{"Sequence
+    number": id}`` repeats every iteration, and all its spans share one
+    copy (a caller's later change to its own dict never reaches the
+    trace).
     """
 
     def __init__(self, metadata: dict[str, Any] | None = None):
         self.metadata: dict[str, Any] = dict(metadata or {})
-        self._spans = SpanColumns([], [], [], [], [], [], [])
+        self._spans = SpanColumns([], (), [], (), (), (), [])
         self._name_ids: dict[str, int] = {}
-        self._memory = MemoryColumns([], [], [], [])
+        #: argument content (its items) -> the trace's one copy of it
+        self._args: dict[tuple, dict[str, Any]] = {}
+        memory = self._memory = MemoryColumns((), (), (), ())
+        #: the memory columns' ``append``s, bound once
+        self._appends = (
+            memory.ts.append,
+            memory.addr.append,
+            memory.nbytes.append,
+            memory.total.append,
+        )
         #: open spans, outermost first: (name_id, category, ts, tid, args)
         self._open: list[tuple[int, EventCategory, int, int, Any]] = []
         self._total_allocated = 0
@@ -63,9 +76,20 @@ class TraceBuilder:
         if name_id is None:
             name_id = self._name_ids[name] = len(self._spans.names)
             self._spans.names.append(name)
-        open_spans.append(
-            (name_id, category, ts, tid, dict(args) if args else None)
-        )
+        stored = self._stored_args(args) if args else None
+        open_spans.append((name_id, category, ts, tid, stored))
+
+    def _stored_args(self, args: dict[str, Any]) -> dict[str, Any]:
+        """The trace's copy of ``args``, shared by every span with equal
+        arguments (a dict with an unhashable value gets its own copy)."""
+        try:
+            key = tuple(args.items())
+            stored = self._args.get(key)
+        except TypeError:
+            return dict(args)
+        if stored is None:
+            stored = self._args[key] = dict(args)
+        return stored
 
     def end_span(self, ts: int) -> None:
         if self._finished:
@@ -125,12 +149,12 @@ class TraceBuilder:
     def _record(self, ts: int, addr: int, nbytes: int) -> None:
         if self._finished:
             raise TraceError(_FINISHED)
-        self._total_allocated += nbytes
-        memory = self._memory
-        memory.ts.append(ts)
-        memory.addr.append(addr)
-        memory.nbytes.append(nbytes)
-        memory.total.append(self._total_allocated)
+        total = self._total_allocated = self._total_allocated + nbytes
+        append_ts, append_addr, append_nbytes, append_total = self._appends
+        append_ts(ts)
+        append_addr(addr)
+        append_nbytes(nbytes)
+        append_total(total)
 
     # ------------------------------------------------------------------
     # finish
@@ -160,17 +184,12 @@ def _in_start_order(spans: SpanColumns) -> SpanColumns:
     ]
     return SpanColumns(
         spans.names,
-        *(
-            [column[i] for i in order]
-            for column in (
-                spans.name_id,
-                spans.category,
-                spans.ts,
-                spans.dur,
-                spans.tid,
-                spans.args,
-            )
-        ),
+        map(spans.name_id.__getitem__, order),
+        list(map(spans.category.__getitem__, order)),
+        map(spans.ts.__getitem__, order),
+        map(spans.dur.__getitem__, order),
+        map(spans.tid.__getitem__, order),
+        list(map(spans.args.__getitem__, order)),
     )
 
 
@@ -182,7 +201,7 @@ def _in_time_order(memory: MemoryColumns) -> MemoryColumns:
     order = sorted(range(len(ts)), key=ts.__getitem__)
     return MemoryColumns(
         *(
-            [column[i] for i in order]
+            map(column.__getitem__, order)
             for column in (ts, memory.addr, memory.nbytes, memory.total)
         )
     )

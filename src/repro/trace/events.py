@@ -19,6 +19,7 @@ only.  All events are immutable.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -108,12 +109,22 @@ class MemoryEvent:
         return abs(self.nbytes)
 
 
+def int_column(values: Iterable[int]) -> array:
+    """``values`` as an ``array('q')``: eight bytes an entry, with no
+    boxed int and no per-entry object for the garbage collector to visit.
+    An ``array('q')`` is kept as is."""
+    if type(values) is array and values.typecode == "q":
+        return values
+    return array("q", values)
+
+
 class MemoryColumns(Sequence):
     """A trace's ``[memory]`` stream as parallel int columns.
 
     ``ts``, ``addr`` and signed ``nbytes`` are what the Analyzer sweeps;
     ``total`` is the running ``Total Allocated`` the profiler reported.
-    Stages read the columns; indexing or iterating yields
+    Each column is an ``array('q')`` (:func:`int_column`; lists are
+    converted).  Stages read the columns; indexing or iterating yields
     :class:`MemoryEvent` objects, built once on first use and cached (the
     cache is dropped on pickling).  The stream is the CPU profile, so no
     device is stored.
@@ -123,15 +134,15 @@ class MemoryColumns(Sequence):
 
     def __init__(
         self,
-        ts: list[int],
-        addr: list[int],
-        nbytes: list[int],
-        total: list[int],
+        ts: Iterable[int],
+        addr: Iterable[int],
+        nbytes: Iterable[int],
+        total: Iterable[int],
     ):
-        self.ts = ts
-        self.addr = addr
-        self.nbytes = nbytes
-        self.total = total
+        self.ts = int_column(ts)
+        self.addr = int_column(addr)
+        self.nbytes = int_column(nbytes)
+        self.total = int_column(total)
         self._events: Optional[list[MemoryEvent]] = None
 
     @classmethod
@@ -175,12 +186,11 @@ class MemoryColumns(Sequence):
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __getstate__(self) -> tuple[list[int], ...]:
+    def __getstate__(self) -> tuple[array, ...]:
         return (self.ts, self.addr, self.nbytes, self.total)
 
-    def __setstate__(self, state: tuple[list[int], ...]) -> None:
-        self.ts, self.addr, self.nbytes, self.total = state
-        self._events = None
+    def __setstate__(self, state: tuple[array, ...]) -> None:
+        self.__init__(*state)
 
     def __repr__(self) -> str:
         return f"MemoryColumns({len(self)} events)"
@@ -189,13 +199,16 @@ class MemoryColumns(Sequence):
 class SpanColumns(Sequence):
     """A trace's duration events as parallel columns.
 
-    ``ts``, ``dur`` and ``tid`` are ints; ``category`` holds
+    ``name_id``, ``ts``, ``dur`` and ``tid`` are ``array('q')`` int
+    columns (:func:`int_column`); ``category`` holds
     :class:`EventCategory` members; ``name_id`` indexes the interned
     ``names`` table; ``args`` holds each span's argument dict, or ``None``
-    when it has none.  Stages read the columns.  Indexing or iterating
-    yields :class:`SpanEvent` objects: one index builds that span alone,
-    iteration or a slice builds them all, and either is cached so a row
-    always yields the same object (the caches are dropped on pickling).
+    when it has none (spans with equal arguments may share one dict:
+    treat it as read-only).  Stages read the columns.  Indexing or
+    iterating yields :class:`SpanEvent` objects: one index builds that
+    span alone, iteration or a slice builds them all, and either is cached
+    so a row always yields the same object (the caches are dropped on
+    pickling).
     """
 
     __slots__ = (
@@ -213,19 +226,19 @@ class SpanColumns(Sequence):
     def __init__(
         self,
         names: list[str],
-        name_id: list[int],
+        name_id: Iterable[int],
         category: list[EventCategory],
-        ts: list[int],
-        dur: list[int],
-        tid: list[int],
+        ts: Iterable[int],
+        dur: Iterable[int],
+        tid: Iterable[int],
         args: list[Optional[dict[str, Any]]],
     ):
         self.names = names
-        self.name_id = name_id
+        self.name_id = int_column(name_id)
         self.category = category
-        self.ts = ts
-        self.dur = dur
-        self.tid = tid
+        self.ts = int_column(ts)
+        self.dur = int_column(dur)
+        self.tid = int_column(tid)
         self.args = args
         self._events: Optional[list[SpanEvent]] = None
         self._picked: dict[int, SpanEvent] = {}
@@ -328,17 +341,7 @@ class SpanColumns(Sequence):
         )
 
     def __setstate__(self, state: tuple[list, ...]) -> None:
-        (
-            self.names,
-            self.name_id,
-            self.category,
-            self.ts,
-            self.dur,
-            self.tid,
-            self.args,
-        ) = state
-        self._events = None
-        self._picked = {}
+        self.__init__(*state)
 
     def __repr__(self) -> str:
         return f"SpanColumns({len(self)} spans)"

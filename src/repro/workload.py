@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .runtime.loop import POS0, POS1
 from .units import GiB, MiB, require_types
+
+#: ``optimizer.zero_grad()`` placements (paper Fig. 1; see
+#: :mod:`repro.runtime.loop`): right before ``backward()``, or at the
+#: start of the iteration
+POS0 = "pos0"
+POS1 = "pos1"
 
 
 @dataclass(frozen=True)

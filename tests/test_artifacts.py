@@ -283,7 +283,7 @@ class TestArtifactStoreFailureModes:
 # ----------------------------------------------------------------------
 
 #: the shape digest each schema version was written with
-STORED_SHAPES = {4: "ac02c3c8d0593cda"}
+STORED_SHAPES = {4: "ac02c3c8d0593cda", 5: "80c887b1efdf6891"}
 #: every dataclass a stored (simulate or orchestrate) row reaches
 STORED_DATACLASSES = (
     SimulateRow,
@@ -304,8 +304,8 @@ def stored_shape_digest() -> str:
         for cls in STORED_DATACLASSES
     ]
     parts.append(("TimelineRecorder", sorted(vars(TimelineRecorder()))))
-    sequence = OrchestratedSequence(
-        rows=[], horizon=0, num_blocks=0, persistent_bytes=0
+    sequence = OrchestratedSequence.from_rows(
+        [], horizon=0, num_blocks=0, persistent_bytes=0
     )
     parts.append(("OrchestratedSequence", sorted(vars(sequence))))
     parts.append(("TensorRole", [(r.name, r.value) for r in TensorRole]))
@@ -624,8 +624,9 @@ class TestPipelineWithArtifactStore:
 
     def test_version_2_store_is_a_miss_and_rebuilds(self, tmp_path):
         # version 2 pickled MemoryEvent / MemoryOp objects; version 4
-        # stores the orchestrate and simulate rows only
-        assert SCHEMA_VERSION == 4
+        # stores the orchestrate and simulate rows only, version 5 a
+        # sequence as int columns
+        assert SCHEMA_VERSION == 5
         path = str(tmp_path / "store.sqlite")
         writer = ArtifactStore(path)
         cold = XMemEstimator(

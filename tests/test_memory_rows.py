@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 
 import pytest
@@ -141,12 +142,13 @@ def test_builder_sorts_out_of_order_ts_stably():
     builder.record_free(3, addr=2, nbytes=20)
     builder.end_span(9)
     memory = builder.finish().memory_events
-    assert memory.ts == [3, 3, 5, 5]
-    assert memory.addr == [2, 2, 1, 3]
-    assert memory.nbytes == [20, -20, 10, 30]
+    # int columns: arrays of 8-byte ints, no boxed int per event
+    assert memory.ts == array("q", [3, 3, 5, 5])
+    assert memory.addr == array("q", [2, 2, 1, 3])
+    assert memory.nbytes == array("q", [20, -20, 10, 30])
     # the running total is the one reported at record time
-    assert memory.total == [30, 40, 10, 60]
-    assert [e.total_allocated for e in memory] == memory.total
+    assert memory.total == array("q", [30, 40, 10, 60])
+    assert [e.total_allocated for e in memory] == list(memory.total)
 
 
 @pytest.mark.parametrize("model", sorted(GOLDEN))

@@ -295,6 +295,8 @@ class TestOneSimulatePath:
     )
 
     def test_one_function_iterates_the_rows(self):
+        """A loop over the rows reads the ``rows`` view or the sequence's
+        ``kind`` column (the one column only a replay needs)."""
         tree = ast.parse((SRC / "core" / "simulator.py").read_text())
         loops = [
             function.name
@@ -302,8 +304,11 @@ class TestOneSimulatePath:
             if isinstance(function, ast.FunctionDef)
             and any(
                 isinstance(node, (ast.For, ast.comprehension))
-                and isinstance(node.iter, ast.Attribute)
-                and node.iter.attr == "rows"
+                and any(
+                    isinstance(part, ast.Attribute)
+                    and part.attr in ("rows", "kind")
+                    for part in ast.walk(node.iter)
+                )
                 for node in ast.walk(function)
             )
         ]
