@@ -11,20 +11,29 @@ Public surface:
 * :func:`memory_snapshot` — snapshot export for fidelity comparisons.
 """
 
-from .block import Block, Segment
-from .caching import CachingAllocator
-from .constants import DEFAULT_CONFIG, AllocatorConfig
-from .device import DeviceAllocator, DeviceStats
-from .pool import BlockPool
-from .rounding import is_small_request, round_size, segment_size
-from .snapshot import memory_snapshot, summarize_snapshot
-from .stats import (
-    AllocatorStats,
-    StatCounter,
-    TimelinePoint,
-    TimelineRecorder,
-    merge_timelines,
-)
+from .._lazy import lazy_exports
+
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "Block": ".block",
+    "Segment": ".block",
+    "CachingAllocator": ".caching",
+    "DEFAULT_CONFIG": ".constants",
+    "AllocatorConfig": ".constants",
+    "DeviceAllocator": ".device",
+    "DeviceStats": ".device",
+    "BlockPool": ".pool",
+    "is_small_request": ".rounding",
+    "round_size": ".rounding",
+    "segment_size": ".rounding",
+    "memory_snapshot": ".snapshot",
+    "summarize_snapshot": ".snapshot",
+    "AllocatorStats": ".stats",
+    "StatCounter": ".stats",
+    "TimelinePoint": ".stats",
+    "TimelineRecorder": ".stats",
+    "merge_timelines": ".stats",
+}
 
 __all__ = [
     "AllocatorConfig",
@@ -46,3 +55,5 @@ __all__ = [
     "segment_size",
     "summarize_snapshot",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,8 +12,6 @@ from dataclasses import replace
 
 from .core.estimator import XMemEstimator
 from .models.registry import list_models
-from .runtime.profiler import profile_on_cpu
-from .trace.stats import summarize_trace
 from .units import format_gb, parse_size
 from .workload import (
     A100_40GB,
@@ -422,6 +420,9 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .runtime.profiler import profile_on_cpu
+    from .trace.stats import summarize_trace
+
     trace = profile_on_cpu(
         args.model,
         batch_size=args.batch_size,

@@ -11,22 +11,26 @@ By default each estimator owns a :class:`~repro.core.pipeline.PipelineCache`
 of intermediate artifacts, so repeat requests that share upstream work —
 an allocator ablation over one trace, a device sweep of one workload —
 only re-run the stages whose inputs actually changed.
+
+Importing this module loads no stage code: the analyzer and orchestrator
+load with the first estimator, the profiler and the allocator with the
+first estimate that builds their stage (see :mod:`repro.core.pipeline`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..allocator.constants import DEFAULT_CONFIG, AllocatorConfig
-from .base import Estimator
-from ..runtime.profiler import DEFAULT_PROFILE_ITERATIONS
-from ..trace.reader import Trace
+from ..runtime.loop import DEFAULT_PROFILE_ITERATIONS
 from ..workload import DeviceSpec, WorkloadConfig
-from .analyzer import Analyzer
-from .orchestrator import DEFAULT_RULES, MemoryOrchestrator
+from .base import Estimator
 from .pipeline import EstimationPipeline, PipelineCache
 from .result import EstimationResult
+
+if TYPE_CHECKING:
+    from ..trace.reader import Trace
 
 
 class XMemEstimator(Estimator):
@@ -67,6 +71,10 @@ class XMemEstimator(Estimator):
         self.two_level = two_level
         self.allocator_config = allocator_config
         self.curve = curve
+        # the stage code loads with the first estimator, not with this module
+        from .analyzer import Analyzer
+        from .orchestrator import DEFAULT_RULES, MemoryOrchestrator
+
         self.analyzer = Analyzer()
         self.orchestrator = MemoryOrchestrator(
             rules=DEFAULT_RULES if orchestrate else ()

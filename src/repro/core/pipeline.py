@@ -33,6 +33,13 @@ exact fingerprints cannot.
 
 Each store dedups concurrent misses per key (stage-level single-flight),
 so a cold fleet warming up does not profile the same workload N times.
+
+The stage code loads where a stage is built: the analyzer and orchestrator
+modules with the pipeline that holds them, the profiler (and with it the
+runtime, the framework and the model zoo) on the first profile, and the
+caching allocator on the first replay.  Importing this module loads none
+of them, and a stage-cache hit in :meth:`EstimationPipeline.run` runs no
+import statement.
 """
 
 from __future__ import annotations
@@ -42,20 +49,17 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..allocator.constants import DEFAULT_CONFIG, AllocatorConfig
-from ..runtime.loop import TrainLoopConfig
-from ..runtime.profiler import DEFAULT_PROFILE_ITERATIONS, profile_on_cpu
-from ..trace.reader import Trace
+from ..runtime.loop import DEFAULT_PROFILE_ITERATIONS, TrainLoopConfig
 from ..workload import WorkloadConfig
-from .analyzer import AnalyzedTrace, Analyzer
-from .orchestrator import (
-    MemoryOrchestrator,
-    OrchestratedSequence,
-    sequence_fingerprint,
-)
 from .simulator import MemorySimulator, SimulationResult
+
+if TYPE_CHECKING:
+    from ..trace.reader import Trace
+    from .analyzer import AnalyzedTrace, Analyzer
+    from .orchestrator import MemoryOrchestrator, OrchestratedSequence
 
 #: Stage names, in execution order (also the keys of ``stage_seconds``).
 PROFILE = "profile"
@@ -355,11 +359,17 @@ class EstimationPipeline:
     ):
         if iterations < 1:
             raise ValueError("profiling needs at least one iteration")
+        if analyzer is None:
+            from .analyzer import Analyzer
+
+            analyzer = Analyzer()
+        if orchestrator is None:
+            from .orchestrator import MemoryOrchestrator
+
+            orchestrator = MemoryOrchestrator()
         self.iterations = iterations
-        self.analyzer = analyzer if analyzer is not None else Analyzer()
-        self.orchestrator = (
-            orchestrator if orchestrator is not None else MemoryOrchestrator()
-        )
+        self.analyzer = analyzer
+        self.orchestrator = orchestrator
         self.cache = cache
         self._rules_key_memo: Optional[tuple] = None
 
@@ -482,6 +492,9 @@ class EstimationPipeline:
         """
         key = None
         if self.cache is not None and not curve:
+            # loaded already: the caller holds one of its sequences
+            from .orchestrator import sequence_fingerprint
+
             key = self._simulate_key(
                 sequence_fingerprint(sequence), allocator_config, two_level
             )
@@ -586,6 +599,8 @@ class EstimationPipeline:
     # internals
     # ------------------------------------------------------------------
     def _run_profiler(self, workload: WorkloadConfig) -> Trace:
+        from ..runtime.profiler import profile_on_cpu
+
         trace = profile_on_cpu(
             workload.model,
             batch_size=workload.batch_size,

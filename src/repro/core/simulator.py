@@ -14,14 +14,14 @@ False`` drops cached-segment reclamation (DNNMem-style), and any
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..allocator.caching import CachingAllocator
 from ..allocator.constants import DEFAULT_CONFIG, AllocatorConfig
-from ..allocator.device import DeviceAllocator
 from ..allocator.stats import AllocatorStats, TimelineRecorder
 from ..errors import SimOutOfMemoryError
-from .orchestrator import OrchestratedSequence
+
+if TYPE_CHECKING:
+    from .orchestrator import OrchestratedSequence
 
 #: Effectively-unbounded device used when measuring an unconstrained peak.
 UNBOUNDED_CAPACITY = 1 << 50
@@ -74,6 +74,11 @@ class MemorySimulator:
         the same single pass, so no usage curve is materialized and the
         returned ``timeline`` is empty.
         """
+        # the allocator loads with the first replay: a stored
+        # SimulationResult is read without it
+        from ..allocator.caching import CachingAllocator
+        from ..allocator.device import DeviceAllocator
+
         device = DeviceAllocator(capacity=self.capacity_bytes)
         allocator = CachingAllocator(
             device,

@@ -6,12 +6,33 @@ metadata and *plan* their forward pass as a DAG of :class:`OpSpec` records
 interprets plans to generate the memory-event streams xMem consumes.
 """
 
-from . import layers, optim
-from .dtypes import DEFAULT_DTYPE, DType
-from .loss import CrossEntropyLoss, MSELoss
-from .module import Identity, Module, Parameter, Residual, Sequential
-from .plan import ModulePlan, OpSpec, PlanContext
-from .tensor import TensorMeta, TensorRole, tensor
+from .._lazy import lazy_exports
+
+# ``tensor`` is both a function and the submodule defining it; importing the
+# submodule sets this package's attribute to the module, so the function is
+# bound here, after that import, not left to the lazy table
+from .tensor import tensor
+
+#: every export and the module that defines it, imported on first use
+#: (``layers`` and ``optim`` are the subpackages themselves)
+_EXPORTS = {
+    "DEFAULT_DTYPE": ".dtypes",
+    "DType": ".dtypes",
+    "layers": ".layers",
+    "CrossEntropyLoss": ".loss",
+    "MSELoss": ".loss",
+    "Identity": ".module",
+    "Module": ".module",
+    "Parameter": ".module",
+    "Residual": ".module",
+    "Sequential": ".module",
+    "optim": ".optim",
+    "ModulePlan": ".plan",
+    "OpSpec": ".plan",
+    "PlanContext": ".plan",
+    "TensorMeta": ".tensor",
+    "TensorRole": ".tensor",
+}
 
 __all__ = [
     "CrossEntropyLoss",
@@ -32,3 +53,5 @@ __all__ = [
     "optim",
     "tensor",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

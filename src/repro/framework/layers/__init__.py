@@ -1,29 +1,36 @@
 """Layer library of the symbolic framework."""
 
-from .activation import (
-    GELU,
-    Hardsigmoid,
-    Hardswish,
-    ReLU,
-    Sigmoid,
-    SiLU,
-    Softmax,
-    Tanh,
-    make_activation,
-)
-from .attention import MultiHeadSelfAttention
-from .conv import Conv2d, ConvBnAct
-from .dropout import Dropout
-from .embedding import Embedding, PositionalEmbedding
-from .linear import Linear
-from .norm import BatchNorm2d, GroupNorm, LayerNorm, RMSNorm
-from .pooling import (
-    AdaptiveAvgPool2d,
-    AvgPool2d,
-    GlobalAvgPoolFlatten,
-    MaxPool2d,
-)
-from .shape import Flatten, Reshape
+from ..._lazy import lazy_exports
+
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "GELU": ".activation",
+    "Hardsigmoid": ".activation",
+    "Hardswish": ".activation",
+    "ReLU": ".activation",
+    "Sigmoid": ".activation",
+    "SiLU": ".activation",
+    "Softmax": ".activation",
+    "Tanh": ".activation",
+    "make_activation": ".activation",
+    "MultiHeadSelfAttention": ".attention",
+    "Conv2d": ".conv",
+    "ConvBnAct": ".conv",
+    "Dropout": ".dropout",
+    "Embedding": ".embedding",
+    "PositionalEmbedding": ".embedding",
+    "Linear": ".linear",
+    "BatchNorm2d": ".norm",
+    "GroupNorm": ".norm",
+    "LayerNorm": ".norm",
+    "RMSNorm": ".norm",
+    "AdaptiveAvgPool2d": ".pooling",
+    "AvgPool2d": ".pooling",
+    "GlobalAvgPoolFlatten": ".pooling",
+    "MaxPool2d": ".pooling",
+    "Flatten": ".shape",
+    "Reshape": ".shape",
+}
 
 __all__ = [
     "AdaptiveAvgPool2d",
@@ -53,3 +60,5 @@ __all__ = [
     "Tanh",
     "make_activation",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

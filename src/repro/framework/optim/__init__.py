@@ -1,16 +1,20 @@
 """Optimizer memory models."""
 
-from .base import Optimizer
-from .optimizers import (
-    SGD,
-    Adafactor,
-    Adagrad,
-    Adam,
-    AdamW,
-    RMSprop,
-    make_optimizer,
-    optimizer_names,
-)
+from ..._lazy import lazy_exports
+
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "Optimizer": ".base",
+    "SGD": ".optimizers",
+    "Adafactor": ".optimizers",
+    "Adagrad": ".optimizers",
+    "Adam": ".optimizers",
+    "AdamW": ".optimizers",
+    "RMSprop": ".optimizers",
+    "is_optimizer": ".optimizers",
+    "make_optimizer": ".optimizers",
+    "optimizer_names": ".optimizers",
+}
 
 __all__ = [
     "Adafactor",
@@ -20,6 +24,9 @@ __all__ = [
     "Optimizer",
     "RMSprop",
     "SGD",
+    "is_optimizer",
     "make_optimizer",
     "optimizer_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -122,3 +122,8 @@ def make_optimizer(kind: str) -> Optimizer:
 
 def optimizer_names() -> list[str]:
     return sorted(_OPTIMIZERS)
+
+
+def is_optimizer(kind: str) -> bool:
+    """Whether ``kind`` (any case) names a registered optimizer."""
+    return kind.lower() in _OPTIMIZERS

@@ -3,21 +3,25 @@
 A :class:`ModelSpec` couples a builder with the input/label shapes a
 training iteration consumes, so workloads can be described as
 ``(model name, optimizer, batch size)`` exactly as in the paper.
+
+The registry holds names, families and shapes, never model code: each
+builder is named by its module and function, and its module loads on the
+first ``spec.build()``.  Listing or validating models loads no layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import ModelNotFoundError
 from ..framework.dtypes import DType
-from ..framework.module import Module
 from ..framework.tensor import TensorMeta
-from .cnn import convnext, mnasnet, mobilenet, regnet, resnet, vgg
 from .transformer import configs
-from .transformer.decoder import DecoderLM
-from .transformer.t5 import T5Model
+
+if TYPE_CHECKING:
+    from ..framework.module import Module
 
 #: Image side used for CNN workloads.  The paper trains on a 12 GB RTX 3060
 #: with batches 200-700; 64x64 inputs put that grid on the fits/OOM
@@ -45,11 +49,23 @@ class ModelSpec:
     aliases: tuple[str, ...] = field(default=())
 
 
-def _cnn_spec(name: str, builder: Callable[..., Module], year: int) -> ModelSpec:
+def _builder(path: str) -> Callable[..., Module]:
+    """The callable at ``path`` (``"module.name"`` under this package),
+    its module imported when the builder is first called."""
+    module, _, name = path.rpartition(".")
+
+    def build(*args, **kwargs) -> Module:
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    return build
+
+
+def _cnn_spec(name: str, builder: str, year: int) -> ModelSpec:
+    build = _builder(f"cnn.{builder}")
     return ModelSpec(
         name=name,
         family="cnn",
-        build=lambda: builder(image_size=CNN_IMAGE_SIZE, num_classes=NUM_CLASSES),
+        build=lambda: build(image_size=CNN_IMAGE_SIZE, num_classes=NUM_CLASSES),
         input_meta=lambda batch: TensorMeta(
             (batch, 3, CNN_IMAGE_SIZE, CNN_IMAGE_SIZE)
         ),
@@ -61,10 +77,11 @@ def _cnn_spec(name: str, builder: Callable[..., Module], year: int) -> ModelSpec
 def _decoder_spec(
     config, year: int, rq5_only: bool = False, seq_len: int = SEQ_LEN
 ) -> ModelSpec:
+    build = _builder("transformer.decoder.DecoderLM")
     return ModelSpec(
         name=config.name,
         family="transformer",
-        build=lambda: DecoderLM(config),
+        build=lambda: build(config),
         input_meta=lambda batch: TensorMeta((batch, seq_len), dtype=DType.int64),
         label_meta=lambda batch: TensorMeta((batch, seq_len), dtype=DType.int64),
         year=year,
@@ -74,10 +91,11 @@ def _decoder_spec(
 
 
 def _t5_spec(config, year: int) -> ModelSpec:
+    build = _builder("transformer.t5.T5Model")
     return ModelSpec(
         name=config.name,
         family="transformer",
-        build=lambda: T5Model(config),
+        build=lambda: build(config),
         input_meta=lambda batch: TensorMeta((batch, SEQ_LEN), dtype=DType.int64),
         label_meta=lambda batch: TensorMeta((batch, SEQ_LEN), dtype=DType.int64),
         year=year,
@@ -97,18 +115,18 @@ def _register(spec: ModelSpec) -> None:
 
 
 # --- CNNs (Table 2, upper half) --------------------------------------
-_register(_cnn_spec("VGG16", vgg.vgg16, 2014))
-_register(_cnn_spec("VGG19", vgg.vgg19, 2014))
-_register(_cnn_spec("ResNet101", resnet.resnet101, 2016))
-_register(_cnn_spec("ResNet152", resnet.resnet152, 2016))
-_register(_cnn_spec("MobileNetV2", mobilenet.mobilenet_v2, 2018))
-_register(_cnn_spec("MobileNetV3Small", mobilenet.mobilenet_v3_small, 2019))
-_register(_cnn_spec("MobileNetV3Large", mobilenet.mobilenet_v3_large, 2019))
-_register(_cnn_spec("MnasNet", mnasnet.mnasnet, 2019))
-_register(_cnn_spec("RegNetX400MF", regnet.regnet_x_400mf, 2020))
-_register(_cnn_spec("RegNetY400MF", regnet.regnet_y_400mf, 2020))
-_register(_cnn_spec("ConvNeXtTiny", convnext.convnext_tiny, 2022))
-_register(_cnn_spec("ConvNeXtBase", convnext.convnext_base, 2022))
+_register(_cnn_spec("VGG16", "vgg.vgg16", 2014))
+_register(_cnn_spec("VGG19", "vgg.vgg19", 2014))
+_register(_cnn_spec("ResNet101", "resnet.resnet101", 2016))
+_register(_cnn_spec("ResNet152", "resnet.resnet152", 2016))
+_register(_cnn_spec("MobileNetV2", "mobilenet.mobilenet_v2", 2018))
+_register(_cnn_spec("MobileNetV3Small", "mobilenet.mobilenet_v3_small", 2019))
+_register(_cnn_spec("MobileNetV3Large", "mobilenet.mobilenet_v3_large", 2019))
+_register(_cnn_spec("MnasNet", "mnasnet.mnasnet", 2019))
+_register(_cnn_spec("RegNetX400MF", "regnet.regnet_x_400mf", 2020))
+_register(_cnn_spec("RegNetY400MF", "regnet.regnet_y_400mf", 2020))
+_register(_cnn_spec("ConvNeXtTiny", "convnext.convnext_tiny", 2022))
+_register(_cnn_spec("ConvNeXtBase", "convnext.convnext_base", 2022))
 
 # --- Transformers (Table 2, lower half) -------------------------------
 _register(_decoder_spec(configs.DISTILGPT2, 2019))

@@ -7,8 +7,52 @@ which is what the memory experiments need.
 
 from __future__ import annotations
 
-from .decoder import DecoderConfig
-from .t5 import T5Config
+from dataclasses import dataclass
+from typing import Optional
+
+
+@dataclass(frozen=True)
+class DecoderConfig:
+    """Architecture hyperparameters of a decoder-only LM."""
+
+    name: str
+    vocab_size: int
+    dim: int
+    num_layers: int
+    num_heads: int
+    ffn_dim: int
+    max_positions: int = 2048
+    num_kv_heads: Optional[int] = None
+    activation: str = "gelu"
+    norm: str = "layernorm"  # "layernorm" | "rmsnorm"
+    positional: str = "learned"  # "learned" | "rope"
+    tie_embeddings: bool = True
+    dropout: float = 0.1
+    #: SwiGLU-style MLPs have gate+up projections (Llama/Qwen); "plain" has
+    #: a single up projection (GPT-2).
+    mlp: str = "plain"  # "plain" | "gated"
+
+    def __post_init__(self) -> None:
+        if self.norm not in ("layernorm", "rmsnorm"):
+            raise ValueError(f"unknown norm {self.norm!r}")
+        if self.positional not in ("learned", "rope"):
+            raise ValueError(f"unknown positional {self.positional!r}")
+        if self.mlp not in ("plain", "gated"):
+            raise ValueError(f"unknown mlp {self.mlp!r}")
+
+
+@dataclass(frozen=True)
+class T5Config:
+    """Architecture hyperparameters of a T5 model."""
+
+    name: str
+    vocab_size: int
+    dim: int
+    num_layers: int  # per stack (encoder and decoder each)
+    num_heads: int
+    ffn_dim: int
+    dropout: float = 0.1
+
 
 DISTILGPT2 = DecoderConfig(
     name="distilgpt2",

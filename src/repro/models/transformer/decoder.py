@@ -9,9 +9,6 @@ the LM head ties the embedding matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ...framework.dtypes import DType
 from ...framework.layers import (
     Dropout,
@@ -26,36 +23,7 @@ from ...framework.layers import (
 from ...framework.module import Module
 from ...framework.plan import PlanContext
 from ...framework.tensor import TensorMeta
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    """Architecture hyperparameters of a decoder-only LM."""
-
-    name: str
-    vocab_size: int
-    dim: int
-    num_layers: int
-    num_heads: int
-    ffn_dim: int
-    max_positions: int = 2048
-    num_kv_heads: Optional[int] = None
-    activation: str = "gelu"
-    norm: str = "layernorm"  # "layernorm" | "rmsnorm"
-    positional: str = "learned"  # "learned" | "rope"
-    tie_embeddings: bool = True
-    dropout: float = 0.1
-    #: SwiGLU-style MLPs have gate+up projections (Llama/Qwen); "plain" has
-    #: a single up projection (GPT-2).
-    mlp: str = "plain"  # "plain" | "gated"
-
-    def __post_init__(self) -> None:
-        if self.norm not in ("layernorm", "rmsnorm"):
-            raise ValueError(f"unknown norm {self.norm!r}")
-        if self.positional not in ("learned", "rope"):
-            raise ValueError(f"unknown positional {self.positional!r}")
-        if self.mlp not in ("plain", "gated"):
-            raise ValueError(f"unknown mlp {self.mlp!r}")
+from .configs import DecoderConfig  # defined with the published configs, exported here too
 
 
 def _make_norm(config: DecoderConfig, name: str) -> Module:

@@ -7,8 +7,6 @@ decoder — the characteristic seq2seq memory pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ...framework.dtypes import DType
 from ...framework.layers import (
     Dropout,
@@ -21,19 +19,7 @@ from ...framework.layers import (
 from ...framework.module import Module
 from ...framework.plan import PlanContext
 from ...framework.tensor import TensorMeta
-
-
-@dataclass(frozen=True)
-class T5Config:
-    """Architecture hyperparameters of a T5 model."""
-
-    name: str
-    vocab_size: int
-    dim: int
-    num_layers: int  # per stack (encoder and decoder each)
-    num_heads: int
-    ffn_dim: int
-    dropout: float = 0.1
+from .configs import T5Config  # defined with the published configs, exported here too
 
 
 class _T5FFN(Module):

@@ -1,24 +1,33 @@
 """Training runtime: executes model plans on CPU (profiled) or GPU (truth)."""
 
-from .backend import Backend, CpuBackend, ExecOp, GpuBackend
-from .clock import VirtualClock
-from .engine import RunResult, TrainingEngine
-from .ground_truth import GroundTruthResult, run_gpu_ground_truth
-from .loop import POS0, POS1, TrainLoopConfig
-from .nvml import (
-    DEFAULT_SAMPLE_INTERVAL_US,
-    NvmlSample,
-    sample_timeline,
-    sampled_peak,
-)
-from .profiler import DEFAULT_PROFILE_ITERATIONS, profile_on_cpu
-from .sink import (
-    AllocationHandle,
-    AllocatorSink,
-    CpuProfilingSink,
-    MemorySink,
-    NullSink,
-)
+from .._lazy import lazy_exports
+
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "Backend": ".backend",
+    "CpuBackend": ".backend",
+    "ExecOp": ".backend",
+    "GpuBackend": ".backend",
+    "VirtualClock": ".clock",
+    "RunResult": ".engine",
+    "TrainingEngine": ".engine",
+    "GroundTruthResult": ".ground_truth",
+    "run_gpu_ground_truth": ".ground_truth",
+    "DEFAULT_PROFILE_ITERATIONS": ".loop",
+    "POS0": ".loop",
+    "POS1": ".loop",
+    "TrainLoopConfig": ".loop",
+    "DEFAULT_SAMPLE_INTERVAL_US": ".nvml",
+    "NvmlSample": ".nvml",
+    "sample_timeline": ".nvml",
+    "sampled_peak": ".nvml",
+    "profile_on_cpu": ".profiler",
+    "AllocationHandle": ".sink",
+    "AllocatorSink": ".sink",
+    "CpuProfilingSink": ".sink",
+    "MemorySink": ".sink",
+    "NullSink": ".sink",
+}
 
 __all__ = [
     "AllocationHandle",
@@ -45,3 +54,5 @@ __all__ = [
     "sample_timeline",
     "sampled_peak",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 
 from ..workload import POS0, POS1
 
+#: Default number of profiled iterations; persistent state is allocated in
+#: iteration 1, memory stabilizes by iterations 2-3 (§3.1 footnote 2).
+DEFAULT_PROFILE_ITERATIONS = 3
+
 
 @dataclass(frozen=True)
 class TrainLoopConfig:

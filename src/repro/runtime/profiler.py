@@ -19,12 +19,8 @@ from ..trace.builder import TraceBuilder
 from ..trace.reader import Trace
 from .backend import CpuBackend
 from .engine import TrainingEngine
-from .loop import TrainLoopConfig
+from .loop import DEFAULT_PROFILE_ITERATIONS, TrainLoopConfig
 from .sink import CpuProfilingSink
-
-#: Default number of profiled iterations; persistent state is allocated in
-#: iteration 1, memory stabilizes by iterations 2-3 (§3.1 footnote 2).
-DEFAULT_PROFILE_ITERATIONS = 3
 
 
 def profile_on_cpu(

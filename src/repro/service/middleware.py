@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 from ..core.result import EstimationResult
 from ..errors import ModelNotFoundError, RequestRejectedError
-from ..framework.optim import optimizer_names
+from ..framework.optim import is_optimizer, optimizer_names
 from ..models.registry import get_model_spec
 from .cache import EstimateCache
 from .context import LockFactory, RequestContext, ServiceRequest
@@ -214,7 +214,7 @@ class ValidationMiddleware(ServiceMiddleware):
             get_model_spec(workload.model)
         except ModelNotFoundError as error:
             raise RequestRejectedError(str(error)) from None
-        if workload.optimizer.lower() not in optimizer_names():
+        if not is_optimizer(workload.optimizer):
             raise RequestRejectedError(
                 f"unknown optimizer {workload.optimizer!r}; "
                 f"known: {optimizer_names()}"

@@ -1,32 +1,36 @@
 """Profiler trace model: events, JSON schema, builder, reader (paper §3.2)."""
 
-from .builder import TraceBuilder
-from .kineto import KinetoImportReport, import_kineto, load_kineto_file
-from .events import (
-    DATALOADER_NEXT,
-    MODEL_TO_DEVICE,
-    OPTIMIZER_STEP_PREFIX,
-    PROFILER_STEP_PREFIX,
-    ZERO_GRAD_PREFIX,
-    EventCategory,
-    MemoryColumns,
-    MemoryEvent,
-    SpanColumns,
-    SpanEvent,
-    is_dataloader_next,
-    is_optimizer_step,
-    is_profiler_step,
-    is_zero_grad,
-)
-from .reader import Trace
-from .schema import (
-    SCHEMA_VERSION,
-    dump_trace_file,
-    load_trace_file,
-    trace_from_json,
-    trace_to_json,
-)
-from .stats import TraceSummary, summarize_trace
+from .._lazy import lazy_exports
+
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "TraceBuilder": ".builder",
+    "DATALOADER_NEXT": ".events",
+    "MODEL_TO_DEVICE": ".events",
+    "OPTIMIZER_STEP_PREFIX": ".events",
+    "PROFILER_STEP_PREFIX": ".events",
+    "ZERO_GRAD_PREFIX": ".events",
+    "EventCategory": ".events",
+    "MemoryColumns": ".events",
+    "MemoryEvent": ".events",
+    "SpanColumns": ".events",
+    "SpanEvent": ".events",
+    "is_dataloader_next": ".events",
+    "is_optimizer_step": ".events",
+    "is_profiler_step": ".events",
+    "is_zero_grad": ".events",
+    "KinetoImportReport": ".kineto",
+    "import_kineto": ".kineto",
+    "load_kineto_file": ".kineto",
+    "Trace": ".reader",
+    "SCHEMA_VERSION": ".schema",
+    "dump_trace_file": ".schema",
+    "load_trace_file": ".schema",
+    "trace_from_json": ".schema",
+    "trace_to_json": ".schema",
+    "TraceSummary": ".stats",
+    "summarize_trace": ".stats",
+}
 
 __all__ = [
     "DATALOADER_NEXT",
@@ -56,3 +60,5 @@ __all__ = [
     "trace_from_json",
     "trace_to_json",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

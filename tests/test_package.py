@@ -31,8 +31,34 @@ _SPEC.loader.exec_module(bench_import)
 #: command name -> the modules it must not load
 FORBIDDEN = {name: forbidden for name, _, forbidden in bench_import.COMMANDS}
 
-#: the four packages whose re-exports load on first use
-FACADES = ("repro", "repro.core", "repro.service", "repro.baselines")
+#: the packages whose re-exports load on first use
+FACADES = (
+    "repro",
+    "repro.core",
+    "repro.service",
+    "repro.baselines",
+    "repro.runtime",
+    "repro.allocator",
+    "repro.trace",
+    "repro.framework",
+    "repro.framework.layers",
+    "repro.framework.optim",
+    "repro.models",
+    "repro.models.cnn",
+    "repro.models.transformer",
+)
+
+#: the most package modules a process that never profiles may load
+NEVER_PROFILES_MODULES = 55
+NEVER_PROFILES = (
+    "from repro.service import ServiceGateway, SyntheticEstimator",
+    "from repro.service import TcpServiceClient",
+)
+
+#: the e2e benchmark's golden peaks (read only): cell id -> peak bytes
+GOLDEN_CELLS = json.loads(
+    (ROOT / "benchmarks" / "e2e" / "golden.json").read_text()
+)["cells"]
 
 
 def fresh(code: str) -> str:
@@ -85,6 +111,88 @@ def test_an_estimate_from_the_cli_loads_what_the_cli_help_leaves_out():
     assert loaded_after(code, FORBIDDEN["xmem --help"]) == []
 
 
+@pytest.mark.parametrize("code", NEVER_PROFILES)
+def test_a_process_that_never_profiles_loads_few_package_modules(code):
+    report = (
+        "\nimport sys\n"
+        "print(sum(m == 'repro' or m.startswith('repro.') for m in sys.modules))"
+    )
+    assert int(fresh(code + report).splitlines()[-1]) <= NEVER_PROFILES_MODULES
+
+
+def test_one_estimate_loads_the_cold_chain_and_answers_its_golden_peak():
+    """The positive control of the rows above: the chain they keep out
+    does load, with the first estimate, and answers the golden peak.  A
+    CNN cell loads no transformer code."""
+    code = f"""
+import json, sys
+from repro import XMemEstimator
+from repro.workload import RTX_3060, WorkloadConfig
+
+result = XMemEstimator(iterations=3, curve=False).estimate(
+    WorkloadConfig("VGG16", "adam", 4), RTX_3060
+)
+loaded = sorted(set({bench_import.COLD_CHAIN!r}) & set(sys.modules))
+print(json.dumps({{"peak": result.peak_bytes, "loaded": loaded}}))
+"""
+    report = json.loads(fresh(code).splitlines()[-1])
+    assert report["peak"] == GOLDEN_CELLS["VGG16/adam/bs4"]
+    transformer = "repro.models.transformer.decoder"
+    assert report["loaded"] == sorted(set(bench_import.COLD_CHAIN) - {transformer})
+
+
+def test_first_estimates_on_concurrent_worker_threads_import_the_chain_once():
+    """Six distinct cold cells reach a 4-shard thread gateway at once, in
+    a fresh interpreter: the profiler, the model zoo, the layers and the
+    allocator are first imported by worker threads racing each other.
+    Each answer must be its golden peak, and none may fail on a partly
+    initialised module (a worker's error would surface as ``result()``'s
+    exception and fail the child).  Four worker shards, more than a small
+    runner has cores, and a short switch interval make the imports
+    interleave."""
+    cells = [
+        ("VGG16", 4),
+        ("VGG19", 8),
+        ("distilgpt2", 16),
+        ("Cerebras-GPT-111M", 32),
+        ("ConvNeXtTiny", 8),
+        ("t5-small", 4),
+    ]
+    built = [
+        module
+        for module in bench_import.COLD_CHAIN
+        if module not in ("repro.core.analyzer", "repro.core.orchestrator")
+    ]
+    code = f"""
+import json, sys
+from functools import partial
+from repro import XMemEstimator
+from repro.service import ServiceGateway
+from repro.workload import RTX_3060, WorkloadConfig
+
+sys.setswitchinterval(1e-5)  # hand the lock over often, so imports interleave
+gateway = ServiceGateway(
+    num_shards=4,
+    estimator_factory=partial(XMemEstimator, iterations=3, curve=False),
+)
+# the estimators hold an analyzer and an orchestrator; nothing else of
+# the chain is loaded until a worker builds a stage
+early = sorted(set({built!r}) & set(sys.modules))
+futures = [
+    gateway.submit(WorkloadConfig(model, "adam", batch_size), RTX_3060)
+    for model, batch_size in {cells!r}
+]
+peaks = [future.result(timeout=60).peak_bytes for future in futures]
+gateway.close()
+print(json.dumps({{"early": early, "peaks": peaks}}))
+"""
+    report = json.loads(fresh(code).splitlines()[-1])
+    assert report["early"] == []
+    assert report["peaks"] == [
+        GOLDEN_CELLS[f"{model}/adam/bs{batch_size}"] for model, batch_size in cells
+    ]
+
+
 # ----------------------------------------------------------------------
 # the lazy facades
 # ----------------------------------------------------------------------
@@ -100,7 +208,10 @@ for name in facade.__all__:
     assert name in vars(facade), name  # stored: resolved once
     if name in facade._EXPORTS:
         home = importlib.import_module(facade._EXPORTS[name], {package!r})
-        assert getattr(home, name) is value, name
+        if home.__name__ == {package!r} + "." + name:  # the submodule itself
+            assert home is value, name
+        else:
+            assert getattr(home, name) is value, name
 """
     fresh(code)
 

@@ -156,6 +156,29 @@ class TestValidationMiddleware:
         with pytest.raises(RequestRejectedError, match="unknown optimizer"):
             ValidationMiddleware().on_request(request, make_ctx())
 
+    def test_unknown_optimizer_message_is_pinned(self):
+        request = make_request(workload=WorkloadConfig("gpt2", "Lion", 8))
+        with pytest.raises(RequestRejectedError) as raised:
+            ValidationMiddleware().on_request(request, make_ctx())
+        assert str(raised.value) == (
+            "unknown optimizer 'Lion'; known: ['adafactor', 'adagrad', "
+            "'adam', 'adamw', 'rmsprop', 'sgd', 'sgd_momentum']"
+        )
+
+    def test_a_valid_optimizer_is_checked_without_listing_the_registry(
+        self, monkeypatch
+    ):
+        """The sorted list is built for the rejection text only."""
+        import repro.service.middleware as middleware
+
+        def listed():
+            raise AssertionError("optimizer_names() on a valid request")
+
+        monkeypatch.setattr(middleware, "optimizer_names", listed)
+        for optimizer in ("adam", "AdamW", "SGD_momentum"):
+            request = make_request(workload=WorkloadConfig("gpt2", optimizer, 8))
+            assert ValidationMiddleware().on_request(request, make_ctx()) is None
+
     def test_oversized_batch_rejected(self):
         request = make_request(workload=WorkloadConfig("gpt2", "adam", 100))
         with pytest.raises(RequestRejectedError, match="batch size"):
