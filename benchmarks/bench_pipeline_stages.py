@@ -22,7 +22,13 @@ Acceptance (asserted):
   over the six models of the end-to-end ``cold-zoo`` workload — keeps at
   most ``MAX_TRACKED_PER_CELL`` GC-tracked objects and at most
   ``MAX_RETAINED_SHARE`` of the bytes it kept when every stage element
-  was its own object (``OBJECT_ROWS_RETAINED_PER_CELL``).
+  was its own object (``OBJECT_ROWS_RETAINED_PER_CELL``);
+* one more answer of a cached cell, on a device of its own, keeps at most
+  ``MAX_ANSWER_BYTES``: the answers of a cell share its report.
+
+The cold sweep is timed after one untimed cold cell outside the grid, so
+``cold_cell_ms`` prices the chain's compute and not the first-use imports
+of the stage code (``bench_import.py`` gates those).
 
 It also reports, never asserts, the collector's pause time per
 generation over three cold passes of those cells (``gc.callbacks``).
@@ -47,7 +53,7 @@ from pathlib import Path
 from repro.allocator.constants import DEFAULT_CONFIG
 from repro.core.estimator import XMemEstimator
 from repro.core.pipeline import PipelineCache
-from repro.workload import RTX_3060, WorkloadConfig
+from repro.workload import RTX_3060, DeviceSpec, WorkloadConfig
 
 from _common import emit
 
@@ -72,6 +78,11 @@ MAX_TRACKED_PER_CELL = 100
 #: 3.11) when the stages stored one object per event, block and row
 OBJECT_ROWS_RETAINED_PER_CELL = 1_341_539
 MAX_RETAINED_SHARE = 0.4
+#: answers of one warm cell ``cached_cell_footprint`` keeps, one device each
+ANSWERS = 1_000
+#: tracemalloc bytes one of those answers may keep (CPython 3.11); an
+#: answer that built its own report and provenance maps kept ~1 497 B
+MAX_ANSWER_BYTES = 512
 
 #: simulation-side variants: they differ only in knobs the simulate stage
 #: consumes, so a warm pipeline re-runs nothing upstream for them
@@ -109,13 +120,22 @@ def _cold_estimator() -> XMemEstimator:
     return XMemEstimator(iterations=FOOTPRINT_ITERATIONS, curve=False)
 
 
+def _retained_bytes(snapshot: tracemalloc.Snapshot) -> int:
+    """Bytes a snapshot holds, less what this file allocated itself."""
+    mine = snapshot.filter_traces([tracemalloc.Filter(False, __file__)])
+    return sum(stat.size for stat in mine.statistics("filename"))
+
+
 def cached_cell_footprint() -> dict:
     """What one cached cell keeps: GC-tracked objects and tracemalloc bytes.
 
     One estimator with the default stage caches estimates the six cells;
     whatever is alive afterwards and was not before (after a collection)
     is the cells' footprint.  A first estimate on a throwaway estimator
-    loads the modules beforehand.  No clock is read.
+    loads the modules beforehand.  Then the first cell, now warm, answers
+    ``ANSWERS`` distinct devices, built before tracing starts; the bytes
+    those answers keep, per answer, are ``answer_bytes``.  No clock is
+    read.
     """
     cells = _footprint_cells()
     _cold_estimator().estimate(cells[0], RTX_3060)
@@ -131,13 +151,31 @@ def cached_cell_footprint() -> dict:
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    mine = snapshot.filter_traces([tracemalloc.Filter(False, __file__)])
-    retained = sum(stat.size for stat in mine.statistics("filename"))
+    retained = _retained_bytes(snapshot)
+
+    devices = [
+        DeviceSpec(
+            name="sweep-gpu", capacity_bytes=RTX_3060.capacity_bytes + index
+        )
+        for index in range(ANSWERS)
+    ]
+    answers: list = [None] * ANSWERS
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for index in range(ANSWERS):
+            answers[index] = estimator.estimate(cells[0], devices[index])
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
     return {
         "cells": len(cells),
         "tracked_per_cell": tracked / len(cells),
         "retained_kib_per_cell": retained / len(cells) / 1024,
         "retained_share": retained / len(cells) / OBJECT_ROWS_RETAINED_PER_CELL,
+        "answers": len(answers),
+        "answer_bytes": _retained_bytes(snapshot) / len(answers),
     }
 
 
@@ -188,6 +226,10 @@ def run_pipeline_bench(quick: bool = True) -> dict:
         )
         for variant, knobs in VARIANTS.items()
     }
+    # one untimed cold cell outside the grid loads the stage code first
+    cold_estimators["default"].estimate(
+        WorkloadConfig("MobileNetV3Small", "adam", 2), RTX_3060
+    )
     started = time.perf_counter()
     cold_peaks = _sweep(cold_estimators, grid)
     cold_seconds = time.perf_counter() - started
@@ -252,6 +294,7 @@ def _check(report: dict) -> None:
     footprint = report["footprint"]
     assert footprint["tracked_per_cell"] <= MAX_TRACKED_PER_CELL, footprint
     assert footprint["retained_share"] <= MAX_RETAINED_SHARE, footprint
+    assert footprint["answer_bytes"] <= MAX_ANSWER_BYTES, footprint
 
 
 def _write(report: dict) -> None:

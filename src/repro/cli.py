@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -643,10 +644,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit status of a command whose stdout reader went away: what a shell
+#: reports for a process that SIGPIPE ended (128 + 13)
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``xmem`` command and return its exit status.
+
+    A reader that closes stdout early (``xmem models | head -1``) stops
+    the command quietly with ``EXIT_BROKEN_PIPE`` (141); any other error
+    raises.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # what is still buffered meets a closed pipe here, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -120,9 +120,10 @@ class XMemEstimator(Estimator):
             two_level=self.two_level,
             curve=self.curve,
         )
-        row = run.row
-        simulation = row.simulation
+        simulation = run.row.simulation
         runtime = time.perf_counter() - start
+        # the row's report and the provenance maps are shared by every
+        # answer of the cell: passed through, never copied
         return EstimationResult(
             estimator=self.name,
             workload=workload,
@@ -130,16 +131,8 @@ class XMemEstimator(Estimator):
             peak_bytes=simulation.peak(self.account),
             runtime_seconds=runtime,
             curve=simulation.timeline if self.curve else None,
-            stage_seconds=dict(run.stage_seconds),
-            stage_cached=dict(run.stage_cached),
-            stage_sources=dict(run.stage_sources),
-            detail={
-                "num_blocks": row.num_blocks,
-                "num_events": simulation.num_events,
-                "persistent_bytes": row.persistent_bytes,
-                "rule_adjustments": dict(row.rule_adjustments),
-                "peak_allocated_bytes": simulation.peak_allocated_bytes,
-                "role_bytes": dict(row.role_bytes),
-                "dropped_blocks": row.dropped_blocks,
-            },
+            stage_seconds=run.stage_seconds,
+            stage_cached=run.stage_cached,
+            stage_sources=run.stage_sources,
+            detail=run.row.detail,
         )

@@ -12,7 +12,7 @@ a content-addressed cache (:class:`PipelineCache`):
 * **orchestrate** — replayable sequences keyed by the trace fingerprint
   plus the orchestration rule set;
 * **simulate** — :class:`SimulateRow` values (the peak-only replay plus
-  the sequence's small facts) keyed by the sequence fingerprint, the
+  the finished ``detail`` report) keyed by the sequence fingerprint, the
   allocator configuration and the two-level knob (a usage curve is always
   replayed, never cached).
 
@@ -289,16 +289,15 @@ class PipelineCache:
 
 @dataclass(frozen=True)
 class SimulateRow:
-    """The simulate stage's cached value: one replay plus the sequence
-    facts ``XMemEstimator.estimate`` reports, so a hit answers a cell
-    without loading the analyzed trace or the sequence."""
+    """The simulate stage's cached value: one replay plus the finished
+    ``detail`` report ``XMemEstimator.estimate`` answers with, built once
+    here, so a hit answers a cell without loading the analyzed trace or
+    the sequence, and every answer the row gives shares one report."""
 
     simulation: SimulationResult
-    num_blocks: int
-    persistent_bytes: int
-    rule_adjustments: dict[str, int]
-    role_bytes: dict[str, int]
-    dropped_blocks: int
+    #: the sequence facts and the replay's counts, in report order;
+    #: shared by every answer of the row, read-only
+    detail: dict[str, Any]
 
     @classmethod
     def of(
@@ -306,11 +305,15 @@ class SimulateRow:
     ) -> "SimulateRow":
         return cls(
             simulation=simulation,
-            num_blocks=sequence.num_blocks,
-            persistent_bytes=sequence.persistent_bytes,
-            rule_adjustments=sequence.adjustments,
-            role_bytes=sequence.role_bytes,
-            dropped_blocks=sequence.dropped_blocks,
+            detail={
+                "num_blocks": sequence.num_blocks,
+                "num_events": simulation.num_events,
+                "persistent_bytes": sequence.persistent_bytes,
+                "rule_adjustments": dict(sequence.adjustments),
+                "peak_allocated_bytes": simulation.peak_allocated_bytes,
+                "role_bytes": dict(sequence.role_bytes),
+                "dropped_blocks": sequence.dropped_blocks,
+            },
         )
 
 
@@ -332,7 +335,8 @@ class PipelineRun:
     stage_cached: dict[str, bool] = field(default_factory=dict)
     #: artifact provenance per stage: "memory" / "store" / "compute"; a
     #: stage that was not consulted reports the source of the stage below
-    #: it that answered
+    #: it that answered.  ``run`` reports one shared, read-only pair of
+    #: ``stage_cached`` / ``stage_sources`` dicts per provenance
     stage_sources: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -583,16 +587,17 @@ class EstimationPipeline:
             else:
                 seconds[upstream] = 0.0
                 sources[upstream] = sources[stage]
+        stage_cached, stage_sources = _provenance(
+            tuple(sources[stage] for stage in STAGES)
+        )
         return PipelineRun(
             row=row,
             trace=loaded.get(PROFILE),
             analyzed=loaded.get(ANALYZE),
             sequence=loaded.get(ORCHESTRATE),
             stage_seconds={stage: seconds[stage] for stage in STAGES},
-            stage_cached={
-                stage: sources[stage] != SOURCE_COMPUTE for stage in STAGES
-            },
-            stage_sources={stage: sources[stage] for stage in STAGES},
+            stage_cached=stage_cached,
+            stage_sources=stage_sources,
         )
 
     # ------------------------------------------------------------------
@@ -628,6 +633,32 @@ class EstimationPipeline:
             # (including across processes) without hashing the event list
             sequence.fingerprint = _sequence_key(key)
         return sequence
+
+
+#: the ``(stage_cached, stage_sources)`` pair of each provenance, keyed by
+#: the sources in ``STAGES`` order (at most 3 ** 4 entries): runs with
+#: equal provenance report the same two dicts, so the answers a result
+#: cache keeps do not each hold a copy
+_PROVENANCE: dict[tuple[str, ...], tuple[dict[str, bool], dict[str, str]]] = {}
+
+
+def _provenance(
+    sources: tuple[str, ...]
+) -> tuple[dict[str, bool], dict[str, str]]:
+    maps = _PROVENANCE.get(sources)
+    if maps is None:
+        # setdefault: threads that race on a new provenance share one pair
+        maps = _PROVENANCE.setdefault(
+            sources,
+            (
+                {
+                    stage: source != SOURCE_COMPUTE
+                    for stage, source in zip(STAGES, sources)
+                },
+                dict(zip(STAGES, sources)),
+            ),
+        )
+    return maps
 
 
 def _sequence_key(orchestrate_key: tuple) -> str:

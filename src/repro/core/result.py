@@ -10,9 +10,16 @@ from ..units import format_gb
 from ..workload import DeviceSpec, WorkloadConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimationResult:
-    """One estimator's answer for one workload on one device."""
+    """One estimator's answer for one workload on one device.
+
+    A result and its mappings (``detail``, ``stage_cached``,
+    ``stage_sources``, ``stage_seconds``) are shared: the result cache
+    hands one result to every hit, and the answers of one cached cell
+    share its ``detail`` report and provenance maps.  Treat them as
+    read-only; copy before changing one.
+    """
 
     estimator: str
     workload: WorkloadConfig

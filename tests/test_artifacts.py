@@ -283,7 +283,11 @@ class TestArtifactStoreFailureModes:
 # ----------------------------------------------------------------------
 
 #: the shape digest each schema version was written with
-STORED_SHAPES = {4: "ac02c3c8d0593cda", 5: "80c887b1efdf6891"}
+STORED_SHAPES = {
+    4: "ac02c3c8d0593cda",
+    5: "80c887b1efdf6891",
+    6: "938d2c42caa171bd",
+}
 #: every dataclass a stored (simulate or orchestrate) row reaches
 STORED_DATACLASSES = (
     SimulateRow,
@@ -625,8 +629,9 @@ class TestPipelineWithArtifactStore:
     def test_version_2_store_is_a_miss_and_rebuilds(self, tmp_path):
         # version 2 pickled MemoryEvent / MemoryOp objects; version 4
         # stores the orchestrate and simulate rows only, version 5 a
-        # sequence as int columns
-        assert SCHEMA_VERSION == 5
+        # sequence as int columns, version 6 a simulate row with its
+        # finished detail report
+        assert SCHEMA_VERSION == 6
         path = str(tmp_path / "store.sqlite")
         writer = ArtifactStore(path)
         cold = XMemEstimator(

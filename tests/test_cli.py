@@ -1,10 +1,17 @@
 """CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_BROKEN_PIPE, main
+from repro.errors import ModelNotFoundError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestEstimate:
@@ -88,6 +95,47 @@ class TestOtherCommands:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_a_reader_that_stops_after_one_line_ends_it_quietly(self):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs a pipe whose capacity can be set (Linux)")
+        read_end, write_end = os.pipe()
+        # a one-page pipe: the ~40 KiB curve cannot fit before the reader
+        # goes, so the command surely writes into a closed pipe
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        path = os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        )
+        child = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "curve",
+                "--model", "MobileNetV3Small", "--batch-size", "4",
+                "--optimizer", "sgd", "--iterations", "2",
+                "--points", "100000",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        os.close(write_end)
+        line = b""
+        while not line.endswith(b"\n"):
+            chunk = os.read(read_end, 1)
+            assert chunk, "the command wrote no line"
+            line += chunk
+        os.close(read_end)
+        _, stderr = child.communicate(timeout=120)
+        assert len(line.split(b"\t")) == 3
+        assert b"Traceback" not in stderr, stderr.decode()
+        assert child.returncode == EXIT_BROKEN_PIPE == 141
+
+    def test_other_errors_still_raise(self):
+        with pytest.raises(ModelNotFoundError):
+            main([
+                "curve", "--model", "NoSuchModel", "--batch-size", "4",
+                "--iterations", "1",
+            ])
 
     def test_devices_table(self, capsys):
         assert main(["devices"]) == 0

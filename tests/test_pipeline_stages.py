@@ -585,3 +585,85 @@ class TestServiceIntegration:
         assert len({r.peak_bytes for r in results}) == 1
         # one workload, many devices: exactly one CPU profile happened
         assert estimator.stage_cache.traces.stats()["misses"] == 1
+
+
+class TestSharedAnswers:
+    """The answers of one cached cell share its report and provenance:
+    only ``device``, ``runtime_seconds`` and ``stage_seconds`` are their
+    own."""
+
+    def test_two_devices_of_a_warm_cell_share_the_report(self):
+        estimator = make_estimator(curve=False)
+        cold = estimator.pipeline.run(WORKLOAD, curve=False)
+        sequence, simulation = cold.sequence, cold.row.simulation
+        first = estimator.estimate(WORKLOAD, RTX_3060)
+        second = estimator.estimate(WORKLOAD, RTX_4060)
+        assert first.detail is second.detail is cold.row.detail
+        assert first.stage_cached is second.stage_cached
+        assert first.stage_sources is second.stage_sources
+        assert first.stage_seconds is not second.stage_seconds
+        # the report an answer built for itself, key for key, in order
+        literal = {
+            "num_blocks": sequence.num_blocks,
+            "num_events": simulation.num_events,
+            "persistent_bytes": sequence.persistent_bytes,
+            "rule_adjustments": dict(sequence.adjustments),
+            "peak_allocated_bytes": simulation.peak_allocated_bytes,
+            "role_bytes": dict(sequence.role_bytes),
+            "dropped_blocks": sequence.dropped_blocks,
+        }
+        assert list(first.detail.items()) == list(literal.items())
+        # the row copied the sequence's maps once: it aliases none of them
+        assert first.detail["rule_adjustments"] is not sequence.adjustments
+        assert first.detail["role_bytes"] is not sequence.role_bytes
+
+    def test_equal_provenance_is_one_pair_of_maps(self):
+        cold_a = make_estimator(curve=False).estimate(WORKLOAD, RTX_3060)
+        cold_b = make_estimator(curve=False).estimate(WORKLOAD, RTX_3060)
+        assert cold_a.stage_sources is cold_b.stage_sources
+        assert cold_a.stage_cached is cold_b.stage_cached
+        assert cold_a.stage_sources == dict.fromkeys(STAGES, "compute")
+        assert cold_a.stage_cached == dict.fromkeys(STAGES, False)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"stage_cache": False}, {"curve": True}],
+        ids=["uncached", "curve"],
+    )
+    def test_a_cell_the_l1_does_not_serve_builds_its_own_report(self, knobs):
+        estimator = make_estimator(**{"curve": False, **knobs})
+        first = estimator.estimate(WORKLOAD, RTX_3060)
+        second = estimator.estimate(WORKLOAD, RTX_4060)
+        assert first.detail == second.detail
+        assert first.detail is not second.detail
+
+    def test_a_result_is_slotted_and_still_pickles_and_replaces(self):
+        import dataclasses
+
+        result = make_estimator(curve=False).estimate(WORKLOAD, RTX_3060)
+        assert not hasattr(result, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.peak_bytes = 0
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone == result
+        assert clone.detail == result.detail
+        assert clone.stage_sources == result.stage_sources
+        assert dataclasses.replace(result) == result
+        assert dataclasses.replace(result, device=RTX_4060) != result
+
+    def test_a_wire_round_trip_equals_the_in_process_answer(self):
+        import json
+
+        from repro.service.wire import result_from_wire, result_to_wire
+
+        estimator = make_estimator(curve=False)
+        estimator.estimate(WORKLOAD, RTX_3060)
+        answer = estimator.estimate(WORKLOAD, RTX_4060)
+        clone = result_from_wire(
+            json.loads(json.dumps(result_to_wire(answer)))
+        )
+        assert clone == answer
+        assert list(clone.detail.items()) == list(answer.detail.items())
+        assert clone.stage_cached == answer.stage_cached
+        assert clone.stage_sources == answer.stage_sources
+        assert clone.stage_seconds == answer.stage_seconds

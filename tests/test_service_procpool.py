@@ -14,6 +14,7 @@ import asyncio
 import pickle
 import threading
 import time
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -92,6 +93,20 @@ class TestProcEstimationService:
         assert via_processes.detail == direct.detail
         assert via_threads.peak_bytes == via_processes.peak_bytes
         assert via_processes.predicts_oom() == direct.predicts_oom()
+
+    def test_a_worker_answer_equals_the_in_process_answer(self):
+        direct = tiny_xmem().estimate(WORKLOAD, RTX_3060)
+        with ProcEstimationService(
+            estimator_factory=tiny_xmem, max_workers=1
+        ) as service:
+            via_worker = service.estimate(WORKLOAD, RTX_3060)
+        # the answer crossed a pickle: equal in every compared field but
+        # the wall clock, its report equal key for key
+        assert replace(
+            via_worker, runtime_seconds=direct.runtime_seconds
+        ) == direct
+        assert list(via_worker.detail.items()) == list(direct.detail.items())
+        assert via_worker.stage_sources == direct.stage_sources
 
     def test_cache_hit_and_stage_timings_cross_the_boundary(self):
         with ProcEstimationService(
