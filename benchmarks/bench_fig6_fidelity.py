@@ -10,6 +10,7 @@ comparison metrics are the peak gap and the mean absolute curve gap.
 from __future__ import annotations
 
 from repro.core.estimator import XMemEstimator
+from repro.core.verify import compare_curves
 from repro.runtime.ground_truth import run_gpu_ground_truth
 from repro.units import GB
 from repro.workload import RTX_3060, WorkloadConfig
@@ -21,24 +22,6 @@ MODELS = {
     "small": [("distilgpt2", 8), ("gpt-neo-125M", 8)],
     "full": [("distilgpt2", 16), ("gpt-neo-125M", 16), ("ConvNeXtBase", 200)],
 }
-
-
-def _curve_gap(real, simulated, samples: int = 200) -> float:
-    """Mean absolute gap between two reserved-bytes curves, resampled."""
-    real_pts = real.downsample(samples).points
-    sim_pts = simulated.downsample(samples).points
-
-    def value_at(points, fraction):
-        if not points:
-            return 0
-        index = min(int(fraction * (len(points) - 1)), len(points) - 1)
-        return points[index].reserved_bytes
-
-    gaps = []
-    for step in range(samples):
-        fraction = step / (samples - 1)
-        gaps.append(abs(value_at(real_pts, fraction) - value_at(sim_pts, fraction)))
-    return sum(gaps) / len(gaps)
 
 
 def test_fig6_simulator_fidelity(benchmark, capsys):
@@ -57,7 +40,9 @@ def test_fig6_simulator_fidelity(benchmark, capsys):
         peak_gap = abs(
             estimate.peak_bytes - truth.peak_reserved_bytes
         ) / truth.peak_reserved_bytes
-        curve_gap = _curve_gap(truth.timeline, estimate.curve)
+        curve_gap = compare_curves(
+            truth.timeline, estimate.curve, samples=200
+        ).mean_abs_gap
         rows.append(
             f"{model:<16}{truth.peak_reserved_bytes / GB:>10.2f}G"
             f"{estimate.peak_bytes / GB:>10.2f}G"

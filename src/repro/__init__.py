@@ -27,29 +27,29 @@ from ._lazy import lazy_exports
 
 #: every export and the module that defines it, imported on first use
 _EXPORTS = {
-    "AllocatorConfig": ".allocator",
-    "CachingAllocator": ".allocator",
-    "DeviceAllocator": ".allocator",
-    "DNNMemEstimator": ".baselines",
-    "LLMemEstimator": ".baselines",
-    "SchedTuneEstimator": ".baselines",
-    "Analyzer": ".core",
-    "EstimationPipeline": ".core",
-    "EstimationResult": ".core",
-    "MemoryOrchestrator": ".core",
-    "MemorySimulator": ".core",
-    "PipelineCache": ".core",
-    "XMemEstimator": ".core",
+    "AllocatorConfig": ".allocator.constants",
+    "CachingAllocator": ".allocator.caching",
+    "DeviceAllocator": ".allocator.device",
+    "DNNMemEstimator": ".baselines.dnnmem",
+    "LLMemEstimator": ".baselines.llmem",
+    "SchedTuneEstimator": ".baselines.schedtune",
+    "Analyzer": ".core.analyzer",
+    "EstimationPipeline": ".core.pipeline",
+    "EstimationResult": ".core.result",
+    "MemoryOrchestrator": ".core.orchestrator",
+    "MemorySimulator": ".core.simulator",
+    "PipelineCache": ".core.pipeline",
+    "XMemEstimator": ".core.estimator",
     "ReproError": ".errors",
     "SimOutOfMemoryError": ".errors",
-    "get_model_spec": ".models",
-    "list_models": ".models",
-    "TrainLoopConfig": ".runtime",
-    "profile_on_cpu": ".runtime",
-    "run_gpu_ground_truth": ".runtime",
-    "EstimateCache": ".service",
-    "EstimationService": ".service",
-    "ServiceMetrics": ".service",
+    "get_model_spec": ".models.registry",
+    "list_models": ".models.registry",
+    "TrainLoopConfig": ".runtime.loop",
+    "profile_on_cpu": ".runtime.profiler",
+    "run_gpu_ground_truth": ".runtime.ground_truth",
+    "EstimateCache": ".service.cache",
+    "EstimationService": ".service.engine",
+    "ServiceMetrics": ".service.metrics",
     "GB": ".units",
     "GiB": ".units",
     "KiB": ".units",
@@ -67,44 +67,6 @@ _EXPORTS = {
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "A100_40GB",
-    "AllocatorConfig",
-    "Analyzer",
-    "CachingAllocator",
-    "DNNMemEstimator",
-    "DeviceAllocator",
-    "DeviceSpec",
-    "EVAL_DEVICES",
-    "EstimateCache",
-    "EstimationPipeline",
-    "EstimationResult",
-    "EstimationService",
-    "GB",
-    "GiB",
-    "KiB",
-    "LLMemEstimator",
-    "MB",
-    "MemoryOrchestrator",
-    "MemorySimulator",
-    "MiB",
-    "PipelineCache",
-    "RTX_3060",
-    "RTX_4060",
-    "ReproError",
-    "SchedTuneEstimator",
-    "ServiceMetrics",
-    "SimOutOfMemoryError",
-    "TrainLoopConfig",
-    "WorkloadConfig",
-    "XMemEstimator",
-    "__version__",
-    "format_bytes",
-    "format_gb",
-    "get_model_spec",
-    "list_models",
-    "profile_on_cpu",
-    "run_gpu_ground_truth",
-]
+__all__ = [*_EXPORTS, "__version__"]
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

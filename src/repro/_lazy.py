@@ -1,16 +1,19 @@
 """Package re-exports that load on first use (PEP 562).
 
-A package facade names each export and the module that defines it; the
-module is imported the first time the name is read, and the value is
-then stored in the package's globals, so later reads are plain lookups.
-``from repro import XMemEstimator`` therefore loads the estimator's
-modules and nothing of the service plane, and ``import repro.service``
-loads no driver until one is named.
+A package facade names each export once, in its ``_EXPORTS`` table,
+under the module that defines it; its ``__all__`` is derived from the
+table (``[*_EXPORTS]``).  The module is imported the first time the name
+is read, and the value is then stored in the package's globals, so later
+reads are plain lookups.  ``from repro import XMemEstimator`` therefore
+loads the estimator's modules and nothing of the service plane, and
+``import repro.service`` loads no driver until one is named.
 
-A name whose module is the package's own submodule of that name (``"layers":
-".layers"`` in ``repro.framework``) resolves to the submodule itself, so
-``repro.framework.layers`` reads as an attribute after ``import
-repro.framework`` alone.
+A facade re-exports only the names some caller outside ``tests/``
+imports from it (a module of the package, the CLI, a bench, an example
+or a doc); everything else is imported from its defining module.  A
+package no caller imports a name from keeps a docstring-only
+``__init__``.  A submodule is not an export: ``from repro.models.transformer
+import configs`` imports the submodule with or without a table.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ def lazy_exports(
 ) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
     """``(__getattr__, __dir__)`` for the package whose globals are
     ``namespace``.  ``table`` maps each exported name to the module,
-    relative to the package, whose attribute of that name it is, or
-    that is itself the submodule of that name."""
+    relative to the package, whose attribute of that name it is."""
     package = namespace["__name__"]
 
     def __getattr__(name: str) -> Any:
@@ -35,9 +37,7 @@ def lazy_exports(
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}"
             ) from None
-        value = import_module(module, package)
-        if value.__name__ != f"{package}.{name}":  # not the submodule itself
-            value = getattr(value, name)
+        value = getattr(import_module(module, package), name)
         namespace[name] = value
         return value
 

@@ -44,9 +44,18 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _count(text: str) -> int:
+    """The argparse type of every count option: an integer, at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return int(text)
+
+
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="model name (see `xmem models`)")
-    parser.add_argument("--batch-size", type=int, required=True)
+    parser.add_argument("--batch-size", type=_count, required=True)
     parser.add_argument("--optimizer", default="adam")
     parser.add_argument(
         "--zero-grad-position",
@@ -151,10 +160,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     models = args.model
     try:
-        batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
-    except ValueError:
+        batch_sizes = [_count(b) for b in args.batch_sizes.split(",")]
+    except argparse.ArgumentTypeError:
         return _usage_error(
-            "--batch-sizes must be comma-separated integers, "
+            "--batch-sizes must be comma-separated integers >= 1, "
             f"got {args.batch_sizes!r}"
         )
     unknown = [
@@ -323,13 +332,16 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     capture = args.report or args.spans_out or args.ledger_out
     runs = []
     for scenario in scenarios:
-        trace = generate_traffic(
-            scenario,
-            args.requests,
-            seed=args.seed,
-            unique_workloads=args.unique,
-            waves=args.waves,
-        )
+        try:
+            trace = generate_traffic(
+                scenario,
+                args.requests,
+                seed=args.seed,
+                unique_workloads=args.unique,
+                waves=args.waves,
+            )
+        except ValueError as error:  # --unique beyond the scenario's catalog
+            return _usage_error(f"--unique: {error}")
         if qos is not None:
             # pin every request to one QoS class — e.g. replay the same
             # mix as all-batch vs all-interactive to see the reserve act
@@ -467,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = sub.add_parser("estimate", help="estimate peak GPU memory")
     _add_workload_args(estimate)
-    estimate.add_argument("--iterations", type=int, default=3)
+    estimate.add_argument("--iterations", type=_count, default=3)
     estimate.add_argument("--json", action="store_true")
     estimate.add_argument(
         "--explain", action="store_true",
@@ -514,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--zero-grad-position", choices=(POS0, POS1), default=None
     )
-    batch.add_argument("--iterations", type=int, default=3)
-    batch.add_argument("--workers", type=int, default=4)
+    batch.add_argument("--iterations", type=_count, default=3)
+    batch.add_argument("--workers", type=_count, default=4)
     batch.add_argument("--json", action="store_true")
     batch.set_defaults(func=_cmd_batch)
 
@@ -553,13 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
         "with the default resilience policy (retries + per-shard "
         "circuit breakers) absorbing it; see docs/resilience.md",
     )
-    loadtest.add_argument("--requests", type=int, default=200)
+    loadtest.add_argument("--requests", type=_count, default=200)
     loadtest.add_argument(
-        "--unique", type=int, default=8,
+        "--unique", type=_count, default=8,
         help="distinct workloads the scenario draws from",
     )
-    loadtest.add_argument("--waves", type=int, default=4)
-    loadtest.add_argument("--shards", type=int, default=4)
+    loadtest.add_argument("--waves", type=_count, default=4)
+    loadtest.add_argument("--shards", type=_count, default=4)
     loadtest.add_argument(
         "--policy", choices=POLICY_NAMES, action="append", default=None,
         help="routing policy, repeatable (default hash — preserves "
@@ -578,10 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
         "server instead of spawning one in-process (the remote "
         "gateway's policy/estimator apply; local telemetry is empty)",
     )
-    loadtest.add_argument("--max-queue-depth", type=int, default=64)
-    loadtest.add_argument("--workers-per-shard", type=int, default=2)
+    loadtest.add_argument("--max-queue-depth", type=_count, default=64)
+    loadtest.add_argument("--workers-per-shard", type=_count, default=2)
     loadtest.add_argument(
-        "--pool-workers", type=int, default=4,
+        "--pool-workers", type=_count, default=4,
         help="worker processes shared by all shards (--driver processes)",
     )
     loadtest.add_argument(
@@ -605,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
         "parallelizes and the other drivers cannot)",
     )
     loadtest.add_argument(
-        "--iterations", type=int, default=2,
+        "--iterations", type=_count, default=2,
         help="profiling iterations for --estimator xmem",
     )
     loadtest.add_argument("--seed", type=int, default=0)
@@ -627,9 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="profile a workload on the CPU")
     trace.add_argument("--model", required=True)
-    trace.add_argument("--batch-size", type=int, required=True)
+    trace.add_argument("--batch-size", type=_count, required=True)
     trace.add_argument("--optimizer", default="adam")
-    trace.add_argument("--iterations", type=int, default=3)
+    trace.add_argument("--iterations", type=_count, default=3)
     trace.add_argument("--output", default=None, help="trace JSON path")
     trace.set_defaults(func=_cmd_trace)
 
@@ -637,8 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
         "curve", help="print the estimated memory curve (ts, tensor, segment)"
     )
     _add_workload_args(curve)
-    curve.add_argument("--iterations", type=int, default=3)
-    curve.add_argument("--points", type=int, default=200)
+    curve.add_argument("--iterations", type=_count, default=3)
+    curve.add_argument("--points", type=_count, default=200)
     curve.set_defaults(func=_cmd_curve)
 
     return parser

@@ -1,18 +1,14 @@
 """Cluster scheduling demo: estimates drive GPU-sharing decisions."""
 
-from .job import Job, JobRecord
-from .scheduler import (
-    AdmissionDecision,
-    MemoryAwareScheduler,
-    ScheduleOutcome,
-    ServiceAdmissionController,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionDecision",
-    "Job",
-    "JobRecord",
-    "MemoryAwareScheduler",
-    "ScheduleOutcome",
-    "ServiceAdmissionController",
-]
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "Job": ".job",
+    "MemoryAwareScheduler": ".scheduler",
+    "ServiceAdmissionController": ".scheduler",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -4,93 +4,9 @@ from .._lazy import lazy_exports
 
 #: every export and the module that defines it, imported on first use
 _EXPORTS = {
-    "AnalyzedTrace": ".analyzer",
     "Analyzer": ".analyzer",
-    "ArtifactStore": ".artifacts",
-    "open_artifact_store": ".artifacts",
-    "Estimator": ".base",
-    "AttributedBlock": ".attribution",
-    "attribute_blocks": ".attribution",
-    "operator_filter": ".attribution",
-    "XMemEstimator": ".estimator",
-    "render_report": ".report",
-    "PrecisionPlan": ".precision",
-    "estimate_precision_peak": ".precision",
-    "rescale_sequence": ".precision",
-    "CurveFidelity": ".verify",
-    "SnapshotDiff": ".verify",
-    "compare_curves": ".verify",
-    "diff_snapshots": ".verify",
-    "LifecycleReport": ".lifecycle",
-    "MemoryBlock": ".lifecycle",
-    "peak_live_bytes": ".lifecycle",
-    "reconstruct_lifecycles": ".lifecycle",
-    "DEFAULT_RULES": ".orchestrator",
-    "BatchDataRule": ".orchestrator",
-    "EventKind": ".orchestrator",
-    "GradientRule": ".orchestrator",
-    "MemoryOp": ".orchestrator",
-    "MemoryOrchestrator": ".orchestrator",
-    "OptimizerStateRule": ".orchestrator",
-    "OrchestratedSequence": ".orchestrator",
-    "OrchestrationRule": ".orchestrator",
-    "ParameterRule": ".orchestrator",
-    "raw_sequence": ".orchestrator",
-    "sequence_fingerprint": ".orchestrator",
-    "STAGES": ".pipeline",
-    "EstimationPipeline": ".pipeline",
-    "PipelineCache": ".pipeline",
-    "PipelineRun": ".pipeline",
-    "SimulateRow": ".pipeline",
-    "trace_fingerprint": ".pipeline",
-    "EstimationResult": ".result",
-    "MemorySimulator": ".simulator",
-    "SimulationResult": ".simulator",
 }
 
-__all__ = [
-    "AnalyzedTrace",
-    "ArtifactStore",
-    "CurveFidelity",
-    "PrecisionPlan",
-    "SnapshotDiff",
-    "compare_curves",
-    "diff_snapshots",
-    "estimate_precision_peak",
-    "render_report",
-    "rescale_sequence",
-    "Analyzer",
-    "AttributedBlock",
-    "BatchDataRule",
-    "DEFAULT_RULES",
-    "EstimationPipeline",
-    "EstimationResult",
-    "Estimator",
-    "EventKind",
-    "PipelineCache",
-    "PipelineRun",
-    "SimulateRow",
-    "STAGES",
-    "trace_fingerprint",
-    "GradientRule",
-    "LifecycleReport",
-    "MemoryBlock",
-    "MemoryOp",
-    "MemoryOrchestrator",
-    "MemorySimulator",
-    "OptimizerStateRule",
-    "OrchestratedSequence",
-    "OrchestrationRule",
-    "ParameterRule",
-    "SimulationResult",
-    "XMemEstimator",
-    "attribute_blocks",
-    "open_artifact_store",
-    "operator_filter",
-    "peak_live_bytes",
-    "raw_sequence",
-    "reconstruct_lifecycles",
-    "sequence_fingerprint",
-]
+__all__ = [*_EXPORTS]
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

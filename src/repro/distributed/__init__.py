@@ -1,22 +1,14 @@
 """Distributed-training preparation (paper §6.2): per-layer profiles and
 pipeline-stage planning from a single-node CPU profile."""
 
-from .planner import (
-    PipelinePlan,
-    PipelineStage,
-    PlanningError,
-    minimum_stages,
-    plan_pipeline,
-)
-from .profiles import LayerProfile, ModelMemoryMap, extract_layer_profiles
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LayerProfile",
-    "ModelMemoryMap",
-    "PipelinePlan",
-    "PipelineStage",
-    "PlanningError",
-    "extract_layer_profiles",
-    "minimum_stages",
-    "plan_pipeline",
-]
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "minimum_stages": ".planner",
+    "extract_layer_profiles": ".profiles",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,84 +1,12 @@
 """Evaluation harness: metrics (Eqs. 1-8), two-round validation, drivers."""
 
-from .anova import (
-    AnovaReport,
-    anova_over_estimators,
-    family_of,
-    run_anova_experiment,
-)
-from .metrics import (
-    EstimatorScore,
-    ValidationOutcome,
-    median_relative_error,
-    memory_conservation_potential,
-    probability_of_estimation_failure,
-    relative_error,
-    score_outcomes,
-)
-from .montecarlo import PAPER_NUM_RUNS, run_monte_carlo_experiment
-from .reporting import (
-    BoxStats,
-    format_mcp_table,
-    format_mre_table,
-    mcp_table,
-    mre_box_table,
-    quadrant_points,
-    quadrant_summary,
-    runtime_table,
-)
-from .runner import ExperimentResult, ExperimentRunner, default_estimators
-from .validation import GROUND_TRUTH_ITERATIONS, GroundTruthCache, validate
-from .workloads import (
-    CNN_BATCH_SIZES,
-    CNN_OPTIMIZERS,
-    SMALL_BATCH_MODELS,
-    SMALL_BATCH_SIZES,
-    TRANSFORMER_BATCH_SIZES,
-    TRANSFORMER_OPTIMIZERS,
-    anova_grid,
-    batch_sizes_for,
-    monte_carlo_samples,
-    optimizers_for,
-    rq5_grid,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnovaReport",
-    "BoxStats",
-    "CNN_BATCH_SIZES",
-    "CNN_OPTIMIZERS",
-    "EstimatorScore",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "GROUND_TRUTH_ITERATIONS",
-    "GroundTruthCache",
-    "PAPER_NUM_RUNS",
-    "SMALL_BATCH_MODELS",
-    "SMALL_BATCH_SIZES",
-    "TRANSFORMER_BATCH_SIZES",
-    "TRANSFORMER_OPTIMIZERS",
-    "ValidationOutcome",
-    "anova_grid",
-    "anova_over_estimators",
-    "batch_sizes_for",
-    "default_estimators",
-    "family_of",
-    "format_mcp_table",
-    "format_mre_table",
-    "mcp_table",
-    "median_relative_error",
-    "memory_conservation_potential",
-    "monte_carlo_samples",
-    "mre_box_table",
-    "optimizers_for",
-    "probability_of_estimation_failure",
-    "quadrant_points",
-    "quadrant_summary",
-    "relative_error",
-    "rq5_grid",
-    "run_anova_experiment",
-    "run_monte_carlo_experiment",
-    "runtime_table",
-    "score_outcomes",
-    "validate",
-]
+#: every export and the module that defines it, imported on first use
+_EXPORTS = {
+    "default_estimators": ".runner",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

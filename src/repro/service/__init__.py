@@ -81,53 +81,6 @@ _EXPORTS = {
     "default_middlewares": ".middleware",
 }
 
-__all__ = [
-    "AsyncEstimationService",
-    "AsyncServiceGateway",
-    "AuthShimMiddleware",
-    "CHAOS_SCENARIOS",
-    "CacheMiddleware",
-    "ConsistentHashRouting",
-    "ControlPlane",
-    "EstimateCache",
-    "EstimationService",
-    "FaultPlan",
-    "FaultSpec",
-    "FrameDecoder",
-    "GatewayCore",
-    "POLICY_NAMES",
-    "ProcEstimationService",
-    "ProcServiceGateway",
-    "QOS_CLASSES",
-    "RateLimitMiddleware",
-    "SCENARIO_NAMES",
-    "ServiceGateway",
-    "ServiceMetrics",
-    "ServiceMiddleware",
-    "SyntheticEstimator",
-    "TENANT_SCENARIOS",
-    "TcpServerThread",
-    "TcpServiceClient",
-    "Telemetry",
-    "TenantConfig",
-    "TenantGrant",
-    "TrafficRequest",
-    "TrafficTrace",
-    "ValidationMiddleware",
-    "canonical_trace_trees",
-    "default_middlewares",
-    "default_resilience",
-    "encode_frame",
-    "estimate_many",
-    "fingerprint_request",
-    "generate_traffic",
-    "make_control",
-    "make_policy",
-    "qos_priority",
-    "render_loadtest_report",
-    "replay",
-    "replay_async",
-    "sweep",
-]
+__all__ = [*_EXPORTS]
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

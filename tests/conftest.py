@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.framework.layers import Conv2d, Linear, ReLU, make_activation
+from repro.framework.layers import Conv2d, Linear, make_activation
+from repro.framework.layers.activation import ReLU
 from repro.framework.loss import CrossEntropyLoss
 from repro.framework.module import Sequential
 from repro.framework.optim import make_optimizer

@@ -177,6 +177,43 @@ class TestServiceCommands:
         assert payload["stats"]["service"]["requests"] == 1
 
 
+#: a count option at 0 (or beyond what it counts), the option an error
+#: must name, and the command around it
+BAD_COUNTS = [
+    (["loadtest", "--requests", "0"], "--requests"),
+    (["loadtest", "--waves", "0"], "--waves"),
+    (["loadtest", "--shards", "0"], "--shards"),
+    (["loadtest", "--max-queue-depth", "0"], "--max-queue-depth"),
+    (["loadtest", "--workers-per-shard", "0"], "--workers-per-shard"),
+    (["loadtest", "--unique", "0"], "--unique"),
+    (["loadtest", "--unique", "145"], "--unique"),  # the catalog has 144
+    (["loadtest", "--driver", "processes", "--pool-workers", "0"], "--pool-workers"),
+    (["estimate", "--model", "VGG16", "--iterations", "0", "--batch-size", "4"],
+     "--iterations"),
+    (["estimate", "--model", "VGG16", "--batch-size", "0"], "--batch-size"),
+    (["trace", "--model", "VGG16", "--batch-size", "0"], "--batch-size"),
+    (["curve", "--model", "VGG16", "--batch-size", "4", "--points", "0"], "--points"),
+    (["batch", "--model", "VGG16", "--batch-sizes", "4", "--workers", "0"],
+     "--workers"),
+    (["batch", "--model", "VGG16", "--batch-sizes", "4,0"], "--batch-sizes"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option", BAD_COUNTS, ids=[" ".join(argv) for argv, _ in BAD_COUNTS]
+)
+def test_a_bad_count_is_a_usage_error_naming_its_option(argv, option, capsys):
+    """Like loadtest's other bad inputs: exit 2 and one line naming the
+    option, not a traceback out of the code the count reaches."""
+    try:
+        status = main(argv)
+    except SystemExit as stop:  # argparse's own usage error
+        status = stop.code
+    err = capsys.readouterr().err
+    assert status == 2
+    assert option in err and "Traceback" not in err, err
+
+
 class TestLoadtest:
     def test_human_output(self, capsys):
         code = main([

@@ -15,12 +15,8 @@ from repro.allocator.device import DeviceAllocator
 from repro.allocator.snapshot import memory_snapshot
 from repro.allocator.stats import TimelineRecorder
 from repro.core.orchestrator import MemoryOrchestrator
-from repro.distributed import (
-    PlanningError,
-    extract_layer_profiles,
-    minimum_stages,
-    plan_pipeline,
-)
+from repro.distributed import extract_layer_profiles, minimum_stages
+from repro.distributed.planner import PlanningError, plan_pipeline
 from repro.errors import TraceSchemaError
 from repro.framework.dtypes import DType
 from repro.trace.kineto import import_kineto

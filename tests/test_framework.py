@@ -4,7 +4,6 @@ import pytest
 
 from repro.framework.dtypes import DType
 from repro.framework.layers import (
-    BatchNorm2d,
     Conv2d,
     Dropout,
     Embedding,
@@ -13,10 +12,10 @@ from repro.framework.layers import (
     Linear,
     MaxPool2d,
     MultiHeadSelfAttention,
-    ReLU,
-    Softmax,
     make_activation,
 )
+from repro.framework.layers.activation import ReLU, Softmax
+from repro.framework.layers.norm import BatchNorm2d
 from repro.framework.loss import CrossEntropyLoss
 from repro.framework.module import Module, Residual, Sequential
 from repro.framework.optim import make_optimizer, optimizer_names

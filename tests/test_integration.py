@@ -1,11 +1,17 @@
 """End-to-end integration: full pipelines across module boundaries."""
 
 
-from repro.core import Analyzer, MemoryOrchestrator, MemorySimulator, XMemEstimator
+from repro.core import Analyzer
+from repro.core.estimator import XMemEstimator
+from repro.core.orchestrator import MemoryOrchestrator
+from repro.core.simulator import MemorySimulator
 from repro.eval.runner import ExperimentRunner
 from repro.eval.validation import GroundTruthCache, validate
-from repro.runtime import TrainLoopConfig, profile_on_cpu, run_gpu_ground_truth
-from repro.trace import Trace, import_kineto, trace_to_json
+from repro.runtime import profile_on_cpu, run_gpu_ground_truth
+from repro.runtime.loop import TrainLoopConfig
+from repro.trace.kineto import import_kineto
+from repro.trace.reader import Trace
+from repro.trace.schema import trace_to_json
 from repro.workload import RTX_3060, RTX_4060, WorkloadConfig
 
 

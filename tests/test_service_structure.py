@@ -8,17 +8,18 @@ the two halves of the TCP protocol each exist in exactly one module, the
 core modules import no concurrency substrate, the driver modules make no
 gateway-layer decision, no service-core step and no use of a frame's
 contents themselves, and the middleware chain carries policy only — a
-request's outcome is observed once, in ``ServiceDispatch._emit``.  The
-package's
-public surface is checked the same way: ``repro.service`` re-exports
-exactly the names its callers outside ``tests/`` import from it.
+request's outcome is observed once, in ``ServiceDispatch._emit``.  Every
+package's public surface is checked the same way: each ``__init__`` that
+re-exports names does so through one lazy table, and re-exports exactly
+the names its callers outside ``tests/`` import from it.
 
 Run as a script to print per-module code-line counts (non-blank,
 non-comment, non-docstring), the ``tcp.py + wire.py`` sum, the
 ``dispatch.py + core.py`` sum, the resilience plane's
-``dispatch.py + resilience.py + faults.py`` sum and the
-``cli.py + service/`` sum — CI prints the table next to the benchmark
-trends::
+``dispatch.py + resilience.py + faults.py`` sum, the
+``cli.py + service/`` sum, then the count per ``src/repro`` subpackage,
+the ``__init__.py`` total and the ``src/repro`` total — CI prints the
+table next to the benchmark trends::
 
     python tests/test_service_structure.py
 """
@@ -29,11 +30,14 @@ import ast
 import io
 import re
 import tokenize
+from importlib.util import resolve_name
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SERVICE = ROOT / "src" / "repro" / "service"
-CLI = ROOT / "src" / "repro" / "cli.py"
+SRC = ROOT / "src"
+REPRO = SRC / "repro"
+SERVICE = REPRO / "service"
+CLI = REPRO / "cli.py"
 #: a fenced Python block of a Markdown file
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
@@ -851,13 +855,19 @@ def python_blocks(path: Path) -> list[str]:
     return PYTHON_BLOCK.findall(path.read_text())
 
 
+def package_of(path: Path) -> str:
+    """The package a module of ``src/`` resolves its relative imports
+    against (a package's ``__init__``: the package itself)."""
+    return ".".join(path.relative_to(SRC).parent.parts)
+
+
 def caller_sources() -> list[tuple[Path, str, str]]:
-    """``(file, source, package)`` for every caller of the service outside
-    ``tests/``; ``package`` resolves a relative import (``""``: none)."""
-    repro = ROOT / "src" / "repro"
+    """``(file, source, package)`` for the CLI, the package root and every
+    bench, example and doc; ``package`` resolves a relative import
+    (``""``: none)."""
     found = [
-        (path, path.read_text(), "repro")
-        for path in (CLI, repro / "__init__.py")
+        (path, path.read_text(), package_of(path))
+        for path in (CLI, REPRO / "__init__.py")
     ]
     scripts = sorted((ROOT / "benchmarks").rglob("*.py"))
     scripts += sorted((ROOT / "examples").glob("*.py"))
@@ -878,70 +888,119 @@ def lazy_table(tree: ast.Module) -> dict[str, str]:
     return {}
 
 
-def names_imported_from(module: str) -> set[str]:
-    """Every name some caller outside ``tests/`` imports from ``module``,
-    by an import statement or by a lazy facade's table."""
-    names = set()
-    for _, source, package in caller_sources():
+def names_imported() -> dict[str, set[str]]:
+    """Module -> every name some caller outside ``tests/`` imports from
+    it, by an import statement or by a lazy facade's table: the callers
+    of :func:`caller_sources` and every module of ``src/repro``."""
+    sources = caller_sources() + [
+        (path, path.read_text(), package_of(path))
+        for path in sorted(REPRO.rglob("*.py"))
+    ]
+    names: dict[str, set[str]] = {}
+    for _, source, package in sources:
         tree = ast.parse(source)
         for node in ast.walk(tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            name = node.module or ""
-            if node.level:
-                name = f"{package}.{name}"
-            if name == module:
-                names.update(alias.name for alias in node.names)
-        names.update(
-            name
-            for name, where in lazy_table(tree).items()
-            if f"{package}{where}" == module
-        )
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:
+                    module = resolve_name("." * node.level + module, package)
+                names.setdefault(module, set()).update(
+                    alias.name for alias in node.names
+                )
+        for name, where in lazy_table(tree).items():
+            names.setdefault(resolve_name(where, package), set()).add(name)
     return names
 
 
-def exported(tree: ast.Module) -> list[str]:
-    """A module's ``__all__``, read without importing it."""
+def module_tree(module: str) -> ast.Module:
+    """The parsed source of a ``repro`` module or package."""
+    path = SRC / module.replace(".", "/")
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    return ast.parse(path.read_text())
+
+
+def submodules(package: str) -> set[str]:
+    """The names of a package's modules and subpackages."""
+    path = SRC / package.replace(".", "/")
+    return {child.stem for child in path.glob("*.py")} - {"__init__"} | {
+        child.name for child in path.iterdir() if (child / "__init__.py").exists()
+    }
+
+
+def exported(tree: ast.Module) -> ast.expr:
+    """A module's ``__all__`` expression, read without importing it."""
     (value,) = [
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign)
         and [ast.unparse(target) for target in node.targets] == ["__all__"]
     ]
-    return ast.literal_eval(value)
+    return value
+
+
+def facade_problems(package: str, tree: ast.Module, callers: set[str]) -> list[str]:
+    """How one package ``__init__`` breaks the facade rule (see below);
+    ``callers`` are the names imported from the package."""
+    table = lazy_table(tree)
+    imports = [
+        (node.module, [alias.name for alias in node.names])
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+    ]
+    problems = []
+    exports = set(table)
+    if table:
+        if imports != [("_lazy", ["lazy_exports"])]:
+            problems.append(f"imports {imports}, not the loader alone")
+        derived = "[*_EXPORTS, '__version__']" if package == "repro" else "[*_EXPORTS]"
+        if ast.unparse(exported(tree)) != derived:
+            problems.append(f"__all__ is not {derived}")
+        hook = "__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)"
+        if hook not in map(ast.unparse, tree.body):
+            problems.append("the table is not handed to lazy_exports")
+        for name, where in table.items():
+            home = resolve_name(where, package)
+            if name not in bound_names(module_tree(home)):
+                problems.append(f"{name} is not defined in {home}")
+    else:
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {name for _, names in imports for name in names} - loaded
+        if unused:
+            problems.append(f"re-exports {sorted(unused)} without a table")
+        if "__all__" in bound_names(tree):
+            exports = set(ast.literal_eval(exported(tree)))
+            alien = exports - defined_names(tree)
+            if alien:
+                problems.append(f"__all__ lists {sorted(alien)}, not its own")
+    if package != "repro":
+        callers = callers - submodules(package)
+        if exports != callers:
+            problems.append(
+                f"exports {sorted(exports - callers)} nobody imports; callers "
+                f"import {sorted(callers - exports)} it does not export"
+            )
+    return [f"{package}: {problem}" for problem in problems]
 
 
 def test_the_package_exports_exactly_what_its_callers_import():
-    """``repro.service`` re-exports a name iff the CLI, the package root,
-    a bench, an example or a doc imports it from there: a re-export
-    nobody imports makes an internal public API, an import without one
-    breaks a caller.  The facade imports nothing but its loader: its
-    lazy table holds exactly its ``__all__``, each name under the module
-    that binds it, and the telemetry package exports ``Telemetry`` alone."""
-    trees = modules()
-    package = trees["__init__.py"]
-    names = exported(package)
-    assert len(names) == len(set(names))
-    assert set(names) == names_imported_from("repro.service")
-    imported = [
-        (node.module, [alias.name for alias in node.names])
-        for node in package.body
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-    ]
-    assert imported == [("_lazy", ["lazy_exports"])]
-    table = lazy_table(package)
-    assert set(table) == set(names)
-    for name, where in table.items():
-        path = where.lstrip(".").replace(".", "/")
-        tree = trees.get(f"{path}.py") or trees[f"{path}/__init__.py"]
-        binders = bound_names(tree) | {
-            alias.asname or alias.name
-            for node in tree.body
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-        }
-        assert name in binders, f"{where} binds no {name}"
-    assert exported(trees["telemetry/__init__.py"]) == ["Telemetry"]
+    """Every package ``__init__`` follows one facade rule.  One mechanism:
+    a package that re-exports names does so through ``lazy_exports`` and
+    imports nothing else, and one without a table imports only what it
+    uses itself.  One list: ``__all__`` is derived from the table.  Each
+    entry names the module that defines the name, so no name routes
+    through two facades.  And only names with a caller: apart from the
+    root's documented surface, a table holds exactly the names the CLI, a
+    module of ``src/repro``, a bench, an example or a doc imports from the
+    package (a submodule is not an export) — a re-export nobody imports
+    makes an internal public API, an import without one breaks a caller."""
+    imported = names_imported()
+    problems = []
+    for path in sorted(REPRO.rglob("__init__.py")):
+        package = package_of(path)
+        tree = ast.parse(path.read_text())
+        problems += facade_problems(package, tree, imported.get(package, set()))
+    assert not problems, "\n".join(problems)
 
 
 def test_the_default_chain_is_validation_then_cache():
@@ -980,3 +1039,18 @@ if __name__ == "__main__":
     print(f"  {sum(counts[name] for name in plane):6d}  {' + '.join(plane)}")
     # the caller's side: what is left in the CLI once the wiring is here
     print(f"  {code_lines(CLI) + sum(counts.values()):6d}  cli.py + service/")
+    # the whole tree: each subpackage, the modules beside them, the
+    # package __init__ files (the facades) and src/repro
+    tree = {
+        path.relative_to(REPRO): code_lines(path)
+        for path in sorted(REPRO.rglob("*.py"))
+    }
+    print("code lines, src/repro")
+    for package in sorted({path.parts[0] for path in tree if len(path.parts) > 1}):
+        lines = sum(n for path, n in tree.items() if path.parts[0] == package)
+        print(f"  {lines:6d}  {package}/")
+    top = sum(n for path, n in tree.items() if len(path.parts) == 1)
+    print(f"  {top:6d}  top-level modules")
+    inits = sum(n for path, n in tree.items() if path.name == "__init__.py")
+    print(f"  {inits:6d}  __init__.py files")
+    print(f"  {sum(tree.values()):6d}  total")
