@@ -32,11 +32,7 @@ _DEVICES = {
 
 
 def _device_from_args(args: argparse.Namespace) -> DeviceSpec:
-    if args.capacity:
-        return DeviceSpec(
-            name="custom", capacity_bytes=parse_size(args.capacity)
-        )
-    return _DEVICES[args.device]
+    return args.capacity or _DEVICES[args.device]
 
 
 def _usage_error(message: str) -> int:
@@ -53,6 +49,21 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _capacity(text: str) -> DeviceSpec:
+    """The argparse type of ``--capacity``: a size that leaves the job a
+    budget once the framework's reservation is taken out."""
+    try:
+        device = DeviceSpec(name="custom", capacity_bytes=parse_size(text))
+        device.job_budget()
+    except (ValueError, OverflowError) as error:
+        raise argparse.ArgumentTypeError(
+            f"{error}; give a size above the "
+            f"{format_gb(DeviceSpec.framework_bytes)} framework reservation, "
+            'e.g. "24GiB"'
+        ) from None
+    return device
+
+
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="model name (see `xmem models`)")
     parser.add_argument("--batch-size", type=_count, required=True)
@@ -67,7 +78,8 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         "--device", choices=sorted(_DEVICES), default="rtx3060"
     )
     parser.add_argument(
-        "--capacity", default=None, help='custom device capacity, e.g. "24GiB"'
+        "--capacity", type=_capacity, default=None,
+        help='custom device capacity, e.g. "24GiB"',
     )
 
 

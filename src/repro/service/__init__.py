@@ -6,8 +6,9 @@ worker pool and single-flight deduplication, so schedulers and admission
 controllers can query estimates at cluster rates instead of once per
 blocking call.  For traffic beyond one worker pool,
 :class:`~repro.service.gateway.ServiceGateway` shards the service behind
-pluggable fingerprint routing, and :mod:`repro.service.traffic` supplies
-deterministic load scenarios to measure it with.
+pluggable fingerprint routing, :mod:`repro.service.traffic` supplies
+deterministic load scenarios to measure it with, and
+:mod:`repro.service.replayer` replays them.
 
 Quickstart::
 
@@ -45,6 +46,7 @@ _EXPORTS = {
     "qos_priority": ".control",
     "GatewayCore": ".core",
     "EstimationService": ".engine",
+    "CHAOS_SCENARIOS": ".faults",
     "FaultPlan": ".faults",
     "FaultSpec": ".faults",
     "default_resilience": ".resilience",
@@ -57,7 +59,6 @@ _EXPORTS = {
     "Telemetry": ".telemetry",
     "render_loadtest_report": ".telemetry.report",
     "canonical_trace_trees": ".telemetry.spans",
-    "CHAOS_SCENARIOS": ".traffic",
     "SCENARIO_NAMES": ".traffic",
     "TENANT_SCENARIOS": ".traffic",
     "SyntheticEstimator": ".traffic",
@@ -65,7 +66,7 @@ _EXPORTS = {
     "TrafficTrace": ".traffic",
     "generate_traffic": ".traffic",
     "make_control": ".traffic",
-    "replay": ".traffic",
+    "replay": ".replayer",
     "AsyncEstimationService": ".aio",
     "AsyncServiceGateway": ".aio",
     "replay_async": ".aio",

@@ -34,17 +34,17 @@ Surface::
 
 ``submit`` mirrors the thread drivers: it raises synchronously for
 validation/rate-limit/shed rejections and returns an awaitable future
-otherwise, so :func:`replay_async` can replay the PR 2 traffic scenarios
-against either driver with identical accounting.
+otherwise, so :func:`replay_async` — the asyncio shell of
+:func:`repro.service.replayer.pace` — replays the traffic scenarios on
+the loop with the same accounting as the thread replay.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..core.base import Estimator
 from ..workload import DeviceSpec, WorkloadConfig
@@ -60,7 +60,10 @@ from .metrics import ServiceMetrics
 from .middleware import ServiceMiddleware
 from .resilience import ResiliencePolicy
 from .routing import RoutingPolicy
-from .traffic import ReplayReport, TrafficTrace, submit_wave
+
+if TYPE_CHECKING:
+    from .replayer import ReplayReport
+    from .traffic import TrafficTrace
 
 __all__ = [
     "AsyncEstimationService",
@@ -363,49 +366,31 @@ async def estimate_many_async(
 async def replay_async(trace: TrafficTrace, target) -> ReplayReport:
     """Replay a traffic trace against an async service or gateway.
 
-    The awaitable mirror of :func:`repro.service.traffic.replay`: wave by
-    wave, with the same outcome table
-    (:meth:`~repro.service.traffic.ReplayReport.tally`), so driver
-    comparisons are apples-to-apples.  Sheds are counted wherever they
-    surface — raised by ``submit`` or failing the future.
-
-    Nothing settles on a loop the replayer does not yield to, so a wave
-    submitted back-to-back would hold every slot it took and a gateway
-    would shed what the thread driver — whose workers settle meanwhile —
-    answers.  At most ``target.max_queue_depth`` requests are therefore
-    left in flight: past that, the replayer waits for one to settle.  A
-    target without the attribute gets each wave whole.
+    The asyncio shell of :func:`repro.service.replayer.pace`, the policy
+    :func:`~repro.service.replayer.replay` runs on threads: the same
+    waves, window and outcome table, waiting on an ``asyncio.Event``.
+    Nothing settles on a loop the replayer does not yield to, so without
+    the window a wave submitted back-to-back would hold every slot it
+    took, and a gateway would shed what the thread driver answers.  A
+    future settled off the loop (a thread driver's) wakes it through
+    ``call_soon_threadsafe``.
     """
-    report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
-    window = getattr(target, "max_queue_depth", None) or len(trace)
-    in_flight = 0
+    # loaded by the first replay: a process that only serves requests
+    # never needs it
+    from .replayer import pace
+
     progress = asyncio.Event()
+    loop, home = asyncio.get_running_loop(), threading.get_ident()
 
-    def settled(request, submitted_at, future) -> None:
-        # as a done-callback this runs after the target's own, added at
-        # submit: the slot is free again by the time it is counted free
-        nonlocal in_flight
-        in_flight -= 1
-        error = asyncio.CancelledError() if future.cancelled() else future.exception()
-        report.tally(request.tenant, error, time.perf_counter() - submitted_at)
-        progress.set()
+    def wake() -> None:
+        if threading.get_ident() == home:
+            progress.set()
+        else:
+            loop.call_soon_threadsafe(progress.set)
 
-    started = time.perf_counter()
-    for wave in trace.waves():
-        for request, submitted_at, future in submit_wave(report, target, wave):
-            in_flight += 1
-            if future.done():  # a hit, settled at submit: holds no slot
-                settled(request, submitted_at, future)
-            else:
-                future.add_done_callback(
-                    partial(settled, request, submitted_at)
-                )
-            while in_flight >= window:
-                progress.clear()
-                await progress.wait()
-        while in_flight:
+    report, steps = pace(trace, target, threading.Lock(), wake)
+    for ready in steps:
+        while not ready():
             progress.clear()
             await progress.wait()
-    report.elapsed_seconds = time.perf_counter() - started
-    report.stats = target.stats()
     return report

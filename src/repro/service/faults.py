@@ -40,11 +40,13 @@ from typing import Iterable, Optional
 from ..errors import InjectedFaultError, ShardBlackoutError
 
 __all__ = [
+    "CHAOS_SCENARIOS",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
     "apply_fault_directive",
+    "chaos_plan",
 ]
 
 #: Fault vocabulary.  Point faults hit one submission index; window
@@ -55,6 +57,16 @@ FAULT_KINDS = (
     "shard_blackout",
     "worker_kill",
     "connection_drop",
+)
+
+#: Chaos scenario catalog (``loadtest --chaos``): each name maps to a
+#: seeded :class:`FaultPlan` shape (:func:`chaos_plan`) — traffic says
+#: *what* arrives, chaos says *what breaks* while it does.
+CHAOS_SCENARIOS = (
+    "shard-kill",
+    "worker-massacre",
+    "flapping-network",
+    "latency-storm",
 )
 
 _POINT_KINDS = frozenset(
@@ -270,6 +282,84 @@ class FaultPlan:
             )
         specs.sort(key=lambda s: (s.kind, s.index or 0, s.start or 0))
         return cls(specs=tuple(specs), seed=seed)
+
+
+def chaos_plan(
+    scenario: str,
+    num_requests: int,
+    num_shards: int,
+    seed: int = 0,
+) -> FaultPlan:
+    """Materialize one named chaos scenario into a seeded fault plan.
+
+    Deterministic in its arguments, like
+    :func:`~repro.service.traffic.generate_traffic` — a (traffic seed,
+    chaos seed) pair pins an entire chaos run, which is what lets
+    ``bench_chaos`` replay a blackout twice and demand identical
+    resilience decisions.
+
+    * ``shard-kill`` — one seeded shard goes dark for the middle half of
+      the request stream (the breaker/re-route drill).
+    * ``worker-massacre`` — scattered ``worker_kill`` faults; real
+      worker deaths on the procpool driver, injected estimator failures
+      (and gateway retries) elsewhere.
+    * ``flapping-network`` — scattered connection drops plus a trickle
+      of estimator errors; drops are real RSTs on the TCP driver and
+      planned no-ops in-process, so plan indices stay aligned.
+    * ``latency-storm`` — a third of requests eat a latency spike; no
+      errors at all (the deadline drill, not the retry drill).
+    """
+    if scenario not in CHAOS_SCENARIOS:
+        raise ValueError(
+            f"unknown chaos scenario {scenario!r}; "
+            f"choose from {CHAOS_SCENARIOS}"
+        )
+    if num_requests < 1:
+        raise ValueError("num_requests must be >= 1")
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
+    if scenario == "shard-kill":
+        rng = random.Random(seed)
+        span = max(1, num_requests // 2)
+        start = num_requests // 4
+        return FaultPlan.from_specs(
+            [
+                FaultSpec(
+                    kind="shard_blackout",
+                    start=start,
+                    stop=start + span,
+                    shard=rng.randrange(num_shards),
+                )
+            ],
+            seed=seed,
+        )
+    if scenario == "worker-massacre":
+        return FaultPlan.seeded(
+            seed,
+            num_requests,
+            num_shards,
+            error_rate=0.0,
+            latency_rate=0.0,
+            worker_kills=max(1, num_requests // 16),
+        )
+    if scenario == "flapping-network":
+        return FaultPlan.seeded(
+            seed,
+            num_requests,
+            num_shards,
+            error_rate=0.01,
+            latency_rate=0.0,
+            connection_drops=max(1, num_requests // 12),
+        )
+    # latency-storm
+    return FaultPlan.seeded(
+        seed,
+        num_requests,
+        num_shards,
+        error_rate=0.0,
+        latency_rate=0.34,
+        latency_seconds=0.01,
+    )
 
 
 class FaultInjector:

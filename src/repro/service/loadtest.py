@@ -17,42 +17,20 @@ from typing import Callable, Optional, Sequence
 
 from ..core.estimator import XMemEstimator
 from .control import ControlPlane, TenantConfig
+from .faults import chaos_plan
+from .replayer import ReplayReport, replay
 from .resilience import default_resilience
 from .routing import make_policy
 from .traffic import (
     TENANT_SCENARIOS,
-    ReplayReport,
     SyntheticEstimator,
     TrafficTrace,
-    chaos_plan,
     make_control,
-    replay,
 )
 
 __all__ = ["DRIVERS", "gateway_options", "parse_tenant_spec", "run_trace"]
 
 DRIVERS = ("threads", "asyncio", "processes", "tcp")
-
-
-class _Recorder:
-    """Stands in for a target and logs what every ``submit`` got: the
-    future, or the exception it raised — one entry per submission."""
-
-    def __init__(self, target, log: list):
-        self._target = target
-        self._log = log
-
-    def __getattr__(self, name):  # stats, max_queue_depth
-        return getattr(self._target, name)
-
-    def submit(self, *args, **kwargs):
-        try:
-            future = self._target.submit(*args, **kwargs)
-        except Exception as error:
-            self._log.append(error)
-            raise
-        self._log.append(future)
-        return future
 
 
 def run_trace(
@@ -91,8 +69,6 @@ def run_trace(
         "max_workers_per_shard" if driver == "processes" else "pool_workers",
         None,
     )
-    log: list = []
-    recorded = partial(_Recorder, log=log) if on_outcome else (lambda t: t)
     # each driver's module is imported in the branch that builds it: a
     # run, like the CLI's parser, loads no substrate it does not use
     if driver == "asyncio":
@@ -102,7 +78,7 @@ def run_trace(
 
         async def on_loop():
             async with AsyncServiceGateway(**gateway_kwargs) as gateway:
-                report = await replay_async(trace, recorded(gateway))
+                report = await replay_async(trace, gateway)
                 return report, [await gateway.estimate(*p) for p in probes]
 
         report, results = asyncio.run(on_loop())
@@ -132,10 +108,10 @@ def run_trace(
                     reconnect=gateway_kwargs.get("fault_plan") is not None,
                 )
             stack.enter_context(target)  # closed before the server is
-            report = replay(trace, recorded(target))
+            report = replay(trace, target)
             results = [target.estimate(*p) for p in probes]
     # every future has settled: the replay joined each of them
-    for index, got in enumerate(log):
+    for index, got in enumerate(report.submissions if on_outcome else ()):
         error = got if isinstance(got, Exception) else got.exception()
         on_outcome(index, None if error else got.result(), error)
     return report, results

@@ -35,7 +35,7 @@ Pieces:
   a clean close; they never take the server down.
 * :class:`TcpServiceClient` — blocking client with the driver ``submit``
   surface (returns :class:`concurrent.futures.Future`), so the existing
-  :func:`~repro.service.traffic.replay` drives it unchanged.  It is a
+  :func:`~repro.service.replayer.replay` drives it unchanged.  It is a
   shell over the sans-IO :class:`~repro.service.wire.ClientProtocol`:
   it holds a socket, the thread that reads it and the dial loop; ids,
   frames, the pending table and every decision about a response or a
@@ -298,7 +298,7 @@ class TcpServiceClient:
     local exception types — a shed raises
     :class:`~repro.errors.RateLimitExceededError` from ``future.result()``
     exactly as the thread gateway raises it from ``submit`` — so
-    :func:`~repro.service.traffic.replay` drives this client unchanged.
+    :func:`~repro.service.replayer.replay` drives this client unchanged.
 
     ``deadline`` is an absolute value of *this client's* ``clock``;
     the remaining budget is computed at send time and rebased by the

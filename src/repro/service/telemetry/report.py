@@ -136,7 +136,7 @@ def render_loadtest_report(
     """The full ``loadtest --report`` panel for one replay run.
 
     ``run`` carries ``scenario``/``policy``/``driver`` plus the
-    :class:`~repro.service.traffic.ReplayReport`; ``ledger`` and
+    :class:`~repro.service.replayer.ReplayReport`; ``ledger`` and
     ``spans`` (when telemetry was enabled) add the decision summary and
     span accounting.
     """

@@ -19,10 +19,10 @@ and deterministic (peak bytes derived from the request fingerprint), so
 replays measure the serving layer — routing, caches, queues — rather
 than CPU profiling time.
 
-:func:`replay` drives the thread-based services/gateways wave by wave;
-:func:`repro.service.aio.replay_async` is its awaitable mirror for the
-asyncio driver, with identical accounting (same :class:`ReplayReport`),
-so the two drivers can be compared on the same trace apples-to-apples.
+This module only describes traffic: :mod:`repro.service.replayer`
+replays a trace on a driver, and the chaos catalog (what breaks while
+the traffic arrives) lives with the fault plans in
+:mod:`repro.service.faults`.
 """
 
 from __future__ import annotations
@@ -31,24 +31,15 @@ import hashlib
 import random
 import threading
 import time
-from concurrent.futures import CancelledError
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..core.base import Estimator
 from ..core.result import EstimationResult
-from ..errors import (
-    QuotaExceededError,
-    RateLimitExceededError,
-    RequestRejectedError,
-)
 from ..models.registry import list_models
 from ..units import GiB, MiB
 from ..workload import EVAL_DEVICES, DeviceSpec, WorkloadConfig
 from .control import ControlPlane, TenantConfig
-from .faults import FaultPlan, FaultSpec
-from .metrics import percentile
 
 #: Multi-tenant scenario catalog (``loadtest --tenants``): traffic that
 #: only makes sense against a gateway with a
@@ -67,16 +58,6 @@ SCENARIO_NAMES = (
     "duplicate-storm",
     "adversarial",
 ) + TENANT_SCENARIOS
-
-#: Chaos scenario catalog (``loadtest --chaos``): each name maps to a
-#: seeded :class:`~repro.service.faults.FaultPlan` shape — traffic says
-#: *what* arrives, chaos says *what breaks* while it does.
-CHAOS_SCENARIOS = (
-    "shard-kill",
-    "worker-massacre",
-    "flapping-network",
-    "latency-storm",
-)
 
 #: optimizer pool for generated workloads (all registry-valid)
 _OPTIMIZERS = ("sgd", "adam", "adamw")
@@ -495,85 +476,8 @@ def generate_traffic(
     )
 
 
-def chaos_plan(
-    scenario: str,
-    num_requests: int,
-    num_shards: int,
-    seed: int = 0,
-) -> FaultPlan:
-    """Materialize one named chaos scenario into a seeded fault plan.
-
-    Deterministic in its arguments, like :func:`generate_traffic` — a
-    (traffic seed, chaos seed) pair pins an entire chaos run, which is
-    what lets ``bench_chaos`` replay a blackout twice and demand
-    identical resilience decisions.
-
-    * ``shard-kill`` — one seeded shard goes dark for the middle half of
-      the request stream (the breaker/re-route drill).
-    * ``worker-massacre`` — scattered ``worker_kill`` faults; real
-      worker deaths on the procpool driver, injected estimator failures
-      (and gateway retries) elsewhere.
-    * ``flapping-network`` — scattered connection drops plus a trickle
-      of estimator errors; drops are real RSTs on the TCP driver and
-      planned no-ops in-process, so plan indices stay aligned.
-    * ``latency-storm`` — a third of requests eat a latency spike; no
-      errors at all (the deadline drill, not the retry drill).
-    """
-    if scenario not in CHAOS_SCENARIOS:
-        raise ValueError(
-            f"unknown chaos scenario {scenario!r}; "
-            f"choose from {CHAOS_SCENARIOS}"
-        )
-    if num_requests < 1:
-        raise ValueError("num_requests must be >= 1")
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    if scenario == "shard-kill":
-        rng = random.Random(seed)
-        span = max(1, num_requests // 2)
-        start = num_requests // 4
-        return FaultPlan.from_specs(
-            [
-                FaultSpec(
-                    kind="shard_blackout",
-                    start=start,
-                    stop=start + span,
-                    shard=rng.randrange(num_shards),
-                )
-            ],
-            seed=seed,
-        )
-    if scenario == "worker-massacre":
-        return FaultPlan.seeded(
-            seed,
-            num_requests,
-            num_shards,
-            error_rate=0.0,
-            latency_rate=0.0,
-            worker_kills=max(1, num_requests // 16),
-        )
-    if scenario == "flapping-network":
-        return FaultPlan.seeded(
-            seed,
-            num_requests,
-            num_shards,
-            error_rate=0.01,
-            latency_rate=0.0,
-            connection_drops=max(1, num_requests // 12),
-        )
-    # latency-storm
-    return FaultPlan.seeded(
-        seed,
-        num_requests,
-        num_shards,
-        error_rate=0.0,
-        latency_rate=0.34,
-        latency_seconds=0.01,
-    )
-
-
 # ----------------------------------------------------------------------
-# load-test estimator + replay driver
+# load-test estimator
 # ----------------------------------------------------------------------
 
 
@@ -635,210 +539,3 @@ class SyntheticEstimator(Estimator):
             runtime_seconds=self.work_seconds,
             detail={"synthetic": True},
         )
-
-
-@dataclass
-class ReplayReport:
-    """Outcome counts and timings of one trace replay.
-
-    Tenanted requests are additionally bucketed per tenant (counters +
-    end-to-end latency samples) so fairness claims — "the well-behaved
-    tenant's p99 survived the flood" — are assertable from one report.
-    Untenanted requests only touch the top-level counters, keeping the
-    report shape of single-tenant scenarios unchanged.
-    """
-
-    scenario: str
-    num_requests: int
-    answered: int = 0
-    shed: int = 0
-    quota_shed: int = 0
-    rejected: int = 0
-    errors: int = 0
-    elapsed_seconds: float = 0.0
-    stats: dict = field(default_factory=dict)
-    #: tenant -> outcome counters (submitted/answered/shed/quota_shed/
-    #: rejected/errors); populated only for tenanted requests
-    tenants: dict = field(default_factory=dict)
-    #: tenant -> raw submit-to-result latency samples (seconds, answered
-    #: requests only); serialized as percentiles, not raw samples
-    tenant_latencies: dict = field(default_factory=dict)
-
-    def tenant_bucket(self, tenant: str) -> dict:
-        """Per-tenant counters, created zeroed on first touch."""
-        return self.tenants.setdefault(
-            tenant,
-            {
-                "submitted": 0,
-                "answered": 0,
-                "shed": 0,
-                "quota_shed": 0,
-                "rejected": 0,
-                "errors": 0,
-            },
-        )
-
-    def tally(
-        self,
-        tenant: str,
-        error: Optional[BaseException],
-        latency: float = 0.0,
-    ) -> None:
-        """Count one request's outcome — the replayers' one outcome table.
-
-        ``error`` is what ``submit`` raised or the future failed with
-        (None = answered after ``latency`` seconds).  Order matters:
-        quota errors are rate-limit errors.
-        """
-        if error is None:
-            counters = ("answered",)
-        elif isinstance(error, QuotaExceededError):
-            counters = ("shed", "quota_shed")
-        elif isinstance(error, RateLimitExceededError):
-            counters = ("shed",)
-        elif isinstance(error, RequestRejectedError):
-            counters = ("rejected",)
-        else:
-            counters = ("errors",)
-        bucket = self.tenant_bucket(tenant) if tenant else None
-        for counter in counters:
-            setattr(self, counter, getattr(self, counter) + 1)
-            if bucket is not None:
-                bucket[counter] += 1
-        if error is None and tenant:
-            self.tenant_latencies.setdefault(tenant, []).append(latency)
-
-    def tenant_latency_ms(self, tenant: str, q: float) -> float:
-        """Linear-interpolated latency percentile for one tenant (ms)."""
-        value = percentile(self.tenant_latencies.get(tenant, ()), q)
-        return 0.0 if value is None else value * 1000.0
-
-    @property
-    def throughput_rps(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.answered / self.elapsed_seconds
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.num_requests if self.num_requests else 0.0
-
-    @property
-    def reject_rate(self) -> float:
-        return (
-            self.rejected / self.num_requests if self.num_requests else 0.0
-        )
-
-    def as_dict(self) -> dict:
-        report = {
-            "scenario": self.scenario,
-            "num_requests": self.num_requests,
-            "answered": self.answered,
-            "shed": self.shed,
-            "quota_shed": self.quota_shed,
-            "rejected": self.rejected,
-            "errors": self.errors,
-            "elapsed_seconds": self.elapsed_seconds,
-            "throughput_rps": self.throughput_rps,
-            "shed_rate": self.shed_rate,
-            "reject_rate": self.reject_rate,
-            "stats": self.stats,
-        }
-        if self.tenants:
-            report["tenants"] = {
-                name: {
-                    **counters,
-                    "p50_ms": self.tenant_latency_ms(name, 50),
-                    "p95_ms": self.tenant_latency_ms(name, 95),
-                    "p99_ms": self.tenant_latency_ms(name, 99),
-                }
-                for name, counters in sorted(self.tenants.items())
-            }
-        return report
-
-
-def submit_wave(report: ReplayReport, target, wave):
-    """Submit one wave lazily; the submit half of both replayers.
-
-    Yields ``(request, submitted_at, future)`` per request that got a
-    future, submitting the next only when asked for it — the caller sets
-    the pace.  Sheds and rejections ``submit`` raises synchronously are
-    counted into ``report``; any other exception propagates.
-    """
-    for request in wave:
-        # kwargs only off their defaults: untenanted traces call
-        # submit() exactly as pre-control-plane replays did, so any
-        # target with the old signature still works
-        kwargs = {}
-        if request.tenant:
-            report.tenant_bucket(request.tenant)["submitted"] += 1
-            kwargs["tenant"] = request.tenant
-        if request.priority != 1:
-            kwargs["priority"] = request.priority
-        submitted_at = time.perf_counter()
-        try:
-            future = target.submit(request.workload, request.device, **kwargs)
-        except (RateLimitExceededError, RequestRejectedError) as error:
-            report.tally(request.tenant, error)
-        else:
-            yield request, submitted_at, future
-
-
-def replay(trace: TrafficTrace, target) -> ReplayReport:
-    """Replay a trace against a service or gateway, wave by wave.
-
-    Each wave is submitted concurrently (``submit``) and settles before
-    the next begins — bursts stress single-flight and queues, wave
-    boundaries let caches matter.  Sheds (``RateLimitExceededError``)
-    and validation rejections are *expected* outcomes under adversarial
-    scenarios; they are counted, not raised.
-
-    Sheds are counted wherever they surface: in-process drivers raise
-    synchronously from ``submit`` (nothing was enqueued), while a network
-    client only learns of a shed from the server's response frame — its
-    future fails with the same typed exception instead.  Both paths land
-    in ``report.shed``, so driver comparisons stay apples-to-apples.
-
-    Like :func:`repro.service.aio.replay_async`, at most
-    ``target.max_queue_depth`` requests are left in flight: past that,
-    the replayer waits for one to settle, so a wave submitted faster
-    than the first answers come back does not overflow a shard's queue.
-    A target without the attribute gets each wave whole.
-    """
-    report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
-    window = getattr(target, "max_queue_depth", None) or len(trace)
-    in_flight = 0
-    #: (tenant, error, latency) per settled future, tallied by this thread
-    outcomes: list = []
-    progress = threading.Condition()
-
-    def settled(request, submitted_at, future) -> None:
-        # as a done-callback this runs after the target's own, added at
-        # submit: the slot is free again by the time it is counted free,
-        # and the latency is read when the future settled, not when the
-        # replayer gets around to it
-        nonlocal in_flight
-        latency = time.perf_counter() - submitted_at
-        error = CancelledError() if future.cancelled() else future.exception()
-        with progress:
-            outcomes.append((request.tenant, error, latency))
-            in_flight -= 1
-            progress.notify()
-
-    started = time.perf_counter()
-    for wave in trace.waves():
-        for request, submitted_at, future in submit_wave(report, target, wave):
-            with progress:  # re-entrant: a done future calls back inline
-                in_flight += 1
-                future.add_done_callback(
-                    partial(settled, request, submitted_at)
-                )
-                progress.wait_for(lambda: in_flight < window)
-        with progress:
-            progress.wait_for(lambda: in_flight == 0)
-            for outcome in outcomes:
-                report.tally(*outcome)
-            outcomes.clear()
-    report.elapsed_seconds = time.perf_counter() - started
-    report.stats = target.stats()
-    return report

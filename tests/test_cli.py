@@ -196,6 +196,15 @@ BAD_COUNTS = [
     (["batch", "--model", "VGG16", "--batch-sizes", "4", "--workers", "0"],
      "--workers"),
     (["batch", "--model", "VGG16", "--batch-sizes", "4,0"], "--batch-sizes"),
+    (["estimate", "--model", "VGG16", "--batch-size", "4", "--capacity", "0"],
+     "--capacity"),
+    (["estimate", "--model", "VGG16", "--batch-size", "4", "--capacity", "abc"],
+     "--capacity"),
+    # a size below the default framework reservation leaves no job budget
+    (["estimate", "--model", "VGG16", "--batch-size", "4", "--capacity", "1MiB"],
+     "--capacity"),
+    (["curve", "--model", "VGG16", "--batch-size", "4", "--capacity", "0"],
+     "--capacity"),
 ]
 
 

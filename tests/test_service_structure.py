@@ -667,6 +667,32 @@ def test_the_driver_table_is_written_once():
     assert not substrates, f"loadtest.py imports {sorted(substrates)} on load"
 
 
+def test_a_trace_is_replayed_by_one_pacing_core():
+    """The replay policy is written once, in ``replayer.py``: it alone
+    tallies outcomes, no second submit loop or proxy target remains,
+    the pacing core takes its wait from the shell (no ``asyncio``), and
+    ``traffic.py`` only describes traffic."""
+    trees = modules()
+    tallied = [
+        name for name, tree in trees.items() if "tally" in called_attributes(tree)
+    ]
+    assert tallied == ["replayer.py"], f"ReplayReport.tally called in {tallied}"
+    for name, tree in trees.items():
+        retired = bound_names(tree) & {"submit_wave", "_Recorder"}
+        assert not retired, f"{name} defines {sorted(retired)}"
+    traffic = trees["traffic.py"]
+    replays = {n for n in bound_names(traffic) if n.startswith("replay")}
+    assert not replays, f"traffic.py defines {sorted(replays)}"
+    leaked = imported_modules("traffic.py", traffic) & {
+        "asyncio",
+        "concurrent.futures",
+        "repro.service.faults",
+    }
+    assert not leaked, f"traffic.py imports {sorted(leaked)}"
+    assert not imported_roots(traffic) & {"asyncio", "concurrent"}
+    assert "asyncio" not in imported_roots(trees["replayer.py"])
+
+
 def test_the_core_imports_no_concurrency_substrate():
     trees = modules()
     for name in SANS_IO:
