@@ -49,6 +49,17 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _address(text: str) -> tuple[str, int]:
+    """The argparse type of ``--connect``: ``HOST:PORT`` with a port in
+    1-65535 (no host is 127.0.0.1)."""
+    host, _, port = text.rpartition(":")
+    if not port.isdigit() or not 1 <= int(port) <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"takes HOST:PORT with a port in 1-65535, got {text!r}"
+        )
+    return host or "127.0.0.1", int(port)
+
+
 def _capacity(text: str) -> DeviceSpec:
     """The argparse type of ``--capacity``: a size that leaves the job a
     budget once the framework's reservation is taken out."""
@@ -313,8 +324,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     scenarios = args.scenario or ["zipf"]
     policies = args.policy or ["hash"]
     drivers = args.driver or ["threads"]
-    connect = None
-    if args.connect:
+    connect = args.connect
+    if connect:
         if "tcp" not in drivers:
             return _usage_error("--connect needs --driver tcp")
         tenanted = args.tenants or any(s in TENANT_SCENARIOS for s in scenarios)
@@ -324,12 +335,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 "the gateway at construction time and cannot be applied to "
                 "an already-running server (--connect)"
             )
-        host, _, port = args.connect.rpartition(":")
-        if not port.isdigit():
-            return _usage_error(
-                f"--connect takes HOST:PORT, got {args.connect!r}"
-            )
-        connect = (host or "127.0.0.1", int(port))
     try:
         qos = qos_priority(args.qos) if args.qos else None
         for spec in args.tenants or ():
@@ -373,13 +378,20 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                     if capture
                     else None
                 )
-                report, _ = run_trace(
-                    driver,
-                    trace,
-                    connect=connect if driver == "tcp" else None,
-                    telemetry=telemetry,
-                    **gateway_options(args, scenario, policy_name, len(trace)),
-                )
+                try:
+                    report, _ = run_trace(
+                        driver,
+                        trace,
+                        connect=connect if driver == "tcp" else None,
+                        telemetry=telemetry,
+                        **gateway_options(args, scenario, policy_name, len(trace)),
+                    )
+                except OSError as error:
+                    if not connect or driver != "tcp":
+                        raise
+                    host, port = connect
+                    print(f"error: --connect {host}:{port}: {error}", file=sys.stderr)
+                    return 1
                 if telemetry is not None and args.spans_out:
                     # spans stay in memory during the run (the report
                     # panel reads them back); dump afterwards so several
@@ -597,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spawns an in-process socket server unless --connect is given",
     )
     loadtest.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
+        "--connect", type=_address, default=None, metavar="HOST:PORT",
         help="with --driver tcp: replay against an already-running "
         "server instead of spawning one in-process (the remote "
         "gateway's policy/estimator apply; local telemetry is empty)",

@@ -14,7 +14,7 @@ import bisect
 import math
 import operator
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from typing import Optional
 
 from ..framework.tensor import NO_ROLE, ROLE_CODES, ROLES, TensorRole
@@ -23,6 +23,7 @@ from ..trace.events import (
     MODEL_TO_DEVICE,
     OPTIMIZER_STEP_PREFIX,
     ZERO_GRAD_PREFIX,
+    ColumnTable,
     EventCategory,
     SpanColumns,
     SpanEvent,
@@ -116,7 +117,7 @@ class AttributedBlock:
         )
 
 
-class AttributedColumns(Sequence):
+class AttributedColumns(ColumnTable):
     """Attributed blocks as parallel columns: the Analyzer's stored form.
 
     ``blocks`` holds the lifecycles (:class:`BlockColumns`).  Per row,
@@ -124,9 +125,8 @@ class AttributedColumns(Sequence):
     ``iteration`` the ProfilerStep index (:data:`NONE`: setup), ``op`` and
     ``annotation`` the innermost span rows of ``spans`` (:data:`NONE`: no
     span), ``module`` an index into the ``module_paths`` table and
-    ``backward`` 0 or 1.  Stages read the columns.  Indexing or iterating
-    yields :class:`AttributedBlock` views, built once on first use and
-    cached (the cache is dropped on pickling).
+    ``backward`` 0 or 1.  The rows are :class:`AttributedBlock` views
+    (:class:`ColumnTable`).
     """
 
     __slots__ = (
@@ -137,10 +137,12 @@ class AttributedColumns(Sequence):
         "op",
         "annotation",
         "module",
-        "module_paths",
         "backward",
-        "_items",
+        "module_paths",
     )
+    _state = __slots__
+    _length = "role"
+    _noun = "blocks"
 
     def __init__(
         self,
@@ -161,9 +163,9 @@ class AttributedColumns(Sequence):
         self.op = int_column(op)
         self.annotation = int_column(annotation)
         self.module = int_column(module)
-        self.module_paths = module_paths
         self.backward = array("b", backward)
-        self._items: Optional[list[AttributedBlock]] = None
+        self.module_paths = module_paths
+        self._rows: Optional[list[AttributedBlock]] = None
 
     @classmethod
     def from_items(cls, items: Iterable[AttributedBlock]) -> "AttributedColumns":
@@ -187,7 +189,7 @@ class AttributedColumns(Sequence):
             [bool(item.backward) for item in items],
             list(module_ids),
         )
-        columns._items = items
+        columns._rows = items
         return columns
 
     def _columns(self) -> tuple:
@@ -208,54 +210,32 @@ class AttributedColumns(Sequence):
             *(map(column.__getitem__, rows) for column in self._columns()),
             self.module_paths,
         )
-        if self._items is not None:
-            taken._items = list(map(self._items.__getitem__, rows))
+        if self._rows is not None:
+            taken._rows = list(map(self._rows.__getitem__, rows))
         return taken
 
-    def _view(self) -> list[AttributedBlock]:
-        items = self._items
-        if items is None:
-            spans = self.spans
-            paths = self.module_paths
-            items = [
-                AttributedBlock(
-                    block,
-                    None if op < 0 else op,
-                    paths[module],
-                    None if annotation < 0 else annotation,
-                    None if iteration < 0 else iteration,
-                    bool(backward),
-                    ROLES[role],
-                    spans,
-                )
-                for block, role, iteration, op, annotation, module, backward
-                in zip(self.blocks, *self._columns())
-            ]
-            self._items = items
-        return items
+    def _build_view(self) -> list[AttributedBlock]:
+        spans = self.spans
+        paths = self.module_paths
+        return [
+            AttributedBlock(
+                block,
+                None if op < 0 else op,
+                paths[module],
+                None if annotation < 0 else annotation,
+                None if iteration < 0 else iteration,
+                bool(backward),
+                ROLES[role],
+                spans,
+            )
+            for block, role, iteration, op, annotation, module, backward
+            in zip(self.blocks, *self._columns())
+        ]
 
     def rows_of(self, role: TensorRole) -> list[int]:
         """The rows classified as ``role``, in order."""
         code = ROLE_CODES[role]
         return [row for row, value in enumerate(self.role) if value == code]
-
-    def __len__(self) -> int:
-        return len(self.role)
-
-    def __getitem__(self, index):
-        return self._view()[index]
-
-    def __iter__(self) -> Iterator[AttributedBlock]:
-        return iter(self._view())
-
-    def __getstate__(self) -> tuple:
-        return (self.blocks, self.spans, *self._columns(), self.module_paths)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__(*state)
-
-    def __repr__(self) -> str:
-        return f"AttributedColumns({len(self)} blocks)"
 
 
 def _span_row(span) -> int:

@@ -11,13 +11,12 @@ appears in the trace), held as :class:`BlockColumns` with
 from __future__ import annotations
 
 import itertools
-from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ..errors import LifecycleError
-from ..trace.events import MemoryColumns, MemoryEvent, int_column
+from ..trace.events import ColumnTable, MemoryColumns, MemoryEvent, int_column
 
 #: default ids of hand-built :class:`MemoryBlock` records
 _block_ids = itertools.count(1)
@@ -73,17 +72,18 @@ class MemoryBlock(_BlockFields):
         return self._replace(free_ts=free_ts)
 
 
-class BlockColumns(Sequence):
+class BlockColumns(ColumnTable):
     """Block lifecycles as parallel ``array('q')`` columns.
 
     ``addr``, ``size``, ``alloc_ts``, ``free_ts`` (:data:`NO_FREE` for a
-    persistent block) and ``block_id``, one row per block.  Stages read
-    the columns; indexing or iterating yields :class:`MemoryBlock`
-    objects, built once on first use and cached (the cache is dropped on
-    pickling).
+    persistent block) and ``block_id``, one row per block.  The rows are
+    :class:`MemoryBlock` objects (:class:`ColumnTable`).
     """
 
-    __slots__ = ("addr", "size", "alloc_ts", "free_ts", "block_id", "_blocks")
+    __slots__ = ("addr", "size", "alloc_ts", "free_ts", "block_id")
+    _state = __slots__
+    _length = "size"
+    _noun = "blocks"
 
     def __init__(
         self,
@@ -98,7 +98,7 @@ class BlockColumns(Sequence):
         self.alloc_ts = int_column(alloc_ts)
         self.free_ts = int_column(free_ts)
         self.block_id = int_column(block_id)
-        self._blocks: Optional[list[MemoryBlock]] = None
+        self._rows: Optional[list[MemoryBlock]] = None
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[MemoryBlock]) -> "BlockColumns":
@@ -114,67 +114,35 @@ class BlockColumns(Sequence):
             ],
             [block.block_id for block in blocks],
         )
-        columns._blocks = blocks
+        columns._rows = blocks
         return columns
-
-    def _columns(self) -> tuple[array, ...]:
-        return (self.addr, self.size, self.alloc_ts, self.free_ts, self.block_id)
 
     def take(self, rows: list[int]) -> "BlockColumns":
         """The blocks at ``rows``, in that order (a built view comes along)."""
         taken = BlockColumns(
-            *(map(column.__getitem__, rows) for column in self._columns())
+            *(map(column.__getitem__, rows) for column in self.__getstate__())
         )
-        if self._blocks is not None:
-            taken._blocks = list(map(self._blocks.__getitem__, rows))
+        if self._rows is not None:
+            taken._rows = list(map(self._rows.__getitem__, rows))
         return taken
 
-    def _view(self) -> list[MemoryBlock]:
-        blocks = self._blocks
-        if blocks is None:
-            new_block = tuple.__new__
-            blocks = [
-                new_block(
-                    MemoryBlock,
-                    (
-                        addr,
-                        size,
-                        alloc_ts,
-                        None if free_ts == NO_FREE else free_ts,
-                        block_id,
-                    ),
-                )
-                for addr, size, alloc_ts, free_ts, block_id in zip(
-                    *self._columns()
-                )
-            ]
-            self._blocks = blocks
-        return blocks
-
-    def __len__(self) -> int:
-        return len(self.size)
-
-    def __getitem__(self, index):
-        return self._view()[index]
-
-    def __iter__(self) -> Iterator[MemoryBlock]:
-        return iter(self._view())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockColumns):
-            return NotImplemented
-        return self._columns() == other._columns()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __getstate__(self) -> tuple[array, ...]:
-        return self._columns()
-
-    def __setstate__(self, state: tuple[array, ...]) -> None:
-        self.__init__(*state)
-
-    def __repr__(self) -> str:
-        return f"BlockColumns({len(self)} blocks)"
+    def _build_view(self) -> list[MemoryBlock]:
+        new_block = tuple.__new__
+        return [
+            new_block(
+                MemoryBlock,
+                (
+                    addr,
+                    size,
+                    alloc_ts,
+                    None if free_ts == NO_FREE else free_ts,
+                    block_id,
+                ),
+            )
+            for addr, size, alloc_ts, free_ts, block_id in zip(
+                *self.__getstate__()
+            )
+        ]
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,10 @@ def pace(
     ``target.max_queue_depth`` requests are left in flight: past that,
     the shell waits for one to settle, so a wave submitted faster than
     the first answers come back does not overflow a shard's queue.  A
-    target without the attribute gets each wave whole.
+    target without the attribute (a TCP client) takes the depth from the
+    ``gateway`` block of its ``stats()``, read once before the clock
+    starts; a target whose stats have no such block (a bare service)
+    gets each wave whole.
 
     Sheds (``RateLimitExceededError``) and validation rejections are
     *expected* outcomes; they are counted, not raised, wherever they
@@ -188,7 +191,11 @@ def pace(
     tallies each wave once it has joined.
     """
     report = ReplayReport(scenario=trace.scenario, num_requests=len(trace))
-    window = getattr(target, "max_queue_depth", None) or len(trace)
+    window = (
+        getattr(target, "max_queue_depth", None)
+        or target.stats().get("gateway", {}).get("max_queue_depth")
+        or len(trace)
+    )
     #: (tenant, error, latency) per future settled in this wave
     outcomes: list = []
 

@@ -118,19 +118,78 @@ def int_column(values: Iterable[int]) -> array:
     return array("q", values)
 
 
-class MemoryColumns(Sequence):
+class ColumnTable(Sequence):
+    """A table stored as parallel columns, read as a sequence of objects.
+
+    Stages read the columns.  Indexing or iterating yields the row
+    objects, which :meth:`_build_view` builds from the columns on first
+    use; the list is cached in ``_rows`` (a ``from_*`` constructor hands
+    its own objects over as the view).  Equality compares
+    :meth:`_content`, by default the pickled state; pickling stores the
+    constructor's arguments named in ``_state``, in order, and never the
+    view.  A subclass names those arguments, the per-row column its
+    length is read from (``_length``) and what a row is called in its
+    ``repr`` (``_noun``).
+    """
+
+    __slots__ = ("_rows",)
+    _state: tuple[str, ...] = ()
+    _length = ""
+    _noun = "rows"
+
+    def _build_view(self) -> list:
+        raise NotImplementedError
+
+    def _view(self) -> list:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._build_view()
+        return rows
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._length))
+
+    def __getitem__(self, index):
+        return self._view()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._view())
+
+    def _content(self) -> tuple:
+        return self.__getstate__()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._content() == other._content()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._state)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} {self._noun})"
+
+
+class MemoryColumns(ColumnTable):
     """A trace's ``[memory]`` stream as parallel int columns.
 
     ``ts``, ``addr`` and signed ``nbytes`` are what the Analyzer sweeps;
     ``total`` is the running ``Total Allocated`` the profiler reported.
     Each column is an ``array('q')`` (:func:`int_column`; lists are
-    converted).  Stages read the columns; indexing or iterating yields
-    :class:`MemoryEvent` objects, built once on first use and cached (the
-    cache is dropped on pickling).  The stream is the CPU profile, so no
-    device is stored.
+    converted).  The rows are :class:`MemoryEvent` objects
+    (:class:`ColumnTable`).  The stream is the CPU profile, so no device
+    is stored.
     """
 
-    __slots__ = ("ts", "addr", "nbytes", "total", "_events")
+    __slots__ = ("ts", "addr", "nbytes", "total")
+    _state = __slots__
+    _length = "ts"
+    _noun = "events"
 
     def __init__(
         self,
@@ -143,7 +202,7 @@ class MemoryColumns(Sequence):
         self.addr = int_column(addr)
         self.nbytes = int_column(nbytes)
         self.total = int_column(total)
-        self._events: Optional[list[MemoryEvent]] = None
+        self._rows: Optional[list[MemoryEvent]] = None
 
     @classmethod
     def from_events(cls, events: Iterable[MemoryEvent]) -> "MemoryColumns":
@@ -155,48 +214,19 @@ class MemoryColumns(Sequence):
             [e.nbytes for e in events],
             [e.total_allocated for e in events],
         )
-        columns._events = events
+        columns._rows = events
         return columns
 
-    def _view(self) -> list[MemoryEvent]:
-        events = self._events
-        if events is None:
-            events = [
-                MemoryEvent(ts=ts, addr=addr, nbytes=nbytes, total_allocated=total)
-                for ts, addr, nbytes, total in zip(
-                    self.ts, self.addr, self.nbytes, self.total
-                )
-            ]
-            self._events = events
-        return events
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def __getitem__(self, index):
-        return self._view()[index]
-
-    def __iter__(self) -> Iterator[MemoryEvent]:
-        return iter(self._view())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MemoryColumns):
-            return NotImplemented
-        return self.__getstate__() == other.__getstate__()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __getstate__(self) -> tuple[array, ...]:
-        return (self.ts, self.addr, self.nbytes, self.total)
-
-    def __setstate__(self, state: tuple[array, ...]) -> None:
-        self.__init__(*state)
-
-    def __repr__(self) -> str:
-        return f"MemoryColumns({len(self)} events)"
+    def _build_view(self) -> list[MemoryEvent]:
+        return [
+            MemoryEvent(ts=ts, addr=addr, nbytes=nbytes, total_allocated=total)
+            for ts, addr, nbytes, total in zip(
+                self.ts, self.addr, self.nbytes, self.total
+            )
+        ]
 
 
-class SpanColumns(Sequence):
+class SpanColumns(ColumnTable):
     """A trace's duration events as parallel columns.
 
     ``name_id``, ``ts``, ``dur`` and ``tid`` are ``array('q')`` int
@@ -204,24 +234,17 @@ class SpanColumns(Sequence):
     :class:`EventCategory` members; ``name_id`` indexes the interned
     ``names`` table; ``args`` holds each span's argument dict, or ``None``
     when it has none (spans with equal arguments may share one dict:
-    treat it as read-only).  Stages read the columns.  Indexing or
-    iterating yields :class:`SpanEvent` objects: one index builds that
-    span alone, iteration or a slice builds them all, and either is cached
-    so a row always yields the same object (the caches are dropped on
-    pickling).
+    treat it as read-only).  The rows are :class:`SpanEvent` objects
+    (:class:`ColumnTable`), but one index builds that span alone (kept in
+    ``_picked``, which the full view adopts), so a row always yields the
+    same object.  Two tables are equal when their spans are, whatever
+    the order of their ``names`` tables.
     """
 
-    __slots__ = (
-        "names",
-        "name_id",
-        "category",
-        "ts",
-        "dur",
-        "tid",
-        "args",
-        "_events",
-        "_picked",
-    )
+    _state = ("names", "name_id", "category", "ts", "dur", "tid", "args")
+    __slots__ = (*_state, "_picked")
+    _length = "ts"
+    _noun = "spans"
 
     def __init__(
         self,
@@ -240,7 +263,7 @@ class SpanColumns(Sequence):
         self.dur = int_column(dur)
         self.tid = int_column(tid)
         self.args = args
-        self._events: Optional[list[SpanEvent]] = None
+        self._rows: Optional[list[SpanEvent]] = None
         self._picked: dict[int, SpanEvent] = {}
 
     @classmethod
@@ -258,46 +281,30 @@ class SpanColumns(Sequence):
             [e.tid for e in events],
             [e.args or None for e in events],
         )
-        columns._events = events
+        columns._rows = events
         return columns
 
-    def _make(self, index: int) -> SpanEvent:
-        return SpanEvent(
-            self.names[self.name_id[index]],
-            self.category[index],
-            self.ts[index],
-            self.dur[index],
-            self.tid[index],
-            self.args[index] or {},
-        )
-
-    def _view(self) -> list[SpanEvent]:
-        events = self._events
-        if events is None:
-            names = self.names
-            events = [
-                SpanEvent(names[name_id], category, ts, dur, tid, args or {})
-                for name_id, category, ts, dur, tid, args in zip(
-                    self.name_id,
-                    self.category,
-                    self.ts,
-                    self.dur,
-                    self.tid,
-                    self.args,
-                )
-            ]
-            # a copy: another thread may pick a span meanwhile
-            for index, event in list(self._picked.items()):
-                events[index] = event
-            self._picked.clear()
-            self._events = events
+    def _build_view(self) -> list[SpanEvent]:
+        names = self.names
+        events = [
+            SpanEvent(names[name_id], category, ts, dur, tid, args or {})
+            for name_id, category, ts, dur, tid, args in zip(
+                self.name_id,
+                self.category,
+                self.ts,
+                self.dur,
+                self.tid,
+                self.args,
+            )
+        ]
+        # a copy: another thread may pick a span meanwhile
+        for index, event in list(self._picked.items()):
+            events[index] = event
+        self._picked.clear()
         return events
 
-    def __len__(self) -> int:
-        return len(self.ts)
-
     def __getitem__(self, index):
-        if self._events is not None or isinstance(index, slice):
+        if self._rows is not None or isinstance(index, slice):
             return self._view()[index]
         if index < 0:
             index += len(self.ts)
@@ -305,11 +312,15 @@ class SpanColumns(Sequence):
             raise IndexError("span index out of range")
         event = self._picked.get(index)
         if event is None:
-            event = self._picked[index] = self._make(index)
+            event = self._picked[index] = SpanEvent(
+                self.names[self.name_id[index]],
+                self.category[index],
+                self.ts[index],
+                self.dur[index],
+                self.tid[index],
+                self.args[index] or {},
+            )
         return event
-
-    def __iter__(self) -> Iterator[SpanEvent]:
-        return iter(self._view())
 
     def _content(self) -> tuple[list, ...]:
         names = self.names
@@ -321,30 +332,6 @@ class SpanColumns(Sequence):
             self.tid,
             self.args,
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpanColumns):
-            return NotImplemented
-        return self._content() == other._content()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __getstate__(self) -> tuple[list, ...]:
-        return (
-            self.names,
-            self.name_id,
-            self.category,
-            self.ts,
-            self.dur,
-            self.tid,
-            self.args,
-        )
-
-    def __setstate__(self, state: tuple[list, ...]) -> None:
-        self.__init__(*state)
-
-    def __repr__(self) -> str:
-        return f"SpanColumns({len(self)} spans)"
 
 
 def is_profiler_step(event: SpanEvent) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,9 @@ BAD_COUNTS = [
     (["loadtest", "--unique", "0"], "--unique"),
     (["loadtest", "--unique", "145"], "--unique"),  # the catalog has 144
     (["loadtest", "--driver", "processes", "--pool-workers", "0"], "--pool-workers"),
+    # getaddrinfo wraps a port past 65535: 99999 dialled 34463
+    (["loadtest", "--driver", "tcp", "--connect", "127.0.0.1:99999"], "--connect"),
+    (["loadtest", "--driver", "tcp", "--connect", "127.0.0.1:0"], "--connect"),
     (["estimate", "--model", "VGG16", "--iterations", "0", "--batch-size", "4"],
      "--iterations"),
     (["estimate", "--model", "VGG16", "--batch-size", "0"], "--batch-size"),
@@ -333,11 +337,24 @@ class TestLoadtest:
 
     def test_malformed_connect_endpoint_is_a_usage_error(self, capsys):
         # was: ValueError traceback out of int("nohost")
-        code = main(["loadtest", "--driver", "tcp", "--connect", "nohost"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: --connect takes HOST:PORT, got 'nohost'\n"
+        with pytest.raises(SystemExit) as stop:
+            main(["loadtest", "--driver", "tcp", "--connect", "nohost"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "xmem loadtest: error: argument --connect: takes HOST:PORT "
+            "with a port in 1-65535, got 'nohost'"
         )
+
+    def test_a_server_that_refuses_is_one_error_line(self, capsys):
+        # was: a 26-line ConnectionRefusedError traceback
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        code = main(["loadtest", "--driver", "tcp", "--connect", f"127.0.0.1:{port}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: --connect 127.0.0.1:{port}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def _mask_timings(text: str) -> str:

@@ -198,7 +198,7 @@ def test_a_cold_estimate_builds_no_object_view():
     run = EstimationPipeline(iterations=2).run(
         WorkloadConfig("MobileNetV3Small", "sgd", 4), curve=False
     )
-    assert run.trace.memory_events._events is None
+    assert run.trace.memory_events._rows is None
     assert run.sequence._events is None
 
 
@@ -207,7 +207,7 @@ def test_a_cold_estimate_builds_no_span_view():
         WorkloadConfig("MobileNetV3Small", "sgd", 4), curve=False
     )
     spans = run.trace.spans
-    assert spans._events is None
+    assert spans._rows is None
     # only the loop markers were built: Module.to plus four per iteration
     assert len(spans._picked) <= 1 + 4 * 2 < len(spans)
     assert all(

@@ -8,7 +8,8 @@ the two halves of the TCP protocol each exist in exactly one module, the
 core modules import no concurrency substrate, the driver modules make no
 gateway-layer decision, no service-core step and no use of a frame's
 contents themselves, and the middleware chain carries policy only — a
-request's outcome is observed once, in ``ServiceDispatch._emit``.  Every
+request's outcome is observed once, in ``ServiceDispatch._emit``.  The
+stage artifacts' column tables share one ``ColumnTable`` base.  Every
 package's public surface is checked the same way: each ``__init__`` that
 re-exports names does so through one lazy table, and re-exports exactly
 the names its callers outside ``tests/`` import from it.
@@ -874,6 +875,42 @@ def test_the_core_closes_a_request_span_in_one_place():
         )
     ]
     assert closers == ["_emit"]
+
+
+#: the stage artifacts stored as columns with a lazy object view
+COLUMN_TABLES = ("MemoryColumns", "SpanColumns", "BlockColumns", "AttributedColumns")
+#: the column/object bridge, written once in ``ColumnTable``
+COLUMN_BRIDGE = {
+    "_view",
+    "__len__",
+    "__iter__",
+    "__eq__",
+    "__getstate__",
+    "__setstate__",
+    "__repr__",
+}
+
+
+def test_a_column_table_is_written_once():
+    """Every class in ``src/repro`` that builds a lazy object view
+    subclasses ``ColumnTable`` and leaves it the bridge; ``SpanColumns``
+    alone keeps its one-span ``__getitem__`` and its ``_content``."""
+    tables = {}
+    for path in sorted(REPRO.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef) or node.name == "ColumnTable":
+                continue
+            methods = {
+                item.name for item in node.body if isinstance(item, ast.FunctionDef)
+            }
+            if methods & {"_view", "_build_view"}:
+                assert [ast.unparse(base) for base in node.bases] == ["ColumnTable"]
+                tables[node.name] = methods
+    assert sorted(tables) == sorted(COLUMN_TABLES)
+    for name, methods in tables.items():
+        assert not methods & COLUMN_BRIDGE, (name, methods & COLUMN_BRIDGE)
+        own = {"__getitem__", "_content"} if name == "SpanColumns" else set()
+        assert methods & {"__getitem__", "_content"} == own, name
 
 
 def python_blocks(path: Path) -> list[str]:

@@ -29,6 +29,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.analyzer import Analyzer
+from repro.core.attribution import AttributedBlock
+from repro.core.lifecycle import reconstruct_lifecycles
 from repro.core.orchestrator import (
     KIND_ALLOC,
     KIND_FREE,
@@ -109,6 +111,7 @@ def small_trace() -> Trace:
 def test_two_analyses_of_one_trace_give_identical_block_ids(small_trace):
     first = Analyzer().analyze(small_trace)
     second = Analyzer().analyze(small_trace)
+    assert first.blocks == second.blocks
     ids = first.blocks.blocks.block_id
     assert ids == second.blocks.blocks.block_id
     # creation ranks from 0: every block kept, so a permutation of 0..n-1
@@ -127,12 +130,74 @@ def test_the_analyzed_trace_pickles_as_columns(small_trace):
         for item in analyzed.blocks
     ]
     restored = pickle.loads(pickle.dumps(analyzed))
-    assert restored.blocks._items is None  # the view is not stored
+    assert restored.blocks._rows is None  # the view is not stored
     assert restored.role_bytes() == analyzed.role_bytes()
     assert [
         (item.block, item.role, item.iteration, item.module_path, item.op_name)
         for item in restored.blocks
     ] == expected
+
+
+# ----------------------------------------------------------------------
+# one column-table contract
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tables(small_trace) -> dict:
+    """The four column tables of one trace, its lifecycles and analysis."""
+    return {
+        "MemoryColumns": small_trace.memory_events,
+        "SpanColumns": small_trace.spans,
+        "BlockColumns": reconstruct_lifecycles(small_trace.memory_events).blocks,
+        "AttributedColumns": Analyzer().analyze(small_trace).blocks,
+    }
+
+
+def _row(item):
+    """A row as a value: an ``AttributedBlock`` compares by identity."""
+    if isinstance(item, AttributedBlock):
+        return (
+            item.block,
+            item.role,
+            item.iteration,
+            item.module_path,
+            item.op_name,
+            item.annotation_name,
+            item.backward,
+        )
+    return item
+
+
+#: each table's ``from_*`` constructor, length and repr on ``small_trace``
+CONTRACT = {
+    "MemoryColumns": ("from_events", 1886, "MemoryColumns(1886 events)"),
+    "SpanColumns": ("from_events", 1053, "SpanColumns(1053 spans)"),
+    "BlockColumns": ("from_blocks", 1058, "BlockColumns(1058 blocks)"),
+    "AttributedColumns": ("from_items", 1058, "AttributedColumns(1058 blocks)"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT)
+def test_a_column_table_keeps_one_contract(tables, name):
+    """Pickling, the ``from_*`` constructor, ``take``, ``len`` and
+    ``repr`` behave alike on the four tables."""
+    constructor, length, text = CONTRACT[name]
+    table = tables[name]
+    assert (len(table), repr(table)) == (length, text)
+    rows = [_row(item) for item in table]  # builds the view
+    restored = pickle.loads(pickle.dumps(table))
+    assert restored == table
+    assert restored._rows is None  # the view is not stored
+    assert [_row(item) for item in restored] == rows
+    assert getattr(type(table), constructor)(list(table)) == table
+    if hasattr(table, "take"):
+        picked = [5, 0, len(table) - 1, 5]
+        taken = table.take(picked)
+        assert all(item is table[row] for item, row in zip(taken, picked))
+        fresh = pickle.loads(pickle.dumps(table)).take(picked)
+        assert fresh._rows is None
+        assert [_row(item) for item in fresh] == [rows[row] for row in picked]
 
 
 def test_equal_span_args_are_stored_once_and_copied():

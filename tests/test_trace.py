@@ -77,7 +77,7 @@ class TestSpanColumns:
     def test_one_index_builds_one_span_and_keeps_it(self):
         spans = build_simple_trace().spans
         op = spans[2]
-        assert spans._events is None and list(spans._picked) == [2]
+        assert spans._rows is None and list(spans._picked) == [2]
         assert spans[-1] is op
         assert list(spans)[2] is op  # the full view reuses it
 
@@ -87,7 +87,7 @@ class TestSpanColumns:
         spans = build_simple_trace().spans
         list(spans)
         copy = pickle.loads(pickle.dumps(spans))
-        assert copy._events is None and copy == spans
+        assert copy._rows is None and copy == spans
 
 
 class TestBuilder:
